@@ -25,6 +25,9 @@ __all__ = ["MeasuredClient", "WarmupTracker"]
 WARMUP_LEVELS: tuple[float, ...] = (
     0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90, 0.95)
 
+#: Accesses pre-drawn per refill of the MC's private stream.
+_DRAW_BUFFER = 1 << 10
+
 
 class WarmupTracker:
     """Records when the cache first holds X% of its highest-valued pages."""
@@ -90,6 +93,7 @@ class MeasuredClient:
             raise ValueError("think_time must be non-negative")
         self.probabilities = probabilities
         self.sampler = ZipfSampler(probabilities, rng)
+        self._draws: list[int] = []  # pre-drawn accesses, next one last
         self.cache = cache
         self.think_time = think_time
         self.warmup: Optional[WarmupTracker] = (
@@ -109,8 +113,12 @@ class MeasuredClient:
 
     # -- the access protocol the engines follow ------------------------------
     def draw_page(self) -> int:
-        """Draw the next page the MC wants."""
-        return self.sampler.sample_one()
+        """Draw the next page the MC wants (batched: same pages in the
+        same order as a scalar inverse-CDF lookup per access)."""
+        draws = self._draws
+        if not draws:
+            draws.extend(self.sampler.sample(_DRAW_BUFFER)[::-1].tolist())
+        return draws.pop()
 
     def lookup(self, page: int, now: float) -> bool:
         """Check the cache; record a zero-delay response on a hit."""

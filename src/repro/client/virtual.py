@@ -49,19 +49,18 @@ class VirtualClient:
         self.threshold = threshold
         self._db_size = int(probabilities.size)
         self._rng = rng
-        sampler = ZipfSampler(probabilities, rng)
-        self._stream = AccessStream(sampler, steady_state_perc, rng)
+        absorbing = np.zeros(self._db_size, dtype=bool)
+        absorbing[list(steady_set)] = True
+        self._stream = AccessStream(ZipfSampler(probabilities, rng),
+                                    steady_state_perc, rng, absorbing)
         # Fast-path threshold lookup: a flat row-major distance table so the
-        # hot loop does one array index instead of a per-page binary search.
+        # hot loop does one index instead of a per-page binary search.
+        self._dist_flat: Optional[memoryview] = None
+        self._cycle = 0
+        self._threshold_slots = 0.0
         if threshold is not None and threshold.schedule is not None:
-            table = threshold.schedule.distance_table(probabilities.size)
-            self._cycle = table.shape[1]
-            self._dist_flat = table.ravel()
             self._threshold_slots = threshold.threshold_slots
-        else:
-            self._cycle = 0
-            self._dist_flat = None
-            self._threshold_slots = 0.0
+            self.set_schedule(threshold.schedule)
         # Accounting (cumulative; engines reset at phase boundaries).
         self.generated = 0
         self.absorbed_by_cache = 0
@@ -86,36 +85,40 @@ class VirtualClient:
         a reprogrammed server must refresh it or the threshold filter
         keeps judging distances against the dead program.
         """
-        if self._dist_flat is None:
+        if self.threshold is None or self.threshold.schedule is None:
             raise ValueError("this client applies no threshold filter")
         table = schedule.distance_table(self._db_size)
         self._cycle = table.shape[1]
-        self._dist_flat = table.ravel()
+        # A memoryview of the int32 table hands the loop plain ints; a
+        # numpy scalar compared with a float costs twenty times as much.
+        self._dist_flat = memoryview(table.ravel())
 
     def requests_for_slot(self, count: int,
                           schedule_pos: int) -> Iterator[int]:
         """Yield the pages (of ``count`` raw accesses) that reach the server.
 
-        Applies the steady-state cache absorption and the threshold filter;
-        the caller offers the survivors to the server queue in order.
+        The steady-state cache absorption was settled when the draws were
+        buffered; the threshold filter, which depends on ``schedule_pos``,
+        runs here.  The caller exhausts the iterator, offering the
+        survivors to the server queue in order.
         """
-        stream_next = self._stream.next
-        steady_set = self.steady_set
-        dist_flat = self._dist_flat
-        threshold_slots = self._threshold_slots
-        base = schedule_pos % self._cycle if self._cycle else 0
-        cycle = self._cycle
+        survivors = self._stream.take(count)
         self.generated += count
-        for _ in range(count):
-            page, steady = stream_next()
-            if steady and page in steady_set:
-                self.absorbed_by_cache += 1
-                continue
-            if (dist_flat is not None
-                    and dist_flat[page * cycle + base] <= threshold_slots):
-                self.filtered_by_threshold += 1
-                continue
-            yield page
+        self.absorbed_by_cache += count - len(survivors)
+        dist_flat = self._dist_flat
+        if dist_flat is None:
+            yield from survivors
+            return
+        threshold_slots = self._threshold_slots
+        cycle = self._cycle
+        base = schedule_pos % cycle
+        filtered = 0
+        for page in survivors:
+            if dist_flat[page * cycle + base] <= threshold_slots:
+                filtered += 1
+            else:
+                yield page
+        self.filtered_by_threshold += filtered
 
     def reset_stats(self) -> None:
         """Zero the accounting counters (measurement-phase boundary)."""

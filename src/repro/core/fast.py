@@ -513,6 +513,10 @@ class FastEngine:
                         for wanted in requests_for_slot(
                                 count, server.schedule_pos):
                             offer(wanted)
+            if profiling:
+                _now = _pc()
+                prof.vc_arrivals += _now - _t0
+                _t0 = _now
             # Fleet accesses inside this slot.  generate() must run even
             # without a backchannel — clients still access, absorb, and
             # wait on the push program — but its survivors only reach the
@@ -522,8 +526,8 @@ class FastEngine:
                 if uses_backchannel:
                     for wanted in survivors.tolist():
                         offer(wanted)
-            if profiling:
-                prof.vc_arrivals += _pc() - _t0
+                if profiling:
+                    prof.fleet_arrivals += _pc() - _t0
             t += 1
 
         if profiling:

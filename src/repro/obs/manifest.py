@@ -95,29 +95,24 @@ def config_from_dict(data: dict):
     JSON lists turn back into the tuples the dataclasses expect, and
     keys unknown to this version are ignored.
     """
-    from repro.core.algorithms import Algorithm
-    from repro.core.config import (
-        ClientConfig,
-        FleetConfig,
-        RunConfig,
-        ServerConfig,
-        SystemConfig,
-    )
+    from dataclasses import fields
 
-    server = _known_fields(ServerConfig, data.get("server", {}))
-    for name in ("disk_sizes", "rel_freqs"):
-        if name in server:
-            server[name] = tuple(server[name])
-    return SystemConfig(
-        algorithm=Algorithm(data["algorithm"]),
-        client=ClientConfig(**_known_fields(ClientConfig,
-                                            data.get("client", {}))),
-        server=ServerConfig(**server),
-        run=RunConfig(**_known_fields(RunConfig, data.get("run", {}))),
-        # Pre-fleet manifests carry no "fleet" section; defaults apply.
-        fleet=FleetConfig(**_known_fields(FleetConfig,
-                                          data.get("fleet", {}))),
-    )
+    from repro.core.algorithms import Algorithm
+    from repro.core.config import SystemConfig
+
+    # Every dataclass-valued field of SystemConfig is a section, so one
+    # added later round-trips without an edit here.  A section missing
+    # from an older manifest (pre-fleet, pre-scheduler) takes defaults.
+    defaults = SystemConfig()
+    sections = {}
+    for spec in fields(SystemConfig):
+        section = type(getattr(defaults, spec.name))
+        if is_dataclass(section):
+            known = _known_fields(section, data.get(spec.name, {}))
+            sections[spec.name] = section(**{
+                key: tuple(value) if isinstance(value, list) else value
+                for key, value in known.items()})
+    return SystemConfig(algorithm=Algorithm(data["algorithm"]), **sections)
 
 
 def _environment() -> dict:

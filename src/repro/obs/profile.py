@@ -3,9 +3,9 @@
 :class:`HotLoopProfile` is a passive accumulator the fast engine updates
 when one is attached: per-phase wall time (controller decisions, slot
 deliveries, measured-client accesses, server tick, virtual-client
-arrivals) plus the slot count, from which it reports slots/sec and a
-percentage breakdown.  :func:`profile_run` is the one-call convenience
-used by ``repro-broadcast profile``.
+arrivals, fleet arrivals) plus the slot count, from which it reports
+slots/sec and a percentage breakdown.  :func:`profile_run` is the
+one-call convenience used by ``repro-broadcast profile``.
 
 Timing every phase of every slot costs real wall time (two clock reads
 per phase), so the numbers are for *relative* attribution — which phase
@@ -23,7 +23,8 @@ __all__ = ["PhaseTimer", "HotLoopProfile", "profile_run"]
 
 #: Hot-loop phases in their within-slot execution order (DESIGN.md §6).
 ENGINE_PHASES: tuple[str, ...] = (
-    "control", "deliver", "mc_access", "server_tick", "vc_arrivals")
+    "control", "deliver", "mc_access", "server_tick", "vc_arrivals",
+    "fleet_arrivals")
 
 
 class PhaseTimer:
@@ -80,14 +81,17 @@ class HotLoopProfile:
     """
 
     __slots__ = ("control", "deliver", "mc_access", "server_tick",
-                 "vc_arrivals", "slots", "wall_seconds")
+                 "vc_arrivals", "fleet_arrivals", "slots", "wall_seconds")
 
     def __init__(self):
         self.control = 0.0
         self.deliver = 0.0
         self.mc_access = 0.0
         self.server_tick = 0.0
+        #: The Poisson draw, the VC's generation and its queue offers.
         self.vc_arrivals = 0.0
+        #: ``fleet.generate`` and its offers (its deliveries: ``deliver``).
+        self.fleet_arrivals = 0.0
         self.slots = 0
         #: End-to-end wall time of the run (set by the engine).
         self.wall_seconds = 0.0
@@ -117,17 +121,17 @@ class HotLoopProfile:
             f"wall time       : {self.wall_seconds:.3f} s",
             f"throughput      : {self.slots_per_second:,.0f} slots/sec",
             "",
-            f"{'phase':<12} {'seconds':>10} {'share':>8} {'ns/slot':>10}",
-            "-" * 44,
+            f"{'phase':<14} {'seconds':>10} {'share':>8} {'ns/slot':>10}",
+            "-" * 46,
         ]
         for phase, seconds in self.phase_seconds.items():
             share = seconds / timed if timed else 0.0
             per_slot = (seconds / self.slots * 1e9) if self.slots else 0.0
-            lines.append(f"{phase:<12} {seconds:>10.4f} {share:>7.1%} "
+            lines.append(f"{phase:<14} {seconds:>10.4f} {share:>7.1%} "
                          f"{per_slot:>10,.0f}")
         overhead = self.wall_seconds - timed
         if overhead > 0:
-            lines.append(f"{'(untimed)':<12} {overhead:>10.4f} "
+            lines.append(f"{'(untimed)':<14} {overhead:>10.4f} "
                          f"{overhead / self.wall_seconds:>7.1%}")
         return "\n".join(lines)
 

@@ -40,6 +40,13 @@ class SlotKind(enum.Enum):
         return self in (SlotKind.PUSH, SlotKind.PULL)
 
 
+# Bound once for tick(): ``SlotKind.PULL`` and ``hash(member)`` each run
+# Python-level code per use (3.11), so the loop names members through
+# globals and counts them by position in ``BroadcastServer._counts``.
+_PUSH, _PULL, _PADDING, _IDLE = SlotKind
+_N_PUSH, _N_PULL, _N_PADDING, _N_IDLE = range(4)
+
+
 class BroadcastServer:
     """Broadcast server: periodic program + bounded pull queue + MUX."""
 
@@ -57,6 +64,7 @@ class BroadcastServer:
         if schedule is None and pull_bw < 1.0:
             raise ValueError("a push program is required when pull_bw < 1")
         self.schedule = schedule
+        self._slots = schedule.slots if schedule is not None else ()
         self.queue = BoundedRequestQueue(queue_size, scheduler)
         self.mux = PushPullMux(pull_bw, rng)
         self.schedule_pos = 0
@@ -65,8 +73,12 @@ class BroadcastServer:
         #: the scheduling disciplines, and waits must stay monotone
         #: across measurement-phase boundaries.
         self.ticks = 0
-        # Slot accounting by kind.
-        self.slot_counts: dict[SlotKind, int] = {kind: 0 for kind in SlotKind}
+        self._counts = [0, 0, 0, 0]
+
+    @property
+    def slot_counts(self) -> dict[SlotKind, int]:
+        """Slots emitted since the last reset, by kind."""
+        return dict(zip(SlotKind, self._counts))
 
     @property
     def pending_requests(self) -> int:
@@ -84,22 +96,26 @@ class BroadcastServer:
         carries a program entry (page or padding), so pull responses delay —
         rather than consume — the push schedule.
         """
-        self.ticks += 1
-        self.queue.now = self.ticks
-        if self.mux.wants_pull() and len(self.queue) > 0:
-            page = self.queue.pop()
-            self.slot_counts[SlotKind.PULL] += 1
-            return page, SlotKind.PULL
-        if self.schedule is None:
-            self.slot_counts[SlotKind.IDLE] += 1
-            return None, SlotKind.IDLE
-        page = self.schedule.page_at(self.schedule_pos)
-        self.schedule_pos = (self.schedule_pos + 1) % len(self.schedule)
+        ticks = self.ticks = self.ticks + 1
+        queue = self.queue
+        queue.now = ticks
+        if self.mux.wants_pull() and len(queue) > 0:
+            page = queue.pop()
+            self._counts[_N_PULL] += 1
+            return page, _PULL
+        slots = self._slots
+        if not slots:
+            self._counts[_N_IDLE] += 1
+            return None, _IDLE
+        pos = self.schedule_pos
+        page = slots[pos]
+        pos += 1
+        self.schedule_pos = pos if pos < len(slots) else 0
         if page is None:
-            self.slot_counts[SlotKind.PADDING] += 1
-            return None, SlotKind.PADDING
-        self.slot_counts[SlotKind.PUSH] += 1
-        return page, SlotKind.PUSH
+            self._counts[_N_PADDING] += 1
+            return None, _PADDING
+        self._counts[_N_PUSH] += 1
+        return page, _PUSH
 
     def set_schedule(self, schedule: Schedule) -> None:
         """Swap the push program in place (temperature reprogramming).
@@ -112,6 +128,7 @@ class BroadcastServer:
         if self.schedule is None:
             raise ValueError("cannot reprogram a server with no push program")
         self.schedule = schedule
+        self._slots = schedule.slots
         self.schedule_pos %= len(schedule)
 
     def stats_snapshot(self) -> dict:
@@ -129,5 +146,5 @@ class BroadcastServer:
 
     def reset_stats(self) -> None:
         """Zero slot and queue counters at a measurement-phase boundary."""
-        self.slot_counts = {kind: 0 for kind in SlotKind}
+        self._counts = [0, 0, 0, 0]
         self.queue.reset_stats()

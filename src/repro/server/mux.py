@@ -13,6 +13,9 @@ import numpy as np
 
 __all__ = ["PushPullMux"]
 
+#: Coins pre-drawn per refill of the MUX's private stream.
+_COIN_BUFFER = 1 << 12
+
 
 class PushPullMux:
     """Per-slot pull-vs-push decision."""
@@ -22,6 +25,8 @@ class PushPullMux:
             raise ValueError(f"pull_bw must be within [0, 1], got {pull_bw}")
         self.pull_bw = pull_bw
         self._rng = rng
+        #: Pre-drawn uniforms, next one last (compared when served).
+        self._coins: list[float] = []
 
     def wants_pull(self) -> bool:
         """Toss the PullBW coin for the next slot.
@@ -29,8 +34,12 @@ class PushPullMux:
         The degenerate settings skip the random draw entirely so Pure-Push
         (0.0) and Pure-Pull (1.0) stay deterministic and cheap.
         """
-        if self.pull_bw <= 0.0:
+        pull_bw = self.pull_bw
+        if pull_bw <= 0.0:
             return False
-        if self.pull_bw >= 1.0:
+        if pull_bw >= 1.0:
             return True
-        return self._rng.random() < self.pull_bw
+        coins = self._coins
+        if not coins:
+            coins.extend(self._rng.random(_COIN_BUFFER)[::-1].tolist())
+        return coins.pop() < pull_bw

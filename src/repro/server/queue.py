@@ -40,6 +40,10 @@ class Offer(enum.Enum):
     DROPPED = "dropped"
 
 
+# Bound once for offer(): ``Offer.DROPPED`` runs Python code per access.
+_ENQUEUED, _DUPLICATE, _DROPPED = Offer
+
+
 class BoundedRequestQueue:
     """Bounded queue of distinct page requests with drop-on-full semantics."""
 
@@ -50,6 +54,11 @@ class BoundedRequestQueue:
         self.capacity = capacity
         self.scheduler: PullScheduler = (
             scheduler if scheduler is not None else FifoScheduler())
+        #: None for plain FIFO, whose three offer-side hooks are no-ops
+        #: without temperature tracking: :meth:`offer` skips the calls.
+        self._offer_hooks = None if (
+            type(self.scheduler) in (PullScheduler, FifoScheduler)
+            and not self.scheduler.track_temperature) else self.scheduler
         #: The server's absolute slot clock; offers are stamped with it.
         self.now = 0
         self._fifo: deque[int] = deque()
@@ -103,19 +112,23 @@ class BoundedRequestQueue:
 
     def offer(self, page: int) -> Offer:
         """Present a pull request; returns what happened to it."""
+        hooks = self._offer_hooks
         if page in self._queued:
             self.duplicates += 1
-            self.scheduler.on_duplicate(page, self.now)
-            return Offer.DUPLICATE
+            if hooks is not None:
+                hooks.on_duplicate(page, self.now)
+            return _DUPLICATE
         if len(self._fifo) >= self.capacity:
             self.dropped += 1
-            self.scheduler.on_dropped(page, self.now)
-            return Offer.DROPPED
+            if hooks is not None:
+                hooks.on_dropped(page, self.now)
+            return _DROPPED
         self._fifo.append(page)
         self._queued.add(page)
         self.enqueued += 1
-        self.scheduler.on_enqueued(page, self.now)
-        return Offer.ENQUEUED
+        if hooks is not None:
+            hooks.on_enqueued(page, self.now)
+        return _ENQUEUED
 
     def attach_observer(self, callback) -> None:
         """Report every offer outcome to ``callback(page, outcome)``.

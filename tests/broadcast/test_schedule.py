@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.broadcast.chopping import chop_assignment
 from repro.broadcast.program import Disk, DiskAssignment, build_schedule
 from repro.broadcast.schedule import NOT_BROADCAST, Schedule
+from repro.workload.zipf import zipf_probabilities
 
 
 @pytest.fixture
@@ -111,6 +113,69 @@ class TestDistanceTable:
         assert table[0, 1] == 3
         assert table[1, 3] == 3
         assert table[1, 1] == 1
+
+
+def _padded_program():
+    # 7 + 5 pages at frequencies 3:1 do not split into equal chunks, so
+    # the builder pads the minor cycles with empty slots.
+    return build_schedule(DiskAssignment.from_ranking(
+        list(range(12)), (7, 5), (3, 1)))
+
+
+def _chopped_program():
+    full = DiskAssignment.from_ranking(list(range(30)), (4, 10, 16),
+                                       (3, 2, 1))
+    return build_schedule(chop_assignment(
+        full, 9, zipf_probabilities(30, 0.95)))
+
+
+def _single_disk_program():
+    return build_schedule(DiskAssignment((Disk(tuple(range(9)), 1),)))
+
+
+class TestVectorizedDistanceTable:
+    """The table is built from run lengths, not slot by slot: it must
+    equal the scalar query in every cell, whatever the program's shape."""
+
+    @pytest.mark.parametrize("build, num_pages", [
+        (_padded_program, 12),
+        (_chopped_program, 30),     # NOT_BROADCAST rows for chopped pages
+        (_single_disk_program, 9),
+        (_single_disk_program, 13),  # rows past the program's last page
+        (_padded_program, 5),        # fewer rows than scheduled pages
+    ])
+    def test_every_cell_equals_scalar_distance(self, build, num_pages):
+        schedule = build()
+        table = schedule.distance_table(num_pages)
+        assert table.dtype == np.int32
+        assert table.shape == (num_pages, len(schedule))
+        assert table.flags["C_CONTIGUOUS"]
+        expected = [[schedule.distance(page, slot)
+                     for slot in range(len(schedule))]
+                    for page in range(num_pages)]
+        assert table.tolist() == expected
+
+    def test_shapes_are_what_they_claim(self):
+        assert _padded_program().num_empty_slots > 0
+        chopped = _chopped_program()
+        assert len(chopped.pages) == 21
+        assert (chopped.distance_table(30) == NOT_BROADCAST).all(axis=1).sum() == 9
+
+    def test_all_padding_program(self):
+        table = Schedule((None, None)).distance_table(3)
+        assert (table == NOT_BROADCAST).all()
+
+    @settings(max_examples=40)
+    @given(slots=st.lists(st.one_of(st.none(), st.integers(0, 6)),
+                          min_size=1, max_size=24),
+           num_pages=st.integers(0, 9))
+    def test_arbitrary_slot_sequences(self, slots, num_pages):
+        schedule = Schedule(tuple(slots))
+        table = schedule.distance_table(num_pages)
+        assert table.shape == (num_pages, len(slots))
+        for page in range(num_pages):
+            for slot in range(len(slots)):
+                assert table[page, slot] == schedule.distance(page, slot)
 
 
 class TestSpacingsAndDelay:

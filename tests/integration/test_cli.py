@@ -453,7 +453,7 @@ class TestProfileCommand:
         assert code == 0
         out = capsys.readouterr().out
         for phase in ("control", "deliver", "mc_access", "server_tick",
-                      "vc_arrivals"):
+                      "vc_arrivals", "fleet_arrivals"):
             assert phase in out
         assert "slots/sec" in out
         assert "response_miss mean" in out

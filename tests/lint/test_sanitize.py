@@ -7,7 +7,7 @@ import json
 from repro.cli import main
 from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
-from repro.lint.sanitize import sanitize_config
+from repro.lint.sanitize import capture_trace, sanitize_config
 from repro.obs.manifest import config_from_dict, config_to_dict
 
 
@@ -63,6 +63,18 @@ class TestSanitize:
         assert report.ok
         labels = [c.label for c in report.engines[0].checks]
         assert any("PYTHONHASHSEED=99" in label for label in labels)
+
+    def test_subprocess_replay_keeps_the_pull_discipline(self):
+        # The child gets its config as JSON; a revival that dropped the
+        # scheduler section replayed every RxW run as FIFO.
+        rxw = tiny_config().with_(
+            client__think_time_ratio=100, server__queue_size=8,
+            scheduler__discipline="rxw", run__settle_accesses=10,
+            run__measure_accesses=30)
+        fifo = rxw.with_(scheduler__discipline="fifo")
+        assert capture_trace(rxw, "fast") != capture_trace(fifo, "fast")
+        report = sanitize_config(rxw, engines=("fast",), hash_seed="99")
+        assert report.ok, report.format()
 
     def test_report_dict_mirrors_verdict(self):
         report = sanitize_config(tiny_config(), engines=("fast",),

@@ -83,3 +83,18 @@ class TestProfileRun:
         _, prof = profile_run(push_config)
         assert prof.slots > 0
         assert prof.deliver >= 0.0
+
+    def test_fleet_time_is_its_own_phase(self, ipp_config):
+        _, plain = profile_run(ipp_config)
+        assert plain.fleet_arrivals == 0.0  # no fleet, nothing to time
+        fleet_config = ipp_config.with_(fleet__num_clients=500,
+                                        fleet__think_time=400.0)
+        bare = FastEngine(fleet_config).run().to_dict()
+        result, prof = profile_run(fleet_config)
+        profiled = result.to_dict()
+        bare.pop("manifest")
+        profiled.pop("manifest")
+        assert profiled == bare  # looking does not change the run
+        assert prof.fleet_arrivals > 0.0
+        assert prof.vc_arrivals > 0.0
+        assert prof.timed_seconds <= prof.wall_seconds

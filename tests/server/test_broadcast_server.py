@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.broadcast.program import Disk, DiskAssignment, build_schedule
+from repro.broadcast.schedule import Schedule
 from repro.server.broadcast_server import BroadcastServer, SlotKind
 
 
@@ -102,3 +103,28 @@ class TestPullInterleaving:
         server.tick()
         server.reset_stats()
         assert all(count == 0 for count in server.slot_counts.values())
+
+    def test_slot_counts_keep_their_mapping_shape(self):
+        # Counted in plain ints internally; readers still get one entry
+        # per SlotKind, in declaration order, summing to the ticks.
+        schedule = Schedule((0, None, 1))
+        server = make_server(pull_bw=0.5, schedule=schedule)
+        for page in range(40):
+            server.request(page % 3)
+            server.tick()
+        assert list(server.slot_counts) == list(SlotKind)
+        assert sum(server.slot_counts.values()) == 40
+        assert server.slot_counts[SlotKind.IDLE] == 0
+        assert all(server.slot_counts[kind] > 0 for kind in (
+            SlotKind.PUSH, SlotKind.PULL, SlotKind.PADDING))
+        assert server.stats_snapshot()["slots"] == {
+            kind.value: count for kind, count in server.slot_counts.items()}
+
+    def test_tick_hands_the_loop_plain_python_values(self):
+        server = make_server(pull_bw=0.5, schedule=Schedule((0, None, 1)))
+        for page in range(60):
+            server.request(page % 5)
+            page, kind = server.tick()
+            assert page is None or type(page) is int
+            assert type(kind) is SlotKind
+            assert type(server.schedule_pos) is int

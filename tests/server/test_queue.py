@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.server.queue import BoundedRequestQueue, Offer
+from repro.server.schedulers import FifoScheduler, make_scheduler
 
 
 class TestOfferSemantics:
@@ -52,6 +53,43 @@ class TestOfferSemantics:
         queue = BoundedRequestQueue(2)
         queue.offer(8)
         assert 8 in queue and 9 not in queue
+
+
+class TestOfferHooks:
+    """``offer`` skips the discipline's hooks only when they are no-ops:
+    plain FIFO without temperature tracking."""
+
+    class Spy(FifoScheduler):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.seen = []
+
+        def on_dropped(self, page, now):
+            self.seen.append((page, now))
+
+    def test_plain_fifo_has_nothing_to_call(self):
+        assert BoundedRequestQueue(2)._offer_hooks is None
+        assert BoundedRequestQueue(2, FifoScheduler())._offer_hooks is None
+
+    def test_temperature_tracking_is_still_fed(self):
+        scheduler = FifoScheduler(track_temperature=True)
+        queue = BoundedRequestQueue(1, scheduler)
+        for page in (4, 4, 9):  # enqueued, duplicate, dropped
+            queue.offer(page)
+        assert scheduler.temperature == {4: 2, 9: 1}
+
+    @pytest.mark.parametrize("discipline", ["rxw", "lwf"])
+    def test_stateful_disciplines_observe(self, discipline):
+        scheduler = make_scheduler(discipline)
+        assert BoundedRequestQueue(2, scheduler)._offer_hooks is scheduler
+
+    def test_a_fifo_subclass_with_a_hook_is_called(self):
+        spy = self.Spy()
+        queue = BoundedRequestQueue(1, spy)
+        queue.now = 12
+        queue.offer(1)
+        queue.offer(2)
+        assert spy.seen == [(2, 12)]
 
 
 class TestAccounting:
