@@ -56,6 +56,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.core import ENGINES
 from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
 from repro.core.fast import simulate
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace this figure's representative sweep point instead of "
              "the --algorithm/--ttr/... knobs")
     trace.add_argument(
-        "--engine", choices=("fast", "reference"), default="fast",
+        "--engine", choices=tuple(ENGINES), default="fast",
         help="which engine to trace (default: fast)")
     trace.add_argument(
         "--out", type=Path, default=Path("trace.jsonl"), metavar="FILE",
@@ -463,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sanitize this figure's representative sweep point instead "
              "of the --algorithm/--ttr/... knobs")
     sanitize.add_argument(
-        "--engine", choices=("both", "fast", "reference"), default="both",
+        "--engine", choices=("both", *ENGINES), default="both",
         help="which engine(s) to replay (default: both)")
     sanitize.add_argument(
         "--hash-seed", default=None, metavar="SEED",
@@ -1062,8 +1063,7 @@ def _cmd_sanitize(args) -> int:
               "exclusive", file=sys.stderr)
         return 2
     config = _system_config(args)
-    engines = (("fast", "reference") if args.engine == "both"
-               else (args.engine,))
+    engines = tuple(ENGINES) if args.engine == "both" else (args.engine,)
     hash_seed = (None if args.no_hashseed
                  else args.hash_seed or DEFAULT_HASH_SEED)
     try:

@@ -30,8 +30,9 @@ on long waits — so parameters hold and the window is traced as
 clients are all stuck waiting looks exactly like an idle one through the
 drop-rate lens).
 
-The fast engine applies the controller every ``interval`` slots when one
-is supplied.
+The fast engine hands a supplied controller to its
+:class:`~repro.core.runtime.ControlPlane`, which calls :meth:`decide`
+every ``interval`` slots and applies the result.
 
 On the re-checked ``high_drop`` / ``low_drop`` defaults: moving to the
 distinct-offers denominator can only *raise* a window's measured drop

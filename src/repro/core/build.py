@@ -65,9 +65,10 @@ class SystemState:
     #: ``config.fleet.num_clients`` is 0.
     fleet: Optional["FleetState"] = None
     #: Temperature-driven push-program rebuilder, or None when
-    #: ``config.scheduler.reprogram_interval`` is 0.  Both engines poll
-    #: it every ``interval`` slots and apply the swap to the server and
-    #: every schedule-derived client table.
+    #: ``config.scheduler.reprogram_interval`` is 0.  Every runtime's
+    #: :class:`~repro.core.runtime.ControlPlane` polls it each
+    #: ``interval`` slots and applies the swap to the server and every
+    #: schedule-derived client table.
     reprogrammer: Optional[PushReprogrammer] = None
 
 

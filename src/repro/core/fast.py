@@ -26,15 +26,16 @@ semantics event-by-event; integration tests cross-validate the two.
 
 from __future__ import annotations
 
-import math
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.broadcast.schedule import NOT_BROADCAST
 from repro.core.algorithms import Algorithm
 from repro.core.build import SystemState, build_system
 from repro.core.config import SystemConfig
-from repro.core.metrics import RunResult, TallySnapshot
+from repro.core.metrics import RunResult
+from repro.core.runtime import ControlPlane, RunProtocol, SimulationStall
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
     from repro.obs.profile import HotLoopProfile
@@ -45,10 +46,6 @@ __all__ = ["FastEngine", "simulate", "simulate_warmup", "SimulationStall"]
 
 #: How many per-slot Poisson counts to pre-draw at once.
 _POISSON_CHUNK = 1 << 14
-
-
-class SimulationStall(RuntimeError):
-    """The run hit ``max_slots`` before reaching its stop condition."""
 
 
 class FastEngine:
@@ -97,8 +94,6 @@ class FastEngine:
     def run_warmup(self) -> RunResult:
         """Warm-up protocol (Figure 4): measure from a cold cache until the
         95% warm level is crossed."""
-        if self.state.mc.warmup is None:
-            raise ValueError("warm-up runs need a non-empty cache")
         return self._execute(warmup_mode=True)
 
     # -- engine ------------------------------------------------------------------
@@ -111,88 +106,20 @@ class FastEngine:
                         # The fleet needs every slot ticked: its clients
                         # snoop the frontchannel page by page.
                         and self.state.fleet is None)
-        # lint: allow[REP001] -- wall-clock run duration for the manifest
-        started = time.perf_counter()
-        rtracer = self.request_tracer
-        if rtracer is not None:
-            # Attach before _run_general hoists queue.offer so the hot
-            # loop calls the observed wrapper; detach even on a stall so
-            # a reused SystemState never double-attaches.
-            if rtracer.think_time is None:
-                rtracer.think_time = self.state.mc.think_time
-            self.state.mc.tracer = rtracer
-            self.state.server.queue.attach_observer(rtracer.on_queue_offer)
-        try:
+        run = RunProtocol(self.config, self.state, "fast", warmup_mode,
+                          self.request_tracer)
+        with run:
             if use_analytic:
-                result = self._run_pure_push(warmup_mode)
+                self._run_pure_push(run)
             else:
-                result = self._run_general(warmup_mode)
-        finally:
-            if rtracer is not None:
-                self.state.server.queue.detach_observer()
-                self.state.mc.tracer = None
-        # lint: allow[REP001] -- provenance elapsed_seconds, not sim time
-        return self._stamp(result, time.perf_counter() - started)
-
-    def _stamp(self, result: RunResult, elapsed: float) -> RunResult:
-        """Attach the run-provenance manifest (lazy import: obs -> core)."""
-        from dataclasses import replace
-
-        from repro.obs.manifest import run_manifest
-
-        return replace(result, manifest=run_manifest(
-            self.config, "fast", elapsed_seconds=elapsed))
-
-    def _begin_measure(self) -> None:
-        state = self.state
-        state.mc.measuring = True
-        state.mc.reset_stats()
-        state.server.reset_stats()
-        state.vc.reset_stats()
-        if state.fleet is not None:
-            state.fleet.reset_stats()
-
-    def _result(self, warmup_mode: bool, measure_start: float,
-                end_time: float, queue_length_mean: float) -> RunResult:
-        state = self.state
-        mc = state.mc
-        server = state.server
-        from repro.server.broadcast_server import SlotKind
-
-        warmup_times = None
-        if warmup_mode and mc.warmup is not None:
-            warmup_times = dict(mc.warmup.crossing_times)
-        return RunResult(
-            algorithm=self.config.algorithm.value,
-            seed=self.config.run.seed,
-            response_miss=TallySnapshot.of(mc.response_miss,
-                                           mc.latency_miss.quantiles()),
-            response_all=TallySnapshot.of(mc.response_all,
-                                          mc.latency_all.quantiles()),
-            mc_hits=mc.hits,
-            mc_misses=mc.misses,
-            mc_pulls_sent=mc.pulls_sent,
-            requests_enqueued=server.queue.enqueued,
-            requests_duplicate=server.queue.duplicates,
-            requests_dropped=server.queue.dropped,
-            requests_served=server.queue.served,
-            slots_push=server.slot_counts[SlotKind.PUSH],
-            slots_pull=server.slot_counts[SlotKind.PULL],
-            slots_padding=server.slot_counts[SlotKind.PADDING],
-            slots_idle=server.slot_counts[SlotKind.IDLE],
-            queue_length_mean=queue_length_mean,
-            measured_slots=end_time - measure_start,
-            total_slots=end_time,
-            vc_generated=state.vc.generated,
-            vc_absorbed=state.vc.absorbed_by_cache,
-            vc_filtered=state.vc.filtered_by_threshold,
-            warmup_times=warmup_times,
-            fleet=(state.fleet.snapshot()
-                   if state.fleet is not None else None),
-        )
+                self._run_general(run)
+        result = run.result()
+        if use_analytic and not warmup_mode:
+            result = self._synthesize_push_slots(result)
+        return result
 
     # -- pure-push analytic path ---------------------------------------------------
-    def _run_pure_push(self, warmup_mode: bool) -> RunResult:
+    def _run_pure_push(self, run: RunProtocol) -> None:
         """Exact Pure-Push simulation without per-slot ticking.
 
         With ``PullBW = 0`` and no backchannel the program never deviates:
@@ -200,29 +127,15 @@ class FastEngine:
         slot ``s``, so a miss at time τ is satisfied at
         ``floor(τ) + distance + 1``.
         """
-        state = self.state
-        mc = state.mc
-        schedule = state.schedule
+        mc = self.state.mc
+        schedule = self.state.schedule
         assert schedule is not None
         cycle = len(schedule)
         distance = schedule.distance
-        run_cfg = self.config.run
-        max_slots = run_cfg.max_slots
-
-        phase_warm, phase_settle, phase_measure = 0, 1, 2
-        if warmup_mode:
-            phase = phase_measure
-            self._begin_measure()
-            target_accesses = math.inf
-        else:
-            phase = phase_warm
-            target_accesses = run_cfg.measure_accesses
-        settle_done = 0
-        measured_done = 0
-        measure_start = 0.0
-        time = 0.0
+        max_slots = self.config.run.max_slots
         think = mc.think_time
 
+        time = 0.0
         while time < max_slots:
             now = time
             page = mc.draw_page()
@@ -236,27 +149,8 @@ class FastEngine:
                 completion = int(now) + d + 1
                 mc.receive(page, now, completion)
             time = completion + think
-            # Phase bookkeeping per completed access.
-            if phase == phase_measure:
-                if warmup_mode:
-                    if mc.warmup is not None and mc.warmup.complete:
-                        return self._result(True, measure_start, completion,
-                                            0.0)
-                else:
-                    measured_done += 1
-                    if measured_done >= target_accesses:
-                        result = self._result(False, measure_start,
-                                              completion, 0.0)
-                        return self._synthesize_push_slots(result)
-            elif phase == phase_warm:
-                if mc.cache.is_full:
-                    phase = phase_settle
-            elif phase == phase_settle:
-                settle_done += 1
-                if settle_done >= run_cfg.settle_accesses:
-                    phase = phase_measure
-                    measure_start = completion
-                    self._begin_measure()
+            if run.access_completed(completion):
+                return
         raise SimulationStall(
             f"Pure-Push run exceeded max_slots={max_slots}")
 
@@ -267,16 +161,13 @@ class FastEngine:
         elapsed = int(result.measured_slots)
         pad_fraction = schedule.num_empty_slots / len(schedule)
         padding = int(round(elapsed * pad_fraction))
-        from dataclasses import replace
-
         return replace(result, slots_push=elapsed - padding,
                        slots_padding=padding)
 
     # -- general slot-driven path -----------------------------------------------------
-    def _run_general(self, warmup_mode: bool) -> RunResult:
+    def _run_general(self, run: RunProtocol) -> None:
         state = self.state
         config = self.config
-        run_cfg = config.run
         server = state.server
         queue = server.queue
         mc = state.mc
@@ -291,43 +182,24 @@ class FastEngine:
         lookup = mc.lookup
         receive = mc.receive
         think = mc.think_time
-        max_slots = run_cfg.max_slots
+        access_completed = run.access_completed
 
-        phase_warm, phase_settle, phase_measure = 0, 1, 2
-        if warmup_mode:
-            phase = phase_measure
-            self._begin_measure()
-        else:
-            phase = phase_warm
-        settle_done = 0
-        measured_done = 0
-        measure_start = 0.0
-        target_accesses = run_cfg.measure_accesses
-        settle_accesses = run_cfg.settle_accesses
-        warmup_tracker = mc.warmup
+        # Controller decisions, program swaps and the max_slots stall all
+        # wait behind one deadline (see ControlPlane).
+        control = ControlPlane(state, config.run.max_slots, self.controller,
+                               self.request_tracer)
+        due = control.due
+        measuring = run.measuring
 
         mc_time = 0.0
         waiting_page: int | None = None
         requested_at = 0.0
         stop = False
-        end_time = 0.0
         qlen_sum = 0
         qlen_slots = 0
 
         poisson_counts: list[int] = []
         poisson_cursor = 0
-
-        controller = self.controller
-        control_interval = (controller.policy.interval
-                            if controller is not None else 0)
-        # Tail-wait feedback is opt-in (policy budget set + fleet present):
-        # a fleet snapshot per decision is cheap at interval granularity
-        # but not free at million-client scale.
-        control_tail = (controller is not None and fleet is not None
-                        and controller.policy.tail_wait_budget is not None)
-        reprogrammer = state.reprogrammer
-        reprogram_interval = (reprogrammer.interval
-                              if reprogrammer is not None else 0)
 
         # Observability hooks: both default to None, in which case the
         # loop pays one local-boolean test per phase and nothing else.
@@ -349,46 +221,12 @@ class FastEngine:
         while not stop:
             if profiling:
                 _t0 = _pc()
-            if controller is not None and t and t % control_interval == 0:
-                # Distinct offers (enqueued + dropped): duplicates carry
-                # no saturation signal (see BoundedRequestQueue.drop_rate).
-                push_wait = pull_wait = tail_wait = None
-                if rtracing:
-                    breakdown = rtracer.breakdown_stats
-                    push_wait = breakdown.push_wait
-                    pull_wait = breakdown.pull_wait
-                if control_tail and fleet is not None:
-                    tail_wait = fleet.snapshot()["user_wait_p99"]
-                pull_bw, thresh_perc = controller.decide(
-                    float(t), queue.enqueued + queue.dropped, queue.dropped,
-                    push_wait=push_wait, pull_wait=pull_wait,
-                    tail_wait=tail_wait)
-                server.mux.pull_bw = pull_bw
-                threshold.set_thresh_perc(thresh_perc)
-                vc.set_threshold_slots(threshold.threshold_slots)
-                if fleet is not None:
-                    fleet.set_threshold_slots(threshold.threshold_slots)
+            if t >= due:
+                due = control.poll(t)
                 if profiling:
                     _now = _pc()
                     prof.control += _now - _t0
                     _t0 = _now
-            if reprogrammer is not None and t and t % reprogram_interval == 0:
-                new_schedule = reprogrammer.maybe_reprogram(
-                    t, queue.scheduler)
-                if new_schedule is not None:
-                    # Swap the program everywhere a distance table or
-                    # cursor was derived from the old one.
-                    server.set_schedule(new_schedule)
-                    threshold.set_schedule(new_schedule)
-                    vc.set_schedule(new_schedule)
-                    vc.set_threshold_slots(threshold.threshold_slots)
-                    if fleet is not None:
-                        fleet.set_schedule(new_schedule)
-                        fleet.set_threshold_slots(threshold.threshold_slots)
-            if t >= max_slots:
-                raise SimulationStall(
-                    f"run exceeded max_slots={max_slots} "
-                    f"(waiting_page={waiting_page}, t={t})")
             now_boundary = float(t)
 
             # 1. Deliveries: the previous slot's page completes at time t and
@@ -399,26 +237,8 @@ class FastEngine:
                 receive(in_flight, requested_at, now_boundary)
                 waiting_page = None
                 mc_time = now_boundary + think
-                # Completed-access bookkeeping (mirrors the block below).
-                if phase == phase_measure:
-                    if warmup_mode:
-                        if warmup_tracker is not None and warmup_tracker.complete:
-                            stop = True
-                            end_time = now_boundary
-                    else:
-                        measured_done += 1
-                        if measured_done >= target_accesses:
-                            stop = True
-                            end_time = now_boundary
-                elif phase == phase_warm:
-                    if mc.cache.is_full:
-                        phase = phase_settle
-                else:
-                    settle_done += 1
-                    if settle_done >= settle_accesses:
-                        phase = phase_measure
-                        measure_start = now_boundary
-                        self._begin_measure()
+                stop = access_completed(now_boundary)
+                measuring = run.measuring
 
             if profiling:
                 _now = _pc()
@@ -448,33 +268,16 @@ class FastEngine:
                     waiting_page = wanted
                     requested_at = now
                     break
-                # Completed-access (cache hit) bookkeeping.
-                if phase == phase_measure:
-                    if warmup_mode:
-                        if warmup_tracker is not None and warmup_tracker.complete:
-                            stop = True
-                            end_time = now
-                    else:
-                        measured_done += 1
-                        if measured_done >= target_accesses:
-                            stop = True
-                            end_time = now
-                elif phase == phase_warm:
-                    if mc.cache.is_full:
-                        phase = phase_settle
-                else:
-                    settle_done += 1
-                    if settle_done >= settle_accesses:
-                        phase = phase_measure
-                        measure_start = now
-                        self._begin_measure()
+                # A cache hit completes the access on the spot.
+                stop = access_completed(now)
+                measuring = run.measuring
 
             if profiling:
                 _now = _pc()
                 prof.mc_access += _now - _t0
                 _t0 = _now
 
-            if phase == phase_measure:
+            if measuring:
                 qlen_sum += len(queue)
                 qlen_slots += 1
 
@@ -533,9 +336,8 @@ class FastEngine:
         if profiling:
             prof.slots = t
             prof.wall_seconds = _pc() - run_started
-        queue_length_mean = qlen_sum / qlen_slots if qlen_slots else 0.0
-        return self._result(warmup_mode, measure_start, end_time,
-                            queue_length_mean)
+        run.qlen_sum = qlen_sum
+        run.qlen_slots = qlen_slots
 
 
 def simulate(config: SystemConfig) -> RunResult:

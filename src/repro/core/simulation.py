@@ -20,15 +20,14 @@ agreement between the two validates the fast engine's shortcuts.
 from __future__ import annotations
 
 import math
-import time
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.core.build import SystemState, build_system
 from repro.core.config import SystemConfig
-from repro.core.fast import SimulationStall
-from repro.core.metrics import RunResult, TallySnapshot
+from repro.core.metrics import RunResult
+from repro.core.runtime import ControlPlane, RunProtocol, SimulationStall
 from repro.server.broadcast_server import SlotKind
 from repro.sim import Environment, Event
 
@@ -63,15 +62,6 @@ class ReferenceEngine:
         self.request_tracer = request_tracer
         #: Page the MC is currently blocked on (observability only).
         self._mc_waiting: Optional[int] = None
-        # Phase control.
-        self._warmup_mode = False
-        self._phase = "warm"
-        self._settle_done = 0
-        self._measured_done = 0
-        self._measure_start = 0.0
-        self._end_time: Optional[float] = None
-        self._qlen_sum = 0
-        self._qlen_slots = 0
 
     # -- public protocol --------------------------------------------------------
     def run(self) -> RunResult:
@@ -80,83 +70,32 @@ class ReferenceEngine:
 
     def run_warmup(self) -> RunResult:
         """Warm-up protocol (Figure 4)."""
-        if self.state.mc.warmup is None:
-            raise ValueError("warm-up runs need a non-empty cache")
         return self._execute(warmup_mode=True)
 
     # -- orchestration -------------------------------------------------------------
     def _execute(self, warmup_mode: bool) -> RunResult:
-        # lint: allow[REP001] -- wall-clock run duration for the manifest
-        started = time.perf_counter()
-        self._warmup_mode = warmup_mode
-        if warmup_mode:
-            self._phase = "measure"
-            self._begin_measure()
-        rtracer = self.request_tracer
-        if rtracer is not None:
-            if rtracer.think_time is None:
-                rtracer.think_time = self.state.mc.think_time
-            self.state.mc.tracer = rtracer
-            self.state.server.queue.attach_observer(rtracer.on_queue_offer)
+        run = RunProtocol(self.config, self.state, "reference", warmup_mode,
+                          self.request_tracer)
+        control = ControlPlane(self.state)
         # The MC starts before the server so a boundary-aligned access is
         # processed before the slot tick — the same event order the fast
         # engine and classic CSIM models use.
-        self.env.process(self._mc_process())
-        self.env.process(self._server_process())
+        self.env.process(self._mc_process(run))
+        self.env.process(self._server_process(run, control))
         if self.config.algorithm.uses_backchannel:
             self.env.process(self._vc_process())
+        # The runaway guard stays with the event loop, not on the plane's
+        # per-slot deadline: no event at or past max_slots may fire, which
+        # a poll at the server's (normal-priority) slot top would let the
+        # boundary instant's deliveries and MC accesses slip through.
         max_slots = self.config.run.max_slots
-        try:
-            while self._end_time is None:
+        with run:
+            while run.end_time is None:
                 if not self.env.peek() < max_slots:
                     raise SimulationStall(
                         f"run exceeded max_slots={max_slots}")
                 self.env.step()
-        finally:
-            if rtracer is not None:
-                self.state.server.queue.detach_observer()
-                self.state.mc.tracer = None
-        # lint: allow[REP001] -- provenance elapsed_seconds, not sim time
-        return self._stamp(self._result(), time.perf_counter() - started)
-
-    def _stamp(self, result: RunResult, elapsed: float) -> RunResult:
-        """Attach the run-provenance manifest (lazy import: obs -> core)."""
-        from dataclasses import replace
-
-        from repro.obs.manifest import run_manifest
-
-        return replace(result, manifest=run_manifest(
-            self.config, "reference", elapsed_seconds=elapsed))
-
-    def _begin_measure(self) -> None:
-        state = self.state
-        state.mc.measuring = True
-        state.mc.reset_stats()
-        state.server.reset_stats()
-        state.vc.reset_stats()
-        if state.fleet is not None:
-            state.fleet.reset_stats()
-        self._measure_start = self.env.now
-
-    def _access_completed(self, completion: float) -> None:
-        """Phase bookkeeping run after every completed MC access."""
-        mc = self.state.mc
-        if self._phase == "measure":
-            if self._warmup_mode:
-                if mc.warmup is not None and mc.warmup.complete:
-                    self._end_time = completion
-            else:
-                self._measured_done += 1
-                if self._measured_done >= self.config.run.measure_accesses:
-                    self._end_time = completion
-        elif self._phase == "warm":
-            if mc.cache.is_full:
-                self._phase = "settle"
-        else:
-            self._settle_done += 1
-            if self._settle_done >= self.config.run.settle_accesses:
-                self._phase = "measure"
-                self._begin_measure()
+        return run.result()
 
     # -- processes -------------------------------------------------------------------
     def _arrival_event(self, page: int) -> Event:
@@ -166,40 +105,23 @@ class ReferenceEngine:
             self._arrivals[page] = event
         return event
 
-    def _server_process(self):
+    def _server_process(self, run: RunProtocol, control: ControlPlane):
         from repro.sim.core import URGENT
 
         server = self.state.server
         fleet = self.state.fleet
-        vc = self.state.vc
-        threshold = self.state.mc_threshold
-        reprogrammer = self.state.reprogrammer
-        reprogram_interval = (reprogrammer.interval
-                              if reprogrammer is not None else 0)
         uses_backchannel = self.config.algorithm.uses_backchannel
         env = self.env
         tracer = self.tracer
+        due = control.due
         slot = 0
         while True:
-            if (reprogrammer is not None and slot
-                    and slot % reprogram_interval == 0):
-                # Same poll cadence and swap set as the fast engine: the
-                # server's program plus every schedule-derived client
-                # table must follow the live program together.
-                new_schedule = reprogrammer.maybe_reprogram(
-                    slot, server.queue.scheduler)
-                if new_schedule is not None:
-                    server.set_schedule(new_schedule)
-                    threshold.set_schedule(new_schedule)
-                    vc.set_schedule(new_schedule)
-                    vc.set_threshold_slots(threshold.threshold_slots)
-                    if fleet is not None:
-                        fleet.set_schedule(new_schedule)
-                        fleet.set_threshold_slots(threshold.threshold_slots)
+            if slot >= due:
+                due = control.poll(slot)
             slot += 1
-            if self._phase == "measure":
-                self._qlen_sum += len(server.queue)
-                self._qlen_slots += 1
+            if run.measuring:
+                run.qlen_sum += len(server.queue)
+                run.qlen_slots += 1
             page, kind = server.tick()
             if tracer is not None:
                 # Same snapshot instant as the fast engine: right after
@@ -254,7 +176,7 @@ class ReferenceEngine:
         arrival = self._arrival_event(page)
         return (yield arrival)
 
-    def _mc_process(self):
+    def _mc_process(self, run: RunProtocol):
         mc = self.state.mc
         threshold = self.state.mc_threshold
         server = self.state.server
@@ -265,7 +187,7 @@ class ReferenceEngine:
             now = env.now
             page = mc.draw_page()
             if mc.lookup(page, now):
-                self._access_completed(now)
+                done = run.access_completed(now)
             else:
                 if rtracer is not None:
                     rtracer.on_miss_predict(threshold.max_push_wait(
@@ -292,8 +214,8 @@ class ReferenceEngine:
                 arrived_at = yield from self._obtain(page, send_pull=False)
                 self._mc_waiting = None
                 mc.receive(page, now, arrived_at)
-                self._access_completed(arrived_at)
-            if self._end_time is not None:
+                done = run.access_completed(arrived_at)
+            if done:
                 return
             yield env.timeout(mc.think_time)
 
@@ -315,43 +237,3 @@ class ReferenceEngine:
                 yield from self._obtain(page, send_pull=True)
             else:
                 server.queue.offer(page)
-
-    # -- results ------------------------------------------------------------------------
-    def _result(self) -> RunResult:
-        state = self.state
-        mc = state.mc
-        server = state.server
-        assert self._end_time is not None
-        warmup_times = None
-        if self._warmup_mode and mc.warmup is not None:
-            warmup_times = dict(mc.warmup.crossing_times)
-        queue_length_mean = (
-            self._qlen_sum / self._qlen_slots if self._qlen_slots else 0.0)
-        return RunResult(
-            algorithm=self.config.algorithm.value,
-            seed=self.config.run.seed,
-            response_miss=TallySnapshot.of(mc.response_miss,
-                                           mc.latency_miss.quantiles()),
-            response_all=TallySnapshot.of(mc.response_all,
-                                          mc.latency_all.quantiles()),
-            mc_hits=mc.hits,
-            mc_misses=mc.misses,
-            mc_pulls_sent=mc.pulls_sent,
-            requests_enqueued=server.queue.enqueued,
-            requests_duplicate=server.queue.duplicates,
-            requests_dropped=server.queue.dropped,
-            requests_served=server.queue.served,
-            slots_push=server.slot_counts[SlotKind.PUSH],
-            slots_pull=server.slot_counts[SlotKind.PULL],
-            slots_padding=server.slot_counts[SlotKind.PADDING],
-            slots_idle=server.slot_counts[SlotKind.IDLE],
-            queue_length_mean=queue_length_mean,
-            measured_slots=self._end_time - self._measure_start,
-            total_slots=self._end_time,
-            vc_generated=state.vc.generated,
-            vc_absorbed=state.vc.absorbed_by_cache,
-            vc_filtered=state.vc.filtered_by_threshold,
-            warmup_times=warmup_times,
-            fleet=(state.fleet.snapshot()
-                   if state.fleet is not None else None),
-        )

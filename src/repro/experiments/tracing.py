@@ -19,6 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
+from repro.core import ENGINES
 from repro.core.config import SystemConfig
 from repro.obs.columnar import ColumnarSink
 from repro.obs.requests import RequestTracer
@@ -66,20 +67,12 @@ def open_trace_sink(path: Union[str, Path], fmt: str = "auto",
     return JsonlSink(path)
 
 
-def _engine_class(engine: str):
-    if engine == "reference":
-        from repro.core.simulation import ReferenceEngine
-        return ReferenceEngine
-    from repro.core.fast import FastEngine
-    return FastEngine
-
-
 def write_slot_trace(config: SystemConfig, path: Union[str, Path],
                      engine: str = "fast", fmt: str = "auto") -> int:
     """Run ``config`` with a slot tracer; returns the record count."""
     with open_trace_sink(path, fmt, table="slot") as sink:
         tracer = SlotTracer(sink)
-        _engine_class(engine)(config, tracer=tracer).run()
+        ENGINES[engine](config, tracer=tracer).run()
         return sink.emitted
 
 
@@ -100,7 +93,7 @@ def write_request_trace(config: SystemConfig, path: Union[str, Path],
     sink = open_trace_sink(path, fmt, table="request")
     tracer = RequestTracer(sink, sampling=sampling)
     try:
-        _engine_class(engine)(config, request_tracer=tracer).run()
+        ENGINES[engine](config, request_tracer=tracer).run()
     finally:
         tracer.close()
     return tracer

@@ -10,8 +10,11 @@ verifies each leaf field's attribute name is read by
 - ``fast.py`` (the slot-driven engine), and
 - ``simulation.py`` (the event-driven reference engine),
 
-where reads through the shared construction path (``build.py``, which
-wires configs into components both engines consume) count for both.
+where reads through the code both engines run on count for both: the
+shared construction path (``build.py``, which wires configs into
+components both engines consume) and the shared run protocol and control
+plane (``runtime.py``, which both engines drive once per MC access and
+once per poll deadline).
 Deliberately single-engine knobs must be listed in the shared
 ``PARITY_EXEMPT`` set next to ``SystemConfig`` with a rationale comment;
 stale or unknown exemptions are themselves findings, so the set ratchets
@@ -32,7 +35,7 @@ __all__ = ["ConfigParityRule"]
 _CONFIG_BASENAME = "config.py"
 _FAST_BASENAME = "fast.py"
 _REFERENCE_BASENAME = "simulation.py"
-_SHARED_BASENAMES = ("build.py",)
+_SHARED_BASENAMES = ("build.py", "runtime.py")
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -113,7 +116,8 @@ class ConfigParityRule(ProjectRule):
     name = "config-parity"
     summary = ("every SystemConfig leaf field must be read by both "
                "core/fast.py and core/simulation.py (directly or via the "
-               "shared build path), or be listed in PARITY_EXEMPT")
+               "shared build.py / runtime.py), or be listed in "
+               "PARITY_EXEMPT")
     hint = ("wire the field into the missing engine, or add it to "
             "PARITY_EXEMPT in config.py with a rationale comment")
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.core import ENGINES
 from repro.obs.compare import capture_trace, diff_traces
 from repro.obs.trace import SlotRecord
 
@@ -55,9 +56,6 @@ __all__ = [
 #: PYTHONHASHSEED handed to the subprocess replay (any value that is
 #: unlikely to be the parent's own seed does the job).
 DEFAULT_HASH_SEED = "31337"
-
-#: Engines the sanitizer knows how to replay.
-ENGINES: tuple[str, ...] = ("fast", "reference")
 
 #: Wall-clock ceiling on one subprocess replay (the child runs the same
 #: config the parent just ran in-process, so 10 minutes is generous).
@@ -214,7 +212,7 @@ def _subprocess_replay(config, engine: str, hash_seed: str,
         return array_to_records(load_columnar(out, mmap=False))
 
 
-def sanitize_config(config, engines: Sequence[str] = ENGINES,
+def sanitize_config(config, engines: Sequence[str] = tuple(ENGINES),
                     hash_seed: Optional[str] = DEFAULT_HASH_SEED,
                     inject_divergence: Optional[int] = None,
                     context: int = 3) -> SanitizeReport:
@@ -230,14 +228,11 @@ def sanitize_config(config, engines: Sequence[str] = ENGINES,
         context: matching records shown before a divergence.
 
     Raises:
-        ValueError: on an unknown engine name.
+        ValueError: on an unknown engine name (from ``capture_trace``).
         RuntimeError: when a subprocess replay fails to produce a trace.
     """
     reports = []
     for engine in engines:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r} "
-                             f"(known: {', '.join(ENGINES)})")
         baseline = capture_trace(config, engine=engine)
         replay = capture_trace(config, engine=engine)
         if inject_divergence is not None:

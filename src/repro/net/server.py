@@ -38,6 +38,7 @@ from typing import Optional
 
 from repro.core.build import build_system
 from repro.core.config import SystemConfig
+from repro.core.runtime import ControlPlane
 from repro.net.protocol import (
     FrameError,
     Hello,
@@ -123,6 +124,10 @@ class NetServer:
         #: are replaced by real connections.
         self.state = build_system(config)
         self.server = self.state.server
+        #: The engines' control plane, minus what has no wire message: it
+        #: polls ``state.reprogrammer`` and swaps the program; the clock
+        #: ends itself, so the plane carries no ``max_slots`` stall.
+        self.control = ControlPlane(self.state)
         self.adapter = bind_server_metrics(self.registry, self.server)
         metrics = self.registry
         self._connected = metrics.gauge(
@@ -211,7 +216,11 @@ class NetServer:
         max_slots = settings.max_slots
         loop = asyncio.get_running_loop()
         epoch = loop.time()
+        control = self.control
+        due = control.due
         while max_slots is None or self.slot < max_slots:
+            if self.slot >= due:
+                due = control.poll(self.slot)
             page, kind = self.server.tick()
             if kind.carries_page:
                 assert page is not None

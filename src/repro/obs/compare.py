@@ -131,21 +131,17 @@ def capture_trace(config, engine: str = "fast",
                   warmup: bool = False) -> list[SlotRecord]:
     """Run ``config`` on one engine with an in-memory tracer attached.
 
-    ``engine`` is ``"fast"`` or ``"reference"``.  The fast engine is
-    forced down the general slot loop so Pure-Push runs produce a real
+    ``engine`` is a key of :data:`repro.core.ENGINES`.  A tracer keeps the
+    fast engine on the general slot loop, so Pure-Push runs produce a real
     per-slot trace (the analytic shortcut never ticks slots).
     """
-    from repro.core.fast import FastEngine
-    from repro.core.simulation import ReferenceEngine
+    from repro.core import ENGINES  # lazy import: obs -> core
 
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r} "
+                         f"(known: {', '.join(ENGINES)})")
     sink = MemorySink()
-    tracer = SlotTracer(sink)
-    if engine == "fast":
-        eng = FastEngine(config, force_general=True, tracer=tracer)
-    elif engine == "reference":
-        eng = ReferenceEngine(config, tracer=tracer)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    eng = ENGINES[engine](config, tracer=SlotTracer(sink))
     if warmup:
         eng.run_warmup()
     else:

@@ -121,9 +121,9 @@ class BroadcastServer:
         """Swap the push program in place (temperature reprogramming).
 
         The cursor is kept modulo the new cycle so the program keeps
-        rolling from an equivalent position; callers are responsible for
-        refreshing any client-side distance tables derived from the old
-        program (see :class:`~repro.server.schedulers.PushReprogrammer`).
+        rolling from an equivalent position.  Its one caller is
+        :class:`repro.core.runtime.ControlPlane`, which also refreshes
+        every client-side distance table derived from the old program.
         """
         if self.schedule is None:
             raise ValueError("cannot reprogram a server with no push program")

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 class RunConfig:
     seed: int = 7
     horizon: float = 1000.0
+    settle: int = 10
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,40 @@ class TestBackchannel:
         assert "server_slots_push_total" in metrics
 
 
+class TestReprogramming:
+    def test_served_program_follows_backchannel_demand(self):
+        """``scheduler.reprogram_interval`` is honoured on the wire: the
+        clock polls the reprogrammer and the swap reaches every holder of
+        the program, exactly as in the engines."""
+        config = CONFIG.with_(scheduler__reprogram_interval=25,
+                              scheduler__reprogram_min_requests=4)
+
+        async def scenario():
+            server = NetServer(config, NetServerSettings(
+                slot_duration=0.001, max_slots=2000))
+            original = server.server.schedule
+            await server.start()
+            _reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            write_frame(writer, Hello(0))
+            for page in range(990, 1000):  # cold pages: distinct demand
+                write_frame(writer, Request(page))
+            await writer.drain()
+            reprogrammer = server.state.reprogrammer
+            while not reprogrammer.reprograms:
+                await asyncio.sleep(0.001)
+            await server.stop()
+            writer.close()
+            return server, original
+
+        server, original = run(scenario())
+        state = server.state
+        assert state.reprogrammer.reprograms >= 1
+        assert all(slot % 25 == 0 for slot, _ in state.reprogrammer.trace)
+        assert server.server.schedule is not original
+        assert server.server.schedule is state.mc_threshold.schedule
+
+
 class TestSlowConsumer:
     def test_non_reader_is_shed_then_dropped_without_stalling(self):
         """A client that stops reading loses frames (counted), then its

@@ -84,6 +84,23 @@ class TestProfileRun:
         assert prof.slots > 0
         assert prof.deliver >= 0.0
 
+    def test_reprogram_poll_is_control_time(self, ipp_config):
+        _, plain = profile_run(ipp_config)
+        assert plain.control == 0.0  # no controller, no reprogrammer
+        reprogramming = ipp_config.with_(
+            scheduler__reprogram_interval=40,
+            scheduler__reprogram_min_requests=5)
+        bare = FastEngine(reprogramming).run().to_dict()
+        result, prof = profile_run(reprogramming)
+        profiled = result.to_dict()
+        bare.pop("manifest")
+        profiled.pop("manifest")
+        assert profiled == bare  # looking does not change the run
+        # The poll (and each rebuild + swap) sits behind the control
+        # plane's deadline, so it is control time, not deliver time.
+        assert prof.control > 0.0
+        assert prof.timed_seconds <= prof.wall_seconds
+
     def test_fleet_time_is_its_own_phase(self, ipp_config):
         _, plain = profile_run(ipp_config)
         assert plain.fleet_arrivals == 0.0  # no fleet, nothing to time
