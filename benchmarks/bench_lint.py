@@ -4,8 +4,8 @@ Times ``repro.lint.engine.run_lint`` over the real source tree with the
 per-file pass serial (``jobs=1``) and fanned out over a process pool
 (``--jobs``, default ``os.cpu_count()``).  Both scans must produce the
 identical finding list — the benchmark asserts it — so the speedup
-column compares equal work.  Project-level rules (REP004, REP006,
-REP010) always run single-pass in the parent and are timed as part of
+column compares equal work.  Project-level rules (REP004, REP010)
+always run single-pass in the parent and are timed as part of
 both scans, which keeps the reported speedup honest about Amdahl's
 share rather than flattering the map step.
 

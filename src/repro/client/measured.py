@@ -98,9 +98,9 @@ class MeasuredClient:
         self.think_time = think_time
         self.warmup: Optional[WarmupTracker] = (
             WarmupTracker(warmup_target) if warmup_target else None)
-        #: Optional :class:`~repro.obs.requests.RequestTracer`; the
-        #: engines attach it so both drive identical lifecycle hooks.
-        self.tracer = None
+        #: Page the MC is blocked on: set by a :meth:`lookup` miss,
+        #: cleared by :meth:`receive` (None while thinking).
+        self.waiting: Optional[int] = None
         # Statistics for the current measurement phase.
         self.response_all = Tally()
         self.response_miss = Tally()
@@ -123,25 +123,20 @@ class MeasuredClient:
     def lookup(self, page: int, now: float) -> bool:
         """Check the cache; record a zero-delay response on a hit."""
         self.accesses += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_access(page, now, self.measuring)
         if self.cache.access(page, now):
             if self.measuring:
                 self.hits += 1
                 self.response_all.add(0.0)
                 self.latency_all.observe(0.0)
-            if tracer is not None:
-                tracer.on_hit(page, now)
             return True
         if self.measuring:
             self.misses += 1
-        if tracer is not None:
-            tracer.on_miss(page, now)
+        self.waiting = page
         return False
 
-    def record_pull_sent(self) -> None:
-        """Count a backchannel request issued by the MC."""
+    def record_pull_sent(self, page: int, now: float, outcome) -> None:
+        """The MC sent a backchannel request for ``page`` at ``now``; the
+        server queue's answer was ``outcome``.  Counted while measuring."""
         if self.measuring:
             self.pulls_sent += 1
 
@@ -160,8 +155,7 @@ class MeasuredClient:
             if evicted is not None:
                 self.warmup.on_evict(evicted)
             self.warmup.on_insert(page, now)
-        if self.tracer is not None:
-            self.tracer.on_served(page, now)
+        self.waiting = None
 
     def reset_stats(self) -> None:
         """Clear tallies at the warm-up/measurement boundary."""

@@ -35,6 +35,7 @@ from repro.workload.noise import noisy_probabilities
 from repro.workload.zipf import zipf_probabilities
 
 if TYPE_CHECKING:
+    from repro.core.runtime import ControlPlane
     from repro.fleet.state import FleetState
 
 __all__ = ["SystemState", "build_system", "build_push_program",
@@ -70,6 +71,9 @@ class SystemState:
     #: ``interval`` slots and applies the swap to the server and every
     #: schedule-derived client table.
     reprogrammer: Optional[PushReprogrammer] = None
+    #: The :class:`~repro.core.runtime.ControlPlane` of the engine run in
+    #: progress (``RunProtocol`` sets and clears it); None outside one.
+    control: Optional["ControlPlane"] = None
 
 
 def build_push_program(config: SystemConfig,

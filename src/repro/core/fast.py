@@ -26,7 +26,6 @@ semantics event-by-event; integration tests cross-validate the two.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -98,21 +97,25 @@ class FastEngine:
 
     # -- engine ------------------------------------------------------------------
     def _execute(self, warmup_mode: bool) -> RunResult:
+        observers = (self.tracer, self.request_tracer, self.profiler)
         use_analytic = (self.config.algorithm is Algorithm.PURE_PUSH
                         and not self._force_general
-                        and self.tracer is None
-                        and self.profiler is None
-                        and self.request_tracer is None
+                        # The shortcut ticks no slot for one to watch.
+                        and all(observer is None for observer in observers)
                         # The fleet needs every slot ticked: its clients
                         # snoop the frontchannel page by page.
                         and self.state.fleet is None)
+        # Controller decisions, program swaps and the max_slots stall all
+        # wait behind one deadline (see ControlPlane).
+        control = ControlPlane(self.state, self.config.run.max_slots,
+                               self.controller, self.request_tracer)
         run = RunProtocol(self.config, self.state, "fast", warmup_mode,
-                          self.request_tracer)
+                          observers, control)
         with run:
             if use_analytic:
                 self._run_pure_push(run)
             else:
-                self._run_general(run)
+                self._run_general(run, control)
         result = run.result()
         if use_analytic and not warmup_mode:
             result = self._synthesize_push_slots(result)
@@ -165,7 +168,7 @@ class FastEngine:
                        slots_padding=padding)
 
     # -- general slot-driven path -----------------------------------------------------
-    def _run_general(self, run: RunProtocol) -> None:
+    def _run_general(self, run: RunProtocol, control: ControlPlane) -> None:
         state = self.state
         config = self.config
         server = state.server
@@ -175,6 +178,9 @@ class FastEngine:
         fleet = state.fleet
         threshold = state.mc_threshold
         uses_backchannel = config.algorithm.uses_backchannel
+        # Every component call resolves on the instance, after the run's
+        # observers attached: what watches a run shadows these names
+        # (repro.obs.attach), and the loop itself carries no hook.
         tick = server.tick
         offer = queue.offer
         requests_for_slot = vc.requests_for_slot
@@ -184,10 +190,6 @@ class FastEngine:
         think = mc.think_time
         access_completed = run.access_completed
 
-        # Controller decisions, program swaps and the max_slots stall all
-        # wait behind one deadline (see ControlPlane).
-        control = ControlPlane(state, config.run.max_slots, self.controller,
-                               self.request_tracer)
         due = control.due
         measuring = run.measuring
 
@@ -201,32 +203,13 @@ class FastEngine:
         poisson_counts: list[int] = []
         poisson_cursor = 0
 
-        # Observability hooks: both default to None, in which case the
-        # loop pays one local-boolean test per phase and nothing else.
-        tracer = self.tracer
-        tracing = tracer is not None
-        rtracer = self.request_tracer
-        rtracing = rtracer is not None
-        prof = self.profiler
-        profiling = prof is not None
-        # lint: allow[REP001] -- profiler phase timer, measures wall time only
-        _pc = time.perf_counter
-        run_started = _pc() if profiling else 0.0
-        _t0 = _now = 0.0
-
         #: Page transmitted during the previous slot (completes now).
         in_flight: int | None = None
 
         t = 0
         while not stop:
-            if profiling:
-                _t0 = _pc()
             if t >= due:
                 due = control.poll(t)
-                if profiling:
-                    _now = _pc()
-                    prof.control += _now - _t0
-                    _t0 = _now
             now_boundary = float(t)
 
             # 1. Deliveries: the previous slot's page completes at time t and
@@ -240,11 +223,6 @@ class FastEngine:
                 stop = access_completed(now_boundary)
                 measuring = run.measuring
 
-            if profiling:
-                _now = _pc()
-                prof.deliver += _now - _t0
-                _t0 = _now
-
             # 2. MC accesses due in this slot, processed before the server
             # frees queue capacity (CSIM event order: a request landing on
             # the slot boundary does not get first claim on the popped slot).
@@ -254,17 +232,9 @@ class FastEngine:
                 if lookup(wanted, now):
                     mc_time = now + think
                 else:
-                    if rtracing:
-                        rtracer.on_miss_predict(threshold.max_push_wait(
-                            wanted, server.schedule_pos))
                     if uses_backchannel and threshold.passes(
                             wanted, server.schedule_pos):
-                        outcome = offer(wanted)
-                        mc.record_pull_sent()
-                        if tracing:
-                            tracer.on_mc_request(wanted)
-                        if rtracing:
-                            rtracer.on_pull(wanted, now, outcome)
+                        mc.record_pull_sent(wanted, now, offer(wanted))
                     waiting_page = wanted
                     requested_at = now
                     break
@@ -272,32 +242,15 @@ class FastEngine:
                 stop = access_completed(now)
                 measuring = run.measuring
 
-            if profiling:
-                _now = _pc()
-                prof.mc_access += _now - _t0
-                _t0 = _now
-
             if measuring:
                 qlen_sum += len(queue)
                 qlen_slots += 1
 
-            # 3. The server emits the slot [t, t+1).
-            in_flight, kind = tick()
-            # The record snapshots the post-tick instant, before this
-            # slot's VC arrivals; a tick past the stop condition is the
-            # loop's exit slack, not a simulated slot, so it isn't traced.
-            if tracing and not stop:
-                tracer.on_slot(t, kind, in_flight, queue, waiting_page)
-            # The MC's awaited page went on air at this slot's start; its
-            # delivery fires at t+1 in the next iteration's step 1.
-            if (rtracing and not stop and waiting_page is not None
-                    and in_flight == waiting_page):
-                rtracer.on_air(now_boundary, kind)
-
-            if profiling:
-                _now = _pc()
-                prof.server_tick += _now - _t0
-                _t0 = _now
+            # 3. The server emits the slot [t, t+1).  The MC's awaited
+            # page, if this is it, is delivered at t+1 in the next
+            # iteration's step 1.  A tick past the stop condition is the
+            # loop's exit slack, not a simulated slot.
+            in_flight, _kind = tick()
 
             # 4. VC arrivals strictly inside this slot.
             if uses_backchannel:
@@ -307,19 +260,8 @@ class FastEngine:
                 count = poisson_counts[poisson_cursor]
                 poisson_cursor += 1
                 if count:
-                    if tracing:
-                        for wanted in requests_for_slot(
-                                count, server.schedule_pos):
-                            offer(wanted)
-                            tracer.on_vc_request(wanted)
-                    else:
-                        for wanted in requests_for_slot(
-                                count, server.schedule_pos):
-                            offer(wanted)
-            if profiling:
-                _now = _pc()
-                prof.vc_arrivals += _now - _t0
-                _t0 = _now
+                    for wanted in requests_for_slot(count, server.schedule_pos):
+                        offer(wanted)
             # Fleet accesses inside this slot.  generate() must run even
             # without a backchannel — clients still access, absorb, and
             # wait on the push program — but its survivors only reach the
@@ -329,13 +271,8 @@ class FastEngine:
                 if uses_backchannel:
                     for wanted in survivors.tolist():
                         offer(wanted)
-                if profiling:
-                    prof.fleet_arrivals += _pc() - _t0
             t += 1
 
-        if profiling:
-            prof.slots = t
-            prof.wall_seconds = _pc() - run_started
         run.qlen_sum = qlen_sum
         run.qlen_slots = qlen_slots
 

@@ -10,7 +10,8 @@ Everything around the slot lives here, once:
   cache, settle, measure, stop.  The engines call
   :meth:`~RunProtocol.access_completed` once per completed MC access and
   ask it for the :class:`~repro.core.metrics.RunResult` at the end; it
-  also scopes the request tracer's attachment and stamps the manifest.
+  also scopes the observers' attachment (slot tracer, request tracer,
+  profiler — see :mod:`repro.obs.attach`) and stamps the manifest.
 - :class:`ControlPlane` is the only code that knows which components a
   PullBW / ThresPerc retune or a push-program swap must reach.  A
   runtime keeps one integer deadline and polls the plane when its slot
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Optional
+from contextlib import ExitStack
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.broadcast.schedule import Schedule
 from repro.core.build import SystemState
 from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult, TallySnapshot
@@ -38,6 +39,7 @@ from repro.server.broadcast_server import SlotKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
     from repro.core.adaptive import AdaptiveController
+    from repro.obs.attach import Observer
     from repro.obs.requests import RequestTracer
 
 __all__ = ["ControlPlane", "RunProtocol", "SimulationStall"]
@@ -48,7 +50,7 @@ class SimulationStall(RuntimeError):
 
 
 class RunProtocol:
-    """Phase machine, tracer scope and result assembly of one engine run.
+    """Phase machine, observer scope and result assembly of one engine run.
 
     A steady-state run *warms* until the MC cache is full, *settles* for
     ``settle_accesses`` further accesses (the access that fills the cache
@@ -57,22 +59,32 @@ class RunProtocol:
     (Figure 4) measures from the cold start until the cache holds 95% of
     its target set.
 
-    Use as a context manager around the engine's loop: entering attaches
-    the request tracer (before a loop hoists ``queue.offer``), leaving
-    detaches it even on a stall, so a reused ``SystemState`` never
-    double-attaches.
+    Use as a context manager around the engine's loop.  Entering attaches
+    the observers to the state's components (before a loop hoists
+    ``server.tick`` or ``queue.offer``), all of them or none.  They come
+    off at the access that ends the run — what an engine still does after
+    it, like the fast engine's exit-slack tick, is not part of the run —
+    and on any other way out of the scope, so a stalled run leaves the
+    ``SystemState`` as clean as a finished one.
     """
 
     def __init__(self, config: SystemConfig, state: SystemState,
                  engine: str, warmup_mode: bool,
-                 request_tracer: "Optional[RequestTracer]" = None) -> None:
+                 observers: "Iterable[Optional[Observer]]" = (),
+                 control: "Optional[ControlPlane]" = None) -> None:
+        """``observers`` (None entries skipped) are attached for the
+        length of the run; ``control`` is reachable as ``state.control``
+        meanwhile, so they can watch ``poll`` like any component call."""
         if warmup_mode and state.mc.warmup is None:
             raise ValueError("warm-up runs need a non-empty cache")
         self.config = config
         self.state = state
         self.engine = engine
         self.warmup_mode = warmup_mode
-        self.request_tracer = request_tracer
+        self._observers = observers
+        self._control = control
+        #: Undoes what ``__enter__`` did, in reverse; closing is idempotent.
+        self._scope = ExitStack()
         #: True from the first measured access on; engines sample the
         #: queue length into ``qlen_sum`` / ``qlen_slots`` while it holds.
         self.measuring = False
@@ -88,23 +100,21 @@ class RunProtocol:
         if warmup_mode:
             self.begin_measure(0.0)
 
-    # -- tracer scope ------------------------------------------------------
+    # -- observer scope ----------------------------------------------------
     def __enter__(self) -> "RunProtocol":
         # lint: allow[REP001] -- wall-clock run duration for the manifest
         self._started = time.perf_counter()
-        tracer = self.request_tracer
-        if tracer is not None:
-            mc = self.state.mc
-            if tracer.think_time is None:
-                tracer.think_time = mc.think_time
-            mc.tracer = tracer
-            self.state.server.queue.attach_observer(tracer.on_queue_offer)
+        with ExitStack() as scope:  # unwinds if an attach raises
+            self.state.control = self._control
+            scope.callback(setattr, self.state, "control", None)
+            for observer in self._observers:
+                if observer is not None:
+                    scope.enter_context(observer.attach(self.state))
+            self._scope = scope.pop_all()
         return self
 
     def __exit__(self, *exc: object) -> None:
-        if self.request_tracer is not None:
-            self.state.server.queue.detach_observer()
-            self.state.mc.tracer = None
+        self._scope.close()
 
     # -- phase machine -----------------------------------------------------
     def begin_measure(self, now: float) -> None:
@@ -130,6 +140,7 @@ class RunProtocol:
                 done = self._measured >= self.config.run.measure_accesses
             if done:
                 self.end_time = completion
+                self._scope.close()
             return done
         if self._settled is None:
             if mc.cache.is_full:

@@ -19,8 +19,7 @@ agreement between the two validates the fast engine's shortcuts.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from repro.core.build import SystemState, build_system
 from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
 from repro.core.runtime import ControlPlane, RunProtocol, SimulationStall
-from repro.server.broadcast_server import SlotKind
 from repro.sim import Environment, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
@@ -50,18 +48,11 @@ class ReferenceEngine:
         # One pending event per page someone is waiting for; fired (and
         # replaced) when the page completes on the frontchannel.
         self._arrivals: dict[int, Event] = {}
-        #: Page currently being transmitted (None between slots / idle).
-        self._on_air: Optional[int] = None
-        #: Kind of the slot carrying :attr:`_on_air` (observability only).
-        self._on_air_kind: Optional[SlotKind] = None
         self._vc_rng = np.random.default_rng(
             np.random.SeedSequence((config.run.seed, 0xBEEF)))
-        #: Optional slot tracer (same record schema as the fast engine's).
+        #: Optional observers (same record schemas as the fast engine's).
         self.tracer = tracer
-        #: Optional request tracer (same record schema as the fast engine's).
         self.request_tracer = request_tracer
-        #: Page the MC is currently blocked on (observability only).
-        self._mc_waiting: Optional[int] = None
 
     # -- public protocol --------------------------------------------------------
     def run(self) -> RunResult:
@@ -74,9 +65,9 @@ class ReferenceEngine:
 
     # -- orchestration -------------------------------------------------------------
     def _execute(self, warmup_mode: bool) -> RunResult:
-        run = RunProtocol(self.config, self.state, "reference", warmup_mode,
-                          self.request_tracer)
         control = ControlPlane(self.state)
+        run = RunProtocol(self.config, self.state, "reference", warmup_mode,
+                          (self.tracer, self.request_tracer), control)
         # The MC starts before the server so a boundary-aligned access is
         # processed before the slot tick — the same event order the fast
         # engine and classic CSIM models use.
@@ -112,7 +103,6 @@ class ReferenceEngine:
         fleet = self.state.fleet
         uses_backchannel = self.config.algorithm.uses_backchannel
         env = self.env
-        tracer = self.tracer
         due = control.due
         slot = 0
         while True:
@@ -122,19 +112,9 @@ class ReferenceEngine:
             if run.measuring:
                 run.qlen_sum += len(server.queue)
                 run.qlen_slots += 1
-            page, kind = server.tick()
-            if tracer is not None:
-                # Same snapshot instant as the fast engine: right after
-                # the tick, before this slot's VC arrivals.
-                tracer.on_slot(int(env.now), kind, page, server.queue,
-                               self._mc_waiting)
-            self._on_air = page
-            self._on_air_kind = kind
-            if (self.request_tracer is not None and page is not None
-                    and page == self._mc_waiting):
-                # The MC was already blocked on this page when it went on
-                # air (mid-slot misses are caught in _mc_process instead).
-                self.request_tracer.on_air(env.now, kind)
+            # Same instant as the fast engine's tick: after the MC's
+            # boundary activity, before this slot's VC arrivals.
+            page, _kind = server.tick()
             if fleet is not None:
                 # Fleet accesses inside this slot, drawn at the slot's
                 # start (post-tick, matching the fast engine's fleet call
@@ -156,32 +136,17 @@ class ReferenceEngine:
                     event.succeed(env.now)
                 if fleet is not None:
                     fleet.deliver(page, env.now)
-            self._on_air = None
-            self._on_air_kind = None
             # ...and the next tick re-enters at normal priority so a
             # boundary-aligned client request (scheduled long ago, lower
             # sequence number) is processed before the server frees queue
             # capacity — the CSIM event order the fast engine mirrors.
             yield env.timeout(0.0)
 
-    def _obtain(self, page: int, send_pull: bool):
-        """Shared client-side miss handling (used by MC and closed-loop VC).
-
-        Yields until ``page`` completes on the frontchannel; the caller
-        decides (via ``send_pull``) whether a backchannel request goes out
-        first.
-        """
-        if send_pull:
-            self.state.server.queue.offer(page)
-        arrival = self._arrival_event(page)
-        return (yield arrival)
-
     def _mc_process(self, run: RunProtocol):
         mc = self.state.mc
         threshold = self.state.mc_threshold
         server = self.state.server
         uses_backchannel = self.config.algorithm.uses_backchannel
-        rtracer = self.request_tracer
         env = self.env
         while True:
             now = env.now
@@ -189,30 +154,11 @@ class ReferenceEngine:
             if mc.lookup(page, now):
                 done = run.access_completed(now)
             else:
-                if rtracer is not None:
-                    rtracer.on_miss_predict(threshold.max_push_wait(
-                        page, server.schedule_pos))
-                send_pull = False
-                if uses_backchannel:
-                    send_pull = threshold.passes(page, server.schedule_pos)
-                    if send_pull:
-                        mc.record_pull_sent()
-                        if self.tracer is not None:
-                            self.tracer.on_mc_request(page)
-                        # The MC's own offer happens here (rather than in
-                        # _obtain) so the tracer can record its outcome;
-                        # no yield separates the two, so the queue sees
-                        # the identical mutation order either way.
-                        outcome = server.queue.offer(page)
-                        if rtracer is not None:
-                            rtracer.on_pull(page, now, outcome)
-                self._mc_waiting = page
-                if rtracer is not None and self._on_air == page:
-                    # Mid-slot miss on a page already transmitting: the
-                    # slot started at the last integer boundary.
-                    rtracer.on_air(math.floor(now), self._on_air_kind)
-                arrived_at = yield from self._obtain(page, send_pull=False)
-                self._mc_waiting = None
+                if uses_backchannel and threshold.passes(
+                        page, server.schedule_pos):
+                    mc.record_pull_sent(page, now, server.queue.offer(page))
+                # Blocked until the page completes on the frontchannel.
+                arrived_at = yield self._arrival_event(page)
                 mc.receive(page, now, arrived_at)
                 done = run.access_completed(arrived_at)
             if done:
@@ -230,10 +176,7 @@ class ReferenceEngine:
             survivors = list(vc.requests_for_slot(1, server.schedule_pos))
             if not survivors:
                 continue
-            page = survivors[0]
-            if self.tracer is not None:
-                self.tracer.on_vc_request(page)
+            server.queue.offer(survivors[0])
             if closed_loop:
-                yield from self._obtain(page, send_pull=True)
-            else:
-                server.queue.offer(page)
+                # The generated client blocks until its page is broadcast.
+                yield self._arrival_event(survivors[0])

@@ -12,8 +12,7 @@ invariants:
 - ``REP004`` cross-engine config parity (every config field reaches both
   engines, or is PARITY_EXEMPT with a rationale),
 - ``REP005`` event-name registry discipline (``repro/obs/events.py`` is
-  the single event vocabulary),
-- ``REP006`` tracer-hook symmetry between the engines.
+  the single event vocabulary).
 
 Run it as ``repro-broadcast lint`` or ``python -m repro.lint``; see
 ``docs/STATIC_ANALYSIS.md`` for the allowlist-pragma and baseline

@@ -7,7 +7,6 @@ Rule inventory (ids are stable, documented in docs/STATIC_ANALYSIS.md):
 - ``REP003`` sim-time-float-eq — no ==/!= on simulated-time floats
 - ``REP004`` config-parity     — config fields reach both engines
 - ``REP005`` event-registry    — event names come from obs/events.py
-- ``REP006`` hook-symmetry     — both engines drive the same tracer hooks
 - ``REP007`` fire-and-forget-task — create_task handles must be kept alive
 - ``REP008`` blocking-in-async — no loop-blocking calls in async def
 - ``REP009`` await-point-hazard — no blind self-state writes across awaits

@@ -1,23 +1,18 @@
-"""REP005 event-name registry discipline and REP006 tracer-hook symmetry.
+"""REP005 event-name registry discipline.
 
 Trace and metric event names cross the process boundary as strings
 (JSONL traces, figure JSON, metric names), so a typo or a name invented
 by one engine is invisible to the type checker and only surfaces as a
-silently-empty trace diff.  Two rules close the gap:
-
-- **REP005** — ``obs/events.py`` is the single registry of event
-  vocabularies.  The rule re-derives the enum values of ``SlotKind``
-  (``broadcast_server.py``) and ``Offer`` (``queue.py``) plus the plain
-  ``DISCIPLINES`` tuple (``schedulers.py``) from their ASTs and requires
-  them to equal the registry tuples (the server layer cannot import obs
-  without a cycle, so the sync is machine-checked here instead), and
-  every string literal compared or assigned to a ``kind`` /
-  ``served_kind`` / ``on_air_kind`` / ``pull_outcome`` / ``discipline``
-  attribute anywhere in the tree must be a registry member.
-- **REP006** — the set of tracer hooks (``on_*`` observer methods)
-  referenced by ``fast.py`` must equal the set referenced by
-  ``simulation.py``: an engine that stops calling ``on_air`` still
-  produces records, just subtly wrong ones.
+silently-empty trace diff.  **REP005** closes the gap: ``obs/events.py``
+is the single registry of event vocabularies.  The rule re-derives the
+enum values of ``SlotKind`` (``broadcast_server.py``) and ``Offer``
+(``queue.py``) plus the plain ``DISCIPLINES`` tuple (``schedulers.py``)
+from their ASTs and requires them to equal the registry tuples (the
+server layer cannot import obs without a cycle, so the sync is
+machine-checked here instead), and every string literal compared or
+assigned to a ``kind`` / ``served_kind`` / ``on_air_kind`` /
+``pull_outcome`` / ``discipline`` attribute anywhere in the tree must be
+a registry member.
 """
 
 from __future__ import annotations
@@ -29,11 +24,9 @@ from repro.lint.findings import Finding
 from repro.lint.rules.base import ProjectRule, register
 from repro.lint.source import Project, SourceFile
 
-__all__ = ["EventRegistryRule", "HookSymmetryRule"]
+__all__ = ["EventRegistryRule"]
 
 _EVENTS_BASENAME = "events.py"
-_FAST_BASENAME = "fast.py"
-_REFERENCE_BASENAME = "simulation.py"
 
 #: Enum class -> (defining module basename, registry tuple name).
 _ENUM_REGISTRY = {
@@ -255,46 +248,3 @@ class EventRegistryRule(ProjectRule):
                     f"event-name literal '{sub.value}' used with "
                     f"'{attr}' is not in the shared registry "
                     f"({' / '.join(_KIND_ATTRIBUTES[attr])})")
-
-
-@register
-class HookSymmetryRule(ProjectRule):
-    """REP006 — both engines drive the identical tracer-hook set."""
-
-    id = "REP006"
-    name = "hook-symmetry"
-    summary = ("the on_* tracer hooks referenced by fast.py must equal "
-               "those referenced by simulation.py")
-    hint = ("wire the missing hook into the engine that lacks it (the "
-            "sink protocol only compares cleanly when both engines emit "
-            "the same events)")
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        fast = project.named(_FAST_BASENAME)
-        reference = project.named(_REFERENCE_BASENAME)
-        if fast is None or reference is None:
-            return
-        fast_hooks = self._hooks(fast)
-        ref_hooks = self._hooks(reference)
-        if fast_hooks == ref_hooks:
-            return
-        for source, missing in ((fast, ref_hooks - fast_hooks),
-                                (reference, fast_hooks - ref_hooks)):
-            if missing:
-                other = ("simulation.py" if source is fast else "fast.py")
-                yield self.finding(
-                    source, 0,
-                    f"engine never references tracer hook(s) "
-                    f"{', '.join(sorted(missing))} that {other} drives")
-
-    @staticmethod
-    def _hooks(source: SourceFile) -> set[str]:
-        assert source.tree is not None
-        hooks = set()
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Attribute) and node.attr.startswith("on_"):
-                # State fields like on_air_at / on_air_kind are data, not
-                # observer methods.
-                if not node.attr.endswith(("_at", "_kind")):
-                    hooks.add(node.attr)
-        return hooks

@@ -3,6 +3,8 @@
 The simulators' only output used to be end-of-run aggregates; this package
 opens the black box:
 
+- :mod:`repro.obs.attach` — the one way to observe a run: shadows on
+  the shared components' bound methods, stackable and undone in order,
 - :mod:`repro.obs.trace` — per-slot structured records through pluggable
   sinks (null / in-memory ring / JSONL file),
 - :mod:`repro.obs.columnar` — the columnar trace backend: numpy
@@ -11,8 +13,8 @@ opens the black box:
   analytics for million-record traces,
 - :mod:`repro.obs.metrics` — a counters/gauges/histograms registry with a
   shared no-op mode for zero-cost disabled instrumentation,
-- :mod:`repro.obs.profile` — phase timers for the fast engine's hot loop
-  (slots/sec, per-phase wall-time breakdown),
+- :mod:`repro.obs.profile` — wall time per component-call phase of
+  either engine (slots/sec, per-phase breakdown),
 - :mod:`repro.obs.compare` — trace diffing that pinpoints the first slot
   where two engine runs diverge,
 - :mod:`repro.obs.requests` — request-lifecycle tracing: one record per
@@ -32,10 +34,11 @@ opens the black box:
   simulated runs and the :mod:`repro.net` server share one
   metrics-export path.
 
-Everything is opt-in: engines built without a tracer/profiler run the
-exact pre-observability hot path.
+Everything is opt-in: the engines carry no observer code, so a run
+without a tracer/profiler executes none.
 """
 
+from repro.obs.attach import Attachment
 from repro.obs.columnar import (
     REQUEST_DTYPE,
     SLOT_DTYPE,
@@ -73,7 +76,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
 )
-from repro.obs.profile import HotLoopProfile, PhaseTimer, profile_run
+from repro.obs.profile import HotLoopProfile, profile_run
 from repro.obs.sampling import (
     EveryNSampling,
     ReservoirSampling,
@@ -99,6 +102,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
+    "Attachment",
     "SlotRecord",
     "SlotTracer",
     "TraceSink",
@@ -124,7 +128,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "PhaseTimer",
     "HotLoopProfile",
     "profile_run",
     "TraceDiff",

@@ -16,9 +16,6 @@ is the single source of truth for those vocabularies:
 - :data:`SERVED_KINDS` — what satisfied a measured access
   (:attr:`repro.obs.requests.RequestRecord.served_kind`),
 - :data:`ENGINE_NAMES` — engine identifiers stamped into run manifests,
-- :data:`TRACER_HOOKS` — the observer methods an engine may invoke on a
-  slot / request tracer; the ``REP006`` rule requires both engines to
-  drive the identical hook set,
 - :data:`SCHEDULER_DISCIPLINES` — selectable pull-queue disciplines;
   mirrors :data:`repro.server.schedulers.DISCIPLINES` (same REP005
   no-import sync discipline as the enums) and is the vocabulary for the
@@ -39,7 +36,6 @@ __all__ = [
     "OFFER_OUTCOMES",
     "SERVED_KINDS",
     "ENGINE_NAMES",
-    "TRACER_HOOKS",
     "SCHEDULER_DISCIPLINES",
     "SCHEDULER_DECISIONS",
 ]
@@ -55,22 +51,6 @@ SERVED_KINDS: tuple[str, ...] = ("cache", "push", "pull")
 
 #: Engine identifiers as stamped into run-provenance manifests.
 ENGINE_NAMES: tuple[str, ...] = ("fast", "reference")
-
-#: Observer methods an engine may call on the slot / request tracers.
-#: Both engines must reference the same subset (lint rule REP006).
-TRACER_HOOKS: tuple[str, ...] = (
-    "on_access",
-    "on_hit",
-    "on_miss",
-    "on_miss_predict",
-    "on_pull",
-    "on_queue_offer",
-    "on_air",
-    "on_served",
-    "on_slot",
-    "on_mc_request",
-    "on_vc_request",
-)
 
 #: Pull-queue scheduling disciplines (``SchedulerConfig.discipline``
 #: values; mirrors ``repro.server.schedulers.DISCIPLINES``, REP005).

@@ -1,100 +1,103 @@
-"""Phase timers for the fast engine's hot loop.
+"""Where a run's host time goes, by the component call it is spent in.
 
-:class:`HotLoopProfile` is a passive accumulator the fast engine updates
-when one is attached: per-phase wall time (controller decisions, slot
-deliveries, measured-client accesses, server tick, virtual-client
-arrivals, fleet arrivals) plus the slot count, from which it reports
-slots/sec and a percentage breakdown.  :func:`profile_run` is the
-one-call convenience used by ``repro-broadcast profile``.
+:class:`HotLoopProfile` accumulates wall time per phase, a phase being
+the time *inside* one group of calls on the components both engines
+share (the list in :meth:`HotLoopProfile.attach`; docs/OBSERVABILITY.md
+has the table).  None of those calls nests inside another, so the
+phases are disjoint; what is left of the wall time — the engine's own
+loop, the event kernel under the reference engine, the timers — is the
+"(untimed)" row of :meth:`HotLoopProfile.render`.  The timers are
+shadows on the components (:mod:`repro.obs.attach`), so one profile
+reads either engine; :func:`profile_run` is the one-call convenience
+behind ``repro-broadcast profile``.
 
-Timing every phase of every slot costs real wall time (two clock reads
-per phase), so the numbers are for *relative* attribution — which phase
-dominates, how the split shifts with load — not absolute throughput;
-:mod:`benchmarks.test_bench_substrates` measures absolute throughput
-without instrumentation.
+Timing every call costs real wall time (two clock reads and two extra
+Python calls each), so the numbers are for *relative* attribution, not
+absolute throughput; the benchmark spine (``benchmarks/spine``) measures
+that without instrumentation.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-__all__ = ["PhaseTimer", "HotLoopProfile", "profile_run"]
+from repro.obs.attach import Attachment
 
-#: Hot-loop phases in their within-slot execution order (DESIGN.md §6).
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
+    from repro.core.build import SystemState
+
+__all__ = ["HotLoopProfile", "profile_run"]
+
+#: Phases in their within-slot execution order (DESIGN.md §6);
+#: ``queue_offer`` happens inside the three phases that offer.
 ENGINE_PHASES: tuple[str, ...] = (
     "control", "deliver", "mc_access", "server_tick", "vc_arrivals",
-    "fleet_arrivals")
-
-
-class PhaseTimer:
-    """Accumulates wall time under named phases.
-
-    Use :meth:`time` as a context manager for coarse scopes, or
-    :meth:`add` with externally measured durations for hot loops that
-    cannot afford the context-manager overhead.
-    """
-
-    # lint: allow[REP001] -- the profiler IS the timer; clock is injectable
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
-        self._clock = clock
-        self.seconds: dict[str, float] = {}
-        self.calls: dict[str, int] = {}
-
-    def add(self, phase: str, seconds: float, calls: int = 1) -> None:
-        """Credit ``seconds`` of wall time to ``phase``."""
-        self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
-        self.calls[phase] = self.calls.get(phase, 0) + calls
-
-    def time(self, phase: str):
-        """Context manager crediting its scope's duration to ``phase``."""
-        return _PhaseScope(self, phase)
-
-    @property
-    def total(self) -> float:
-        """Wall time across all phases."""
-        return sum(self.seconds.values())
-
-
-class _PhaseScope:
-    __slots__ = ("_timer", "_phase", "_started")
-
-    def __init__(self, timer: PhaseTimer, phase: str):
-        self._timer = timer
-        self._phase = phase
-        self._started = 0.0
-
-    def __enter__(self):
-        self._started = self._timer._clock()
-        return self
-
-    def __exit__(self, *exc):
-        self._timer.add(self._phase, self._timer._clock() - self._started)
+    "fleet_arrivals", "queue_offer")
 
 
 class HotLoopProfile:
-    """Per-phase wall-time breakdown of one fast-engine run.
+    """Per-phase wall-time breakdown of one run (one float per phase)."""
 
-    The engine adds raw durations via plain attribute arithmetic (the
-    profile exposes one float per phase), so the per-slot cost is two
-    ``perf_counter`` reads per phase and nothing else.
-    """
-
-    __slots__ = ("control", "deliver", "mc_access", "server_tick",
-                 "vc_arrivals", "fleet_arrivals", "slots", "wall_seconds")
+    __slots__ = ENGINE_PHASES + ("slots", "wall_seconds")
 
     def __init__(self):
-        self.control = 0.0
-        self.deliver = 0.0
-        self.mc_access = 0.0
-        self.server_tick = 0.0
-        #: The Poisson draw, the VC's generation and its queue offers.
-        self.vc_arrivals = 0.0
-        #: ``fleet.generate`` and its offers (its deliveries: ``deliver``).
-        self.fleet_arrivals = 0.0
+        self.control = self.deliver = self.mc_access = self.server_tick = 0.0
+        self.vc_arrivals = self.fleet_arrivals = self.queue_offer = 0.0
+        #: Server ticks and wall time between attach and detach.
         self.slots = 0
-        #: End-to-end wall time of the run (set by the engine).
         self.wall_seconds = 0.0
+
+    def attach(self, state: "SystemState") -> Attachment:
+        """Time ``state``'s component calls into the phases; detaching
+        also sets :attr:`slots` and :attr:`wall_seconds`."""
+        # lint: allow[REP001] -- the profiler measures wall time by design
+        clock = time.perf_counter
+        server = state.server
+
+        def timed(phase: str) -> Callable[..., Any]:
+            def call(inner: Callable[..., Any], *args: Any) -> Any:
+                started = clock()
+                result = inner(*args)
+                setattr(self, phase, getattr(self, phase) + clock() - started)
+                return result
+            return call
+
+        def timed_resumptions(inner, count: int,
+                              schedule_pos: int) -> Iterator[int]:
+            # The time between a yield and the next resumption is the
+            # consumer's (its offers), not the generator's.
+            pages = inner(count, schedule_pos)
+            while True:
+                started = clock()
+                page = next(pages, None)
+                self.vc_arrivals += clock() - started
+                if page is None:
+                    return
+                yield page
+
+        shadows = [
+            (server, "tick", timed("server_tick")),
+            (server.queue, "offer", timed("queue_offer")),
+            (state.mc, "draw_page", timed("mc_access")),
+            (state.mc, "lookup", timed("mc_access")),
+            (state.mc, "receive", timed("mc_access")),
+            (state.vc, "arrivals_for_slots", timed("vc_arrivals")),
+            (state.vc, "requests_for_slot", timed_resumptions),
+        ]
+        if state.fleet is not None:
+            shadows += [(state.fleet, "deliver", timed("deliver")),
+                        (state.fleet, "generate", timed("fleet_arrivals"))]
+        if state.control is not None:
+            shadows.append((state.control, "poll", timed("control")))
+        first_tick = server.ticks
+        started = clock()
+
+        def finish() -> None:
+            self.slots = server.ticks - first_tick
+            self.wall_seconds = clock() - started
+
+        return Attachment(shadows, on_detach=finish)
 
     @property
     def phase_seconds(self) -> dict[str, float]:
@@ -139,8 +142,8 @@ class HotLoopProfile:
 def profile_run(config, warmup: bool = False):
     """Run ``config`` on the fast engine with phase timing attached.
 
-    Returns ``(result, profile)``.  Pure-Push configs are forced down the
-    general slot loop — the analytic shortcut has no hot loop to time.
+    Returns ``(result, profile)``.  Pure-Push configs go down the general
+    slot loop — the analytic shortcut ticks no slot to time.
     """
     from repro.core.fast import FastEngine
 

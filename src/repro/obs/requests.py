@@ -8,8 +8,8 @@ each measured-client access's wait actually went:
     issued -> miss -> [pull sent -> enqueued | duplicate | dropped]
            -> ... queue / push wait ... -> page on air -> served
 
-A :class:`RequestTracer` attaches to either engine (they share the
-:class:`~repro.client.measured.MeasuredClient`, so the hook points are
+A :class:`RequestTracer` attaches to the components both engines share
+(the measured client, the server and its queue, so the hook points are
 identical by construction) and emits one :class:`RequestRecord` per
 completed access through the same sink protocol the slot tracer uses
 (:class:`~repro.obs.trace.NullSink` / ``MemorySink`` / ``JsonlSink``).
@@ -19,8 +19,9 @@ service decomposition over the measured phase — and a
 :class:`~repro.obs.latency.LatencyHistogram` of measured waits for
 quantile reporting.
 
-Tracing is opt-in; engines built without a request tracer keep the PR 1
-hot-loop budget (one hoisted boolean test per slot).
+Tracing is opt-in: the hooks are shadows on the component instances
+(:mod:`repro.obs.attach`), so a run without a request tracer executes no
+tracing code at all.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.obs.attach import Attachment
 from repro.obs.latency import LatencyHistogram
 from repro.obs.trace import TraceSink
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
+    from repro.core.build import SystemState
 
 __all__ = [
     "OPTIONAL_REQUEST_FIELDS",
@@ -281,7 +286,7 @@ class _OpenRequest:
 
 
 class RequestTracer:
-    """Collects engine hook calls into per-request records.
+    """Collects hook calls into per-request records.
 
     The MC is a closed loop — at most one access is outstanding — so the
     tracer is a small state machine over one :class:`_OpenRequest`.  Hook
@@ -291,16 +296,16 @@ class RequestTracer:
         on_access -> on_miss [-> on_miss_predict] [-> on_pull]
                   -> (on_queue_offer ...) -> on_air -> on_served
 
-    ``on_queue_offer`` is wired through
-    :meth:`~repro.server.queue.BoundedRequestQueue.attach_observer`, so
-    it sees *every* backchannel request (the VC's included) and counts
-    the ones for the page the MC is blocked on.
+    :meth:`attach` wires them to a system's components.
+    ``on_queue_offer`` follows the server queue's ``offer``, so it sees
+    *every* backchannel request (the VC's included) and counts the ones
+    for the page the MC is blocked on.
 
     Args:
         sink: destination for completed records.
-        think_time: broadcast units the MC thinks between accesses (the
-            engines fill this in when left None) — used for the think row
-            of :meth:`breakdown`.
+        think_time: broadcast units the MC thinks between accesses
+            (:meth:`attach` fills this in when left None) — used for the
+            think row of :meth:`breakdown`.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
             accumulating aggregate request counters and a wait histogram.
         sampling: optional :class:`~repro.obs.sampling.SamplingPolicy`.
@@ -339,7 +344,69 @@ class RequestTracer:
                 "request_wait", "measured MC response times",
                 buckets=self.wait_histogram.bounds)
 
-    # -- engine hooks ------------------------------------------------------
+    # -- attachment --------------------------------------------------------
+    def attach(self, state: "SystemState") -> Attachment:
+        """Take the hooks from ``state``'s components until detached.
+        ``on_air`` follows the ``server.tick`` that carries the open
+        request's page (slot ``server.ticks - 1``) — or the miss itself,
+        when the page was already on the air: the last tick carried it
+        and opened the slot ``now`` falls in.  Only an event-driven
+        engine can miss mid-slot; a slot-stepped one runs a slot's
+        accesses before it ticks.
+        """
+        server = state.server
+        mc = state.mc
+        threshold = state.mc_threshold
+        if self.think_time is None:
+            self.think_time = mc.think_time
+        #: What the last tick returned: ``(page or None, kind)``.
+        aired: tuple = (None, None)
+
+        def tick(inner):
+            nonlocal aired
+            aired = inner()
+            open_ = self._open
+            if open_ is not None and open_.page == aired[0]:
+                self.on_air(float(server.ticks - 1), aired[1])
+            return aired
+
+        def lookup(inner, page: int, now: float) -> bool:
+            hit = inner(page, now)
+            self.on_access(page, now, mc.measuring)
+            if hit:
+                self.on_hit(page, now)
+                return True
+            self.on_miss(page, now)
+            self.on_miss_predict(
+                threshold.max_push_wait(page, server.schedule_pos))
+            slot = math.floor(now)
+            if aired[0] == page and server.ticks - 1 == slot:
+                self.on_air(slot, aired[1])
+            return False
+
+        def record_pull_sent(inner, page: int, now: float, outcome) -> None:
+            inner(page, now, outcome)
+            self.on_pull(page, now, outcome)
+
+        def receive(inner, page: int, requested_at: float,
+                    now: float) -> None:
+            inner(page, requested_at, now)
+            self.on_served(page, now)
+
+        def offer(inner, page: int):
+            outcome = inner(page)
+            self.on_queue_offer(page, outcome)
+            return outcome
+
+        return Attachment([
+            (server, "tick", tick),
+            (server.queue, "offer", offer),
+            (mc, "lookup", lookup),
+            (mc, "record_pull_sent", record_pull_sent),
+            (mc, "receive", receive),
+        ])
+
+    # -- hooks -------------------------------------------------------------
     def on_access(self, page: int, now: float, measured: bool) -> None:
         """The MC issued an access for ``page`` at ``now``.
 
@@ -375,7 +442,7 @@ class RequestTracer:
         # until the broadcast (or a pull response) serves it.
 
     def on_miss_predict(self, push_wait: float) -> None:
-        """Predicted push wait for the open miss (engine-supplied).
+        """Predicted push wait for the open miss.
 
         ``inf`` (page not on the push program) is stored as None so the
         records stay strict-JSON serializable.

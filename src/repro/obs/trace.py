@@ -1,12 +1,13 @@
 """Slot-level tracing: structured per-slot records through pluggable sinks.
 
-Both simulation engines can attach a :class:`SlotTracer`; the engine then
-emits one :class:`SlotRecord` per broadcast slot it completes, snapshotted
-at the instant the server ticks (after the measured client's boundary
-activity, before the slot's virtual-client arrivals).  Because the two
-engines pin the same within-slot event order (DESIGN.md §6), the records
-are directly comparable: on a deterministic Pure-Push run the reference
-and fast engines produce *identical* traces, which is what
+A :class:`SlotTracer` attaches to the components both simulation engines
+share (:meth:`SlotTracer.attach`) and emits one :class:`SlotRecord` per
+broadcast slot the server completes, snapshotted at the instant the
+server ticks (after the measured client's boundary activity, before the
+slot's virtual-client arrivals).  Because the two engines pin the same
+within-slot event order (DESIGN.md §6), the records are directly
+comparable: on a deterministic Pure-Push run the reference and fast
+engines produce *identical* traces, which is what
 :mod:`repro.obs.compare` exploits to pinpoint divergences.
 
 Sinks decide what happens to the records:
@@ -15,8 +16,9 @@ Sinks decide what happens to the records:
 - :class:`MemorySink` keeps them in an optional-capacity ring buffer,
 - :class:`JsonlSink` streams them to a JSON-lines file.
 
-Tracing is strictly opt-in — engines built without a tracer skip every
-hook, so the default hot path is untouched.
+Tracing is strictly opt-in — the hooks are shadows on the component
+instances (:mod:`repro.obs.attach`), so a run without a tracer executes
+no tracing code at all.
 """
 
 from __future__ import annotations
@@ -25,9 +27,13 @@ import json
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, TYPE_CHECKING, Iterator, Optional
 
+from repro.obs.attach import Attachment
 from repro.obs.events import SLOT_KINDS
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
+    from repro.core.build import SystemState
 
 __all__ = [
     "OPTIONAL_SLOT_FIELDS",
@@ -190,11 +196,12 @@ def read_jsonl(path: str | Path, cls=SlotRecord) -> list:
 
 
 class SlotTracer:
-    """Collects engine hook calls into per-slot records.
+    """Collects hook calls into per-slot records.
 
-    The engines call :meth:`on_mc_request` / :meth:`on_vc_request` as
-    backchannel requests reach the server queue and :meth:`on_slot` right
-    after each server tick; the tracer folds the arrival counts since the
+    :meth:`attach` wires the hooks to a system's components:
+    :meth:`on_mc_request` / :meth:`on_vc_request` fire as backchannel
+    requests head for the server queue and :meth:`on_slot` right after
+    each server tick; the tracer folds the arrival counts since the
     previous tick into the record and hands it to the sink.  An optional
     :class:`~repro.obs.metrics.MetricsRegistry` additionally accumulates
     aggregate counters and a queue-depth histogram.
@@ -218,6 +225,36 @@ class SlotTracer:
             self._depth_hist = metrics.histogram(
                 "trace_queue_depth", "queue depth sampled per slot",
                 buckets=(0, 1, 2, 5, 10, 25, 50, 100, 250))
+
+    def attach(self, state: "SystemState") -> Attachment:
+        """Take the hooks from ``state``'s components until detached:
+        a record per ``server.tick`` (slot ``server.ticks - 1``), an MC
+        arrival per ``mc.record_pull_sent``, a VC arrival per page
+        ``vc.requests_for_slot`` yields."""
+        server = state.server
+        mc = state.mc
+        queue = server.queue
+
+        def tick(inner):
+            page, kind = result = inner()
+            self.on_slot(server.ticks - 1, kind, page, queue, mc.waiting)
+            return result
+
+        def record_pull_sent(inner, page: int, now: float, outcome) -> None:
+            inner(page, now, outcome)
+            self.on_mc_request(page)
+
+        def requests_for_slot(inner, count: int,
+                              schedule_pos: int) -> Iterator[int]:
+            for page in inner(count, schedule_pos):
+                self.on_vc_request(page)
+                yield page
+
+        return Attachment([
+            (server, "tick", tick),
+            (mc, "record_pull_sent", record_pull_sent),
+            (state.vc, "requests_for_slot", requests_for_slot),
+        ])
 
     def on_mc_request(self, page: int) -> None:
         """The measured client sent a backchannel request for ``page``."""

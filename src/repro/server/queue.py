@@ -130,30 +130,6 @@ class BoundedRequestQueue:
             hooks.on_enqueued(page, self.now)
         return _ENQUEUED
 
-    def attach_observer(self, callback) -> None:
-        """Report every offer outcome to ``callback(page, outcome)``.
-
-        Implemented by shadowing :meth:`offer` with a wrapping instance
-        attribute, so the un-observed hot path keeps zero extra branches
-        — attaching costs one closure call per offer, detaching restores
-        the plain bound method.  One observer at a time (request tracers
-        fan out internally if they need more).
-        """
-        if "offer" in self.__dict__:
-            raise RuntimeError("an observer is already attached")
-        inner = self.offer
-
-        def observed_offer(page: int) -> Offer:
-            outcome = inner(page)
-            callback(page, outcome)
-            return outcome
-
-        self.offer = observed_offer  # type: ignore[method-assign]
-
-    def detach_observer(self) -> None:
-        """Remove the observer installed by :meth:`attach_observer`."""
-        self.__dict__.pop("offer", None)
-
     def peek(self) -> Optional[int]:
         """The page the discipline would serve next (None when empty)."""
         if not self._fifo:
@@ -179,7 +155,7 @@ class BoundedRequestQueue:
     def snapshot(self) -> dict:
         """Point-in-time accounting view (depth plus cumulative counters).
 
-        Plain-dict so tracers, the CLI, and the metrics registry can ship
+        Plain-dict so observers, the CLI, and the metrics registry can ship
         it without holding a reference to the live queue.  ``drop_rate``
         follows the distinct-offers definition (see :attr:`drop_rate`).
         """

@@ -6,6 +6,7 @@ import pytest
 from repro.cache.base import Cache
 from repro.cache.p import PPolicy
 from repro.client.measured import MeasuredClient, WarmupTracker
+from repro.server.queue import Offer
 from repro.workload.zipf import zipf_probabilities
 
 
@@ -133,12 +134,23 @@ class TestMeasuredClient:
         client.receive(9, requested_at=0.0, now=3.0)  # evicts a target
         assert client.warmup.fraction < 1.0
 
+    def test_waiting_is_the_page_of_the_open_miss(self):
+        client = make_client()
+        assert client.waiting is None
+        client.cache.insert(0)
+        assert client.lookup(0, now=0.0)
+        assert client.waiting is None  # a hit blocks on nothing
+        assert not client.lookup(5, now=1.0)
+        assert client.waiting == 5
+        client.receive(5, requested_at=1.0, now=3.0)
+        assert client.waiting is None
+
     def test_reset_stats(self):
         client = make_client()
         client.measuring = True
         client.lookup(5, now=0.0)
         client.receive(5, requested_at=0.0, now=2.0)
-        client.record_pull_sent()
+        client.record_pull_sent(5, 0.0, Offer.ENQUEUED)
         client.reset_stats()
         assert client.hits == client.misses == client.pulls_sent == 0
         assert client.accesses == 0

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.algorithms import Algorithm
 from repro.core.config import ClientConfig, RunConfig, ServerConfig, SystemConfig
+from repro.obs.attach import Attachment
 
 
 @pytest.fixture
@@ -31,6 +32,17 @@ def small_config(algorithm: Algorithm = Algorithm.IPP,
     if overrides:
         config = config.with_(**overrides)
     return config
+
+
+def observe_offers(queue, callback) -> Attachment:
+    """Report every ``queue.offer`` outcome to ``callback(page, outcome)``
+    until the returned attachment is detached."""
+    def offer(inner, page):
+        outcome = inner(page)
+        callback(page, outcome)
+        return outcome
+
+    return Attachment([(queue, "offer", offer)])
 
 
 @pytest.fixture

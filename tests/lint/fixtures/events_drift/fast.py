@@ -1,8 +1,7 @@
-"""Fast engine: a typo'd event literal, and a hook the reference lacks."""
+"""Fast engine: a typo'd event literal."""
 
 
 def emit(tracer, record):
     if record.kind == "psh":
         tracer.on_slot(record)
-    tracer.on_air(record)
     tracer.on_served(record)

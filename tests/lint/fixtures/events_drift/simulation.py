@@ -1,4 +1,4 @@
-"""Reference engine: invented served_kind literal, never drives on_air."""
+"""Reference engine: invented served_kind literal."""
 
 
 def emit(tracer, sink, record):

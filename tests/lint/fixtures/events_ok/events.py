@@ -1,4 +1,4 @@
-"""Mini registry mirroring repro/obs/events.py (REP005/REP006 clean)."""
+"""Mini registry mirroring repro/obs/events.py (REP005 clean)."""
 
 SLOT_KINDS = ("push", "pull", "padding", "idle")
 OFFER_OUTCOMES = ("enqueued", "duplicate", "dropped")

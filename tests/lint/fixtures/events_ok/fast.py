@@ -1,4 +1,4 @@
-"""Fast engine: registry-member literals, hooks symmetric with reference."""
+"""Fast engine: registry-member literals."""
 
 
 def emit(tracer, record):

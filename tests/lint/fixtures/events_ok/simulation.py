@@ -1,4 +1,4 @@
-"""Reference engine: same literals and hook set as the fast engine."""
+"""Reference engine: registry-member literals."""
 
 
 def emit(tracer, record):

@@ -119,8 +119,7 @@ class TestEntryPoints:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005",
-                        "REP006"):
+        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005"):
             assert rule_id in out
 
     def test_repro_broadcast_lint_subcommand(self, tmp_path):

@@ -118,10 +118,3 @@ class TestProjectRules:
         result = run_lint([tmp_path], select=["REP005"])
         assert [f.rule for f in result.findings] == ["REP005"]
         assert "no events.py registry" in result.findings[0].message
-
-    def test_hook_symmetry_needs_both_engines(self, tmp_path):
-        (tmp_path / "fast.py").write_text(textwrap.dedent("""\
-            def run(tracer):
-                tracer.on_slot(None)
-            """))
-        assert run_lint([tmp_path], select=["REP006"]).ok

@@ -1,36 +1,12 @@
-"""Unit tests for hot-loop phase timing."""
+"""Unit tests for per-phase host-time attribution."""
 
 import pytest
 
+from repro.core.build import build_system
 from repro.core.fast import FastEngine
-from repro.obs.profile import ENGINE_PHASES, HotLoopProfile, PhaseTimer, profile_run
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestPhaseTimer:
-    def test_add_accumulates(self):
-        timer = PhaseTimer()
-        timer.add("tick", 0.5)
-        timer.add("tick", 0.25, calls=3)
-        timer.add("deliver", 1.0)
-        assert timer.seconds["tick"] == pytest.approx(0.75)
-        assert timer.calls["tick"] == 4
-        assert timer.total == pytest.approx(1.75)
-
-    def test_context_manager_uses_clock(self):
-        clock = FakeClock()
-        timer = PhaseTimer(clock=clock)
-        with timer.time("phase"):
-            clock.now = 2.5
-        assert timer.seconds["phase"] == pytest.approx(2.5)
-        assert timer.calls["phase"] == 1
+from repro.core.runtime import SimulationStall
+from repro.core.simulation import ReferenceEngine
+from repro.obs.profile import ENGINE_PHASES, HotLoopProfile, profile_run
 
 
 class TestHotLoopProfile:
@@ -77,6 +53,37 @@ class TestProfileRun:
         # must have accumulated real time.
         assert prof.server_tick > 0.0
         assert prof.vc_arrivals > 0.0
+        assert prof.queue_offer > 0.0
+        assert prof.timed_seconds <= prof.wall_seconds
+
+    def test_slots_are_the_ticks_of_the_run(self, ipp_config):
+        result, prof = profile_run(ipp_config)
+        # The tick that airs the last page is the run's last slot; the
+        # fast engine's exit-slack tick after it is not counted.
+        assert prof.slots == int(result.total_slots)
+
+    def test_stalled_run_still_reports_slots_and_wall_time(self, ipp_config):
+        stalling = ipp_config.with_(client__think_time_ratio=50.0,
+                                    run__max_slots=300)
+        prof = HotLoopProfile()
+        with pytest.raises(SimulationStall):
+            FastEngine(stalling, profiler=prof).run()
+        assert prof.slots == 300
+        assert prof.wall_seconds > 0.0
+        assert 0.0 < prof.timed_seconds <= prof.wall_seconds
+        assert "slots simulated : 300" in prof.render()
+
+    def test_attached_by_hand_it_reads_the_reference_engine(self, ipp_config):
+        state = build_system(ipp_config)
+        prof = HotLoopProfile()
+        with prof.attach(state):
+            result = ReferenceEngine(ipp_config, state).run()
+        assert prof.server_tick > 0.0
+        assert prof.mc_access > 0.0
+        assert prof.vc_arrivals > 0.0
+        assert prof.queue_offer > 0.0
+        assert prof.slots == state.server.ticks
+        assert prof.slots >= int(result.total_slots)
         assert prof.timed_seconds <= prof.wall_seconds
 
     def test_pure_push_goes_through_general_loop(self, push_config):

@@ -8,6 +8,7 @@ import pytest
 from repro.core.fast import FastEngine
 from repro.core.simulation import ReferenceEngine
 from repro.obs import (
+    Attachment,
     JsonlSink,
     MemorySink,
     MetricsRegistry,
@@ -20,7 +21,7 @@ from repro.obs import (
 from repro.server.broadcast_server import SlotKind
 from repro.server.queue import BoundedRequestQueue, Offer
 
-from tests.conftest import small_config
+from tests.conftest import observe_offers, small_config
 
 
 def _record(**overrides) -> RequestRecord:
@@ -187,23 +188,31 @@ class TestQueueObserver:
     def test_attach_wraps_and_detach_restores(self):
         queue = BoundedRequestQueue(2)
         seen = []
-        queue.attach_observer(lambda page, outcome: seen.append(
-            (page, outcome)))
+        attachment = observe_offers(
+            queue, lambda page, outcome: seen.append((page, outcome)))
         assert queue.offer(1) is Offer.ENQUEUED
         assert queue.offer(1) is Offer.DUPLICATE
         assert seen == [(1, Offer.ENQUEUED), (1, Offer.DUPLICATE)]
-        queue.detach_observer()
+        attachment.detach()
         queue.offer(2)
         assert len(seen) == 2  # the plain bound method is back
 
-    def test_double_attach_rejected(self):
+    def test_double_attach_stacks(self):
         queue = BoundedRequestQueue(2)
-        queue.attach_observer(lambda page, outcome: None)
-        with pytest.raises(RuntimeError):
-            queue.attach_observer(lambda page, outcome: None)
+        counts = [0, 0]
+
+        def bump(index):
+            def callback(page, outcome):
+                counts[index] += 1
+            return callback
+
+        observe_offers(queue, bump(0))
+        observe_offers(queue, bump(1))
+        queue.offer(1)
+        assert counts == [1, 1]
 
     def test_detach_without_attach_is_noop(self):
-        BoundedRequestQueue(2).detach_observer()
+        Attachment([]).detach()
 
 
 class TestMetricsIntegration:
@@ -287,8 +296,8 @@ class TestEngineWiring:
         tracer = RequestTracer(MemorySink())
         engine = FastEngine(ipp_config, request_tracer=tracer)
         engine.run()
-        assert engine.state.mc.tracer is None
-        assert "offer" not in engine.state.server.queue.__dict__
+        assert "lookup" not in vars(engine.state.mc)
+        assert "offer" not in vars(engine.state.server.queue)
 
     def test_pure_push_analytic_path_disabled_when_tracing(self, push_config):
         tracer = RequestTracer(MemorySink())

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.obs.attach import Attachment
 from repro.server.queue import BoundedRequestQueue, Offer
 from repro.server.schedulers import FifoScheduler, make_scheduler
+from tests.conftest import observe_offers
 
 
 class TestOfferSemantics:
@@ -155,17 +157,17 @@ class TestInvariants:
 
 
 class TestObserver:
-    """attach_observer / detach_observer edge cases.
+    """Observing ``offer`` through an :class:`~repro.obs.attach.Attachment`.
 
-    The observer mechanism shadows ``offer`` with an instance attribute;
-    the request tracers and the net server's telemetry both depend on
-    attach/detach being deterministic and fully reversible.
+    An observer shadows ``offer`` with an instance attribute; the request
+    tracer and the profiler both depend on attach/detach being
+    deterministic and fully reversible.
     """
 
     def test_observer_sees_every_outcome(self):
         queue = BoundedRequestQueue(1)
         seen = []
-        queue.attach_observer(lambda page, outcome: seen.append(
+        observe_offers(queue, lambda page, outcome: seen.append(
             (page, outcome)))
         queue.offer(1)
         queue.offer(1)
@@ -174,45 +176,67 @@ class TestObserver:
                         (2, Offer.DROPPED)]
 
     def test_attach_twice_raises_and_keeps_first(self):
+        """A second attachment that fails to install takes nothing with
+        it: placement is all-or-nothing."""
         queue = BoundedRequestQueue(2)
         first = []
-        queue.attach_observer(lambda page, outcome: first.append(page))
-        with pytest.raises(RuntimeError, match="already attached"):
-            queue.attach_observer(lambda page, outcome: None)
+        observe_offers(queue, lambda page, outcome: first.append(page))
+        under = vars(queue)["offer"]
+
+        with pytest.raises(AttributeError):
+            Attachment([(queue, "offer", lambda inner, page: inner(page)),
+                        (queue, "no_such_method", None)])
         # The losing attach must not have disturbed the first observer.
+        assert vars(queue)["offer"] is under
         queue.offer(7)
         assert first == [7]
+
+    def test_attach_twice_stacks_and_keeps_first(self):
+        queue = BoundedRequestQueue(2)
+        first, second = [], []
+        observe_offers(queue, lambda page, outcome: first.append(page))
+        outer = observe_offers(
+            queue, lambda page, outcome: second.append(page))
+        queue.offer(7)
+        assert first == second == [7]
+        # Taking the second away leaves the first as it was.
+        outer.detach()
+        queue.offer(8)
+        assert first == [7, 8] and second == [7]
 
     def test_detach_restores_plain_bound_method(self):
         queue = BoundedRequestQueue(2)
         unobserved = queue.offer
-        queue.attach_observer(lambda page, outcome: None)
+        attachment = observe_offers(queue, lambda page, outcome: None)
         assert queue.offer is not unobserved  # shadowed while attached
-        queue.detach_observer()
+        attachment.detach()
         assert "offer" not in queue.__dict__
         assert queue.offer == unobserved  # the plain bound method again
 
     def test_detach_without_attach_is_a_noop(self):
         queue = BoundedRequestQueue(2)
-        queue.detach_observer()
+        attachment = observe_offers(queue, lambda page, outcome: None)
+        attachment.detach()
+        attachment.detach()  # nothing left to undo
+        assert "offer" not in queue.__dict__
         assert queue.offer(1) is Offer.ENQUEUED
 
     def test_detach_stops_callbacks_but_keeps_semantics(self):
         queue = BoundedRequestQueue(1)
         seen = []
-        queue.attach_observer(lambda page, outcome: seen.append(page))
+        attachment = observe_offers(
+            queue, lambda page, outcome: seen.append(page))
         queue.offer(1)
-        queue.detach_observer()
+        attachment.detach()
         assert queue.offer(1) is Offer.DUPLICATE
         assert queue.offer(2) is Offer.DROPPED
         assert seen == [1]
 
     def test_reattach_after_detach(self):
         queue = BoundedRequestQueue(2)
-        queue.attach_observer(lambda page, outcome: None)
-        queue.detach_observer()
+        observe_offers(queue, lambda page, outcome: None).detach()
         second = []
-        queue.attach_observer(lambda page, outcome: second.append(outcome))
+        observe_offers(queue, lambda page, outcome: second.append(outcome))
         queue.offer(3)
         assert second == [Offer.ENQUEUED]
 
@@ -226,7 +250,7 @@ class TestObserver:
         counters outcome-for-outcome."""
         queue = BoundedRequestQueue(capacity)
         log = []
-        queue.attach_observer(lambda page, outcome: log.append(outcome))
+        observe_offers(queue, lambda page, outcome: log.append(outcome))
         offers = 0
         for is_pop, page in ops:
             if is_pop and len(queue):

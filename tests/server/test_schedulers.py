@@ -29,7 +29,7 @@ from repro.server.schedulers import (
     RxWScheduler,
     make_scheduler,
 )
-from tests.conftest import small_config
+from tests.conftest import observe_offers, small_config
 
 
 class TestMakeScheduler:
@@ -67,8 +67,8 @@ class TestDisciplineInvariants:
         queue = BoundedRequestQueue(
             capacity, make_scheduler(discipline, track_temperature=True))
         seen: list[tuple[int, Offer]] = []
-        queue.attach_observer(lambda page, outcome:
-                              seen.append((page, outcome)))
+        observe_offers(queue, lambda page, outcome:
+                       seen.append((page, outcome)))
         offered = popped = 0
         for kind, page in ops:
             if kind == 2:
