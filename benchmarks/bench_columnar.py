@@ -37,7 +37,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.obs.columnar import (  # noqa: E402
     ColumnarSink,
     breakdown_of_array,
-    exact_quantiles,
     load_columnar,
     measured_miss_waits,
 )
@@ -47,6 +46,7 @@ from repro.obs.requests import (  # noqa: E402
     read_requests_jsonl,
 )
 from repro.obs.trace import JsonlSink, MemorySink  # noqa: E402
+from repro.sim.monitor import exact_quantiles  # noqa: E402
 
 DEFAULT_RECORDS = "10000,100000,1000000"
 DEFAULT_OUT = REPO_ROOT / "BENCH_columnar.json"

@@ -890,31 +890,33 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _report_columnar_trace(path: Path, think_time) -> int:
-    """Summarize a columnar ``.npy`` trace without materializing records.
+def _report_trace(path: Path, think_time) -> int:
+    """Summarize a trace file (slot or request records, either format).
 
-    Prints the same lines as the JSONL path — breakdowns via the
-    vectorized column reductions, quantiles as exact order statistics
-    (same rank convention as the sorted-list path, so a converted trace
-    reports identically).
+    A JSONL trace is read into the same structured array a columnar
+    ``.npy`` maps, so both formats report through one path: breakdowns
+    via the vectorized column reductions, quantiles as exact order
+    statistics.
     """
     import numpy as np
 
     from repro.obs.columnar import (
         breakdown_of_array,
-        exact_quantiles,
+        jsonl_to_array,
         load_columnar,
         measured_miss_waits,
         slot_summary,
         table_of,
     )
+    from repro.sim.monitor import exact_quantiles
 
     try:
-        array = load_columnar(path)
+        array = (load_columnar(path) if path.suffix == ".npy"
+                 else jsonl_to_array(path))
     except (FileNotFoundError, ValueError) as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 2
-    if array.shape[0] == 0:
+    if array is None or array.shape[0] == 0:
         print(f"{path}: empty trace")
         return 2
     if table_of(array) == "request":
@@ -924,9 +926,8 @@ def _report_columnar_trace(path: Path, think_time) -> int:
         print()
         print(breakdown_of_array(array, think_time=think_time).render())
         waits = measured_miss_waits(array)
-        if waits.size:
-            marks = exact_quantiles(waits)
-            assert marks is not None
+        marks = exact_quantiles(waits)
+        if marks is not None:
             print(f"measured miss wait quantiles: p50={marks['p50']:.1f}  "
                   f"p90={marks['p90']:.1f}  p99={marks['p99']:.1f}  "
                   f"max={waits.max():.1f}")
@@ -938,59 +939,6 @@ def _report_columnar_trace(path: Path, think_time) -> int:
     print(f"  mean queue depth: {summary['mean_queue_depth']:.2f}")
     print(f"  requests dropped: {summary['dropped']}")
     return 0
-
-
-def _report_trace(path: Path, think_time) -> int:
-    """Summarize a trace file (slot or request records, either format)."""
-    if path.suffix == ".npy":
-        return _report_columnar_trace(path, think_time)
-    first = None
-    with path.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                first = json.loads(line)
-                break
-    if first is None:
-        print(f"{path}: empty trace")
-        return 2
-    if "issued_at" in first:  # request-lifecycle records
-        from repro.obs.requests import breakdown_of, read_requests_jsonl
-
-        records = read_requests_jsonl(path)
-        measured = [r for r in records if r.measured]
-        print(f"request trace: {len(records)} records "
-              f"({len(measured)} measured) from {path}")
-        print()
-        print(breakdown_of(records, think_time=think_time).render())
-        waits = sorted(r.wait for r in measured if not r.hit)
-        if waits:
-            def rank(q: float) -> float:
-                return waits[min(len(waits) - 1, int(q * len(waits)))]
-
-            print(f"measured miss wait quantiles: p50={rank(0.50):.1f}  "
-                  f"p90={rank(0.90):.1f}  p99={rank(0.99):.1f}  "
-                  f"max={waits[-1]:.1f}")
-        return 0
-    if "slot" in first:  # slot records
-        from collections import Counter
-
-        from repro.obs.trace import read_jsonl
-
-        records = read_jsonl(path)
-        kinds = Counter(r.kind for r in records)
-        depth = (sum(r.queue_depth for r in records) / len(records)
-                 if records else 0.0)
-        print(f"slot trace: {len(records)} slots from {path}")
-        print("  slots by kind: "
-              + ", ".join(f"{k}={v}" for k, v in sorted(kinds.items())))
-        print(f"  mean queue depth: {depth:.2f}")
-        if records:
-            print(f"  requests dropped: {records[-1].dropped}")
-        return 0
-    print(f"{path}: unrecognized trace record "
-          f"(keys: {', '.join(sorted(first))})", file=sys.stderr)
-    return 2
 
 
 def _cmd_report(args) -> int:

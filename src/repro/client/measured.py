@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cache.base import Cache
-from repro.sim.monitor import Tally
+from repro.sim.monitor import Histogram
 from repro.workload.zipf import ZipfSampler
 
 __all__ = ["MeasuredClient", "WarmupTracker"]
@@ -71,18 +71,6 @@ class WarmupTracker:
         self._resident.discard(page)
 
 
-def _latency_histograms():
-    """Fresh (all, miss) latency histograms.
-
-    Imported lazily: ``repro.obs`` reaches back into the engines at
-    package-import time, so a top-level import here would close a cycle.
-    """
-    from repro.obs.latency import LatencyHistogram
-
-    return (LatencyHistogram("mc_latency_all"),
-            LatencyHistogram("mc_latency_miss"))
-
-
 class MeasuredClient:
     """State shared by both engines when driving the MC loop."""
 
@@ -101,10 +89,10 @@ class MeasuredClient:
         #: Page the MC is blocked on: set by a :meth:`lookup` miss,
         #: cleared by :meth:`receive` (None while thinking).
         self.waiting: Optional[int] = None
-        # Statistics for the current measurement phase.
-        self.response_all = Tally()
-        self.response_miss = Tally()
-        self.latency_all, self.latency_miss = _latency_histograms()
+        # Statistics for the current measurement phase: response times
+        # over all accesses (hits count as 0) and over misses only.
+        self.response_all = Histogram("mc_response_all")
+        self.response_miss = Histogram("mc_response_miss")
         self.hits = 0
         self.misses = 0
         self.pulls_sent = 0
@@ -126,8 +114,7 @@ class MeasuredClient:
         if self.cache.access(page, now):
             if self.measuring:
                 self.hits += 1
-                self.response_all.add(0.0)
-                self.latency_all.observe(0.0)
+                self.response_all.observe(0.0)
             return True
         if self.measuring:
             self.misses += 1
@@ -146,10 +133,8 @@ class MeasuredClient:
         if response_time < 0:
             raise ValueError("page delivered before it was requested")
         if self.measuring:
-            self.response_all.add(response_time)
-            self.response_miss.add(response_time)
-            self.latency_all.observe(response_time)
-            self.latency_miss.observe(response_time)
+            self.response_all.observe(response_time)
+            self.response_miss.observe(response_time)
         evicted = self.cache.insert(page, now)
         if self.warmup is not None:
             if evicted is not None:
@@ -159,9 +144,8 @@ class MeasuredClient:
 
     def reset_stats(self) -> None:
         """Clear tallies at the warm-up/measurement boundary."""
-        self.response_all = Tally()
-        self.response_miss = Tally()
-        self.latency_all, self.latency_miss = _latency_histograms()
+        self.response_all = Histogram("mc_response_all")
+        self.response_miss = Histogram("mc_response_miss")
         self.hits = 0
         self.misses = 0
         self.pulls_sent = 0

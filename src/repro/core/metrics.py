@@ -11,19 +11,18 @@ import math
 from dataclasses import dataclass, field, asdict
 from typing import Any, Optional
 
-from repro.sim.monitor import Tally
+from repro.sim.monitor import Histogram
 
 __all__ = ["TallySnapshot", "RunResult"]
 
 
 @dataclass(frozen=True)
 class TallySnapshot:
-    """Frozen summary of a :class:`~repro.sim.monitor.Tally`.
+    """Frozen summary of a :class:`~repro.sim.monitor.Histogram`.
 
-    The optional p50/p90/p99 fields carry interpolated quantiles when the
-    producer also kept a :class:`~repro.obs.latency.LatencyHistogram`
-    beside the Welford tally; they stay None otherwise (and for snapshots
-    loaded from pre-quantile archives).
+    The p50/p90/p99 fields carry its interpolated quantiles; they stay
+    None for an empty sample and for snapshots loaded from pre-quantile
+    archives.
     """
 
     count: int = 0
@@ -36,20 +35,14 @@ class TallySnapshot:
     p99: Optional[float] = None
 
     @classmethod
-    def of(cls, tally: Tally,
-           quantiles: Optional[dict[str, float]] = None) -> "TallySnapshot":
-        """Freeze the current state of ``tally``.
-
-        ``quantiles`` is the ``{"p50": ..., "p90": ..., "p99": ...}`` dict
-        a :class:`~repro.obs.latency.LatencyHistogram` reports.
-        """
-        if tally.count == 0:
+    def of(cls, histogram: Histogram) -> "TallySnapshot":
+        """Freeze the current state of ``histogram``."""
+        quantiles = histogram.quantiles()
+        if quantiles is None:
             return cls()
-        quantiles = quantiles or {}
-        return cls(count=tally.count, mean=tally.mean, stddev=tally.stddev,
-                   min=tally.min, max=tally.max,
-                   p50=quantiles.get("p50"), p90=quantiles.get("p90"),
-                   p99=quantiles.get("p99"))
+        return cls(count=histogram.count, mean=histogram.mean,
+                   stddev=histogram.stddev, min=histogram.min,
+                   max=histogram.max, **quantiles)
 
 
 @dataclass(frozen=True)

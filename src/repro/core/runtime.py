@@ -167,10 +167,8 @@ class RunProtocol:
         return RunResult(
             algorithm=self.config.algorithm.value,
             seed=self.config.run.seed,
-            response_miss=TallySnapshot.of(mc.response_miss,
-                                           mc.latency_miss.quantiles()),
-            response_all=TallySnapshot.of(mc.response_all,
-                                          mc.latency_all.quantiles()),
+            response_miss=TallySnapshot.of(mc.response_miss),
+            response_all=TallySnapshot.of(mc.response_all),
             mc_hits=mc.hits,
             mc_misses=mc.misses,
             mc_pulls_sent=mc.pulls_sent,

@@ -1,8 +1,9 @@
 """Publish a fleet's per-user accounting through the metrics registry.
 
 Mirrors :mod:`repro.obs.server_metrics`: the fleet keeps plain resettable
-counters, registry counters only go up, so the adapter exports deltas and
-treats a backward jump as a reset.  Gauges carry the per-user wait
+counters, registry counters only go up, so the adapter publishes through
+:meth:`~repro.obs.metrics.Counter.advance_to` (a backward jump is a
+reset).  Gauges carry the per-user wait
 statistics (dispersion, quantiles, Jain's index) from the fleet's
 :meth:`~repro.fleet.state.FleetState.snapshot`.
 """
@@ -35,33 +36,22 @@ class FleetMetricsAdapter:
         self.registry = registry
         self.fleet = fleet
         self.prefix = prefix
-        self._last: dict[str, int] = {}
         # Create instruments eagerly so a snapshot taken before the
-        # first sync still lists the full instrument set (at zero).
+        # first sync still lists the full instrument set (at zero);
+        # advance_to(0): this fleet counts from zero.
         for name in _COUNTERS:
             registry.counter(f"{prefix}_{name}_total",
-                             f"fleet accesses {name}")
+                             f"fleet accesses {name}").advance_to(0)
         for name in _GAUGES:
             registry.gauge(f"{prefix}_{name}", f"fleet {name}")
-
-    def _bump(self, name: str, value: int) -> None:
-        """Advance counter ``name`` to cumulative ``value`` via a delta."""
-        last = self._last.get(name, 0)
-        delta = value - last
-        if delta < 0:
-            # The fleet's counters were reset (measurement boundary);
-            # the post-reset value is what accumulated since.
-            delta = value
-        if delta:
-            self.registry.counter(name).inc(delta)
-        self._last[name] = value
 
     def sync(self) -> None:
         """Publish the fleet's current statistics into the registry."""
         prefix = self.prefix
         snapshot = self.fleet.snapshot()
         for name in _COUNTERS:
-            self._bump(f"{prefix}_{name}_total", snapshot[name])
+            self.registry.counter(f"{prefix}_{name}_total").advance_to(
+                snapshot[name])
         for name in _GAUGES:
             value = snapshot[name]
             # Gauges have no NaN convention; an unmeasured statistic

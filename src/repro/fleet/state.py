@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.client.threshold import ThresholdFilter
 from repro.fleet.fairness import jain_index
+from repro.sim.monitor import Histogram
 from repro.workload.zipf import ZipfSampler
 
 __all__ = ["FleetState"]
@@ -265,16 +266,12 @@ class FleetState:
     def snapshot(self) -> dict:
         """Per-user wait statistics as a JSON-ready dict.
 
-        Per-user quantiles run through the existing
-        :class:`~repro.obs.latency.LatencyHistogram` machinery (one
-        vectorized ``observe_many`` batch over the per-user means).
-        Clients still waiting when the run ends are censored — counted in
-        ``still_waiting``, not in the wait statistics.
+        The per-user statistics are one
+        :class:`~repro.sim.monitor.Histogram` fed the per-user means in
+        one vectorized ``observe_many`` batch.  Clients still waiting
+        when the run ends are censored — counted in ``still_waiting``,
+        not in the wait statistics.
         """
-        # Lazy import: repro.obs reaches back into the engines at package
-        # import time, and the engines' build path constructs fleets.
-        from repro.obs.latency import LatencyHistogram
-
         means = self.user_mean_waits()
         total_count = int(self.wait_count.sum())
         stats: dict = {
@@ -292,16 +289,17 @@ class FleetState:
                          if total_count else math.nan),
         }
         if means.size:
-            hist = LatencyHistogram("fleet_user_wait")
+            hist = Histogram("fleet_user_wait")
             hist.observe_many(means)
-            quantiles = hist.quantiles() or {}
+            quantiles = hist.quantiles()
+            assert quantiles is not None  # at least one user measured
             stats.update({
-                "user_wait_mean": float(means.mean()),
-                "user_wait_min": float(means.min()),
-                "user_wait_max": float(means.max()),
-                "user_wait_p50": quantiles.get("p50", math.nan),
-                "user_wait_p90": quantiles.get("p90", math.nan),
-                "user_wait_p99": quantiles.get("p99", math.nan),
+                "user_wait_mean": hist.mean,
+                "user_wait_min": hist.min,
+                "user_wait_max": hist.max,
+                "user_wait_p50": quantiles["p50"],
+                "user_wait_p90": quantiles["p90"],
+                "user_wait_p99": quantiles["p99"],
                 "jain_index": jain_index(means),
             })
         else:

@@ -54,8 +54,8 @@ from repro.net.protocol import (
     StatsRequest,
     write_frame,
 )
-from repro.obs.latency import log_buckets
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.monitor import exact_quantiles, log_buckets
 from repro.workload.zipf import ZipfSampler, zipf_probabilities
 
 __all__ = ["ClientFleet", "FleetSettings", "FleetResult"]
@@ -123,14 +123,7 @@ class FleetResult:
 
     def quantiles(self) -> Optional[dict[str, float]]:
         """Exact p50/p90/p99 of the measured latencies (slot units)."""
-        marks = sorted(self.latencies_slots)
-        if not marks:
-            return None
-
-        def rank(q: float) -> float:
-            return marks[min(len(marks) - 1, int(q * len(marks)))]
-
-        return {"p50": rank(0.50), "p90": rank(0.90), "p99": rank(0.99)}
+        return exact_quantiles(self.latencies_slots)
 
     @property
     def mean_latency(self) -> float:

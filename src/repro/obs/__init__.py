@@ -9,8 +9,8 @@ opens the black box:
   sinks (null / in-memory ring / JSONL file),
 - :mod:`repro.obs.columnar` — the columnar trace backend: numpy
   structured-array sink with memory-mapped ``.npy`` persistence,
-  lossless JSONL converters, and vectorized breakdown / exact-quantile
-  analytics for million-record traces,
+  lossless JSONL converters, and vectorized breakdown analytics for
+  million-record traces,
 - :mod:`repro.obs.metrics` — a counters/gauges/histograms registry with a
   shared no-op mode for zero-cost disabled instrumentation,
 - :mod:`repro.obs.profile` — wall time per component-call phase of
@@ -19,8 +19,6 @@ opens the black box:
   where two engine runs diverge,
 - :mod:`repro.obs.requests` — request-lifecycle tracing: one record per
   measured-client access with a wait decomposition,
-- :mod:`repro.obs.latency` — log-bucketed latency histograms with
-  interpolated p50/p90/p99 quantiles,
 - :mod:`repro.obs.sampling` — 1-in-N and seeded-reservoir sampling
   policies for the request tracer, with inverse-probability correction
   weights so sampled aggregates estimate the full population,
@@ -36,6 +34,12 @@ opens the black box:
 
 Everything is opt-in: the engines carry no observer code, so a run
 without a tracer/profiler executes none.
+
+Summarising a sample is not defined here: the streaming
+:class:`Histogram` (moments + interpolated quantiles on the
+:data:`LATENCY_BUCKETS` ladder) and :func:`exact_quantiles` live in the
+leaf module :mod:`repro.sim.monitor`, which the measured client and the
+fleet use too; they are re-exported for convenience.
 """
 
 from repro.obs.attach import Attachment
@@ -46,7 +50,6 @@ from repro.obs.columnar import (
     array_to_records,
     breakdown_of_array,
     columnar_to_jsonl,
-    exact_quantiles,
     jsonl_to_columnar,
     load_columnar,
     measured_miss_waits,
@@ -61,7 +64,6 @@ from repro.obs.dashboard import (
     quantiles_from_bucket_snapshot,
     render_stats_frame,
 )
-from repro.obs.latency import LATENCY_BUCKETS, LatencyHistogram, log_buckets
 from repro.obs.manifest import (
     MANIFEST_VERSION,
     config_to_dict,
@@ -72,7 +74,6 @@ from repro.obs.manifest import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
 )
@@ -99,6 +100,12 @@ from repro.obs.trace import (
     SlotTracer,
     TraceSink,
     read_jsonl,
+)
+from repro.sim.monitor import (
+    LATENCY_BUCKETS,
+    Histogram,
+    exact_quantiles,
+    log_buckets,
 )
 
 __all__ = [
@@ -139,7 +146,6 @@ __all__ = [
     "WaitBreakdown",
     "breakdown_of",
     "read_requests_jsonl",
-    "LatencyHistogram",
     "LATENCY_BUCKETS",
     "log_buckets",
     "MANIFEST_VERSION",

@@ -14,11 +14,13 @@ TraceSink`: buffers records into fixed-size structured-array chunks and
 - :func:`load_columnar` — memory-mapped readback; million-record traces
   open in milliseconds and pages stream in on demand,
 - :func:`jsonl_to_columnar` / :func:`columnar_to_jsonl` — lossless
-  round-trip converters between the two on-disk formats,
+  round-trip converters between the two on-disk formats
+  (:func:`jsonl_to_array` reads a JSONL trace straight into memory),
 - :func:`breakdown_of_array` / :func:`measured_miss_waits` /
-  :func:`exact_quantiles` / :func:`slot_summary` — vectorized analytics
-  that replace the per-record Python loops; quantiles are *exact* order
-  statistics via ``np.partition``, not bucket approximations.
+  :func:`slot_summary` — vectorized analytics that replace the
+  per-record Python loops; a waits column goes to
+  :func:`repro.sim.monitor.exact_quantiles` for *exact* order
+  statistics, not bucket approximations.
 
 Dtype and null convention
 -------------------------
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -65,11 +67,11 @@ __all__ = [
     "table_of",
     "records_to_array",
     "array_to_records",
+    "jsonl_to_array",
     "jsonl_to_columnar",
     "columnar_to_jsonl",
     "breakdown_of_array",
     "measured_miss_waits",
-    "exact_quantiles",
     "slot_summary",
 ]
 
@@ -392,28 +394,16 @@ def array_to_records(array: np.ndarray) -> list:
     return [decode(row) for row in array]
 
 
-def _sniff_jsonl_table(first: dict) -> str:
-    """Record table of a JSONL trace, from its first object's keys."""
-    if "issued_at" in first:
-        return "request"
-    if "slot" in first:
-        return "slot"
-    raise ValueError(
-        "unrecognized trace record "
-        f"(keys: {', '.join(sorted(first))})")
+def _stream_jsonl(src: Union[str, Path], dst: Union[str, Path, None],
+                  chunk: int = DEFAULT_CHUNK) -> Optional[ColumnarSink]:
+    """Stream a JSONL trace into a sink bound for ``dst`` (None: memory).
 
-
-def jsonl_to_columnar(src: Union[str, Path], dst: Union[str, Path],
-                      chunk: int = DEFAULT_CHUNK) -> int:
-    """Convert a JSONL trace to columnar ``.npy``; returns the row count.
-
-    Streams line by line through a :class:`ColumnarSink`, so the
-    conversion runs in O(chunk) memory regardless of trace size.  An
-    empty JSONL file is rejected — there is no way to know which table
-    it would have held.
+    Line by line, so O(chunk) memory beyond the sink itself.  The record
+    table comes from the first object's keys; an empty file has none, so
+    it returns None — there is no way to know which table it would have
+    held.
     """
     sink: Optional[ColumnarSink] = None
-    count = 0
     with Path(src).open() as handle:
         for line in handle:
             line = line.strip()
@@ -421,16 +411,43 @@ def jsonl_to_columnar(src: Union[str, Path], dst: Union[str, Path],
                 continue
             data = json.loads(line)
             if sink is None:
-                table = _sniff_jsonl_table(data)
+                if "issued_at" in data:
+                    table = "request"
+                elif "slot" in data:
+                    table = "slot"
+                else:
+                    raise ValueError(
+                        f"{src}: unrecognized trace record "
+                        f"(keys: {', '.join(sorted(data))})")
                 sink = ColumnarSink(dst, table=table, chunk=chunk)
-            record = (SlotRecord.from_dict(data) if sink.table == "slot"
+            sink.emit(SlotRecord.from_dict(data) if sink.table == "slot"
                       else RequestRecord.from_dict(data))
-            sink.emit(record)
-            count += 1
+    return sink
+
+
+def jsonl_to_array(src: Union[str, Path]) -> Optional[np.ndarray]:
+    """Read a JSONL trace as a structured array (None for an empty file).
+
+    What :func:`jsonl_to_columnar` does, minus the file: the analytics
+    below then serve both on-disk formats.
+    """
+    sink = _stream_jsonl(src, None)
+    return sink.array() if sink is not None else None
+
+
+def jsonl_to_columnar(src: Union[str, Path], dst: Union[str, Path],
+                      chunk: int = DEFAULT_CHUNK) -> int:
+    """Convert a JSONL trace to columnar ``.npy``; returns the row count.
+
+    Streams through a :class:`ColumnarSink`, so the conversion runs in
+    O(chunk) memory regardless of trace size.  An empty JSONL file is
+    rejected.
+    """
+    sink = _stream_jsonl(src, dst, chunk)
     if sink is None:
         raise ValueError(f"{src}: empty trace, cannot infer record table")
     sink.close()
-    return count
+    return sink.emitted
 
 
 def columnar_to_jsonl(src: Union[str, Path], dst: Union[str, Path]) -> int:
@@ -503,26 +520,6 @@ def measured_miss_waits(array: np.ndarray) -> np.ndarray:
     _require_table(array, "request")
     selected = array[array["measured"] & ~array["hit"]]
     return np.ascontiguousarray(selected["wait"], dtype=np.float64)
-
-
-def exact_quantiles(values: np.ndarray,
-                    qs: Sequence[float] = (0.50, 0.90, 0.99)
-                    ) -> Optional[dict[str, float]]:
-    """Exact empirical quantiles via ``np.partition`` (None when empty).
-
-    Uses the same rank convention as the report command's sorted-list
-    path — ``sorted(values)[min(n - 1, int(q * n))]`` — but selects all
-    ranks in one O(n) introselect pass instead of a full sort, and never
-    builds Python floats for the non-selected elements.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n = int(values.size)
-    if n == 0:
-        return None
-    ranks = [min(n - 1, int(q * n)) for q in qs]
-    partitioned = np.partition(values, sorted(set(ranks)))
-    return {f"p{int(round(q * 100))}": float(partitioned[rank])
-            for q, rank in zip(qs, ranks)}
 
 
 def slot_summary(array: np.ndarray) -> dict:

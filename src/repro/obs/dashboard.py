@@ -30,8 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
 
-from repro.obs.latency import LatencyHistogram
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.monitor import Histogram, bucket_quantile, quantile_label
 
 __all__ = [
     "Dashboard",
@@ -104,7 +104,7 @@ class _SweepState:
     last_mean: float = math.nan
     #: Replicate mean waits, for running p50/p90 (merged across sweeps
     #: through Histogram.merge for the figure-level view).
-    hist: LatencyHistogram = field(default_factory=lambda: LatencyHistogram(
+    hist: Histogram = field(default_factory=lambda: Histogram(
         "sweep_replicate_mean_wait", "per-replicate mean response times"))
 
 
@@ -195,9 +195,9 @@ class SweepMonitor:
     def completed(self) -> int:
         return sum(s.completed for s in self.sweeps)
 
-    def overall_histogram(self) -> LatencyHistogram:
+    def overall_histogram(self) -> Histogram:
         """All sweeps' replicate mean waits pooled (Histogram.merge)."""
-        merged = LatencyHistogram(
+        merged = Histogram(
             "sweep_replicate_mean_wait", "per-replicate mean response times")
         for state in self.sweeps:
             merged.merge(state.hist)
@@ -259,42 +259,25 @@ def quantiles_from_bucket_snapshot(snapshot: dict,
     """Approximate quantiles from a histogram *snapshot* dict.
 
     STATS frames carry instrument snapshots (plain dicts), not live
-    :class:`~repro.obs.metrics.Histogram` objects; this reads the
-    ``buckets`` mapping (``{bound: count, ..., "+inf": n}``) and
-    interpolates inside the owning bucket, clamping to the snapshot's
-    observed min/max — the same convention
-    :meth:`~repro.obs.latency.LatencyHistogram.quantile` uses.  Returns
-    ``{"p50": ..., ...}`` keyed like the run results, or None when the
-    snapshot is empty or not a histogram.
+    :class:`~repro.sim.monitor.Histogram` objects; this reads the
+    ``buckets`` mapping (``{bound: count, ..., "+inf": n}``) back into
+    the arguments of :func:`~repro.sim.monitor.bucket_quantile`, so it
+    returns exactly what the live object's ``quantiles(qs)`` would — or
+    None when the snapshot is empty or not a histogram.
     """
     buckets = snapshot.get("buckets")
     total = snapshot.get("count", 0)
     if not buckets or not total:
         return None
-    bounds = sorted((float(k), v) for k, v in buckets.items()
+    finite = sorted((float(k), v) for k, v in buckets.items()
                     if k != "+inf")
-    bounds.append((math.inf, buckets.get("+inf", 0)))
+    bounds = [bound for bound, _ in finite]
+    counts = [count for _, count in finite] + [buckets.get("+inf", 0)]
     lo = snapshot.get("min", 0.0)
     hi = snapshot.get("max", math.inf)
-    out = {}
-    for q in qs:
-        rank = q * total
-        cumulative = 0.0
-        value = hi
-        for index, (bound, count) in enumerate(bounds):
-            if not count:
-                continue
-            if cumulative + count >= rank:
-                lower = bounds[index - 1][0] if index > 0 else lo
-                upper = bound if math.isfinite(bound) else hi
-                lower = min(max(lower, lo), hi)
-                upper = max(min(upper, hi), lower)
-                fraction = (rank - cumulative) / count
-                value = lower + fraction * (upper - lower)
-                break
-            cumulative += count
-        out[f"p{int(q * 100)}"] = value
-    return out
+    return {quantile_label(q): bucket_quantile(q, bounds, counts, total,
+                                               lo, hi)
+            for q in qs}
 
 
 def _metric_value(metrics: dict, name: str) -> Optional[float]:

@@ -7,10 +7,10 @@ a plain nested dict, render() a human-readable table.  Design constraints:
 - **near-zero overhead when disabled** — a disabled registry hands out
   shared no-op instruments whose methods do nothing, so instrumented code
   never needs ``if metrics:`` guards;
-- **no dependencies** — histogram summary statistics reuse the streaming
-  :class:`~repro.sim.monitor.Tally` the simulation kernel already ships,
-  so a histogram's mean/stddev stay numerically stable over millions of
-  observations.
+- **no dependencies** — the histogram instrument *is* the streaming
+  accumulator the simulation itself summarises response times with
+  (:class:`~repro.sim.monitor.Histogram`), so a registry adds no second
+  definition of a mean or a quantile.
 
 Names are free-form but conventionally ``snake_case`` with a ``_total``
 suffix for counters (the prometheus idiom).
@@ -18,11 +18,10 @@ suffix for counters (the prometheus idiom).
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Sequence
 
-from repro.sim.monitor import Tally
+from repro.sim.monitor import LATENCY_BUCKETS, Histogram, Tally
 
 __all__ = [
     "Counter",
@@ -32,20 +31,17 @@ __all__ = [
     "NULL_REGISTRY",
 ]
 
-#: Default histogram bucket upper bounds (broadcast-unit scale).
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500)
-
 
 class Counter:
     """Monotonically increasing count."""
 
-    __slots__ = ("name", "help", "_value")
+    __slots__ = ("name", "help", "_value", "_source")
 
     def __init__(self, name: str, help_: str = ""):
         self.name = name
         self.help = help_
         self._value = 0
+        self._source = 0  # last cumulative value handed to advance_to
 
     @property
     def value(self) -> int:
@@ -56,6 +52,19 @@ class Counter:
         if amount < 0:
             raise ValueError("counters only go up")
         self._value += amount
+
+    def advance_to(self, cumulative: int) -> None:
+        """Mirror a cumulative but *resettable* source counter.
+
+        Adds what the source gained since the last call.  A decrease
+        means the source was reset (``reset_stats()`` at the warm-up /
+        measure boundary, or a fresh source after a reconnect —
+        ``advance_to(0)`` announces one): the post-reset value is what
+        accumulated since, so the counter itself never goes down.
+        """
+        gained = cumulative - self._source
+        self.inc(cumulative if gained < 0 else gained)
+        self._source = cumulative
 
     def snapshot(self) -> dict:
         return {"type": "counter", "value": self._value}
@@ -88,150 +97,6 @@ class Gauge:
         return {"type": "gauge", "value": self._value}
 
 
-class Histogram:
-    """Bucketed distribution plus streaming summary statistics.
-
-    ``buckets`` are inclusive upper bounds; one overflow bucket (+inf) is
-    appended automatically.  Summary statistics (count/mean/stddev/min/max)
-    come from a Welford :class:`~repro.sim.monitor.Tally`.
-    """
-
-    __slots__ = ("name", "help", "bounds", "counts", "_tally")
-
-    def __init__(self, name: str, help_: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
-        if not buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if len(set(bounds)) != len(bounds):
-            raise ValueError("bucket bounds must be distinct")
-        self.name = name
-        self.help = help_
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # +1 for the +inf overflow
-        self._tally = Tally()
-
-    def observe(self, value: float, weight: float = 1) -> None:
-        """Record one observation, optionally carrying a frequency weight.
-
-        ``weight`` is the inverse-probability correction factor a sampled
-        stream attaches to each kept observation (see
-        :mod:`repro.obs.sampling`); the default of integer ``1`` keeps
-        unweighted histograms on the exact integer-count / plain-Welford
-        path, so unsampled runs stay bit-identical.
-        """
-        self.counts[bisect.bisect_left(self.bounds, value)] += weight
-        if weight == 1:
-            self._tally.add(value)
-        else:
-            self._tally.add_weighted(value, weight)
-
-    def observe_many(self, values) -> None:
-        """Record a batch of unweighted observations, vectorized.
-
-        Equivalent to calling :meth:`observe` once per value but O(batch)
-        in numpy: bucket indices via ``searchsorted`` (same left-bisect
-        convention as the scalar path) and the summary statistics folded
-        in as one batch-moment :meth:`~repro.sim.monitor.Tally.merge`
-        (exact Chan et al., so the mean/variance match the streamed
-        equivalent).  The per-user fleet statistics feed thousands to
-        millions of values per snapshot through this path.
-        """
-        import numpy as np
-
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        if arr.size == 0:
-            return
-        if not np.isfinite(arr).all():
-            raise ValueError("non-finite observation in batch")
-        indices = np.searchsorted(self.bounds, arr, side="left")
-        counts = self.counts
-        for index, count in zip(*np.unique(indices, return_counts=True)):
-            counts[int(index)] += int(count)
-        mean = float(arr.mean())
-        self._tally.merge(Tally.from_moments(
-            int(arr.size), mean, float(np.square(arr - mean).sum()),
-            float(arr.min()), float(arr.max())))
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Bucket-wise, so it only makes sense — and is only allowed — when
-        both histograms share the same bucket bounds; merging histograms
-        with different bounds raises ValueError.  Summary statistics
-        merge through :meth:`~repro.sim.monitor.Tally.merge` (Chan et
-        al.), so the result matches observing the pooled stream
-        directly, up to bucket resolution in the quantiles.
-        """
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r} into {self.name!r}: "
-                f"bucket bounds differ ({len(other.bounds)} vs "
-                f"{len(self.bounds)} bounds)")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self._tally.merge(other._tally)
-
-    @property
-    def count(self) -> float:
-        """Total observation weight (an exact int when unweighted)."""
-        return self._tally.count
-
-    @property
-    def mean(self) -> float:
-        return self._tally.mean
-
-    @property
-    def stddev(self) -> float:
-        return self._tally.stddev
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile from the bucket histogram.
-
-        Returns the upper bound of the non-empty bucket the quantile
-        falls in (+inf maps to the observed max), NaN when empty.  The
-        0- and 1-quantiles are exact: they return the observed min and
-        max rather than a bucket bound — ``q=0`` would otherwise be
-        satisfied by the very first bucket even when its count is 0.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be within [0, 1]")
-        tally = self._tally
-        if tally.count == 0:
-            return math.nan
-        if q == 0.0:
-            return tally.min
-        if q == 1.0:
-            return tally.max
-        rank = q * tally.count
-        cumulative = 0
-        for index, count in enumerate(self.counts):
-            if count == 0:
-                continue
-            cumulative += count
-            if cumulative >= rank:
-                if index == len(self.bounds):
-                    return tally.max
-                return self.bounds[index]
-        return tally.max
-
-    def snapshot(self) -> dict:
-        tally = self._tally
-        return {
-            "type": "histogram",
-            "count": tally.count,
-            "mean": tally.mean,
-            "stddev": tally.stddev,
-            "min": tally.min if tally.count else math.nan,
-            "max": tally.max if tally.count else math.nan,
-            "buckets": {
-                **{str(bound): count
-                   for bound, count in zip(self.bounds, self.counts)},
-                "+inf": self.counts[-1],
-            },
-        }
-
-
 class _NullInstrument:
     """Shared do-nothing stand-in handed out by disabled registries."""
 
@@ -244,6 +109,9 @@ class _NullInstrument:
     stddev = math.nan
 
     def inc(self, amount=1) -> None:
+        pass
+
+    def advance_to(self, cumulative) -> None:
         pass
 
     def dec(self, amount=1) -> None:
@@ -317,7 +185,7 @@ class MetricsRegistry:
         return self._get_or_create(Gauge, name, help_)
 
     def histogram(self, name: str, help_: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
+                  buckets: Sequence[float] = LATENCY_BUCKETS) -> Histogram:
         """Get or create the named histogram."""
         return self._get_or_create(Histogram, name, help_, buckets)
 
@@ -341,14 +209,7 @@ class MetricsRegistry:
         out = {}
         for name, instrument in sorted(self._instruments.items()):
             if isinstance(instrument, Tally):
-                out[name] = {
-                    "type": "summary",
-                    "count": instrument.count,
-                    "mean": instrument.mean,
-                    "stddev": instrument.stddev,
-                    "min": instrument.min if instrument.count else math.nan,
-                    "max": instrument.max if instrument.count else math.nan,
-                }
+                out[name] = {"type": "summary", **instrument.as_dict()}
             else:
                 out[name] = instrument.snapshot()
         return out

@@ -16,8 +16,8 @@ completed access through the same sink protocol the slot tracer uses
 Alongside the per-request stream it accumulates a
 :class:`WaitBreakdown` — the think / push-wait / pull-queue-wait /
 service decomposition over the measured phase — and a
-:class:`~repro.obs.latency.LatencyHistogram` of measured waits for
-quantile reporting.
+:class:`~repro.sim.monitor.Histogram` of measured waits for quantile
+reporting.
 
 Tracing is opt-in: the hooks are shadows on the component instances
 (:mod:`repro.obs.attach`), so a run without a request tracer executes no
@@ -33,8 +33,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.obs.attach import Attachment
-from repro.obs.latency import LatencyHistogram
 from repro.obs.trace import TraceSink
+from repro.sim.monitor import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
     from repro.core.build import SystemState
@@ -307,7 +307,8 @@ class RequestTracer:
             (:meth:`attach` fills this in when left None) — used for the
             think row of :meth:`breakdown`.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
-            accumulating aggregate request counters and a wait histogram.
+            accumulating aggregate request counters; its ``request_wait``
+            histogram then *is* :attr:`wait_histogram`.
         sampling: optional :class:`~repro.obs.sampling.SamplingPolicy`.
             When set, only accepted accesses are traced (skipped ones
             cost a single policy call) and every kept record carries an
@@ -326,9 +327,13 @@ class RequestTracer:
         #: Accesses offered to the tracer (sampled or not).
         self.accesses_seen = 0
         self.breakdown_stats = WaitBreakdown()
-        #: Measured miss waits, for p50/p90/p99 reporting.
-        self.wait_histogram = LatencyHistogram(
-            "request_wait", "measured MC response times")
+        wait = ("request_wait", "measured MC response times")
+        #: Measured miss waits, for p50/p90/p99 reporting: the registry's
+        #: own instrument when a live one is attached (a disabled
+        #: registry only hands out no-ops).
+        self.wait_histogram: Histogram = (
+            metrics.histogram(*wait)
+            if metrics is not None and metrics.enabled else Histogram(*wait))
         self._open: Optional[_OpenRequest] = None
         self._next_index = 0
         self._finalized = False
@@ -340,9 +345,6 @@ class RequestTracer:
                 "request_misses_total", "measured MC cache misses")
             self._m_pulls = metrics.counter(
                 "request_pulls_total", "measured MC backchannel requests")
-            self._m_wait = metrics.histogram(
-                "request_wait", "measured MC response times",
-                buckets=self.wait_histogram.bounds)
 
     # -- attachment --------------------------------------------------------
     def attach(self, state: "SystemState") -> Attachment:
@@ -524,7 +526,6 @@ SlotKind` (push or pull).
                     self._m_hits.inc(weight)
                 else:
                     self._m_misses.inc(weight)
-                    self._m_wait.observe(record.wait, weight)
                 if record.pull_sent:
                     self._m_pulls.inc(weight)
 

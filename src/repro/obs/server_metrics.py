@@ -13,9 +13,10 @@ both end up with identical instrument names.
 
 The server's counters are cumulative but *resettable*
 (``reset_stats()`` zeroes them at the warm-up/measure boundary), while
-registry counters only go up; the adapter therefore tracks the last
-value it exported per counter and publishes deltas, treating a backward
-jump as a reset (the post-reset value is the delta).
+registry counters only go up; the adapter therefore publishes through
+:meth:`~repro.obs.metrics.Counter.advance_to`, which adds the gain since
+the last sync and treats a backward jump as a reset (the post-reset
+value is the gain).
 """
 
 from __future__ import annotations
@@ -51,48 +52,39 @@ class ServerMetricsAdapter:
         self.registry = registry
         self.server = server
         self.prefix = prefix
-        self._last: dict[str, int] = {}
         # Create instruments eagerly so a snapshot taken before the
-        # first sync still lists the full instrument set (at zero).
-        for kind in server.slot_counts:
-            registry.counter(f"{prefix}_slots_{kind.value}_total",
-                             f"slots that carried a {kind.value}")
-        for outcome in ("enqueued", "duplicates", "dropped", "served"):
-            registry.counter(f"{prefix}_requests_{outcome}_total",
-                             f"backchannel requests {outcome}")
-        for decision in SCHEDULER_DECISIONS:
-            registry.counter(f"{prefix}_sched_{decision}_total",
-                             f"pull-scheduler decisions: {decision}")
+        # first sync still lists the full instrument set (at zero);
+        # advance_to(0) tells a counter an earlier adapter left behind
+        # that this server counts from zero again.
+        counters = (
+            [(f"slots_{kind.value}", f"slots that carried a {kind.value}")
+             for kind in server.slot_counts]
+            + [(f"requests_{outcome}", f"backchannel requests {outcome}")
+               for outcome in ("enqueued", "duplicates", "dropped", "served")]
+            + [(f"sched_{decision}", f"pull-scheduler decisions: {decision}")
+               for decision in SCHEDULER_DECISIONS])
+        for stem, help_ in counters:
+            registry.counter(f"{prefix}_{stem}_total", help_).advance_to(0)
         registry.gauge(f"{prefix}_queue_depth", "requests queued now")
         registry.gauge(f"{prefix}_queue_capacity", "queue capacity")
         registry.gauge(f"{prefix}_queue_drop_rate",
                        "fraction of offered requests dropped")
         registry.gauge(f"{prefix}_schedule_pos", "push-program cursor")
 
-    def _bump(self, name: str, value: int) -> None:
-        """Advance counter ``name`` to cumulative ``value`` via a delta."""
-        last = self._last.get(name, 0)
-        delta = value - last
-        if delta < 0:
-            # The server's counters were reset (measurement boundary);
-            # the post-reset value is what accumulated since.
-            delta = value
-        if delta:
-            self.registry.counter(name).inc(delta)
-        self._last[name] = value
-
     def sync(self) -> None:
         """Publish the server's current accounting into the registry."""
         prefix = self.prefix
         snapshot = self.server.stats_snapshot()
+        counter = self.registry.counter
         for kind, count in snapshot["slots"].items():
-            self._bump(f"{prefix}_slots_{kind}_total", count)
+            counter(f"{prefix}_slots_{kind}_total").advance_to(count)
         queue = snapshot["queue"]
         for outcome in ("enqueued", "duplicates", "dropped", "served"):
-            self._bump(f"{prefix}_requests_{outcome}_total", queue[outcome])
+            counter(f"{prefix}_requests_{outcome}_total").advance_to(
+                queue[outcome])
         for decision in SCHEDULER_DECISIONS:
-            self._bump(f"{prefix}_sched_{decision}_total",
-                       queue["scheduler"][decision])
+            counter(f"{prefix}_sched_{decision}_total").advance_to(
+                queue["scheduler"][decision])
         self.registry.gauge(f"{prefix}_queue_depth").set(queue["depth"])
         self.registry.gauge(f"{prefix}_queue_capacity").set(
             queue["capacity"])

@@ -9,7 +9,9 @@ the paper (and for simpy, which is unavailable offline).  It provides:
 - :class:`~repro.sim.process.Process` — generator-based coroutine processes
   with interrupt support,
 - :mod:`~repro.sim.resources` — FIFO stores and capacity-limited resources,
-- :mod:`~repro.sim.monitor` — tally and time-weighted statistics.
+- :mod:`~repro.sim.monitor` — tally and time-weighted statistics, and the
+  streaming :class:`~repro.sim.monitor.Histogram` / exact-quantile pair
+  every layer summarises a sample with.
 
 The kernel is deterministic: events scheduled for the same time fire in
 scheduling order (FIFO), so a seeded simulation always replays identically.

@@ -156,6 +156,33 @@ class TestMeasuredClient:
         assert client.accesses == 0
         assert client.response_all.count == 0
 
+    def test_two_accumulators_carry_every_summary(self):
+        from repro.sim.monitor import Histogram
+
+        def accumulators(client):
+            return {name for name, value in vars(client).items()
+                    if isinstance(value, Histogram)}
+
+        client = make_client()
+        assert accumulators(client) == {"response_all", "response_miss"}
+        client.measuring = True
+        client.cache.insert(0)
+        client.lookup(0, now=0.0)
+        for wait in (2.0, 6.0, 40.0):
+            client.receive(9, requested_at=0.0, now=wait)
+        # Moments and quantiles come from the same object.
+        assert client.response_all.count == 4
+        assert client.response_miss.count == 3
+        assert client.response_miss.mean == pytest.approx(16.0)
+        assert (client.response_miss.min, client.response_miss.max) \
+            == (2.0, 40.0)
+        assert set(client.response_miss.quantiles()) == {"p50", "p90", "p99"}
+        before = client.response_all
+        client.reset_stats()
+        assert accumulators(client) == {"response_all", "response_miss"}
+        assert client.response_all is not before
+        assert client.response_miss.quantiles() is None
+
     def test_miss_rate(self):
         client = make_client()
         client.measuring = True

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.core.metrics import RunResult, TallySnapshot
-from repro.sim.monitor import Tally
+from repro.sim.monitor import Histogram
 
 
 def make_result(**overrides):
@@ -28,18 +28,20 @@ def make_result(**overrides):
 
 class TestTallySnapshot:
     def test_of_empty_tally(self):
-        snapshot = TallySnapshot.of(Tally())
+        snapshot = TallySnapshot.of(Histogram())
         assert snapshot.count == 0
         assert math.isnan(snapshot.mean)
 
     def test_of_populated_tally(self):
-        tally = Tally()
+        histogram = Histogram()
         for value in (1.0, 3.0):
-            tally.add(value)
-        snapshot = TallySnapshot.of(tally)
+            histogram.observe(value)
+        snapshot = TallySnapshot.of(histogram)
         assert snapshot.count == 2
         assert snapshot.mean == 2.0
         assert snapshot.min == 1.0 and snapshot.max == 3.0
+        assert (snapshot.p50, snapshot.p90, snapshot.p99) == tuple(
+            histogram.quantiles().values())
 
 
 class TestRunResult:

@@ -284,6 +284,29 @@ class TestReportCommand:
         assert any("measured miss wait quantiles" in line
                    for line in from_npy)
 
+    def test_request_report_quantiles_are_exact_quantiles(self, tmp_path,
+                                                          capsys):
+        from repro.obs.requests import read_requests_jsonl
+        from repro.sim.monitor import exact_quantiles
+
+        jsonl = tmp_path / "req.jsonl"
+        assert main(["trace", "--requests", "--algorithm", "pure-pull",
+                     "--ttr", "2", "--settle", "20", "--measure", "80",
+                     "--out", str(jsonl)]) == 0
+        capsys.readouterr()
+        waits = [r.wait for r in read_requests_jsonl(jsonl)
+                 if r.measured and not r.hit]
+        marks = exact_quantiles(waits)
+        expected = (f"measured miss wait quantiles: p50={marks['p50']:.1f}  "
+                    f"p90={marks['p90']:.1f}  p99={marks['p99']:.1f}  "
+                    f"max={max(waits):.1f}")
+        assert expected in self._report_lines(capsys, jsonl)
+
+    def test_missing_trace_reports_cleanly(self, tmp_path, capsys):
+        for name in ("nope.jsonl", "nope.npy"):
+            assert main(["report", "--trace", str(tmp_path / name)]) == 2
+            assert "report:" in capsys.readouterr().err
+
     def test_slot_report_identical_across_formats(self, tmp_path, capsys):
         jsonl = tmp_path / "slots.jsonl"
         assert main(["trace", "--algorithm", "pure-pull", "--ttr", "2",

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
-from repro.net.client import ClientFleet, FleetSettings
+from repro.net.client import ClientFleet, FleetResult, FleetSettings
 from repro.net.server import NetServer, NetServerSettings
 from repro.obs.metrics import MetricsRegistry
 
@@ -148,6 +148,23 @@ class TestAgainstLiveServer:
         assert settled.quantiles() is None
         assert len(settled.all_latencies_slots) + settled.censored == (
             settled.misses)
+
+
+class TestResultQuantiles:
+    def test_quantiles_are_the_shared_order_statistic(self):
+        from repro.sim.monitor import exact_quantiles
+
+        latencies = [((7 * i) % 101) / 4 for i in range(137)]
+        result = FleetResult(
+            latencies_slots=latencies, all_latencies_slots=latencies,
+            accesses=200, hits=63, misses=137, requests_sent=137,
+            pages_seen=500, censored=0, effective_slot_duration=0.001)
+        ordered = sorted(latencies)
+        assert result.quantiles() == exact_quantiles(latencies) == {
+            "p50": ordered[int(0.50 * 137)], "p90": ordered[int(0.90 * 137)],
+            "p99": ordered[int(0.99 * 137)]}
+        assert result.to_dict()["quantiles_slots"] == result.quantiles()
+        assert all(type(v) is float for v in result.quantiles().values())
 
 
 class TestCensoring:

@@ -24,7 +24,7 @@ from repro.obs import (
     slot_summary,
     table_of,
 )
-from repro.obs.columnar import REQUEST_DTYPE, SLOT_DTYPE
+from repro.obs.columnar import REQUEST_DTYPE, SLOT_DTYPE, jsonl_to_array
 from tests.conftest import small_config
 
 
@@ -198,6 +198,27 @@ class TestConverters:
         empty.write_text("")
         with pytest.raises(ValueError):
             jsonl_to_columnar(empty, tmp_path / "out.npy")
+        assert jsonl_to_array(empty) is None  # no table to type it with
+
+    def test_jsonl_to_array_is_the_conversion_minus_the_file(self, tmp_path):
+        slots, requests = traced_run()
+        for name, records in (("slots", slots), ("requests", requests)):
+            src = tmp_path / f"{name}.jsonl"
+            with JsonlSink(src) as sink:
+                for record in records:
+                    sink.emit(record)
+            npy = tmp_path / f"{name}.npy"
+            jsonl_to_columnar(src, npy)
+            in_memory = jsonl_to_array(src)
+            assert in_memory.dtype == load_columnar(npy).dtype
+            assert in_memory.tobytes() == load_columnar(npy).tobytes()
+
+    def test_unrecognized_jsonl_names_the_file_and_keys(self, tmp_path):
+        weird = tmp_path / "weird.jsonl"
+        weird.write_text('{"foo": 1}\n')
+        with pytest.raises(ValueError, match="weird.jsonl: unrecognized "
+                                             r"trace record \(keys: foo\)"):
+            jsonl_to_array(weird)
 
     def test_foreign_npy_rejected(self, tmp_path):
         path = tmp_path / "foreign.npy"

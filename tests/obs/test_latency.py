@@ -1,11 +1,15 @@
-"""Log-bucketed latency histograms and interpolated quantiles."""
+"""The streaming accumulator: log buckets and interpolated quantiles.
+
+(The file and class names predate the move of ``LatencyHistogram`` into
+:class:`repro.sim.monitor.Histogram`; the test ids are pinned.)
+"""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.obs.latency import LATENCY_BUCKETS, LatencyHistogram, log_buckets
+from repro.sim.monitor import LATENCY_BUCKETS, Histogram, log_buckets
 
 
 class TestLogBuckets:
@@ -58,25 +62,25 @@ class TestLogBuckets:
 
 class TestLatencyHistogram:
     def test_empty_quantiles_are_none(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         assert math.isnan(hist.quantile(0.5))
         assert hist.quantiles() is None
 
     def test_single_value_collapses_all_quantiles(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         hist.observe(7.0)
         quantiles = hist.quantiles()
         assert quantiles == {"p50": 7.0, "p90": 7.0, "p99": 7.0}
 
     def test_quantiles_clamp_to_observed_range(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         for value in (3.0, 4.0, 4.5):
             hist.observe(value)
         assert hist.quantile(0.0) >= 3.0
         assert hist.quantile(1.0) <= 4.5
 
     def test_interpolated_median_of_uniform_data(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         for value in range(1, 101):  # uniform on [1, 100]
             hist.observe(float(value))
         # Log buckets are coarse; interpolation should still land the
@@ -85,21 +89,21 @@ class TestLatencyHistogram:
         assert hist.quantile(0.9) == pytest.approx(90.0, rel=0.5)
 
     def test_monotone_in_q(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         for value in (0.2, 1.5, 3.0, 8.0, 40.0, 900.0):
             hist.observe(value)
         marks = [hist.quantile(q) for q in (0.1, 0.5, 0.9, 0.99)]
         assert marks == sorted(marks)
 
     def test_extreme_quantiles_hit_observed_range(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         for value in (3.0, 4.0, 4.5):
             hist.observe(value)
         assert hist.quantile(0.0) == 3.0
         assert hist.quantile(1.0) == 4.5
 
     def test_rank_on_bucket_edge_interpolates_to_bound(self):
-        hist = LatencyHistogram(buckets=(10.0, 20.0))
+        hist = Histogram(buckets=(10.0, 20.0))
         hist.observe(5.0)
         hist.observe(15.0)
         # rank = 1.0 falls exactly on the first bucket's cumulative
@@ -111,7 +115,7 @@ class TestLatencyHistogram:
         # Regression companion to the metrics fix: empty buckets between
         # observations must contribute nothing (the old loop carried a
         # dead `cumulative += count` for them).
-        hist = LatencyHistogram(buckets=(1.0, 10.0, 100.0, 1000.0))
+        hist = Histogram(buckets=(1.0, 10.0, 100.0, 1000.0))
         hist.observe(0.5)
         hist.observe(500.0)
         assert hist.quantile(0.0) == 0.5
@@ -119,13 +123,13 @@ class TestLatencyHistogram:
         assert 0.5 <= hist.quantile(0.5) <= 500.0
 
     def test_rejects_out_of_range_q(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         hist.observe(1.0)
         with pytest.raises(ValueError):
             hist.quantile(1.5)
 
     def test_inherits_histogram_protocol(self):
-        hist = LatencyHistogram("x", "help")
+        hist = Histogram("x", "help")
         hist.observe(2.5)
         snapshot = hist.snapshot()
         assert snapshot["count"] == 1
@@ -146,12 +150,16 @@ class TestRunResultQuantiles:
 
     def test_tally_snapshot_defaults_stay_none(self):
         from repro.core.metrics import TallySnapshot
-        from repro.sim.monitor import Tally
 
-        tally = Tally()
-        tally.add(1.0)
-        snapshot = TallySnapshot.of(tally)
-        assert snapshot.p50 is None and snapshot.p99 is None
+        # An empty sample and a pre-quantile archive both read None.
+        assert TallySnapshot.of(Histogram()) == TallySnapshot()
+        archived = TallySnapshot(count=1, mean=1.0, min=1.0, max=1.0)
+        assert archived.p50 is None and archived.p99 is None
+        hist = Histogram()
+        hist.observe(1.0)
+        snapshot = TallySnapshot.of(hist)
+        assert (snapshot.p50, snapshot.p90, snapshot.p99) == (1.0, 1.0, 1.0)
+        assert (snapshot.count, snapshot.mean) == (1, 1.0)
 
 
 class TestLatencyHistogramMerge:
@@ -161,10 +169,10 @@ class TestLatencyHistogramMerge:
         rng = random.Random(5)
         streams = [[rng.lognormvariate(3.0, 1.2) for _ in range(400)]
                    for _ in range(3)]
-        pooled = LatencyHistogram("lat")
-        merged = LatencyHistogram("lat")
+        pooled = Histogram("lat")
+        merged = Histogram("lat")
         for stream in streams:
-            part = LatencyHistogram("lat")
+            part = Histogram("lat")
             for value in stream:
                 part.observe(value)
                 pooled.observe(value)
@@ -174,6 +182,6 @@ class TestLatencyHistogramMerge:
         assert merged.quantile(0.5) == pytest.approx(pooled.quantile(0.5))
 
     def test_merge_requires_identical_bucket_ladders(self):
-        coarse = LatencyHistogram("a", buckets=(1.0, 10.0))
+        coarse = Histogram("a", buckets=(1.0, 10.0))
         with pytest.raises(ValueError):
-            LatencyHistogram("b").merge(coarse)
+            Histogram("b").merge(coarse)

@@ -26,6 +26,37 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("hits_total").inc(-1)
 
+    def test_advance_to_adds_the_gain_since_the_last_call(self):
+        counter = Counter("served_total")
+        counter.advance_to(5)
+        counter.advance_to(5)  # no progress, no double count
+        counter.advance_to(8)
+        assert counter.value == 8
+
+    def test_advance_to_reads_a_decrease_as_a_source_reset(self):
+        counter = Counter("served_total")
+        counter.advance_to(100)
+        counter.advance_to(7)  # reset, then 7 more
+        assert counter.value == 107
+        counter.advance_to(0)  # lands exactly on a reset
+        counter.advance_to(3)
+        assert counter.value == 110
+
+    def test_advance_to_zero_announces_a_fresh_source(self):
+        counter = Counter("served_total")
+        counter.advance_to(40)
+        counter.advance_to(0)   # a new source, counting from zero ...
+        counter.advance_to(50)  # ... whose backlog is all new progress
+        assert counter.value == 90
+
+    def test_advance_to_stacks_with_inc(self):
+        counter = Counter("served_total")
+        counter.inc(2)
+        counter.advance_to(3)
+        counter.inc()
+        counter.advance_to(4)
+        assert counter.value == 7
+
 
 class TestGauge:
     def test_set_inc_dec(self):
@@ -88,8 +119,15 @@ class TestHistogram:
         hist = Histogram("lat", buckets=(10, 20, 30))
         for value in (5, 15, 25, 35):
             hist.observe(value)
+        # Ranks on a bucket's cumulative count reach its upper bound ...
         assert hist.quantile(0.25) == pytest.approx(10.0)
         assert hist.quantile(0.5) == pytest.approx(20.0)
+        # ... ranks inside a bucket interpolate between its bounds ...
+        assert hist.quantile(0.375) == pytest.approx(15.0)
+        assert hist.quantile(0.7) == pytest.approx(28.0)
+        # ... and the open-ended buckets use the observed extrema.
+        assert hist.quantile(0.125) == pytest.approx(7.5)   # [min=5, 10]
+        assert hist.quantile(0.875) == pytest.approx(32.5)  # [30, max=35]
         assert hist.quantile(1.0) == pytest.approx(35.0)  # overflow → max
         assert math.isnan(Histogram("empty").quantile(0.5))
         with pytest.raises(ValueError):
@@ -116,16 +154,25 @@ class TestHistogram:
         hist.observe(5.0)
         hist.observe(15.0)
         # rank = 0.5 * 2 = 1.0 lands exactly on the first bucket's
-        # cumulative count: the bucket that *reaches* the rank owns it.
+        # cumulative count: the bucket that *reaches* the rank owns it,
+        # and full interpolation inside it reaches its upper bound.
         assert hist.quantile(0.5) == 10.0
+        # A hair further and the second bucket owns the rank: [10, 15].
+        assert hist.quantile(0.75) == 12.5
 
     def test_quantile_single_observation(self):
         hist = Histogram("lat", buckets=(10, 20))
         hist.observe(15.0)
+        # Clamped to the observed range: never the bucket's 20.0 bound.
         for q in (0.0, 0.25, 0.5, 0.99, 1.0):
-            assert hist.quantile(q) in (15.0, 20.0)
-        assert hist.quantile(0.0) == 15.0
-        assert hist.quantile(1.0) == 15.0
+            assert hist.quantile(q) == 15.0
+        assert hist.quantiles() == {"p50": 15.0, "p90": 15.0, "p99": 15.0}
+
+    def test_default_bounds_are_the_log_ladder(self):
+        from repro.sim.monitor import LATENCY_BUCKETS
+
+        assert Histogram("h").bounds == LATENCY_BUCKETS
+        assert MetricsRegistry().histogram("h").bounds == LATENCY_BUCKETS
 
     def test_validation(self):
         with pytest.raises(ValueError):

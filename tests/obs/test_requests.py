@@ -232,6 +232,40 @@ class TestMetricsIntegration:
         assert snap["request_pulls_total"]["value"] == 1
         assert snap["request_wait"]["count"] == 1
 
+    @staticmethod
+    def _feed(tracer):
+        for index, wait in enumerate((3.0, 0.5, 40.0, 7.0, 7.0, 1200.0)):
+            issued = 10.0 * index
+            tracer.on_access(index, issued, True)
+            tracer.on_miss(index, issued)
+            tracer.on_air(issued + wait - 1.0, SlotKind.PUSH)
+            tracer.on_served(index, issued + wait)
+
+    def test_the_registry_histogram_is_the_wait_histogram(self):
+        registry = MetricsRegistry()
+        with_registry = RequestTracer(MemorySink(), metrics=registry)
+        without = RequestTracer(MemorySink())
+        assert with_registry.wait_histogram \
+            is registry.histogram("request_wait")
+        self._feed(with_registry)
+        self._feed(without)
+        # One observation per miss, in one histogram, either way.
+        assert with_registry.wait_histogram.count == 6
+        assert registry.snapshot()["request_wait"]["count"] == 6
+        assert with_registry.wait_quantiles() == without.wait_quantiles()
+        assert with_registry.wait_histogram.snapshot() \
+            == without.wait_histogram.snapshot()
+
+    def test_a_disabled_registry_leaves_the_tracer_its_own_histogram(self):
+        from repro.obs.metrics import NULL_REGISTRY
+
+        tracer = RequestTracer(MemorySink(), metrics=NULL_REGISTRY)
+        plain = RequestTracer(MemorySink())
+        self._feed(tracer)
+        self._feed(plain)
+        assert tracer.wait_quantiles() == plain.wait_quantiles()
+        assert len(NULL_REGISTRY) == 0
+
 
 class TestEngineWiring:
     """Both engines drive the same hooks and keep results bit-identical."""

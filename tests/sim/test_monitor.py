@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.obs.dashboard import quantiles_from_bucket_snapshot
 from repro.sim import Tally, TimeWeighted
+from repro.sim.monitor import (
+    Histogram,
+    bucket_quantile,
+    exact_quantiles,
+    quantile_label,
+)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -96,6 +103,18 @@ class TestTally:
                 tally.add_weighted(bad, 2.0)
         assert tally.count == 1  # nothing was absorbed
         assert tally.mean == 1.0
+
+
+class TestWeightedRounding:
+    def test_variance_never_goes_negative(self):
+        # 0.1 * 3 / 3 != 0.1, so the first weighted update leaves _m2 a
+        # few ulps below zero: one 1-in-3 sampled miss of wait 0.1.  The
+        # square root of that must not be a math domain error.
+        tally = Tally()
+        tally.add_weighted(0.1, 3.0)
+        assert tally.variance == 0.0
+        assert tally.stddev == 0.0
+        assert tally.as_dict()["stddev"] == 0.0
 
 
 class TestFromMoments:
@@ -212,3 +231,108 @@ class TestTimeWeighted:
         if now > 0:
             assert tw.mean(now=now) == pytest.approx(area / now, rel=1e-9,
                                                      abs=1e-6)
+
+
+#: One call to the accumulator: a value and its frequency weight (an
+#: exact 1 takes the unweighted path, as in an unsampled run).
+observations = st.lists(
+    st.tuples(finite_floats,
+              st.one_of(st.just(1),
+                        st.floats(min_value=1e-3, max_value=1e3))),
+    min_size=1, max_size=60)
+
+#: Quantile levels whose ``int(q * 100)`` and ``int(round(q * 100))``
+#: disagree (0.29 * 100 == 28.999999999999996), plus the usual three.
+AWKWARD_QS = (0.29, 0.57, 0.58, 0.50, 0.90, 0.99)
+
+
+class TestHistogramIsATallyWithBuckets:
+    @given(observations)
+    def test_moments_equal_a_bare_tally_bit_for_bit(self, calls):
+        hist = Histogram()
+        tally = Tally()
+        for value, weight in calls:
+            hist.observe(value, weight)
+            if weight == 1:
+                tally.add(value)
+            else:
+                tally.add_weighted(value, weight)
+        assert hist.count == tally.count
+        assert hist.mean == tally.mean
+        assert hist.min == tally.min and hist.max == tally.max
+        # NaN below two observations' worth of weight: compare reprs.
+        assert repr(hist.stddev) == repr(tally.stddev)
+        assert math.fsum(hist.counts) == pytest.approx(tally.count)
+
+    @given(observations,
+           st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
+                    max_size=8))
+    def test_quantile_is_monotone_and_inside_the_observed_range(self, calls,
+                                                                qs):
+        hist = Histogram()
+        for value, weight in calls:
+            hist.observe(value, weight)
+        marks = [hist.quantile(q) for q in sorted(qs)]
+        assert all(hist.min <= mark <= hist.max for mark in marks)
+        assert all(a <= b for a, b in zip(marks, marks[1:]))
+        assert hist.quantile(0.0) == hist.min
+
+    @given(observations)
+    def test_snapshot_reader_returns_exactly_the_live_quantiles(self, calls):
+        hist = Histogram()
+        for value, weight in calls:
+            hist.observe(value, weight)
+        live = hist.quantiles(AWKWARD_QS)
+        assert list(live) == ["p29", "p57", "p58", "p50", "p90", "p99"]
+        assert quantiles_from_bucket_snapshot(hist.snapshot(),
+                                              AWKWARD_QS) == live
+        assert quantiles_from_bucket_snapshot(hist.snapshot()) \
+            == hist.quantiles()
+
+    def test_empty(self):
+        hist = Histogram()
+        assert hist.count == 0 and math.isnan(hist.mean)
+        assert hist.quantiles() is None
+        assert math.isnan(bucket_quantile(0.5, (1.0,), [0, 0], 0,
+                                          math.inf, -math.inf))
+        snapshot = hist.snapshot()
+        assert math.isnan(snapshot["min"]) and math.isnan(snapshot["max"])
+
+
+class TestRejectedObservationsLeaveNoTrace:
+    """``observe`` validates before it touches a bucket, so ``counts``
+    and ``count`` cannot drift apart."""
+
+    @pytest.mark.parametrize("value, weight", [
+        (math.nan, 1), (math.inf, 1), (-math.inf, 1),
+        (math.nan, 2.5), (2.0, 0), (2.0, -1), (2.0, math.nan),
+    ])
+    def test_counts_and_count_unchanged(self, value, weight):
+        hist = Histogram(buckets=(1, 10))
+        hist.observe(3.0)
+        before = (list(hist.counts), hist.count, hist.mean, hist.min,
+                  hist.max)
+        with pytest.raises(ValueError):
+            hist.observe(value, weight)
+        assert (hist.counts, hist.count, hist.mean, hist.min,
+                hist.max) == before
+        assert sum(hist.counts) == hist.count == 1
+
+
+class TestExactQuantiles:
+    @given(st.lists(finite_floats, min_size=1, max_size=200))
+    def test_is_the_sorted_list_order_statistic(self, values):
+        ordered = sorted(values)
+        n = len(ordered)
+        assert exact_quantiles(values, AWKWARD_QS) == {
+            quantile_label(q): ordered[min(n - 1, int(q * n))]
+            for q in AWKWARD_QS}
+
+    def test_empty_and_defaults(self):
+        assert exact_quantiles([]) is None
+        assert exact_quantiles(np.array([7.0])) == {
+            "p50": 7.0, "p90": 7.0, "p99": 7.0}
+
+    def test_labels_round_rather_than_truncate(self):
+        assert [quantile_label(q) for q in (0.29, 0.57, 0.58, 0.5)] \
+            == ["p29", "p57", "p58", "p50"]
