@@ -5,9 +5,13 @@ Two layers:
 - **queue microbench** — drives a
   :class:`~repro.server.queue.BoundedRequestQueue` directly with
   synthetic offer/pop traffic at a given capacity, isolating the
-  discipline's own cost: the ``on_*`` hook bookkeeping per offer and the
-  ``select`` scan per pop (O(1) for FIFO, O(depth) for RxW/LWF).  The
-  headline number is ``ops_per_sec`` (offers + pops / elapsed).
+  discipline's own cost: the ``on_*`` hook bookkeeping per offer (none
+  for FIFO; for RxW/LWF the upkeep of their count-bucketed index) and
+  ``select`` per pop (O(1) for FIFO, one candidate per distinct request
+  count for RxW/LWF, not one per queued page).  The capacity-5 rows are
+  where the index has to pay for itself: there its upkeep is not offset
+  by a shorter ``select``.  The headline number is ``ops_per_sec``
+  (offers + pops / elapsed).
 - **engine bench** — a small IPP system simulated end to end per
   discipline, reporting ``slots_per_sec``; shows what the microbench
   deltas amount to inside the full slot loop (the queue is a small
@@ -50,7 +54,7 @@ def bench_queue(discipline: str, capacity: int, ops: int,
     """Synthetic offer/pop traffic straight at the queue."""
     rng = np.random.default_rng(seed)
     # Page universe 4x capacity: keeps the queue near full (drops and
-    # duplicates both occur) so select scans the worst-case depth.
+    # duplicates both occur) so select sees the worst-case depth.
     pages = rng.integers(0, capacity * 4, size=ops)
     queue = BoundedRequestQueue(capacity, make_scheduler(discipline))
     pops = 0

@@ -63,6 +63,7 @@ from repro.core.fast import simulate
 from repro.experiments import ALL_FIGURES, FULL, QUICK, Profile, render_figure
 from repro.experiments.reporting import render_ascii_chart
 from repro.obs.events import SCHEDULER_DISCIPLINES
+from repro.server.schedulers import MAX_AGING
 
 __all__ = ["main", "build_parser"]
 
@@ -390,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
              f"(default: {','.join(SCHEDULER_DISCIPLINES)})")
     sched.add_argument(
         "--aging", type=float, default=1.0,
-        help="RxW aging exponent (default: 1.0; 0 = pure waiter count)")
+        help=f"RxW aging exponent in [0, {MAX_AGING:g}] (default: 1.0; "
+             "0 = pure waiter count)")
     sched.add_argument(
         "--clients", type=int, default=2000,
         help="fleet population per run (default: 2000)")

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.core.algorithms import Algorithm
+from repro.server.schedulers import MAX_AGING
 
 __all__ = [
     "ClientConfig",
@@ -137,6 +138,7 @@ class SchedulerConfig:
     discipline: str = "fifo"
     #: RxW aging exponent on the wait term (1.0 = classic R×W; toward 0
     #: degenerates to most-requested-first, above 1 resists starvation).
+    #: Finite, within ``[0, repro.server.schedulers.MAX_AGING]``.
     aging: float = 1.0
     #: Slots between temperature-driven push-program rebuild attempts
     #: (0 disables reprogramming).
@@ -148,8 +150,9 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if self.discipline not in ("fifo", "rxw", "lwf"):
             raise ValueError(f"unknown discipline {self.discipline!r}")
-        if self.aging < 0:
-            raise ValueError("aging must be non-negative")
+        if not 0 <= self.aging <= MAX_AGING:  # also false for nan
+            raise ValueError(
+                f"aging must be within [0, {MAX_AGING:g}], got {self.aging}")
         if self.reprogram_interval < 0:
             raise ValueError("reprogram_interval must be non-negative")
         if self.reprogram_min_requests < 1:

@@ -7,9 +7,10 @@ interface:
 
 - :class:`PullScheduler` — the hook surface a
   :class:`~repro.server.queue.BoundedRequestQueue` drives: ``offer``-side
-  hooks receive every request's arrival slot (building per-page waiter
-  counts and per-request arrival lists), and :meth:`PullScheduler.select`
-  picks which queued page the next pull slot serves.
+  hooks receive every request's arrival slot (R×W and LWF keep their
+  count-bucketed index of the queued pages current from them), and
+  :meth:`PullScheduler.select` picks which queued page the next pull slot
+  serves.
 - :class:`FifoScheduler` — the paper's discipline, bit-identical to the
   pre-refactor queue: no extra state, no RNG draws, always the head.
 - :class:`RxWScheduler` — Aksoy & Franklin's R×W: serve the page with the
@@ -26,15 +27,19 @@ interface:
   multi-disk schedule so the pages clients actually wait for move to the
   fast disks.
 
-Determinism: no discipline consumes randomness, and ties break in FIFO
-order (strict ``>`` while scanning the queue front-to-back), so runs stay
+Determinism: no discipline consumes randomness, and equal scores serve
+the page that was *enqueued* first (an enqueue sequence number, not the
+arrival slot, which several pages can share), so runs stay
 bit-reproducible per seed and the FIFO discipline reproduces historic
-baselines exactly.
+baselines exactly.  R×W and LWF pick, in every queue state, the page a
+front-to-back scan of the queue with a strict ``>`` would: that scan is
+the reference oracle in ``tests/server/reference_select.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from repro.broadcast.program import DiskAssignment, build_schedule
@@ -42,6 +47,7 @@ from repro.broadcast.schedule import Schedule
 
 __all__ = [
     "DISCIPLINES",
+    "MAX_AGING",
     "PullScheduler",
     "FifoScheduler",
     "RxWScheduler",
@@ -54,6 +60,12 @@ __all__ = [
 #: Mirrors ``repro.obs.events.SCHEDULER_DISCIPLINES`` (lint rule REP005
 #: enforces the sync without a runtime import).
 DISCIPLINES: tuple[str, ...] = ("fifo", "rxw", "lwf")
+
+#: Largest accepted R×W ``aging`` exponent.  The score
+#: ``waiters × (wait + 1)^aging`` stays a finite double for every wait and
+#: waiter count below 2^53 (2^(53 × 17) < 2^1024); well before the bound
+#: the wait term dominates and R×W serves the longest waiter.
+MAX_AGING = 16.0
 
 
 class PullScheduler:
@@ -84,21 +96,23 @@ class PullScheduler:
         self.reordered = 0
 
     def _observe(self, page: int) -> None:
-        if self.track_temperature:
-            self.temperature[page] = self.temperature.get(page, 0) + 1
+        self.temperature[page] = self.temperature.get(page, 0) + 1
 
     # -- offer-side hooks --------------------------------------------------
     def on_enqueued(self, page: int, now: int) -> None:
         """A distinct request for ``page`` entered the queue at slot ``now``."""
-        self._observe(page)
+        if self.track_temperature:
+            self._observe(page)
 
     def on_duplicate(self, page: int, now: int) -> None:
         """Another request arrived for an already-queued page."""
-        self._observe(page)
+        if self.track_temperature:
+            self._observe(page)
 
     def on_dropped(self, page: int, now: int) -> None:
         """A distinct request was dropped because the queue was full."""
-        self._observe(page)
+        if self.track_temperature:
+            self._observe(page)
 
     def on_served(self, page: int, now: int) -> None:
         """``page`` was popped for service (clear per-page wait state)."""
@@ -108,7 +122,8 @@ class PullScheduler:
         """The queued page the next pull slot should serve.
 
         ``fifo`` is the queue's arrival-ordered deque (never empty here);
-        the base class serves its head.
+        the base class serves its head.  R×W and LWF answer from the
+        index their hooks maintain and do not read it.
         """
         return fifo[0]
 
@@ -128,7 +143,133 @@ class FifoScheduler(PullScheduler):
     name = "fifo"
 
 
-class RxWScheduler(PullScheduler):
+#: One index entry, ``(key, seq, page, count)``: ``key`` orders a bucket,
+#: ``seq`` numbers enqueues and breaks every tie.
+_Entry = tuple[int, int, int, int]
+
+#: Dead index entries tolerated beyond the live count before a rebuild,
+#: so a shallow queue is not rebuilt every few offers.
+_DEAD_SLACK = 16
+
+
+class _CountIndexedScheduler(PullScheduler):
+    """The index R×W and LWF share: queued pages bucketed by request count.
+
+    Both disciplines score a page from its request count, a per-page
+    ``key`` (first-arrival slot for R×W, arrival-slot sum for LWF) and
+    ``now``, and for a *fixed* count the score only falls as the key
+    grows.  Among pages with the same count the winner is therefore
+    always the one with the smallest key, the earlier-enqueued on a tie,
+    whatever ``now`` is.  Each bucket is a min-heap of entries, so
+    ``select`` compares one candidate per distinct count — the bucket
+    heads — instead of every queued page.
+
+    A page that gains a request moves up one bucket and a served page
+    leaves.  An entry at its bucket's head is popped; one further down
+    is left where it is, dead (``_live`` no longer holds it), and popped
+    when it surfaces, so every head is live and ``select`` only reads.
+    Dead entries buried under a long-lived head are shed by rebuilding
+    the buckets from ``_live`` once :attr:`_dead` passes the live count
+    at the last rebuild plus :data:`_DEAD_SLACK`: the index holds at most
+    twice the queue's capacity (plus the slack) and a rebuild is paid
+    for by the offers that made it necessary.
+
+    Relies on the slot clock never running backwards
+    (``BroadcastServer.ticks``): a newly enqueued page then has the
+    largest key of bucket 1 and is appended without sifting.  And on
+    ``**`` not ranking a longer wait *below* a shorter one; libm's error
+    of under one ulp allows that only between waits whose true scores
+    are within two ulps, which adjacent integer waits are not until the
+    wait passes ``aging × 10^15`` slots.
+    """
+
+    #: Whether a duplicate adds its arrival slot to the entry's key (LWF)
+    #: or leaves the first arrival in place (R×W).
+    _sums_arrivals = False
+
+    def __init__(self, *, track_temperature: bool = False):
+        super().__init__(track_temperature=track_temperature)
+        #: page -> its live entry.
+        self._live: dict[int, _Entry] = {}
+        #: count -> min-heap of entries; never empty, head always live.
+        self._buckets: dict[int, list[_Entry]] = {}
+        self._seq = 0
+        #: Dead entries still inside a heap, and the count that triggers
+        #: a rebuild.
+        self._dead = 0
+        self._dead_limit = _DEAD_SLACK
+
+    def on_enqueued(self, page: int, now: int) -> None:
+        if self.track_temperature:
+            self._observe(page)
+        self._seq = seq = self._seq + 1
+        self._live[page] = entry = (now, seq, page, 1)
+        heap = self._buckets.get(1)
+        if heap is None:
+            self._buckets[1] = [entry]
+        else:
+            heap.append(entry)
+
+    def on_duplicate(self, page: int, now: int) -> None:
+        if self.track_temperature:
+            self._observe(page)
+        buckets = self._buckets
+        old = self._live[page]
+        key, seq, _, count = old
+        if self._sums_arrivals:
+            key += now
+        self._live[page] = entry = (key, seq, page, count + 1)
+        heap = buckets.get(count + 1)
+        if heap is None:
+            buckets[count + 1] = [entry]
+        else:
+            heappush(heap, entry)
+        heap = buckets[count]
+        if heap[0] is old:
+            self._pop_head(count, heap)
+        else:
+            # Buried, as most duplicates of a deep queue are: hence inline.
+            self._dead = dead = self._dead + 1
+            if dead > self._dead_limit:
+                self._rebuild()
+
+    def on_served(self, page: int, now: int) -> None:
+        entry = self._live.pop(page)
+        heap = self._buckets[entry[3]]
+        if heap[0] is entry:  # always, for a page ``select`` returned
+            self._pop_head(entry[3], heap)
+        else:
+            self._dead += 1
+            if self._dead > self._dead_limit:
+                self._rebuild()
+
+    def _pop_head(self, count: int, heap: list[_Entry]) -> None:
+        """Drop bucket ``count``'s head and the dead entries under it."""
+        live = self._live
+        heappop(heap)
+        while heap and live.get(heap[0][2]) is not heap[0]:
+            heappop(heap)
+            self._dead -= 1
+        if not heap:
+            del self._buckets[count]
+
+    def _rebuild(self) -> None:
+        """Re-bucket the live entries, shedding every dead one."""
+        buckets: dict[int, list[_Entry]] = {}
+        for entry in self._live.values():
+            heap = buckets.get(entry[3])
+            if heap is None:
+                buckets[entry[3]] = [entry]
+            else:
+                heap.append(entry)
+        for heap in buckets.values():
+            heapify(heap)
+        self._buckets = buckets
+        self._dead = 0
+        self._dead_limit = len(self._live) + _DEAD_SLACK
+
+
+class RxWScheduler(_CountIndexedScheduler):
     """R×W (Aksoy & Franklin): serve max ``waiters × (wait + 1)^aging``.
 
     ``waiters`` counts every request observed for the page while queued
@@ -136,53 +277,44 @@ class RxWScheduler(PullScheduler):
     first arrival, so popular pages and starving pages both rise.  The
     ``aging`` exponent weights the wait term: 1.0 is classic R×W, values
     below 1 favour request counts (toward most-requested-first at 0),
-    values above 1 favour the longest waiter (starvation resistance).
-    Ties keep FIFO order.
+    values above 1 favour the longest waiter (starvation resistance);
+    it must be finite and at most :data:`MAX_AGING`.  Equal scores serve
+    the earlier-enqueued page.
     """
 
     name = "rxw"
 
     def __init__(self, *, aging: float = 1.0,
                  track_temperature: bool = False):
-        if aging < 0:
-            raise ValueError("aging must be non-negative")
+        if not 0 <= aging <= MAX_AGING:  # also false for nan
+            raise ValueError(
+                f"aging must be within [0, {MAX_AGING:g}], got {aging}")
         super().__init__(track_temperature=track_temperature)
         self.aging = aging
-        self._first_arrival: dict[int, int] = {}
-        self._waiters: dict[int, int] = {}
-
-    def on_enqueued(self, page: int, now: int) -> None:
-        self._observe(page)
-        self._first_arrival[page] = now
-        self._waiters[page] = 1
-
-    def on_duplicate(self, page: int, now: int) -> None:
-        self._observe(page)
-        self._waiters[page] += 1
-
-    def on_served(self, page: int, now: int) -> None:
-        del self._first_arrival[page]
-        del self._waiters[page]
 
     def waiters(self, page: int) -> int:
         """Requests observed for a queued page (0 when not queued)."""
-        return self._waiters.get(page, 0)
+        entry = self._live.get(page)
+        return entry[3] if entry is not None else 0
 
     def select(self, fifo: "deque[int]", now: int) -> int:
-        first = self._first_arrival
-        waiters = self._waiters
         aging = self.aging
-        best = fifo[0]
+        best = best_seq = None
         best_score = -1.0
-        for page in fifo:
-            score = waiters[page] * (now - first[page] + 1.0) ** aging
-            if score > best_score:
+        for heap in self._buckets.values():
+            first, seq, page, waiters = heap[0]
+            score = waiters * (now - first + 1.0) ** aging
+            if score > best_score or (score == best_score
+                                      and seq < best_seq):
                 best = page
+                best_seq = seq
                 best_score = score
+        if best is None:
+            raise IndexError("select from an empty queue")
         return best
 
 
-class LwfScheduler(PullScheduler):
+class LwfScheduler(_CountIndexedScheduler):
     """Longest-total-wait-first: maximize summed outstanding wait.
 
     Each page's priority is the total wait accumulated by *all* its
@@ -190,45 +322,32 @@ class LwfScheduler(PullScheduler):
     slot — kept as O(1) running aggregates (request count and arrival-slot
     sum) per page.  A page with many recent duplicates can overtake a
     page with one old request, which is exactly where LWF and FIFO
-    diverge.  Ties keep FIFO order.
+    diverge.  Equal scores serve the earlier-enqueued page.
     """
 
     name = "lwf"
-
-    def __init__(self, *, track_temperature: bool = False):
-        super().__init__(track_temperature=track_temperature)
-        self._count: dict[int, int] = {}
-        self._arrival_sum: dict[int, int] = {}
-
-    def on_enqueued(self, page: int, now: int) -> None:
-        self._observe(page)
-        self._count[page] = 1
-        self._arrival_sum[page] = now
-
-    def on_duplicate(self, page: int, now: int) -> None:
-        self._observe(page)
-        self._count[page] += 1
-        self._arrival_sum[page] += now
-
-    def on_served(self, page: int, now: int) -> None:
-        del self._count[page]
-        del self._arrival_sum[page]
+    _sums_arrivals = True
 
     def total_wait(self, page: int, now: int) -> float:
         """Summed wait (slots, +1 each) of a page's outstanding requests."""
-        count = self._count.get(page, 0)
-        return count * (now + 1.0) - self._arrival_sum.get(page, 0)
+        entry = self._live.get(page)
+        if entry is None:
+            return 0.0
+        return entry[3] * (now + 1.0) - entry[0]
 
     def select(self, fifo: "deque[int]", now: int) -> int:
-        count = self._count
-        arrival_sum = self._arrival_sum
-        best = fifo[0]
+        best = best_seq = None
         best_score = float("-inf")
-        for page in fifo:
-            score = count[page] * (now + 1.0) - arrival_sum[page]
-            if score > best_score:
+        for heap in self._buckets.values():
+            arrival_sum, seq, page, count = heap[0]
+            score = count * (now + 1.0) - arrival_sum
+            if score > best_score or (score == best_score
+                                      and seq < best_seq):
                 best = page
+                best_seq = seq
                 best_score = score
+        if best is None:
+            raise IndexError("select from an empty queue")
         return best
 
 

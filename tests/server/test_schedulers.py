@@ -12,6 +12,8 @@ Three layers:
   through both engines' full slot traces.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from repro.obs.trace import MemorySink, SlotTracer
 from repro.server.queue import BoundedRequestQueue, Offer
 from repro.server.schedulers import (
     DISCIPLINES,
+    MAX_AGING,
     FifoScheduler,
     LwfScheduler,
     PushReprogrammer,
@@ -44,6 +47,29 @@ class TestMakeScheduler:
     def test_negative_aging_rejected(self):
         with pytest.raises(ValueError, match="aging"):
             RxWScheduler(aging=-0.5)
+
+    @pytest.mark.parametrize("aging", [
+        float("nan"), float("inf"), float("-inf"), 400.0,
+        math.nextafter(MAX_AGING, math.inf)])
+    def test_non_finite_or_overflowing_aging_rejected(self, aging):
+        """nan compared false against every score (the run served FIFO
+        under an ``rxw`` manifest) and 400 overflowed ``**`` mid-run."""
+        with pytest.raises(ValueError, match="aging"):
+            RxWScheduler(aging=aging)
+        with pytest.raises(ValueError, match="aging"):
+            SchedulerConfig(discipline="rxw", aging=aging)
+
+    def test_largest_aging_survives_the_longest_wait(self):
+        """At ``MAX_AGING`` a 2^53-slot wait with 10^4 waiters still
+        scores a finite double: no ``OverflowError`` mid-run."""
+        assert SchedulerConfig(aging=MAX_AGING).aging == MAX_AGING
+        queue = BoundedRequestQueue(3, RxWScheduler(aging=MAX_AGING))
+        queue.offer(1)
+        queue.now = 5
+        for _ in range(10_000):
+            queue.offer(2)
+        queue.now = 2 ** 53
+        assert [queue.pop(), queue.pop()] == [2, 1]
 
     def test_types(self):
         assert isinstance(make_scheduler("fifo"), FifoScheduler)
@@ -126,7 +152,10 @@ class TestDisciplineInvariants:
             if kind == 2:
                 queue.now += 1
             elif kind == 1 and len(queue):
-                assert queue.peek() == queue.pop()
+                # Peeking is not observable: twice the same, then the pop.
+                first = queue.peek()
+                assert queue.peek() == first
+                assert queue.pop() == first
             elif kind == 0:
                 queue.offer(page)
         if not len(queue):
