@@ -4,7 +4,7 @@ Drives :class:`repro.fleet.state.FleetState` directly — no engine, no
 server — through a fixed number of broadcast slots against a cyclic
 push program (deliver last slot's page, then generate this slot's
 accesses), which isolates the struct-of-arrays population's own cost:
-the per-slot due scan, the batched Zipf draws, absorption masks, and
+the slot calendar, the batched Zipf draws, absorption masks, and
 waiter bookkeeping.  The headline number is ``client_slots_per_sec``
 (population x slots / elapsed); ``accesses_per_sec`` tracks the
 throughput of actual access processing, and the final ``snapshot()``
@@ -40,15 +40,18 @@ from repro.workload.zipf import zipf_probabilities  # noqa: E402
 DEFAULT_CLIENTS = "10000,100000,1000000"
 DEFAULT_OUT = REPO_ROOT / "BENCH_fleet.json"
 DB_SIZE = 1000
-#: Mean accesses per slot is held at population / THINK_TIME, so larger
-#: fleets stress both the O(N) due scan and the batched access path.
+#: Mean accesses per slot is held at population / THINK_TIME: the dense
+#: regime, where a think time is about one calendar window, so most of
+#: the population is indexed in every window and larger fleets stress
+#: the calendar's upkeep and the batched access path together.
 THINK_TIME = 1000.0
 
 
-def make_fleet(num_clients: int, seed: int) -> FleetState:
+def make_fleet(num_clients: int, seed: int,
+               think_time: float = THINK_TIME) -> FleetState:
     probs = zipf_probabilities(DB_SIZE, 0.95)
     return FleetState(
-        num_clients=num_clients, mean_think_time=THINK_TIME,
+        num_clients=num_clients, mean_think_time=think_time,
         think_time_spread=0.5, zipf_offset_spread=50,
         cache_size=100, cache_size_spread=0.5, steady_state_perc=0.8,
         probabilities=probs,
@@ -56,8 +59,9 @@ def make_fleet(num_clients: int, seed: int) -> FleetState:
         threshold=None, rng=np.random.default_rng(seed))
 
 
-def bench_size(num_clients: int, slots: int, seed: int) -> dict:
-    fleet = make_fleet(num_clients, seed)
+def bench_size(num_clients: int, slots: int, seed: int,
+               think_time: float = THINK_TIME) -> dict:
+    fleet = make_fleet(num_clients, seed, think_time)
     start = perf_counter()
     previous: Optional[int] = None
     for t in range(slots):

@@ -101,7 +101,7 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
         help="mean fleet-client think time in broadcast units")
     parser.add_argument(
         "--fleet-think-spread", type=float, default=0.0, metavar="FRAC",
-        help="per-client think-time spread fraction in [0, 1]")
+        help="per-client think-time spread fraction in [0, 1)")
     parser.add_argument(
         "--fleet-offset-spread", type=int, default=0, metavar="PAGES",
         help="per-client popularity-ranking rotation drawn from [0, N]")

@@ -96,7 +96,8 @@ class FleetConfig:
     #: Mean think time between a client's accesses (broadcast units).
     think_time: float = 4000.0
     #: Per-client think-time heterogeneity: means drawn uniformly from
-    #: ``think_time * [1 - spread, 1 + spread]``.
+    #: ``think_time * [1 - spread, 1 + spread]``, with ``spread < 1`` so
+    #: every mean is positive.
     think_time_spread: float = 0.0
     #: Per-client access-pattern heterogeneity: each client's page
     #: popularity ranking is rotated by an offset drawn uniformly from
@@ -118,10 +119,15 @@ class FleetConfig:
             raise ValueError("zipf_offset_spread must be non-negative")
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative")
-        for name in ("think_time_spread", "cache_size_spread"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1], got {value}")
+        # A think-time spread of 1 admits a per-client mean of 0, and a
+        # warm client that re-thinks to the same instant never leaves its
+        # slot (FleetState checks the same bound for direct callers).
+        if not 0.0 <= self.think_time_spread < 1.0:
+            raise ValueError("think_time_spread must be within [0, 1), "
+                             f"got {self.think_time_spread}")
+        if not 0.0 <= self.cache_size_spread <= 1.0:
+            raise ValueError("cache_size_spread must be within [0, 1], "
+                             f"got {self.cache_size_spread}")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ The paper aggregates everyone but the Measured Client into one Virtual
 Client, so per-user experience is invisible.  :class:`FleetState` keeps
 ``num_clients`` *individually tracked* clients as parallel numpy arrays
 (the same struct-of-arrays move that made the columnar trace backend fast)
-and advances all of them one broadcast slot at a time:
+and advances them one broadcast slot at a time, at a cost proportional
+to the clients that act in the slot, not to the population:
 
-- **generate** — clients whose next access falls inside the slot draw one
+- **generate** — clients whose next access falls inside the slot (popped
+  from the slot calendar, below) draw one
   batched Zipf rank each; steady warm caches absorb the most-valuable
   prefix by boolean mask; survivors pass the same flat distance-table
   threshold check the Virtual Client uses and either offer a pull or wait
@@ -20,6 +22,23 @@ accesses, waits for its page, and only then thinks again — so the fleet's
 aggregate request rate is ``N / (T + W)`` with ``W`` the mean wait, which
 approaches the Virtual Client's open-loop ``N / T`` when ``T >> W``
 (docs/FLEET.md quantifies the parity).
+
+**The slot calendar.**  A discrete-event kernel schedules each client's
+next access once and never polls the rest; the calendar is that idea
+over a sliding window.  Once per ``_WINDOW`` slots one population scan
+buckets the clients due before the window's end by ``floor(next_access)``;
+``generate(t)`` pops bucket ``t`` (nothing to do when nobody is due), and
+the only two statements that assign a finite ``next_access`` after
+construction — ``deliver``'s re-think and ``generate``'s cache-hit
+re-think — enter the client when its new time falls inside the window
+(later ones are found by the next window's scan).  The due set is the
+per-slot scan's, member for member and in ascending client order: slots
+are visited in order, so ``next_access < t + 1`` if and only if
+``floor(next_access) <= t``, and whatever is overdue when a window is
+built is clamped to ``t``.  The order matters as much as the set — the
+i-th Zipf rank and the i-th think time of a slot go to the i-th due
+client.  The scan itself lives on as the oracle in
+``tests/fleet/reference_scan.py``.
 
 Heterogeneity knobs (all optional): per-client think-time means, cache
 sizes, and a rotation of the page-popularity ranking (``zipf_offset``),
@@ -43,6 +62,12 @@ __all__ = ["FleetState"]
 #: Shared empty result for slots generating no backchannel candidates.
 _NO_PAGES = np.empty(0, dtype=np.int64)
 
+#: Slots one calendar window covers.  Only clients due inside the window
+#: are indexed: at the loads the fleet is run at, a whole run sees a
+#: fraction of the population come due, and indexing everyone up front
+#: measured slower than re-scanning once per window.
+_WINDOW = 1024
+
 
 class FleetState:
     """Struct-of-arrays population of individually tracked clients."""
@@ -59,7 +84,8 @@ class FleetState:
                 fleet is represented by ``SystemState.fleet is None``).
             mean_think_time: base mean think time in broadcast units.
             think_time_spread: fraction of uniform per-client spread
-                around the base mean (0 = homogeneous).
+                around the base mean (0 = homogeneous; below 1, so that
+                every client's mean is positive).
             zipf_offset_spread: per-client popularity-ranking rotations
                 drawn uniformly from ``[0, spread]`` (0 = homogeneous).
             cache_size: base warm-cache size; absorption models the
@@ -80,6 +106,14 @@ class FleetState:
             raise ValueError("num_clients must be positive")
         if mean_think_time <= 0:
             raise ValueError("mean_think_time must be positive")
+        # A spread of 1 admits a per-client mean of 0: a warm client that
+        # re-thinks to the same instant forever never leaves its slot.
+        if not 0.0 <= think_time_spread < 1.0:
+            raise ValueError("think_time_spread must be within [0, 1), "
+                             f"got {think_time_spread}")
+        if not 0.0 <= cache_size_spread <= 1.0:
+            raise ValueError("cache_size_spread must be within [0, 1], "
+                             f"got {cache_size_spread}")
         n = num_clients
         self.num_clients = n
         self._db_size = int(probabilities.size)
@@ -104,13 +138,24 @@ class FleetState:
         # Dynamic state.  A waiting client has next_access = +inf and its
         # awaited page in ``outstanding``; idle clients carry the time of
         # their next access.  The first access is a stationary exponential
-        # gap so the population does not start synchronized.
+        # gap so the population does not start synchronized.  The array
+        # may be written from outside until the first ``generate``; after
+        # that, ``next_access`` is written only by ``deliver`` and
+        # ``generate``, which keep the calendar in step with it.
         self.next_access = rng.exponential(self.think_means)
         self.outstanding = np.full(n, -1, dtype=np.int64)
         self.requested_at = np.zeros(n, dtype=np.float64)
         #: Waiting clients grouped by awaited page — delivery completes
         #: one page's group in O(group), never an O(N) scan per slot.
         self._waiting_by_page: dict[int, list[int]] = {}
+        #: The slot calendar: the clients due in each slot not yet
+        #: generated before ``_window_end`` (the first ``generate`` builds
+        #: the first window).
+        self._calendar: dict[int, list[int]] = {}
+        self._window_end = 0
+        #: The slot an in-order ``generate`` is called for next; any
+        #: other slot (first call, restart, jump) rebuilds the window.
+        self._next_slot = -1
 
         # Per-user wait accumulators (reset at the measurement boundary).
         self.wait_sum = np.zeros(n, dtype=np.float64)
@@ -153,8 +198,41 @@ class FleetState:
         self.wait_count[idx] += 1
         self.wait_max[idx] = np.maximum(self.wait_max[idx], waits)
         self.outstanding[idx] = -1
-        self.next_access[idx] = now + self._rng.exponential(
-            self.think_means[idx])
+        thinks = now + self._rng.exponential(self.think_means[idx])
+        self.next_access[idx] = thinks
+        self._index(waiters, thinks)
+
+    def _index(self, clients: list[int], times: np.ndarray) -> None:
+        """Enter re-thinking ``clients`` into the calendar at ``times``.
+
+        Times past the window are left to the next window's scan; a time
+        before the next slot (a ``deliver`` whose ``now`` lags the slot
+        clock) comes due there, as it would under a per-slot scan.
+        """
+        end = self._window_end
+        first = self._next_slot
+        calendar = self._calendar
+        for client, time in zip(clients, times.tolist()):
+            if time < end:
+                slot = math.floor(time)
+                calendar.setdefault(slot if slot > first else first,
+                                    []).append(client)
+
+    def _build_window(self, t: int) -> None:
+        """Index every client due before slot ``t + _WINDOW``.
+
+        The one population-wide scan, run once per window.  ``flatnonzero``
+        yields ascending client indices, so each bucket starts sorted.
+        """
+        end = t + _WINDOW
+        near = np.flatnonzero(self.next_access < end)
+        slots = np.maximum(
+            np.floor(self.next_access[near]).astype(np.int64), t)
+        calendar: dict[int, list[int]] = {}
+        for client, slot in zip(near.tolist(), slots.tolist()):
+            calendar.setdefault(slot, []).append(client)
+        self._calendar = calendar
+        self._window_end = end
 
     def generate(self, t: int, schedule_pos: int) -> np.ndarray:
         """Process every access falling inside slot ``[t, t+1)``.
@@ -166,10 +244,17 @@ class FleetState:
         clients still wait for the push program, and absorbed accesses
         complete instantly as zero-wait cache hits.
         """
-        horizon = t + 1.0
-        due = np.flatnonzero(self.next_access < horizon)
-        if due.size == 0:
+        if t != self._next_slot or t >= self._window_end:
+            self._build_window(t)
+        self._next_slot = t + 1
+        bucket = self._calendar.pop(t, None)
+        if bucket is None:
             return _NO_PAGES
+        # Window inserts arrive out of order; draws are handed out by
+        # position, so the set must come out in ascending client index.
+        bucket.sort()
+        due = np.array(bucket, dtype=np.int64)
+        horizon = t + 1.0
         out: list[np.ndarray] = []
         while due.size:
             ranks = self._sampler.sample(due.size)
@@ -179,14 +264,24 @@ class FleetState:
                 self._value_order[ranks] < self._absorb_limit[due])
 
             hit_idx = due[absorbed]
+            miss_idx = due[~absorbed]
+            # Only clients that just completed (hits) can come due again
+            # within this slot; everyone else is waiting or thinking past
+            # the horizon, so the re-loop never goes back to the calendar.
+            due = hit_idx
             if hit_idx.size:
                 self.absorbed_by_cache += int(hit_idx.size)
                 self.wait_count[hit_idx] += 1  # zero-wait completion
-                self.next_access[hit_idx] = (
-                    now[absorbed]
-                    + self._rng.exponential(self.think_means[hit_idx]))
+                thinks = now[absorbed] + self._rng.exponential(
+                    self.think_means[hit_idx])
+                self.next_access[hit_idx] = thinks
+                # A hit that comes due again inside this slot re-loops
+                # and is not indexed.
+                again = thinks < horizon
+                due = hit_idx[again]
+                later = ~again
+                self._index(hit_idx[later].tolist(), thinks[later])
 
-            miss_idx = due[~absorbed]
             if miss_idx.size:
                 # The client's rank-space draw maps to a wire page by its
                 # personal rotation of the popularity ranking.
@@ -209,12 +304,6 @@ class FleetState:
                 waiting = self._waiting_by_page
                 for client, page in zip(miss_idx.tolist(), pages.tolist()):
                     waiting.setdefault(page, []).append(client)
-
-            # Only clients that just completed (hits) can come due again
-            # within this slot; everyone else is waiting or thinking past
-            # the horizon — no second O(N) scan.
-            due = (hit_idx[self.next_access[hit_idx] < horizon]
-                   if hit_idx.size else hit_idx)
         if not out:
             return _NO_PAGES
         return out[0] if len(out) == 1 else np.concatenate(out)

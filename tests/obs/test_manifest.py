@@ -61,7 +61,8 @@ _FIELDS = {
         "vc_closed_loop": st.booleans()},
     "fleet": {
         "num_clients": st.integers(0, 10**6), "think_time": _POSITIVE,
-        "think_time_spread": _UNIT, "zipf_offset_spread": st.integers(0, 500),
+        "think_time_spread": st.floats(0.0, 1.0, exclude_max=True),
+        "zipf_offset_spread": st.integers(0, 500),
         "cache_size": st.integers(0, 300), "cache_size_spread": _UNIT},
     "scheduler": {
         "discipline": st.sampled_from(("fifo", "rxw", "lwf")),
