@@ -526,7 +526,7 @@ def _cmd_figures(args) -> int:
         args.trace.mkdir(parents=True, exist_ok=True)
     watch = (sys.stderr.isatty() if args.watch is None else args.watch)
     for fig_id in ids:
-        # lint: allow[REP001] -- wall-clock elapsed time for user-facing
+        # lint: allow[REP001] -- user-facing elapsed wall time, never enters sim state
         started = time.perf_counter()
         if watch:
             from repro.experiments.base import sweep_progress

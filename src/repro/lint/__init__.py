@@ -12,24 +12,18 @@ invariants:
 - ``REP004`` cross-engine config parity (every config field reaches both
   engines, or is PARITY_EXEMPT with a rationale),
 - ``REP005`` event-name registry discipline (``repro/obs/events.py`` is
-  the single event vocabulary).
+  the single event vocabulary),
+- ``REP007`` no fire-and-forget tasks (``create_task`` handles are kept),
+- ``REP008`` no loop-blocking calls inside ``async def``,
+- ``REP009`` no blind ``self.`` state writes across an ``await``,
+- ``REP010`` seed flow (every seed traces back to configuration, not
+  entropy).
 
 Run it as ``repro-broadcast lint`` or ``python -m repro.lint``; see
-``docs/STATIC_ANALYSIS.md`` for the allowlist-pragma and baseline
-workflow, the path-scoped ``[tool.repro-lint]`` configuration, and how
-to add a rule.
+``docs/STATIC_ANALYSIS.md`` for the allow-pragma — the one way to excuse
+a finding — and how to add a rule.
 """
 
-from repro.lint.baseline import Baseline
-from repro.lint.config import (
-    EMPTY_CONFIG,
-    AllowEntry,
-    LintConfig,
-    LintConfigError,
-    discover_lint_config,
-    load_lint_config,
-    parse_lint_config,
-)
 from repro.lint.engine import LintResult, run_lint
 from repro.lint.findings import Finding
 from repro.lint.rules import REGISTRY
@@ -38,13 +32,5 @@ __all__ = [
     "Finding",
     "LintResult",
     "run_lint",
-    "Baseline",
     "REGISTRY",
-    "AllowEntry",
-    "LintConfig",
-    "LintConfigError",
-    "EMPTY_CONFIG",
-    "parse_lint_config",
-    "load_lint_config",
-    "discover_lint_config",
 ]

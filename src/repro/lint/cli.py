@@ -5,26 +5,18 @@ Exposed two ways (both share this module):
 - ``repro-broadcast lint ...`` — a subcommand of the main CLI,
 - ``python -m repro.lint ...`` — standalone.
 
-Exit codes: 0 = clean (or every finding baselined), 1 = new findings,
-2 = usage error (bad path, unknown rule id, unreadable baseline).
+Exit codes: 0 = clean, 1 = findings, 2 = usage error (bad path, unknown
+rule id).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
-from repro.lint.baseline import Baseline
-from repro.lint.config import (
-    EMPTY_CONFIG,
-    LintConfig,
-    LintConfigError,
-    load_lint_config,
-)
 from repro.lint.engine import LintResult, run_lint
 from repro.lint.rules import REGISTRY
 
@@ -49,26 +41,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--select", default=None, metavar="RULES",
         help="comma-separated rule ids to run (default: all)")
     parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="FILE",
-        help="baseline file of accepted findings (ratchet: matched "
-             "findings pass, new ones fail)")
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline to the current findings and exit 0")
-    parser.add_argument(
-        "--config", type=Path, default=None, metavar="PYPROJECT",
-        help="pyproject.toml with the [tool.repro-lint] path-scoped rule "
-             "exemptions (default: discovered by walking up from the "
-             "first scanned path)")
-    parser.add_argument(
-        "--no-config", action="store_true",
-        help="ignore any [tool.repro-lint] configuration")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parse files and run per-file rules across N worker "
-             "processes (default: the machine's CPU count; project "
-             "rules always run single-pass afterwards)")
-    parser.add_argument(
         "--no-unused-pragma", action="store_true",
         help="skip the LINT001 unused-exemption check (use for "
              "partial-tree scans where pragmas may legitimately match "
@@ -86,16 +58,12 @@ def _default_paths() -> list[Path]:
 
 
 def _render_text(result: LintResult, out: TextIO) -> None:
-    for finding in result.all_findings():
+    for finding in result.findings:
         print(finding.render(), file=out)
     summary = (f"{result.files_scanned} files scanned, "
                f"{len(result.findings)} finding(s)")
-    if result.baselined:
-        summary += f", {len(result.baselined)} baselined"
     if result.suppressed:
         summary += f", {result.suppressed} allowed by pragma"
-    if result.config_allowed:
-        summary += f", {result.config_allowed} allowed by config"
     print(summary, file=out)
 
 
@@ -107,23 +75,6 @@ def run(args: argparse.Namespace) -> int:
             print(f"{rule_id}  {rule.name}: {rule.summary}")
         return EXIT_CLEAN
 
-    if args.update_baseline and args.baseline is None:
-        print("lint: --update-baseline requires --baseline FILE",
-              file=sys.stderr)
-        return EXIT_USAGE
-
-    baseline: Optional[Baseline] = None
-    if args.baseline is not None and not args.update_baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except FileNotFoundError:
-            print(f"lint: baseline file not found: {args.baseline}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
     select = None
     if args.select is not None:
         select = [r.strip() for r in args.select.split(",") if r.strip()]
@@ -131,47 +82,16 @@ def run(args: argparse.Namespace) -> int:
             print("lint: --select lists no rule ids", file=sys.stderr)
             return EXIT_USAGE
 
-    config: Optional[LintConfig] = None
-    if args.no_config:
-        config = EMPTY_CONFIG
-    elif args.config is not None:
-        try:
-            config = load_lint_config(args.config)
-        except LintConfigError as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if not config.defined:
-            print(f"lint: {args.config} has no [tool.repro-lint] section",
-                  file=sys.stderr)
-            return EXIT_USAGE
-
-    jobs = args.jobs
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    elif jobs < 1:
-        print("lint: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-
     paths = list(args.paths) or _default_paths()
     try:
-        result = run_lint(paths, select=select, baseline=baseline,
-                          config=config, jobs=jobs,
+        result = run_lint(paths, select=select,
                           unused_pragmas=not args.no_unused_pragma)
     except FileNotFoundError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LintConfigError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyError as exc:
         print(f"lint: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.update_baseline:
-        Baseline.of(result.findings).save(args.baseline)
-        print(f"lint: baseline updated with {len(result.findings)} "
-              f"finding(s) -> {args.baseline}")
-        return EXIT_CLEAN
 
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))

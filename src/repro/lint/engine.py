@@ -1,27 +1,22 @@
-"""The analysis driver: walk files, run rules, apply pragmas + baseline.
+"""The analysis driver: walk files, run rules, apply allow-pragmas.
 
 :func:`run_lint` is the single entry point used by the CLI and the test
 suite.  It parses every ``.py`` file under the given paths once, runs the
-selected file rules per module and project rules over the whole set,
-drops findings suppressed by inline allow-pragmas or by the path-scoped
-``[tool.repro-lint]`` configuration (see :mod:`repro.lint.config`), and
-splits the rest against an optional :class:`~repro.lint.baseline.Baseline`.
+selected file rules per module and project rules over the whole set, and
+drops the findings an inline allow-pragma excuses (see
+:mod:`repro.lint.source`) — the one exemption mechanism there is.
 
-Two engine-emitted pseudo-rules ride along:
+Two engine-emitted pseudo-rules ride along, neither suppressible:
 
 - ``LINT000`` — parse failures and malformed pragmas;
-- ``LINT001`` — *unused* exemptions: an allow-pragma (or an in-scope
-  ``[[tool.repro-lint.allow]]`` entry) that suppressed nothing this
-  scan.  Exemption sets rot as rules and code evolve; flagging dead ones
-  keeps the audit trail honest.  Disabled via ``unused_pragmas=False``
-  (CLI ``--no-unused-pragma``) for partial-tree scans.
+- ``LINT001`` — *unused* exemptions: an allow-pragma that suppressed
+  nothing this scan.  Exemption sets rot as rules and code evolve;
+  flagging dead ones keeps the audit trail honest.  Disabled via
+  ``unused_pragmas=False`` (CLI ``--no-unused-pragma``) for partial-tree
+  scans.
 
-The per-file map step is embarrassingly parallel: ``jobs > 1`` fans file
-parsing + file rules out over a process pool, then runs project rules
-single-pass over the merged result.  Findings are fully sorted by
-``(path, line, rule, message)`` before baseline fingerprinting and
-rendering, so worker scheduling and dict order can never reorder reports
-or churn baselines.
+Findings are fully sorted by ``(path, line, rule, message)`` before they
+are returned, so argument order and dict order never reorder a report.
 """
 
 from __future__ import annotations
@@ -30,8 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.lint.baseline import Baseline
-from repro.lint.config import EMPTY_CONFIG, LintConfig, discover_lint_config
 from repro.lint.findings import Finding
 from repro.lint.rules import (
     PRAGMA_RULE_ID,
@@ -53,14 +46,10 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".ruff_cache",
 class LintResult:
     """Everything one analysis run produced."""
 
-    #: Non-baselined findings (these fail the run), sorted.
+    #: Findings no pragma excuses (these fail the run), sorted.
     findings: list[Finding] = field(default_factory=list)
-    #: Findings matched by the baseline (reported, never failing).
-    baselined: list[Finding] = field(default_factory=list)
     #: Findings suppressed by inline allow-pragmas.
     suppressed: int = 0
-    #: Findings exempted by the path-scoped ``[tool.repro-lint]`` config.
-    config_allowed: int = 0
     #: Number of files parsed.
     files_scanned: int = 0
     #: Rule ids that ran.
@@ -68,51 +57,51 @@ class LintResult:
 
     @property
     def ok(self) -> bool:
-        """True when nothing non-baselined was found."""
+        """True when nothing was found."""
         return not self.findings
 
-    def all_findings(self) -> list[Finding]:
-        """New + baselined findings in one sorted list."""
-        return sorted(self.findings + self.baselined)
-
     def to_dict(self) -> dict:
-        """The ``--format json`` output schema (version 1)."""
+        """The ``--format json`` output schema (version 2)."""
         return {
-            "version": 1,
+            "version": 2,
             "files_scanned": self.files_scanned,
             "rules": self.rules,
             "counts": {
                 "new": len(self.findings),
-                "baselined": len(self.baselined),
                 "suppressed": self.suppressed,
-                "config_allowed": self.config_allowed,
             },
-            "findings": [f.to_dict() for f in self.all_findings()],
+            "findings": [f.to_dict() for f in self.findings],
         }
 
 
 def collect_files(paths: Sequence[Path]) -> list[tuple[Path, str]]:
-    """(absolute path, root-relative posix path) for every .py under paths.
+    """(path on disk, reported path) for every .py under paths, each once.
 
-    Directory arguments are walked recursively; file arguments are taken
-    as-is with their basename as the relative path.  Raises
-    FileNotFoundError for a missing argument (the CLI maps it to a usage
-    error).
+    Directory arguments are walked recursively.  The reported path is
+    what ties a finding to the file whose pragmas may excuse it, so it is
+    unique within a scan: with one argument it is relative to that
+    argument (a file argument reports its basename); with several it is
+    the file's path as reached from its argument (``a/mod.py``,
+    ``b/mod.py``), which keeps same-named files under different roots
+    apart.  Raises FileNotFoundError for a missing argument (the CLI maps
+    it to a usage error).
     """
-    collected: list[tuple[Path, str]] = []
+    collected: dict[str, Path] = {}
     for raw in paths:
         root = Path(raw)
         if root.is_file():
-            collected.append((root, root.name))
+            base, found = root.parent, [root]
         elif root.is_dir():
-            for file_path in sorted(root.rglob("*.py")):
-                if any(part in _SKIP_DIRS for part in file_path.parts):
-                    continue
-                rel = file_path.relative_to(root).as_posix()
-                collected.append((file_path, rel))
+            base, found = root, [
+                file_path for file_path in sorted(root.rglob("*.py"))
+                if not any(part in _SKIP_DIRS for part in file_path.parts)]
         else:
             raise FileNotFoundError(f"no such file or directory: {root}")
-    return collected
+        for file_path in found:
+            shown = (file_path if len(paths) > 1
+                     else file_path.relative_to(base))
+            collected.setdefault(shown.as_posix(), file_path)
+    return [(file_path, rel) for rel, file_path in collected.items()]
 
 
 def _select_rules(select: Optional[Sequence[str]]) -> list[str]:
@@ -124,168 +113,81 @@ def _select_rules(select: Optional[Sequence[str]]) -> list[str]:
     return sorted(set(select))
 
 
-def _scan_batch(batch: Sequence[tuple[Path, str]],
-                known: frozenset[str],
-                rule_ids: Sequence[str],
-                ) -> list[tuple[SourceFile, list[Finding]]]:
-    """Parse one batch of files and run the file rules on each.
-
-    Top-level (picklable) so it can run inside a process-pool worker;
-    the lazily cached scope table is stripped before the SourceFile
-    crosses back to the parent, since its identity-keyed node maps do
-    not survive pickling.
-    """
-    results: list[tuple[SourceFile, list[Finding]]] = []
-    for path, rel in batch:
-        source = load_source(path, rel, known)
-        findings: list[Finding] = []
-        if source.tree is not None:
-            for rule_id in rule_ids:
-                rule = REGISTRY[rule_id]
-                if isinstance(rule, FileRule):
-                    findings.extend(rule.check(source))
-        source.__dict__.pop("_scope_table", None)
-        results.append((source, findings))
-    return results
-
-
-def _scan_files(files: Sequence[tuple[Path, str]],
-                known: frozenset[str],
-                rule_ids: Sequence[str],
-                jobs: Optional[int],
-                ) -> list[tuple[SourceFile, list[Finding]]]:
-    """The map step: serial, or fanned out over a process pool."""
-    workers = min(jobs or 1, len(files))
-    if workers <= 1 or len(files) < 2:
-        return _scan_batch(files, known, rule_ids)
-    # Contiguous chunks keep the merged order identical to a serial run
-    # (the final sort makes ordering cosmetic, but determinism is free).
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = (len(files) + workers - 1) // workers
-    batches = [files[start:start + chunk]
-               for start in range(0, len(files), chunk)]
-    results: list[tuple[SourceFile, list[Finding]]] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_scan_batch, batches,
-                             [known] * len(batches),
-                             [rule_ids] * len(batches)):
-            results.extend(part)
-    return results
-
-
 def run_lint(paths: Sequence[Path],
              select: Optional[Sequence[str]] = None,
-             baseline: Optional[Baseline] = None,
-             config: Optional[LintConfig] = None,
-             jobs: Optional[int] = None,
              unused_pragmas: bool = True) -> LintResult:
     """Analyze ``paths`` with the selected rules (default: all).
 
-    ``config`` scopes rule exemptions to path patterns; None (the
-    default) auto-discovers the nearest ``pyproject.toml`` with a
-    ``[tool.repro-lint]`` section above the first scanned path — pass
-    :data:`~repro.lint.config.EMPTY_CONFIG` to disable.
-
-    ``jobs`` > 1 parallelizes file parsing and per-file rules over a
-    process pool (project rules still run single-pass afterwards).
     ``unused_pragmas=False`` disables the LINT001 unused-exemption
     check.
 
-    Raises FileNotFoundError for missing paths, KeyError for unknown
-    rule ids, and :class:`~repro.lint.config.LintConfigError` for a
-    malformed configuration — the CLI converts all three into usage
-    errors (exit 2).
+    Raises FileNotFoundError for missing paths and KeyError for unknown
+    rule ids — the CLI converts both into usage errors (exit 2).
     """
     rule_ids = _select_rules(select)
-    if config is None:
-        config = (discover_lint_config(Path(paths[0])) if paths
-                  else EMPTY_CONFIG)
+    rules = [REGISTRY[rule_id] for rule_id in rule_ids]
     known = (frozenset(REGISTRY)
              | {PRAGMA_RULE_ID, UNUSED_PRAGMA_RULE_ID})
-    scanned = _scan_files(collect_files(paths), known, rule_ids, jobs)
-    sources = [source for source, _ in scanned]
-    project = Project(files=sources)
+    sources = [load_source(path, rel, known)
+               for path, rel in collect_files(paths)]
 
+    # Engine findings go straight to ``kept``: no pragma excuses them.
+    kept: list[Finding] = []
     raw: list[Finding] = []
-    for source, file_findings in scanned:
+    for source in sources:
         if source.parse_error is not None:
-            raw.append(Finding(
+            kept.append(Finding(
                 path=source.rel, line=0, rule=PRAGMA_RULE_ID,
                 message=f"file does not parse: {source.parse_error}",
                 hint="fix the syntax error; unparseable files are "
                      "invisible to every other rule"))
             continue
         for error in source.pragma_errors:
-            raw.append(Finding(
+            kept.append(Finding(
                 path=source.rel, line=error.line, rule=PRAGMA_RULE_ID,
                 message=error.message,
                 hint="write '# lint: allow[RULE,...] -- rationale' with "
                      "registered rule ids and a justification"))
-        raw.extend(file_findings)
+        for rule in rules:
+            if isinstance(rule, FileRule):
+                raw.extend(rule.check(source))
 
-    for rule_id in rule_ids:
-        rule = REGISTRY[rule_id]
+    project = Project(files=sources)
+    for rule in rules:
         if isinstance(rule, ProjectRule):
             raw.extend(rule.check_project(project))
 
+    # A finding is excused only by a pragma in the file it was raised
+    # on; reported paths are unique per scan (see collect_files).
     by_rel = {source.rel: source for source in sources}
-    engine_rules = (PRAGMA_RULE_ID, UNUSED_PRAGMA_RULE_ID)
-    kept: list[Finding] = []
     suppressed = 0
-    config_allowed = 0
     used_pragmas: set[int] = set()
-    used_entries: set[int] = set()
     for finding in raw:
-        source = by_rel.get(finding.path)
-        if finding.rule not in engine_rules and source is not None:
-            matched = source.allowing(finding.rule, finding.line)
-            if matched:
-                used_pragmas.update(id(p) for p in matched)
-                suppressed += 1
-                continue
-        if finding.rule not in engine_rules:
-            entry = config.matching_entry(
-                source.path if source is not None else None,
-                finding.path, finding.rule)
-            if entry is not None:
-                used_entries.add(id(entry))
-                config_allowed += 1
-                continue
-        kept.append(finding)
+        matched = by_rel[finding.path].allowing(finding.rule, finding.line)
+        if matched:
+            used_pragmas.update(id(p) for p in matched)
+            suppressed += 1
+        else:
+            kept.append(finding)
 
     if unused_pragmas:
-        kept.extend(_unused_exemptions(
-            sources, config, frozenset(rule_ids),
-            used_pragmas, used_entries))
+        kept.extend(_unused_pragmas(sources, frozenset(rule_ids),
+                                    used_pragmas))
 
-    # Full deterministic order before fingerprinting and rendering —
-    # worker scheduling and dict order must never churn a baseline.
+    # Full deterministic order: argument and dict order never show.
     kept.sort()
-
-    if baseline is not None:
-        new, matched_findings = baseline.apply(kept)
-    else:
-        new, matched_findings = kept, []
-    return LintResult(findings=new, baselined=matched_findings,
-                      suppressed=suppressed, config_allowed=config_allowed,
-                      files_scanned=len(sources),
-                      rules=rule_ids)
+    return LintResult(findings=kept, suppressed=suppressed,
+                      files_scanned=len(sources), rules=rule_ids)
 
 
-def _unused_exemptions(sources: Sequence[SourceFile],
-                       config: LintConfig,
-                       ran: frozenset[str],
-                       used_pragmas: set[int],
-                       used_entries: set[int]) -> list[Finding]:
-    """LINT001 findings for exemptions that suppressed nothing.
+def _unused_pragmas(sources: Sequence[SourceFile],
+                    ran: frozenset[str],
+                    used_pragmas: set[int]) -> list[Finding]:
+    """LINT001 findings for pragmas that suppressed nothing.
 
-    A pragma (or config entry) is only reported when *every* rule it
-    names actually ran — a ``--select`` subset must not condemn
-    exemptions belonging to rules that sat the scan out.  Config entries
-    are additionally required to be in scope: their path pattern must
-    match at least one scanned file, so linting a sibling subtree does
-    not flag entries for the rest of the repo.
+    A pragma is only reported when *every* rule it names actually ran —
+    a ``--select`` subset must not condemn exemptions belonging to rules
+    that sat the scan out.
     """
     findings: list[Finding] = []
     for source in sources:
@@ -299,26 +201,6 @@ def _unused_exemptions(sources: Sequence[SourceFile],
                 message=f"allow-pragma for {rules} suppressed nothing "
                         f"in this scan",
                 hint="delete the stale pragma (or re-run with "
-                     "--no-unused-pragma if this is a partial-tree "
-                     "scan)"))
-    if config.defined and config.source is not None:
-        config_rel = config.source.name
-        for entry in config.allows:
-            if id(entry) in used_entries or not entry.rules <= ran:
-                continue
-            in_scope = any(
-                config.entry_covers(entry, source.path, source.rel)
-                for source in sources)
-            if not in_scope:
-                continue
-            rules = ",".join(sorted(entry.rules))
-            findings.append(Finding(
-                path=config_rel, line=0,
-                rule=UNUSED_PRAGMA_RULE_ID,
-                message=f"[[tool.repro-lint.allow]] entry "
-                        f"(path='{entry.path}', rules={rules}) "
-                        f"suppressed nothing in this scan",
-                hint="delete the stale config entry (or re-run with "
                      "--no-unused-pragma if this is a partial-tree "
                      "scan)"))
     return findings

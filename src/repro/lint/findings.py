@@ -1,14 +1,12 @@
 """Finding: one diagnostic produced by a lint rule.
 
-A finding pins a rule violation to ``path:line``, carries the rule id, a
-one-line message, and a fix hint.  Its :meth:`Finding.fingerprint` —
-deliberately line-number-free — identifies the finding across code motion
-for the baseline ratchet (see :mod:`repro.lint.baseline`).
+A finding pins a rule violation to ``path:line`` and carries the rule id,
+a one-line message, and a fix hint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 __all__ = ["Finding"]
 
@@ -17,7 +15,7 @@ __all__ = ["Finding"]
 class Finding:
     """One diagnostic: where, which rule, what, and how to fix it."""
 
-    #: Path of the offending file, relative to the scanned root (posix).
+    #: The offending file's reported path (``SourceFile.rel``, posix).
     path: str
     #: 1-based line of the offending node (0 for whole-file findings).
     line: int
@@ -27,20 +25,6 @@ class Finding:
     message: str
     #: How to fix it (or how to allowlist it legitimately).
     hint: str = ""
-    #: True when the finding matched the baseline and does not fail the run.
-    baselined: bool = field(default=False, compare=False)
-
-    def fingerprint(self) -> str:
-        """Stable identity for baselining: rule + path + message, no line.
-
-        Line numbers are excluded so unrelated edits above a baselined
-        finding do not churn the baseline file.
-        """
-        return f"{self.rule}::{self.path}::{self.message}"
-
-    def as_baselined(self) -> "Finding":
-        """A copy marked as matched by the baseline."""
-        return replace(self, baselined=True)
 
     def to_dict(self) -> dict:
         """JSON-ready form (the ``--format json`` finding schema)."""
@@ -50,13 +34,11 @@ class Finding:
             "line": self.line,
             "message": self.message,
             "hint": self.hint,
-            "baselined": self.baselined,
         }
 
     def render(self) -> str:
         """Human-readable one/two-liner for terminal output."""
-        mark = " [baselined]" if self.baselined else ""
-        text = f"{self.path}:{self.line}: {self.rule}{mark} {self.message}"
+        text = f"{self.path}:{self.line}: {self.rule} {self.message}"
         if self.hint:
             text += f"\n    hint: {self.hint}"
         return text

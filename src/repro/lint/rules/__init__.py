@@ -12,7 +12,7 @@ Rule inventory (ids are stable, documented in docs/STATIC_ANALYSIS.md):
 - ``REP009`` await-point-hazard — no blind self-state writes across awaits
 - ``REP010`` seed-flow         — seeds must trace to config, not entropy
 - ``LINT000``                  — reserved: malformed allow-pragmas
-- ``LINT001``                  — reserved: unused allow-pragmas/config entries
+- ``LINT001``                  — reserved: unused allow-pragmas
 """
 
 from repro.lint.rules import (  # noqa: F401

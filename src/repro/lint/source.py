@@ -69,7 +69,8 @@ class SourceFile:
 
     #: Absolute path on disk.
     path: Path
-    #: Path relative to the scanned root (posix form; used in findings).
+    #: Reported path (posix; becomes ``Finding.path``), unique within a
+    #: scan — see ``engine.collect_files``.
     rel: str
     #: Raw source text.
     text: str
@@ -90,10 +91,6 @@ class SourceFile:
     def allowing(self, rule: str, line: int) -> list[Pragma]:
         """The pragmas that suppress ``rule`` at ``line`` (maybe empty)."""
         return [p for p in self.pragmas if p.covers(rule, line)]
-
-    def allows(self, rule: str, line: int) -> bool:
-        """True when an allow-pragma suppresses ``rule`` at ``line``."""
-        return any(p.covers(rule, line) for p in self.pragmas)
 
 
 def _iter_comments(text: str) -> Iterator[tuple[int, str, bool]]:

@@ -25,9 +25,9 @@ slower than nominal does not inflate the reported latencies.
 Determinism note: every client's RNG is spawned from one explicit
 ``numpy.random.SeedSequence(seed)``; the wall-clock side (think-time
 sleeps, socket scheduling) is inherently nondeterministic, which is the
-point of the serving layer.  REP001 is allowed for ``repro/net`` via
-the per-path lint configuration.
+point of the serving layer — hence the module-wide REP001 pragma below.
 """
+# lint: allow-file[REP001] -- the serving layer measures wall-clock time by design
 
 from __future__ import annotations
 

@@ -24,9 +24,9 @@ shared with the sim-side export path (see
 :mod:`repro.obs.server_metrics`), so a live STATS snapshot and a
 simulated run report through identical instrument names.
 
-This module measures real time by design; lint rule REP001 is allowed
-for ``repro/net`` via the ``[tool.repro-lint]`` per-path configuration
-instead of per-line pragmas.
+This module runs on real time by design, but only through the event
+loop's clock: it reads no host clock itself, so it carries no REP001
+exemption — a direct read added here needs its own allow-pragma.
 """
 
 from __future__ import annotations

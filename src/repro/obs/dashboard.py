@@ -17,10 +17,10 @@ The :class:`Dashboard` frame writer redraws in place on a tty (cursor-up
 + clear-line ANSI, no external deps) and degrades to throttled plain
 frames when the stream is a pipe or file.
 
-This module measures wall-clock time by design (frame throttling, ETA);
-lint rule REP001 is allowed for it via ``[tool.repro-lint]`` in
-pyproject.toml, like the ``repro.net`` serving layer.
+This module measures wall-clock time by design (frame throttling, ETA),
+hence the module-wide REP001 allow-pragma below.
 """
+# lint: allow-file[REP001] -- live telemetry: frame throttle and ETA run on wall time
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Simulation logic: REP001 stays strict outside the allowed paths."""
+"""Simulation logic: the sibling module's allow-file leaves REP001 strict here."""
 
 import time
 

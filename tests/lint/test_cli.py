@@ -1,9 +1,11 @@
-"""CLI contract: exit codes, JSON schema, baseline ratchet, both entries."""
+"""CLI contract: exit codes, JSON schema (version 2), both entries."""
 
 from __future__ import annotations
 
 import json
 import textwrap
+
+import pytest
 
 from repro.cli import main as repro_main
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE
@@ -46,20 +48,18 @@ class TestExitCodes:
         assert lint_main(
             [str(clean_file(tmp_path)), "--select", " , "]) == EXIT_USAGE
 
-    def test_missing_baseline_file_is_usage_error(self, tmp_path):
-        assert lint_main(
-            [str(clean_file(tmp_path)),
-             "--baseline", str(tmp_path / "nope.json")]) == EXIT_USAGE
-
-    def test_bad_baseline_schema_is_usage_error(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{\"version\": 99}")
-        assert lint_main(
-            [str(clean_file(tmp_path)), "--baseline", str(bad)]) == EXIT_USAGE
-
-    def test_update_baseline_requires_baseline(self, tmp_path):
-        assert lint_main(
-            [str(clean_file(tmp_path)), "--update-baseline"]) == EXIT_USAGE
+    @pytest.mark.parametrize("flag", [
+        ["--jobs", "2"], ["--baseline", "x"], ["--update-baseline"],
+        ["--config", "x"], ["--no-config"]])
+    def test_removed_flags_are_usage_errors(self, tmp_path, flag):
+        # Pragmas are the one exemption mechanism and the scan is serial:
+        # the framework's flags are gone from both entry points.
+        target = str(clean_file(tmp_path))
+        for entry, argv in ((lint_main, [target]),
+                            (repro_main, ["lint", target])):
+            with pytest.raises(SystemExit) as caught:
+                entry(argv + flag)
+            assert caught.value.code == EXIT_USAGE
 
 
 class TestJsonFormat:
@@ -67,17 +67,16 @@ class TestJsonFormat:
         code = lint_main([str(dirty_file(tmp_path)), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == EXIT_FINDINGS
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["files_scanned"] == 1
-        assert payload["counts"] == {
-            "new": 1, "baselined": 0, "suppressed": 0, "config_allowed": 0}
+        # Version 2 dropped counts.baselined, counts.config_allowed and
+        # the per-finding "baselined" key along with the mechanisms.
+        assert payload["counts"] == {"new": 1, "suppressed": 0}
         (finding,) = payload["findings"]
-        assert set(finding) == {
-            "rule", "path", "line", "message", "hint", "baselined"}
+        assert set(finding) == {"rule", "path", "line", "message", "hint"}
         assert finding["rule"] == "REP001"
         assert finding["path"] == "dirty.py"
         assert finding["line"] == 3
-        assert finding["baselined"] is False
 
     def test_clean_json(self, tmp_path, capsys):
         code = lint_main([str(clean_file(tmp_path)), "--format", "json"])
@@ -86,41 +85,13 @@ class TestJsonFormat:
         assert payload["findings"] == []
 
 
-class TestBaselineRatchet:
-    def test_update_then_pass_then_fail_on_new(self, tmp_path, capsys):
-        dirty = dirty_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-
-        assert lint_main([str(dirty), "--baseline", str(baseline),
-                          "--update-baseline"]) == EXIT_CLEAN
-        assert baseline.exists()
-
-        # Ratchet holds: the baselined finding no longer fails the run.
-        assert lint_main(
-            [str(dirty), "--baseline", str(baseline)]) == EXIT_CLEAN
-
-        # ... but it is still reported, marked as baselined.
-        capsys.readouterr()
-        lint_main([str(dirty), "--baseline", str(baseline),
-                   "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"] == {
-            "new": 0, "baselined": 1, "suppressed": 0, "config_allowed": 0}
-        assert payload["findings"][0]["baselined"] is True
-
-        # A fresh violation on top of the baseline fails again.
-        dirty.write_text(dirty.read_text()
-                         + "u = time.perf_counter()\n")
-        assert lint_main(
-            [str(dirty), "--baseline", str(baseline)]) == EXIT_FINDINGS
-
-
 class TestEntryPoints:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005"):
-            assert rule_id in out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "REP001", "REP002", "REP003", "REP004", "REP005", "REP007",
+            "REP008", "REP009", "REP010"]
 
     def test_repro_broadcast_lint_subcommand(self, tmp_path):
         assert repro_main(["lint", str(dirty_file(tmp_path))]) \

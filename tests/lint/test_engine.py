@@ -1,12 +1,13 @@
-"""Engine-level behaviour: pragmas, selection, baseline, parse errors."""
+"""Engine-level behaviour: pragmas, selection, scan roots, parse errors."""
 
 from __future__ import annotations
 
+import inspect
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import run_lint
 
 
@@ -120,6 +121,10 @@ class TestEngine:
         with pytest.raises(FileNotFoundError):
             run_lint([tmp_path / "nope"])
 
+    def test_driver_signature_is_the_whole_surface(self):
+        assert list(inspect.signature(run_lint).parameters) == [
+            "paths", "select", "unused_pragmas"]
+
     def test_pycache_is_skipped(self, tmp_path):
         cache = tmp_path / "__pycache__"
         cache.mkdir()
@@ -172,134 +177,59 @@ class TestUnusedExemptions:
         assert run_lint([path], unused_pragmas=False).ok
 
     def test_unused_file_pragma_is_flagged(self, tmp_path):
+        # An allow-file pragma is one exemption however much it covers:
+        # used by three findings -> no LINT001; covering nothing -> one
+        # LINT001, at the pragma's own line.
+        used = write(tmp_path, """\
+            import time
+            # lint: allow-file[REP001] -- wall-clock module by design
+
+            a = time.time()
+            b = time.monotonic()
+            c = time.perf_counter()
+            """, name="used.py")
+        result = run_lint([used])
+        assert result.ok
+        assert result.suppressed == 3
+
         path = write(tmp_path, """\
-            # lint: allow-file[REP003] -- nothing here compares sim time
             x = 1
+            # lint: allow-file[REP003] -- nothing here compares sim time
+            y = 2
+            z = 3
             """)
         result = run_lint([path])
-        assert [f.rule for f in result.findings] == ["LINT001"]
-        assert result.findings[0].line == 1
-
-    def test_unused_config_entry_is_flagged(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint]\n'
-            '[[tool.repro-lint.allow]]\n'
-            'path = "*.py"\n'
-            'rules = ["REP001"]\n'
-            'reason = "stale blanket exemption"\n')
-        write(tmp_path, "x = 1\n")
-        result = run_lint([tmp_path])
-        assert [f.rule for f in result.findings] == ["LINT001"]
-        assert "pyproject.toml" in result.findings[0].path
-
-    def test_out_of_scope_config_entry_is_spared(self, tmp_path):
-        # The entry targets a subtree that was not scanned: no verdict.
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint]\n'
-            '[[tool.repro-lint.allow]]\n'
-            'path = "elsewhere/*.py"\n'
-            'rules = ["REP001"]\n'
-            'reason = "belongs to a sibling subtree"\n')
-        write(tmp_path, "x = 1\n")
-        assert run_lint([tmp_path]).ok
-
-    def test_used_config_entry_is_not_flagged(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint]\n'
-            '[[tool.repro-lint.allow]]\n'
-            'path = "*.py"\n'
-            'rules = ["REP001"]\n'
-            'reason = "wall-clock fixture tree"\n')
-        write(tmp_path, "import time\nt = time.time()\n")
-        result = run_lint([tmp_path])
-        assert result.ok
-        assert result.config_allowed == 1
+        assert [(f.rule, f.line) for f in result.findings] == [("LINT001", 2)]
 
 
-class TestParallelScan:
-    def _tree(self, tmp_path):
-        for index in range(6):
-            write(tmp_path, f"""\
-                import time
+class TestScanRoots:
+    """Several roots in one scan: same-named files must stay apart."""
 
-                t{index} = time.time()
-                """, name=f"mod{index}.py")
-
-    def test_jobs_matches_serial(self, tmp_path):
-        self._tree(tmp_path)
-        serial = run_lint([tmp_path])
-        parallel = run_lint([tmp_path], jobs=3)
-        assert parallel.findings == serial.findings
-        assert parallel.files_scanned == serial.files_scanned
-
-    def test_jobs_ordering_is_deterministic(self, tmp_path):
-        self._tree(tmp_path)
-        result = run_lint([tmp_path], jobs=3)
-        keys = [(f.path, f.line, f.rule) for f in result.findings]
-        assert keys == sorted(keys)
-
-    def test_jobs_with_project_rules_and_baseline(self, tmp_path):
-        self._tree(tmp_path)
-        baseline = Baseline.of(run_lint([tmp_path]).findings)
-        assert run_lint([tmp_path], jobs=3, baseline=baseline).ok
-
-
-class TestBaseline:
-    def test_ratchet_matches_then_fails_new(self, tmp_path):
-        path = write(tmp_path, """\
+    @pytest.fixture
+    def roots(self, tmp_path, monkeypatch):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        write(tmp_path / "a", """\
             import time
 
-            a = time.time()
+            x = time.time()
             """)
-        baseline = Baseline.of(run_lint([path]).findings)
-
-        # Unchanged file: everything baselined, run is ok.
-        result = run_lint([path], baseline=baseline)
-        assert result.ok
-        assert len(result.baselined) == 1
-
-        # A new violation is NOT absorbed by the old baseline.
-        write(tmp_path, """\
+        write(tmp_path / "b", """\
             import time
 
-            a = time.time()
-            b = time.perf_counter()
+            x = time.time()  # lint: allow[REP001] -- excused here only
             """)
-        result = run_lint([path], baseline=baseline)
-        assert not result.ok
-        assert [f.rule for f in result.findings] == ["REP001"]
-        assert "perf_counter" in result.findings[0].message
+        monkeypatch.chdir(tmp_path)
 
-    def test_fingerprint_survives_line_motion(self, tmp_path):
-        path = write(tmp_path, """\
-            import time
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_pragma_excuses_only_its_own_file(self, roots, order):
+        result = run_lint([Path(name) for name in order])
+        assert [(f.path, f.line, f.rule) for f in result.findings] == [
+            ("a/mod.py", 3, "REP001")]
+        assert result.suppressed == 1
+        assert result.files_scanned == 2
 
-            a = time.time()
-            """)
-        baseline = Baseline.of(run_lint([path]).findings)
-        # Push the violation down two lines; fingerprint is line-free.
-        write(tmp_path, """\
-            import time
-
-            x = 1
-            y = 2
-            a = time.time()
-            """)
-        assert run_lint([path], baseline=baseline).ok
-
-    def test_roundtrip_through_disk(self, tmp_path):
-        path = write(tmp_path, """\
-            import time
-
-            a = time.time()
-            """)
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.of(run_lint([path]).findings).save(baseline_path)
-        loaded = Baseline.load(baseline_path)
-        assert run_lint([path], baseline=loaded).ok
-
-    def test_load_rejects_bad_schema(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text('{"version": 99, "findings": {}}')
-        with pytest.raises(ValueError):
-            Baseline.load(bad)
+    def test_a_file_reached_twice_is_scanned_once(self, roots):
+        result = run_lint([Path("a"), Path("a/mod.py")])
+        assert result.files_scanned == 1
+        assert len(result.findings) == 1

@@ -9,6 +9,7 @@ from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
 from repro.lint.sanitize import capture_trace, sanitize_config
 from repro.obs.manifest import config_from_dict, config_to_dict
+from tests.conftest import small_config
 
 
 def tiny_config(algorithm: Algorithm = Algorithm.IPP) -> SystemConfig:
@@ -67,7 +68,8 @@ class TestSanitize:
     def test_subprocess_replay_keeps_the_pull_discipline(self):
         # The child gets its config as JSON; a revival that dropped the
         # scheduler section replayed every RxW run as FIFO.
-        rxw = tiny_config().with_(
+        # The 20-page system is enough: its RxW and FIFO traces differ.
+        rxw = small_config(
             client__think_time_ratio=100, server__queue_size=8,
             scheduler__discipline="rxw", run__settle_accesses=10,
             run__measure_accesses=30)
