@@ -37,12 +37,13 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional
 
+import numpy as np
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from bench_columnar import synthesize  # noqa: E402
 from repro.obs.columnar import ColumnarSink  # noqa: E402
-from repro.obs.requests import RequestTracer  # noqa: E402
+from repro.obs.requests import RequestRecord, RequestTracer  # noqa: E402
 from repro.obs.sampling import EveryNSampling, ReservoirSampling  # noqa: E402
 from repro.obs.trace import NullSink  # noqa: E402
 
@@ -50,6 +51,47 @@ DEFAULT_ACCESSES = "100000,1000000"
 DEFAULT_OUT = REPO_ROOT / "BENCH_sampling.json"
 SAMPLE_EVERY = 100
 RESERVOIR_CAPACITY = 10_000
+
+
+def synthesize(count: int, seed: int = 7) -> list[RequestRecord]:
+    """``count`` seeded records shaped like a real IPP request trace."""
+    rng = np.random.default_rng(seed)
+    issued = np.cumsum(rng.exponential(2.0, count))
+    pages = rng.integers(0, 500, count)
+    measured = rng.random(count) > 0.1
+    hits = rng.random(count) < 0.6
+    served_pull = rng.random(count) < 0.5
+    outcomes = rng.choice(["enqueued", "duplicate", "dropped"], count,
+                          p=[0.9, 0.08, 0.02])
+    predicted = np.round(rng.exponential(40.0, count), 3)
+    never_pushed = rng.random(count) < 0.05
+    queue_wait = np.round(rng.exponential(5.0, count), 3)
+    offers = rng.integers(0, 4, count)
+    records = []
+    for i in range(count):
+        if hits[i]:
+            records.append(RequestRecord(
+                index=i, page=int(pages[i]), issued_at=float(issued[i]),
+                measured=bool(measured[i]), hit=True, pull_sent=False,
+                pull_outcome=None, predicted_push_wait=None, page_offers=0,
+                on_air_at=None, served_at=float(issued[i]),
+                served_kind="cache", wait=0.0, queue_wait=None,
+                service=None))
+            continue
+        pull = bool(served_pull[i])
+        wait = float(queue_wait[i]) + 1.0
+        records.append(RequestRecord(
+            index=i, page=int(pages[i]), issued_at=float(issued[i]),
+            measured=bool(measured[i]), hit=False, pull_sent=pull,
+            pull_outcome=str(outcomes[i]) if pull else None,
+            predicted_push_wait=(None if never_pushed[i]
+                                 else float(predicted[i])),
+            page_offers=int(offers[i]),
+            on_air_at=float(issued[i] + queue_wait[i]),
+            served_at=float(issued[i]) + wait,
+            served_kind="pull" if pull else "push", wait=wait,
+            queue_wait=float(queue_wait[i]), service=1.0))
+    return records
 
 
 def lifecycles(count: int, seed: int) -> list[tuple]:

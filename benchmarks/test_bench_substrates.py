@@ -133,17 +133,17 @@ def test_fast_engine_request_traced_memory(benchmark):
     assert result.mc_misses > 0
 
 
-def test_fast_engine_request_traced_jsonl(benchmark, tmp_path):
-    """Request-tracing overhead with records serialized to JSONL — the
-    worst case a user pays when tracing to disk."""
-    from repro.obs import JsonlSink, RequestTracer
+def test_fast_engine_request_traced_columnar(benchmark, tmp_path):
+    """Request-tracing overhead with records written to a columnar
+    ``.npy`` — what a user pays when tracing to disk."""
+    from repro.obs import ColumnarSink, RequestTracer
 
     config = _small_system(Algorithm.IPP)
     counter = iter(range(10_000_000))
 
     def traced():
-        path = tmp_path / f"req_{next(counter)}.jsonl"
-        with JsonlSink(path) as sink:
+        path = tmp_path / f"req_{next(counter)}.npy"
+        with ColumnarSink(path, table="request") as sink:
             return FastEngine(config,
                               request_tracer=RequestTracer(sink)).run()
 

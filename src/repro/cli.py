@@ -3,7 +3,7 @@
 Subcommands:
 
 - ``figures`` — regenerate one or all of the paper's figures and print
-  the series as tables (optionally saving JSON and slot traces),
+  the series as tables (optionally saving JSON and ``.npy`` slot traces),
 - ``simulate`` — run a single configured system and dump its metrics
   (``--metrics`` adds a metrics-registry snapshot via the same adapter
   the network server exports through),
@@ -12,13 +12,11 @@ Subcommands:
   checks the latency ordering against the simulator),
 - ``loadgen`` — drive a running ``serve`` instance with a client fleet
   and report wall-clock latencies,
-- ``trace`` — run one system with a tracer attached and write a trace
-  (one record per broadcast slot, or per measured-client access with
-  ``--requests``) as JSONL or columnar ``.npy`` (``--format``, or
-  auto-detected from the output suffix),
+- ``trace`` — run one system with a tracer attached and write a
+  columnar ``.npy`` trace (one record per broadcast slot, or per
+  measured-client access with ``--requests``),
 - ``report`` — summarize a saved figure JSON (tables, quantiles,
-  provenance) or a JSONL / columnar trace (wait breakdown) in the
-  terminal,
+  provenance) or a ``.npy`` trace (wait breakdown) in the terminal,
 - ``compare`` — diff two saved figure JSONs (same figure, different
   code versions) and flag series drift beyond replicate noise
   (Welch's t-test per point, tolerance fallback; exit 0 match /
@@ -33,8 +31,8 @@ Subcommands:
   to the fleet wait tail (p99 / max) so the discipline choice's effect
   under saturation is visible; emits compare-ready figure JSON (see
   docs/SCHEDULERS.md),
-- ``convert`` — convert a trace between JSONL and columnar ``.npy``
-  losslessly, in either direction,
+- ``convert`` — export a ``.npy`` trace as JSON lines, one object per
+  record, for ``grep`` / ``jq``,
 - ``profile`` — run the fast engine with phase timers and print the
   per-phase wall-time breakdown,
 - ``program`` — show a broadcast program's layout and analytic delays,
@@ -184,11 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--trace", type=Path, default=None, metavar="DIR",
         help="also write a slot trace of each figure's representative "
-             "point into DIR")
-    figures.add_argument(
-        "--trace-format", choices=("jsonl", "columnar"), default="jsonl",
-        help="on-disk format for --trace captures (columnar = "
-             "memory-mappable .npy; default: jsonl)")
+             "point into DIR (trace_<FIG>.npy)")
     figures.add_argument(
         "--drop-rates", action="store_true",
         help="print server drop-rate tables as well")
@@ -275,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
              "dashboard to stderr while generating load")
 
     trace = sub.add_parser(
-        "trace", help="run one system and write a slot-level JSONL trace")
+        "trace", help="run one system and write a columnar .npy trace")
     _add_system_args(trace)
     trace.add_argument(
         "--figure", default=None, metavar="FIG",
@@ -285,16 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=tuple(ENGINES), default="fast",
         help="which engine to trace (default: fast)")
     trace.add_argument(
-        "--out", type=Path, default=Path("trace.jsonl"), metavar="FILE",
-        help="output path (default: trace.jsonl)")
+        "--out", type=Path, default=Path("trace.npy"), metavar="FILE",
+        help="output .npy path (default: trace.npy)")
     trace.add_argument(
         "--requests", action="store_true",
         help="trace measured-client request lifecycles (one record per "
              "access) instead of broadcast slots")
-    trace.add_argument(
-        "--format", choices=("auto", "jsonl", "columnar"), default="auto",
-        help="trace encoding: jsonl (text), columnar (memory-mappable "
-             ".npy), or auto by --out suffix (default)")
     trace_sampling = trace.add_mutually_exclusive_group()
     trace_sampling.add_argument(
         "--sample-every", type=int, default=None, metavar="N",
@@ -306,14 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
              "regardless of run length (seeded from --seed)")
 
     report = sub.add_parser(
-        "report", help="summarize a saved figure JSON or JSONL trace")
+        "report", help="summarize a saved figure JSON or .npy trace")
     report.add_argument(
         "path", nargs="?", type=Path, default=None, metavar="FIGURE_JSON",
         help="a results/figure_*.json file to render")
     report.add_argument(
         "--trace", type=Path, default=None, metavar="FILE",
-        help="summarize a JSONL or columnar .npy trace (slot or request "
-             "records) instead")
+        help="summarize a .npy trace (slot or request records) instead")
     report.add_argument(
         "--think-time", type=float, default=None, metavar="UNITS",
         help="think time per access, to fill the think row of a request-"
@@ -412,14 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="also plot the figure as an ASCII chart")
 
     convert = sub.add_parser(
-        "convert", help="convert a trace between JSONL and columnar .npy")
+        "convert", help="export a .npy trace as JSON lines")
     convert.add_argument(
-        "src", type=Path, metavar="SRC",
-        help="source trace (.jsonl or .npy)")
+        "src", type=Path, metavar="SRC.npy", help="source trace")
     convert.add_argument(
-        "dst", type=Path, metavar="DST",
-        help="destination trace (the other format; direction is chosen "
-             "from the suffixes)")
+        "dst", type=Path, metavar="DST.jsonl",
+        help="destination: one JSON object per record")
 
     profile_cmd = sub.add_parser(
         "profile", help="time the fast engine's hot-loop phases")
@@ -486,12 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_request_trace(config: SystemConfig, path: Path,
-                         engine: str = "fast", fmt: str = "auto",
-                         sampling=None) -> int:
+                         engine: str = "fast", sampling=None) -> int:
     """Request-trace ``config`` into a file; prints the breakdown."""
     from repro.experiments.tracing import write_request_trace
 
-    tracer = write_request_trace(config, path, engine=engine, fmt=fmt,
+    tracer = write_request_trace(config, path, engine=engine,
                                  sampling=sampling)
     print(tracer.breakdown().render())
     quantiles = tracer.wait_quantiles()
@@ -555,7 +541,7 @@ def _cmd_figures(args) -> int:
             from repro.experiments.tracing import trace_representative
 
             trace_path, emitted = trace_representative(
-                fig_id, profile, args.trace, fmt=args.trace_format)
+                fig_id, profile, args.trace)
             print(f"[trace {fig_id}: {emitted} slot records -> "
                   f"{trace_path}]\n")
     return 0
@@ -739,6 +725,11 @@ def _cmd_trace(args) -> int:
         print("trace: --sample-every/--reservoir require --requests "
               "(slot traces are not sampled)", file=sys.stderr)
         return 2
+    if args.out.suffix != ".npy":
+        print(f"trace: --out {args.out} must end in .npy (a trace is a "
+              "columnar .npy; 'convert SRC.npy DST.jsonl' exports one as "
+              "JSON lines)", file=sys.stderr)
+        return 2
     if args.requests:
         sampling = None
         if args.sample_every is not None:
@@ -750,13 +741,12 @@ def _cmd_trace(args) -> int:
 
             sampling = ReservoirSampling(args.reservoir, seed=args.seed)
         emitted = _write_request_trace(config, args.out, engine=args.engine,
-                                       fmt=args.format, sampling=sampling)
+                                       sampling=sampling)
         print(f"{emitted} request records -> {args.out}")
     else:
         from repro.experiments.tracing import write_slot_trace
 
-        emitted = write_slot_trace(config, args.out, engine=args.engine,
-                                   fmt=args.format)
+        emitted = write_slot_trace(config, args.out, engine=args.engine)
         print(f"{emitted} slot records -> {args.out}")
     return 0
 
@@ -872,20 +862,16 @@ def _cmd_sched_sweep(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from repro.obs.columnar import columnar_to_jsonl, jsonl_to_columnar
+    from repro.obs.columnar import columnar_to_jsonl
 
-    if (args.src.suffix == ".npy") == (args.dst.suffix == ".npy"):
-        print("convert: exactly one of SRC/DST must be a columnar .npy "
-              "trace (the other is treated as JSONL)", file=sys.stderr)
+    if args.dst.suffix == ".npy":
+        print("convert: DST is written as JSON lines and cannot be a .npy "
+              "(usage: convert SRC.npy DST.jsonl)", file=sys.stderr)
         return 2
     try:
-        if args.src.suffix == ".npy":
-            args.dst.parent.mkdir(parents=True, exist_ok=True)
-            count = columnar_to_jsonl(args.src, args.dst)
-        else:
-            args.dst.parent.mkdir(parents=True, exist_ok=True)
-            count = jsonl_to_columnar(args.src, args.dst)
-    except (FileNotFoundError, ValueError) as exc:
+        args.dst.parent.mkdir(parents=True, exist_ok=True)
+        count = columnar_to_jsonl(args.src, args.dst)
+    except (OSError, ValueError) as exc:
         print(f"convert: {exc}", file=sys.stderr)
         return 2
     print(f"{count} records: {args.src} -> {args.dst}")
@@ -893,18 +879,15 @@ def _cmd_convert(args) -> int:
 
 
 def _report_trace(path: Path, think_time) -> int:
-    """Summarize a trace file (slot or request records, either format).
+    """Summarize a ``.npy`` trace file (slot or request records).
 
-    A JSONL trace is read into the same structured array a columnar
-    ``.npy`` maps, so both formats report through one path: breakdowns
-    via the vectorized column reductions, quantiles as exact order
-    statistics.
+    Breakdowns come from the vectorized column reductions, quantiles as
+    exact order statistics.
     """
     import numpy as np
 
     from repro.obs.columnar import (
         breakdown_of_array,
-        jsonl_to_array,
         load_columnar,
         measured_miss_waits,
         slot_summary,
@@ -913,33 +896,34 @@ def _report_trace(path: Path, think_time) -> int:
     from repro.sim.monitor import exact_quantiles
 
     try:
-        array = (load_columnar(path) if path.suffix == ".npy"
-                 else jsonl_to_array(path))
-    except (FileNotFoundError, ValueError) as exc:
+        array = load_columnar(path)
+        if array.shape[0] == 0:
+            print(f"{path}: empty trace")
+            return 2
+        if table_of(array) == "request":
+            measured = int(np.count_nonzero(array["measured"]))
+            lines = [f"request trace: {array.shape[0]} records "
+                     f"({measured} measured) from {path}", "",
+                     breakdown_of_array(array, think_time=think_time).render()]
+            waits = measured_miss_waits(array)
+            marks = exact_quantiles(waits)
+            if marks is not None:
+                lines.append(
+                    f"measured miss wait quantiles: p50={marks['p50']:.1f}  "
+                    f"p90={marks['p90']:.1f}  p99={marks['p99']:.1f}  "
+                    f"max={waits.max():.1f}")
+        else:
+            summary = slot_summary(array)
+            lines = [f"slot trace: {summary['slots']} slots from {path}",
+                     "  slots by kind: " + ", ".join(
+                         f"{k}={v}"
+                         for k, v in sorted(summary["kinds"].items())),
+                     f"  mean queue depth: {summary['mean_queue_depth']:.2f}",
+                     f"  requests dropped: {summary['dropped']}"]
+    except (OSError, ValueError) as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 2
-    if array is None or array.shape[0] == 0:
-        print(f"{path}: empty trace")
-        return 2
-    if table_of(array) == "request":
-        measured = int(np.count_nonzero(array["measured"]))
-        print(f"request trace: {array.shape[0]} records "
-              f"({measured} measured) from {path}")
-        print()
-        print(breakdown_of_array(array, think_time=think_time).render())
-        waits = measured_miss_waits(array)
-        marks = exact_quantiles(waits)
-        if marks is not None:
-            print(f"measured miss wait quantiles: p50={marks['p50']:.1f}  "
-                  f"p90={marks['p90']:.1f}  p99={marks['p99']:.1f}  "
-                  f"max={waits.max():.1f}")
-        return 0
-    summary = slot_summary(array)
-    print(f"slot trace: {summary['slots']} slots from {path}")
-    print("  slots by kind: "
-          + ", ".join(f"{k}={v}" for k, v in sorted(summary["kinds"].items())))
-    print(f"  mean queue depth: {summary['mean_queue_depth']:.2f}")
-    print(f"  requests dropped: {summary['dropped']}")
+    print("\n".join(lines))
     return 0
 
 
@@ -1020,7 +1004,7 @@ def _cmd_sanitize(args) -> int:
         report = sanitize_config(
             config, engines=engines, hash_seed=hash_seed,
             inject_divergence=args.inject_divergence)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"sanitize: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

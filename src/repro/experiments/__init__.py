@@ -47,8 +47,6 @@ from repro.experiments.schedulers import (
     sched_sweep_figure,
 )
 from repro.experiments.tracing import (
-    TRACE_FORMATS,
-    open_trace_sink,
     trace_representative,
     write_request_trace,
     write_slot_trace,
@@ -97,8 +95,6 @@ __all__ = [
     "ALL_FIGURES",
     "REPRESENTATIVE_POINTS",
     "representative_config",
-    "TRACE_FORMATS",
-    "open_trace_sink",
     "trace_representative",
     "write_request_trace",
     "write_slot_trace",

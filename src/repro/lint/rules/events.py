@@ -1,7 +1,7 @@
 """REP005 event-name registry discipline.
 
 Trace and metric event names cross the process boundary as strings
-(JSONL traces, figure JSON, metric names), so a typo or a name invented
+(exported traces, figure JSON, metric names), so a typo or a name invented
 by one engine is invisible to the type checker and only surfaces as a
 silently-empty trace diff.  **REP005** closes the gap: ``obs/events.py``
 is the single registry of event vocabularies.  The rule re-derives the

@@ -6,11 +6,11 @@ opens the black box:
 - :mod:`repro.obs.attach` — the one way to observe a run: shadows on
   the shared components' bound methods, stackable and undone in order,
 - :mod:`repro.obs.trace` — per-slot structured records through pluggable
-  sinks (null / in-memory ring / JSONL file),
-- :mod:`repro.obs.columnar` — the columnar trace backend: numpy
+  sinks (null / in-memory ring / columnar file),
+- :mod:`repro.obs.columnar` — the on-disk trace format: numpy
   structured-array sink with memory-mapped ``.npy`` persistence,
-  lossless JSONL converters, and vectorized breakdown analytics for
-  million-record traces,
+  checked on load, one JSON-lines export, and vectorized breakdown
+  analytics for million-record traces,
 - :mod:`repro.obs.metrics` — a counters/gauges/histograms registry with a
   shared no-op mode for zero-cost disabled instrumentation,
 - :mod:`repro.obs.profile` — wall time per component-call phase of
@@ -50,7 +50,6 @@ from repro.obs.columnar import (
     array_to_records,
     breakdown_of_array,
     columnar_to_jsonl,
-    jsonl_to_columnar,
     load_columnar,
     measured_miss_waits,
     records_to_array,
@@ -90,16 +89,13 @@ from repro.obs.requests import (
     RequestTracer,
     WaitBreakdown,
     breakdown_of,
-    read_requests_jsonl,
 )
 from repro.obs.trace import (
-    JsonlSink,
     MemorySink,
     NullSink,
     SlotRecord,
     SlotTracer,
     TraceSink,
-    read_jsonl,
 )
 from repro.sim.monitor import (
     LATENCY_BUCKETS,
@@ -115,8 +111,6 @@ __all__ = [
     "TraceSink",
     "NullSink",
     "MemorySink",
-    "JsonlSink",
-    "read_jsonl",
     "ColumnarSink",
     "SLOT_DTYPE",
     "REQUEST_DTYPE",
@@ -124,7 +118,6 @@ __all__ = [
     "table_of",
     "records_to_array",
     "array_to_records",
-    "jsonl_to_columnar",
     "columnar_to_jsonl",
     "breakdown_of_array",
     "measured_miss_waits",
@@ -145,7 +138,6 @@ __all__ = [
     "RequestTracer",
     "WaitBreakdown",
     "breakdown_of",
-    "read_requests_jsonl",
     "LATENCY_BUCKETS",
     "log_buckets",
     "MANIFEST_VERSION",

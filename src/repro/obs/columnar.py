@@ -1,24 +1,26 @@
-"""Columnar trace backend: structured arrays with memory-mapped ``.npy``.
+"""The on-disk trace format: structured arrays in a memory-mapped ``.npy``.
 
-JSONL traces of paper-scale sweeps run to millions of records, and the
-pure-Python readback path (``json.loads`` per line, one frozen dataclass
-per record) becomes the analysis bottleneck long before the simulation
-does.  This module stores the same slot / request records as numpy
-structured arrays instead:
+Every trace a run writes and every trace anything reads is a numpy
+structured array of slot / request records.  Paper-scale sweeps run to
+millions of records, and a text trace (``json.loads`` per line, one
+frozen dataclass per record) made readback the analysis bottleneck long
+before the simulation was:
 
-- :class:`ColumnarSink` — the third first-class :class:`~repro.obs.trace.\
-TraceSink`: buffers records into fixed-size structured-array chunks and
-  persists them as a single ``.npy`` file (written through
-  ``np.lib.format``, so plain ``np.load(..., mmap_mode="r")`` maps it
-  back without materializing anything),
-- :func:`load_columnar` — memory-mapped readback; million-record traces
-  open in milliseconds and pages stream in on demand,
-- :func:`jsonl_to_columnar` / :func:`columnar_to_jsonl` — lossless
-  round-trip converters between the two on-disk formats
-  (:func:`jsonl_to_array` reads a JSONL trace straight into memory),
+- :class:`ColumnarSink` — the file-writing
+  :class:`~repro.obs.trace.TraceSink`: buffers records into fixed-size
+  structured-array chunks and persists them as a single ``.npy`` file
+  (written through ``np.lib.format``, so plain
+  ``np.load(..., mmap_mode="r")`` maps it back without materializing
+  anything),
+- :func:`load_columnar` — the single door a trace file comes back in
+  by: memory-mapped, dtype and enum codes checked on load, so
+  million-record traces open in milliseconds and pages stream in on
+  demand,
+- :func:`columnar_to_jsonl` — the one text export (``repro-broadcast
+  convert``), for ``grep`` / ``jq`` and hand inspection,
 - :func:`breakdown_of_array` / :func:`measured_miss_waits` /
-  :func:`slot_summary` — vectorized analytics that replace the
-  per-record Python loops; a waits column goes to
+  :func:`slot_summary` — vectorized analytics in place of per-record
+  Python loops; a waits column goes to
   :func:`repro.sim.monitor.exact_quantiles` for *exact* order
   statistics, not bucket approximations.
 
@@ -39,8 +41,8 @@ OPTIONAL_REQUEST_FIELDS` order) was ``None``.
 
 The mask is authoritative on decode — sentinels are only a convenience
 for vectorized math (``np.isnan`` masks, ``page >= 0`` filters) — which
-makes the JSONL <-> columnar round trip bit-identical even if a real
-value ever collided with a sentinel.  Enum-valued string fields
+keeps the record round trip lossless even if a real value ever collided
+with a sentinel.  Enum-valued string fields
 (``kind``, ``served_kind``, ``pull_outcome``) are stored as int8 codes
 indexing the shared registries in :mod:`repro.obs.events`, keeping every
 row fixed-width.
@@ -67,8 +69,6 @@ __all__ = [
     "table_of",
     "records_to_array",
     "array_to_records",
-    "jsonl_to_array",
-    "jsonl_to_columnar",
     "columnar_to_jsonl",
     "breakdown_of_array",
     "measured_miss_waits",
@@ -346,18 +346,44 @@ class ColumnarSink(TraceSink):
         del out
 
 
+#: Enum-coded columns per table: ``(column, lowest code, registry)``.
+_ENUM_COLUMNS = {
+    "slot": (("kind", 0, SLOT_KINDS),),
+    "request": (("pull_outcome", -1, OFFER_OUTCOMES),
+                ("served_kind", 0, SERVED_KINDS)),
+}
+
+
 def load_columnar(path: Union[str, Path], mmap: bool = True) -> np.ndarray:
     """Open a ``.npy`` trace written by :class:`ColumnarSink`.
 
     Memory-mapped read-only by default, so million-record traces cost
     no load time and no resident memory until sliced; ``mmap=False``
     reads the whole array eagerly instead.
+
+    This is where a file from outside the program enters, so it is
+    where one is checked: anything that is not a ``.npy`` of one of the
+    two trace dtypes, or that holds an enum code outside its registry,
+    raises a ValueError naming the file (a path that cannot be opened
+    raises its OSError).
     """
     path = Path(path)
-    array = np.load(path, mmap_mode="r" if mmap else None)
-    if array.dtype not in (SLOT_DTYPE, REQUEST_DTYPE):
-        raise ValueError(
-            f"{path}: not a columnar trace (dtype {array.dtype})")
+    try:
+        array = np.load(path, mmap_mode="r" if mmap else None)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: not a columnar trace ({exc})") from exc
+    dtype = getattr(array, "dtype", None)  # an .npz loads as a non-array
+    if dtype not in (SLOT_DTYPE, REQUEST_DTYPE) or array.ndim != 1:
+        raise ValueError(f"{path}: not a columnar trace (dtype {dtype})")
+    if array.shape[0]:
+        for column, lowest, registry in _ENUM_COLUMNS[table_of(array)]:
+            codes = array[column]
+            low, high = int(codes.min()), int(codes.max())
+            if low < lowest or high >= len(registry):
+                raise ValueError(
+                    f"{path}: column {column!r} holds code "
+                    f"{low if low < lowest else high} outside "
+                    f"[{lowest}, {len(registry)})")
     return array
 
 
@@ -394,77 +420,18 @@ def array_to_records(array: np.ndarray) -> list:
     return [decode(row) for row in array]
 
 
-def _stream_jsonl(src: Union[str, Path], dst: Union[str, Path, None],
-                  chunk: int = DEFAULT_CHUNK) -> Optional[ColumnarSink]:
-    """Stream a JSONL trace into a sink bound for ``dst`` (None: memory).
-
-    Line by line, so O(chunk) memory beyond the sink itself.  The record
-    table comes from the first object's keys; an empty file has none, so
-    it returns None — there is no way to know which table it would have
-    held.
-    """
-    sink: Optional[ColumnarSink] = None
-    with Path(src).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            if sink is None:
-                if "issued_at" in data:
-                    table = "request"
-                elif "slot" in data:
-                    table = "slot"
-                else:
-                    raise ValueError(
-                        f"{src}: unrecognized trace record "
-                        f"(keys: {', '.join(sorted(data))})")
-                sink = ColumnarSink(dst, table=table, chunk=chunk)
-            sink.emit(SlotRecord.from_dict(data) if sink.table == "slot"
-                      else RequestRecord.from_dict(data))
-    return sink
-
-
-def jsonl_to_array(src: Union[str, Path]) -> Optional[np.ndarray]:
-    """Read a JSONL trace as a structured array (None for an empty file).
-
-    What :func:`jsonl_to_columnar` does, minus the file: the analytics
-    below then serve both on-disk formats.
-    """
-    sink = _stream_jsonl(src, None)
-    return sink.array() if sink is not None else None
-
-
-def jsonl_to_columnar(src: Union[str, Path], dst: Union[str, Path],
-                      chunk: int = DEFAULT_CHUNK) -> int:
-    """Convert a JSONL trace to columnar ``.npy``; returns the row count.
-
-    Streams through a :class:`ColumnarSink`, so the conversion runs in
-    O(chunk) memory regardless of trace size.  An empty JSONL file is
-    rejected.
-    """
-    sink = _stream_jsonl(src, dst, chunk)
-    if sink is None:
-        raise ValueError(f"{src}: empty trace, cannot infer record table")
-    sink.close()
-    return sink.emitted
-
-
 def columnar_to_jsonl(src: Union[str, Path], dst: Union[str, Path]) -> int:
-    """Convert a columnar ``.npy`` trace to JSONL; returns the row count.
+    """Export a ``.npy`` trace as JSON lines; returns the row count.
 
-    The exact inverse of :func:`jsonl_to_columnar`: decoded records
-    serialize through the same ``to_dict`` path the live
-    :class:`~repro.obs.trace.JsonlSink` uses, so converting back and
-    forth reproduces the original file byte for byte.
+    One compact object per record, keys in field order — the text form
+    for ``grep`` / ``jq`` and reading by hand.  Nothing reads it back.
     """
-    from repro.obs.trace import JsonlSink
-
     array = load_columnar(src)
     _, _, decode = _TABLE_SPEC[table_of(array)]
-    with JsonlSink(dst) as sink:
+    with Path(dst).open("w") as handle:
         for row in array:
-            sink.emit(decode(row))
+            json.dump(decode(row).to_dict(), handle, separators=(",", ":"))
+            handle.write("\n")
     return int(array.shape[0])
 
 
@@ -526,8 +493,7 @@ def slot_summary(array: np.ndarray) -> dict:
     """Aggregate view of a slot table (the ``report`` command's lines).
 
     Returns ``{"slots": n, "kinds": {name: count}, "mean_queue_depth":
-    float, "dropped": int}`` with only the slot kinds actually present,
-    matching the Counter the JSONL report path builds.
+    float, "dropped": int}`` with only the slot kinds actually present.
     """
     _require_table(array, "slot")
     total = int(array.shape[0])

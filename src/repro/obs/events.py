@@ -1,7 +1,7 @@
 """The shared event-name registry: every cross-engine vocabulary in one place.
 
 Trace records, metrics, and run results are stringly-typed at their
-serialization boundary (JSONL traces, figure JSON, metric names), and the
+serialization boundary (trace files, figure JSON, metric names), and the
 reference and fast engines must speak *exactly* the same vocabulary or
 `repro.obs.compare` and downstream consumers silently diverge.  This module
 is the single source of truth for those vocabularies:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.sim.monitor import LATENCY_BUCKETS, Histogram, Tally
+from repro.sim.monitor import LATENCY_BUCKETS, Histogram
 
 __all__ = [
     "Counter",
@@ -189,30 +189,10 @@ class MetricsRegistry:
         """Get or create the named histogram."""
         return self._get_or_create(Histogram, name, help_, buckets)
 
-    def register_tally(self, name: str, tally: Tally,
-                       help_: str = "") -> None:
-        """Expose an externally owned :class:`Tally` in snapshots.
-
-        The simulation's own statistics collectors (MC response-time
-        tallies etc.) can be published without copying; the snapshot
-        reads their state lazily.
-        """
-        if not self.enabled:
-            return
-        existing = self._instruments.get(name)
-        if existing is not None and existing is not tally:
-            raise TypeError(f"metric {name!r} already registered")
-        self._instruments[name] = tally
-
     def snapshot(self) -> dict:
         """Nested plain-dict state of every instrument."""
-        out = {}
-        for name, instrument in sorted(self._instruments.items()):
-            if isinstance(instrument, Tally):
-                out[name] = {"type": "summary", **instrument.as_dict()}
-            else:
-                out[name] = instrument.snapshot()
-        return out
+        return {name: instrument.snapshot()
+                for name, instrument in sorted(self._instruments.items())}
 
     def render(self) -> str:
         """Human-readable table of the current snapshot."""

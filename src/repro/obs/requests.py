@@ -12,7 +12,8 @@ A :class:`RequestTracer` attaches to the components both engines share
 (the measured client, the server and its queue, so the hook points are
 identical by construction) and emits one :class:`RequestRecord` per
 completed access through the same sink protocol the slot tracer uses
-(:class:`~repro.obs.trace.NullSink` / ``MemorySink`` / ``JsonlSink``).
+(:class:`~repro.obs.trace.NullSink` / ``MemorySink`` /
+:class:`~repro.obs.columnar.ColumnarSink`).
 Alongside the per-request stream it accumulates a
 :class:`WaitBreakdown` — the think / push-wait / pull-queue-wait /
 service decomposition over the measured phase — and a
@@ -26,10 +27,8 @@ tracing code at all.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.obs.attach import Attachment
@@ -45,7 +44,6 @@ __all__ = [
     "RequestTracer",
     "WaitBreakdown",
     "breakdown_of",
-    "read_requests_jsonl",
 ]
 
 
@@ -94,44 +92,12 @@ class RequestRecord:
         """JSON-ready plain-dict form."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RequestRecord":
-        """Inverse of :meth:`to_dict`, tolerant across trace versions.
 
-        Unknown keys are ignored (a newer writer may add fields) and
-        missing Optional fields default to ``None`` (an older writer may
-        lack them); a missing *required* field raises a ValueError that
-        names it, instead of a bare KeyError.
-        """
-        fields = {}
-        for name in cls.__slots__:
-            if name in data:
-                fields[name] = data[name]
-            elif name in OPTIONAL_REQUEST_FIELDS:
-                fields[name] = None
-            else:
-                raise ValueError(
-                    f"request trace record missing required field {name!r}")
-        return cls(**fields)
-
-
-#: RequestRecord fields typed Optional: absent keys in a serialized
-#: record default to None instead of failing the load (these are also
-#: the columnar backend's null-mask columns, in this order).
+#: RequestRecord fields typed Optional: the columnar backend's null-mask
+#: columns, in this order.
 OPTIONAL_REQUEST_FIELDS: tuple[str, ...] = (
     "pull_outcome", "predicted_push_wait", "on_air_at", "queue_wait",
     "service")
-
-
-def read_requests_jsonl(path: str | Path) -> list[RequestRecord]:
-    """Load a request trace previously written through a ``JsonlSink``."""
-    records = []
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(RequestRecord.from_dict(json.loads(line)))
-    return records
 
 
 @dataclass
@@ -255,9 +221,10 @@ def breakdown_of(records: Iterable[RequestRecord],
                  measured_only: bool = True) -> WaitBreakdown:
     """Aggregate saved records into a :class:`WaitBreakdown`.
 
-    Used by ``repro-broadcast report --trace`` to reconstruct the
-    decomposition from a JSONL file; ``think_time`` (broadcast units per
-    access) fills the think row when known.
+    The record-loop reference that
+    :func:`repro.obs.columnar.breakdown_of_array` (what ``report
+    --trace`` runs) is tested against; ``think_time`` (broadcast units
+    per access) fills the think row when known.
     """
     breakdown = WaitBreakdown()
     for record in records:

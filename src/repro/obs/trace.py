@@ -14,7 +14,8 @@ Sinks decide what happens to the records:
 
 - :class:`NullSink` discards them (measures pure hook overhead),
 - :class:`MemorySink` keeps them in an optional-capacity ring buffer,
-- :class:`JsonlSink` streams them to a JSON-lines file.
+- :class:`~repro.obs.columnar.ColumnarSink` writes them to the one
+  on-disk trace format, a columnar ``.npy``.
 
 Tracing is strictly opt-in — the hooks are shadows on the component
 instances (:mod:`repro.obs.attach`), so a run without a tracer executes
@@ -23,11 +24,9 @@ no tracing code at all.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.obs.attach import Attachment
 from repro.obs.events import SLOT_KINDS
@@ -41,14 +40,11 @@ __all__ = [
     "TraceSink",
     "NullSink",
     "MemorySink",
-    "JsonlSink",
     "SlotTracer",
-    "read_jsonl",
 ]
 
-#: SlotRecord fields typed Optional: absent keys in a serialized record
-#: default to None instead of failing the load (these are also the
-#: columnar backend's null-mask columns, in this order).
+#: SlotRecord fields typed Optional: the columnar backend's null-mask
+#: columns, in this order.
 OPTIONAL_SLOT_FIELDS: tuple[str, ...] = ("page", "mc_waiting")
 
 
@@ -87,26 +83,6 @@ class SlotRecord:
     def to_dict(self) -> dict:
         """JSON-ready plain-dict form."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SlotRecord":
-        """Inverse of :meth:`to_dict`, tolerant across trace versions.
-
-        Unknown keys are ignored (a newer writer may add fields) and
-        missing Optional fields default to ``None`` (an older writer may
-        lack them); a missing *required* field raises a ValueError that
-        names it, instead of a bare KeyError.
-        """
-        fields = {}
-        for name in cls.__slots__:
-            if name in data:
-                fields[name] = data[name]
-            elif name in OPTIONAL_SLOT_FIELDS:
-                fields[name] = None
-            else:
-                raise ValueError(
-                    f"slot trace record missing required field {name!r}")
-        return cls(**fields)
 
 
 class TraceSink:
@@ -156,43 +132,6 @@ class MemorySink(TraceSink):
     def clear(self) -> None:
         """Drop the retained records (keeps the emitted count)."""
         self._ring.clear()
-
-
-class JsonlSink(TraceSink):
-    """Streams records to a JSON-lines file, one object per slot."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._file: Optional[IO[str]] = self.path.open("w")
-        self.emitted = 0
-
-    def emit(self, record: SlotRecord) -> None:
-        if self._file is None:
-            raise ValueError(f"sink for {self.path} is closed")
-        json.dump(record.to_dict(), self._file, separators=(",", ":"))
-        self._file.write("\n")
-        self.emitted += 1
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-
-def read_jsonl(path: str | Path, cls=SlotRecord) -> list:
-    """Load a trace previously written by :class:`JsonlSink`.
-
-    ``cls`` is the record type to rebuild — any class with a
-    ``from_dict`` classmethod (e.g.
-    :class:`~repro.obs.requests.RequestRecord` for request traces).
-    """
-    records = []
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(cls.from_dict(json.loads(line)))
-    return records
 
 
 class SlotTracer:

@@ -8,10 +8,9 @@ the paper (and for simpy, which is unavailable offline).  It provides:
   one-shot occurrences that processes can wait on,
 - :class:`~repro.sim.process.Process` — generator-based coroutine processes
   with interrupt support,
-- :mod:`~repro.sim.resources` — FIFO stores and capacity-limited resources,
-- :mod:`~repro.sim.monitor` — tally and time-weighted statistics, and the
-  streaming :class:`~repro.sim.monitor.Histogram` / exact-quantile pair
-  every layer summarises a sample with.
+- :mod:`~repro.sim.monitor` — tally statistics, and the streaming
+  :class:`~repro.sim.monitor.Histogram` / exact-quantile pair every
+  layer summarises a sample with.
 
 The kernel is deterministic: events scheduled for the same time fire in
 scheduling order (FIFO), so a seeded simulation always replays identically.
@@ -19,8 +18,7 @@ scheduling order (FIFO), so a seeded simulation always replays identically.
 
 from repro.sim.core import Environment, Event, Timeout, SimulationError
 from repro.sim.process import Process, Interrupt
-from repro.sim.resources import Store, Resource, StoreFull
-from repro.sim.monitor import Tally, TimeWeighted
+from repro.sim.monitor import Tally
 
 __all__ = [
     "Environment",
@@ -29,9 +27,5 @@ __all__ = [
     "SimulationError",
     "Process",
     "Interrupt",
-    "Store",
-    "Resource",
-    "StoreFull",
     "Tally",
-    "TimeWeighted",
 ]

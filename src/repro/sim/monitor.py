@@ -1,10 +1,8 @@
 """Statistics collectors for simulation output.
 
 :class:`Tally` accumulates per-observation moments (Welford, so
-million-observation runs stay accurate); :class:`TimeWeighted` integrates
-a piecewise-constant signal over simulated time (queue lengths,
-occupancy).  On top of ``Tally`` sit the two ways this codebase
-summarises a sample of response times:
+million-observation runs stay accurate).  On top of it sit the two ways
+this codebase summarises a sample of response times:
 
 - :class:`Histogram` — the one *streaming* accumulator, for when the
   samples cannot be kept: the moments of its inner ``Tally`` plus bucket
@@ -29,7 +27,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "Histogram",
     "Tally",
-    "TimeWeighted",
     "bucket_quantile",
     "exact_quantiles",
     "log_buckets",
@@ -174,54 +171,6 @@ class Tally:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Tally(count={self.count}, mean={self.mean:.4g}, "
                 f"min={self.min:.4g}, max={self.max:.4g})")
-
-
-class TimeWeighted:
-    """Time-average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes; :attr:`mean` is the
-    integral divided by elapsed time.
-    """
-
-    __slots__ = ("_start", "_last_time", "_value", "_area", "max")
-
-    def __init__(self, time: float = 0.0, value: float = 0.0) -> None:
-        self._start = time
-        self._last_time = time
-        self._value = value
-        self._area = 0.0
-        self.max = value
-
-    @property
-    def value(self) -> float:
-        """Current level of the signal."""
-        return self._value
-
-    def update(self, time: float, value: float) -> None:
-        """Record that the signal changed to ``value`` at ``time``."""
-        if time < self._last_time:
-            raise ValueError("time moved backwards")
-        self._area += self._value * (time - self._last_time)
-        self._last_time = time
-        self._value = value
-        if value > self.max:
-            self.max = value
-
-    def mean(self, now: float | None = None) -> float:
-        """Time-average from construction to ``now`` (default: last update)."""
-        end = self._last_time if now is None else now
-        if end < self._last_time:
-            raise ValueError("now precedes the last recorded update")
-        elapsed = end - self._start
-        if elapsed == 0:
-            return self._value
-        area = self._area + self._value * (end - self._last_time)
-        return area / elapsed
-
-    def as_dict(self, now: float | None = None) -> dict[str, float]:
-        """Plain-dict summary for observability exports."""
-        return {"value": self._value, "mean": self.mean(now),
-                "max": self.max}
 
 
 # -- summarising a sample ----------------------------------------------------

@@ -66,49 +66,42 @@ class TestVersionFlag:
 
 
 class TestTraceCommand:
-    def test_writes_valid_jsonl(self, tmp_path, capsys):
-        path = tmp_path / "trace.jsonl"
-        code = main(["trace", "--algorithm", "pure-pull", "--ttr", "2",
-                     "--settle", "20", "--measure", "40",
-                     "--out", str(path)])
-        assert code == 0
-        lines = path.read_text().splitlines()
-        assert lines
-        for line in lines:
-            record = json.loads(line)
-            assert record["kind"] in ("push", "pull", "padding", "idle")
-            assert record["queue_depth"] >= 0
-        slots = [json.loads(line)["slot"] for line in lines]
-        assert slots == list(range(len(slots)))
-        assert f"{len(lines)} slot records" in capsys.readouterr().out
-
     def test_figure_point_traces(self, tmp_path):
         """Acceptance: tracing a figure's representative sweep point
-        produces a valid JSONL trace."""
-        path = tmp_path / "fig.jsonl"
+        produces a valid slot trace."""
+        from repro.obs.columnar import array_to_records, load_columnar
+
+        path = tmp_path / "fig.npy"
         code = main(["trace", "--figure", "3a", "--settle", "20",
                      "--measure", "40", "--out", str(path)])
         assert code == 0
-        records = [json.loads(line)
-                   for line in path.read_text().splitlines()]
+        records = array_to_records(load_columnar(path))
         assert records
-        assert {"push", "pull"} & {r["kind"] for r in records}
+        assert {"push", "pull"} & {r.kind for r in records}
 
     def test_reference_engine_traces_too(self, tmp_path):
-        path = tmp_path / "ref.jsonl"
+        from repro.obs.columnar import load_columnar
+
+        path = tmp_path / "ref.npy"
         code = main(["trace", "--algorithm", "pure-push", "--ttr", "2",
                      "--settle", "20", "--measure", "40",
                      "--engine", "reference", "--out", str(path)])
         assert code == 0
-        assert path.read_text().splitlines()
+        assert load_columnar(path).shape[0]
 
     def test_unknown_figure_id(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["trace", "--figure", "nope",
-                  "--out", str(tmp_path / "t.jsonl")])
+                  "--out", str(tmp_path / "t.npy")])
 
     def test_requests_flag_writes_lifecycle_records(self, tmp_path, capsys):
-        path = tmp_path / "req.jsonl"
+        from repro.obs.columnar import (
+            array_to_records,
+            load_columnar,
+            table_of,
+        )
+
+        path = tmp_path / "req.npy"
         code = main(["trace", "--requests", "--algorithm", "ipp",
                      "--ttr", "2", "--settle", "20", "--measure", "60",
                      "--out", str(path)])
@@ -116,21 +109,21 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "request records" in out
         assert "pull queue wait" in out  # breakdown printed to terminal
-        records = [json.loads(line)
-                   for line in path.read_text().splitlines()]
-        assert records
-        assert all("issued_at" in r for r in records)
-        misses = [r for r in records if not r["hit"]]
+        array = load_columnar(path)
+        assert table_of(array) == "request"
+        misses = [r for r in array_to_records(array) if not r.hit]
         assert misses
-        assert all(r["served_kind"] in ("push", "pull") for r in misses)
+        assert all(r.served_kind in ("push", "pull") for r in misses)
 
     def test_requests_flag_on_reference_engine(self, tmp_path):
-        path = tmp_path / "req_ref.jsonl"
+        from repro.obs.columnar import load_columnar
+
+        path = tmp_path / "req_ref.npy"
         code = main(["trace", "--requests", "--algorithm", "pure-pull",
                      "--ttr", "2", "--settle", "20", "--measure", "40",
                      "--engine", "reference", "--out", str(path)])
         assert code == 0
-        assert path.read_text().splitlines()
+        assert load_columnar(path).shape[0]
 
     def test_columnar_format_writes_npy(self, tmp_path, capsys):
         from repro.obs.columnar import load_columnar, table_of
@@ -138,62 +131,160 @@ class TestTraceCommand:
         path = tmp_path / "slots.npy"
         code = main(["trace", "--algorithm", "pure-pull", "--ttr", "2",
                      "--settle", "20", "--measure", "40",
-                     "--format", "columnar", "--out", str(path)])
-        assert code == 0
-        assert "slot records" in capsys.readouterr().out
-        array = load_columnar(path)
-        assert table_of(array) == "slot"
-        assert array["slot"].tolist() == list(range(array.shape[0]))
-
-    def test_auto_format_follows_npy_suffix(self, tmp_path):
-        from repro.obs.columnar import load_columnar, table_of
-
-        path = tmp_path / "req.npy"
-        code = main(["trace", "--requests", "--algorithm", "ipp",
-                     "--ttr", "2", "--settle", "20", "--measure", "60",
                      "--out", str(path)])
         assert code == 0
-        assert table_of(load_columnar(path)) == "request"
+        array = load_columnar(path)
+        assert f"{array.shape[0]} slot records" in capsys.readouterr().out
+        assert table_of(array) == "slot"
+        assert array["slot"].tolist() == list(range(array.shape[0]))
+        assert (array["queue_depth"] >= 0).all()
+
+    def test_non_npy_out_exits_2_naming_convert(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        assert main(["trace", "--ttr", "2", "--settle", "20",
+                     "--measure", "40", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trace:") and "convert" in err
+        assert not path.exists()
+
+    def test_format_flags_are_gone(self, capsys):
+        for argv in (["trace", "--format", "columnar"],
+                     ["figures", "--trace-format", "columnar"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def pinned_export_config():
+    """The run whose JSONL export is pinned below: small enough for
+    tier-1, saturated enough that the request table holds hits, push-
+    and pull-served misses, every pull outcome (and none), and pages
+    off the push program (``predicted_push_wait`` None)."""
+    from repro.core.algorithms import Algorithm
+    from repro.core.config import SystemConfig
+
+    return SystemConfig(algorithm=Algorithm.IPP).with_(
+        client__think_time_ratio=100.0, client__cache_size=10,
+        server__db_size=100, server__disk_sizes=(10, 40, 50),
+        server__queue_size=10, server__pull_bw=0.5,
+        server__thresh_perc=0.25, server__chop=20,
+        run__seed=7, run__settle_accesses=30, run__measure_accesses=90)
 
 
 class TestConvertCommand:
-    def _request_trace(self, tmp_path, name="req.jsonl"):
+    def _request_trace(self, tmp_path, name="req.npy"):
         path = tmp_path / name
         assert main(["trace", "--requests", "--algorithm", "ipp",
                      "--ttr", "2", "--settle", "20", "--measure", "60",
                      "--out", str(path)]) == 0
         return path
 
-    def test_roundtrip_is_byte_identical(self, tmp_path, capsys):
-        src = self._request_trace(tmp_path)
-        npy = tmp_path / "req.npy"
-        back = tmp_path / "back.jsonl"
-        capsys.readouterr()
-        assert main(["convert", str(src), str(npy)]) == 0
-        assert main(["convert", str(npy), str(back)]) == 0
-        out = capsys.readouterr().out
-        assert "records" in out
-        assert back.read_bytes() == src.read_bytes()
+    # sha256 of what the JSONL sink of commit 4f2c746 (the last tree that
+    # had one) wrote for pinned_export_config(); the export must keep
+    # writing those bytes.
+    PINNED = {
+        "slot": (5768, "fd8047195176ab4a5e2c9ab33d91b4c7"
+                       "4dab2052a494da38dff19f4bf6407577"),
+        "request": (135, "6e51bdf96a4e77b7c3699aed2e4570894"
+                         "208f87ec5b54083d3d7337425bca015"),
+    }
 
-    def test_rejects_ambiguous_directions(self, tmp_path, capsys):
-        src = tmp_path / "a.jsonl"
-        src.write_text("{}\n")
-        assert main(["convert", str(src), str(tmp_path / "b.jsonl")]) == 2
-        assert "exactly one" in capsys.readouterr().err
-        assert main(["convert", str(tmp_path / "a.npy"),
-                     str(tmp_path / "b.npy")]) == 2
+    @pytest.mark.parametrize("table", ["slot", "request"])
+    def test_export_matches_pinned_jsonl_sink_bytes(self, tmp_path, capsys,
+                                                    table):
+        import hashlib
+
+        from repro.experiments.tracing import (
+            write_request_trace,
+            write_slot_trace,
+        )
+
+        npy = tmp_path / f"{table}.npy"
+        write = write_slot_trace if table == "slot" else write_request_trace
+        write(pinned_export_config(), npy)
+        out = tmp_path / "nested" / f"{table}.jsonl"
+        assert main(["convert", str(npy), str(out)]) == 0
+        lines, digest = self.PINNED[table]
+        assert f"{lines} records" in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        if table == "request":
+            records = [json.loads(line)
+                       for line in out.read_text().splitlines()]
+            seen = {(r["served_kind"], r["pull_outcome"],
+                     r["predicted_push_wait"] is None) for r in records}
+            assert {("cache", None, True), ("push", None, False),
+                    ("push", "dropped", False), ("pull", None, False),
+                    ("pull", "enqueued", False), ("pull", "enqueued", True),
+                    ("pull", "duplicate", False),
+                    ("pull", "dropped", True)} <= seen
+
+    def test_rejects_npy_destination(self, tmp_path, capsys):
+        src = self._request_trace(tmp_path)
+        assert main(["convert", str(src), str(tmp_path / "b.npy")]) == 2
+        assert "convert:" in capsys.readouterr().err
+        assert not (tmp_path / "b.npy").exists()
 
     def test_missing_source_reports_cleanly(self, tmp_path, capsys):
-        assert main(["convert", str(tmp_path / "nope.jsonl"),
-                     str(tmp_path / "out.npy")]) == 2
+        assert main(["convert", str(tmp_path / "nope.npy"),
+                     str(tmp_path / "out.jsonl")]) == 2
         assert "convert:" in capsys.readouterr().err
 
-    def test_empty_source_reports_cleanly(self, tmp_path, capsys):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        assert main(["convert", str(empty),
-                     str(tmp_path / "out.npy")]) == 2
-        assert "empty trace" in capsys.readouterr().err
+
+def _bad_trace_file(tmp_path, case):
+    """One file no run could have written, per ``case``."""
+    import numpy as np
+
+    from repro.obs.columnar import SLOT_DTYPE
+
+    path = tmp_path / "bad.npy"
+    good = np.zeros(64, SLOT_DTYPE)
+    if case == "garbage bytes":
+        path.write_bytes(b"not an npy file at all\n" * 8)
+    elif case == "empty file":
+        path.write_bytes(b"")
+    elif case == "text trace":
+        path.write_text('{"slot":0,"kind":"push"}\n')
+    elif case == "foreign dtype":
+        np.save(path, np.zeros(4))
+    elif case == "object dtype":
+        np.save(path, np.array([{"slot": 0}, None], dtype=object),
+                allow_pickle=True)
+    elif case == "zip archive":
+        np.savez(tmp_path / "bad", slots=good)
+        (tmp_path / "bad.npz").rename(path)
+    elif case in ("truncated header", "truncated payload"):
+        np.save(path, good)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:20] if case == "truncated header"
+                         else raw[:-100])
+    elif case == "directory":
+        path.mkdir()
+    else:
+        good["kind"][3] = {"out-of-range enum code": 99,
+                           "negative enum code": -1}[case]
+        np.save(path, good)
+    return path
+
+
+class TestBadTraceFiles:
+    @pytest.mark.parametrize("case", [
+        "garbage bytes", "empty file", "text trace", "foreign dtype",
+        "object dtype", "zip archive", "truncated header",
+        "truncated payload", "directory", "out-of-range enum code",
+        "negative enum code"])
+    def test_report_and_convert_exit_2_with_one_line(self, tmp_path, capsys,
+                                                     case):
+        path = _bad_trace_file(tmp_path, case)
+        out = tmp_path / "out.jsonl"
+        for name, argv in (("report", ["report", "--trace", str(path)]),
+                           ("convert", ["convert", str(path), str(out)])):
+            assert main(argv) == 2  # an uncaught exception fails here
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith(f"{name}: ")
+            assert "bad.npy" in line
 
 
 class TestReportCommand:
@@ -234,7 +325,7 @@ class TestReportCommand:
         assert "no manifest" in out
 
     def test_request_trace_breakdown(self, tmp_path, capsys):
-        path = tmp_path / "req.jsonl"
+        path = tmp_path / "req.npy"
         assert main(["trace", "--requests", "--algorithm", "ipp",
                      "--ttr", "2", "--settle", "20", "--measure", "60",
                      "--out", str(path)]) == 0
@@ -247,7 +338,7 @@ class TestReportCommand:
         assert "measured miss wait quantiles" in out
 
     def test_slot_trace_summary(self, tmp_path, capsys):
-        path = tmp_path / "slots.jsonl"
+        path = tmp_path / "slots.npy"
         assert main(["trace", "--algorithm", "pure-pull", "--ttr", "2",
                      "--settle", "20", "--measure", "40",
                      "--out", str(path)]) == 0
@@ -261,80 +352,67 @@ class TestReportCommand:
     @staticmethod
     def _report_lines(capsys, path, *extra):
         assert main(["report", "--trace", str(path), *extra]) == 0
-        # Drop the header line that names the trace file; everything
-        # else must match between the two encodings of the same trace.
-        return [line for line in capsys.readouterr().out.splitlines()
-                if str(path) not in line]
+        return capsys.readouterr().out.replace(str(path), "PATH").splitlines()
 
-    def test_request_report_identical_across_formats(self, tmp_path,
-                                                     capsys):
-        """Acceptance: a JSONL trace and its columnar conversion report
-        identical breakdown and quantile tables."""
-        jsonl = tmp_path / "req.jsonl"
-        assert main(["trace", "--requests", "--algorithm", "ipp",
-                     "--ttr", "2", "--settle", "20", "--measure", "60",
-                     "--out", str(jsonl)]) == 0
-        npy = tmp_path / "req.npy"
-        assert main(["convert", str(jsonl), str(npy)]) == 0
-        capsys.readouterr()
-        from_jsonl = self._report_lines(capsys, jsonl,
-                                        "--think-time", "20")
-        from_npy = self._report_lines(capsys, npy, "--think-time", "20")
-        assert from_npy == from_jsonl
-        assert any("measured miss wait quantiles" in line
-                   for line in from_npy)
+    def test_report_of_the_pinned_run_is_the_jsonl_era_report(self, tmp_path,
+                                                              capsys):
+        """What commit 4f2c746 printed for a JSONL trace of the same run
+        (the run TestConvertCommand pins the export of)."""
+        from repro.experiments.tracing import (
+            write_request_trace,
+            write_slot_trace,
+        )
+
+        slots, requests = tmp_path / "slot.npy", tmp_path / "req.npy"
+        write_slot_trace(pinned_export_config(), slots)
+        write_request_trace(pinned_export_config(), requests)
+        assert self._report_lines(capsys, slots) == [
+            "slot trace: 5768 slots from PATH",
+            "  slots by kind: padding=80, pull=2849, push=2839",
+            "  mean queue depth: 9.07",
+            "  requests dropped: 2392"]
+        assert self._report_lines(capsys, requests) == [
+            "request trace: 135 records (90 measured) from PATH",
+            "",
+            "           stage  broadcast units  share  events",
+            "----------------  ---------------  -----  ------",
+            "           think             0.00   0.0%      90",
+            "       push wait          1,263.0  55.4%      24",
+            " pull queue wait            973.0  42.7%      20",
+            "service (on air)             44.0   1.9%      44",
+            "accesses 90 (hits 46 / misses 44), pulls sent 24 (enqueued 9, "
+            "duplicate 2, dropped 13)",
+            "measured miss wait quantiles: p50=29.0  p90=92.0  p99=324.0  "
+            "max=324.0"]
 
     def test_request_report_quantiles_are_exact_quantiles(self, tmp_path,
                                                           capsys):
-        from repro.obs.requests import read_requests_jsonl
+        from repro.obs.columnar import array_to_records, load_columnar
         from repro.sim.monitor import exact_quantiles
 
-        jsonl = tmp_path / "req.jsonl"
+        npy = tmp_path / "req.npy"
         assert main(["trace", "--requests", "--algorithm", "pure-pull",
                      "--ttr", "2", "--settle", "20", "--measure", "80",
-                     "--out", str(jsonl)]) == 0
+                     "--out", str(npy)]) == 0
         capsys.readouterr()
-        waits = [r.wait for r in read_requests_jsonl(jsonl)
+        waits = [r.wait for r in array_to_records(load_columnar(npy))
                  if r.measured and not r.hit]
         marks = exact_quantiles(waits)
         expected = (f"measured miss wait quantiles: p50={marks['p50']:.1f}  "
                     f"p90={marks['p90']:.1f}  p99={marks['p99']:.1f}  "
                     f"max={max(waits):.1f}")
-        assert expected in self._report_lines(capsys, jsonl)
+        assert expected in self._report_lines(capsys, npy)
 
     def test_missing_trace_reports_cleanly(self, tmp_path, capsys):
         for name in ("nope.jsonl", "nope.npy"):
             assert main(["report", "--trace", str(tmp_path / name)]) == 2
             assert "report:" in capsys.readouterr().err
 
-    def test_slot_report_identical_across_formats(self, tmp_path, capsys):
-        jsonl = tmp_path / "slots.jsonl"
-        assert main(["trace", "--algorithm", "pure-pull", "--ttr", "2",
-                     "--settle", "20", "--measure", "40",
-                     "--out", str(jsonl)]) == 0
-        npy = tmp_path / "slots.npy"
-        assert main(["convert", str(jsonl), str(npy)]) == 0
-        capsys.readouterr()
-        assert (self._report_lines(capsys, npy)
-                == self._report_lines(capsys, jsonl))
-
     def test_empty_columnar_trace(self, tmp_path, capsys):
         from repro.obs.columnar import ColumnarSink
 
         path = tmp_path / "empty.npy"
         ColumnarSink(path, table="request").close()
-        assert main(["report", "--trace", str(path)]) == 2
-        assert "empty trace" in capsys.readouterr().out
-
-    def test_unrecognized_trace_records(self, tmp_path, capsys):
-        path = tmp_path / "weird.jsonl"
-        path.write_text('{"foo": 1}\n')
-        assert main(["report", "--trace", str(path)]) == 2
-        assert "unrecognized trace record" in capsys.readouterr().err
-
-    def test_empty_trace(self, tmp_path, capsys):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
         assert main(["report", "--trace", str(path)]) == 2
         assert "empty trace" in capsys.readouterr().out
 
@@ -527,7 +605,7 @@ class TestFiguresCommand:
         data = json.loads((tmp_path / "figure_3a.json").read_text())
         assert data["figure"] == "3a"
         assert len(data["series"]) == 5
-        # --trace wrote the figure's representative point as JSONL.
-        trace_lines = (tmp_path / "trace_3a.jsonl").read_text().splitlines()
-        assert trace_lines
-        assert json.loads(trace_lines[0])["slot"] == 0
+        # --trace wrote the figure's representative point as a .npy.
+        from repro.obs.columnar import load_columnar
+
+        assert load_columnar(tmp_path / "trace_3a.npy")["slot"][0] == 0

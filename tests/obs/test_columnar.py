@@ -1,4 +1,6 @@
-"""Columnar trace backend: dtypes, sink, converters, vectorized analytics."""
+"""Columnar trace format: dtypes, sink, load checks, export, analytics."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ import pytest
 from repro.core.fast import FastEngine
 from repro.obs import (
     ColumnarSink,
-    JsonlSink,
     MemorySink,
     RequestRecord,
     RequestTracer,
@@ -17,14 +18,13 @@ from repro.obs import (
     breakdown_of_array,
     columnar_to_jsonl,
     exact_quantiles,
-    jsonl_to_columnar,
     load_columnar,
     measured_miss_waits,
     records_to_array,
     slot_summary,
     table_of,
 )
-from repro.obs.columnar import REQUEST_DTYPE, SLOT_DTYPE, jsonl_to_array
+from repro.obs.columnar import REQUEST_DTYPE, SLOT_DTYPE
 from tests.conftest import small_config
 
 
@@ -159,72 +159,74 @@ class TestColumnarSink:
 
 
 class TestConverters:
-    def _roundtrip(self, tmp_path, records):
-        src = tmp_path / "trace.jsonl"
-        with JsonlSink(src) as sink:
+    def _export(self, tmp_path, records):
+        npy = tmp_path / "trace.npy"
+        with ColumnarSink(npy) as sink:
             for record in records:
                 sink.emit(record)
-        npy = tmp_path / "trace.npy"
-        back = tmp_path / "back.jsonl"
-        assert jsonl_to_columnar(src, npy) == len(records)
-        assert columnar_to_jsonl(npy, back) == len(records)
-        return src.read_bytes(), back.read_bytes()
+        out = tmp_path / "trace.jsonl"
+        assert columnar_to_jsonl(npy, out) == len(records)
+        return out.read_text()
 
-    def test_request_jsonl_roundtrip_is_byte_identical(self, tmp_path):
-        original, back = self._roundtrip(tmp_path, [
+    def test_request_export_is_one_compact_object_per_record(self, tmp_path):
+        records = [
             request_record(0), hit_record(1),
             request_record(2, pull_outcome="dropped", served_kind="push",
-                           predicted_push_wait=None)])
-        assert back == original
+                           predicted_push_wait=None)]
+        text = self._export(tmp_path, records)
+        assert text == "".join(
+            json.dumps(r.to_dict(), separators=(",", ":")) + "\n"
+            for r in records)
+        assert '"pull_outcome":null' in text.splitlines()[1]
 
-    def test_slot_jsonl_roundtrip_is_byte_identical(self, tmp_path):
-        original, back = self._roundtrip(tmp_path, [
-            slot_record(0), slot_record(1, kind="idle", page=None),
-            slot_record(2, mc_waiting=5)])
-        assert back == original
-
-    def test_live_run_roundtrip(self, tmp_path):
-        _, requests = traced_run()
-        src = tmp_path / "req.jsonl"
-        with JsonlSink(src) as sink:
-            for record in requests:
-                sink.emit(record)
-        npy = tmp_path / "req.npy"
-        jsonl_to_columnar(src, npy)
-        assert array_to_records(load_columnar(npy)) == requests
-
-    def test_empty_jsonl_rejected(self, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        with pytest.raises(ValueError):
-            jsonl_to_columnar(empty, tmp_path / "out.npy")
-        assert jsonl_to_array(empty) is None  # no table to type it with
-
-    def test_jsonl_to_array_is_the_conversion_minus_the_file(self, tmp_path):
-        slots, requests = traced_run()
-        for name, records in (("slots", slots), ("requests", requests)):
-            src = tmp_path / f"{name}.jsonl"
-            with JsonlSink(src) as sink:
-                for record in records:
-                    sink.emit(record)
-            npy = tmp_path / f"{name}.npy"
-            jsonl_to_columnar(src, npy)
-            in_memory = jsonl_to_array(src)
-            assert in_memory.dtype == load_columnar(npy).dtype
-            assert in_memory.tobytes() == load_columnar(npy).tobytes()
-
-    def test_unrecognized_jsonl_names_the_file_and_keys(self, tmp_path):
-        weird = tmp_path / "weird.jsonl"
-        weird.write_text('{"foo": 1}\n')
-        with pytest.raises(ValueError, match="weird.jsonl: unrecognized "
-                                             r"trace record \(keys: foo\)"):
-            jsonl_to_array(weird)
+    def test_slot_export_is_one_compact_object_per_record(self, tmp_path):
+        records = [slot_record(0), slot_record(1, kind="idle", page=None),
+                   slot_record(2, mc_waiting=5)]
+        text = self._export(tmp_path, records)
+        assert text == "".join(
+            json.dumps(r.to_dict(), separators=(",", ":")) + "\n"
+            for r in records)
+        assert text.splitlines()[1].startswith(
+            '{"slot":1,"kind":"idle","page":null,')
 
     def test_foreign_npy_rejected(self, tmp_path):
         path = tmp_path / "foreign.npy"
         np.save(path, np.zeros(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="foreign.npy"):
             load_columnar(path)
+
+
+class TestLoadChecks:
+    @pytest.mark.parametrize("records, column, code", [
+        ([slot_record(0), slot_record(1)], "kind", 99),
+        ([slot_record(0), slot_record(1)], "kind", -1),
+        ([request_record(0), hit_record(1)], "served_kind", 3),
+        ([request_record(0), hit_record(1)], "served_kind", -1),
+        ([request_record(0), hit_record(1)], "pull_outcome", 3),
+        ([request_record(0), hit_record(1)], "pull_outcome", -2),
+    ])
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_enum_code_outside_its_registry_rejected(
+            self, tmp_path, records, column, code, mmap):
+        array = records_to_array(records)
+        array[column][1] = code
+        path = tmp_path / "bad.npy"
+        np.save(path, array)
+        with pytest.raises(ValueError,
+                           match=rf"bad\.npy: column '{column}' holds "
+                                 rf"code {code} "):
+            load_columnar(path, mmap=mmap)
+
+    def test_every_registry_code_loads(self, tmp_path):
+        # The bounds are inclusive of each registry's last code and of
+        # pull_outcome's -1 ("no pull sent").
+        path = tmp_path / "ok.npy"
+        with ColumnarSink(path) as sink:
+            for i, outcome in enumerate((None, "enqueued", "duplicate",
+                                         "dropped")):
+                sink.emit(request_record(i, pull_outcome=outcome,
+                                         served_kind="pull"))
+        assert load_columnar(path)["pull_outcome"].tolist() == [-1, 0, 1, 2]
 
 
 class TestVectorizedAnalytics:

@@ -206,22 +206,6 @@ class TestMetricsRegistry:
         assert snap["g"]["value"] == pytest.approx(2.5)
         assert snap["h"]["count"] == 1
 
-    def test_register_tally_reads_lazily(self):
-        registry = MetricsRegistry()
-        tally = Tally()
-        registry.register_tally("response_time", tally)
-        tally.add(4.0)  # after registration: snapshot must see it
-        snap = registry.snapshot()["response_time"]
-        assert snap["type"] == "summary"
-        assert snap["count"] == 1
-        assert snap["mean"] == pytest.approx(4.0)
-
-    def test_register_tally_conflict(self):
-        registry = MetricsRegistry()
-        registry.register_tally("t", Tally())
-        with pytest.raises(TypeError):
-            registry.register_tally("t", Tally())
-
     def test_render_lists_every_instrument(self):
         registry = MetricsRegistry()
         registry.counter("requests_total").inc(7)
@@ -237,7 +221,6 @@ class TestMetricsRegistry:
         counter.inc(10)
         registry.gauge("g").set(5)
         registry.histogram("h").observe(1.0)
-        registry.register_tally("t", Tally())
         assert counter.value == 0
         assert len(registry) == 0
         assert registry.snapshot() == {}

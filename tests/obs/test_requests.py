@@ -9,14 +9,12 @@ from repro.core.fast import FastEngine
 from repro.core.simulation import ReferenceEngine
 from repro.obs import (
     Attachment,
-    JsonlSink,
     MemorySink,
     MetricsRegistry,
     RequestRecord,
     RequestTracer,
     WaitBreakdown,
     breakdown_of,
-    read_requests_jsonl,
 )
 from repro.server.broadcast_server import SlotKind
 from repro.server.queue import BoundedRequestQueue, Offer
@@ -37,40 +35,11 @@ def _record(**overrides) -> RequestRecord:
 class TestRequestRecord:
     def test_round_trips_through_dict(self):
         record = _record()
-        assert RequestRecord.from_dict(record.to_dict()) == record
-
-    def test_from_dict_ignores_unknown_keys(self):
-        data = _record().to_dict()
-        data["added_by_future_version"] = 42
-        assert RequestRecord.from_dict(data) == _record()
+        assert RequestRecord(**record.to_dict()) == record
 
     def test_to_dict_is_strict_json(self):
         text = json.dumps(_record().to_dict(), allow_nan=False)
         assert json.loads(text)["page"] == 3
-
-    def test_from_dict_defaults_missing_optional_fields_to_none(self):
-        # Regression: the docstring promised unknown keys are ignored,
-        # but a record from an older writer (no queue_wait/service yet)
-        # used to crash with a bare KeyError instead of defaulting.
-        data = _record().to_dict()
-        del data["queue_wait"]
-        del data["service"]
-        record = RequestRecord.from_dict(data)
-        assert record.queue_wait is None and record.service is None
-
-    def test_from_dict_extra_and_missing_keys_together(self):
-        data = _record().to_dict()
-        data["added_by_future_version"] = 42
-        del data["on_air_at"]
-        record = RequestRecord.from_dict(data)
-        assert record.on_air_at is None
-        assert record == _record(on_air_at=None)
-
-    def test_from_dict_names_the_missing_required_field(self):
-        data = _record().to_dict()
-        del data["issued_at"]
-        with pytest.raises(ValueError, match="issued_at"):
-            RequestRecord.from_dict(data)
 
 
 class TestTracerStateMachine:
@@ -166,22 +135,6 @@ class TestWaitBreakdown:
         breakdown = breakdown_of(records, think_time=4.0)
         assert breakdown.accesses == 1
         assert breakdown.think == 4.0
-
-
-class TestJsonlRoundTrip:
-    def test_read_requests_jsonl(self, tmp_path):
-        path = tmp_path / "req.jsonl"
-        with JsonlSink(path) as sink:
-            tracer = RequestTracer(sink)
-            tracer.on_access(1, 0.0, True)
-            tracer.on_hit(1, 0.0)
-            tracer.on_access(2, 4.0, True)
-            tracer.on_miss(2, 4.0)
-            tracer.on_air(6.0, SlotKind.PUSH)
-            tracer.on_served(2, 7.0)
-        records = read_requests_jsonl(path)
-        assert [r.page for r in records] == [1, 2]
-        assert records[1].wait == 3.0
 
 
 class TestQueueObserver:

@@ -1,7 +1,5 @@
 """Unit tests for slot-level tracing: records, sinks, tracer, engines."""
 
-import json
-
 import pytest
 
 from repro.core.algorithms import Algorithm
@@ -9,12 +7,10 @@ from repro.core.fast import FastEngine
 from repro.core.simulation import ReferenceEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
-    JsonlSink,
     MemorySink,
     NullSink,
     SlotRecord,
     SlotTracer,
-    read_jsonl,
 )
 from repro.server.broadcast_server import SlotKind
 from repro.server.queue import BoundedRequestQueue
@@ -32,23 +28,7 @@ def record(slot=0, **overrides):
 class TestSlotRecord:
     def test_dict_roundtrip(self):
         original = record(slot=17, mc_waiting=3)
-        assert SlotRecord.from_dict(original.to_dict()) == original
-
-    def test_from_dict_ignores_unknown_keys(self):
-        data = record().to_dict()
-        data["extra_future_field"] = "ignored"
-        assert SlotRecord.from_dict(data) == record()
-
-    def test_from_dict_defaults_missing_optional_fields_to_none(self):
-        data = record(mc_waiting=4).to_dict()
-        del data["mc_waiting"]
-        assert SlotRecord.from_dict(data).mc_waiting is None
-
-    def test_from_dict_names_the_missing_required_field(self):
-        data = record().to_dict()
-        del data["queue_depth"]
-        with pytest.raises(ValueError, match="queue_depth"):
-            SlotRecord.from_dict(data)
+        assert SlotRecord(**original.to_dict()) == original
 
     def test_is_frozen(self):
         with pytest.raises(AttributeError):
@@ -78,26 +58,6 @@ class TestSinks:
     def test_memory_sink_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             MemorySink(capacity=0)
-
-    def test_jsonl_sink_roundtrip(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlSink(path) as sink:
-            for i in range(4):
-                sink.emit(record(slot=i, page=i * 10))
-        loaded = read_jsonl(path)
-        assert [r.slot for r in loaded] == [0, 1, 2, 3]
-        assert loaded[2].page == 20
-        # Every line is standalone JSON.
-        for line in path.read_text().splitlines():
-            assert json.loads(line)["kind"] == "push"
-
-    def test_jsonl_sink_closed_rejects_emit(self, tmp_path):
-        sink = JsonlSink(tmp_path / "t.jsonl")
-        sink.close()
-        with pytest.raises(ValueError):
-            sink.emit(record())
-        sink.close()  # idempotent
-
 
 class TestSlotTracer:
     def test_arrival_attribution_resets_per_slot(self):
