@@ -206,9 +206,9 @@ def accuracy_sim(seed: int, measure_accesses: int,
     ``tolerance`` of the full-trace values.
     """
     from repro.core.fast import FastEngine
-    from repro.experiments.points import representative_config
+    from repro.experiments.figures import FIGURES
 
-    config = representative_config("3a").with_(
+    config = FIGURES["3a"].representative_config().with_(
         run__settle_accesses=500,
         run__measure_accesses=measure_accesses,
         run__seed=seed,

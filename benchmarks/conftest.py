@@ -40,9 +40,9 @@ def record_figure(results_dir):
 
     def _record(figure):
         text = render_figure(figure, show_drop_rates=True)
-        stem = figure.figure_id.split()[0].replace("(", "").replace(")", "")
-        (results_dir / f"figure_{stem}.txt").write_text(text + "\n")
-        (results_dir / f"figure_{stem}.json").write_text(
+        stem = f"figure_{figure.figure_id}"
+        (results_dir / f"{stem}.txt").write_text(text + "\n")
+        (results_dir / f"{stem}.json").write_text(
             json.dumps(figure.to_dict(), indent=2))
         print(f"\n{text}\n")
         return figure

@@ -10,11 +10,11 @@ Shape assertions from Section 4.1.1:
 """
 
 from benchmarks.conftest import BENCH, run_once
-from repro.experiments import figure_3a, figure_3b
+from repro.experiments import FIGURES, run_figure
 
 
 def test_figure_3a(benchmark, record_figure):
-    figure = run_once(benchmark, lambda: figure_3a(BENCH))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["3a"], BENCH))
     record_figure(figure)
 
     push = figure.series_by_label("Push")
@@ -36,7 +36,7 @@ def test_figure_3a(benchmark, record_figure):
 
 
 def test_figure_3b(benchmark, record_figure):
-    figure = run_once(benchmark, lambda: figure_3b(BENCH))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["3b"], BENCH))
     record_figure(figure)
 
     pull = figure.series_by_label("Pull")

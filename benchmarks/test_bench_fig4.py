@@ -9,7 +9,7 @@ Shape assertions from Section 4.1.3:
 """
 
 from benchmarks.conftest import BENCH, run_once
-from repro.experiments import figure_4
+from repro.experiments import FIGURES, run_figure
 
 
 def final_time(series):
@@ -17,8 +17,7 @@ def final_time(series):
 
 
 def test_figure_4a_light_load(benchmark, record_figure):
-    figure = run_once(benchmark,
-                      lambda: figure_4(BENCH, think_time_ratio=25))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["4a"], BENCH))
     record_figure(figure)
 
     push = figure.series_by_label("Push")
@@ -30,8 +29,7 @@ def test_figure_4a_light_load(benchmark, record_figure):
 
 
 def test_figure_4b_heavy_load(benchmark, record_figure):
-    figure = run_once(benchmark,
-                      lambda: figure_4(BENCH, think_time_ratio=250))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["4b"], BENCH))
     record_figure(figure)
 
     push = figure.series_by_label("Push")

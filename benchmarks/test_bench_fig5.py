@@ -13,14 +13,14 @@ Shape assertions from Section 4.1.4:
 from dataclasses import replace
 
 from benchmarks.conftest import BENCH, run_once
-from repro.experiments import figure_5
+from repro.experiments import FIGURES, run_figure
 
 #: Deep saturation is high-variance; average two replicates for Figure 5.
 BENCH5 = replace(BENCH, replicates=2)
 
 
 def test_figure_5a_pull(benchmark, record_figure):
-    figure = run_once(benchmark, lambda: figure_5(BENCH5, variant="pull"))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["5a"], BENCH5))
     record_figure(figure)
 
     quiet = figure.series_by_label("Pull Noise 0%")
@@ -39,7 +39,7 @@ def test_figure_5a_pull(benchmark, record_figure):
 
 
 def test_figure_5b_ipp(benchmark, record_figure):
-    figure = run_once(benchmark, lambda: figure_5(BENCH5, variant="ipp"))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["5b"], BENCH5))
     record_figure(figure)
 
     quiet = figure.series_by_label("IPP Noise 0%")

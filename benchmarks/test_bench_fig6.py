@@ -13,7 +13,7 @@ Shape assertions from Section 4.2:
 """
 
 from benchmarks.conftest import BENCH, run_once
-from repro.experiments import figure_6
+from repro.experiments import FIGURES, run_figure
 
 
 def crossover_ttr(figure, label):
@@ -27,7 +27,7 @@ def crossover_ttr(figure, label):
 
 
 def test_figure_6a_pull_bw_50(benchmark, record_figure):
-    figure = run_once(benchmark, lambda: figure_6(BENCH, pull_bw=0.50))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["6a"], BENCH))
     record_figure(figure)
 
     no_thresh = figure.series_by_label("IPP ThresPerc 0%")
@@ -42,7 +42,7 @@ def test_figure_6a_pull_bw_50(benchmark, record_figure):
 
 
 def test_figure_6b_pull_bw_30(benchmark, record_figure):
-    figure = run_once(benchmark, lambda: figure_6(BENCH, pull_bw=0.30))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["6b"], BENCH))
     record_figure(figure)
 
     no_thresh = figure.series_by_label("IPP ThresPerc 0%")

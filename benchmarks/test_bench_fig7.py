@@ -10,11 +10,11 @@ Shape assertions from Section 4.3:
 """
 
 from benchmarks.conftest import BENCH, run_once
-from repro.experiments import figure_7
+from repro.experiments import FIGURES, run_figure
 
 
 def test_figure_7a_no_threshold(benchmark, record_figure):
-    figure = run_once(benchmark, lambda: figure_7(BENCH, thresh_perc=0.0))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["7a"], BENCH))
     record_figure(figure)
 
     starved = figure.series_by_label("IPP PullBW 10%")
@@ -29,7 +29,7 @@ def test_figure_7a_no_threshold(benchmark, record_figure):
 
 
 def test_figure_7b_with_threshold(benchmark, record_figure):
-    figure = run_once(benchmark, lambda: figure_7(BENCH, thresh_perc=0.35))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["7b"], BENCH))
     record_figure(figure)
 
     ample = figure.series_by_label("IPP PullBW 50%")

@@ -11,11 +11,11 @@ Shape assertions from Section 4.3:
 """
 
 from benchmarks.conftest import BENCH, run_once
-from repro.experiments import figure_8
+from repro.experiments import FIGURES, run_figure
 
 
 def test_figure_8(benchmark, record_figure):
-    figure = run_once(benchmark, lambda: figure_8(BENCH))
+    figure = run_once(benchmark, lambda: run_figure(FIGURES["8"], BENCH))
     record_figure(figure)
 
     full = figure.series_by_label("IPP Full DB")

@@ -52,18 +52,39 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core import ENGINES
 from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
 from repro.core.fast import simulate
-from repro.experiments import ALL_FIGURES, FULL, QUICK, Profile, render_figure
+from repro.experiments import (
+    FIGURES,
+    FULL,
+    QUICK,
+    Profile,
+    render_figure,
+    run_figure,
+)
 from repro.experiments.reporting import render_ascii_chart
 from repro.obs.events import SCHEDULER_DISCIPLINES
 from repro.server.schedulers import MAX_AGING
 
 __all__ = ["main", "build_parser"]
+
+
+class _UsageError(Exception):
+    """A bad argument value argparse cannot catch: one line, exit 2."""
+
+
+def _figure_specs(ids):
+    """The :data:`FIGURES` rows for ``ids`` (a usage error if unknown)."""
+    unknown = [i for i in ids if i not in FIGURES]
+    if unknown:
+        raise _UsageError(f"unknown figure id(s): {', '.join(unknown)} "
+                          f"(known: {', '.join(FIGURES)})")
+    return [FIGURES[i] for i in ids]
 
 
 def _version() -> str:
@@ -120,12 +141,8 @@ def _system_config(args) -> SystemConfig:
     """
     figure = getattr(args, "figure", None)
     if figure is not None:
-        from repro.experiments.points import REPRESENTATIVE_POINTS
-
-        config = REPRESENTATIVE_POINTS.get(figure)
-        if config is None:
-            known = ", ".join(sorted(REPRESENTATIVE_POINTS))
-            raise SystemExit(f"unknown figure id {figure!r} (known: {known})")
+        [spec] = _figure_specs([figure])
+        config = spec.representative_config()
     else:
         config = SystemConfig(algorithm=Algorithm(args.algorithm)).with_(
             client__think_time_ratio=args.ttr,
@@ -162,11 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {_version()}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    figures = sub.add_parser(
-        "figures", help="regenerate the paper's figures")
+    def command(name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand; ``main`` runs ``handler(args)`` for it."""
+        subparser = sub.add_parser(name, **kwargs)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    figures = command(
+        "figures", _cmd_figures, help="regenerate the paper's figures")
     figures.add_argument(
         "ids", nargs="*", metavar="FIG",
-        help=f"figure ids ({', '.join(ALL_FIGURES)}); default: all")
+        help=f"figure ids ({', '.join(FIGURES)}); default: all")
     figures.add_argument(
         "--full", action="store_true",
         help="paper-scale runs (slow); default is the quick profile")
@@ -194,15 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="live sweep dashboard on stderr (completed/total replicates, "
              "running means, ETA); default: on when stderr is a tty")
 
-    one = sub.add_parser("simulate", help="run one configured system")
+    one = command(
+        "simulate", _cmd_simulate, help="run one configured system")
     _add_system_args(one)
     one.add_argument(
         "--metrics", action="store_true",
         help="include a metrics-registry snapshot (same instrument names "
              "a live serve instance reports over STATS frames)")
 
-    serve = sub.add_parser(
-        "serve", help="serve one configured system over TCP (asyncio)")
+    serve = command(
+        "serve", _cmd_serve,
+        help="serve one configured system over TCP (asyncio)")
     _add_system_args(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -240,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a live stats dashboard to stderr once per second "
              "(slot, clients, queue, slot mix, net counters)")
 
-    loadgen = sub.add_parser(
-        "loadgen", help="drive a running serve instance with a client fleet")
+    loadgen = command(
+        "loadgen", _cmd_loadgen,
+        help="drive a running serve instance with a client fleet")
     _add_system_args(loadgen)
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, required=True,
@@ -268,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="poll the server for STATS once per second and render a live "
              "dashboard to stderr while generating load")
 
-    trace = sub.add_parser(
-        "trace", help="run one system and write a columnar .npy trace")
+    trace = command(
+        "trace", _cmd_trace,
+        help="run one system and write a columnar .npy trace")
     _add_system_args(trace)
     trace.add_argument(
         "--figure", default=None, metavar="FIG",
@@ -295,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="(--requests) keep a seeded uniform reservoir of K records "
              "regardless of run length (seeded from --seed)")
 
-    report = sub.add_parser(
-        "report", help="summarize a saved figure JSON or .npy trace")
+    report = command(
+        "report", _cmd_report,
+        help="summarize a saved figure JSON or .npy trace")
     report.add_argument(
         "path", nargs="?", type=Path, default=None, metavar="FIGURE_JSON",
         help="a results/figure_*.json file to render")
@@ -310,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.experiments.compare import DEFAULT_ALPHA, DEFAULT_TOLERANCE
 
-    compare = sub.add_parser(
-        "compare",
+    compare = command(
+        "compare", _cmd_compare,
         help="diff two saved figure JSONs for drift beyond replicate noise")
     compare.add_argument("a", type=Path, metavar="A_JSON",
                          help="reference figure JSON (left side)")
@@ -334,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("table", "json"), default="table",
         help="report rendering (default: table)")
 
-    fleet = sub.add_parser(
-        "fleet-sweep",
+    fleet = command(
+        "fleet-sweep", _cmd_fleet_sweep,
         help="sweep PullBW with per-user fleet fairness statistics")
     fleet.add_argument(
         "--clients", type=int, default=10_000,
@@ -370,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--parity-clients", type=int, default=200, metavar="N",
         help="(--parity) homogeneous fleet size (default: 200)")
 
-    sched = sub.add_parser(
-        "sched-sweep",
+    sched = command(
+        "sched-sweep", _cmd_sched_sweep,
         help="sweep PullBW once per pull-queue discipline (FIFO/RxW/LWF)")
     sched.add_argument(
         "--disciplines", default=",".join(SCHEDULER_DISCIPLINES),
@@ -400,28 +428,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--chart", action="store_true",
         help="also plot the figure as an ASCII chart")
 
-    convert = sub.add_parser(
-        "convert", help="export a .npy trace as JSON lines")
+    convert = command(
+        "convert", _cmd_convert, help="export a .npy trace as JSON lines")
     convert.add_argument(
         "src", type=Path, metavar="SRC.npy", help="source trace")
     convert.add_argument(
         "dst", type=Path, metavar="DST.jsonl",
         help="destination: one JSON object per record")
 
-    profile_cmd = sub.add_parser(
-        "profile", help="time the fast engine's hot-loop phases")
+    profile_cmd = command(
+        "profile", _cmd_profile,
+        help="time the fast engine's hot-loop phases")
     _add_system_args(profile_cmd)
     profile_cmd.add_argument(
         "--figure", default=None, metavar="FIG",
         help="profile this figure's representative sweep point")
 
-    prog = sub.add_parser("program", help="inspect a broadcast program")
+    prog = command(
+        "program", _cmd_program, help="inspect a broadcast program")
     prog.add_argument("--cache-size", type=int, default=100)
     prog.add_argument("--chop", type=int, default=0)
     prog.add_argument("--no-offset", action="store_true")
 
-    tune = sub.add_parser(
-        "tune", help="recommend IPP knob settings for a load range")
+    tune = command(
+        "tune", _cmd_tune,
+        help="recommend IPP knob settings for a load range")
     tune.add_argument("--loads", default="10,50,250",
                       help="comma-separated ThinkTimeRatio range")
     tune.add_argument("--pull-bw", default="0.3,0.5",
@@ -437,14 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--replicates", type=int, default=1)
     tune.add_argument("--seed", type=int, default=42)
 
-    lint = sub.add_parser(
-        "lint", help="domain static analysis: determinism, seeds, parity")
     from repro.lint.cli import add_arguments as add_lint_arguments
+    from repro.lint.cli import run as run_lint_cli
 
-    add_lint_arguments(lint)
+    add_lint_arguments(command(
+        "lint", run_lint_cli,
+        help="domain static analysis: determinism, seeds, parity"))
 
-    sanitize = sub.add_parser(
-        "sanitize",
+    sanitize = command(
+        "sanitize", _cmd_sanitize,
         help="runtime determinism check: replay a config per engine and "
              "diff the slot traces bit-exactly")
     _add_system_args(sanitize)
@@ -492,56 +524,62 @@ def _write_request_trace(config: SystemConfig, path: Path,
     return tracer.records_emitted
 
 
-def _cmd_figures(args) -> int:
-    ids = args.ids or list(ALL_FIGURES)
-    unknown = [i for i in ids if i not in ALL_FIGURES]
-    if unknown:
-        print(f"unknown figure id(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
+def _sweep_profile(args) -> Profile:
+    """``--full`` / ``--workers`` / ``--seed`` as a sweep profile."""
     base = FULL if args.full else QUICK
-    profile = Profile(
-        settle_accesses=base.settle_accesses,
-        measure_accesses=base.measure_accesses,
-        replicates=base.replicates,
+    return replace(
+        base,
         workers=args.workers if args.workers is not None else base.workers,
-        base_seed=args.seed,
-    )
-    if args.json is not None:
-        args.json.mkdir(parents=True, exist_ok=True)
-    if args.trace is not None:
-        args.trace.mkdir(parents=True, exist_ok=True)
+        base_seed=args.seed)
+
+
+def _write_json(path, payload, what: str) -> None:
+    """Write ``payload`` to ``path`` (if given) and say where it went."""
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, indent=2))
+        print(f"[{what} JSON -> {path}]")
+
+
+def _emit_figure(figure, chart: bool, json_path) -> None:
+    """The ``--chart`` / ``--json`` tail shared by the sweep commands."""
+    if chart:
+        print()
+        print(render_ascii_chart(figure))
+    _write_json(json_path, figure.to_dict(), "figure")
+
+
+def _cmd_figures(args) -> int:
+    from repro.experiments.base import sweep_progress
+    from repro.obs.dashboard import Dashboard, SweepMonitor
+
+    specs = _figure_specs(args.ids or list(FIGURES))
+    profile = _sweep_profile(args)
     watch = (sys.stderr.isatty() if args.watch is None else args.watch)
-    for fig_id in ids:
+    for spec in specs:
+        fig_id = spec.figure_id
         # lint: allow[REP001] -- user-facing elapsed wall time, never enters sim state
         started = time.perf_counter()
-        if watch:
-            from repro.experiments.base import sweep_progress
-            from repro.obs.dashboard import Dashboard, SweepMonitor
-
-            monitor = SweepMonitor(dashboard=Dashboard(),
-                                   title=f"figure {fig_id}")
-            with sweep_progress(monitor):
-                figure = ALL_FIGURES[fig_id](profile)
-            monitor.finish()
-        else:
-            figure = ALL_FIGURES[fig_id](profile)
+        monitor = SweepMonitor(dashboard=Dashboard() if watch else None,
+                               title=f"figure {fig_id}")
+        with sweep_progress(monitor):
+            figure = run_figure(spec, profile)
+        monitor.finish()
         # lint: allow[REP001] -- figure-regeneration reporting, not sim time
         elapsed = time.perf_counter() - started
         if figure.manifest is not None:
             figure.manifest["elapsed_seconds"] = elapsed
         print(render_figure(figure, show_drop_rates=args.drop_rates))
-        if args.chart:
-            print()
-            print(render_ascii_chart(figure))
+        _emit_figure(figure, args.chart,
+                     args.json and args.json / f"figure_{fig_id}.json")
         print(f"[figure {fig_id} regenerated in {elapsed:.1f}s]\n")
-        if args.json is not None:
-            path = args.json / f"figure_{fig_id}.json"
-            path.write_text(json.dumps(figure.to_dict(), indent=2))
         if args.trace is not None:
-            from repro.experiments.tracing import trace_representative
+            from repro.experiments.tracing import write_slot_trace
 
-            trace_path, emitted = trace_representative(
-                fig_id, profile, args.trace)
+            trace_path = args.trace / f"trace_{fig_id}.npy"
+            emitted = write_slot_trace(
+                profile.apply(spec.representative_config(),
+                              profile.base_seed), trace_path)
             print(f"[trace {fig_id}: {emitted} slot records -> "
                   f"{trace_path}]\n")
     return 0
@@ -586,12 +624,8 @@ def _cmd_serve(args) -> int:
             seed=args.seed,
         )
         result = run_selftest(config, settings)
-        if args.stats_json is not None:
-            args.stats_json.parent.mkdir(parents=True, exist_ok=True)
-            args.stats_json.write_text(
-                json.dumps(result.figure.to_dict(), indent=2))
-            print(f"[self-test figure JSON -> {args.stats_json}]")
         print(render(result.figure))
+        _emit_figure(result.figure, False, args.stats_json)
         for diag in result.diagnostics:
             fleet = diag["fleet"]
             print(f"  pull_bw={diag['pull_bw']:g}: "
@@ -650,11 +684,8 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
-    if args.stats_json is not None:
-        args.stats_json.parent.mkdir(parents=True, exist_ok=True)
-        args.stats_json.write_text(json.dumps(stats, indent=2))
-        print(f"[stats JSON -> {args.stats_json}]")
-    else:
+    _write_json(args.stats_json, stats, "stats")
+    if args.stats_json is None:
         print(json.dumps(stats, indent=2))
     return 0
 
@@ -709,10 +740,7 @@ def _cmd_loadgen(args) -> int:
         print("interrupted", file=sys.stderr)
         return 130
     output = result.to_dict()
-    if args.stats_json is not None:
-        args.stats_json.parent.mkdir(parents=True, exist_ok=True)
-        args.stats_json.write_text(json.dumps(output, indent=2))
-        print(f"[fleet JSON -> {args.stats_json}]")
+    _write_json(args.stats_json, output, "fleet")
     print(json.dumps({k: v for k, v in output.items()
                       if k != "server_stats"}, indent=2))
     return 0
@@ -775,21 +803,11 @@ def _cmd_compare(args) -> int:
 def _cmd_fleet_sweep(args) -> int:
     from repro.fleet import fleet_parity_report, fleet_sweep_figure
 
-    base = FULL if args.full else QUICK
-    profile = Profile(
-        settle_accesses=base.settle_accesses,
-        measure_accesses=base.measure_accesses,
-        replicates=base.replicates,
-        workers=args.workers if args.workers is not None else base.workers,
-        base_seed=args.seed,
-    )
+    profile = _sweep_profile(args)
     if args.parity:
         report = fleet_parity_report(profile,
                                      num_clients=args.parity_clients)
-        if args.json is not None:
-            args.json.parent.mkdir(parents=True, exist_ok=True)
-            args.json.write_text(json.dumps(report, indent=2))
-            print(f"[parity report JSON -> {args.json}]")
+        _write_json(args.json, report, "parity report")
         verdict = report["comparison"]["verdict"]
         print(f"fleet parity: {args.parity_clients} homogeneous clients "
               f"vs aggregate VC (ThinkTimeRatio "
@@ -811,13 +829,7 @@ def _cmd_fleet_sweep(args) -> int:
         profile, num_clients=args.clients, think_time=args.think_time,
         heterogeneous=not args.homogeneous)
     print(render_figure(figure))
-    if args.chart:
-        print()
-        print(render_ascii_chart(figure))
-    if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(figure.to_dict(), indent=2))
-        print(f"[figure JSON -> {args.json}]")
+    _emit_figure(figure, args.chart, args.json)
     return 0
 
 
@@ -837,27 +849,13 @@ def _cmd_sched_sweep(args) -> int:
               f"(choose from {', '.join(SCHEDULER_DISCIPLINES)})",
               file=sys.stderr)
         return 2
-    base = FULL if args.full else QUICK
-    profile = Profile(
-        settle_accesses=base.settle_accesses,
-        measure_accesses=base.measure_accesses,
-        replicates=base.replicates,
-        workers=args.workers if args.workers is not None else base.workers,
-        base_seed=args.seed,
-    )
-    figure = sched_sweep_figure(profile, disciplines=disciplines,
+    figure = sched_sweep_figure(_sweep_profile(args), disciplines=disciplines,
                                 aging=args.aging, num_clients=args.clients)
     print(render_figure(figure))
     summary = discipline_summary(figure)
     print(f"\nat PullBW {figure.series[0].x[0]:g} (most saturated point):")
     print(render_summary(summary))
-    if args.chart:
-        print()
-        print(render_ascii_chart(figure))
-    if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(figure.to_dict(), indent=2))
-        print(f"[figure JSON -> {args.json}]")
+    _emit_figure(figure, args.chart, args.json)
     return 0
 
 
@@ -937,7 +935,11 @@ def _cmd_report(args) -> int:
     from repro.experiments.base import load_figure
     from repro.experiments.reporting import render_manifest, render_quantiles
 
-    figure = load_figure(args.path)
+    try:
+        figure = load_figure(args.path)
+    except (OSError, ValueError) as exc:
+        print(f"report: {exc}", file=sys.stderr)
+        return 2
     print(render_figure(figure))
     print()
     print("response-time quantiles (per series point):")
@@ -1015,7 +1017,6 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from repro.experiments.base import Profile
     from repro.tuning import TuningSpec, recommend
 
     def floats(text):
@@ -1040,37 +1041,11 @@ def _cmd_tune(args) -> int:
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "fleet-sweep":
-        return _cmd_fleet_sweep(args)
-    if args.command == "sched-sweep":
-        return _cmd_sched_sweep(args)
-    if args.command == "convert":
-        return _cmd_convert(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "tune":
-        return _cmd_tune(args)
-    if args.command == "lint":
-        from repro.lint.cli import run as run_lint_cli
-
-        return run_lint_cli(args)
-    if args.command == "sanitize":
-        return _cmd_sanitize(args)
-    return _cmd_program(args)
+    try:
+        return args.handler(args)
+    except _UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,16 +1,13 @@
-"""The paper's experiments (Section 4), one function per figure.
+"""The paper's experiments (Section 4): a table of figures, one sweep.
 
-- Experiment 1 (:mod:`~repro.experiments.experiment1`): basic push/pull
-  tradeoffs — Figures 3(a), 3(b), 4(a), 4(b), 5(a), 5(b),
-- Experiment 2 (:mod:`~repro.experiments.experiment2`): reducing
-  backchannel usage with thresholds — Figures 6(a), 6(b),
-- Experiment 3 (:mod:`~repro.experiments.experiment3`): restricting the
-  push schedule — Figures 7(a), 7(b), 8.
-
-Each figure function takes a :class:`~repro.experiments.base.Profile`
-(``QUICK`` for fast shape-checks, ``FULL`` for paper-scale runs) and
-returns a :class:`~repro.experiments.base.FigureResult` that renders as the
-same series the paper plots.
+:data:`~repro.experiments.figures.FIGURES` holds the eleven figures of
+Experiments 1–3 (3a … 8) as :class:`~repro.experiments.figures.FigureSpec`
+rows — x axis, series, overrides — and
+:func:`~repro.experiments.figures.run_figure` regenerates any of them at
+a :class:`~repro.experiments.base.Profile` (``QUICK`` for fast
+shape-checks, ``FULL`` for paper-scale runs), returning a
+:class:`~repro.experiments.base.FigureResult` that renders as the same
+series the paper plots.
 """
 
 from repro.experiments.base import (
@@ -32,39 +29,18 @@ from repro.experiments.compare import (
     compare_figures,
     compare_files,
 )
-from repro.experiments.experiment1 import (
-    figure_3a,
-    figure_3b,
-    figure_4,
-    figure_5,
+from repro.experiments.figures import (
+    FIGURES,
+    FigureSpec,
+    SeriesSpec,
+    run_figure,
 )
-from repro.experiments.experiment2 import figure_6
-from repro.experiments.experiment3 import figure_7, figure_8
-from repro.experiments.points import REPRESENTATIVE_POINTS, representative_config
 from repro.experiments.reporting import render_figure
 from repro.experiments.schedulers import (
     discipline_summary,
     sched_sweep_figure,
 )
-from repro.experiments.tracing import (
-    trace_representative,
-    write_request_trace,
-    write_slot_trace,
-)
-
-ALL_FIGURES = {
-    "3a": figure_3a,
-    "3b": figure_3b,
-    "4a": lambda profile, **kw: figure_4(profile, think_time_ratio=25, **kw),
-    "4b": lambda profile, **kw: figure_4(profile, think_time_ratio=250, **kw),
-    "5a": lambda profile, **kw: figure_5(profile, variant="pull", **kw),
-    "5b": lambda profile, **kw: figure_5(profile, variant="ipp", **kw),
-    "6a": lambda profile, **kw: figure_6(profile, pull_bw=0.50, **kw),
-    "6b": lambda profile, **kw: figure_6(profile, pull_bw=0.30, **kw),
-    "7a": lambda profile, **kw: figure_7(profile, thresh_perc=0.0, **kw),
-    "7b": lambda profile, **kw: figure_7(profile, thresh_perc=0.35, **kw),
-    "8": figure_8,
-}
+from repro.experiments.tracing import write_request_trace, write_slot_trace
 
 __all__ = [
     "FIGURE_SCHEMA_VERSION",
@@ -82,20 +58,13 @@ __all__ = [
     "FigureComparison",
     "compare_figures",
     "compare_files",
-    "figure_3a",
-    "figure_3b",
-    "figure_4",
-    "figure_5",
-    "figure_6",
-    "figure_7",
-    "figure_8",
+    "FIGURES",
+    "FigureSpec",
+    "SeriesSpec",
+    "run_figure",
     "render_figure",
     "sched_sweep_figure",
     "discipline_summary",
-    "ALL_FIGURES",
-    "REPRESENTATIVE_POINTS",
-    "representative_config",
-    "trace_representative",
     "write_request_trace",
     "write_slot_trace",
 ]

@@ -40,6 +40,8 @@ __all__ = [
     "SweepProgress",
     "figure_from_dict",
     "load_figure",
+    "point_stats",
+    "run_points",
     "run_replicated",
     "run_sweep",
     "sweep_progress",
@@ -223,12 +225,20 @@ class FigureResult:
         }
 
 
-def _required(data: dict[str, Any], key: str, context: str) -> Any:
-    """Fetch a mandatory figure-JSON key or raise a naming ValueError."""
-    try:
-        return data[key]
-    except KeyError:
-        raise ValueError(f"{context}: missing field {key!r}") from None
+def _required(data: Any, key: str, context: str, kind: type = object) -> Any:
+    """Fetch a mandatory figure-JSON key or raise a naming ValueError.
+
+    ``data`` must be a JSON object and the value a ``kind``.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{context}: expected a JSON object, got "
+                         f"{type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{context}: missing field {key!r}")
+    if not isinstance(data[key], kind):
+        raise ValueError(f"{context}: field {key!r} must be a "
+                         f"{kind.__name__}, got {type(data[key]).__name__}")
+    return data[key]
 
 
 def figure_from_dict(data: dict[str, Any]) -> FigureResult:
@@ -240,22 +250,22 @@ def figure_from_dict(data: dict[str, Any]) -> FigureResult:
     no raw :class:`~repro.core.metrics.RunResult` objects.
 
     Truncated or malformed input never surfaces as a bare
-    ``IndexError``/``KeyError``: every series array is checked against
-    the length of its ``x`` grid and a :class:`ValueError` naming the
-    series and the offending field is raised instead (the ``compare``
-    harness relies on this to classify bad files as load errors).
+    ``IndexError``/``KeyError``/``TypeError``: the top level and every
+    series must be objects, ``series`` and every series array lists, and
+    each array as long as its ``x`` grid; a :class:`ValueError` naming
+    the series and the offending field is raised instead (the
+    ``compare`` harness relies on this to classify bad files as load
+    errors).
     """
+    entries = _required(data, "series", "figure JSON", list)
     version = data.get("schema_version", 1)
     if not isinstance(version, int) or not 1 <= version <= FIGURE_SCHEMA_VERSION:
         raise ValueError(f"unsupported figure schema_version {version!r}")
     series = []
-    for position, s in enumerate(_required(data, "series", "figure JSON")):
-        label = s.get("label")
-        if not isinstance(label, str):
-            raise ValueError(f"figure series #{position}: missing or "
-                             f"non-string field 'label'")
+    for position, s in enumerate(entries):
+        label = _required(s, "label", f"figure series #{position}", str)
         context = f"figure series {label!r}"
-        x = _required(s, "x", context)
+        x = _required(s, "x", context, list)
         count = len(x)
         y = _required(s, "y", context)
         drop_rate = _required(s, "drop_rate", context)
@@ -263,11 +273,14 @@ def figure_from_dict(data: dict[str, Any]) -> FigureResult:
         replicates = s.get("replicates", [0] * count)
         quantiles = {name: s.get(name, [None] * count)
                      for name in ("p50", "p90", "p99")}
-        arrays: dict[str, Sequence[Any]] = {
+        arrays: dict[str, Any] = {
             "y": y, "drop_rate": drop_rate, "stddev": stddev,
             "replicates": replicates, **quantiles,
         }
         for name, values in arrays.items():
+            if not isinstance(values, list):
+                raise ValueError(f"{context}: field {name!r} must be a "
+                                 f"list, got {type(values).__name__}")
             if len(values) != count:
                 raise ValueError(
                     f"{context}: field {name!r} has {len(values)} values, "
@@ -293,11 +306,17 @@ def figure_from_dict(data: dict[str, Any]) -> FigureResult:
 
 
 def load_figure(path) -> FigureResult:
-    """Load a saved ``results/figure_*.json`` (any schema version)."""
+    """Load a saved ``results/figure_*.json`` (any schema version).
+
+    A file that is not a figure raises ``ValueError`` naming ``path``.
+    """
     import json
     from pathlib import Path
 
-    return figure_from_dict(json.loads(Path(path).read_text()))
+    try:
+        return figure_from_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _execute(task: tuple[SystemConfig, bool]) -> RunResult:
@@ -331,12 +350,12 @@ _AMBIENT_PROGRESS: Optional[SweepProgress] = None
 def sweep_progress(monitor: SweepProgress) -> Iterator[SweepProgress]:
     """Route every :func:`run_sweep` in this context through ``monitor``.
 
-    The figure functions take only a :class:`Profile`, so a CLI that
+    The sweep entry points take only a :class:`Profile`, so a CLI that
     wants live sweep telemetry has no parameter to thread an observer
     through; this context manager installs one ambiently instead::
 
         with sweep_progress(SweepMonitor(dashboard=Dashboard())):
-            figure = ALL_FIGURES["3a"](profile)
+            figure = run_figure(FIGURES["3a"], profile)
 
     Nested contexts shadow (and then restore) the outer observer.  The
     ambient observer lives in the parent process only — worker processes
@@ -399,13 +418,37 @@ def run_sweep(configs: Sequence[SystemConfig], warmup: bool = False,
     return ordered  # type: ignore[return-value]  # every slot is filled
 
 
-def _checked(stats: PointStats, config: SystemConfig) -> PointStats:
-    """Reject sweep points whose aggregates went NaN.
+def run_points(configs: Sequence[SystemConfig], profile: Profile,
+               warmup: bool = False, label: Optional[str] = None,
+               ) -> list[list[RunResult]]:
+    """Run every point's replicates in ONE :func:`run_sweep`.
+
+    The (point × replicate) grid is flattened so a process pool chews the
+    whole batch — a curve, or every curve of a figure — without idling
+    between points; replicate ``r`` of every point runs under seed
+    ``base_seed + r``.  Returns one list of replicate results per config,
+    in ``configs`` order.
+    """
+    flat = [profile.apply(config, profile.base_seed + r)
+            for config in configs for r in range(profile.replicates)]
+    results = run_sweep(flat, warmup=warmup, workers=profile.workers,
+                        label=label)
+    n = profile.replicates
+    return [results[i * n:(i + 1) * n] for i in range(len(configs))]
+
+
+def point_stats(results: Sequence[RunResult], config: SystemConfig,
+                metric: Callable[[RunResult], float] | None = None,
+                ) -> PointStats:
+    """Aggregate one point's replicates (default: mean miss response).
 
     A NaN mean, stddev, *or* drop rate silently poisons every downstream
     consumer (saved figures, charts, the compare harness), so all three
     are inspected and the failing fields are named.
     """
+    if metric is None:
+        metric = lambda r: r.response_miss.mean  # noqa: E731
+    stats = PointStats.of(results, metric)
     bad = [name for name in ("mean", "stddev", "drop_rate")
            if math.isnan(getattr(stats, name))]
     if bad:
@@ -415,48 +458,28 @@ def _checked(stats: PointStats, config: SystemConfig) -> PointStats:
 
 
 def run_replicated(config: SystemConfig, profile: Profile,
-                   warmup: bool = False,
                    metric: Callable[[RunResult], float] | None = None,
                    label: Optional[str] = None) -> PointStats:
     """Run one sweep point's replicates and aggregate them."""
-    if metric is None:
-        metric = lambda r: r.response_miss.mean  # noqa: E731
-    configs = [profile.apply(config, profile.base_seed + r)
-               for r in range(profile.replicates)]
-    results = run_sweep(configs, warmup=warmup, workers=profile.workers,
-                        label=label)
-    return _checked(PointStats.of(results, metric), config)
+    [results] = run_points([config], profile, label=label)
+    return point_stats(results, config, metric)
 
 
 def sweep_series(label: str, configs: Sequence[SystemConfig],
                  xs: Sequence[float], profile: Profile,
-                 warmup: bool = False,
                  metric: Callable[[RunResult], float] | None = None,
                  ) -> FigureSeries:
     """Run a whole curve: one replicated point per (x, config) pair."""
-    if len(configs) != len(xs):
-        raise ValueError("configs and xs must align")
-    if metric is None:
-        metric = lambda r: r.response_miss.mean  # noqa: E731
-    # Flatten (point, replicate) so a process pool can chew the whole curve.
-    flat: list[SystemConfig] = []
-    for config in configs:
-        flat.extend(profile.apply(config, profile.base_seed + r)
-                    for r in range(profile.replicates))
-    results = run_sweep(flat, warmup=warmup, workers=profile.workers,
-                        label=label)
-    points = []
-    for i, config in enumerate(configs):
-        chunk = results[i * profile.replicates:(i + 1) * profile.replicates]
-        points.append(_checked(PointStats.of(chunk, metric), config))
-    return FigureSeries(label=label, x=list(xs), points=points)
+    [series] = sweep_series_multi({label: metric}, configs, xs, profile,
+                                  label=label)
+    return series
 
 
-def sweep_series_multi(metrics: Mapping[str, Callable[[RunResult], float]],
-                       configs: Sequence[SystemConfig],
-                       xs: Sequence[float], profile: Profile,
-                       label: Optional[str] = None,
-                       ) -> list[FigureSeries]:
+def sweep_series_multi(
+        metrics: Mapping[str, Callable[[RunResult], float] | None],
+        configs: Sequence[SystemConfig],
+        xs: Sequence[float], profile: Profile,
+        label: Optional[str] = None) -> list[FigureSeries]:
     """Run one curve's simulations once, aggregate many metrics from them.
 
     The fleet sweeps plot five statistics of the *same* runs (mean /
@@ -469,18 +492,10 @@ def sweep_series_multi(metrics: Mapping[str, Callable[[RunResult], float]],
         raise ValueError("configs and xs must align")
     if not metrics:
         raise ValueError("metrics must not be empty")
-    flat: list[SystemConfig] = []
-    for config in configs:
-        flat.extend(profile.apply(config, profile.base_seed + r)
-                    for r in range(profile.replicates))
-    results = run_sweep(flat, workers=profile.workers, label=label)
-    series = []
-    for series_label, metric in metrics.items():
-        points = []
-        for i, config in enumerate(configs):
-            chunk = results[i * profile.replicates:
-                            (i + 1) * profile.replicates]
-            points.append(_checked(PointStats.of(chunk, metric), config))
-        series.append(FigureSeries(label=series_label, x=list(xs),
-                                   points=points))
-    return series
+    runs = run_points(configs, profile, label=label)
+    return [
+        FigureSeries(label=series_label, x=list(xs),
+                     points=[point_stats(results, config, metric)
+                             for results, config in zip(runs, configs)])
+        for series_label, metric in metrics.items()
+    ]

@@ -413,16 +413,11 @@ def compare_files(path_a, path_b, *, alpha: float = DEFAULT_ALPHA,
     """Load and compare two figure JSON files.
 
     Load failures (missing file, bad JSON, truncated series) raise
-    ``OSError``/``ValueError`` with the path prepended; the CLI maps
-    them to exit code 2.
+    ``OSError``/``ValueError`` naming the path
+    (:func:`~repro.experiments.base.load_figure`); the CLI maps them to
+    exit code 2.
     """
-    def load(path) -> FigureResult:
-        try:
-            return load_figure(path)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-    figure_a, figure_b = load(path_a), load(path_b)
+    figure_a, figure_b = load_figure(path_a), load_figure(path_b)
     return compare_figures(figure_a, figure_b, alpha=alpha,
                            tolerance=tolerance, series=series,
                            left=str(path_a), right=str(path_b))

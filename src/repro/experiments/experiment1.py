@@ -1,195 +1,21 @@
-"""Experiment 1 — basic push/pull tradeoffs (Section 4.1).
+"""``figure_3a`` under the name the benchmark spine imports.
 
-Covers steady-state performance (Figures 3a/3b), cache warm-up time
-(Figures 4a/4b), and sensitivity to access-pattern disagreement
-(Figures 5a/5b).
+``benchmarks/spine/run.py`` (not editable outside a ``benchmark`` PR)
+imports this module by path; it is the name's only reason to exist.
+Everything else goes through :data:`repro.experiments.figures.FIGURES`
+and :func:`~repro.experiments.figures.run_figure`.
 """
 
 from __future__ import annotations
 
-import statistics
+from dataclasses import replace
 
-from repro.client.measured import WARMUP_LEVELS
-from repro.core.algorithms import Algorithm
-from repro.obs.manifest import sweep_manifest
-from repro.core.config import SystemConfig
-from repro.experiments.base import (
-    FigureResult,
-    FigureSeries,
-    PAPER_TTRS,
-    PointStats,
-    Profile,
-    run_replicated,
-    run_sweep,
-    sweep_series,
-)
+from repro.experiments.base import FigureResult, PAPER_TTRS, Profile
+from repro.experiments.figures import FIGURES, run_figure
 
-__all__ = ["figure_3a", "figure_3b", "figure_4", "figure_5"]
-
-
-def _flat_push_series(label: str, config: SystemConfig, xs, profile: Profile,
-                      ) -> FigureSeries:
-    """Pure-Push is independent of the client population: run the point
-    once and extend it across the x axis, exactly like the paper's flat
-    line."""
-    point = run_replicated(config, profile, label=label)
-    return FigureSeries(label=label, x=list(xs),
-                        points=[point] * len(xs))
-
-
-def _base(algorithm: Algorithm, **overrides) -> SystemConfig:
-    return SystemConfig(algorithm=algorithm).with_(**overrides)
+__all__ = ["figure_3a"]
 
 
 def figure_3a(profile: Profile, ttrs=PAPER_TTRS) -> FigureResult:
-    """Figure 3(a): steady-state response time vs ThinkTimeRatio.
-
-    IPP at PullBW = 50%; Pull and IPP each at SteadyStatePerc 0% and 95%.
-    """
-    series = [_flat_push_series("Push", _base(Algorithm.PURE_PUSH),
-                                ttrs, profile)]
-    for steady in (0.0, 0.95):
-        tag = f"{steady:.0%}"
-        for algorithm, label in ((Algorithm.PURE_PULL, f"Pull {tag}"),
-                                 (Algorithm.IPP, f"IPP {tag}")):
-            configs = [
-                _base(algorithm,
-                      client__think_time_ratio=ttr,
-                      client__steady_state_perc=steady,
-                      server__pull_bw=0.50)
-                for ttr in ttrs
-            ]
-            series.append(sweep_series(label, configs, ttrs, profile))
-    return FigureResult(
-        figure_id="3a",
-        title="Steady-state client performance (IPP PullBW=50%, "
-              "SteadyStatePerc varied)",
-        x_label="Think Time Ratio",
-        y_label="Response Time (Broadcast Units)",
-        series=series,
-        manifest=sweep_manifest(profile),
-    )
-
-
-def figure_3b(profile: Profile, ttrs=PAPER_TTRS) -> FigureResult:
-    """Figure 3(b): impact of PullBW on IPP (SteadyStatePerc = 95%)."""
-    series = [_flat_push_series("Push", _base(Algorithm.PURE_PUSH),
-                                ttrs, profile)]
-    pull_configs = [_base(Algorithm.PURE_PULL, client__think_time_ratio=ttr)
-                    for ttr in ttrs]
-    series.append(sweep_series("Pull", pull_configs, ttrs, profile))
-    for pull_bw in (0.50, 0.30, 0.10):
-        configs = [
-            _base(Algorithm.IPP,
-                  client__think_time_ratio=ttr,
-                  server__pull_bw=pull_bw)
-            for ttr in ttrs
-        ]
-        series.append(sweep_series(f"IPP PullBW {pull_bw:.0%}",
-                                   configs, ttrs, profile))
-    return FigureResult(
-        figure_id="3b",
-        title="Steady-state client performance (IPP PullBW varied, "
-              "SteadyStatePerc=95%)",
-        x_label="Think Time Ratio",
-        y_label="Response Time (Broadcast Units)",
-        series=series,
-        manifest=sweep_manifest(profile),
-    )
-
-
-def _warmup_series(label: str, config: SystemConfig,
-                   profile: Profile) -> FigureSeries:
-    """One warm-up curve: replicated runs, per-level crossing-time means."""
-    configs = [profile.apply(config, profile.base_seed + r)
-               for r in range(profile.replicates)]
-    results = run_sweep(configs, warmup=True, workers=profile.workers,
-                        label=label)
-    xs: list[float] = []
-    points: list[PointStats] = []
-    for level in WARMUP_LEVELS:
-        times = [r.warmup_times[level] for r in results
-                 if r.warmup_times is not None and level in r.warmup_times]
-        if not times:
-            continue
-        xs.append(level * 100.0)
-        points.append(PointStats(
-            mean=statistics.fmean(times),
-            stddev=(statistics.stdev(times) if len(times) > 1 else 0.0),
-            replicates=len(times),
-            drop_rate=statistics.fmean(r.drop_rate for r in results),
-        ))
-    return FigureSeries(label=label, x=xs, points=points)
-
-
-def figure_4(profile: Profile, think_time_ratio: int) -> FigureResult:
-    """Figures 4(a)/4(b): client cache warm-up time, IPP PullBW = 50%.
-
-    ``think_time_ratio = 25`` is the lightly loaded case (4a), ``250`` the
-    heavily loaded one (4b).
-    """
-    series = [
-        _warmup_series(
-            "Push",
-            _base(Algorithm.PURE_PUSH,
-                  client__think_time_ratio=think_time_ratio),
-            profile),
-    ]
-    for steady in (0.0, 0.95):
-        tag = f"{steady:.0%}"
-        for algorithm, label in ((Algorithm.PURE_PULL, f"Pull {tag}"),
-                                 (Algorithm.IPP, f"IPP {tag}")):
-            config = _base(algorithm,
-                           client__think_time_ratio=think_time_ratio,
-                           client__steady_state_perc=steady,
-                           server__pull_bw=0.50)
-            series.append(_warmup_series(label, config, profile))
-    paper_panel = {25: "4a", 250: "4b"}
-    return FigureResult(
-        figure_id=paper_panel.get(think_time_ratio,
-                                  f"4 (TTR={think_time_ratio})"),
-        title=f"Client cache warm-up time, IPP PullBW=50%, "
-              f"ThinkTimeRatio={think_time_ratio}",
-        x_label="Cache Warm Up %",
-        y_label="Time (Broadcast Units)",
-        series=series,
-        manifest=sweep_manifest(profile),
-    )
-
-
-def figure_5(profile: Profile, variant: str,
-             ttrs=PAPER_TTRS) -> FigureResult:
-    """Figures 5(a)/5(b): Noise sensitivity, IPP PullBW = 50%.
-
-    ``variant='pull'`` compares Pure-Pull against Pure-Push (5a);
-    ``variant='ipp'`` compares IPP against Pure-Push (5b).
-    """
-    if variant not in ("pull", "ipp"):
-        raise ValueError("variant must be 'pull' or 'ipp'")
-    algorithm = Algorithm.PURE_PULL if variant == "pull" else Algorithm.IPP
-    label_stem = "Pull" if variant == "pull" else "IPP"
-    series = []
-    for noise in (0.0, 0.15, 0.35):
-        series.append(_flat_push_series(
-            f"Push Noise {noise:.0%}",
-            _base(Algorithm.PURE_PUSH, client__noise=noise),
-            ttrs, profile))
-    for noise in (0.0, 0.15, 0.35):
-        configs = [
-            _base(algorithm,
-                  client__think_time_ratio=ttr,
-                  client__noise=noise,
-                  server__pull_bw=0.50)
-            for ttr in ttrs
-        ]
-        series.append(sweep_series(f"{label_stem} Noise {noise:.0%}",
-                                   configs, ttrs, profile))
-    return FigureResult(
-        figure_id="5a" if variant == "pull" else "5b",
-        title=f"Noise sensitivity: {label_stem} vs Pure-Push "
-              f"(IPP PullBW=50%)",
-        x_label="Think Time Ratio",
-        y_label="Response Time (Broadcast Units)",
-        series=series,
-        manifest=sweep_manifest(profile),
-    )
+    """Figure 3(a) over the ``ttrs`` load grid (spine import contract)."""
+    return run_figure(replace(FIGURES["3a"], xs=tuple(ttrs)), profile)

@@ -1,57 +1,20 @@
-"""Representative sweep points — one interesting config per figure.
+"""``REPRESENTATIVE_POINTS`` under the name the benchmark spine imports.
 
-The figure functions build their sweep configs internally; tracing or
-profiling "a figure" therefore needs a stand-in: one configuration from
-the figure's sweep that exercises its characteristic behaviour (the
-mid-load IPP point for the steady-state figures, a chopped program for
-Experiment 3, ...).  ``repro-broadcast trace --figure`` and the figures
-command's ``--trace`` flag resolve ids through this table.
+``benchmarks/spine/workloads.py`` (not editable outside a ``benchmark``
+PR) reads entries ``"3a"`` and ``"4b"`` from here; that is this module's
+only reason to exist.  The table is derived: each figure's
+representative point is a ``(series label, x)`` coordinate on its
+:class:`~repro.experiments.figures.FigureSpec`.
 """
 
 from __future__ import annotations
 
-from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
+from repro.experiments.figures import FIGURES
 
-__all__ = ["REPRESENTATIVE_POINTS", "representative_config"]
+__all__ = ["REPRESENTATIVE_POINTS"]
 
-
-def _point(algorithm: Algorithm, **overrides) -> SystemConfig:
-    return SystemConfig(algorithm=algorithm).with_(**overrides)
-
-
-#: Figure id -> one configuration from that figure's sweep.
+#: Figure id -> the configuration at that figure's representative point.
 REPRESENTATIVE_POINTS: dict[str, SystemConfig] = {
-    # Experiment 1: steady state (3a/3b), warm-up loads (4a/4b), noise (5).
-    "3a": _point(Algorithm.IPP, client__think_time_ratio=10,
-                 client__steady_state_perc=0.95, server__pull_bw=0.50),
-    "3b": _point(Algorithm.IPP, client__think_time_ratio=10,
-                 server__pull_bw=0.30),
-    "4a": _point(Algorithm.IPP, client__think_time_ratio=25,
-                 server__pull_bw=0.50),
-    "4b": _point(Algorithm.IPP, client__think_time_ratio=250,
-                 server__pull_bw=0.50),
-    "5a": _point(Algorithm.PURE_PULL, client__think_time_ratio=25,
-                 client__noise=0.15),
-    "5b": _point(Algorithm.IPP, client__think_time_ratio=25,
-                 client__noise=0.15, server__pull_bw=0.50),
-    # Experiment 2: thresholds.
-    "6a": _point(Algorithm.IPP, client__think_time_ratio=25,
-                 server__pull_bw=0.50, server__thresh_perc=0.25),
-    "6b": _point(Algorithm.IPP, client__think_time_ratio=25,
-                 server__pull_bw=0.30, server__thresh_perc=0.25),
-    # Experiment 3: restricted push programs.
-    "7a": _point(Algorithm.IPP, client__think_time_ratio=25,
-                 server__pull_bw=0.30, server__chop=300),
-    "7b": _point(Algorithm.IPP, client__think_time_ratio=25,
-                 server__pull_bw=0.30, server__thresh_perc=0.35,
-                 server__chop=300),
-    "8": _point(Algorithm.IPP, client__think_time_ratio=50,
-                server__pull_bw=0.30, server__thresh_perc=0.35,
-                server__chop=300),
+    fig_id: spec.representative_config() for fig_id, spec in FIGURES.items()
 }
-
-
-def representative_config(fig_id: str) -> SystemConfig:
-    """The representative point for ``fig_id`` (KeyError when unknown)."""
-    return REPRESENTATIVE_POINTS[fig_id]

@@ -22,7 +22,6 @@ from repro.obs.requests import RequestTracer
 from repro.obs.trace import SlotTracer
 
 __all__ = [
-    "trace_representative",
     "write_request_trace",
     "write_slot_trace",
 ]
@@ -58,15 +57,3 @@ def write_request_trace(config: SystemConfig, path: Union[str, Path],
         tracer.close()
     return tracer
 
-
-def trace_representative(fig_id: str, profile, out_dir: Union[str, Path],
-                         engine: str = "fast") -> tuple[Path, int]:
-    """Slot-trace a figure's representative sweep point into ``out_dir``.
-
-    Returns ``(path, emitted)``; the file is ``trace_<fig_id>.npy``.
-    """
-    from repro.experiments.points import representative_config
-
-    config = profile.apply(representative_config(fig_id), profile.base_seed)
-    path = Path(out_dir) / f"trace_{fig_id}.npy"
-    return path, write_slot_trace(config, path, engine=engine)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
 
 from repro.obs.metrics import MetricsRegistry
@@ -94,20 +93,6 @@ class Dashboard:
         self._lines = 0
 
 
-@dataclass
-class _SweepState:
-    """Progress of one run_sweep call."""
-
-    label: Optional[str]
-    total: int
-    completed: int = 0
-    last_mean: float = math.nan
-    #: Replicate mean waits, for running p50/p90 (merged across sweeps
-    #: through Histogram.merge for the figure-level view).
-    hist: Histogram = field(default_factory=lambda: Histogram(
-        "sweep_replicate_mean_wait", "per-replicate mean response times"))
-
-
 def _hms(seconds: float) -> str:
     if not math.isfinite(seconds):
         return "--:--"
@@ -136,7 +121,12 @@ class SweepMonitor:
       carries, so sim sweeps and the net server export alike;
     - the optional :class:`Dashboard`, with a progress bar, running
       mean / p50 / p90 of the completed replicates' mean waits, and a
-      rate-based ETA over the replicates announced so far.
+      rate-based ETA.
+
+    ``run_figure`` announces a figure's every run in one sweep, so
+    ``figures --watch`` totals the whole figure from its first frame.  A
+    monitor left installed across several sweeps adds each announcement
+    to its total (the ETA is then a lower bound until the last one).
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
@@ -145,7 +135,14 @@ class SweepMonitor:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.dashboard = dashboard
         self.title = title
-        self.sweeps: list[_SweepState] = []
+        #: Replicates announced / finished so far.
+        self.total = 0
+        self.completed = 0
+        #: Label of the sweep announced last, and its latest mean wait.
+        self.label: Optional[str] = None
+        self.last_mean = math.nan
+        self._hist = Histogram(
+            "sweep_replicate_mean_wait", "per-replicate mean response times")
         self._m_completed = self.registry.counter(
             "sweep_replicates_completed_total", "replicate runs finished")
         self._m_total = self.registry.gauge(
@@ -160,89 +157,62 @@ class SweepMonitor:
 
     # -- SweepProgress protocol --------------------------------------------
     def sweep_started(self, total: int, label: Optional[str]) -> None:
-        self.sweeps.append(_SweepState(label=label, total=total))
+        self.total += total
+        self.label = label
         self._m_total.set(self.total)
         if self.dashboard is not None:
             self.dashboard.show(self.render())
 
     def replicate_done(self, index: int, result) -> None:
-        state = self.sweeps[-1] if self.sweeps else None
-        if state is None:  # replicate without sweep_started: tolerate
-            state = _SweepState(label=None, total=0)
-            self.sweeps.append(state)
-        state.completed += 1
+        self.completed += 1
         self._m_completed.inc()
         mean = getattr(getattr(result, "response_miss", None), "mean",
                        math.nan)
         if mean is not None and not math.isnan(mean):
-            state.last_mean = mean
-            state.hist.observe(mean)
-        merged = self.overall_histogram()
-        if merged.count:
-            self._m_mean.set(merged.mean)
+            self.last_mean = mean
+            self._hist.observe(mean)
+            self._m_mean.set(self._hist.mean)
         eta = self.eta_seconds()
         self._m_eta.set(eta if eta is not None else 0.0)
         if self.dashboard is not None:
             self.dashboard.show(self.render())
 
     # -- derived views -----------------------------------------------------
-    @property
-    def total(self) -> int:
-        """Replicates announced so far (grows as sweeps are announced)."""
-        return sum(s.total for s in self.sweeps)
-
-    @property
-    def completed(self) -> int:
-        return sum(s.completed for s in self.sweeps)
-
     def overall_histogram(self) -> Histogram:
-        """All sweeps' replicate mean waits pooled (Histogram.merge)."""
-        merged = Histogram(
-            "sweep_replicate_mean_wait", "per-replicate mean response times")
-        for state in self.sweeps:
-            merged.merge(state.hist)
-        return merged
+        """Every completed replicate's mean wait, across all sweeps."""
+        return self._hist
 
     def eta_seconds(self) -> Optional[float]:
         """Rate-based remaining time over the *announced* replicates.
 
-        Figures announce their sweeps one at a time, so this is a lower
-        bound early in a figure and converges as the last series starts.
         None before the first completion.
         """
-        completed = self.completed
-        if completed == 0:
+        if self.completed == 0:
             return None
         elapsed = time.monotonic() - self._started_at
-        remaining = max(0, self.total - completed)
-        return remaining * elapsed / completed
+        remaining = max(0, self.total - self.completed)
+        return remaining * elapsed / self.completed
 
     def render(self) -> str:
         """The dashboard frame (also the final summary on finish)."""
-        total = self.total
-        completed = self.completed
-        fraction = completed / total if total else 0.0
+        fraction = self.completed / self.total if self.total else 0.0
         elapsed = time.monotonic() - self._started_at
         eta = self.eta_seconds()
         lines = [
-            f"{self.title}  [{_bar(fraction)}] {completed}/{total} "
+            f"{self.title}  [{_bar(fraction)}] {self.completed}/{self.total} "
             f"replicates  elapsed {_hms(elapsed)}  eta "
             f"{_hms(eta) if eta is not None else '--:--'}"
         ]
-        merged = self.overall_histogram()
-        if merged.count:
+        if self._hist.count:
             lines.append(
-                f"  mean wait {merged.mean:.1f}  "
-                f"p50 {merged.quantile(0.5):.1f}  "
-                f"p90 {merged.quantile(0.9):.1f}  (broadcast units, over "
+                f"  mean wait {self._hist.mean:.1f}  "
+                f"p50 {self._hist.quantile(0.5):.1f}  "
+                f"p90 {self._hist.quantile(0.9):.1f}  (broadcast units, over "
                 f"replicate means)")
-        state = self.sweeps[-1] if self.sweeps else None
-        if state is not None:
-            label = state.label or "series"
-            detail = (f"  last mean {state.last_mean:.1f}"
-                      if not math.isnan(state.last_mean) else "")
-            lines.append(f"  current: {label}  {state.completed}/"
-                         f"{state.total}{detail}")
+        if self.label is not None or not math.isnan(self.last_mean):
+            detail = (f"  last mean {self.last_mean:.1f}"
+                      if not math.isnan(self.last_mean) else "")
+            lines.append(f"  current: {self.label or 'sweep'}{detail}")
         return "\n".join(lines)
 
     def finish(self) -> None:

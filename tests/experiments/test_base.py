@@ -10,9 +10,11 @@ from repro.experiments.base import (
     FigureSeries,
     PointStats,
     Profile,
+    run_points,
     run_replicated,
     run_sweep,
     sweep_series,
+    sweep_series_multi,
 )
 from tests.conftest import small_config
 
@@ -110,6 +112,48 @@ class TestSweepSeries:
         with pytest.raises(RuntimeError, match="produced NaN"):
             sweep_series("x", [small_config()], [1], TINY,
                          metric=lambda r: math.nan)
+
+
+class TestRunPoints:
+    def test_one_sweep_chunks_replicates_per_config(self):
+        """The primitive under run_replicated / sweep_series /
+        sweep_series_multi / run_figure: every point's replicates in one
+        run_sweep, handed back per config with seeds base_seed + r."""
+        from repro.experiments.base import sweep_progress
+
+        recorder = _Recorder()
+        configs = [small_config(client__think_time_ratio=ttr)
+                   for ttr in (2, 5, 7)]
+        with sweep_progress(recorder):
+            runs = run_points(configs, TINY, label="batch")
+        assert recorder.started == [(3 * TINY.replicates, "batch")]
+        for config, results in zip(configs, runs):
+            assert results == run_sweep(
+                [TINY.apply(config, seed) for seed in (3, 4)])
+
+
+class TestSweepSeriesMulti:
+    def test_series_share_one_set_of_runs(self):
+        configs = [small_config(client__think_time_ratio=ttr)
+                   for ttr in (2, 5)]
+        recorder = _Recorder()
+        from repro.experiments.base import sweep_progress
+        with sweep_progress(recorder):
+            mean, hits = sweep_series_multi(
+                {"mean": None, "hits": lambda r: float(r.mc_hits)},
+                configs, [2, 5], TINY, label="shared")
+        assert recorder.started == [(2 * TINY.replicates, "shared")]
+        assert (mean.label, hits.label) == ("mean", "hits")
+        assert mean.x == hits.x == [2, 5]
+        for a, b in zip(mean.points, hits.points):
+            assert a.results is not None and a.results == b.results
+        assert mean.y == sweep_series("m", configs, [2, 5], TINY).y
+
+    def test_misaligned_or_empty_inputs_rejected(self):
+        with pytest.raises(ValueError, match="align"):
+            sweep_series_multi({"m": None}, [small_config()], [1, 2], TINY)
+        with pytest.raises(ValueError, match="metrics"):
+            sweep_series_multi({}, [small_config()], [1], TINY)
 
 
 class TestFigureResult:

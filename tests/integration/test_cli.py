@@ -1,10 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import FIGURES, Profile, run_figure
+
+#: Figure 3a on a two-point grid at a scale that runs in a blink.
+SMALL_3A = replace(FIGURES["3a"], xs=(2, 5))
+SMALL_PROFILE = Profile(settle_accesses=20, measure_accesses=40,
+                        replicates=1)
 
 
 class TestParser:
@@ -16,6 +23,139 @@ class TestParser:
         args = build_parser().parse_args(["figures"])
         assert args.ids == []
         assert not args.full
+
+
+#: ``option=default`` of every subcommand, as argparse holds them at
+#: PR 21 (ab4f20a): refactors of cli.py may not add, drop or re-default
+#: a flag.  SYSTEM_FLAGS is what ``_add_system_args`` contributes.
+SYSTEM_FLAGS = (
+    "--algorithm='ipp' --chop=0 --fleet-cache-size=100 "
+    "--fleet-cache-spread=0.0 --fleet-clients=0 --fleet-offset-spread=0 "
+    "--fleet-think-spread=0.0 --fleet-think-time=4000.0 --measure=5000 "
+    "--noise=0.0 --pull-bw=0.5 --seed=0 --settle=4000 "
+    "--steady-state-perc=0.95 --thresh-perc=0.0 --ttr=10.0")
+PARSER_SNAPSHOT = {
+    "compare": "--alpha=0.01 --format='table' --series=None "
+               "--tolerance=1e-06 a=None b=None",
+    "convert": "dst=None src=None",
+    "figures": "--chart=False --drop-rates=False --full=False --json=None "
+               "--seed=42 --trace=None --watch/--no-watch=None "
+               "--workers=None ids=None",
+    "fleet-sweep": "--chart=False --clients=10000 --full=False "
+                   "--homogeneous=False --json=None --parity=False "
+                   "--parity-clients=200 --seed=42 --think-time=None "
+                   "--workers=None",
+    "lint": "--format='text' --list-rules=False --no-unused-pragma=False "
+            "--select=None paths=None",
+    "loadgen": "--clients=200 --duration=10.0 --host='127.0.0.1' "
+               "--port=None --settle-slots=0 --slot-duration=0.005 "
+               "--stats-json=None --think-time=200.0 --watch=False "
+               + SYSTEM_FLAGS,
+    "profile": "--figure=None " + SYSTEM_FLAGS,
+    "program": "--cache-size=100 --chop=0 --no-offset=False",
+    "report": "--think-time=None --trace=None path=None",
+    "sanitize": "--engine='both' --figure=None --format='text' "
+                "--hash-seed=None --inject-divergence=None "
+                "--no-hashseed=False " + SYSTEM_FLAGS,
+    "sched-sweep": "--aging=1.0 --chart=False --clients=2000 "
+                   "--disciplines='fifo,rxw,lwf' --full=False --json=None "
+                   "--seed=42 --workers=None",
+    "serve": "--clients=200 --drop-after=64 --host='127.0.0.1' --port=0 "
+             "--self-test=False --send-queue=256 --slot-duration=0.005 "
+             "--slots=None --stats-json=None --think-time=200.0 "
+             "--watch=False " + SYSTEM_FLAGS,
+    "simulate": "--metrics=False " + SYSTEM_FLAGS,
+    "trace": "--engine='fast' --figure=None --out=PosixPath('trace.npy') "
+             "--requests=False --reservoir=None --sample-every=None "
+             + SYSTEM_FLAGS,
+    "tune": "--chop='0' --loads='10,50,250' --measure=800 "
+            "--objective='worst_case' --pull-bw='0.3,0.5' --replicates=1 "
+            "--seed=42 --settle=500 --thresh-perc='0,0.25,0.35'",
+}
+
+
+class TestParserSnapshot:
+    def test_no_flag_added_removed_or_redefaulted(self):
+        import argparse
+
+        [sub] = [action for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+        flags = {
+            name: {"/".join(a.option_strings) or a.dest: repr(a.default)
+                   for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction)}
+            for name, parser in sub.choices.items()}
+        expected = {
+            name: dict(pair.split("=", 1) for pair in text.split())
+            for name, text in PARSER_SNAPSHOT.items()}
+        assert flags == expected
+
+
+class TestUnknownFigureId:
+    @pytest.mark.parametrize("argv", [
+        ["figures", "99"],
+        ["trace", "--figure", "99"],
+        ["profile", "--figure", "99"],
+        ["sanitize", "--figure", "99", "--no-hashseed"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_2_with_one_line_naming_known_ids(self, argv, capsys):
+        """Regression: ``--figure`` went through ``SystemExit(message)``
+        — status 1, which ``sanitize`` documents as "divergence"."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"{argv[0]}: unknown figure id(s): 99")
+        assert "3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b, 7a, 7b, 8" in line
+
+
+def _figure_json(**series_changes):
+    series = {"label": "s", "x": [1, 2], "y": [1.0, 2.0],
+              "drop_rate": [0.0, 0.0], **series_changes}
+    return {"figure": "x", "title": "t", "x_label": "x", "y_label": "y",
+            "series": [series]}
+
+
+#: Name -> text of a file no figure can be loaded from (None: no text to
+#: write — the path is missing, or a directory).
+BAD_FIGURE_FILES = {
+    "missing_file": None,
+    "directory": None,
+    "not_json": '{"series": ',
+    "top_level_list": "[1, 2]",
+    "series_not_a_list": json.dumps({**_figure_json(), "series": 3}),
+    "series_entry_not_an_object": json.dumps(
+        {**_figure_json(), "series": [3]}),
+    "x_not_a_list": json.dumps(_figure_json(x=3)),
+    "y_not_a_list": json.dumps(_figure_json(y=3)),
+    "truncated_y": json.dumps(_figure_json(y=[1.0])),
+}
+
+
+class TestMalformedFigureJson:
+    """Regression: a traceback's exit status 1 is ``compare``'s "drift";
+    a broken artifact must read as a load error (2) instead."""
+
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    @pytest.mark.parametrize("bad", BAD_FIGURE_FILES)
+    def test_exits_2_with_one_line(self, command, bad, tmp_path, capsys):
+        from pathlib import Path
+
+        path = tmp_path / "bad.json"
+        if bad == "directory":
+            path.mkdir()
+        elif BAD_FIGURE_FILES[bad] is not None:
+            path.write_text(BAD_FIGURE_FILES[bad])
+        archived = (Path(__file__).resolve().parents[2]
+                    / "results" / "figure_3a_quick_baseline.json")
+        argv = (["report", str(path)] if command == "report"
+                else ["compare", str(path), str(archived)])
+        assert main(argv) == 2  # an uncaught exception fails here
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"{command}: ")
+        assert "bad.json" in line
 
 
 class TestProgramCommand:
@@ -90,9 +230,8 @@ class TestTraceCommand:
         assert load_columnar(path).shape[0]
 
     def test_unknown_figure_id(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["trace", "--figure", "nope",
-                  "--out", str(tmp_path / "t.npy")])
+        assert main(["trace", "--figure", "nope",
+                     "--out", str(tmp_path / "t.npy")]) == 2
 
     def test_requests_flag_writes_lifecycle_records(self, tmp_path, capsys):
         from repro.obs.columnar import (
@@ -296,12 +435,7 @@ class TestReportCommand:
         assert main(["report", str(path), "--trace", str(path)]) == 2
 
     def test_figure_json_with_provenance(self, tmp_path, capsys):
-        from repro.experiments import figure_3a
-        from repro.experiments.base import Profile
-
-        profile = Profile(settle_accesses=20, measure_accesses=40,
-                          replicates=1)
-        figure = figure_3a(profile, ttrs=(2, 5))
+        figure = run_figure(SMALL_3A, SMALL_PROFILE)
         path = tmp_path / "figure_3a.json"
         path.write_text(json.dumps(figure.to_dict()))
         assert main(["report", str(path)]) == 0
@@ -522,14 +656,9 @@ class TestCompareCommand:
                                                      capsys):
         """Acceptance: two QUICK-style runs of the same code and seed
         exit 0; a perturbed mean exits 1; a dropped series exits 2."""
-        from repro.experiments import figure_3a
-        from repro.experiments.base import Profile
-
-        profile = Profile(settle_accesses=20, measure_accesses=40,
-                          replicates=1)
         paths = []
         for name in ("a.json", "b.json"):
-            figure = figure_3a(profile, ttrs=(2, 5))
+            figure = run_figure(SMALL_3A, SMALL_PROFILE)
             path = tmp_path / name
             path.write_text(json.dumps(figure.to_dict()))
             paths.append(path)
@@ -587,15 +716,9 @@ class TestFiguresCommand:
                                              monkeypatch):
         # Shrink the quick profile so the test stays fast.
         import repro.cli as cli
-        from repro.experiments import figure_3a
-        from repro.experiments.base import Profile
 
-        monkeypatch.setattr(
-            cli, "QUICK",
-            Profile(settle_accesses=20, measure_accesses=40, replicates=1))
-        monkeypatch.setattr(
-            cli, "ALL_FIGURES",
-            {"3a": lambda profile: figure_3a(profile, ttrs=(2, 5))})
+        monkeypatch.setattr(cli, "QUICK", SMALL_PROFILE)
+        monkeypatch.setitem(cli.FIGURES, "3a", SMALL_3A)
         code = main(["figures", "3a", "--json", str(tmp_path), "--chart",
                      "--trace", str(tmp_path)])
         assert code == 0

@@ -46,12 +46,9 @@ class TestExports:
 
 class TestFigureRegistry:
     def test_covers_every_paper_figure(self):
-        from repro.experiments import ALL_FIGURES
+        from repro.experiments import FIGURES
 
-        assert set(ALL_FIGURES) == {
-            "3a", "3b", "4a", "4b", "5a", "5b", "6a", "6b", "7a", "7b", "8"}
-
-    def test_entries_are_callable(self):
-        from repro.experiments import ALL_FIGURES
-
-        assert all(callable(fn) for fn in ALL_FIGURES.values())
+        assert list(FIGURES) == [
+            "3a", "3b", "4a", "4b", "5a", "5b", "6a", "6b", "7a", "7b", "8"]
+        assert all(spec.figure_id == fig_id
+                   for fig_id, spec in FIGURES.items())
