@@ -12,9 +12,16 @@ one process per entity on the :mod:`repro.sim` kernel:
   (``RunConfig.vc_closed_loop``) where the generated client blocks until
   its page is broadcast.
 
-It is an order of magnitude slower than :class:`~repro.core.fast.FastEngine`
-but shares every component with it (server, caches, filters, workloads), so
-agreement between the two validates the fast engine's shortcuts.
+It shares every component with :class:`~repro.core.fast.FastEngine` (server,
+caches, filters, workloads), so agreement between the two validates the fast
+engine's shortcuts.  It is ~3.5-4x slower on the same point (benchmark spine,
+``reference_ipp`` against ``ipp_light``): an under-loaded IPP slot is 2.56
+calendar events, and each costs a heap push and pop, a generator resume and
+three Python frames inside :mod:`repro.sim` where the fast engine's slot
+loop has none of them.
+
+An engine instance owns one :class:`~repro.sim.Environment`, so it runs
+once; build a new engine for another run.
 """
 
 from __future__ import annotations
@@ -28,12 +35,17 @@ from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
 from repro.core.runtime import ControlPlane, RunProtocol, SimulationStall
 from repro.sim import Environment, Event
+from repro.sim.core import URGENT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
     from repro.obs.requests import RequestTracer
     from repro.obs.trace import SlotTracer
 
 __all__ = ["ReferenceEngine"]
+
+#: Exponential VC gaps drawn per RNG call: element for element (and
+#: bit-generator state for state) what as many scalar draws return.
+_VC_GAP_CHUNK = 1024
 
 
 class ReferenceEngine:
@@ -53,6 +65,7 @@ class ReferenceEngine:
         #: Optional observers (same record schemas as the fast engine's).
         self.tracer = tracer
         self.request_tracer = request_tracer
+        self._started = False
 
     # -- public protocol --------------------------------------------------------
     def run(self) -> RunResult:
@@ -65,9 +78,14 @@ class ReferenceEngine:
 
     # -- orchestration -------------------------------------------------------------
     def _execute(self, warmup_mode: bool) -> RunResult:
+        if self._started:
+            raise RuntimeError(
+                "a ReferenceEngine runs once: the first run's processes are "
+                "still on its Environment; build a new engine")
         control = ControlPlane(self.state)
         run = RunProtocol(self.config, self.state, "reference", warmup_mode,
                           (self.tracer, self.request_tracer), control)
+        self._started = True
         # The MC starts before the server so a boundary-aligned access is
         # processed before the slot tick — the same event order the fast
         # engine and classic CSIM models use.
@@ -75,18 +93,23 @@ class ReferenceEngine:
         self.env.process(self._server_process(run, control))
         if self.config.algorithm.uses_backchannel:
             self.env.process(self._vc_process())
-        # The runaway guard stays with the event loop, not on the plane's
-        # per-slot deadline: no event at or past max_slots may fire, which
-        # a poll at the server's (normal-priority) slot top would let the
-        # boundary instant's deliveries and MC accesses slip through.
-        max_slots = self.config.run.max_slots
+        # The runaway guard is an event, not the plane's per-slot deadline:
+        # no event at or past max_slots may fire, which a poll at the
+        # server's (normal-priority) slot top would let the boundary
+        # instant's deliveries and MC accesses slip through.  One sentinel
+        # ahead of everything else at that instant does it, and is also
+        # what the loop reaches when the calendar drains early.
+        self.env.timeout(self.config.run.max_slots,
+                         priority=URGENT - 1).add_callback(self._stall)
         with run:
+            step = self.env.step
             while run.end_time is None:
-                if not self.env.peek() < max_slots:
-                    raise SimulationStall(
-                        f"run exceeded max_slots={max_slots}")
-                self.env.step()
+                step()
         return run.result()
+
+    def _stall(self, _sentinel: Event) -> None:
+        raise SimulationStall(
+            f"run exceeded max_slots={self.config.run.max_slots}")
 
     # -- processes -------------------------------------------------------------------
     def _arrival_event(self, page: int) -> Event:
@@ -97,8 +120,6 @@ class ReferenceEngine:
         return event
 
     def _server_process(self, run: RunProtocol, control: ControlPlane):
-        from repro.sim.core import URGENT
-
         server = self.state.server
         fleet = self.state.fleet
         uses_backchannel = self.config.algorithm.uses_backchannel
@@ -172,11 +193,15 @@ class ReferenceEngine:
         closed_loop = self.config.run.vc_closed_loop
         mean_gap = 1.0 / vc.rate
         while True:
-            yield env.timeout(self._vc_rng.exponential(mean_gap))
-            survivors = list(vc.requests_for_slot(1, server.schedule_pos))
-            if not survivors:
-                continue
-            server.queue.offer(survivors[0])
-            if closed_loop:
-                # The generated client blocks until its page is broadcast.
-                yield self._arrival_event(survivors[0])
+            for gap in self._vc_rng.exponential(
+                    mean_gap, _VC_GAP_CHUNK).tolist():
+                yield env.timeout(gap)
+                survivors = list(
+                    vc.requests_for_slot(1, server.schedule_pos))
+                if not survivors:
+                    continue
+                server.queue.offer(survivors[0])
+                if closed_loop:
+                    # The generated client blocks until its page is
+                    # broadcast.
+                    yield self._arrival_event(survivors[0])

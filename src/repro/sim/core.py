@@ -5,14 +5,27 @@ The design follows the classic event-scheduling world view: an
 entries and fires events in nondecreasing time order.  Ties are broken first
 by an explicit integer priority (lower fires earlier) and then by scheduling
 order, which makes runs fully deterministic.
+
+The per-event path is three Python frames inside this package:
+:meth:`Environment.step` pops the entry and runs the callbacks itself,
+``Process._resume`` runs the generator up to its next ``yield``, and the
+:class:`Timeout` yielded there writes its own slots and pushes its own heap
+entry.  Nothing on that path goes through a property, ``add_callback`` or
+``_schedule``; those serve every other caller.  A time entering the kernel
+is checked with ``not x >= 0``, which turns away NaN as well as negatives
+for one comparison (``inf`` is legal: "never").
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Iterable, Optional
+from functools import partial
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-__all__ = ["Environment", "Event", "Timeout", "AnyOf", "AllOf", "SimulationError"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (process -> core)
+    from repro.sim.process import Process
+
+__all__ = ["Environment", "Event", "Timeout", "SimulationError"]
 
 #: Default priority for ordinary events.
 NORMAL = 1
@@ -38,6 +51,7 @@ class Event:
 
     def __init__(self, env: "Environment"):
         self.env = env
+        #: Waiters, in registration order; None once they have run.
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._ok = True
@@ -72,9 +86,9 @@ class Event:
         """Schedule this event to fire successfully after ``delay``."""
         if self._triggered:
             raise SimulationError("event has already been triggered")
+        self.env._schedule(self, delay)
         self._triggered = True
         self._value = value
-        self.env._schedule(self, delay=delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -86,10 +100,10 @@ class Event:
             raise SimulationError("event has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        self.env._schedule(self, delay)
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.env._schedule(self, delay=delay)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -101,13 +115,6 @@ class Event:
             callback(self)
         else:
             self.callbacks.append(callback)
-
-    def _fire(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else (
@@ -127,64 +134,16 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float, value: Any = None,
                  priority: int = NORMAL):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        super().__init__(env)
-        self._triggered = True
+        if not delay >= 0:
+            raise ValueError(f"delay must be a number >= 0, got {delay!r}")
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay, priority=priority)
-
-
-class _CompositeEvent(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("_events", "_pending")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        self._pending = len(self._events)
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, Any]:
-        return {e: e.value for e in self._events if e.processed and e.ok}
-
-
-class AnyOf(_CompositeEvent):
-    """Fires when the first of ``events`` fires; value maps event -> value."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_CompositeEvent):
-    """Fires when all of ``events`` have fired; value maps event -> value."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(self._collect())
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now + delay, priority, seq, self))
 
 
 class Environment:
@@ -201,8 +160,11 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        #: The process currently executing (guards self-interrupt).
-        self._active_process = None
+        #: ``timeout(delay, value=None, priority=NORMAL)``: create an event
+        #: firing ``delay`` units from now.  The constructor itself, bound
+        #: to this environment, so a process's ``yield env.timeout(...)``
+        #: costs one frame.
+        self.timeout: Callable[..., Timeout] = partial(Timeout, self)
 
     @property
     def now(self) -> float:
@@ -214,20 +176,7 @@ class Environment:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None,
-                priority: int = NORMAL) -> Timeout:
-        """Create an event firing ``delay`` units from now."""
-        return Timeout(self, delay, value, priority=priority)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when every one of ``events`` has fired."""
-        return AllOf(self, events)
-
-    def process(self, generator) -> "Process":
+    def process(self, generator: Generator[Event, Any, Any]) -> "Process":
         """Start a new :class:`~repro.sim.process.Process` from a generator."""
         from repro.sim.process import Process
 
@@ -236,22 +185,29 @@ class Environment:
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = NORMAL) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be a number >= 0, got {delay!r}")
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Fire the single next event (advancing the clock to it)."""
+        """Fire the single next event (advancing the clock to it).
+
+        Callers that shadow or hoist this method (``step = env.step``) look
+        it up on the instance; it is the one per-event entry point.
+        """
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        time, _, _, event = heapq.heappop(self._queue)
-        self._now = time
-        event._fire()
+        self._now, _, _, event = heappop(self._queue)
+        callbacks, event.callbacks = event.callbacks, None
+        event._processed = True
+        if callbacks:
+            for callback in callbacks:
+                callback(event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar drains or the clock reaches ``until``.
@@ -264,8 +220,9 @@ class Environment:
                 self.step()
             return
         until = float(until)
-        if until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
+        if not until >= self._now:
+            raise ValueError(
+                f"until={until} is NaN or in the past (now={self._now})")
         while self._queue and self._queue[0][0] <= until:
             self.step()
         self._now = until

@@ -11,22 +11,9 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.sim.core import Environment, Event, SimulationError, URGENT
+from repro.sim.core import URGENT, Environment, Event, SimulationError
 
-__all__ = ["Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Raised inside a process generator when it is interrupted.
-
-    The ``cause`` passed to :meth:`Process.interrupt` is available as
-    ``exc.cause``.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
+__all__ = ["Process"]
 
 
 class Process(Event):
@@ -37,7 +24,7 @@ class Process(Event):
     after events already scheduled now).
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: Environment, generator: Generator[Event, Any, Any]):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -45,60 +32,27 @@ class Process(Event):
                 f"Process requires a generator, got {type(generator).__name__}")
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Event | None = None
         # Kick-start the process via an immediately-scheduled initial event.
-        start = Event(env)
-        start._triggered = True
-        env._schedule(start, priority=URGENT)
-        start.add_callback(self._resume)
+        env.timeout(0.0, priority=URGENT).add_callback(self._resume)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The event the process was waiting on remains pending; the process
-        may re-wait on it after handling the interrupt.
-        """
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if getattr(self.env, "_active_process", None) is self:
-            raise SimulationError("a process cannot interrupt itself")
-        wakeup = Event(self.env)
-        wakeup._ok = False
-        wakeup._value = Interrupt(cause)
-        wakeup._triggered = True
-        self.env._schedule(wakeup, priority=URGENT)
-        # Detach from the event we were waiting on so its eventual firing
-        # does not resume us twice.
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        wakeup.add_callback(self._resume)
-
     # -- internal ------------------------------------------------------------
     def _resume(self, trigger: Event) -> None:
-        self._waiting_on = None
-        self.env._active_process = self
-        try:
-            self._step(trigger)
-        finally:
-            self.env._active_process = None
-
-    def _step(self, trigger: Event) -> None:
+        """Run the generator from ``trigger`` to the next event it has to
+        wait for.  This is the per-event path: it reads the events' slots
+        directly, not through their properties."""
+        generator = self._generator
+        ok, value = trigger._ok, trigger._value
         while True:
             try:
-                if trigger.ok:
-                    target = self._generator.send(trigger.value)
+                if ok:
+                    target = generator.send(value)
                 else:
-                    target = self._generator.throw(trigger.value)
+                    target = generator.throw(value)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
@@ -110,16 +64,13 @@ class Process(Event):
                     return
                 raise
             if not isinstance(target, Event):
-                trigger = Event(self.env)
-                trigger._ok = False
-                trigger._value = SimulationError(
+                ok, value = False, SimulationError(
                     f"process yielded a non-event: {target!r}")
-                trigger._triggered = True
                 continue
-            if target.processed:
+            waiters = target.callbacks
+            if waiters is None:
                 # Already-fired events resume the process synchronously.
-                trigger = target
+                ok, value = target._ok, target._value
                 continue
-            self._waiting_on = target
-            target.add_callback(self._resume)
+            waiters.append(self._resume)
             return

@@ -1,5 +1,6 @@
 """Unit tests for the reference (event-driven) engine."""
 
+import numpy as np
 import pytest
 
 from repro.core.fast import FastEngine, SimulationStall
@@ -41,6 +42,63 @@ class TestReferenceEngine:
         config = ipp_config.with_(run__max_slots=30)
         with pytest.raises(SimulationStall):
             ReferenceEngine(config).run()
+
+    def test_stall_guard_boundary(self, ipp_config):
+        """No event at or past ``max_slots`` fires, whatever its priority
+        and however early it was scheduled; one just before it does."""
+        from repro.sim.core import URGENT
+
+        engine = ReferenceEngine(ipp_config.with_(run__max_slots=30))
+        fired = []
+        for delay in (30.0, 30.0 - 1e-9):
+            engine.env.timeout(delay, value=delay, priority=URGENT).add_callback(
+                lambda event: fired.append(event.value))
+        with pytest.raises(SimulationStall, match="max_slots=30"):
+            engine.run()
+        assert fired == [30.0 - 1e-9]
+
+    def test_drained_calendar_stalls_rather_than_spinning(self, push_config):
+        """A model whose processes all end without finishing the run leaves
+        nothing to step: that is a stall, not an endless loop."""
+        engine = ReferenceEngine(push_config.with_(run__max_slots=30))
+
+        def ends_early(*_args):
+            yield engine.env.timeout(1.0)
+
+        engine._mc_process = engine._server_process = ends_early
+        with pytest.raises(SimulationStall, match="max_slots=30"):
+            engine.run()
+
+    @pytest.mark.parametrize("first", ["run", "run_warmup"])
+    @pytest.mark.parametrize("second", ["run", "run_warmup"])
+    def test_second_run_is_refused(self, ipp_config, first, second):
+        """The first run's server and VC processes are still on the
+        engine's environment; a second run would tick one server from two
+        processes and return plausible garbage."""
+        engine = ReferenceEngine(ipp_config)
+        getattr(engine, first)()
+        with pytest.raises(RuntimeError, match="runs once"):
+            getattr(engine, second)()
+
+    def test_refused_configuration_does_not_use_up_the_engine(self):
+        engine = ReferenceEngine(small_config(client__cache_size=0))
+        with pytest.raises(ValueError):
+            engine.run_warmup()
+        assert engine.run().mc_misses > 0
+
+    def test_chunked_vc_gaps_are_the_scalar_draws(self):
+        """The VC process draws its exponential gaps a chunk at a time;
+        numpy fills an array with the scalar routine, so gap for gap and
+        bit-generator state for state nothing moved."""
+        from repro.core.simulation import _VC_GAP_CHUNK
+
+        chunked, scalar = (np.random.default_rng(
+            np.random.SeedSequence((7, 0xBEEF))) for _ in range(2))
+        for mean_gap in (0.8, 0.016):
+            assert (chunked.exponential(mean_gap, _VC_GAP_CHUNK).tolist()
+                    == [scalar.exponential(mean_gap)
+                        for _ in range(_VC_GAP_CHUNK)])
+        assert chunked.bit_generator.state == scalar.bit_generator.state
 
     def test_closed_loop_vc_produces_less_load(self, ipp_config):
         """A closed-loop VC blocks on every response, so it offers fewer

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.core import AllOf, AnyOf, Environment, SimulationError, Timeout
+from repro.sim.core import Environment, SimulationError, Timeout
 
 
 class TestEnvironment:
@@ -73,6 +73,41 @@ class TestEnvironment:
         env = Environment()
         with pytest.raises(ValueError):
             env.timeout(-1.0)
+
+
+class TestNonNumberTimesRejected:
+    """NaN passes ``delay < 0``; once on the heap it compares false with
+    everything and the clock runs backwards without an error."""
+
+    ENTRY_POINTS = {
+        "timeout": lambda env, t: env.timeout(t),
+        "succeed": lambda env, t: env.event().succeed(delay=t),
+        "fail": lambda env, t: env.event().fail(RuntimeError(), delay=t),
+        "run_until": lambda env, t: env.run(until=t),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("time", [math.nan, -1.0])
+    def test_rejected_and_nothing_scheduled(self, entry, time):
+        env = Environment()
+        with pytest.raises(ValueError):
+            self.ENTRY_POINTS[entry](env, time)
+        assert env.peek() == math.inf
+        assert env.now == 0.0
+
+    def test_rejected_trigger_leaves_the_event_pending(self):
+        event = Environment().event()
+        with pytest.raises(ValueError):
+            event.succeed(delay=math.nan)
+        assert not event.triggered
+
+    def test_inf_is_never(self):
+        env = Environment()
+        fired = []
+        env.timeout(math.inf).add_callback(lambda e: fired.append("never"))
+        env.timeout(2.0).add_callback(lambda e: fired.append(env.now))
+        env.run(until=1e12)
+        assert fired == [2.0]
 
 
 class TestEvent:
@@ -153,40 +188,3 @@ class TestTimeout:
         with pytest.raises(ValueError):
             Timeout(Environment(), -0.5)
 
-
-class TestComposites:
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        fast = env.timeout(1.0, value="fast")
-        slow = env.timeout(5.0, value="slow")
-        any_of = AnyOf(env, [fast, slow])
-        env.run()
-        assert any_of.processed
-        assert any_of.value == {fast: "fast"}
-
-    def test_all_of_waits_for_every_event(self):
-        env = Environment()
-        a = env.timeout(1.0, value="a")
-        b = env.timeout(3.0, value="b")
-        all_of = AllOf(env, [a, b])
-        fired_at = []
-        all_of.add_callback(lambda e: fired_at.append(env.now))
-        env.run()
-        assert fired_at == [3.0]
-        assert all_of.value == {a: "a", b: "b"}
-
-    def test_empty_composites_fire_immediately(self):
-        env = Environment()
-        any_of = AnyOf(env, [])
-        all_of = AllOf(env, [])
-        env.run()
-        assert any_of.processed and all_of.processed
-
-    def test_any_of_propagates_failure(self):
-        env = Environment()
-        bad = env.event()
-        bad.fail(ValueError("nope"))
-        any_of = AnyOf(env, [bad, env.timeout(9.0)])
-        env.run(until=1.0)
-        assert any_of.triggered
-        assert not any_of.ok

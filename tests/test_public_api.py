@@ -38,6 +38,21 @@ class TestExports:
                      "simulate_warmup", "FastEngine", "ReferenceEngine"):
             assert name in repro.__all__
 
+    def test_sim_kernel_is_only_what_the_reference_engine_uses(self):
+        import repro.sim
+        import repro.sim.core
+        import repro.sim.process
+
+        assert sorted(repro.sim.__all__) == [
+            "Environment", "Event", "Process", "SimulationError", "Tally",
+            "Timeout"]
+        for module, gone in ((repro.sim.core, ("AnyOf", "AllOf")),
+                             (repro.sim.process, ("Interrupt",))):
+            for name in gone:
+                assert not hasattr(module, name)
+        assert not hasattr(repro.sim.Process, "interrupt")
+        assert not hasattr(repro.sim.Environment, "any_of")
+
     def test_version(self):
         import repro
 
