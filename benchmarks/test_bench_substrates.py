@@ -6,6 +6,7 @@ sampling, cache churn, queue traffic, and raw engine throughput.
 """
 
 import numpy as np
+import pytest
 
 from repro.broadcast.program import DiskAssignment, build_schedule
 from repro.cache.base import Cache
@@ -15,7 +16,11 @@ from repro.core.config import ClientConfig, RunConfig, ServerConfig, SystemConfi
 from repro.core.fast import FastEngine
 from repro.core.simulation import ReferenceEngine
 from repro.server.queue import BoundedRequestQueue
-from repro.workload.zipf import ZipfSampler, zipf_probabilities
+from repro.workload.zipf import (
+    _GUIDE_MIN_BATCH,
+    ZipfSampler,
+    zipf_probabilities,
+)
 
 
 def paper_assignment():
@@ -43,6 +48,17 @@ def test_zipf_sampling_100k(benchmark):
                           np.random.default_rng(0))
     draws = benchmark(sampler.sample, 100_000)
     assert draws.size == 100_000
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, _GUIDE_MIN_BATCH - 1,
+                                  _GUIDE_MIN_BATCH])
+def test_zipf_sampling_small_batches(benchmark, size):
+    """The fleet's regime (1-2 draws a call) and both sides of the size
+    below which ``ZipfSampler.sample`` keeps ``searchsorted``."""
+    sampler = ZipfSampler(zipf_probabilities(1000, 0.95),
+                          np.random.default_rng(0))
+    draws = benchmark(sampler.sample, size)
+    assert draws.size == size
 
 
 def test_pix_cache_churn(benchmark):

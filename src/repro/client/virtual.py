@@ -66,10 +66,6 @@ class VirtualClient:
         self.absorbed_by_cache = 0
         self.filtered_by_threshold = 0
 
-    def arrivals_in_slot(self) -> int:
-        """Number of VC requests arriving during one broadcast slot."""
-        return int(self._rng.poisson(self.rate))
-
     def arrivals_for_slots(self, count: int) -> list[int]:
         """Batched Poisson draws: requests arriving in each of ``count`` slots."""
         return self._rng.poisson(self.rate, count).tolist()

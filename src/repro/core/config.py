@@ -7,6 +7,7 @@ values verbatim so experiments and tests can reference them by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -65,16 +66,20 @@ class ClientConfig:
                 f"unknown cache_policy {self.cache_policy!r}")
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative")
-        if self.think_time <= 0:
-            raise ValueError("think_time must be positive")
-        if self.think_time_ratio <= 0:
-            raise ValueError("think_time_ratio must be positive")
+        # Each bound is also false for nan; inf would make the VC rate 0
+        # or inf and the Zipf weights nan, far from this field.
+        for name in ("think_time", "think_time_ratio"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
         for name in ("steady_state_perc", "noise"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {value}")
-        if self.zipf_theta < 0:
-            raise ValueError("zipf_theta must be non-negative")
+        if not 0 <= self.zipf_theta < math.inf:
+            raise ValueError("zipf_theta must be finite and non-negative, "
+                             f"got {self.zipf_theta}")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 :class:`AccessStream` wraps a :class:`~repro.workload.zipf.ZipfSampler`
 plus the coins the virtual client needs (steady-state vs warm-up), drawing
-everything in large buffers and settling at refill time everything that
-does not depend on simulated time, so the per-slot cost inside the hot
-simulation loop is two index lookups and a slice.
+everything in 65,536-draw buffers and settling at refill time everything
+that does not depend on simulated time, so the per-slot cost inside the
+hot simulation loop is two index lookups and a slice.  A buffer's pages
+come from the sampler's guide table (a bucket lookup and one correction
+step a draw at the paper's Zipf(1000, 0.95), the very pages a binary
+search would pick); the coins, the absorption mask, the running count
+and the compress that follow cost about as much again.
 """
 
 from __future__ import annotations

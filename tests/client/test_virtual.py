@@ -32,10 +32,6 @@ class TestArrivals:
         counts = vc.arrivals_for_slots(20_000)
         assert np.mean(counts) == pytest.approx(5.0, abs=0.1)
 
-    def test_arrivals_in_slot_non_negative(self):
-        vc = make_vc()
-        assert all(vc.arrivals_in_slot() >= 0 for _ in range(100))
-
 
 class TestFiltering:
     def test_steady_requests_absorbed_by_steady_set(self):

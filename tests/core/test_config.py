@@ -1,5 +1,7 @@
 """Unit tests for configuration dataclasses (Tables 1-3)."""
 
+import math
+
 import pytest
 
 from repro.core.algorithms import Algorithm
@@ -10,6 +12,7 @@ from repro.core.config import (
     ServerConfig,
     SystemConfig,
 )
+from repro.obs.manifest import config_from_dict, config_to_dict
 
 
 class TestClientConfig:
@@ -31,6 +34,18 @@ class TestClientConfig:
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             ClientConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "think_time", "think_time_ratio", "zipf_theta"])
+    def test_non_finite_rejected_naming_the_field(self, field, value):
+        # Accepted before, then failing inside numpy at run or build time.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SystemConfig().with_(**{f"client__{field}": value})
+        data = config_to_dict(SystemConfig())
+        data["client"][field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            config_from_dict(data)
 
 
 class TestServerConfig:
