@@ -1,49 +1,15 @@
 """Command-line interface: ``repro-broadcast`` / ``python -m repro``.
 
-Subcommands:
+``repro-broadcast --help`` lists the subcommands; each one's ``help=`` in
+:func:`build_parser` is its description.  The single-system subcommands
+(``simulate``, ``serve``, ``loadgen``, ``trace``, ``profile``,
+``sanitize``) share one flag per config field, derived from the field's
+declared domain (:data:`_SYSTEM_FLAGS`).
 
-- ``figures`` — regenerate one or all of the paper's figures and print
-  the series as tables (optionally saving JSON and ``.npy`` slot traces),
-- ``simulate`` — run a single configured system and dump its metrics
-  (``--metrics`` adds a metrics-registry snapshot via the same adapter
-  the network server exports through),
-- ``serve`` — serve one configured system over TCP with a wall-clock
-  slot clock (``--self-test`` runs the loopback server+fleet sweep and
-  checks the latency ordering against the simulator),
-- ``loadgen`` — drive a running ``serve`` instance with a client fleet
-  and report wall-clock latencies,
-- ``trace`` — run one system with a tracer attached and write a
-  columnar ``.npy`` trace (one record per broadcast slot, or per
-  measured-client access with ``--requests``),
-- ``report`` — summarize a saved figure JSON (tables, quantiles,
-  provenance) or a ``.npy`` trace (wait breakdown) in the terminal,
-- ``compare`` — diff two saved figure JSONs (same figure, different
-  code versions) and flag series drift beyond replicate noise
-  (Welch's t-test per point, tolerance fallback; exit 0 match /
-  1 drift / 2 structural, see docs/COMPARE.md),
-- ``fleet-sweep`` — sweep PullBW with a per-user client fleet and plot
-  fairness statistics (per-user p99, wait dispersion, Jain's index);
-  ``--parity`` instead validates a homogeneous fleet against its
-  aggregate-VC equivalent through the compare harness (same exit-code
-  contract; see docs/FLEET.md),
-- ``sched-sweep`` — sweep PullBW once per pull-queue discipline (FIFO /
-  RxW / LWF) with a client fleet attached, plotting mean response next
-  to the fleet wait tail (p99 / max) so the discipline choice's effect
-  under saturation is visible; emits compare-ready figure JSON (see
-  docs/SCHEDULERS.md),
-- ``convert`` — export a ``.npy`` trace as JSON lines, one object per
-  record, for ``grep`` / ``jq``,
-- ``profile`` — run the fast engine with phase timers and print the
-  per-phase wall-time breakdown,
-- ``program`` — show a broadcast program's layout and analytic delays,
-- ``tune`` — recommend IPP knob settings for a load range,
-- ``lint`` — domain-aware static analysis (determinism, seed discipline,
-  cross-engine parity; see docs/STATIC_ANALYSIS.md),
-- ``sanitize`` — runtime determinism check: replay one configured system
-  twice per engine (including once in a subprocess under a different
-  ``PYTHONHASHSEED``) and diff the slot traces bit-exactly, reporting
-  the first divergent slot (exit 0 deterministic / 1 divergence /
-  2 error).
+Exit codes: 0 success; 2 a usage or load error, reported as one
+``command: ...`` line on stderr; 1 is reserved for a verdict:
+``compare`` / ``fleet-sweep --parity`` drift, ``sanitize`` divergence,
+a failed ``serve --self-test`` (see docs/COMPARE.md).
 """
 
 from __future__ import annotations
@@ -57,7 +23,7 @@ from pathlib import Path
 
 from repro.core import ENGINES
 from repro.core.algorithms import Algorithm
-from repro.core.config import SystemConfig
+from repro.core.config import SystemConfig, config_field
 from repro.core.fast import simulate
 from repro.experiments import (
     FIGURES,
@@ -69,7 +35,6 @@ from repro.experiments import (
 )
 from repro.experiments.reporting import render_ascii_chart
 from repro.obs.events import SCHEDULER_DISCIPLINES
-from repro.server.schedulers import MAX_AGING
 
 __all__ = ["main", "build_parser"]
 
@@ -97,75 +62,82 @@ def _version() -> str:
         return __version__
 
 
+#: The single-system flags shared by simulate / serve / loadgen / trace /
+#: profile / sanitize, each setting one config field; its type, default
+#: and help come from the field's declared domain.
+_SYSTEM_FLAGS = {
+    "--ttr": "client.think_time_ratio",
+    "--pull-bw": "server.pull_bw",
+    "--thresh-perc": "server.thresh_perc",
+    "--steady-state-perc": "client.steady_state_perc",
+    "--noise": "client.noise",
+    "--chop": "server.chop",
+    "--seed": "run.seed",
+    "--settle": "run.settle_accesses",
+    "--measure": "run.measure_accesses",
+    "--fleet-clients": "fleet.num_clients",
+    "--fleet-think-time": "fleet.think_time",
+    "--fleet-think-spread": "fleet.think_time_spread",
+    "--fleet-offset-spread": "fleet.zipf_offset_spread",
+    "--fleet-cache-size": "fleet.cache_size",
+    "--fleet-cache-spread": "fleet.cache_size_spread",
+}
+
+
 def _add_system_args(parser: argparse.ArgumentParser) -> None:
-    """The single-system knobs shared by simulate / trace / profile."""
+    """The single-system knobs: ``--algorithm`` plus :data:`_SYSTEM_FLAGS`."""
     parser.add_argument("--algorithm", choices=[a.value for a in Algorithm],
                         default="ipp")
-    parser.add_argument("--ttr", type=float, default=10.0,
-                        help="ThinkTimeRatio (client population scale)")
-    parser.add_argument("--pull-bw", type=float, default=0.5)
-    parser.add_argument("--thresh-perc", type=float, default=0.0)
-    parser.add_argument("--steady-state-perc", type=float, default=0.95)
-    parser.add_argument("--noise", type=float, default=0.0)
-    parser.add_argument("--chop", type=int, default=0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--settle", type=int, default=4000)
-    parser.add_argument("--measure", type=int, default=5000)
+    for flag, dotted in _SYSTEM_FLAGS.items():
+        spec = config_field(dotted)
+        domain = spec.metadata["domain"]
+        parser.add_argument(
+            flag, type=domain.kind, default=spec.default,
+            help=f"{dotted}: {domain.describe()} (default: %(default)s)")
+
+
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """The sweep knobs :func:`_sweep_profile` and :func:`_emit_figure` read."""
     parser.add_argument(
-        "--fleet-clients", type=int, default=0, metavar="N",
-        help="add a per-user client fleet of N individually tracked "
-             "clients (0 = disabled; see docs/FLEET.md)")
+        "--full", action="store_true",
+        help="paper-scale runs (slow); default is the quick profile")
     parser.add_argument(
-        "--fleet-think-time", type=float, default=4000.0, metavar="UNITS",
-        help="mean fleet-client think time in broadcast units")
-    parser.add_argument(
-        "--fleet-think-spread", type=float, default=0.0, metavar="FRAC",
-        help="per-client think-time spread fraction in [0, 1)")
-    parser.add_argument(
-        "--fleet-offset-spread", type=int, default=0, metavar="PAGES",
-        help="per-client popularity-ranking rotation drawn from [0, N]")
-    parser.add_argument(
-        "--fleet-cache-size", type=int, default=100, metavar="PAGES",
-        help="fleet warm-cache size (steady-state absorption)")
-    parser.add_argument(
-        "--fleet-cache-spread", type=float, default=0.0, metavar="FRAC",
-        help="per-client cache-size spread fraction in [0, 1]")
+        "--workers", type=int, default=None,
+        help="process-pool width for the sweeps (default: the profile's "
+             "own width; --full uses every core)")
+    parser.add_argument("--seed", type=int, default=42, help="base RNG seed")
+    parser.add_argument("--chart", action="store_true",
+                        help="also plot each figure as an ASCII chart")
 
 
 def _system_config(args) -> SystemConfig:
     """Build the configured system from simulate-style arguments.
 
-    ``--figure`` (trace / profile only) swaps in that figure's
-    representative sweep point; the run-scale knobs (--seed, --settle,
-    --measure) still apply on top.
+    ``--figure`` (trace / profile / sanitize) swaps in that figure's
+    representative sweep point, which the client and server flags then
+    leave alone; the fleet flags apply only with a non-zero
+    ``--fleet-clients``; the run flags always apply.  A value outside its
+    field's domain is a usage error naming the flag and the field.
     """
     figure = getattr(args, "figure", None)
     if figure is not None:
         [spec] = _figure_specs([figure])
         config = spec.representative_config()
     else:
-        config = SystemConfig(algorithm=Algorithm(args.algorithm)).with_(
-            client__think_time_ratio=args.ttr,
-            client__steady_state_perc=args.steady_state_perc,
-            client__noise=args.noise,
-            server__pull_bw=args.pull_bw,
-            server__thresh_perc=args.thresh_perc,
-            server__chop=args.chop,
-        )
-    if getattr(args, "fleet_clients", 0):
-        config = config.with_(
-            fleet__num_clients=args.fleet_clients,
-            fleet__think_time=args.fleet_think_time,
-            fleet__think_time_spread=args.fleet_think_spread,
-            fleet__zipf_offset_spread=args.fleet_offset_spread,
-            fleet__cache_size=args.fleet_cache_size,
-            fleet__cache_size_spread=args.fleet_cache_spread,
-        )
-    return config.with_(
-        run__seed=args.seed,
-        run__settle_accesses=args.settle,
-        run__measure_accesses=args.measure,
-    )
+        config = SystemConfig(algorithm=Algorithm(args.algorithm))
+    updates = {}
+    for flag, dotted in _SYSTEM_FLAGS.items():
+        section, name = dotted.split(".")
+        if not ((section in ("client", "server") and figure is not None)
+                or (section == "fleet" and not args.fleet_clients)):
+            updates[f"{section}__{name}"] = getattr(
+                args, flag[2:].replace("-", "_"))
+    try:
+        return config.with_(**updates)
+    except ValueError as exc:
+        flags = [flag for flag, dotted in _SYSTEM_FLAGS.items()
+                 if str(exc).startswith(f"{dotted} ")]
+        raise _UsageError(": ".join([*flags, str(exc)])) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,15 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "ids", nargs="*", metavar="FIG",
         help=f"figure ids ({', '.join(FIGURES)}); default: all")
-    figures.add_argument(
-        "--full", action="store_true",
-        help="paper-scale runs (slow); default is the quick profile")
-    figures.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool width for the sweeps (default: the profile's "
-             "own width; --full uses every core)")
-    figures.add_argument(
-        "--seed", type=int, default=42, help="base RNG seed")
+    _add_sweep_args(figures)
     figures.add_argument(
         "--json", type=Path, default=None, metavar="DIR",
         help="also write one JSON file per figure into DIR")
@@ -209,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--drop-rates", action="store_true",
         help="print server drop-rate tables as well")
-    figures.add_argument(
-        "--chart", action="store_true",
-        help="also plot each figure as an ASCII chart")
     figures.add_argument(
         "--watch", action=argparse.BooleanOptionalAction, default=None,
         help="live sweep dashboard on stderr (completed/total replicates, "
@@ -375,20 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--homogeneous", action="store_true",
         help="disable the per-client heterogeneity spreads")
-    fleet.add_argument(
-        "--full", action="store_true",
-        help="paper-scale runs (slow); default is the quick profile")
-    fleet.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool width for the sweep")
-    fleet.add_argument("--seed", type=int, default=42,
-                       help="base RNG seed")
+    _add_sweep_args(fleet)
     fleet.add_argument(
         "--json", type=Path, default=None, metavar="FILE",
         help="also write the figure (or parity report) JSON to FILE")
-    fleet.add_argument(
-        "--chart", action="store_true",
-        help="also plot the figure as an ASCII chart")
     fleet.add_argument(
         "--parity", action="store_true",
         help="instead check a homogeneous fleet against its aggregate-VC "
@@ -406,27 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated disciplines to sweep "
              f"(default: {','.join(SCHEDULER_DISCIPLINES)})")
+    aging = config_field("scheduler.aging")
     sched.add_argument(
-        "--aging", type=float, default=1.0,
-        help=f"RxW aging exponent in [0, {MAX_AGING:g}] (default: 1.0; "
-             "0 = pure waiter count)")
+        "--aging", type=float, default=aging.default,
+        help=f"RxW aging exponent, {aging.metadata['domain'].describe()} "
+             "(default: %(default)s; 0 = pure waiter count)")
     sched.add_argument(
         "--clients", type=int, default=2000,
         help="fleet population per run (default: 2000)")
-    sched.add_argument(
-        "--full", action="store_true",
-        help="paper-scale runs (slow); default is the quick profile")
-    sched.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool width for the sweep")
-    sched.add_argument("--seed", type=int, default=42,
-                       help="base RNG seed")
+    _add_sweep_args(sched)
     sched.add_argument(
         "--json", type=Path, default=None, metavar="FILE",
         help="also write the figure JSON to FILE")
-    sched.add_argument(
-        "--chart", action="store_true",
-        help="also plot the figure as an ASCII chart")
 
     convert = command(
         "convert", _cmd_convert, help="export a .npy trace as JSON lines")

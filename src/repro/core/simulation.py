@@ -26,6 +26,7 @@ once; build a new engine for another run.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -191,7 +192,9 @@ class ReferenceEngine:
         env = self.env
         server = self.state.server
         closed_loop = self.config.run.vc_closed_loop
-        mean_gap = 1.0 / vc.rate
+        # A rate that underflows to 0 (a subnormal ThinkTimeRatio) is a
+        # VC that never requests: every gap is inf, a legal "never".
+        mean_gap = 1.0 / vc.rate if vc.rate else math.inf
         while True:
             for gap in self._vc_rng.exponential(
                     mean_gap, _VC_GAP_CHUNK).tolist():

@@ -109,6 +109,42 @@ class TestUnknownFigureId:
         assert "3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b, 7a, 7b, 8" in line
 
 
+class TestRejectedConfigValue:
+    """Regression: a value outside its field's domain was a ValueError
+    traceback with status 1, which ``sanitize`` documents as
+    "divergence"."""
+
+    @pytest.mark.parametrize("command", [
+        "simulate", "serve", "loadgen", "trace", "profile", "sanitize"])
+    def test_exits_2_with_one_line_naming_flag_and_field(self, command,
+                                                         capsys):
+        extra = ["--port", "1"] if command == "loadgen" else []
+        assert main([command, "--noise", "2", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"{command}: --noise: client.noise must be within [0, 1], "
+            "got 2.0"]
+
+    def test_a_cross_field_rule_names_the_flag_too(self, capsys):
+        assert main(["simulate", "--algorithm", "pure-push",
+                     "--chop", "5"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("simulate: --chop: server.chop must be 0")
+
+    def test_fleet_flags_apply_only_with_fleet_clients(self, capsys):
+        """``--fleet-think-time`` is ignored without ``--fleet-clients``,
+        as it always was; with a fleet its nan is a usage error."""
+        argv = ["simulate", "--fleet-think-time", "nan", "--settle", "5",
+                "--measure", "10"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--fleet-clients", "10"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == ("simulate: --fleet-think-time: fleet.think_time "
+                        "must be finite and > 0, got nan")
+
+
 def _figure_json(**series_changes):
     series = {"label": "s", "x": [1, 2], "y": [1.0, 2.0],
               "drop_rate": [0.0, 0.0], **series_changes}

@@ -1,7 +1,6 @@
 """Run/sweep provenance manifests."""
 
 import json
-from dataclasses import fields
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +17,7 @@ from repro.obs.manifest import (
     run_manifest,
     sweep_manifest,
 )
+from tests.config_strategies import system_configs
 from tests.conftest import small_config
 
 
@@ -33,71 +33,15 @@ class TestConfigToDict:
             config_to_dict({"not": "a dataclass"})
 
 
-_UNIT = st.floats(0.0, 1.0, allow_nan=False)
-_POSITIVE = st.floats(0.5, 1e6, allow_nan=False)
-#: Disk sizes and frequencies must align: both read one shared draw.
-_LAYOUT = st.shared(st.sampled_from((
-    ((100, 400, 500), (3, 2, 1)), ((300, 700), (2, 1)), ((1000,), (1,)))),
-    key="layout")
-#: A strategy per field of every SystemConfig section, over values the
-#: section accepts (``db_size`` stays 1000: the layouts sum to it).
-_FIELDS = {
-    "client": {
-        "cache_size": st.integers(0, 300), "think_time": _POSITIVE,
-        "think_time_ratio": _POSITIVE, "steady_state_perc": _UNIT,
-        "noise": _UNIT, "zipf_theta": st.floats(0.0, 2.0),
-        "cache_policy": st.sampled_from(("auto", "pix", "p", "lru", "lix"))},
-    "server": {
-        "db_size": st.just(1000),
-        "disk_sizes": _LAYOUT.map(lambda layout: layout[0]),
-        "rel_freqs": _LAYOUT.map(lambda layout: layout[1]),
-        "queue_size": st.integers(1, 500), "pull_bw": _UNIT,
-        "thresh_perc": _UNIT, "offset": st.booleans(),
-        "chop": st.sampled_from((0, 0, 200))},
-    "run": {
-        "settle_accesses": st.integers(0, 10**4),
-        "measure_accesses": st.integers(1, 10**4),
-        "seed": st.integers(0, 2**32), "max_slots": st.integers(1, 10**8),
-        "vc_closed_loop": st.booleans()},
-    "fleet": {
-        "num_clients": st.integers(0, 10**6), "think_time": _POSITIVE,
-        "think_time_spread": st.floats(0.0, 1.0, exclude_max=True),
-        "zipf_offset_spread": st.integers(0, 500),
-        "cache_size": st.integers(0, 300), "cache_size_spread": _UNIT},
-    "scheduler": {
-        "discipline": st.sampled_from(("fifo", "rxw", "lwf")),
-        "aging": st.floats(0.0, 4.0),
-        "reprogram_interval": st.sampled_from((0, 0, 2000)),
-        "reprogram_min_requests": st.integers(1, 5000)},
-}
-
-
 class TestConfigRoundTrip:
-    def test_strategies_cover_every_section_and_field(self):
-        # A section or field added to SystemConfig must join the property
-        # below, or its round trip goes untested (as the scheduler's did).
-        sections = {spec.name: type(getattr(SystemConfig(), spec.name))
-                    for spec in fields(SystemConfig)
-                    if spec.name != "algorithm"}
-        assert set(_FIELDS) == set(sections)
-        for name, section in sections.items():
-            assert set(_FIELDS[name]) == {
-                spec.name for spec in fields(section)}, name
-
     @settings(max_examples=150, deadline=None)
-    @given(algorithm=st.sampled_from(list(Algorithm)),
-           sections=st.fixed_dictionaries({
-               name: st.fixed_dictionaries(strategies)
-               for name, strategies in _FIELDS.items()}),
-           via_json=st.booleans())
-    def test_from_dict_inverts_to_dict(self, algorithm, sections, via_json):
-        updates = {f"{section}__{name}": value
-                   for section, values in sections.items()
-                   for name, value in values.items()}
+    @given(drawn=system_configs(broken_fields=0), via_json=st.booleans())
+    def test_from_dict_inverts_to_dict(self, drawn, via_json):
+        algorithm, updates, _ = drawn
         try:
             config = SystemConfig(algorithm=algorithm).with_(**updates)
         except ValueError:
-            assume(False)  # a cross-section rule (chop x Pure-Push, ...)
+            assume(False)  # a cross-field rule (chop x Pure-Push, ...)
         data = config_to_dict(config)
         if via_json:
             data = json.loads(json.dumps(data))
