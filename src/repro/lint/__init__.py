@@ -7,7 +7,6 @@ package is a small AST-based analyzer with rules for exactly those
 invariants:
 
 - ``REP001`` wall-clock sanitizer (no host clocks/timers, no ambient RNG),
-- ``REP002`` RNG seed discipline (every generator explicitly seeded),
 - ``REP003`` no float equality on simulated-time values,
 - ``REP004`` cross-engine config parity (every config field reaches both
   engines, or is PARITY_EXEMPT with a rationale),
@@ -15,9 +14,11 @@ invariants:
   the single event vocabulary),
 - ``REP007`` no fire-and-forget tasks (``create_task`` handles are kept),
 - ``REP008`` no loop-blocking calls inside ``async def``,
-- ``REP009`` no blind ``self.`` state writes across an ``await``,
-- ``REP010`` seed flow (every seed traces back to configuration, not
-  entropy).
+- ``REP009`` no blind ``self.`` state writes across an ``await``.
+
+That every generator's seed derives from the configured one is checked
+at runtime, not here: ``repro-broadcast sanitize`` replays a run and
+diffs the traces bit-exactly (:mod:`repro.lint.sanitize`).
 
 Run it as ``repro-broadcast lint`` or ``python -m repro.lint``; see
 ``docs/STATIC_ANALYSIS.md`` for the allow-pragma — the one way to excuse

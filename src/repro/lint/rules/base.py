@@ -3,7 +3,7 @@
 Two rule shapes exist:
 
 - :class:`FileRule` — examines one parsed module at a time (the
-  determinism, seed-discipline, and sim-time rules);
+  wall-clock, sim-time and asyncio rules);
 - :class:`ProjectRule` — examines the whole scan at once (the
   cross-engine parity and event-vocabulary rules, which must compare
   ``core/fast.py`` against ``core/simulation.py``).
@@ -16,14 +16,12 @@ engine iterates :data:`REGISTRY` in id order.  Each rule carries a stable
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator, Union
+from typing import Iterator
 
 from repro.lint.findings import Finding
 from repro.lint.source import Project, SourceFile
 
-__all__ = ["Rule", "FileRule", "ProjectRule", "REGISTRY", "register",
-           "dotted_name", "ImportResolver"]
+__all__ = ["Rule", "FileRule", "ProjectRule", "REGISTRY", "register"]
 
 
 class Rule:
@@ -69,57 +67,3 @@ def register(rule_class: type) -> type:
     REGISTRY[rule.id] = rule
     return rule_class
 
-
-# -- shared AST helpers -------------------------------------------------------
-
-class ImportResolver(ast.NodeVisitor):
-    """Map local names to canonical dotted module paths.
-
-    Handles ``import numpy as np`` (``np`` -> ``numpy``), ``from time
-    import time as clock`` (``clock`` -> ``time.time``), and nested
-    ``from numpy import random`` (``random`` -> ``numpy.random``), at any
-    scope in the module.
-    """
-
-    def __init__(self) -> None:
-        self.aliases: dict[str, str] = {}
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            local = alias.asname or alias.name.split(".")[0]
-            target = alias.name if alias.asname else alias.name.split(".")[0]
-            self.aliases[local] = target
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.level or node.module is None:
-            return  # relative imports never reach stdlib clocks / numpy
-        for alias in node.names:
-            local = alias.asname or alias.name
-            self.aliases[local] = f"{node.module}.{alias.name}"
-
-    @classmethod
-    def of(cls, tree: ast.AST) -> "ImportResolver":
-        resolver = cls()
-        resolver.visit(tree)
-        return resolver
-
-    def canonical(self, node: ast.AST) -> Union[str, None]:
-        """Canonical dotted path of a Name/Attribute chain, if resolvable."""
-        if isinstance(node, ast.Name):
-            return self.aliases.get(node.id)
-        if isinstance(node, ast.Attribute):
-            base = self.canonical(node.value)
-            if base is not None:
-                return f"{base}.{node.attr}"
-        return None
-
-
-def dotted_name(node: ast.AST) -> Union[str, None]:
-    """Literal dotted form of a Name/Attribute chain (no import tracking)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_name(node.value)
-        if base is not None:
-            return f"{base}.{node.attr}"
-    return None

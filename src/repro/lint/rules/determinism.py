@@ -1,36 +1,30 @@
-"""REP001/REP002 determinism hazards and REP010 seed-flow dataflow.
+"""REP001 determinism hazards: wall clocks, host timers, ambient RNG state.
 
 The reproduction's headline invariant is bit-reproducibility from an
-explicit seed.  Three rules guard it:
+explicit seed.  REP001 guards its static half: wall-clock and host-timer
+reads (``time.time``, ``datetime.now``, ``time.perf_counter``, ...) and
+global RNG state (``random.*``, legacy ``np.random.*``) must not leak
+into simulation logic; legitimate uses (provenance timestamps, profiler
+timers) carry an inline ``# lint: allow[REP001] -- rationale`` pragma.
 
-- **REP001** — wall-clock and host-timer reads (``time.time``,
-  ``datetime.now``, ``time.perf_counter``, ...) leaking into simulation
-  logic; legitimate uses (provenance timestamps, profiler timers) must
-  carry an inline ``# lint: allow[REP001] -- rationale`` pragma.
-- **REP002** — syntactic seed discipline: ``default_rng()`` /
-  ``SeedSequence()`` / ``random.Random()`` without an explicit, non-None
-  seed pull OS entropy.
-- **REP010** — *seed-flow* dataflow: REP002 only checks that a seed
-  argument exists; REP010 walks the project call graph to prove the seed
-  *derives from configuration* (``SystemConfig.seed`` via
-  ``SeedSequence.spawn``) rather than from entropy (``os.getpid``,
-  ``time.time``, ``uuid.uuid4``, ``hash(...)``...).  Sources it can
-  prove entropy-derived are findings; sources it cannot resolve are
-  assumed rooted (the rule reports provable violations, not unknowns).
+Names resolve through the module's scope table, so ``def f(time):
+return time.time()`` is a parameter, not the ``time`` module.  Whether
+every generator's seed derives from the configured one is checked at
+runtime instead: ``repro-broadcast sanitize`` replays a run in-process
+and under another ``PYTHONHASHSEED`` and diffs the traces bit-exactly.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.lint.callgraph import CallGraph, FunctionInfo, ModuleInfo
 from repro.lint.findings import Finding
-from repro.lint.rules.base import FileRule, ImportResolver, ProjectRule, register
-from repro.lint.scopes import BIND_IMPORT, BIND_PARAM, Binding
-from repro.lint.source import Project, SourceFile
+from repro.lint.rules.base import FileRule, register
+from repro.lint.scopes import table_for
+from repro.lint.source import SourceFile
 
-__all__ = ["WallClockRule", "UnseededRngRule", "SeedFlowRule"]
+__all__ = ["WallClockRule"]
 
 #: Exact canonical callables that read host clocks / timers.
 WALL_CLOCK = {
@@ -58,13 +52,6 @@ WALL_CLOCK = {
 _NUMPY_SEEDED_API = frozenset({
     "default_rng", "SeedSequence", "Generator", "BitGenerator",
     "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
-})
-
-#: Constructors that must receive an explicit, non-None seed.
-_SEEDED_CONSTRUCTORS = frozenset({
-    "numpy.random.default_rng",
-    "numpy.random.SeedSequence",
-    "random.Random",
 })
 
 
@@ -95,11 +82,11 @@ class WallClockRule(FileRule):
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         assert source.tree is not None
-        resolver = ImportResolver.of(source.tree)
+        table = table_for(source)
         flagged: set[int] = set()
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Call):
-                canonical = resolver.canonical(node.func)
+                canonical = table.canonical(node.func)
                 if canonical is None:
                     continue
                 reason = _is_forbidden(canonical)
@@ -114,7 +101,7 @@ class WallClockRule(FileRule):
                 # call-only check.
                 if id(node) in flagged:
                     continue
-                canonical = resolver.canonical(node)
+                canonical = table.canonical(node)
                 if canonical is None:
                     continue
                 reason = _is_forbidden(canonical)
@@ -125,357 +112,3 @@ class WallClockRule(FileRule):
                     yield self.finding(
                         source, node.lineno,
                         f"reference to {canonical} ({reason})")
-
-
-def _seed_argument(call: ast.Call) -> Optional[ast.AST]:
-    """The seed expression handed to a seeded constructor, if any."""
-    if call.args:
-        return call.args[0]
-    for keyword in call.keywords:
-        if keyword.arg in ("seed", "entropy", "x"):
-            return keyword.value
-    return None
-
-
-@register
-class UnseededRngRule(FileRule):
-    """REP002 — RNG constructors must receive an explicit seed."""
-
-    id = "REP002"
-    name = "unseeded-rng"
-    summary = ("default_rng() / SeedSequence() / random.Random() must be "
-               "given an explicit, non-None seed traceable to config")
-    hint = ("pass a seed derived from RunConfig.seed (e.g. spawn from the "
-            "run's SeedSequence as repro.core.build does)")
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        assert source.tree is not None
-        resolver = ImportResolver.of(source.tree)
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            canonical = resolver.canonical(node.func)
-            if canonical not in _SEEDED_CONSTRUCTORS:
-                continue
-            short = canonical.rsplit(".", 1)[-1]
-            if not node.args and not node.keywords:
-                yield self.finding(
-                    source, node.lineno,
-                    f"{short}() constructed without a seed "
-                    f"(falls back to OS entropy)")
-                continue
-            seed = _seed_argument(node)
-            if (isinstance(seed, ast.Constant) and seed.value is None):
-                yield self.finding(
-                    source, node.lineno,
-                    f"{short}(None) is an unseeded construction "
-                    f"(None selects OS entropy)")
-
-
-# -- REP010: interprocedural seed-flow ----------------------------------------
-
-#: Classification verdicts, ordered so worst-wins combining is min().
-UNROOTED = 0
-ASSUMED = 1
-ROOTED = 2
-
-#: Canonical calls whose value is entropy, not configuration.
-_ENTROPY_CALLS = {
-    "os.urandom": "OS entropy",
-    "os.getrandom": "OS entropy",
-    "os.getpid": "process id (varies per run)",
-    "os.getppid": "process id (varies per run)",
-    "uuid.uuid1": "host/time-derived UUID",
-    "uuid.uuid4": "random UUID",
-    "id": "CPython object address (varies per run)",
-}
-
-#: Builtins that pass their argument's rootedness through.
-_PASSTHROUGH_BUILTINS = frozenset({
-    "int", "abs", "tuple", "list", "sum", "min", "max", "sorted", "len",
-    "str", "divmod", "pow", "round",
-})
-
-#: Attribute chains ending in one of these are config-carried seeds.
-_SEEDY = ("seed", "entropy", "seed_seq", "seed_sequence")
-
-_Verdict = tuple[int, Optional[str]]
-
-
-def _attr_is_seedy(name: str) -> bool:
-    lowered = name.lower()
-    return any(part in lowered for part in _SEEDY)
-
-
-class _SeedClassifier:
-    """Classify seed expressions as ROOTED / ASSUMED / UNROOTED.
-
-    Interprocedural: parameters are resolved through the call graph by
-    classifying the argument expression at every known call site
-    (worst-wins); project-function calls are resolved by classifying the
-    callee's return expressions with this call's arguments bound.
-    """
-
-    MAX_DEPTH = 20
-
-    def __init__(self, graph: CallGraph) -> None:
-        self.graph = graph
-        #: Recursion guard for param/return chasing.
-        self._stack: set[tuple[str, str]] = set()
-
-    # The env maps (id(function scope node), param name) -> the argument
-    # expression (and its module) bound at the call site being explored.
-    def classify(self, module: ModuleInfo, expr: ast.AST,
-                 env: dict[tuple[int, str], tuple[ModuleInfo, ast.AST]],
-                 depth: int = 0) -> _Verdict:
-        if depth > self.MAX_DEPTH:
-            return (ASSUMED, None)
-        if isinstance(expr, ast.Constant):
-            return (ROOTED, None)
-        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            return self._combine(
-                self.classify(module, element, env, depth + 1)
-                for element in expr.elts)
-        if isinstance(expr, ast.BinOp):
-            return self._combine([
-                self.classify(module, expr.left, env, depth + 1),
-                self.classify(module, expr.right, env, depth + 1)])
-        if isinstance(expr, ast.UnaryOp):
-            return self.classify(module, expr.operand, env, depth + 1)
-        if isinstance(expr, ast.Subscript):
-            return self.classify(module, expr.value, env, depth + 1)
-        if isinstance(expr, ast.Starred):
-            return self.classify(module, expr.value, env, depth + 1)
-        if isinstance(expr, ast.IfExp):
-            return self._combine([
-                self.classify(module, expr.body, env, depth + 1),
-                self.classify(module, expr.orelse, env, depth + 1)])
-        if isinstance(expr, ast.Attribute):
-            return self._classify_attribute(module, expr, env, depth)
-        if isinstance(expr, ast.Name):
-            return self._classify_name(module, expr, env, depth)
-        if isinstance(expr, ast.Call):
-            return self._classify_call(module, expr, env, depth)
-        return (ASSUMED, None)
-
-    def _combine(self, verdicts: "Iterator[_Verdict] | list[_Verdict]"
-                 ) -> _Verdict:
-        worst: _Verdict = (ROOTED, None)
-        for verdict in verdicts:
-            if verdict[0] < worst[0]:
-                worst = verdict
-        return worst
-
-    def _classify_attribute(
-            self, module: ModuleInfo, expr: ast.Attribute,
-            env: dict[tuple[int, str], tuple[ModuleInfo, ast.AST]],
-            depth: int) -> _Verdict:
-        canonical = module.table.canonical(expr)
-        if canonical is not None:
-            reason = self._entropy_reason(canonical)
-            if reason is not None:
-                return (UNROOTED, f"{canonical} ({reason})")
-        if _attr_is_seedy(expr.attr):
-            # config.run.seed, args.seed, settings.seed, self._seed...
-            return (ROOTED, None)
-        return (ASSUMED, None)
-
-    def _classify_name(
-            self, module: ModuleInfo, expr: ast.Name,
-            env: dict[tuple[int, str], tuple[ModuleInfo, ast.AST]],
-            depth: int) -> _Verdict:
-        table = module.table
-        scope = table.scope_of(expr)
-        owner = table.resolving_scope(scope, expr.id)
-        if owner is None:
-            return (ASSUMED, None)  # builtin or truly undefined
-        bindings = owner.bindings.get(expr.id, [])
-        verdicts: list[_Verdict] = []
-        for binding in bindings:
-            verdicts.append(self._classify_binding(
-                module, owner_scope_node_id=id(owner.node),
-                binding=binding, env=env, depth=depth))
-        return self._combine(verdicts) if verdicts else (ASSUMED, None)
-
-    def _classify_binding(
-            self, module: ModuleInfo, owner_scope_node_id: int,
-            binding: Binding,
-            env: dict[tuple[int, str], tuple[ModuleInfo, ast.AST]],
-            depth: int) -> _Verdict:
-        if binding.kind == BIND_PARAM:
-            bound = env.get((owner_scope_node_id, binding.name))
-            if bound is not None:
-                caller_module, value = bound
-                return self.classify(caller_module, value, {}, depth + 1)
-            return self._classify_param(module, owner_scope_node_id,
-                                        binding, depth)
-        if binding.kind == BIND_IMPORT:
-            target = binding.import_target
-            if target is not None:
-                reason = self._entropy_reason(target)
-                if reason is not None:
-                    return (UNROOTED, f"{target} ({reason})")
-            return (ASSUMED, None)
-        if binding.value is None:
-            return (ASSUMED, None)
-        # "for"/"comp"/"with" bindings hold an *element* of the stored
-        # iterable; an element of a rooted spawn is itself rooted.
-        return self.classify(module, binding.value, env, depth + 1)
-
-    def _classify_param(self, module: ModuleInfo, scope_node_id: int,
-                        binding: Binding, depth: int) -> _Verdict:
-        # Resolve the enclosing indexed function, then classify the
-        # argument expression at every known call site.
-        info = None
-        for func in module.functions.values():
-            if id(func.node) == scope_node_id:
-                info = func
-                break
-        if info is None:
-            return (ASSUMED, None)  # nested function / lambda
-        key = (f"{module.dotted}:{info.qualname}", binding.name)
-        if key in self._stack:
-            return (ASSUMED, None)
-        sites = self.graph.call_sites(info)
-        if not sites:
-            return (ASSUMED, None)
-        self._stack.add(key)
-        try:
-            verdicts: list[_Verdict] = []
-            for caller, call in sites:
-                value_verdict: _Verdict = (ASSUMED, None)
-                for bound in self.graph.bind_args(info, call):
-                    if bound.param != binding.name:
-                        continue
-                    if bound.value is None:
-                        value_verdict = (ASSUMED, None)
-                    elif bound.from_default:
-                        value_verdict = self.classify(
-                            info.module, bound.value, {}, depth + 1)
-                    else:
-                        value_verdict = self.classify(
-                            caller, bound.value, {}, depth + 1)
-                    break
-                verdicts.append(value_verdict)
-            return self._combine(verdicts)
-        finally:
-            self._stack.discard(key)
-
-    def _classify_call(
-            self, module: ModuleInfo, expr: ast.Call,
-            env: dict[tuple[int, str], tuple[ModuleInfo, ast.AST]],
-            depth: int) -> _Verdict:
-        table = module.table
-        canonical = table.canonical(expr.func)
-        if canonical is not None:
-            reason = self._entropy_reason(canonical)
-            if reason is not None:
-                return (UNROOTED, f"{canonical} ({reason})")
-            if canonical == "numpy.random.SeedSequence":
-                seed = _seed_argument(expr)
-                if seed is None or (isinstance(seed, ast.Constant)
-                                    and seed.value is None):
-                    return (ASSUMED, None)  # REP002's finding, not ours
-                return self.classify(module, seed, env, depth + 1)
-        if isinstance(expr.func, ast.Name):
-            name = expr.func.id
-            if not table.lookup(table.scope_of(expr.func), name):
-                if name == "hash":
-                    return (UNROOTED,
-                            "hash() (salted by PYTHONHASHSEED)")
-                if name in _PASSTHROUGH_BUILTINS:
-                    return self._combine(
-                        self.classify(module, arg, env, depth + 1)
-                        for arg in expr.args) if expr.args else (ASSUMED,
-                                                                 None)
-        if (isinstance(expr.func, ast.Attribute)
-                and expr.func.attr in ("spawn", "generate_state")):
-            # seed_seq.spawn(n) / .generate_state(n): rootedness of the
-            # receiver carries through.
-            return self.classify(module, expr.func.value, env, depth + 1)
-        resolved = self.graph.resolve_call(module, expr)
-        if resolved is not None:
-            return self._classify_returns(module, expr, resolved, depth)
-        return (ASSUMED, None)
-
-    def _classify_returns(self, caller: ModuleInfo, call: ast.Call,
-                          resolved: FunctionInfo,
-                          depth: int) -> _Verdict:
-        key = (f"{resolved.module.dotted}:{resolved.qualname}", "<return>")
-        if key in self._stack:
-            return (ASSUMED, None)
-        self._stack.add(key)
-        try:
-            env: dict[tuple[int, str], tuple[ModuleInfo, ast.AST]] = {}
-            for bound in self.graph.bind_args(resolved, call):
-                if bound.value is not None:
-                    source_module = (resolved.module if bound.from_default
-                                     else caller)
-                    env[(id(resolved.node), bound.param)] = (
-                        source_module, bound.value)
-            returns = [node.value for node in ast.walk(resolved.node)
-                       if isinstance(node, ast.Return)
-                       and node.value is not None]
-            if not returns:
-                return (ASSUMED, None)
-            return self._combine(
-                self.classify(resolved.module, value, env, depth + 1)
-                for value in returns)
-        finally:
-            self._stack.discard(key)
-
-    @staticmethod
-    def _entropy_reason(canonical: str) -> Optional[str]:
-        reason = _ENTROPY_CALLS.get(canonical)
-        if reason is not None:
-            return reason
-        if canonical in WALL_CLOCK:
-            return WALL_CLOCK[canonical]
-        if canonical.startswith("secrets."):
-            return "cryptographic entropy"
-        if (canonical.startswith("random.")
-                and canonical != "random.Random"):
-            return "global random state"
-        if (canonical.startswith("numpy.random.")
-                and canonical.split(".")[2] not in _NUMPY_SEEDED_API):
-            return "legacy numpy global RNG"
-        return None
-
-
-@register
-class SeedFlowRule(ProjectRule):
-    """REP010 — every engine-bound seed must trace back to config."""
-
-    id = "REP010"
-    name = "seed-flow"
-    summary = ("interprocedural proof that seeds reaching RNG "
-               "constructors derive from configuration, not entropy "
-               "(os.getpid, time.time, uuid4, hash, ...)")
-    hint = ("derive the seed from SystemConfig.seed (spawn it from the "
-            "run's SeedSequence); entropy-based seeds make runs "
-            "unreproducible")
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        graph = CallGraph.of(project)
-        classifier = _SeedClassifier(graph)
-        for module in graph.modules:
-            tree = module.source.tree
-            assert tree is not None
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                canonical = module.table.canonical(node.func)
-                if canonical not in _SEEDED_CONSTRUCTORS:
-                    continue
-                seed = _seed_argument(node)
-                if seed is None or (isinstance(seed, ast.Constant)
-                                    and seed.value is None):
-                    continue  # REP002 already reports these
-                verdict, culprit = classifier.classify(module, seed, {})
-                if verdict == UNROOTED:
-                    short = canonical.rsplit(".", 1)[-1]
-                    yield self.finding(
-                        module.source, node.lineno,
-                        f"seed reaching {short}() derives from "
-                        f"{culprit or 'an entropy source'}, not from "
-                        f"configuration")

@@ -1,11 +1,13 @@
 """Runtime determinism sanitizer: replay a config, diff traces bit-exactly.
 
-The static rules prove the *sources* of nondeterminism are absent —
-REP001 bans wall clocks in sim state, REP002/REP010 pin every RNG to the
-configured seed, REP007-REP009 police the asyncio layer.  This module
-checks the *outcome*: running the same :class:`~repro.core.config.\
-SystemConfig` twice on the same engine must produce bit-identical slot
-traces.  Each engine is replayed two ways:
+The static rules rule out some *sources* of nondeterminism — REP001
+bans wall clocks and global RNG state in sim state, REP007-REP009 police
+the asyncio layer.  This module checks the *outcome*: running the same
+:class:`~repro.core.config.SystemConfig` twice on the same engine must
+produce bit-identical slot traces.  That is also what pins every RNG to
+the configured seed: a generator seeded from OS entropy, the process id
+or a salted ``hash()`` diverges on one replay or the other.  Each engine
+is replayed two ways:
 
 - **in-process** — a second :func:`~repro.obs.compare.capture_trace` in
   the same interpreter catches leaked module/global state (a cached RNG,

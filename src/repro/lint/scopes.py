@@ -11,9 +11,10 @@ scope.  Resolution follows Python's actual rules: ``global`` and
 functions, and comprehensions get their own scope while their *first*
 iterable evaluates in the enclosing one.
 
-The table also offers a scope-aware :meth:`ScopeTable.canonical` — like
-:class:`~repro.lint.rules.base.ImportResolver` but immune to shadowing:
-``time = fake(); time.sleep(1)`` no longer resolves to ``time.sleep``.
+The table also offers :meth:`ScopeTable.canonical`, the linter's one way
+to resolve a dotted name through imports.  It is immune to shadowing:
+after ``time = fake()``, ``time.sleep(1)`` does not resolve to
+``time.sleep``, and neither does a parameter named ``time``.
 """
 
 from __future__ import annotations
@@ -34,18 +35,6 @@ ASYNC_FUNCTION = "async function"
 CLASS = "class"
 LAMBDA = "lambda"
 COMPREHENSION = "comprehension"
-
-_FUNCTION_KINDS = frozenset({FUNCTION, ASYNC_FUNCTION, LAMBDA,
-                             COMPREHENSION})
-
-#: Binding kinds (Binding.kind values).  Comparison sites use these
-#: names rather than string literals (also keeps REP005's event-literal
-#: scanner from mistaking a binding kind for an event name).
-BIND_ASSIGN = "assign"
-BIND_PARAM = "param"
-BIND_DEF = "def"
-BIND_CLASS = "class"
-BIND_IMPORT = "import"
 
 
 @dataclass
@@ -70,10 +59,6 @@ class Binding:
     unpacked: bool = False
     #: Canonical dotted import target for "import" bindings.
     import_target: Optional[str] = None
-
-    @property
-    def line(self) -> int:
-        return getattr(self.node, "lineno", 0)
 
 
 @dataclass
@@ -118,6 +103,9 @@ class ScopeTable:
         self._scope_of: dict[int, Scope] = {}
         #: id(node) -> syntactic parent node.
         self._parent_of: dict[int, ast.AST] = {}
+        #: id(Load) -> how many of its scope's bindings of the name were
+        #: made before it, for loads run directly in a module/class body.
+        self._preceding: dict[int, int] = {}
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -199,18 +187,33 @@ class ScopeTable:
                     uses.append(load)
         return uses
 
+    def _visible(self, load: ast.Name) -> list[Binding]:
+        """The bindings ``load`` may observe when it runs.
+
+        A load run directly in a module or class body sees only the
+        bindings made before it; a class body that has made none falls
+        through to its enclosing (non-class) scope.
+        """
+        scope = self.scope_of(load)
+        seen = self._preceding.get(id(load))
+        if seen is None or load.id in scope.globals_ | scope.nonlocals:
+            return self.lookup(scope, load.id)
+        if seen or scope.parent is None:
+            return scope.bindings.get(load.id, [])[:seen]
+        outer = scope.parent
+        while outer.kind == CLASS and outer.parent is not None:
+            outer = outer.parent
+        return self.lookup(outer, load.id)
+
     # -- canonical dotted names ----------------------------------------------
     def canonical(self, node: ast.AST) -> Optional[str]:
         """Scope-aware canonical dotted path of a Name/Attribute chain.
 
-        Resolves through import bindings only: a name shadowed by any
-        non-import binding in its resolving scope is *not* canonical.
+        Resolves through import bindings only: a name with any non-import
+        binding visible where it is loaded is *not* canonical.
         """
         if isinstance(node, ast.Name):
-            bindings = self.lookup(self.scope_of(node), node.id)
-            if not bindings:
-                return None
-            targets = {b.import_target for b in bindings}
+            targets = {b.import_target for b in self._visible(node)}
             if len(targets) == 1 and None not in targets:
                 return next(iter(targets))
             return None
@@ -267,6 +270,9 @@ class _Builder:
         if isinstance(node, ast.Name):
             if isinstance(node.ctx, ast.Load):
                 scope.loads.setdefault(node.id, []).append(node)
+                if scope.kind in (MODULE, CLASS):
+                    self.table._preceding[id(node)] = len(
+                        scope.bindings.get(node.id, ()))
             return
         for child in ast.iter_child_nodes(node):
             self.table._parent_of[id(child)] = node
@@ -319,9 +325,8 @@ class _Builder:
     def _visit_FunctionDef(self, node: ast.FunctionDef, scope: Scope,
                            kind: str = FUNCTION) -> None:
         self.table._scope_of[id(node)] = scope
-        scope.bind(Binding(name=node.name, kind="def", node=node))
         # Decorators, defaults, and annotations evaluate in the defining
-        # scope, not the function's own.
+        # scope, not the function's own, before the name is bound.
         outer_parts: list[ast.AST] = [*node.decorator_list,
                                       *node.args.defaults,
                                       *node.args.kw_defaults]
@@ -331,6 +336,7 @@ class _Builder:
             if part is not None:
                 self.table._parent_of[id(part)] = node
                 self._dispatch(part, scope)
+        scope.bind(Binding(name=node.name, kind="def", node=node))
         inner = self._new_scope(kind, node, scope, node.name)
         self._params(node.args, inner)
         for stmt in node.body:
@@ -354,7 +360,6 @@ class _Builder:
 
     def _visit_ClassDef(self, node: ast.ClassDef, scope: Scope) -> None:
         self.table._scope_of[id(node)] = scope
-        scope.bind(Binding(name=node.name, kind="class", node=node))
         for part in (*node.decorator_list, *node.bases,
                      *[kw.value for kw in node.keywords]):
             self.table._parent_of[id(part)] = node
@@ -363,6 +368,7 @@ class _Builder:
         for stmt in node.body:
             self.table._parent_of[id(stmt)] = node
             self._dispatch(stmt, inner)
+        scope.bind(Binding(name=node.name, kind="class", node=node))
 
     def _visit_Assign(self, node: ast.Assign, scope: Scope) -> None:
         self.table._scope_of[id(node)] = scope

@@ -21,8 +21,8 @@ Two policies:
   moment they complete, constant weight ``N``.  The workhorse for
   sweeps and benches.
 - :class:`ReservoirSampling` — Vitter's Algorithm R with a fixed-size
-  reservoir and a seeded generator (REP002: the seed is explicit,
-  derived through :class:`numpy.random.SeedSequence`).  Holds exactly
+  reservoir and a seeded generator (the seed is explicit, derived
+  through :class:`numpy.random.SeedSequence`).  Holds exactly
   ``capacity`` records regardless of run length, so memory is bounded
   a priori; records are only final when the run ends, so they reach the
   sink at :meth:`~repro.obs.requests.RequestTracer.finalize` time with

@@ -90,8 +90,8 @@ class TestEntryPoints:
         assert lint_main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         assert [line.split()[0] for line in out.splitlines()] == [
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP007",
-            "REP008", "REP009", "REP010"]
+            "REP001", "REP003", "REP004", "REP005", "REP007", "REP008",
+            "REP009"]
 
     def test_repro_broadcast_lint_subcommand(self, tmp_path):
         assert repro_main(["lint", str(dirty_file(tmp_path))]) \

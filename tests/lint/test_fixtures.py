@@ -60,8 +60,7 @@ def test_corpus_covers_every_rule():
 
 
 def test_clean_fixtures_are_clean():
-    for name in ("rng_seeded_ok.py", "simtime_ok.py", "seedflow_ok.py",
-                 "async_ok.py"):
+    for name in ("wallclock_shadowed.py", "simtime_ok.py", "async_ok.py"):
         assert run_lint([FIXTURES / name]).ok
     for name in ("parity_ok", "events_ok"):
         assert run_lint([FIXTURES / name]).ok

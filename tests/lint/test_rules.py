@@ -52,26 +52,6 @@ class TestDeterminism:
         assert result.ok
 
 
-class TestSeedDiscipline:
-    def test_positional_seed_ok(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            import numpy as np
-
-            def f():
-                return np.random.default_rng(42)
-            """)
-        assert result.ok
-
-    def test_keyword_seed_none_flagged(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            from numpy.random import default_rng
-
-            def f():
-                return default_rng(seed=None)
-            """)
-        assert [f.rule for f in result.findings] == ["REP002"]
-
-
 class TestSimTimeEquality:
     def test_suffix_match(self, tmp_path):
         result = lint_source(tmp_path, """\

@@ -3,7 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.cli import main
 from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
@@ -107,3 +115,47 @@ class TestSanitizeCli:
 
     def test_hash_seed_flags_conflict(self, capsys):
         assert main(self.ARGS + ["--hash-seed", "5"]) == 2
+
+
+class TestSeedMutants:
+    """No lint rule checks seeds: a root seed fed entropy fails a replay.
+
+    Each mutant rewrites the root ``SeedSequence`` in a copy of the
+    package's ``core/build.py`` and runs ``sanitize`` on that copy.
+    """
+
+    ROOT = "np.random.SeedSequence(config.run.seed)"
+
+    @pytest.mark.parametrize("mutant, in_process_ok", [
+        ("np.random.SeedSequence()", False),
+        ("np.random.SeedSequence((config.run.seed, os.getpid()))", True),
+        ("np.random.SeedSequence(hash(str(config.run.seed)) & 0xFFFF)",
+         True),
+    ], ids=["entropy", "pid", "hash"])
+    def test_mutant_fails_sanitize(self, tmp_path, mutant, in_process_ok):
+        copy = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        build = copy / "core" / "build.py"
+        text = build.read_text()
+        assert text.count(self.ROOT) == 1
+        build.write_text(text.replace(self.ROOT, mutant).replace(
+            "import numpy as np\n", "import os\n\nimport numpy as np\n", 1))
+        # The parent's hash seed is pinned so the hash mutant's child
+        # (PYTHONHASHSEED=31337) always differs from it.
+        env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONHASHSEED="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sanitize", "--settle", "50",
+             "--measure", "80", "--engine", "both", "--format", "json"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=600)
+        assert proc.returncode == 1, proc.stderr
+        engines = json.loads(proc.stdout)["engines"]
+        assert [e["engine"] for e in engines] == ["fast", "reference"]
+        for engine in engines:
+            replay, child = engine["checks"]
+            assert replay["label"] == "replay (in-process)"
+            assert replay["ok"] is in_process_ok
+            if in_process_ok:
+                assert child["label"] == "subprocess PYTHONHASHSEED=31337"
+                assert child["ok"] is False

@@ -203,3 +203,57 @@ def fake(stub):
         call = next(n for n in ast.walk(t.module.node)
                     if isinstance(n, ast.Call))
         assert t.canonical(call.func) == "time.sleep"
+
+
+class TestPrecedingBindings:
+    """A load run directly in a module or class body sees only the
+    bindings made before it; a function body sees them all."""
+
+    @staticmethod
+    def canonicals(code: str) -> list:
+        t = table(code)
+        return [t.canonical(n.func) for n in ast.walk(t.module.node)
+                if isinstance(n, ast.Call)]
+
+    def test_parameter_shadows_the_module(self):
+        assert self.canonicals(
+            "import time\ndef f(time):\n    return time.time()\n") == [None]
+
+    def test_module_use_before_a_rebinding_resolves(self):
+        assert self.canonicals("""
+import time
+started = time.monotonic()
+time = None
+def later():
+    return time.monotonic()
+""") == ["time.monotonic", None]
+
+    def test_class_default_before_same_named_method_resolves(self):
+        t = table("""
+import time
+class Profile:
+    def __init__(self, clock=time.perf_counter):
+        self.clock = clock
+    def time(self):
+        return 0
+""")
+        (default,) = [n for n in ast.walk(t.module.node)
+                      if isinstance(n, ast.Attribute)
+                      and n.attr == "perf_counter"]
+        assert t.canonical(default) == "time.perf_counter"
+
+    def test_class_body_after_its_own_binding_does_not_fall_through(self):
+        assert self.canonicals("""
+import time
+class C:
+    time = None
+    stamp = time.time()
+""") == [None]
+
+    def test_default_evaluates_before_its_function_is_bound(self):
+        assert self.canonicals("""
+import time
+class C:
+    def time(self, clock=time.monotonic()):
+        return clock
+""") == ["time.monotonic"]
