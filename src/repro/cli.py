@@ -8,8 +8,8 @@ declared domain (:data:`_SYSTEM_FLAGS`).
 
 Exit codes: 0 success; 2 a usage or load error, reported as one
 ``command: ...`` line on stderr; 1 is reserved for a verdict:
-``compare`` / ``fleet-sweep --parity`` drift, ``sanitize`` divergence,
-a failed ``serve --self-test`` (see docs/COMPARE.md).
+``compare`` drift, ``sanitize`` divergence, a failed ``serve
+--self-test`` (see docs/COMPARE.md).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig, config_field
 from repro.core.fast import simulate
 from repro.experiments import (
+    EXTENSIONS,
     FIGURES,
     FULL,
     QUICK,
@@ -34,7 +36,6 @@ from repro.experiments import (
     run_figure,
 )
 from repro.experiments.reporting import render_ascii_chart
-from repro.obs.events import SCHEDULER_DISCIPLINES
 
 __all__ = ["main", "build_parser"]
 
@@ -44,12 +45,28 @@ class _UsageError(Exception):
 
 
 def _figure_specs(ids):
-    """The :data:`FIGURES` rows for ``ids`` (a usage error if unknown)."""
-    unknown = [i for i in ids if i not in FIGURES]
+    """The :data:`FIGURES` / :data:`EXTENSIONS` rows for ``ids`` (a usage
+    error if unknown)."""
+    table = {**FIGURES, **EXTENSIONS}
+    unknown = [i for i in ids if i not in table]
     if unknown:
         raise _UsageError(f"unknown figure id(s): {', '.join(unknown)} "
-                          f"(known: {', '.join(FIGURES)})")
-    return [FIGURES[i] for i in ids]
+                          f"(known: {', '.join(table)})")
+    return [table[i] for i in ids]
+
+
+@contextmanager
+def _naming_flags(flags):
+    """Turn a ValueError naming the field (or knob) a flag sets into a
+    usage error led by that flag; ``flags`` maps flag -> dotted name."""
+    try:
+        yield
+    except ValueError as exc:
+        named = [flag for flag, dotted in flags.items()
+                 if str(exc).startswith(f"{dotted} ")]
+        if not named:
+            raise
+        raise _UsageError(": ".join([*named, str(exc)])) from None
 
 
 def _version() -> str:
@@ -96,20 +113,6 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
             help=f"{dotted}: {domain.describe()} (default: %(default)s)")
 
 
-def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
-    """The sweep knobs :func:`_sweep_profile` and :func:`_emit_figure` read."""
-    parser.add_argument(
-        "--full", action="store_true",
-        help="paper-scale runs (slow); default is the quick profile")
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool width for the sweeps (default: the profile's "
-             "own width; --full uses every core)")
-    parser.add_argument("--seed", type=int, default=42, help="base RNG seed")
-    parser.add_argument("--chart", action="store_true",
-                        help="also plot each figure as an ASCII chart")
-
-
 def _system_config(args) -> SystemConfig:
     """Build the configured system from simulate-style arguments.
 
@@ -132,12 +135,8 @@ def _system_config(args) -> SystemConfig:
                 or (section == "fleet" and not args.fleet_clients)):
             updates[f"{section}__{name}"] = getattr(
                 args, flag[2:].replace("-", "_"))
-    try:
+    with _naming_flags(_SYSTEM_FLAGS):
         return config.with_(**updates)
-    except ValueError as exc:
-        flags = [flag for flag, dotted in _SYSTEM_FLAGS.items()
-                 if str(exc).startswith(f"{dotted} ")]
-        raise _UsageError(": ".join([*flags, str(exc)])) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,11 +157,23 @@ def build_parser() -> argparse.ArgumentParser:
         return subparser
 
     figures = command(
-        "figures", _cmd_figures, help="regenerate the paper's figures")
+        "figures", _cmd_figures,
+        help="regenerate the paper's figures and the extensions")
     figures.add_argument(
         "ids", nargs="*", metavar="FIG",
-        help=f"figure ids ({', '.join(FIGURES)}); default: all")
-    _add_sweep_args(figures)
+        help=f"figure ids ({', '.join(FIGURES)}; beyond the paper: "
+             f"{', '.join(EXTENSIONS)}); default: the paper's eleven")
+    figures.add_argument(
+        "--full", action="store_true",
+        help="paper-scale runs (slow); default is the quick profile")
+    figures.add_argument(
+        "--workers", type=int, default=None,
+        help="process-pool width for the sweeps (default: the profile's "
+             "own width; --full uses every core)")
+    figures.add_argument("--seed", type=int, default=42,
+                         help="base RNG seed")
+    figures.add_argument("--chart", action="store_true",
+                         help="also plot each figure as an ASCII chart")
     figures.add_argument(
         "--json", type=Path, default=None, metavar="DIR",
         help="also write one JSON file per figure into DIR")
@@ -323,53 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("table", "json"), default="table",
         help="report rendering (default: table)")
 
-    fleet = command(
-        "fleet-sweep", _cmd_fleet_sweep,
-        help="sweep PullBW with per-user fleet fairness statistics")
-    fleet.add_argument(
-        "--clients", type=int, default=10_000,
-        help="fleet population per run (default: 10000)")
-    fleet.add_argument(
-        "--think-time", type=float, default=None, metavar="UNITS",
-        help="mean client think time (default: scaled with --clients to a "
-             "ThinkTimeRatio-25 aggregate load)")
-    fleet.add_argument(
-        "--homogeneous", action="store_true",
-        help="disable the per-client heterogeneity spreads")
-    _add_sweep_args(fleet)
-    fleet.add_argument(
-        "--json", type=Path, default=None, metavar="FILE",
-        help="also write the figure (or parity report) JSON to FILE")
-    fleet.add_argument(
-        "--parity", action="store_true",
-        help="instead check a homogeneous fleet against its aggregate-VC "
-             "equivalent (compare-harness exit codes: 0 parity / 1 drift "
-             "/ 2 structural)")
-    fleet.add_argument(
-        "--parity-clients", type=int, default=200, metavar="N",
-        help="(--parity) homogeneous fleet size (default: 200)")
-
-    sched = command(
-        "sched-sweep", _cmd_sched_sweep,
-        help="sweep PullBW once per pull-queue discipline (FIFO/RxW/LWF)")
-    sched.add_argument(
-        "--disciplines", default=",".join(SCHEDULER_DISCIPLINES),
-        metavar="LIST",
-        help="comma-separated disciplines to sweep "
-             f"(default: {','.join(SCHEDULER_DISCIPLINES)})")
-    aging = config_field("scheduler.aging")
-    sched.add_argument(
-        "--aging", type=float, default=aging.default,
-        help=f"RxW aging exponent, {aging.metadata['domain'].describe()} "
-             "(default: %(default)s; 0 = pure waiter count)")
-    sched.add_argument(
-        "--clients", type=int, default=2000,
-        help="fleet population per run (default: 2000)")
-    _add_sweep_args(sched)
-    sched.add_argument(
-        "--json", type=Path, default=None, metavar="FILE",
-        help="also write the figure JSON to FILE")
-
     convert = command(
         "convert", _cmd_convert, help="export a .npy trace as JSON lines")
     convert.add_argument(
@@ -466,15 +430,6 @@ def _write_request_trace(config: SystemConfig, path: Path,
     return tracer.records_emitted
 
 
-def _sweep_profile(args) -> Profile:
-    """``--full`` / ``--workers`` / ``--seed`` as a sweep profile."""
-    base = FULL if args.full else QUICK
-    return replace(
-        base,
-        workers=args.workers if args.workers is not None else base.workers,
-        base_seed=args.seed)
-
-
 def _write_json(path, payload, what: str) -> None:
     """Write ``payload`` to ``path`` (if given) and say where it went."""
     if path is not None:
@@ -484,7 +439,8 @@ def _write_json(path, payload, what: str) -> None:
 
 
 def _emit_figure(figure, chart: bool, json_path) -> None:
-    """The ``--chart`` / ``--json`` tail shared by the sweep commands."""
+    """The ``--chart`` / ``--json`` tail of ``figures`` (and the JSON of
+    ``serve --self-test``)."""
     if chart:
         print()
         print(render_ascii_chart(figure))
@@ -496,7 +452,12 @@ def _cmd_figures(args) -> int:
     from repro.obs.dashboard import Dashboard, SweepMonitor
 
     specs = _figure_specs(args.ids or list(FIGURES))
-    profile = _sweep_profile(args)
+    base = FULL if args.full else QUICK
+    with _naming_flags({"--seed": "run.seed"}):
+        profile = replace(
+            base, base_seed=args.seed,
+            workers=args.workers if args.workers is not None
+            else base.workers)
     watch = (sys.stderr.isatty() if args.watch is None else args.watch)
     for spec in specs:
         fig_id = spec.figure_id
@@ -742,65 +703,6 @@ def _cmd_compare(args) -> int:
     return comparison.exit_code
 
 
-def _cmd_fleet_sweep(args) -> int:
-    from repro.fleet import fleet_parity_report, fleet_sweep_figure
-
-    profile = _sweep_profile(args)
-    if args.parity:
-        report = fleet_parity_report(profile,
-                                     num_clients=args.parity_clients)
-        _write_json(args.json, report, "parity report")
-        verdict = report["comparison"]["verdict"]
-        print(f"fleet parity: {args.parity_clients} homogeneous clients "
-              f"vs aggregate VC (ThinkTimeRatio "
-              f"{report['ttr_base']:g}+{report['fleet_ttr']:g})")
-        print("  aggregate VC response: "
-              + "  ".join(f"{y:.1f}" for y in report["aggregate_response"]))
-        print("  fleet response:        "
-              + "  ".join(f"{y:.1f}" for y in report["fleet_response"]))
-        print(f"  response curves: {verdict}")
-        print(f"  closed-loop rate: worst error "
-              f"{report['worst_rate_error']:.2%} "
-              f"(tolerance {report['rate_tolerance']:.0%}) -> "
-              f"{'ok' if report['rate_ok'] else 'FAIL'}")
-        print(f"  PullBW ordering preserved: "
-              f"{'yes' if report['ordering_ok'] else 'NO'}")
-        return report["exit_code"]
-
-    figure = fleet_sweep_figure(
-        profile, num_clients=args.clients, think_time=args.think_time,
-        heterogeneous=not args.homogeneous)
-    print(render_figure(figure))
-    _emit_figure(figure, args.chart, args.json)
-    return 0
-
-
-def _cmd_sched_sweep(args) -> int:
-    from repro.experiments.schedulers import (
-        discipline_summary,
-        render_summary,
-        sched_sweep_figure,
-    )
-
-    disciplines = tuple(d.strip() for d in args.disciplines.split(",")
-                        if d.strip())
-    unknown = [d for d in disciplines if d not in SCHEDULER_DISCIPLINES]
-    if not disciplines or unknown:
-        print(f"sched-sweep: unknown discipline(s) "
-              f"{', '.join(unknown) or '(none given)'} "
-              f"(choose from {', '.join(SCHEDULER_DISCIPLINES)})",
-              file=sys.stderr)
-        return 2
-    figure = sched_sweep_figure(_sweep_profile(args), disciplines=disciplines,
-                                aging=args.aging, num_clients=args.clients)
-    print(render_figure(figure))
-    summary = discipline_summary(figure)
-    print(f"\nat PullBW {figure.series[0].x[0]:g} (most saturated point):")
-    print(render_summary(summary))
-    _emit_figure(figure, args.chart, args.json)
-    return 0
-
-
 def _cmd_convert(args) -> int:
     from repro.obs.columnar import columnar_to_jsonl
 
@@ -958,24 +860,47 @@ def _cmd_sanitize(args) -> int:
     return 0 if report.ok else 1
 
 
+#: tune's flags by the config field (or profile knob) each sets.
+_TUNE_FLAGS = {
+    "--loads": "client.think_time_ratio",
+    "--pull-bw": "server.pull_bw",
+    "--thresh-perc": "server.thresh_perc",
+    "--chop": "server.chop",
+    "--settle": "run.settle_accesses",
+    "--measure": "run.measure_accesses",
+    "--seed": "run.seed",
+    "--replicates": "replicates",
+}
+
+
 def _cmd_tune(args) -> int:
     from repro.tuning import TuningSpec, recommend
 
-    def floats(text):
-        return tuple(float(v) for v in text.split(",") if v)
+    def grid(flag, kind):
+        text = getattr(args, flag[2:].replace("-", "_"))
+        try:
+            values = tuple(kind(v) for v in text.split(",") if v)
+        except ValueError:
+            values = ()
+        if not values:
+            raise _UsageError(f"{flag}: expected comma-separated "
+                              f"{kind.__name__}s, got {text!r}")
+        return values
 
     spec = TuningSpec(
-        loads=floats(args.loads),
-        pull_bw_grid=floats(args.pull_bw),
-        thresh_grid=floats(args.thresh_perc),
-        chop_grid=tuple(int(v) for v in args.chop.split(",") if v),
+        loads=grid("--loads", float),
+        pull_bw_grid=grid("--pull-bw", float),
+        thresh_grid=grid("--thresh-perc", float),
+        chop_grid=grid("--chop", int),
         objective=args.objective,
     )
-    profile = Profile(settle_accesses=args.settle,
-                      measure_accesses=args.measure,
-                      replicates=args.replicates,
-                      base_seed=args.seed)
-    report = recommend(SystemConfig(algorithm=Algorithm.IPP), spec, profile)
+    with _naming_flags(_TUNE_FLAGS):
+        profile = Profile(settle_accesses=args.settle,
+                          measure_accesses=args.measure,
+                          replicates=args.replicates,
+                          base_seed=args.seed)
+        report = recommend(SystemConfig(algorithm=Algorithm.IPP), spec,
+                           profile)
     print(report.format())
     return 0
 

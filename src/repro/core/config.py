@@ -331,7 +331,8 @@ class SystemConfig:
         """Return a copy with nested fields replaced.
 
         Accepts top-level field names plus dotted shorthands expanded by
-        sub-config: ``client__think_time_ratio=250`` etc.
+        sub-config: ``client__think_time_ratio=250`` etc.  Shorthands
+        apply on top of a section given in the same call.
         """
         top: dict[str, Any] = {}
         nested: dict[str, dict[str, object]] = {
@@ -346,7 +347,9 @@ class SystemConfig:
                 top[key] = value
         for section, changes in nested.items():
             if changes:
-                top[section] = replace(getattr(self, section), **changes)
+                top[section] = replace(top.get(section,
+                                               getattr(self, section)),
+                                       **changes)
         return replace(self, **top)
 
 

@@ -7,7 +7,10 @@ rows — x axis, series, overrides — and
 a :class:`~repro.experiments.base.Profile` (``QUICK`` for fast
 shape-checks, ``FULL`` for paper-scale runs), returning a
 :class:`~repro.experiments.base.FigureResult` that renders as the same
-series the paper plots.
+series the paper plots.  :data:`~repro.experiments.figures.EXTENSIONS`
+holds the figures beyond the paper on the same contract:
+``fleet-pullbw`` (per-user fairness) and ``sched-pullbw`` (FIFO / RxW /
+LWF pull disciplines), both across PullBW.
 """
 
 from repro.experiments.base import (
@@ -21,8 +24,6 @@ from repro.experiments.base import (
     load_figure,
     run_replicated,
     run_sweep,
-    sweep_series,
-    sweep_series_multi,
 )
 from repro.experiments.compare import (
     FigureComparison,
@@ -30,16 +31,13 @@ from repro.experiments.compare import (
     compare_files,
 )
 from repro.experiments.figures import (
+    EXTENSIONS,
     FIGURES,
     FigureSpec,
     SeriesSpec,
     run_figure,
 )
 from repro.experiments.reporting import render_figure
-from repro.experiments.schedulers import (
-    discipline_summary,
-    sched_sweep_figure,
-)
 from repro.experiments.tracing import write_request_trace, write_slot_trace
 
 __all__ = [
@@ -53,18 +51,15 @@ __all__ = [
     "load_figure",
     "run_replicated",
     "run_sweep",
-    "sweep_series",
-    "sweep_series_multi",
     "FigureComparison",
     "compare_figures",
     "compare_files",
+    "EXTENSIONS",
     "FIGURES",
     "FigureSpec",
     "SeriesSpec",
     "run_figure",
     "render_figure",
-    "sched_sweep_figure",
-    "discipline_summary",
     "write_request_trace",
     "write_slot_trace",
 ]

@@ -19,13 +19,12 @@ from typing import (
     Any,
     Callable,
     Iterator,
-    Mapping,
     Optional,
     Protocol,
     Sequence,
 )
 
-from repro.core.config import SystemConfig
+from repro.core.config import RunConfig, SystemConfig
 from repro.core.fast import FastEngine
 from repro.core.metrics import RunResult
 
@@ -45,8 +44,7 @@ __all__ = [
     "run_replicated",
     "run_sweep",
     "sweep_progress",
-    "sweep_series",
-    "sweep_series_multi",
+    "PAPER_PULL_BWS",
     "PAPER_TTRS",
 ]
 
@@ -58,6 +56,8 @@ FIGURE_SCHEMA_VERSION = 2
 
 #: Table 3's ThinkTimeRatio grid.
 PAPER_TTRS: tuple[int, ...] = (10, 25, 50, 100, 250)
+#: Table 3's PullBW grid.
+PAPER_PULL_BWS: tuple[float, ...] = (0.10, 0.20, 0.30, 0.40, 0.50)
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,16 @@ class Profile:
     base_seed: int = 42
     #: Cap for warm-up runs (broadcast units).
     max_slots: int = 50_000_000
+
+    def __post_init__(self) -> None:
+        """Reject a profile before any run: each run knob in its
+        ``run.*`` field's domain, and at least one replicate."""
+        RunConfig(settle_accesses=self.settle_accesses,
+                  measure_accesses=self.measure_accesses,
+                  seed=self.base_seed, max_slots=self.max_slots)
+        if not (isinstance(self.replicates, int) and self.replicates >= 1):
+            raise ValueError(f"replicates must be an int >= 1, got "
+                             f"{self.replicates!r}")
 
     def apply(self, config: SystemConfig, seed: int) -> SystemConfig:
         """Stamp run-scale settings and a seed onto ``config``."""
@@ -463,39 +473,3 @@ def run_replicated(config: SystemConfig, profile: Profile,
     """Run one sweep point's replicates and aggregate them."""
     [results] = run_points([config], profile, label=label)
     return point_stats(results, config, metric)
-
-
-def sweep_series(label: str, configs: Sequence[SystemConfig],
-                 xs: Sequence[float], profile: Profile,
-                 metric: Callable[[RunResult], float] | None = None,
-                 ) -> FigureSeries:
-    """Run a whole curve: one replicated point per (x, config) pair."""
-    [series] = sweep_series_multi({label: metric}, configs, xs, profile,
-                                  label=label)
-    return series
-
-
-def sweep_series_multi(
-        metrics: Mapping[str, Callable[[RunResult], float] | None],
-        configs: Sequence[SystemConfig],
-        xs: Sequence[float], profile: Profile,
-        label: Optional[str] = None) -> list[FigureSeries]:
-    """Run one curve's simulations once, aggregate many metrics from them.
-
-    The fleet sweeps plot five statistics of the *same* runs (mean /
-    min / max / p99 user wait plus Jain's index); re-simulating per
-    metric would multiply the cost five-fold for identical results.
-    Returns one :class:`FigureSeries` per ``metrics`` entry, in mapping
-    order, all sharing the underlying replicate runs.
-    """
-    if len(configs) != len(xs):
-        raise ValueError("configs and xs must align")
-    if not metrics:
-        raise ValueError("metrics must not be empty")
-    runs = run_points(configs, profile, label=label)
-    return [
-        FigureSeries(label=series_label, x=list(xs),
-                     points=[point_stats(results, config, metric)
-                             for results, config in zip(runs, configs)])
-        for series_label, metric in metrics.items()
-    ]

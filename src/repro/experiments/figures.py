@@ -22,30 +22,37 @@ process pool is spawned once per figure and never idles between series.
 :meth:`FigureSpec.config` answers "which system is series S at x?" for
 *any* x, not only grid points — what a crossover search between two
 series needs.
+
+:data:`EXTENSIONS` holds figures beyond the paper on the same contract:
+per-user fairness and pull-queue disciplines across PullBW, each plotting
+several statistics of one set of runs (:attr:`FigureSpec.metrics`).
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.client.measured import WARMUP_LEVELS
 from repro.core.algorithms import Algorithm
-from repro.core.config import SystemConfig
+from repro.core.config import SystemConfig, config_field
 from repro.core.metrics import RunResult
 from repro.experiments.base import (
     FigureResult,
     FigureSeries,
+    PAPER_PULL_BWS,
     PAPER_TTRS,
     PointStats,
     Profile,
     point_stats,
     run_points,
 )
+from repro.fleet.fairness import FAIRNESS_METRICS
+from repro.obs.events import SCHEDULER_DISCIPLINES
 from repro.obs.manifest import sweep_manifest
 
-__all__ = ["SeriesSpec", "FigureSpec", "FIGURES", "run_figure"]
+__all__ = ["SeriesSpec", "FigureSpec", "FIGURES", "EXTENSIONS", "run_figure"]
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,11 @@ class FigureSpec:
     #: ``sanitize --figure`` stand on: one point of this figure's own
     #: grid that exercises its characteristic behaviour.
     representative: tuple[str, float]
+    #: Statistics plotted per series, each reduced from the series' same
+    #: runs into a curve labelled ``"<series label> <metric>"`` (just the
+    #: metric for an unlabelled series); None plots the mean miss
+    #: response under the series label.
+    metrics: Optional[Mapping[str, Callable[[RunResult], float]]] = None
 
     @property
     def warmup(self) -> bool:
@@ -128,7 +140,8 @@ def run_figure(spec: FigureSpec, profile: Profile) -> FigureResult:
     series or a warm-up curve — times ``profile.replicates`` goes into a
     single :func:`~repro.experiments.base.run_sweep`, so an observer
     installed with :func:`~repro.experiments.base.sweep_progress` is told
-    the figure's whole run count up front.
+    the figure's whole run count up front, and every config is built (and
+    a bad one rejected) before the first run.
     """
     plan = [(series, [spec.config(series.label, x)
                       for x in (spec.xs[:1] if series.flat or spec.warmup
@@ -142,11 +155,15 @@ def run_figure(spec: FigureSpec, profile: Profile) -> FigureResult:
         if spec.warmup:
             curves.append(_crossing_times(series.label, next(runs)))
             continue
-        points = [point_stats(next(runs), config) for config in configs]
-        if series.flat:
-            points *= len(spec.xs)
-        curves.append(FigureSeries(label=series.label, x=list(spec.xs),
-                                   points=points))
+        results = [next(runs) for _ in configs]
+        for name, metric in (spec.metrics or {"": None}).items():
+            points = [point_stats(replicates, config, metric)
+                      for replicates, config in zip(results, configs)]
+            if series.flat:
+                points *= len(spec.xs)
+            curves.append(FigureSeries(
+                label=" ".join(filter(None, (series.label, name))),
+                x=list(spec.xs), points=points))
     return FigureResult(
         figure_id=spec.figure_id, title=spec.title,
         x_label=spec.x_label, y_label=spec.y_label,
@@ -282,4 +299,52 @@ FIGURES: dict[str, FigureSpec] = {spec.figure_id: spec for spec in (
                               "server__chop": chop})
                   for chop in (0, 200, 300, 500, 700))),
         representative=("IPP -300", 50)),
+)}
+
+
+def _mean_response(result: RunResult) -> float:
+    return float(result.response_miss.mean)
+
+
+def _fleet(num_clients: int) -> dict[str, Any]:
+    """A heterogeneous fleet presenting a ThinkTimeRatio-25 aggregate
+    load, whatever its size (think time scales with the population)."""
+    mc_think_time = config_field("client.think_time").default
+    return {"fleet__num_clients": num_clients,
+            "fleet__think_time": mc_think_time * num_clients / 25.0,
+            "fleet__think_time_spread": 0.5,
+            "fleet__zipf_offset_spread": 50,
+            "fleet__cache_size_spread": 0.5}
+
+
+_PULL_BW = "server__pull_bw"
+
+#: Figure id -> spec for the figures beyond the paper: the PullBW sweep
+#: re-run with a per-user fleet, plotting fairness (Robert & Schabanel's
+#: "be fair to users") and comparing pull-queue disciplines, whose choice
+#: only shows where the queue builds depth (the low-PullBW points).
+EXTENSIONS: dict[str, FigureSpec] = {spec.figure_id: spec for spec in (
+    FigureSpec(
+        "fleet-pullbw",
+        "Per-user wait vs PullBW, heterogeneous fleet of 100000 clients "
+        "(IPP)",
+        "PullBW", "Response time (broadcast units) / Jain index",
+        x_key=_PULL_BW, xs=PAPER_PULL_BWS,
+        series=(SeriesSpec("", Algorithm.IPP, _fleet(100_000)),),
+        representative=("", 0.10),
+        metrics=FAIRNESS_METRICS),
+    FigureSpec(
+        "sched-pullbw",
+        "Pull-discipline comparison vs PullBW, fleet of 2000 clients (IPP)",
+        "PullBW", "Response time / user wait (broadcast units)",
+        x_key=_PULL_BW, xs=PAPER_PULL_BWS,
+        series=tuple(
+            SeriesSpec(discipline, Algorithm.IPP,
+                       {**_fleet(2000), "scheduler__discipline": discipline,
+                        "scheduler__aging": 1.0})
+            for discipline in SCHEDULER_DISCIPLINES),
+        representative=("rxw", 0.10),
+        metrics={"mean response": _mean_response,
+                 "fleet p99 wait": FAIRNESS_METRICS["p99 user wait"],
+                 "fleet max wait": FAIRNESS_METRICS["max user wait"]}),
 )}

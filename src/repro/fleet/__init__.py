@@ -6,26 +6,20 @@ no per-user waits, no fairness.  This package adds a vectorized
 struct-of-arrays population of individually tracked clients
 (:class:`~repro.fleet.state.FleetState`, enabled via
 ``SystemConfig.fleet``), per-user fairness statistics
-(:func:`~repro.fleet.fairness.jain_index`), fairness-vs-PullBW sweeps
-(:func:`~repro.fleet.sweep.fleet_sweep_figure`), a homogeneous-fleet
-parity harness validating the fleet against its aggregate-VC equivalent
-(:func:`~repro.fleet.sweep.fleet_parity_report`), and a metrics-registry
-adapter (:func:`~repro.fleet.metrics.bind_fleet_metrics`).
+(:func:`~repro.fleet.fairness.jain_index`, and
+:data:`~repro.fleet.fairness.FAIRNESS_METRICS` for the ``fleet-pullbw``
+figure of :data:`repro.experiments.figures.EXTENSIONS`), and a
+metrics-registry adapter (:func:`~repro.fleet.metrics.bind_fleet_metrics`).
+tests/fleet/test_parity.py checks a homogeneous fleet against its
+aggregate-VC equivalent.
 
 See docs/FLEET.md for the model, its heterogeneity knobs, and scale
 limits.
 """
 
-from repro.fleet.fairness import jain_index
+from repro.fleet.fairness import FAIRNESS_METRICS, jain_index
 from repro.fleet.metrics import FleetMetricsAdapter, bind_fleet_metrics
 from repro.fleet.state import FleetState
-from repro.fleet.sweep import (
-    FAIRNESS_METRICS,
-    PAPER_PULL_BWS,
-    PARITY_PULL_BWS,
-    fleet_parity_report,
-    fleet_sweep_figure,
-)
 
 __all__ = [
     "FleetState",
@@ -33,8 +27,4 @@ __all__ = [
     "bind_fleet_metrics",
     "jain_index",
     "FAIRNESS_METRICS",
-    "PAPER_PULL_BWS",
-    "PARITY_PULL_BWS",
-    "fleet_parity_report",
-    "fleet_sweep_figure",
 ]

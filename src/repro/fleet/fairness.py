@@ -4,16 +4,21 @@ A mean response time can hide a population where a few clients starve:
 the PullBW sweeps read identically in aggregate while the tail user waits
 an order of magnitude longer than the median.  Jain's fairness index is
 the standard scalar for this — 1.0 when every user experiences the same
-wait, approaching ``1/n`` as one user dominates.
+wait, approaching ``1/n`` as one user dominates.  :data:`FAIRNESS_METRICS`
+reads these statistics off a run, one figure series each.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-__all__ = ["jain_index"]
+if TYPE_CHECKING:
+    from repro.core.metrics import RunResult
+
+__all__ = ["FAIRNESS_METRICS", "jain_index"]
 
 
 def jain_index(values) -> float:
@@ -43,3 +48,22 @@ def jain_index(values) -> float:
         return 1.0
     total = float(arr.sum())
     return total * total / (arr.size * sum_sq)
+
+
+def _fleet_stat(name: str) -> Callable[[RunResult], float]:
+    def metric(result: RunResult) -> float:
+        if result.fleet is None:
+            raise ValueError("run carried no fleet statistics")
+        return float(result.fleet[name])
+    return metric
+
+
+#: The fairness series of a fleet figure, all reduced from the same runs
+#: (``FigureSpec.metrics``).
+FAIRNESS_METRICS: Mapping[str, Callable[[RunResult], float]] = {
+    "mean user wait": _fleet_stat("user_wait_mean"),
+    "p99 user wait": _fleet_stat("user_wait_p99"),
+    "max user wait": _fleet_stat("user_wait_max"),
+    "min user wait": _fleet_stat("user_wait_min"),
+    "jain index": _fleet_stat("jain_index"),
+}

@@ -16,11 +16,12 @@ broken by the mean) — exactly the consistency objective of Section 4.4.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
-from repro.experiments.base import Profile, run_replicated
+from repro.experiments.base import Profile
+from repro.experiments.figures import FigureSpec, SeriesSpec, run_figure
 
 __all__ = ["TuningSpec", "Candidate", "TuningReport", "recommend"]
 
@@ -119,26 +120,32 @@ def recommend(base: SystemConfig, spec: TuningSpec,
 
     ``base`` supplies everything except the swept knobs; it must be an
     IPP configuration (the pure algorithms have no knobs to tune — run
-    them as degenerate grids if a comparison is wanted).
+    them as degenerate grids if a comparison is wanted).  The grid is one
+    figure — x the load, one series per (chop, PullBW, ThresPerc)
+    setting — so every config is checked before the first run.
     """
     if base.algorithm is not Algorithm.IPP:
         raise ValueError("tuning sweeps IPP's knobs; pass an IPP config")
-    candidates = []
-    for chop in spec.chop_grid:
-        for pull_bw in spec.pull_bw_grid:
-            for thresh in spec.thresh_grid:
-                response_times = []
-                for load in spec.loads:
-                    config = base.with_(
-                        client__think_time_ratio=load,
-                        server__pull_bw=pull_bw,
-                        server__thresh_perc=thresh,
-                        server__chop=chop,
-                    )
-                    response_times.append(
-                        run_replicated(config, profile).mean)
-                candidates.append(Candidate(
-                    pull_bw=pull_bw, thresh_perc=thresh, chop=chop,
-                    response_times=tuple(response_times)))
+    settings = [(chop, pull_bw, thresh) for chop in spec.chop_grid
+                for pull_bw in spec.pull_bw_grid
+                for thresh in spec.thresh_grid]
+    # Every field of ``base``; ``with_`` lays each setting's knobs on top.
+    base_fields = {f.name: getattr(base, f.name) for f in fields(base)}
+    grid = FigureSpec(
+        "tune", "IPP knob settings across the load range",
+        "Think Time Ratio", "Response Time (Broadcast Units)",
+        x_key="client__think_time_ratio", xs=spec.loads,
+        series=tuple(
+            SeriesSpec(f"setting {index}", Algorithm.IPP,
+                       {**base_fields, "server__chop": chop,
+                        "server__pull_bw": pull_bw,
+                        "server__thresh_perc": thresh})
+            for index, (chop, pull_bw, thresh) in enumerate(settings)),
+        representative=("setting 0", spec.loads[0]))
+    figure = run_figure(grid, profile)
+    candidates = [
+        Candidate(pull_bw=pull_bw, thresh_perc=thresh, chop=chop,
+                  response_times=tuple(series.y))
+        for (chop, pull_bw, thresh), series in zip(settings, figure.series)]
     candidates.sort(key=lambda c: _score(c, spec.objective))
     return TuningReport(spec=spec, candidates=candidates)

@@ -215,6 +215,13 @@ class TestSystemConfig:
         config = SystemConfig().with_(algorithm=Algorithm.PURE_PULL)
         assert config.algorithm is Algorithm.PURE_PULL
 
+    def test_with_shorthand_applies_on_top_of_a_given_section(self):
+        """Regression: ``with_(client=c, client__noise=...)`` silently
+        replaced ``c`` by the default client."""
+        config = SystemConfig().with_(client=ClientConfig(cache_size=5),
+                                      client__noise=0.15)
+        assert config.client == ClientConfig(cache_size=5, noise=0.15)
+
     def test_with_reaches_every_section(self):
         updates = {dotted.replace(".", "__"): config_field(dotted).default
                    for dotted in FIELDS}

@@ -77,6 +77,17 @@ class TestRecommend:
         assert "recommended (worst_case)" in text
         assert "TTR 2" in text and "TTR 30" in text
 
+    def test_bad_grid_value_rejected_before_any_run(self, monkeypatch):
+        import repro.experiments.base as base
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(base, "run_sweep", no_runs)
+        spec = TuningSpec(loads=(2.0,), pull_bw_grid=(0.5, 1.5))
+        with pytest.raises(ValueError, match="^server.pull_bw "):
+            recommend(small_config(), spec, TINY)
+
     def test_empty_report_best_raises(self):
         with pytest.raises(ValueError):
             TuningReport(self.spec()).best

@@ -1,6 +1,7 @@
 """Unit tests for sweep infrastructure."""
 
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -13,13 +14,22 @@ from repro.experiments.base import (
     run_points,
     run_replicated,
     run_sweep,
-    sweep_series,
-    sweep_series_multi,
 )
+from repro.experiments.figures import FigureSpec, SeriesSpec, run_figure
 from tests.conftest import small_config
 
 TINY = Profile(settle_accesses=20, measure_accesses=60, replicates=2,
                base_seed=3)
+
+
+def small_curve(label, xs, metrics=None):
+    """One IPP curve of the miniature system over ThinkTimeRatio ``xs``."""
+    config = small_config()
+    overrides = {f.name: getattr(config, f.name) for f in fields(config)}
+    return FigureSpec(
+        "small", "small", "TTR", "y", x_key="client__think_time_ratio",
+        xs=tuple(xs), series=(SeriesSpec(label, Algorithm.IPP, overrides),),
+        representative=(label, xs[0]), metrics=metrics)
 
 
 class TestProfile:
@@ -28,6 +38,20 @@ class TestProfile:
         assert config.run.settle_accesses == 20
         assert config.run.measure_accesses == 60
         assert config.run.seed == 9
+
+    @pytest.mark.parametrize("knob, value, message", [
+        ("replicates", 0, "replicates must be an int >= 1, got 0"),
+        ("base_seed", -1, "run.seed must be an int >= 0, got -1"),
+        ("settle_accesses", -1, "run.settle_accesses must be"),
+        ("measure_accesses", 0, "run.measure_accesses must be"),
+        ("max_slots", 0, "run.max_slots must be"),
+    ])
+    def test_bad_knob_rejected_naming_it(self, knob, value, message):
+        """Regression: ``replicates=0`` reached ``point_stats`` as an
+        empty point and a negative seed failed inside the first sweep;
+        a profile is now checked where it is built."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            replace(TINY, **{knob: value})
 
     def test_builtin_profiles_match_methodology(self):
         """FULL mirrors Section 4's methodology (4000 settle accesses);
@@ -93,32 +117,36 @@ class TestRunReplicated:
 
 
 class TestSweepSeries:
+    """A figure's curve, as :func:`run_figure` reduces it."""
+
     def test_series_shape(self):
-        configs = [small_config(client__think_time_ratio=ttr)
-                   for ttr in (2, 5)]
-        series = sweep_series("ipp", configs, [2, 5], TINY)
+        [series] = run_figure(small_curve("ipp", (2, 5)), TINY).series
         assert series.label == "ipp"
         assert series.x == [2, 5]
         assert len(series.points) == 2
         assert len(series.y) == 2
 
-    def test_misaligned_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_series("x", [small_config()], [1, 2], TINY)
-
     def test_nan_points_no_longer_flow_into_series(self):
         """Regression: sweep_series had no NaN guard at all — NaN points
         flowed silently into saved figures."""
+        spec = small_curve("x", (1,), metrics={"nan": lambda r: math.nan})
         with pytest.raises(RuntimeError, match="produced NaN"):
-            sweep_series("x", [small_config()], [1], TINY,
-                         metric=lambda r: math.nan)
+            run_figure(spec, TINY)
+
+    def test_bad_config_rejected_before_any_run(self):
+        recorder = _Recorder()
+        from repro.experiments.base import sweep_progress
+        with sweep_progress(recorder), \
+                pytest.raises(ValueError, match="client.think_time_ratio"):
+            run_figure(small_curve("x", (2, math.nan)), TINY)
+        assert recorder.started == []
 
 
 class TestRunPoints:
     def test_one_sweep_chunks_replicates_per_config(self):
-        """The primitive under run_replicated / sweep_series /
-        sweep_series_multi / run_figure: every point's replicates in one
-        run_sweep, handed back per config with seeds base_seed + r."""
+        """The primitive under run_replicated / run_figure: every point's
+        replicates in one run_sweep, handed back per config with seeds
+        base_seed + r."""
         from repro.experiments.base import sweep_progress
 
         recorder = _Recorder()
@@ -133,27 +161,32 @@ class TestRunPoints:
 
 
 class TestSweepSeriesMulti:
+    """``FigureSpec.metrics``: several statistics of one set of runs."""
+
     def test_series_share_one_set_of_runs(self):
-        configs = [small_config(client__think_time_ratio=ttr)
-                   for ttr in (2, 5)]
         recorder = _Recorder()
         from repro.experiments.base import sweep_progress
+        metrics = {"mean": lambda r: r.response_miss.mean,
+                   "hits": lambda r: float(r.mc_hits),
+                   "slots": lambda r: float(r.total_slots)}
         with sweep_progress(recorder):
-            mean, hits = sweep_series_multi(
-                {"mean": None, "hits": lambda r: float(r.mc_hits)},
-                configs, [2, 5], TINY, label="shared")
-        assert recorder.started == [(2 * TINY.replicates, "shared")]
-        assert (mean.label, hits.label) == ("mean", "hits")
-        assert mean.x == hits.x == [2, 5]
-        for a, b in zip(mean.points, hits.points):
-            assert a.results is not None and a.results == b.results
-        assert mean.y == sweep_series("m", configs, [2, 5], TINY).y
+            figure = run_figure(small_curve("ipp", (2, 5), metrics), TINY)
+        # points x replicates runs, whatever the number of metrics.
+        assert recorder.started == [(2 * TINY.replicates, "small")]
+        mean, hits, slots = figure.series
+        assert (mean.label, hits.label, slots.label) \
+            == ("ipp mean", "ipp hits", "ipp slots")
+        assert mean.x == hits.x == slots.x == [2, 5]
+        for a, b, c in zip(mean.points, hits.points, slots.points):
+            assert a.results and a.results == b.results == c.results
+        [plain] = run_figure(small_curve("ipp", (2, 5)), TINY).series
+        assert mean.y == plain.y
 
-    def test_misaligned_or_empty_inputs_rejected(self):
-        with pytest.raises(ValueError, match="align"):
-            sweep_series_multi({"m": None}, [small_config()], [1, 2], TINY)
-        with pytest.raises(ValueError, match="metrics"):
-            sweep_series_multi({}, [small_config()], [1], TINY)
+    def test_unlabelled_series_is_labelled_by_metric_alone(self):
+        figure = run_figure(
+            small_curve("", (2,), {"hits": lambda r: float(r.mc_hits)}),
+            TINY)
+        assert [s.label for s in figure.series] == ["hits"]
 
 
 class TestFigureResult:
@@ -229,10 +262,9 @@ class TestRunSweepStreaming:
         from repro.experiments.base import sweep_progress
 
         recorder = _Recorder()
-        config = small_config()
         with sweep_progress(recorder):
-            sweep_series("IPP", [config], [1.0], TINY)
-        assert recorder.started == [(TINY.replicates, "IPP")]
+            run_figure(small_curve("IPP", (1.0,)), TINY)
+        assert recorder.started == [(TINY.replicates, "small")]
         assert len(recorder.done) == TINY.replicates
 
     def test_explicit_observer_shadows_the_ambient_one(self):

@@ -4,11 +4,13 @@
 ``results/figure_<id>.json`` without simulating; the ``TestFigureN``
 classes run each spec on a miniature grid
 (``replace(FIGURES[id], xs=...)``) to verify the *wiring* — series
-labels, sweep axes, flat reference lines.  The paper-shape assertions
-live in tests/integration/test_paper_claims.py; full grids run in
-benchmarks/.
+labels, sweep axes, flat reference lines.  ``TestExtensions`` pins the
+:data:`EXTENSIONS` rows to the hand-written sweeps they replaced.  The
+paper-shape assertions live in tests/integration/test_paper_claims.py;
+full grids run in benchmarks/.
 """
 
+import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -18,7 +20,7 @@ import pytest
 
 from repro.experiments import base
 from repro.experiments.base import Profile, sweep_progress
-from repro.experiments.figures import FIGURES, run_figure
+from repro.experiments.figures import EXTENSIONS, FIGURES, run_figure
 
 TINY = Profile(settle_accesses=30, measure_accesses=60, replicates=1,
                base_seed=5)
@@ -193,3 +195,60 @@ class TestOneSweepPerFigure:
         figure = run_figure(self.SPEC, replace(self.PROFILE, workers=workers))
         assert len(built) == pools
         assert len(figure.series) == 5
+
+
+#: The scale the retired sweeps were pinned at: a 30-client fleet with
+#: think time 120, two PullBW points, two replicates.
+RETIRED_PROFILE = Profile(settle_accesses=20, measure_accesses=60,
+                          replicates=2, base_seed=3)
+RETIRED_XS = {"fleet-pullbw": (0.2, 0.5), "sched-pullbw": (0.3, 0.5)}
+#: sha256 of :func:`series_digest` over ``fleet_sweep_figure(...,
+#: num_clients=30, think_time=120.0)`` and ``sched_sweep_figure(...)`` at
+#: that scale, computed on the last commit that had them.
+RETIRED_DIGESTS = {
+    "fleet-pullbw":
+        "dd6fcaf17043869c2945a2f651a53e21c31f3cefdd846907c845f8255d98700d",
+    "sched-pullbw":
+        "9a0feec7a35443fdce54770d1f2652a812f07a30f414263d134ca79daeca11fe",
+}
+
+
+def series_digest(figure):
+    """sha256 over every series' label and arrays (not title or notes)."""
+    keys = ("label", "x", "y", "drop_rate", "stddev", "replicates", "p50",
+            "p90", "p99")
+    data = [{key: series[key] for key in keys if key in series}
+            for series in figure.to_dict()["series"]]
+    return hashlib.sha256(
+        json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def shrunk(fig_id):
+    """An :data:`EXTENSIONS` row at the retired sweeps' pinned scale."""
+    spec = EXTENSIONS[fig_id]
+    fleet = {"fleet__num_clients": 30, "fleet__think_time": 120.0}
+    return replace(spec, xs=RETIRED_XS[fig_id], series=tuple(
+        replace(s, overrides={**s.overrides, **fleet}) for s in spec.series))
+
+
+class TestExtensions:
+    @pytest.mark.parametrize("fig_id", EXTENSIONS)
+    def test_matches_the_retired_sweep(self, fig_id):
+        figure = run_figure(shrunk(fig_id), RETIRED_PROFILE)
+        assert figure.figure_id == fig_id
+        assert series_digest(figure) == RETIRED_DIGESTS[fig_id]
+
+    def test_rows_keep_the_retired_sweeps_scale(self):
+        fleet = EXTENSIONS["fleet-pullbw"].representative_config()
+        assert fleet.fleet.num_clients == 100_000
+        assert fleet.fleet.think_time == 80_000.0  # ThinkTimeRatio 25
+        assert "fleet of 100000 clients" in EXTENSIONS["fleet-pullbw"].title
+        for discipline in ("fifo", "rxw", "lwf"):
+            config = EXTENSIONS["sched-pullbw"].config(discipline, 0.1)
+            assert config.scheduler.discipline == discipline
+            assert config.scheduler.aging == 1.0
+            assert config.fleet.num_clients == 2000
+            assert config.fleet.think_time == 1600.0
+
+    def test_ids_do_not_collide_with_the_papers(self):
+        assert not set(EXTENSIONS) & set(FIGURES)

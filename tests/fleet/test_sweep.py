@@ -1,22 +1,29 @@
-"""Fleet sweep figure and aggregate-parity harness at tiny scale."""
+"""Fleet sweeps: the ``fleet-pullbw`` figure at tiny scale, and the
+homogeneous-fleet parity gate at QUICK."""
 
-import math
+from dataclasses import replace
 
 import pytest
 
+from repro.core.algorithms import Algorithm
 from repro.core.fast import FastEngine
-from repro.experiments.base import Profile
-from repro.fleet import (
-    FAIRNESS_METRICS,
+from repro.experiments.base import (
     PAPER_PULL_BWS,
-    PARITY_PULL_BWS,
-    fleet_parity_report,
-    fleet_sweep_figure,
+    QUICK,
+    FigureResult,
+    FigureSeries,
 )
+from repro.experiments.compare import compare_figures
+from repro.experiments.figures import FigureSpec, SeriesSpec, run_figure
+from repro.fleet import FAIRNESS_METRICS
 from tests.conftest import small_config
+from tests.experiments.test_figures import RETIRED_PROFILE, shrunk
 
-TINY = Profile(settle_accesses=20, measure_accesses=60, replicates=2,
-               base_seed=3)
+
+def tiny_fleet_figure(pull_bws):
+    """``fleet-pullbw`` with 30 clients of think time 120 at ``pull_bws``."""
+    return run_figure(replace(shrunk("fleet-pullbw"), xs=pull_bws),
+                      RETIRED_PROFILE)
 
 
 class TestFairnessMetrics:
@@ -32,21 +39,18 @@ class TestFairnessMetrics:
 
 class TestFleetSweepFigure:
     def test_tiny_sweep_produces_all_series(self):
-        figure = fleet_sweep_figure(TINY, num_clients=30,
-                                    pull_bws=(0.2, 0.5), think_time=120.0)
+        figure = tiny_fleet_figure((0.2, 0.5))
         assert figure.figure_id == "fleet-pullbw"
         assert [s.label for s in figure.series] == list(FAIRNESS_METRICS)
         for series in figure.series:
             assert series.x == [0.2, 0.5]
             assert len(series.points) == 2
         by_label = {s.label: s for s in figure.series}
-        assert all(math.isfinite(y) for y in by_label["mean user wait"].y)
         assert all(0.0 < y <= 1.0 for y in by_label["jain index"].y)
         assert figure.manifest is not None
 
     def test_dispersion_brackets_the_mean(self):
-        figure = fleet_sweep_figure(TINY, num_clients=30,
-                                    pull_bws=(0.3,), think_time=120.0)
+        figure = tiny_fleet_figure((0.3,))
         by_label = {s.label: s for s in figure.series}
         low = by_label["min user wait"].y[0]
         mean = by_label["mean user wait"].y[0]
@@ -54,23 +58,85 @@ class TestFleetSweepFigure:
         assert low <= mean <= high
 
 
-class TestFleetParityReport:
-    def test_tiny_parity_report_structure(self):
-        report = fleet_parity_report(TINY, num_clients=20,
-                                     pull_bws=(0.2, 0.5))
-        assert set(report) >= {
-            "num_clients", "fleet_think_time", "aggregate_response",
-            "fleet_response", "comparison", "rate_checks",
-            "worst_rate_error", "rate_ok", "ordering_ok", "exit_code"}
-        # Tiny runs are noisy; parity may drift (1) but must never be
-        # structurally broken (2).
-        assert report["exit_code"] in (0, 1)
-        assert len(report["aggregate_response"]) == 2
-        assert len(report["fleet_response"]) == 2
-        assert len(report["rate_checks"]) == 2 * TINY.replicates
-        for check in report["rate_checks"]:
-            assert check["observed_rate"] > 0.0
-            assert check["expected_rate"] > 0.0
-            assert check["relative_error"] >= 0.0
-        assert report["comparison"]["left"] == "aggregate-vc"
-        assert report["comparison"]["right"] == "homogeneous-fleet"
+#: The parity grid: Table 3's PullBW values minus 0.30, which at the
+#: check's total load (ThinkTimeRatio 15) sits exactly on the saturation
+#: cliff — response time there swings by tens of broadcast units with the
+#: seed, on both sides of the comparison, so the point tests noise rather
+#: than parity.  Both stable branches (saturated 0.10/0.20, unsaturated
+#: 0.40/0.50) are kept.
+PARITY_PULL_BWS = (0.10, 0.20, 0.40, 0.50)
+#: A homogeneous fleet of 200 clients presenting ThinkTimeRatio 5 on top
+#: of a VC at 10: think time = MCThinkTime * 200 / 5.
+NUM_CLIENTS, FLEET_TTR, TTR_BASE = 200, 5.0, 10.0
+FLEET_THINK_TIME = 20.0 * NUM_CLIENTS / FLEET_TTR
+
+PARITY = FigureSpec(
+    "fleet-parity", "MC response vs PullBW: aggregate VC vs fleet",
+    "PullBW", "Response time (broadcast units)",
+    x_key="server__pull_bw", xs=PARITY_PULL_BWS,
+    series=(
+        SeriesSpec("aggregate VC", Algorithm.IPP,
+                   {"client__think_time_ratio": TTR_BASE + FLEET_TTR}),
+        SeriesSpec("fleet", Algorithm.IPP,
+                   {"client__think_time_ratio": TTR_BASE,
+                    "fleet__num_clients": NUM_CLIENTS,
+                    "fleet__think_time": FLEET_THINK_TIME,
+                    "fleet__cache_size": 100})),
+    representative=("fleet", 0.50))
+
+
+def mean_curve(series):
+    """``series`` alone as a figure, its response quantiles dropped.
+
+    Quantile marks carry no recorded spread, so the compare harness
+    holds them to the raw tolerance — far too tight for the tail of a
+    few hundred stochastic accesses.  Parity is a claim about the *mean*
+    curve; with both sides' quantiles absent the harness skips them.
+    """
+    points = [replace(p, p50=None, p90=None, p99=None)
+              for p in series.points]
+    return FigureResult(
+        figure_id=PARITY.figure_id, title=PARITY.title,
+        x_label=PARITY.x_label, y_label=PARITY.y_label,
+        series=[FigureSeries("mc response", list(series.x), points)])
+
+
+def ranking(values):
+    """Index order sorted by value (the curve's shape as a permutation)."""
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
+class TestFleetParity:
+    """A homogeneous fleet is, in aggregate, the paper's Virtual Client.
+
+    N clients with think time T present the load of a VC ThinkTimeRatio
+    of ``N * MCThinkTime / T``, so the MC's response curve over PullBW
+    must match a VC-only run with that ratio folded in.  Both curves are
+    one :func:`run_figure` sweep at QUICK; the verdict is the compare
+    harness's (Welch's t-test, tolerance fallback), the fleet's
+    closed-loop request rate ``N / (T + mean wait)`` within 5%, and the
+    PullBW ordering of the response curve preserved.
+    """
+
+    def test_quick_verdict_is_parity(self):
+        # The pool's width changes no result, only the wall time.
+        figure = run_figure(PARITY, replace(QUICK, workers=2))
+        aggregate = figure.series_by_label("aggregate VC")
+        fleet = figure.series_by_label("fleet")
+
+        comparison = compare_figures(
+            mean_curve(aggregate), mean_curve(fleet), alpha=1e-3,
+            tolerance=0.25, left="aggregate-vc", right="homogeneous-fleet")
+        assert comparison.exit_code == 0, comparison.to_dict()
+
+        errors = []
+        for point in fleet.points:
+            for run in point.results:
+                observed = run.fleet["generated"] / run.measured_slots
+                expected = NUM_CLIENTS / (FLEET_THINK_TIME
+                                          + run.fleet["mean_wait"])
+                errors.append(abs(observed / expected - 1.0))
+        assert len(errors) == len(PARITY_PULL_BWS) * QUICK.replicates
+        assert max(errors) <= 0.05
+
+        assert ranking(aggregate.y) == ranking(fleet.y)

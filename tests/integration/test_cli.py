@@ -41,10 +41,6 @@ PARSER_SNAPSHOT = {
     "figures": "--chart=False --drop-rates=False --full=False --json=None "
                "--seed=42 --trace=None --watch/--no-watch=None "
                "--workers=None ids=None",
-    "fleet-sweep": "--chart=False --clients=10000 --full=False "
-                   "--homogeneous=False --json=None --parity=False "
-                   "--parity-clients=200 --seed=42 --think-time=None "
-                   "--workers=None",
     "lint": "--format='text' --list-rules=False --no-unused-pragma=False "
             "--select=None paths=None",
     "loadgen": "--clients=200 --duration=10.0 --host='127.0.0.1' "
@@ -57,9 +53,6 @@ PARSER_SNAPSHOT = {
     "sanitize": "--engine='both' --figure=None --format='text' "
                 "--hash-seed=None --inject-divergence=None "
                 "--no-hashseed=False " + SYSTEM_FLAGS,
-    "sched-sweep": "--aging=1.0 --chart=False --clients=2000 "
-                   "--disciplines='fifo,rxw,lwf' --full=False --json=None "
-                   "--seed=42 --workers=None",
     "serve": "--clients=200 --drop-after=64 --host='127.0.0.1' --port=0 "
              "--self-test=False --send-queue=256 --slot-duration=0.005 "
              "--slots=None --stats-json=None --think-time=200.0 "
@@ -106,7 +99,49 @@ class TestUnknownFigureId:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"{argv[0]}: unknown figure id(s): 99")
-        assert "3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b, 7a, 7b, 8" in line
+        assert ("3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b, 7a, 7b, 8, fleet-pullbw, "
+                "sched-pullbw" in line)
+
+
+#: Command line -> the one stderr line it must produce.
+BAD_SWEEP_ARGUMENTS = {
+    "tune --loads nan":
+        "tune: --loads: client.think_time_ratio must be finite and > 0, "
+        "got nan",
+    "tune --pull-bw 1.5":
+        "tune: --pull-bw: server.pull_bw must be within [0, 1], got 1.5",
+    "tune --chop 1000":
+        "tune: --chop: server.chop must be < server.db_size 1000 (at least "
+        "one page stays on the air), got 1000",
+    "tune --loads abc":
+        "tune: --loads: expected comma-separated floats, got 'abc'",
+    "tune --loads ,":
+        "tune: --loads: expected comma-separated floats, got ','",
+    "tune --replicates 0":
+        "tune: --replicates: replicates must be an int >= 1, got 0",
+    "figures 3a --seed -1":
+        "figures: --seed: run.seed must be an int >= 0, got -1",
+}
+
+
+class TestBadSweepArguments:
+    """Regression: each of these was a traceback with exit status 1,
+    which is reserved for verdicts; now exit 2 with one line naming the
+    flag, before any run starts."""
+
+    @pytest.mark.parametrize("argv", BAD_SWEEP_ARGUMENTS)
+    def test_exits_2_with_one_line_naming_the_flag(self, argv, capsys,
+                                                    monkeypatch):
+        import repro.experiments.base as base
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(base, "run_sweep", no_runs)
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [BAD_SWEEP_ARGUMENTS[argv]]
 
 
 class TestRejectedConfigValue:
@@ -264,6 +299,22 @@ class TestTraceCommand:
                      "--engine", "reference", "--out", str(path)])
         assert code == 0
         assert load_columnar(path).shape[0]
+
+    def test_extension_figure_point_traces(self, tmp_path, monkeypatch):
+        """``--figure`` takes the ids beyond the paper too, through the
+        row's representative point."""
+        import repro.experiments.tracing as tracing
+
+        traced = []
+        monkeypatch.setattr(tracing, "write_slot_trace",
+                            lambda config, path, engine: traced.append(
+                                config) or 0)
+        assert main(["trace", "--figure", "sched-pullbw",
+                     "--out", str(tmp_path / "t.npy")]) == 0
+        [config] = traced
+        assert config.scheduler.discipline == "rxw"
+        assert config.fleet.num_clients == 2000
+        assert config.server.pull_bw == 0.10
 
     def test_unknown_figure_id(self, tmp_path):
         assert main(["trace", "--figure", "nope",
