@@ -11,10 +11,12 @@ import pytest
 from repro.broadcast.program import DiskAssignment, build_schedule
 from repro.cache.base import Cache
 from repro.cache.pix import PixPolicy
+from repro.client.threshold import ThresholdFilter
 from repro.core.algorithms import Algorithm
 from repro.core.config import ClientConfig, RunConfig, ServerConfig, SystemConfig
 from repro.core.fast import FastEngine
 from repro.core.simulation import ReferenceEngine
+from repro.fleet.state import _VECTOR_MIN_BATCH, FleetState
 from repro.server.queue import BoundedRequestQueue
 from repro.workload.zipf import (
     _GUIDE_MIN_BATCH,
@@ -59,6 +61,35 @@ def test_zipf_sampling_small_batches(benchmark, size):
                           np.random.default_rng(0))
     draws = benchmark(sampler.sample, size)
     assert draws.size == size
+
+
+@pytest.mark.parametrize("size", [1, 2, _VECTOR_MIN_BATCH - 1,
+                                  _VECTOR_MIN_BATCH])
+def test_fleet_generate_batches(benchmark, size):
+    """One slot's ``FleetState.generate`` with ``size`` clients due: the
+    fleet's regime (1-2 a slot) and both sides of the batch size below
+    which it runs the scalar kernel.  Round ``t`` generates slot ``t``,
+    whose calendar bucket holds ``size`` clients; a hit re-thinks past
+    the window, so no round sees another's clients."""
+    rounds = 500
+    fleet = FleetState(
+        num_clients=size * rounds, mean_think_time=1e9,
+        think_time_spread=0.5, zipf_offset_spread=200, cache_size=100,
+        cache_size_spread=0.5, steady_state_perc=0.8,
+        probabilities=zipf_probabilities(1000, 0.95),
+        value_order=np.arange(1000),
+        threshold=ThresholdFilter(build_schedule(paper_assignment()), 0.25),
+        rng=np.random.default_rng(0))
+    fleet.next_access[:] = np.arange(size * rounds) // size + 0.5
+    fleet.generate(-1, 0)  # builds the window over every round's slot
+    slots = iter(range(rounds))
+
+    def generate():
+        t = next(slots)
+        return fleet.generate(t, t)
+
+    benchmark.pedantic(generate, rounds=rounds)
+    assert fleet.generated == size * rounds
 
 
 def test_pix_cache_churn(benchmark):

@@ -269,7 +269,7 @@ class FastEngine:
             if fleet is not None:
                 survivors = fleet.generate(t, server.schedule_pos)
                 if uses_backchannel:
-                    for wanted in survivors.tolist():
+                    for wanted in survivors:
                         offer(wanted)
             t += 1
 

@@ -145,7 +145,7 @@ class ReferenceEngine:
                 # backchannel algorithms see the surviving pulls.
                 survivors = fleet.generate(int(env.now), server.schedule_pos)
                 if uses_backchannel:
-                    for wanted in survivors.tolist():
+                    for wanted in survivors:
                         server.queue.offer(wanted)
             # End-of-slot deliveries must become visible BEFORE any client
             # activity at the same instant (a fresh miss at the boundary

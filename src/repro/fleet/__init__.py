@@ -10,8 +10,8 @@ struct-of-arrays population of individually tracked clients
 :data:`~repro.fleet.fairness.FAIRNESS_METRICS` for the ``fleet-pullbw``
 figure of :data:`repro.experiments.figures.EXTENSIONS`), and a
 metrics-registry adapter (:func:`~repro.fleet.metrics.bind_fleet_metrics`).
-tests/fleet/test_parity.py checks a homogeneous fleet against its
-aggregate-VC equivalent.
+``tests/fleet/test_sweep.py::TestFleetParity`` checks a homogeneous fleet
+against its aggregate-VC equivalent.
 
 See docs/FLEET.md for the model, its heterogeneity knobs, and scale
 limits.

@@ -8,14 +8,18 @@ and advances them one broadcast slot at a time, at a cost proportional
 to the clients that act in the slot, not to the population:
 
 - **generate** — clients whose next access falls inside the slot (popped
-  from the slot calendar, below) draw one
-  batched Zipf rank each; steady warm caches absorb the most-valuable
-  prefix by boolean mask; survivors pass the same flat distance-table
-  threshold check the Virtual Client uses and either offer a pull or wait
-  silently for the push program,
+  from the slot calendar, below) draw one Zipf rank each; steady warm
+  caches absorb the most-valuable prefix; survivors pass the same flat
+  distance-table threshold check the Virtual Client uses and either offer
+  a pull or wait silently for the push program,
 - **deliver** — the slot's frontchannel page completes every client
   waiting on it (clients snoop, exactly like the MC), accumulating the
   per-user wait statistics the fairness metrics are computed from.
+
+Each call runs its batch — the slot's due set, the page's waiters —
+through numpy when it holds :data:`_VECTOR_MIN_BATCH` clients or more,
+and one client at a time in plain Python scalars when it is smaller,
+with the same draws in the same order either way.
 
 Each client is closed-loop: it thinks (exponential, per-client mean),
 accesses, waits for its page, and only then thinks again — so the fleet's
@@ -48,6 +52,7 @@ drawn once at construction from the seeded fleet generator.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
@@ -60,7 +65,22 @@ from repro.workload.zipf import ZipfSampler
 __all__ = ["FleetState"]
 
 #: Shared empty result for slots generating no backchannel candidates.
-_NO_PAGES = np.empty(0, dtype=np.int64)
+_NO_PAGES: tuple[int, ...] = ()
+
+#: Batches of this many clients or more — a slot's due set in
+#: ``generate``, a page's waiters in ``deliver`` — take the numpy path;
+#: smaller ones run one client at a time in plain Python scalars, where
+#: a client costs ~2 µs but a batch pays none of numpy's ~15-20 µs of
+#: per-call dispatch.  Measured on a 2-core x86 box in ``fleet_100k``'s
+#: configuration (1000 pages, threshold filter on), µs per batch, numpy
+#: against scalar, medians of 21 alternating runs: ``generate`` at 1 / 8
+#: / 16 / 32 clients 19.8 / 34.3 / 38.7 / 57.8 against 3.8 / 13.4 / 23.8
+#: / 60.5, ``deliver`` 21.5 / 14.2 / 15.8 / 26.2 against 2.5 / 7.9 / 15.0
+#: / 47.6.  The scalar ``generate`` wins up to ~30 clients, the scalar
+#: ``deliver`` up to ~17; the constant takes the smaller, so neither runs
+#: scalar where numpy is cheaper.  ``benchmarks/test_bench_substrates.py::
+#: test_fleet_generate_batches`` times 1, 2 and both sides of it.
+_VECTOR_MIN_BATCH = 16
 
 #: Slots one calendar window covers.  Only clients due inside the window
 #: are indexed: at the loads the fleet is run at, a whole run sees a
@@ -104,8 +124,9 @@ class FleetState:
         """
         if num_clients < 1:
             raise ValueError("num_clients must be positive")
-        if mean_think_time <= 0:
-            raise ValueError("mean_think_time must be positive")
+        if not mean_think_time > 0:
+            raise ValueError("mean_think_time must be positive, "
+                             f"got {mean_think_time}")
         # A spread of 1 admits a per-client mean of 0: a warm client that
         # re-thinks to the same instant forever never leaves its slot.
         if not 0.0 <= think_time_spread < 1.0:
@@ -114,10 +135,24 @@ class FleetState:
         if not 0.0 <= cache_size_spread <= 1.0:
             raise ValueError("cache_size_spread must be within [0, 1], "
                              f"got {cache_size_spread}")
+        if not zipf_offset_spread >= 0:
+            raise ValueError("zipf_offset_spread must be non-negative, "
+                             f"got {zipf_offset_spread}")
+        if not cache_size >= 0:
+            raise ValueError("cache_size must be non-negative, "
+                             f"got {cache_size}")
+        if not 0.0 <= steady_state_perc <= 1.0:
+            raise ValueError("steady_state_perc must be within [0, 1], "
+                             f"got {steady_state_perc}")
         n = num_clients
         self.num_clients = n
-        self._db_size = int(probabilities.size)
         self._sampler = ZipfSampler(probabilities, rng)
+        self._db_size = self._sampler.num_pages
+        value_order = np.ascontiguousarray(value_order, dtype=np.int64)
+        if value_order.shape != (self._db_size,):
+            raise ValueError("value_order must hold one position per page "
+                             f"({self._db_size}), got shape "
+                             f"{value_order.shape}")
         self._rng = rng
 
         # Static per-client attributes, drawn unconditionally (in a fixed
@@ -133,7 +168,7 @@ class FleetState:
         #: Value-order positions a warm cache absorbs: the paper's
         #: steady-state model holds the cache-size - 1 most valuable pages.
         self._absorb_limit = np.maximum(self.cache_sizes - 1, 0)
-        self._value_order = np.asarray(value_order, dtype=np.int64)
+        self._value_order = value_order
 
         # Dynamic state.  A waiting client has next_access = +inf and its
         # awaited page in ``outstanding``; idle clients carry the time of
@@ -180,6 +215,25 @@ class FleetState:
             self._dist_flat = None
             self._threshold_slots = 0.0
 
+        # The scalar kernels read and write the arrays above element by
+        # element through memoryviews: plain Python scalars and no numpy
+        # dispatch, but no copy — a list mirror would box one Python
+        # object per client and field.  The views share the arrays'
+        # memory, so in-place writes from outside stay visible.
+        self._next_access_v = memoryview(self.next_access)
+        self._outstanding_v = memoryview(self.outstanding)
+        self._requested_at_v = memoryview(self.requested_at)
+        self._wait_sum_v = memoryview(self.wait_sum)
+        self._wait_count_v = memoryview(self.wait_count)
+        self._wait_max_v = memoryview(self.wait_max)
+        self._think_means_v = memoryview(self.think_means)
+        self._offsets_v = memoryview(self.offsets)
+        self._steady_v = memoryview(self.steady)
+        self._absorb_limit_v = memoryview(self._absorb_limit)
+        self._value_order_v = memoryview(self._value_order)
+        self._dist_flat_v = (None if self._dist_flat is None
+                             else memoryview(self._dist_flat))
+
     # -- the per-slot protocol the engines drive -----------------------------
     def deliver(self, page: int, now: float) -> None:
         """The frontchannel page transmitted last slot completes at ``now``.
@@ -191,6 +245,9 @@ class FleetState:
         waiters = self._waiting_by_page.pop(page, None)
         if not waiters:
             return
+        if len(waiters) < _VECTOR_MIN_BATCH:
+            self._deliver_scalar(waiters, now)
+            return
         idx = np.asarray(waiters, dtype=np.int64)
         waits = now - self.requested_at[idx]
         self.delivered += idx.size
@@ -201,6 +258,36 @@ class FleetState:
         thinks = now + self._rng.exponential(self.think_means[idx])
         self.next_access[idx] = thinks
         self._index(waiters, thinks)
+
+    def _deliver_scalar(self, waiters: list[int], now: float) -> None:
+        """``deliver`` one waiter at a time: the same think times, drawn
+        in waiter order, and the same updates as the numpy path."""
+        requested_at = self._requested_at_v
+        wait_sum = self._wait_sum_v
+        wait_count = self._wait_count_v
+        wait_max = self._wait_max_v
+        outstanding = self._outstanding_v
+        next_access = self._next_access_v
+        think_means = self._think_means_v
+        exponential = self._rng.standard_exponential
+        end = self._window_end
+        first = self._next_slot
+        calendar = self._calendar
+        for client in waiters:
+            wait = now - requested_at[client]
+            wait_sum[client] += wait
+            wait_count[client] += 1
+            if wait > wait_max[client]:
+                wait_max[client] = wait
+            outstanding[client] = -1
+            # ``exponential(scale)`` is ``scale * standard_exponential()``.
+            think = now + think_means[client] * exponential()
+            next_access[client] = think
+            if think < end:  # as ``_index``
+                slot = math.floor(think)
+                calendar.setdefault(slot if slot > first else first,
+                                    []).append(client)
+        self.delivered += len(waiters)
 
     def _index(self, clients: list[int], times: np.ndarray) -> None:
         """Enter re-thinking ``clients`` into the calendar at ``times``.
@@ -234,15 +321,15 @@ class FleetState:
         self._calendar = calendar
         self._window_end = end
 
-    def generate(self, t: int, schedule_pos: int) -> np.ndarray:
+    def generate(self, t: int, schedule_pos: int) -> Sequence[int]:
         """Process every access falling inside slot ``[t, t+1)``.
 
         Returns the pages that should reach the backchannel queue (in
-        access order): misses that survived cache absorption and the
-        threshold filter.  The engine offers them — or discards them when
-        the algorithm has no backchannel — while filtered/unoffered
-        clients still wait for the push program, and absorbed accesses
-        complete instantly as zero-wait cache hits.
+        access order, as plain ints): misses that survived cache
+        absorption and the threshold filter.  The engine offers them — or
+        discards them when the algorithm has no backchannel — while
+        filtered/unoffered clients still wait for the push program, and
+        absorbed accesses complete instantly as zero-wait cache hits.
         """
         if t != self._next_slot or t >= self._window_end:
             self._build_window(t)
@@ -253,9 +340,17 @@ class FleetState:
         # Window inserts arrive out of order; draws are handed out by
         # position, so the set must come out in ascending client index.
         bucket.sort()
+        if len(bucket) < _VECTOR_MIN_BATCH:
+            out = self._generate_scalar(bucket, t + 1.0, schedule_pos)
+        else:
+            out = self._generate_vector(bucket, t + 1.0, schedule_pos)
+        return out or _NO_PAGES
+
+    def _generate_vector(self, bucket: list[int], horizon: float,
+                         schedule_pos: int) -> list[int]:
+        """``generate``'s batched numpy path for a sorted due set."""
         due = np.array(bucket, dtype=np.int64)
-        horizon = t + 1.0
-        out: list[np.ndarray] = []
+        out: list[int] = []
         while due.size:
             ranks = self._sampler.sample(due.size)
             now = self.next_access[due]
@@ -299,14 +394,82 @@ class FleetState:
                 else:
                     send = pages
                 self.offered += int(send.size)
-                if send.size:
-                    out.append(send)
+                out.extend(send.tolist())
                 waiting = self._waiting_by_page
                 for client, page in zip(miss_idx.tolist(), pages.tolist()):
                     waiting.setdefault(page, []).append(client)
-        if not out:
-            return _NO_PAGES
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        return out
+
+    def _generate_scalar(self, due: list[int], horizon: float,
+                         schedule_pos: int) -> list[int]:
+        """``generate`` one client at a time, in plain Python scalars.
+
+        The numpy path's draws, bit for bit: each pass's uniforms come
+        first, in one ``random(k)`` call (``sample(k)``'s), then one
+        exponential per cache hit in client order (``exponential`` over
+        the hits' means), and a uniform's page is ``sample``'s
+        ``searchsorted``.  Hits and misses interleave here, but each
+        touches its own structures — the calendar, the waiter lists, the
+        result — in the numpy path's order.
+        """
+        rng = self._rng
+        exponential = rng.standard_exponential
+        page_of = self._sampler.page_of
+        next_access = self._next_access_v
+        outstanding = self._outstanding_v
+        requested_at = self._requested_at_v
+        wait_count = self._wait_count_v
+        think_means = self._think_means_v
+        offsets = self._offsets_v
+        steady = self._steady_v
+        absorb_limit = self._absorb_limit_v
+        value_order = self._value_order_v
+        dist = self._dist_flat_v
+        cycle = self._cycle
+        base = schedule_pos % cycle if dist is not None else 0
+        threshold_slots = self._threshold_slots
+        db_size = self._db_size
+        end = self._window_end
+        calendar = self._calendar
+        waiting = self._waiting_by_page
+        inf = math.inf
+        absorbed = filtered = 0
+        out: list[int] = []
+        while due:
+            uniforms = rng.random(len(due)).tolist()
+            self.generated += len(due)
+            again = []
+            for client, uniform in zip(due, uniforms):
+                rank = page_of(uniform)
+                now = next_access[client]
+                if steady[client] and value_order[rank] < absorb_limit[client]:
+                    absorbed += 1
+                    wait_count[client] += 1  # zero-wait completion
+                    think = now + think_means[client] * exponential()
+                    next_access[client] = think
+                    if think < horizon:
+                        again.append(client)
+                    elif think < end:
+                        # As ``_index``; ``think >= horizon`` is the next
+                        # slot or later, so no clamp is needed.
+                        calendar.setdefault(math.floor(think),
+                                            []).append(client)
+                    continue
+                page = (rank + offsets[client]) % db_size
+                outstanding[client] = page
+                requested_at[client] = now
+                next_access[client] = inf
+                if (dist is not None
+                        and dist[page * cycle + base] <= threshold_slots):
+                    filtered += 1
+                else:
+                    out.append(page)
+                waiting.setdefault(page, []).append(client)
+            due = again
+        self.absorbed_by_cache += absorbed
+        self.filtered_by_threshold += filtered
+        self.offered += len(out)
+        return out
 
     def set_threshold_slots(self, threshold_slots: float) -> None:
         """Retune the fast-path threshold (adaptive controller hook)."""
@@ -324,6 +487,7 @@ class FleetState:
         table = schedule.distance_table(self._db_size)
         self._cycle = table.shape[1]
         self._dist_flat = table.ravel()
+        self._dist_flat_v = memoryview(self._dist_flat)
 
     def reset_stats(self) -> None:
         """Zero the wait accumulators (measurement-phase boundary).

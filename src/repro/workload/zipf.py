@@ -9,6 +9,7 @@ while the measured client's ranking may be perturbed by Noise.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from typing import Optional
 
@@ -147,3 +148,19 @@ class ZipfSampler:
         """Draw a single page id."""
         return int(np.searchsorted(self._cdf, self._rng.random(),
                                    side="right"))
+
+    def page_of(self, uniform: float) -> int:
+        """The page id a uniform from ``[0, 1)`` draws, as a plain int.
+
+        The first page whose CDF exceeds ``uniform``, exactly
+        ``searchsorted(cdf, uniform, side="right")``, found by a binary
+        search over the CDF as Python floats: callers that draw their
+        own uniforms one or two at a time skip numpy's per-call cost.
+        The generator is not touched.
+        """
+        return bisect_right(self._cdf_list, uniform)
+
+    @cached_property
+    def _cdf_list(self) -> list[float]:
+        """The CDF as Python floats, built by the first ``page_of``."""
+        return self._cdf.tolist()

@@ -1,23 +1,48 @@
-"""The per-slot population scan, kept as the slot calendar's oracle.
+"""The per-slot population scan, kept as the fleet kernels' oracle.
 
 :class:`ScanningFleetState` is a :class:`~repro.fleet.state.FleetState`
 whose ``generate`` is the implementation the calendar replaced, verbatim:
 one ``flatnonzero(next_access < t + 1)`` over the whole population every
-slot.  It reads the arrays alone, so it is right after any sequence of
-calls and any outside write to ``next_access``; the calendar must hand
-back the identical due set in the identical order at every slot
-(``test_calendar.py`` drives both from one seed).  The inherited
-``deliver`` finds the never-built window empty and indexes nothing.
+slot, every batch through numpy.  It reads the arrays alone, so it is
+right after any sequence of calls and any outside write to
+``next_access``; the calendar must hand back the identical due set in the
+identical order at every slot, and both of ``FleetState``'s kernels —
+numpy and scalar — must draw and write what it does (``test_calendar.py``
+drives both from one seed).  Its ``deliver`` is the vectorised one the
+scalar kernel was measured against, verbatim but for the calendar insert:
+the scan has no calendar.
 """
 
 import math
 
 import numpy as np
 
-from repro.fleet.state import _NO_PAGES, FleetState
+from repro.fleet.state import FleetState
+
+_NO_PAGES = np.empty(0, dtype=np.int64)
 
 
 class ScanningFleetState(FleetState):
+    def deliver(self, page: int, now: float) -> None:
+        """The frontchannel page transmitted last slot completes at ``now``.
+
+        Every client waiting on ``page`` receives it (snooping — push or
+        pull, requested or filtered), records its wait, and draws a fresh
+        think time.
+        """
+        waiters = self._waiting_by_page.pop(page, None)
+        if not waiters:
+            return
+        idx = np.asarray(waiters, dtype=np.int64)
+        waits = now - self.requested_at[idx]
+        self.delivered += idx.size
+        self.wait_sum[idx] += waits
+        self.wait_count[idx] += 1
+        self.wait_max[idx] = np.maximum(self.wait_max[idx], waits)
+        self.outstanding[idx] = -1
+        thinks = now + self._rng.exponential(self.think_means[idx])
+        self.next_access[idx] = thinks
+
     def generate(self, t: int, schedule_pos: int) -> np.ndarray:
         """Process every access falling inside slot ``[t, t+1)``.
 

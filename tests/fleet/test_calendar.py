@@ -4,7 +4,9 @@
   (``reference_scan``) built from one seed and driven through the same
   ``deliver`` / ``generate`` sequence agree after every slot on the
   returned pages, every dynamic array, every counter and the generator's
-  state — the due set is the scan's, member for member and in order;
+  state — the due set is the scan's, member for member and in order —
+  once with every batch through the numpy kernel and once with every
+  batch through the scalar one;
 - the calendar holds exactly the clients due before the window's end,
   each once, in the slot the scan would find it;
 - a think-time spread that admits a zero mean is rejected.
@@ -30,6 +32,10 @@ DB_SIZE = 30
 PROBABILITIES = zipf_probabilities(DB_SIZE, 0.95)
 SCHEDULE = build_schedule(DiskAssignment.from_ranking(
     list(range(DB_SIZE)), (5, 10, 15), (3, 2, 1)))
+
+#: ``_VECTOR_MIN_BATCH`` patched to 0 sends every batch through the numpy
+#: kernel; patched past any batch, through the scalar one.
+KERNELS = {"numpy": 0, "scalar": 1 << 30}
 
 ARRAYS = ("next_access", "outstanding", "requested_at",
           "wait_sum", "wait_count", "wait_max")
@@ -94,8 +100,9 @@ def drive(calendar, scan, ops, t, slots):
         now = float(t) if roll > 0.05 else float(t - ops.integers(1, 4))
         calendar.deliver(page, now)
         scan.deliver(page, now)
-        assert (calendar.generate(t, t).tolist()
-                == scan.generate(t, t).tolist())
+        pages = calendar.generate(t, t)
+        assert all(type(page) is int for page in pages)
+        assert list(pages) == scan.generate(t, t).tolist()
         assert_same_state(calendar, scan)
         t += 1
     assert_calendar_consistent(calendar)
@@ -107,7 +114,7 @@ def run_pair(window, num_clients, think, spreads, steady, cache_size,
     """Build the two fleets and drive them in order across two window
     boundaries, through a restart ``back`` windows earlier (possibly
     before slot 0) and a jump ``forward`` windows ahead, and in order
-    again after each."""
+    again after each; once per kernel."""
     # ``think`` in [0, 1] runs the base mean log-uniformly from 0.3 slots
     # (every client acts several times a slot) to 50 windows (hardly
     # anyone is ever inside the window); the floor keeps the population's
@@ -115,21 +122,24 @@ def run_pair(window, num_clients, think, spreads, steady, cache_size,
     low = max(0.3, num_clients / 40.0)
     mean_think_time = low * (50.0 * window / low) ** think
     think_spread, offset_spread, cache_spread = spreads
-    calendar, scan = make_pair(
-        seed, num_clients=num_clients, mean_think_time=mean_think_time,
-        think_time_spread=think_spread, zipf_offset_spread=offset_spread,
-        cache_size=cache_size, cache_size_spread=cache_spread,
-        steady_state_perc=steady,
-        threshold=(None if thresh_perc is None
-                   else ThresholdFilter(SCHEDULE, thresh_perc)))
-    assert_same_state(calendar, scan)
-    ops = np.random.default_rng(seed)
-    with mock.patch.object(fleet_state, "_WINDOW", window):
-        t = drive(calendar, scan, ops, 3, int(2.2 * window))
-        t = drive(calendar, scan, ops, t - 1 - int(back * window),
+    for min_batch in KERNELS.values():
+        calendar, scan = make_pair(
+            seed, num_clients=num_clients, mean_think_time=mean_think_time,
+            think_time_spread=think_spread, zipf_offset_spread=offset_spread,
+            cache_size=cache_size, cache_size_spread=cache_spread,
+            steady_state_perc=steady,
+            threshold=(None if thresh_perc is None
+                       else ThresholdFilter(SCHEDULE, thresh_perc)))
+        assert_same_state(calendar, scan)
+        ops = np.random.default_rng(seed)
+        with mock.patch.object(fleet_state, "_WINDOW", window), \
+                mock.patch.object(fleet_state, "_VECTOR_MIN_BATCH",
+                                  min_batch):
+            t = drive(calendar, scan, ops, 3, int(2.2 * window))
+            t = drive(calendar, scan, ops, t - 1 - int(back * window),
+                      window // 2 + 2)
+            drive(calendar, scan, ops, t + 1 + int(forward * window),
                   window // 2 + 2)
-        drive(calendar, scan, ops, t + 1 + int(forward * window),
-              window // 2 + 2)
     return calendar
 
 
@@ -161,12 +171,17 @@ def test_calendar_due_set_is_the_scan_at_the_real_window(think):
     assert fleet.generated > 200
 
 
-def test_first_generate_reads_outside_writes_to_next_access():
+@pytest.mark.parametrize("min_batch", KERNELS.values(), ids=KERNELS)
+def test_first_generate_reads_outside_writes_to_next_access(min_batch):
+    """The scalar kernel reads through views taken at construction: an
+    in-place write before the first call is seen there too."""
     calendar, scan = make_pair(1, num_clients=50, mean_think_time=40.0)
     for fleet in (calendar, scan):
         fleet.next_access[::2] = 6.5
         fleet.next_access[1::2] = 2.25  # overdue at the first call
-    assert calendar.generate(6, 0).tolist() == scan.generate(6, 0).tolist()
+    with mock.patch.object(fleet_state, "_VECTOR_MIN_BATCH", min_batch):
+        pages = calendar.generate(6, 0)
+    assert list(pages) == scan.generate(6, 0).tolist()
     assert calendar.generated >= 50
     assert_same_state(calendar, scan)
 
@@ -175,7 +190,7 @@ def test_empty_slots_touch_no_generator_state():
     fleet, _ = make_pair(3, num_clients=20, mean_think_time=1e9)
     before = fleet._rng.bit_generator.state
     for t in range(3 * fleet_state._WINDOW):
-        assert fleet.generate(t, t).size == 0
+        assert len(fleet.generate(t, t)) == 0
     assert fleet._rng.bit_generator.state == before
     assert fleet.generated == 0
 

@@ -11,15 +11,17 @@ from repro.workload.zipf import zipf_probabilities
 
 def make_fleet(num_clients=8, mean_think_time=5.0, think_time_spread=0.0,
                zipf_offset_spread=0, cache_size=3, cache_size_spread=0.0,
-               steady_state_perc=0.0, db_size=20, seed=0):
+               steady_state_perc=0.0, db_size=20, seed=0, value_order=None):
     probs = zipf_probabilities(db_size, 0.95)
+    if value_order is None:
+        value_order = np.arange(db_size, dtype=np.int64)
     return FleetState(
         num_clients=num_clients, mean_think_time=mean_think_time,
         think_time_spread=think_time_spread,
         zipf_offset_spread=zipf_offset_spread,
         cache_size=cache_size, cache_size_spread=cache_size_spread,
         steady_state_perc=steady_state_perc, probabilities=probs,
-        value_order=np.arange(db_size, dtype=np.int64),
+        value_order=value_order,
         threshold=None, rng=np.random.default_rng(seed))
 
 
@@ -31,6 +33,21 @@ class TestConstruction:
     def test_nonpositive_think_time_rejected(self):
         with pytest.raises(ValueError):
             make_fleet(mean_think_time=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("mean_think_time", math.nan),
+        ("steady_state_perc", math.nan),
+        ("steady_state_perc", 1.5),
+        ("value_order", np.arange(19, dtype=np.int64)),
+        ("cache_size", -3),
+        ("zipf_offset_spread", -1),
+    ], ids=["think-nan", "steady-nan", "steady-1.5", "value-order-short",
+            "cache-negative", "offset-spread-negative"])
+    def test_bad_argument_is_rejected_by_name(self, name, value):
+        """Each would otherwise skew a run silently, clamp, or fail far
+        from its cause (an ``IndexError`` mid-run, numpy's ``high <= 0``)."""
+        with pytest.raises(ValueError, match=name):
+            make_fleet(**{name: value})
 
     def test_homogeneous_population(self):
         fleet = make_fleet()
@@ -63,14 +80,14 @@ class TestGenerateDeliver:
     def test_no_accesses_before_horizon(self):
         fleet = make_fleet()
         fleet.next_access[:] = 100.0
-        assert fleet.generate(0, 0).size == 0
+        assert len(fleet.generate(0, 0)) == 0
         assert fleet.generated == 0
 
     def test_miss_registers_waiter(self):
         fleet = make_fleet(num_clients=4, db_size=1)
         fleet.next_access[:] = 0.25
         pages = fleet.generate(0, 0)
-        assert pages.tolist() == [0, 0, 0, 0]
+        assert list(pages) == [0, 0, 0, 0]
         assert (fleet.outstanding == 0).all()
         assert np.isinf(fleet.next_access).all()
         assert fleet.generated == 4
@@ -97,7 +114,7 @@ class TestGenerateDeliver:
                            steady_state_perc=1.0, mean_think_time=20.0)
         fleet.next_access[:] = 0.5
         out = fleet.generate(0, 0)
-        assert out.size == 0
+        assert len(out) == 0
         assert fleet.absorbed_by_cache == fleet.generated
         assert fleet.generated >= 6
         assert (fleet.wait_count >= 1).all()
@@ -112,7 +129,7 @@ class TestGenerateDeliver:
         base.next_access[:] = 0.5
         rotated.next_access[:] = 0.5
         pages = base.generate(0, 0)
-        assert rotated.generate(0, 0).tolist() == ((pages + 2) % 4).tolist()
+        assert list(rotated.generate(0, 0)) == [(p + 2) % 4 for p in pages]
 
 
 class TestResetAndSnapshot:

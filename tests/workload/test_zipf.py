@@ -257,3 +257,29 @@ class TestIdenticalDraws:
                               np.random.default_rng(0))
         assert sampler._guide is None
         assert sampler.sample(_CHUNK).max() < 3000
+
+
+class TestPageOf:
+    """``page_of`` — one uniform, bisected over the CDF as Python floats —
+    answers what ``searchsorted(side="right")`` answers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(page_distributions(),
+           st.lists(st.floats(min_value=0.0, max_value=_TOP), max_size=20))
+    def test_matches_searchsorted(self, probabilities, drawn):
+        twin = np.random.default_rng(5)
+        sampler = ZipfSampler(probabilities, np.random.default_rng(5))
+        cdf = reference_cdf(probabilities)
+        # Every CDF value, its neighbours either side, 0 and the top
+        # double; zero-probability runs repeat CDF values, and a zero
+        # tail's CDF is exactly 1, which no uniform reaches.
+        uniforms = np.concatenate([
+            [0.0, _TOP], np.nextafter(cdf, 0.0), cdf,
+            np.nextafter(cdf, 2.0), drawn])
+        uniforms = uniforms[uniforms < 1.0]
+        pages = [sampler.page_of(u) for u in uniforms.tolist()]
+        assert all(type(page) is int for page in pages)
+        assert pages == np.searchsorted(cdf, uniforms, side="right").tolist()
+        assert max(pages) < probabilities.size
+        assert probabilities[pages].min() > 0
+        assert sampler._rng.bit_generator.state == twin.bit_generator.state
