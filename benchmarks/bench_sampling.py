@@ -5,10 +5,10 @@ Two measurements in one bench:
 - **Overhead** — synthesizes seeded access lifecycles and drives the
   real :class:`~repro.obs.requests.RequestTracer` hook sequence
   (``on_access .. on_served``) at 10^5-10^6 accesses, full-trace vs
-  deterministic 1-in-100 vs a seeded reservoir, over both a ``NullSink``
-  and the columnar ``.npy`` sink.  The interesting number is the
-  speedup: a skipped access pays one policy decision instead of record
-  construction + aggregation + serialization.
+  deterministic 1-in-100 vs a seeded reservoir, into an in-memory
+  ``ColumnarSink`` and into one written to ``.npy``.  The interesting
+  number is the speedup: a skipped access pays one policy decision
+  instead of record construction + aggregation + row encoding.
 - **Accuracy** — compares each sampled run's inverse-probability
   corrected estimates (mean wait, p50/p90/p99) against the full trace's
   on the same stream, reporting relative errors; ``--accuracy-sim``
@@ -45,7 +45,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.obs.columnar import ColumnarSink  # noqa: E402
 from repro.obs.requests import RequestRecord, RequestTracer  # noqa: E402
 from repro.obs.sampling import EveryNSampling, ReservoirSampling  # noqa: E402
-from repro.obs.trace import NullSink  # noqa: E402
 
 DEFAULT_ACCESSES = "100000,1000000"
 DEFAULT_OUT = REPO_ROOT / "BENCH_sampling.json"
@@ -142,11 +141,12 @@ def bench_size(count: int, seed: int, workdir: Path) -> dict:
 
     def tracers():
         return {
-            "full": RequestTracer(NullSink()),
+            "full": RequestTracer(ColumnarSink(table="request")),
             "every_100": RequestTracer(
-                NullSink(), sampling=EveryNSampling(SAMPLE_EVERY)),
+                ColumnarSink(table="request"),
+                sampling=EveryNSampling(SAMPLE_EVERY)),
             "reservoir_10k": RequestTracer(
-                NullSink(),
+                ColumnarSink(table="request"),
                 sampling=ReservoirSampling(RESERVOIR_CAPACITY, seed=seed)),
         }
 
@@ -156,7 +156,7 @@ def bench_size(count: int, seed: int, workdir: Path) -> dict:
         times[name] = drive(tracer, stream)
         estimates[name] = summarize(tracer)
 
-    # Columnar-backed variant: the sink actually serializes, so sampling
+    # File-backed variant: the sink also writes the .npy, so sampling
     # also saves the write path and the on-disk bytes.
     columnar_times: dict[str, float] = {}
     columnar_bytes: dict[str, int] = {}
@@ -216,7 +216,8 @@ def accuracy_sim(seed: int, measure_accesses: int,
     )
 
     def run(sampling):
-        tracer = RequestTracer(NullSink(), sampling=sampling)
+        tracer = RequestTracer(ColumnarSink(table="request"),
+                               sampling=sampling)
         start = perf_counter()
         FastEngine(config, request_tracer=tracer).run()
         elapsed = perf_counter() - start

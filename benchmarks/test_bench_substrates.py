@@ -150,14 +150,15 @@ def test_reference_engine_throughput(benchmark):
 
 def test_fast_engine_traced_throughput(benchmark):
     """Tracing overhead: same run as test_fast_engine_throughput but with
-    the slot tracer attached to a discarding sink.  Compare the two means
-    to see what a record per slot costs."""
-    from repro.obs.trace import NullSink, SlotTracer
+    the slot tracer attached to an in-memory sink.  Compare the two means
+    to see what a row per slot costs."""
+    from repro.obs import ColumnarSink, SlotTracer
 
     config = _small_system(Algorithm.IPP)
 
     def traced():
-        return FastEngine(config, tracer=SlotTracer(NullSink())).run()
+        return FastEngine(
+            config, tracer=SlotTracer(ColumnarSink(table="slot"))).run()
 
     result = benchmark(traced)
     assert result.mc_misses > 0
@@ -168,13 +169,14 @@ def test_fast_engine_request_traced_memory(benchmark):
     access (far fewer than per-slot) plus the queue-observer wrapper.
     Compare against test_fast_engine_throughput for the attached cost and
     against test_fast_engine_traced_throughput for the per-slot tracer."""
-    from repro.obs import MemorySink, RequestTracer
+    from repro.obs import ColumnarSink, RequestTracer
 
     config = _small_system(Algorithm.IPP)
 
     def traced():
+        sink = ColumnarSink(table="request")
         return FastEngine(config,
-                          request_tracer=RequestTracer(MemorySink())).run()
+                          request_tracer=RequestTracer(sink)).run()
 
     result = benchmark(traced)
     assert result.mc_misses > 0

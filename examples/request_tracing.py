@@ -13,9 +13,12 @@ Run:
 
 import sys
 
+import numpy as np
+
 from repro import Algorithm, SystemConfig
 from repro.core.fast import FastEngine
-from repro.obs import MemorySink, RequestTracer
+from repro.obs import ColumnarSink, RequestTracer
+from repro.obs.events import OFFER_OUTCOMES, SERVED_KINDS
 
 
 def trace_one_run(think_time_ratio: float) -> None:
@@ -26,7 +29,7 @@ def trace_one_run(think_time_ratio: float) -> None:
         run__settle_accesses=500,
         run__measure_accesses=1500,
     )
-    tracer = RequestTracer(MemorySink())
+    tracer = RequestTracer(ColumnarSink(table="request"))
     result = FastEngine(config, request_tracer=tracer).run()
 
     print(f"IPP at ThinkTimeRatio={think_time_ratio:g}: "
@@ -53,25 +56,28 @@ def inspect_slowest_requests(think_time_ratio: float) -> None:
         run__settle_accesses=500,
         run__measure_accesses=1500,
     )
-    tracer = RequestTracer(MemorySink())
+    tracer = RequestTracer(ColumnarSink(table="request"))
     FastEngine(config, request_tracer=tracer).run()
-    misses = sorted((r for r in tracer.sink.records
-                     if r.measured and not r.hit),
-                    key=lambda r: r.wait, reverse=True)
+    # The trace is one structured array, a row per access: filter and
+    # sort it by column.
+    trace = tracer.sink.array()
+    misses = trace[trace["measured"] & ~trace["hit"]]
+    slowest = misses[np.argsort(-misses["wait"], kind="stable")]
 
     print("three slowest requests (every event of each lifecycle):")
-    for record in misses[:3]:
-        pull = (f"pull {record.pull_outcome}" if record.pull_sent
-                else "no pull (threshold)")
-        print(f"  page {record.page:>4}: issued t={record.issued_at:.1f}, "
-              f"{pull}, on air t={record.on_air_at:.1f} ({record.served_kind}"
-              f" slot), served t={record.served_at:.1f} — waited "
-              f"{record.wait:.1f} (queue {record.queue_wait:.1f} "
-              f"+ service {record.service:.1f})")
+    for row in slowest[:3]:
+        pull = (f"pull {OFFER_OUTCOMES[row['pull_outcome']]}"
+                if row["pull_sent"] else "no pull (threshold)")
+        print(f"  page {row['page']:>4}: issued t={row['issued_at']:.1f}, "
+              f"{pull}, on air t={row['on_air_at']:.1f} "
+              f"({SERVED_KINDS[row['served_kind']]} slot), served "
+              f"t={row['served_at']:.1f} — waited {row['wait']:.1f} "
+              f"(queue {row['queue_wait']:.1f} + service "
+              f"{row['service']:.1f})")
     print()
-    print("Each record also lands in JSONL via `repro-broadcast trace "
-          "--requests`; summarize a saved trace with `repro-broadcast "
-          "report --trace FILE`.")
+    print("`repro-broadcast trace --requests` writes the same rows to a "
+          ".npy; summarize one with `repro-broadcast report --trace FILE` "
+          "or export it with `repro-broadcast convert FILE OUT.jsonl`.")
 
 
 def main() -> int:

@@ -666,11 +666,13 @@ def _cmd_trace(args) -> int:
         if args.sample_every is not None:
             from repro.obs.sampling import EveryNSampling
 
-            sampling = EveryNSampling(args.sample_every)
+            with _naming_flags({"--sample-every": "sampling interval n"}):
+                sampling = EveryNSampling(args.sample_every)
         elif args.reservoir is not None:
             from repro.obs.sampling import ReservoirSampling
 
-            sampling = ReservoirSampling(args.reservoir, seed=args.seed)
+            with _naming_flags({"--reservoir": "reservoir capacity"}):
+                sampling = ReservoirSampling(args.reservoir, seed=args.seed)
         emitted = _write_request_trace(config, args.out, engine=args.engine,
                                        sampling=sampling)
         print(f"{emitted} request records -> {args.out}")
@@ -774,6 +776,9 @@ def _cmd_report(args) -> int:
         print("report: give exactly one of FIGURE_JSON or --trace FILE",
               file=sys.stderr)
         return 2
+    if args.think_time is not None:
+        with _naming_flags({"--think-time": "client.think_time"}):
+            SystemConfig().with_(client__think_time=args.think_time)
     if args.trace is not None:
         return _report_trace(args.trace, args.think_time)
     from repro.experiments.base import load_figure

@@ -37,13 +37,15 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.core import ENGINES
+from repro.obs.columnar import load_columnar
 from repro.obs.compare import capture_trace, diff_traces
-from repro.obs.trace import SlotRecord
 
 __all__ = [
     "DEFAULT_HASH_SEED",
@@ -145,26 +147,27 @@ class SanitizeReport:
         return "\n".join(lines)
 
 
-def _inject(records: list[SlotRecord], slot: int) -> list[SlotRecord]:
-    """Perturb every record from ``slot`` onward (self-test hook).
+def _inject(trace: np.ndarray, slot: int) -> np.ndarray:
+    """A copy of ``trace`` with every row from ``slot`` onward perturbed
+    (self-test hook).
 
-    Bumps ``queue_depth`` — a field every slot record carries — so the
-    diff must trip exactly at the first perturbed record.  A ``slot``
-    beyond the end of the trace perturbs the last record instead, so the
+    Bumps ``queue_depth`` — a field every slot row carries — so the
+    diff must trip exactly at the first perturbed row.  A ``slot``
+    beyond the end of the trace perturbs the last row instead, so the
     hook can never silently do nothing.
     """
-    if not records:
-        return records
-    if all(record.slot < slot for record in records):
-        return records[:-1] + [replace(records[-1],
-                                       queue_depth=records[-1].queue_depth + 1)]
-    return [replace(record, queue_depth=record.queue_depth + 1)
-            if record.slot >= slot else record
-            for record in records]
+    trace = trace.copy()
+    if not trace.size:
+        return trace
+    perturbed = trace["slot"] >= slot
+    if not perturbed.any():
+        perturbed[-1] = True
+    trace["queue_depth"][perturbed] += 1
+    return trace
 
 
-def _check(label: str, baseline: Sequence[SlotRecord],
-           replay: Sequence[SlotRecord], context: int) -> ReplayCheck:
+def _check(label: str, baseline: np.ndarray, replay: np.ndarray,
+           context: int) -> ReplayCheck:
     """Diff a replay against the baseline; bit-exact or it fails."""
     diff = diff_traces(baseline, replay, context=context)
     if diff.identical:
@@ -176,7 +179,7 @@ def _check(label: str, baseline: Sequence[SlotRecord],
 
 
 def _subprocess_replay(config, engine: str, hash_seed: str,
-                       timeout: float = CHILD_TIMEOUT) -> list[SlotRecord]:
+                       timeout: float = CHILD_TIMEOUT) -> np.ndarray:
     """Replay ``config`` in a child interpreter under ``hash_seed``.
 
     The child is ``python -m repro.lint.sanitize --child``; it reads the
@@ -184,7 +187,6 @@ def _subprocess_replay(config, engine: str, hash_seed: str,
     ``.npy``, which keeps the exchange format independent of the hash
     seed being varied.
     """
-    from repro.obs.columnar import array_to_records, load_columnar
     from repro.obs.manifest import config_to_dict
 
     import repro
@@ -211,7 +213,7 @@ def _subprocess_replay(config, engine: str, hash_seed: str,
             raise RuntimeError(
                 f"sanitize child ({engine}) exited "
                 f"{proc.returncode}: {detail}")
-        return array_to_records(load_columnar(out, mmap=False))
+        return load_columnar(out, mmap=False)
 
 
 def sanitize_config(config, engines: Sequence[str] = tuple(ENGINES),
@@ -252,16 +254,13 @@ def sanitize_config(config, engines: Sequence[str] = tuple(ENGINES),
 
 def _child_main(args) -> int:
     """Child-mode entry: config on stdin, columnar trace to ``--out``."""
-    from repro.obs.columnar import ColumnarSink
     from repro.obs.manifest import config_from_dict
 
     config = config_from_dict(json.load(sys.stdin))
-    records = capture_trace(config, engine=args.engine)
-    with ColumnarSink(args.out, table="slot") as sink:
-        for record in records:
-            sink.emit(record)
+    trace = capture_trace(config, engine=args.engine)
+    np.save(args.out, trace)
     print(json.dumps({
-        "records": len(records),
+        "records": len(trace),
         "hash_seed": os.environ.get("PYTHONHASHSEED"),
     }))
     return 0

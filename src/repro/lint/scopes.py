@@ -48,15 +48,6 @@ class Binding:
     kind: str
     #: The binding site (the target Name / arg / def node).
     node: ast.AST
-    #: RHS expression, when one exists.  For tuple unpacking this is the
-    #: structurally matching sub-expression when the RHS literal aligns
-    #: (``a, b = x, y`` binds ``a`` to ``x``); otherwise the whole RHS
-    #: with :attr:`unpacked` set.  ``for``/``comp`` bindings store the
-    #: *iterable* with :attr:`unpacked` set (the name holds an element).
-    value: Optional[ast.AST] = None
-    #: True when ``value`` is a containing expression, not the bound
-    #: value itself (unpacking target, loop element, ...).
-    unpacked: bool = False
     #: Canonical dotted import target for "import" bindings.
     import_target: Optional[str] = None
 
@@ -284,31 +275,16 @@ class _Builder:
         parent.children.append(child)
         return child
 
-    def _bind_target(self, target: ast.AST, scope: Scope, kind: str,
-                     value: Optional[ast.AST], unpacked: bool = False
-                     ) -> None:
-        """Bind one assignment target, aligning literal unpackings."""
+    def _bind_target(self, target: ast.AST, scope: Scope, kind: str) -> None:
+        """Bind every name in one assignment target."""
         if isinstance(target, ast.Name):
-            scope.bind(Binding(name=target.id, kind=kind, node=target,
-                               value=value, unpacked=unpacked))
+            scope.bind(Binding(name=target.id, kind=kind, node=target))
             self.table._scope_of[id(target)] = scope
         elif isinstance(target, (ast.Tuple, ast.List)):
-            elements: list[Optional[ast.AST]]
-            if (isinstance(value, (ast.Tuple, ast.List)) and not unpacked
-                    and len(value.elts) == len(target.elts)
-                    and not any(isinstance(e, ast.Starred)
-                                for e in target.elts)):
-                elements = list(value.elts)
-                aligned = True
-            else:
-                elements = [value] * len(target.elts)
-                aligned = False
-            for sub, sub_value in zip(target.elts, elements):
-                self._bind_target(sub, scope, kind, sub_value,
-                                  unpacked=unpacked or not aligned)
+            for sub in target.elts:
+                self._bind_target(sub, scope, kind)
         elif isinstance(target, ast.Starred):
-            self._bind_target(target.value, scope, kind, value,
-                              unpacked=True)
+            self._bind_target(target.value, scope, kind)
         else:
             # Attribute / Subscript targets bind no name; still walk them
             # (their value expressions contain Loads).
@@ -376,7 +352,7 @@ class _Builder:
         self._dispatch(node.value, scope)
         for target in node.targets:
             self.table._parent_of[id(target)] = node
-            self._bind_target(target, scope, "assign", node.value)
+            self._bind_target(target, scope, "assign")
 
     def _visit_AnnAssign(self, node: ast.AnnAssign, scope: Scope) -> None:
         self.table._scope_of[id(node)] = scope
@@ -386,7 +362,7 @@ class _Builder:
             self.table._parent_of[id(node.value)] = node
             self._dispatch(node.value, scope)
         self.table._parent_of[id(node.target)] = node
-        self._bind_target(node.target, scope, "annassign", node.value)
+        self._bind_target(node.target, scope, "annassign")
 
     def _visit_AugAssign(self, node: ast.AugAssign, scope: Scope) -> None:
         self.table._scope_of[id(node)] = scope
@@ -397,7 +373,7 @@ class _Builder:
             # An augmented assignment both reads and rebinds the name.
             scope.loads.setdefault(node.target.id, []).append(node.target)
             scope.bind(Binding(name=node.target.id, kind="augassign",
-                               node=node.target, value=node.value))
+                               node=node.target))
             self.table._scope_of[id(node.target)] = scope
         else:
             self._enter(node.target, scope)
@@ -412,7 +388,7 @@ class _Builder:
         while owner.kind == COMPREHENSION and owner.parent is not None:
             owner = owner.parent
         owner.bind(Binding(name=node.target.id, kind="walrus",
-                           node=node.target, value=node.value))
+                           node=node.target))
         self.table._scope_of[id(node.target)] = owner
 
     def _visit_For(self, node: Union[ast.For, ast.AsyncFor],
@@ -421,8 +397,7 @@ class _Builder:
         self.table._parent_of[id(node.iter)] = node
         self._dispatch(node.iter, scope)
         self.table._parent_of[id(node.target)] = node
-        self._bind_target(node.target, scope, "for", node.iter,
-                          unpacked=True)
+        self._bind_target(node.target, scope, "for")
         for stmt in (*node.body, *node.orelse):
             self.table._parent_of[id(stmt)] = node
             self._dispatch(stmt, scope)
@@ -437,8 +412,7 @@ class _Builder:
             self._dispatch(item.context_expr, scope)
             if item.optional_vars is not None:
                 self.table._parent_of[id(item.optional_vars)] = node
-                self._bind_target(item.optional_vars, scope, "with",
-                                  item.context_expr, unpacked=True)
+                self._bind_target(item.optional_vars, scope, "with")
         for stmt in node.body:
             self.table._parent_of[id(stmt)] = node
             self._dispatch(stmt, scope)
@@ -495,8 +469,7 @@ class _Builder:
             self.table._parent_of[id(gen.iter)] = node
             self._dispatch(gen.iter, iter_scope)
             self.table._parent_of[id(gen.target)] = node
-            self._bind_target(gen.target, inner, "comp", gen.iter,
-                              unpacked=True)
+            self._bind_target(gen.target, inner, "comp")
             for cond in gen.ifs:
                 self.table._parent_of[id(cond)] = node
                 self._dispatch(cond, inner)

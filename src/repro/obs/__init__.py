@@ -5,19 +5,17 @@ opens the black box:
 
 - :mod:`repro.obs.attach` — the one way to observe a run: shadows on
   the shared components' bound methods, stackable and undone in order,
-- :mod:`repro.obs.trace` — per-slot structured records through pluggable
-  sinks (null / in-memory ring / columnar file),
-- :mod:`repro.obs.columnar` — the on-disk trace format: numpy
-  structured-array sink with memory-mapped ``.npy`` persistence,
-  checked on load, one JSON-lines export, and vectorized breakdown
-  analytics for million-record traces,
-- :mod:`repro.obs.metrics` — a counters/gauges/histograms registry with a
-  shared no-op mode for zero-cost disabled instrumentation,
+- :mod:`repro.obs.trace` — one structured row per broadcast slot,
+- :mod:`repro.obs.columnar` — the one form a trace takes: numpy
+  structured arrays, built by the one sink, persisted as memory-mapped
+  ``.npy`` (checked on load), exported as JSON lines, and analysed by
+  vectorized breakdowns for million-row traces,
+- :mod:`repro.obs.metrics` — a counters/gauges/histograms registry,
 - :mod:`repro.obs.profile` — wall time per component-call phase of
   either engine (slots/sec, per-phase breakdown),
 - :mod:`repro.obs.compare` — trace diffing that pinpoints the first slot
   where two engine runs diverge,
-- :mod:`repro.obs.requests` — request-lifecycle tracing: one record per
+- :mod:`repro.obs.requests` — request-lifecycle tracing: one row per
   measured-client access with a wait decomposition,
 - :mod:`repro.obs.sampling` — 1-in-N and seeded-reservoir sampling
   policies for the request tracer, with inverse-probability correction
@@ -47,12 +45,10 @@ from repro.obs.columnar import (
     REQUEST_DTYPE,
     SLOT_DTYPE,
     ColumnarSink,
-    array_to_records,
     breakdown_of_array,
     columnar_to_jsonl,
     load_columnar,
     measured_miss_waits,
-    records_to_array,
     slot_summary,
     table_of,
 )
@@ -74,7 +70,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
 from repro.obs.profile import HotLoopProfile, profile_run
 from repro.obs.sampling import (
@@ -88,15 +83,8 @@ from repro.obs.requests import (
     RequestRecord,
     RequestTracer,
     WaitBreakdown,
-    breakdown_of,
 )
-from repro.obs.trace import (
-    MemorySink,
-    NullSink,
-    SlotRecord,
-    SlotTracer,
-    TraceSink,
-)
+from repro.obs.trace import SlotTracer
 from repro.sim.monitor import (
     LATENCY_BUCKETS,
     Histogram,
@@ -106,18 +94,12 @@ from repro.sim.monitor import (
 
 __all__ = [
     "Attachment",
-    "SlotRecord",
     "SlotTracer",
-    "TraceSink",
-    "NullSink",
-    "MemorySink",
     "ColumnarSink",
     "SLOT_DTYPE",
     "REQUEST_DTYPE",
     "load_columnar",
     "table_of",
-    "records_to_array",
-    "array_to_records",
     "columnar_to_jsonl",
     "breakdown_of_array",
     "measured_miss_waits",
@@ -127,7 +109,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "HotLoopProfile",
     "profile_run",
     "TraceDiff",
@@ -137,7 +118,6 @@ __all__ = [
     "RequestRecord",
     "RequestTracer",
     "WaitBreakdown",
-    "breakdown_of",
     "LATENCY_BUCKETS",
     "log_buckets",
     "MANIFEST_VERSION",

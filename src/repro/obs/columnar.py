@@ -1,17 +1,16 @@
 """The on-disk trace format: structured arrays in a memory-mapped ``.npy``.
 
-Every trace a run writes and every trace anything reads is a numpy
-structured array of slot / request records.  Paper-scale sweeps run to
-millions of records, and a text trace (``json.loads`` per line, one
-frozen dataclass per record) made readback the analysis bottleneck long
-before the simulation was:
+A trace is a numpy structured array of slot / request rows, in memory,
+on disk and in every diff.  Paper-scale sweeps run to millions of rows,
+and a text trace (``json.loads`` per line, one frozen dataclass per
+record) made readback the analysis bottleneck long before the
+simulation was:
 
-- :class:`ColumnarSink` — the file-writing
-  :class:`~repro.obs.trace.TraceSink`: buffers records into fixed-size
-  structured-array chunks and persists them as a single ``.npy`` file
-  (written through ``np.lib.format``, so plain
-  ``np.load(..., mmap_mode="r")`` maps it back without materializing
-  anything),
+- :class:`ColumnarSink` — the one sink both tracers write to: buffers
+  row tuples into fixed-size structured-array chunks and, given a path,
+  persists them as a single ``.npy`` file (written through
+  ``np.lib.format``, so plain ``np.load(..., mmap_mode="r")`` maps it
+  back without materializing anything),
 - :func:`load_columnar` — the single door a trace file comes back in
   by: memory-mapped, dtype and enum codes checked on load, so
   million-record traces open in milliseconds and pages stream in on
@@ -41,8 +40,8 @@ OPTIONAL_REQUEST_FIELDS` order) was ``None``.
 
 The mask is authoritative on decode — sentinels are only a convenience
 for vectorized math (``np.isnan`` masks, ``page >= 0`` filters) — which
-keeps the record round trip lossless even if a real value ever collided
-with a sentinel.  Enum-valued string fields
+keeps the export lossless even if a real value ever collided with a
+sentinel.  Enum-valued string fields
 (``kind``, ``served_kind``, ``pull_outcome``) are stored as int8 codes
 indexing the shared registries in :mod:`repro.obs.events`, keeping every
 row fixed-width.
@@ -52,13 +51,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.obs.events import OFFER_OUTCOMES, SERVED_KINDS, SLOT_KINDS
-from repro.obs.requests import OPTIONAL_REQUEST_FIELDS, RequestRecord, WaitBreakdown
-from repro.obs.trace import OPTIONAL_SLOT_FIELDS, SlotRecord, TraceSink
+from repro.obs.requests import OPTIONAL_REQUEST_FIELDS, WaitBreakdown
+from repro.obs.trace import OPTIONAL_SLOT_FIELDS
 
 __all__ = [
     "SLOT_DTYPE",
@@ -67,8 +66,7 @@ __all__ = [
     "ColumnarSink",
     "load_columnar",
     "table_of",
-    "records_to_array",
-    "array_to_records",
+    "decode_row",
     "columnar_to_jsonl",
     "breakdown_of_array",
     "measured_miss_waits",
@@ -81,8 +79,8 @@ DEFAULT_CHUNK = 65536
 #: The two record tables the backend stores.
 TABLES: tuple[str, ...] = ("slot", "request")
 
-#: One row per broadcast slot (:class:`~repro.obs.trace.SlotRecord`).
-#: Nullable: ``page`` / ``mc_waiting`` (-1 + null_mask bits 0 / 1).
+#: One row per broadcast slot (:meth:`~repro.obs.trace.SlotTracer.on_slot`),
+#: snapshotted as the server emits it.  Nullable: ``page`` / ``mc_waiting`` (-1 + null_mask bits 0 / 1).
 SLOT_DTYPE = np.dtype([
     ("slot", "<i8"),
     ("kind", "<i1"),          # code into SLOT_KINDS
@@ -121,178 +119,65 @@ REQUEST_DTYPE = np.dtype([
     ("null_mask", "<u1"),
 ])
 
-# Event-name string <-> int8 code tables (registry order == code order).
-_SLOT_KIND_CODE = {name: code for code, name in enumerate(SLOT_KINDS)}
-_SERVED_KIND_CODE = {name: code for code, name in enumerate(SERVED_KINDS)}
-_OUTCOME_CODE = {name: code for code, name in enumerate(OFFER_OUTCOMES)}
-
 # Registry codes the vectorized analytics test against.
-_SERVED_PULL = _SERVED_KIND_CODE["pull"]
-_OUTCOME_ENQUEUED = _OUTCOME_CODE["enqueued"]
-_OUTCOME_DUPLICATE = _OUTCOME_CODE["duplicate"]
-_OUTCOME_DROPPED = _OUTCOME_CODE["dropped"]
+_SERVED_PULL = SERVED_KINDS.index("pull")
+_OUTCOME_ENQUEUED = OFFER_OUTCOMES.index("enqueued")
+_OUTCOME_DUPLICATE = OFFER_OUTCOMES.index("duplicate")
+_OUTCOME_DROPPED = OFFER_OUTCOMES.index("dropped")
 
-
-def _slot_row(record: SlotRecord) -> tuple:
-    """Encode one SlotRecord as a SLOT_DTYPE row tuple.
-
-    null_mask bits follow OPTIONAL_SLOT_FIELDS: 1 = page, 2 = mc_waiting.
-    """
-    mask = 0
-    page = record.page
-    if page is None:
-        mask |= 1
-        page = -1
-    mc_waiting = record.mc_waiting
-    if mc_waiting is None:
-        mask |= 2
-        mc_waiting = -1
-    return (record.slot, _SLOT_KIND_CODE[record.kind], page,
-            record.queue_depth, record.enqueued, record.duplicates,
-            record.dropped, record.served, mc_waiting, record.mc_arrivals,
-            record.vc_arrivals, mask)
-
-
-def _slot_record(row: np.void) -> SlotRecord:
-    """Decode one SLOT_DTYPE row back into a SlotRecord."""
-    mask = int(row["null_mask"])
-    return SlotRecord(
-        slot=int(row["slot"]),
-        kind=SLOT_KINDS[row["kind"]],
-        page=None if mask & 1 else int(row["page"]),
-        queue_depth=int(row["queue_depth"]),
-        enqueued=int(row["enqueued"]),
-        duplicates=int(row["duplicates"]),
-        dropped=int(row["dropped"]),
-        served=int(row["served"]),
-        mc_waiting=None if mask & 2 else int(row["mc_waiting"]),
-        mc_arrivals=int(row["mc_arrivals"]),
-        vc_arrivals=int(row["vc_arrivals"]),
-    )
-
-
-def _request_row(record: RequestRecord) -> tuple:
-    """Encode one RequestRecord as a REQUEST_DTYPE row tuple.
-
-    null_mask bits follow OPTIONAL_REQUEST_FIELDS: 1 = pull_outcome,
-    2 = predicted_push_wait, 4 = on_air_at, 8 = queue_wait, 16 = service.
-    """
-    mask = 0
-    outcome = record.pull_outcome
-    if outcome is None:
-        mask |= 1
-        outcome_code = -1
-    else:
-        outcome_code = _OUTCOME_CODE[outcome]
-    predicted = record.predicted_push_wait
-    if predicted is None:
-        mask |= 2
-        predicted = np.nan
-    on_air = record.on_air_at
-    if on_air is None:
-        mask |= 4
-        on_air = np.nan
-    queue_wait = record.queue_wait
-    if queue_wait is None:
-        mask |= 8
-        queue_wait = np.nan
-    service = record.service
-    if service is None:
-        mask |= 16
-        service = np.nan
-    return (record.index, record.page, record.issued_at, record.measured,
-            record.hit, record.pull_sent, outcome_code, predicted,
-            record.page_offers, on_air, record.served_at,
-            _SERVED_KIND_CODE[record.served_kind], record.wait, queue_wait,
-            service, mask)
-
-
-def _request_record(row: np.void) -> RequestRecord:
-    """Decode one REQUEST_DTYPE row back into a RequestRecord."""
-    mask = int(row["null_mask"])
-    outcome_code = int(row["pull_outcome"])
-    served_code = int(row["served_kind"])
-    return RequestRecord(
-        index=int(row["index"]),
-        page=int(row["page"]),
-        issued_at=float(row["issued_at"]),
-        measured=bool(row["measured"]),
-        hit=bool(row["hit"]),
-        pull_sent=bool(row["pull_sent"]),
-        pull_outcome=None if mask & 1 else OFFER_OUTCOMES[outcome_code],
-        predicted_push_wait=(None if mask & 2
-                             else float(row["predicted_push_wait"])),
-        page_offers=int(row["page_offers"]),
-        on_air_at=None if mask & 4 else float(row["on_air_at"]),
-        served_at=float(row["served_at"]),
-        served_kind=SERVED_KINDS[served_code],
-        wait=float(row["wait"]),
-        queue_wait=None if mask & 8 else float(row["queue_wait"]),
-        service=None if mask & 16 else float(row["service"]),
-    )
-
-
+#: Each table's dtype and nullable fields (null-mask bit order).
 _TABLE_SPEC = {
-    "slot": (SLOT_DTYPE, _slot_row, _slot_record),
-    "request": (REQUEST_DTYPE, _request_row, _request_record),
+    "slot": (SLOT_DTYPE, OPTIONAL_SLOT_FIELDS),
+    "request": (REQUEST_DTYPE, OPTIONAL_REQUEST_FIELDS),
+}
+
+#: Enum-coded columns per table: ``(column, lowest code, registry)``.
+_ENUM_COLUMNS = {
+    "slot": (("kind", 0, SLOT_KINDS),),
+    "request": (("pull_outcome", -1, OFFER_OUTCOMES),
+                ("served_kind", 0, SERVED_KINDS)),
 }
 
 
-class ColumnarSink(TraceSink):
-    """Buffers records columnar; persists to a memory-mappable ``.npy``.
+class ColumnarSink:
+    """Buffers trace rows columnar; persists to a memory-mappable ``.npy``.
 
-    Records append into fixed-size structured-array chunks (no
-    per-record Python object survives the emit), and :meth:`close`
+    Row tuples (one per slot or request, in ``table``'s dtype order)
+    append into fixed-size structured-array chunks, and :meth:`close`
     writes them as one contiguous ``.npy`` through
     ``np.lib.format.open_memmap`` — so readback never parses anything.
     With ``path=None`` the sink is purely in-memory; :meth:`array`
     returns everything emitted so far either way.
-
-    The record table ("slot" or "request") is auto-detected from the
-    first emitted record; pass ``table=`` to pin it up front (required
-    to persist a trace that received no records at all).
     """
 
-    def __init__(self, path: Union[str, Path, None] = None,
-                 table: Optional[str] = None,
+    def __init__(self, path: Union[str, Path, None] = None, *, table: str,
                  chunk: int = DEFAULT_CHUNK):
-        if table is not None and table not in _TABLE_SPEC:
+        if table not in _TABLE_SPEC:
             raise ValueError(
                 f"unknown record table {table!r} (expected one of {TABLES})")
         if chunk < 1:
             raise ValueError("chunk must be positive")
         self.path = Path(path) if path is not None else None
         self.table = table
+        self.dtype = _TABLE_SPEC[table][0]
         self.emitted = 0
         self._chunk = int(chunk)
         self._chunks: list[np.ndarray] = []
-        self._buf: Optional[np.ndarray] = None
+        self._buf = np.empty(self._chunk, self.dtype)
         self._fill = 0
         self._closed = False
-        self._encode = None
-        if table is not None:
-            self._bind(table)
 
-    def _bind(self, table: str) -> None:
-        dtype, encode, _ = _TABLE_SPEC[table]
-        self.table = table
-        self.dtype = dtype
-        self._encode = encode
-        self._buf = np.empty(self._chunk, dtype)
+    def __enter__(self) -> "ColumnarSink":
+        return self
 
-    def emit(self, record) -> None:
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def emit(self, row: tuple) -> None:
+        """Append one row tuple (``table``'s columns, in order)."""
         if self._closed:
             raise ValueError(f"sink for {self.path or '<memory>'} is closed")
-        if self._encode is None:
-            if isinstance(record, SlotRecord):
-                self._bind("slot")
-            elif isinstance(record, RequestRecord):
-                self._bind("request")
-            else:
-                raise TypeError(
-                    f"cannot store {type(record).__name__} columnar")
-        assert self._buf is not None and self._encode is not None
-        self._buf[self._fill] = self._encode(record)
+        self._buf[self._fill] = row
         self._fill += 1
         self.emitted += 1
         if self._fill == self._chunk:
@@ -302,15 +187,12 @@ class ColumnarSink(TraceSink):
 
     def _parts(self) -> list[np.ndarray]:
         parts = list(self._chunks)
-        if self._buf is not None and self._fill:
+        if self._fill:
             parts.append(self._buf[:self._fill])
         return parts
 
     def array(self) -> np.ndarray:
         """Everything emitted so far, as one structured array (a copy)."""
-        if self._encode is None:
-            raise ValueError(
-                "empty columnar sink has no record table; pass table=")
         parts = self._parts()
         if not parts:
             return np.empty(0, self.dtype)
@@ -325,10 +207,6 @@ class ColumnarSink(TraceSink):
         self._closed = True
         if self.path is None:
             return
-        if self._encode is None:
-            raise ValueError(
-                "cannot persist a columnar trace of unknown table; "
-                "pass table= to ColumnarSink")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.emitted == 0:
             # Zero-length arrays cannot be memory-mapped; write the
@@ -344,14 +222,6 @@ class ColumnarSink(TraceSink):
             offset += len(part)
         out.flush()
         del out
-
-
-#: Enum-coded columns per table: ``(column, lowest code, registry)``.
-_ENUM_COLUMNS = {
-    "slot": (("kind", 0, SLOT_KINDS),),
-    "request": (("pull_outcome", -1, OFFER_OUTCOMES),
-                ("served_kind", 0, SERVED_KINDS)),
-}
 
 
 def load_columnar(path: Union[str, Path], mmap: bool = True) -> np.ndarray:
@@ -396,41 +266,35 @@ def table_of(array: np.ndarray) -> str:
     raise ValueError(f"not a columnar trace (dtype {array.dtype})")
 
 
-def records_to_array(records: Iterable, table: Optional[str] = None
-                     ) -> np.ndarray:
-    """Convert Slot/Request records to a structured array.
-
-    ``table`` is only needed when ``records`` may be empty (there is
-    then no first record to detect the table from).
-    """
-    sink = ColumnarSink(table=table)
-    for record in records:
-        sink.emit(record)
-    return sink.array()
-
-
-def array_to_records(array: np.ndarray) -> list:
-    """Decode a columnar trace back into record dataclasses.
-
-    The inverse of :func:`records_to_array`: every sentinel/mask pair
-    turns back into ``None`` and every enum code back into its registry
-    string, so round trips are lossless.
-    """
-    _, _, decode = _TABLE_SPEC[table_of(array)]
-    return [decode(row) for row in array]
+def decode_row(row: np.void, table: str) -> dict:
+    """One row as a plain dict, keys in column order (``null_mask`` is
+    not one): a set null-mask bit reads as None and an enum code as its
+    registry name, every other value as the Python scalar ``.item()``
+    gives."""
+    dtype, nullable = _TABLE_SPEC[table]
+    values = dict(zip(dtype.names, row.item()))
+    mask = values.pop("null_mask")
+    for bit, name in enumerate(nullable):
+        if mask >> bit & 1:
+            values[name] = None
+    for column, _, registry in _ENUM_COLUMNS[table]:
+        if values[column] is not None:
+            values[column] = registry[values[column]]
+    return values
 
 
 def columnar_to_jsonl(src: Union[str, Path], dst: Union[str, Path]) -> int:
     """Export a ``.npy`` trace as JSON lines; returns the row count.
 
-    One compact object per record, keys in field order — the text form
-    for ``grep`` / ``jq`` and reading by hand.  Nothing reads it back.
+    One compact object per row (:func:`decode_row`), keys in column
+    order — the text form for ``grep`` / ``jq`` and reading by hand.
+    Nothing reads it back.
     """
     array = load_columnar(src)
-    _, _, decode = _TABLE_SPEC[table_of(array)]
+    table = table_of(array)
     with Path(dst).open("w") as handle:
         for row in array:
-            json.dump(decode(row).to_dict(), handle, separators=(",", ":"))
+            json.dump(decode_row(row, table), handle, separators=(",", ":"))
             handle.write("\n")
     return int(array.shape[0])
 
@@ -446,12 +310,13 @@ def _require_table(array: np.ndarray, table: str) -> None:
 def breakdown_of_array(array: np.ndarray,
                        think_time: Optional[float] = None,
                        measured_only: bool = True) -> WaitBreakdown:
-    """Vectorized :func:`repro.obs.requests.breakdown_of` over a table.
+    """The :class:`~repro.obs.requests.WaitBreakdown` of a request table.
 
-    Produces the same :class:`~repro.obs.requests.WaitBreakdown` the
-    per-record Python loop builds, but via column reductions — no record
+    The same breakdown a live :class:`~repro.obs.requests.RequestTracer`
+    accumulates record by record, built by column reductions — no record
     objects are materialized, so a million-row memory-mapped trace
-    aggregates in tens of milliseconds.
+    aggregates in tens of milliseconds.  ``think_time`` (broadcast units
+    per access) fills the think row when known.
     """
     _require_table(array, "request")
     rows = array[array["measured"]] if measured_only else array[...]

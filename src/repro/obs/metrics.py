@@ -2,15 +2,10 @@
 
 The registry is the aggregate side of the observability layer: tracers,
 engines, and tools register named instruments and bump them; a snapshot is
-a plain nested dict, render() a human-readable table.  Design constraints:
-
-- **near-zero overhead when disabled** — a disabled registry hands out
-  shared no-op instruments whose methods do nothing, so instrumented code
-  never needs ``if metrics:`` guards;
-- **no dependencies** — the histogram instrument *is* the streaming
-  accumulator the simulation itself summarises response times with
-  (:class:`~repro.sim.monitor.Histogram`), so a registry adds no second
-  definition of a mean or a quantile.
+a plain nested dict, render() a human-readable table.  The histogram
+instrument *is* the streaming accumulator the simulation itself
+summarises response times with (:class:`~repro.sim.monitor.Histogram`),
+so a registry adds no second definition of a mean or a quantile.
 
 Names are free-form but conventionally ``snake_case`` with a ``_total``
 suffix for counters (the prometheus idiom).
@@ -18,7 +13,6 @@ suffix for counters (the prometheus idiom).
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.sim.monitor import LATENCY_BUCKETS, Histogram
@@ -28,7 +22,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
 ]
 
 
@@ -97,59 +90,10 @@ class Gauge:
         return {"type": "gauge", "value": self._value}
 
 
-class _NullInstrument:
-    """Shared do-nothing stand-in handed out by disabled registries."""
-
-    __slots__ = ()
-    name = "<disabled>"
-    help = ""
-    value = 0
-    count = 0
-    mean = math.nan
-    stddev = math.nan
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def advance_to(self, cumulative) -> None:
-        pass
-
-    def dec(self, amount=1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def observe(self, value, weight=1) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
-        pass
-
-    def merge(self, other) -> None:
-        pass
-
-    def quantile(self, q) -> float:
-        return math.nan
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
 class MetricsRegistry:
-    """Get-or-create home for named instruments.
+    """Get-or-create home for named instruments."""
 
-    A *disabled* registry (``MetricsRegistry(enabled=False)``, or the
-    module-level :data:`NULL_REGISTRY`) returns a shared no-op instrument
-    from every factory and registers nothing, so instrumented code pays
-    one attribute call per update and no memory.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._instruments: dict[str, object] = {}
 
     def __contains__(self, name: str) -> bool:
@@ -163,8 +107,6 @@ class MetricsRegistry:
         return sorted(self._instruments)
 
     def _get_or_create(self, cls, name: str, *args, **kwargs):
-        if not self.enabled:
-            return _NULL_INSTRUMENT
         existing = self._instruments.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -208,6 +150,3 @@ class MetricsRegistry:
             lines.append(f"{name:<{width}}  {kind:<9}  {detail}")
         return "\n".join(lines) if lines else "(no metrics registered)"
 
-
-#: A process-wide disabled registry: the no-op default for instrumentation.
-NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -10,11 +10,11 @@ each measured-client access's wait actually went:
 
 A :class:`RequestTracer` attaches to the components both engines share
 (the measured client, the server and its queue, so the hook points are
-identical by construction) and emits one :class:`RequestRecord` per
-completed access through the same sink protocol the slot tracer uses
-(:class:`~repro.obs.trace.NullSink` / ``MemorySink`` /
-:class:`~repro.obs.columnar.ColumnarSink`).
-Alongside the per-request stream it accumulates a
+identical by construction) and builds one :class:`RequestRecord` per
+completed access, encoded once as a
+:data:`~repro.obs.columnar.REQUEST_DTYPE` row into a
+:class:`~repro.obs.columnar.ColumnarSink` (the sink the slot tracer
+writes to as well).  Alongside the per-request stream it accumulates a
 :class:`WaitBreakdown` — the think / push-wait / pull-queue-wait /
 service decomposition over the measured phase — and a
 :class:`~repro.sim.monitor.Histogram` of measured waits for quantile
@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.obs.attach import Attachment
-from repro.obs.trace import TraceSink
+from repro.obs.events import OFFER_OUTCOMES, SERVED_KINDS
 from repro.sim.monitor import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
@@ -43,8 +43,11 @@ __all__ = [
     "RequestRecord",
     "RequestTracer",
     "WaitBreakdown",
-    "breakdown_of",
 ]
+
+# Registry name -> the int8 code a request row stores.
+_OUTCOME_CODE = {name: code for code, name in enumerate(OFFER_OUTCOMES)}
+_SERVED_KIND_CODE = {name: code for code, name in enumerate(SERVED_KINDS)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,6 +94,44 @@ class RequestRecord:
     def to_dict(self) -> dict:
         """JSON-ready plain-dict form."""
         return asdict(self)
+
+    def row(self) -> tuple:
+        """The record as a REQUEST_DTYPE row tuple.
+
+        A None becomes its column's sentinel (-1 for the outcome code,
+        NaN for a float) and sets its null-mask bit, in
+        :data:`OPTIONAL_REQUEST_FIELDS` order: 1 = pull_outcome,
+        2 = predicted_push_wait, 4 = on_air_at, 8 = queue_wait,
+        16 = service.
+        """
+        mask = 0
+        outcome = self.pull_outcome
+        if outcome is None:
+            mask |= 1
+            outcome_code = -1
+        else:
+            outcome_code = _OUTCOME_CODE[outcome]
+        predicted = self.predicted_push_wait
+        if predicted is None:
+            mask |= 2
+            predicted = math.nan
+        on_air = self.on_air_at
+        if on_air is None:
+            mask |= 4
+            on_air = math.nan
+        queue_wait = self.queue_wait
+        if queue_wait is None:
+            mask |= 8
+            queue_wait = math.nan
+        service = self.service
+        if service is None:
+            mask |= 16
+            service = math.nan
+        return (self.index, self.page, self.issued_at, self.measured,
+                self.hit, self.pull_sent, outcome_code, predicted,
+                self.page_offers, on_air, self.served_at,
+                _SERVED_KIND_CODE[self.served_kind], self.wait, queue_wait,
+                service, mask)
 
 
 #: RequestRecord fields typed Optional: the columnar backend's null-mask
@@ -216,26 +257,6 @@ class WaitBreakdown:
         return f"{table}\n{summary}"
 
 
-def breakdown_of(records: Iterable[RequestRecord],
-                 think_time: Optional[float] = None,
-                 measured_only: bool = True) -> WaitBreakdown:
-    """Aggregate saved records into a :class:`WaitBreakdown`.
-
-    The record-loop reference that
-    :func:`repro.obs.columnar.breakdown_of_array` (what ``report
-    --trace`` runs) is tested against; ``think_time`` (broadcast units
-    per access) fills the think row when known.
-    """
-    breakdown = WaitBreakdown()
-    for record in records:
-        if measured_only and not record.measured:
-            continue
-        breakdown.add(record)
-    if think_time is not None:
-        breakdown.think = think_time * breakdown.accesses
-    return breakdown
-
-
 @dataclass
 class _OpenRequest:
     """Mutable in-flight state between ``on_access`` and completion."""
@@ -269,24 +290,22 @@ class RequestTracer:
     for the page the MC is blocked on.
 
     Args:
-        sink: destination for completed records.
+        sink: the :class:`~repro.obs.columnar.ColumnarSink`
+            (``table="request"``) completed records are written to.
         think_time: broadcast units the MC thinks between accesses
             (:meth:`attach` fills this in when left None) — used for the
             think row of :meth:`breakdown`.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
-            accumulating aggregate request counters; its ``request_wait``
-            histogram then *is* :attr:`wait_histogram`.
         sampling: optional :class:`~repro.obs.sampling.SamplingPolicy`.
             When set, only accepted accesses are traced (skipped ones
             cost a single policy call) and every kept record carries an
-            inverse-probability weight through the breakdown, histogram,
-            and metrics, so the aggregates estimate the full population.
+            inverse-probability weight through the breakdown and
+            histogram, so the aggregates estimate the full population.
             Reservoir policies hold their records back until
             :meth:`finalize`.
     """
 
-    def __init__(self, sink: TraceSink, think_time: Optional[float] = None,
-                 metrics=None, sampling=None):
+    def __init__(self, sink, think_time: Optional[float] = None,
+                 sampling=None):
         self.sink = sink
         self.think_time = think_time
         self.sampling = sampling
@@ -294,24 +313,12 @@ class RequestTracer:
         #: Accesses offered to the tracer (sampled or not).
         self.accesses_seen = 0
         self.breakdown_stats = WaitBreakdown()
-        wait = ("request_wait", "measured MC response times")
-        #: Measured miss waits, for p50/p90/p99 reporting: the registry's
-        #: own instrument when a live one is attached (a disabled
-        #: registry only hands out no-ops).
-        self.wait_histogram: Histogram = (
-            metrics.histogram(*wait)
-            if metrics is not None and metrics.enabled else Histogram(*wait))
+        #: Measured miss waits, for p50/p90/p99 reporting.
+        self.wait_histogram = Histogram("request_wait",
+                                        "measured MC response times")
         self._open: Optional[_OpenRequest] = None
         self._next_index = 0
         self._finalized = False
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_hits = metrics.counter(
-                "request_hits_total", "measured MC cache hits")
-            self._m_misses = metrics.counter(
-                "request_misses_total", "measured MC cache misses")
-            self._m_pulls = metrics.counter(
-                "request_pulls_total", "measured MC backchannel requests")
 
     # -- attachment --------------------------------------------------------
     def attach(self, state: "SystemState") -> Attachment:
@@ -482,19 +489,12 @@ SlotKind` (push or pull).
         # delivered — or evicted — at finalize() time.
 
     def _deliver(self, record: RequestRecord, weight: float) -> None:
-        self.sink.emit(record)
+        self.sink.emit(record.row())
         self.records_emitted += 1
         if record.measured:
             self.breakdown_stats.add(record, weight)
             if not record.hit:
                 self.wait_histogram.observe(record.wait, weight)
-            if self._metrics is not None:
-                if record.hit:
-                    self._m_hits.inc(weight)
-                else:
-                    self._m_misses.inc(weight)
-                if record.pull_sent:
-                    self._m_pulls.inc(weight)
 
     def finalize(self) -> None:
         """Flush records a deferring sampling policy held back.

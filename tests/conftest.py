@@ -8,6 +8,9 @@ import pytest
 from repro.core.algorithms import Algorithm
 from repro.core.config import ClientConfig, RunConfig, ServerConfig, SystemConfig
 from repro.obs.attach import Attachment
+from repro.obs.columnar import REQUEST_DTYPE, SLOT_DTYPE
+from repro.obs.events import SLOT_KINDS
+from repro.obs.trace import OPTIONAL_SLOT_FIELDS
 
 
 @pytest.fixture
@@ -43,6 +46,34 @@ def observe_offers(queue, callback) -> Attachment:
         return outcome
 
     return Attachment([(queue, "offer", offer)])
+
+
+def slot_row(slot=0, **overrides) -> tuple:
+    """One SLOT_DTYPE row tuple from readable values (a kind name, None
+    for a missing page / awaited page), encoded as the slot tracer
+    encodes them."""
+    values = dict(slot=slot, kind="push", page=7, queue_depth=2,
+                  enqueued=5, duplicates=1, dropped=0, served=3,
+                  mc_waiting=None, mc_arrivals=0, vc_arrivals=4)
+    values.update(overrides)
+    values["kind"] = SLOT_KINDS.index(values["kind"])
+    mask = 0
+    for bit, name in enumerate(OPTIONAL_SLOT_FIELDS):
+        if values[name] is None:
+            mask |= 1 << bit
+            values[name] = -1
+    return (*values.values(), mask)
+
+
+def slot_array(rows) -> np.ndarray:
+    """A slot trace of ``slot_row`` tuples."""
+    return np.array(list(rows), dtype=SLOT_DTYPE)
+
+
+def request_array(records) -> np.ndarray:
+    """A request trace of RequestRecords, each encoded by ``row()``."""
+    return np.array([record.row() for record in records],
+                    dtype=REQUEST_DTYPE)
 
 
 @pytest.fixture

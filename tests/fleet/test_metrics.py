@@ -3,7 +3,7 @@
 import math
 
 from repro.fleet import bind_fleet_metrics
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 
 COUNTERS = ("generated", "absorbed", "filtered", "offered", "delivered")
 GAUGES = ("num_clients", "users_measured", "still_waiting",
@@ -71,8 +71,3 @@ class TestFleetMetricsAdapter:
         bind_fleet_metrics(registry, StubFleet(), prefix="pop")
         assert "pop_generated_total" in registry
         assert "fleet_generated_total" not in registry
-
-    def test_disabled_registry_is_inert(self):
-        adapter = bind_fleet_metrics(NULL_REGISTRY, StubFleet())
-        adapter.sync()
-        assert len(NULL_REGISTRY) == 0

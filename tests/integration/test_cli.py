@@ -280,15 +280,16 @@ class TestTraceCommand:
     def test_figure_point_traces(self, tmp_path):
         """Acceptance: tracing a figure's representative sweep point
         produces a valid slot trace."""
-        from repro.obs.columnar import array_to_records, load_columnar
+        from repro.obs.columnar import load_columnar
+        from repro.obs.events import SLOT_KINDS
 
         path = tmp_path / "fig.npy"
         code = main(["trace", "--figure", "3a", "--settle", "20",
                      "--measure", "40", "--out", str(path)])
         assert code == 0
-        records = array_to_records(load_columnar(path))
-        assert records
-        assert {"push", "pull"} & {r.kind for r in records}
+        array = load_columnar(path)
+        assert array.shape[0]
+        assert {"push", "pull"} & {SLOT_KINDS[code] for code in array["kind"]}
 
     def test_reference_engine_traces_too(self, tmp_path):
         from repro.obs.columnar import load_columnar
@@ -321,11 +322,8 @@ class TestTraceCommand:
                      "--out", str(tmp_path / "t.npy")]) == 2
 
     def test_requests_flag_writes_lifecycle_records(self, tmp_path, capsys):
-        from repro.obs.columnar import (
-            array_to_records,
-            load_columnar,
-            table_of,
-        )
+        from repro.obs.columnar import load_columnar, table_of
+        from repro.obs.events import SERVED_KINDS
 
         path = tmp_path / "req.npy"
         code = main(["trace", "--requests", "--algorithm", "ipp",
@@ -337,9 +335,10 @@ class TestTraceCommand:
         assert "pull queue wait" in out  # breakdown printed to terminal
         array = load_columnar(path)
         assert table_of(array) == "request"
-        misses = [r for r in array_to_records(array) if not r.hit]
-        assert misses
-        assert all(r.served_kind in ("push", "pull") for r in misses)
+        misses = array[~array["hit"]]
+        assert misses.shape[0]
+        assert {SERVED_KINDS[code] for code in misses["served_kind"]} <= {
+            "push", "pull"}
 
     def test_requests_flag_on_reference_engine(self, tmp_path):
         from repro.obs.columnar import load_columnar
@@ -371,6 +370,25 @@ class TestTraceCommand:
                      "--measure", "40", "--out", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("trace:") and "convert" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flag, value, line", [
+        ("--sample-every", "0", "trace: --sample-every: sampling interval "
+                                "n must be >= 1"),
+        ("--sample-every", "-3", "trace: --sample-every: sampling interval "
+                                 "n must be >= 1"),
+        ("--reservoir", "0", "trace: --reservoir: reservoir capacity must "
+                             "be >= 1"),
+    ], ids=["sample-every-0", "sample-every-neg", "reservoir-0"])
+    def test_bad_sampling_flag_exits_2_with_one_line(self, tmp_path, capsys,
+                                                     flag, value, line):
+        """Regression: these were a ValueError traceback, exit 1."""
+        path = tmp_path / "req.npy"
+        assert main(["trace", "--requests", flag, value, "--settle", "5",
+                     "--measure", "10", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
         assert not path.exists()
 
     def test_format_flags_are_gone(self, capsys):
@@ -521,6 +539,23 @@ class TestReportCommand:
         path.write_text("{}")
         assert main(["report", str(path), "--trace", str(path)]) == 2
 
+    @pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+    def test_think_time_outside_its_domain_exits_2(self, tmp_path, capsys,
+                                                   value):
+        """Regression: -5 printed a think share of 135.1%, nan and inf
+        printed nan%."""
+        from repro.experiments.tracing import write_request_trace
+
+        path = tmp_path / "req.npy"
+        write_request_trace(pinned_export_config(), path)
+        assert main(["report", "--trace", str(path),
+                     "--think-time", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"report: --think-time: client.think_time must be finite and "
+            f"> 0, got {float(value)!r}"]
+
     def test_figure_json_with_provenance(self, tmp_path, capsys):
         figure = run_figure(SMALL_3A, SMALL_PROFILE)
         path = tmp_path / "figure_3a.json"
@@ -608,7 +643,7 @@ class TestReportCommand:
 
     def test_request_report_quantiles_are_exact_quantiles(self, tmp_path,
                                                           capsys):
-        from repro.obs.columnar import array_to_records, load_columnar
+        from repro.obs.columnar import load_columnar
         from repro.sim.monitor import exact_quantiles
 
         npy = tmp_path / "req.npy"
@@ -616,8 +651,8 @@ class TestReportCommand:
                      "--ttr", "2", "--settle", "20", "--measure", "80",
                      "--out", str(npy)]) == 0
         capsys.readouterr()
-        waits = [r.wait for r in array_to_records(load_columnar(npy))
-                 if r.measured and not r.hit]
+        array = load_columnar(npy)
+        waits = array["wait"][array["measured"] & ~array["hit"]].tolist()
         marks = exact_quantiles(waits)
         expected = (f"measured miss wait quantiles: p50={marks['p50']:.1f}  "
                     f"p90={marks['p90']:.1f}  p99={marks['p99']:.1f}  "

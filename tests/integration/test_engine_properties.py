@@ -9,7 +9,7 @@ from repro.core.config import SystemConfig
 from repro.core.fast import FastEngine
 from repro.core.runtime import SimulationStall
 from repro.core.simulation import ReferenceEngine
-from repro.obs import MemorySink, RequestTracer
+from repro.obs import ColumnarSink, RequestTracer
 from tests.config_strategies import system_configs
 from tests.conftest import small_config
 
@@ -40,7 +40,8 @@ CROSS_FIELD = {"server.disk_sizes", "server.chop", "client.cache_size",
 def run_checked(config, engine_cls, traced):
     """Run ``config``; unless it stalls at ``max_slots``, check that every
     accounting identity holds."""
-    tracer = RequestTracer(MemorySink()) if traced else None
+    tracer = (RequestTracer(ColumnarSink(table="request")) if traced
+              else None)
     engine = engine_cls(config, request_tracer=tracer)
     try:
         result = engine.run()
@@ -92,15 +93,16 @@ def run_checked(config, engine_cls, traced):
         assert 0 <= (fleet["delivered"] + fleet["still_waiting"]
                      - misses) <= config.fleet.num_clients
     if tracer is not None:
-        # The MC loses no access: each one is a record, none left open.
-        records = tracer.sink.records
-        assert tracer.records_emitted == tracer.accesses_seen
-        assert sum(record.measured for record in records) == measure
-        missed = [record for record in records if not record.hit]
-        assert sum(record.measured for record in missed) == result.mc_misses
-        for record in missed:
-            assert math.isclose(record.queue_wait + record.service,
-                                record.wait, rel_tol=1e-9, abs_tol=1e-9)
+        # The MC loses no access: each one is a row, none left open.
+        rows = tracer.sink.array()
+        assert tracer.records_emitted == tracer.accesses_seen == len(rows)
+        assert int(rows["measured"].sum()) == measure
+        missed = rows[~rows["hit"]]
+        assert int(missed["measured"].sum()) == result.mc_misses
+        for queue_wait, service, wait in missed[
+                ["queue_wait", "service", "wait"]].tolist():
+            assert math.isclose(queue_wait + service, wait, rel_tol=1e-9,
+                                abs_tol=1e-9)
 
 
 def reject_or_run(drawn, traced):

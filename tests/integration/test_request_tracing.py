@@ -11,7 +11,7 @@ import pytest
 from repro.core.algorithms import Algorithm
 from repro.core.fast import FastEngine
 from repro.core.simulation import ReferenceEngine
-from repro.obs import MemorySink, RequestTracer
+from repro.obs import ColumnarSink, RequestTracer
 from tests.conftest import small_config
 
 
@@ -20,7 +20,7 @@ def averaged_breakdown(engine_cls, config, seeds=(1, 2, 3)):
     totals = {"push_wait": 0.0, "pull_wait": 0.0, "service": 0.0,
               "mean_wait": 0.0, "pull_share": 0.0}
     for seed in seeds:
-        tracer = RequestTracer(MemorySink())
+        tracer = RequestTracer(ColumnarSink(table="request"))
         engine_cls(config.with_(run__seed=seed),
                    request_tracer=tracer).run()
         b = tracer.breakdown()
@@ -60,7 +60,7 @@ class TestCrossEngineDecomposition:
                               run__measure_accesses=500)
         breakdowns = []
         for engine_cls in (FastEngine, ReferenceEngine):
-            tracer = RequestTracer(MemorySink())
+            tracer = RequestTracer(ColumnarSink(table="request"))
             engine_cls(config, request_tracer=tracer).run()
             breakdowns.append(tracer.breakdown())
         fast, ref = breakdowns
@@ -76,7 +76,7 @@ class TestDecompositionTiesToTallies:
     def test_components_sum_to_measured_mean(self, engine_cls):
         config = small_config(Algorithm.IPP, client__think_time_ratio=5.0,
                               run__measure_accesses=800)
-        tracer = RequestTracer(MemorySink())
+        tracer = RequestTracer(ColumnarSink(table="request"))
         result = engine_cls(config, request_tracer=tracer).run()
         b = tracer.breakdown()
         # The decomposition partitions the run's own measured mean exactly.

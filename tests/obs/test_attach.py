@@ -16,11 +16,12 @@ from repro.core.runtime import RunProtocol, SimulationStall
 from repro.core.simulation import ReferenceEngine
 from repro.obs import (
     Attachment,
+    ColumnarSink,
     HotLoopProfile,
-    MemorySink,
     RequestTracer,
     SlotTracer,
 )
+from repro.obs.columnar import decode_row
 from tests.conftest import small_config
 
 
@@ -187,8 +188,8 @@ def run_observed(engine, observer, config, state=None):
 
 
 OBSERVERS = {
-    "slot-tracer": lambda: SlotTracer(MemorySink()),
-    "request-tracer": lambda: RequestTracer(MemorySink()),
+    "slot-tracer": lambda: SlotTracer(ColumnarSink(table="slot")),
+    "request-tracer": lambda: RequestTracer(ColumnarSink(table="request")),
     "profiler": HotLoopProfile,
 }
 
@@ -236,8 +237,8 @@ class TestRunProtocolScope:
             def attach(self, state):
                 raise RuntimeError("no")
 
-        observers = (SlotTracer(MemorySink()), None,
-                     RequestTracer(MemorySink()), Refuses())
+        observers = (SlotTracer(ColumnarSink(table="slot")), None,
+                     RequestTracer(ColumnarSink(table="request")), Refuses())
         run = RunProtocol(config, state, "fast", False, observers)
         with pytest.raises(RuntimeError, match="no"):
             with run:
@@ -255,7 +256,7 @@ class TestRunProtocolScope:
             return inner()
 
         state.server.tick = shim
-        tracer = SlotTracer(MemorySink())
+        tracer = SlotTracer(ColumnarSink(table="slot"))
         result = ENGINES["fast"](config, state=state, tracer=tracer).run()
         assert vars(state.server)["tick"] is shim
         # The shim saw every tick, the exit slack's included; the tracer
@@ -266,9 +267,9 @@ class TestRunProtocolScope:
 
     def test_slot_records_number_the_servers_ticks(self):
         config = observed_config()
-        sink = MemorySink()
+        sink = ColumnarSink(table="slot")
         ENGINES["reference"](config, tracer=SlotTracer(sink)).run()
-        assert [r.slot for r in sink.records] == list(range(sink.emitted))
+        assert sink.array()["slot"].tolist() == list(range(sink.emitted))
 
 
 class TestMidSlotMissOnAir:
@@ -283,21 +284,18 @@ class TestMidSlotMissOnAir:
     def test_reference_engine_stamps_the_slot_start(self):
         # A fractional think time puts MC accesses strictly inside slots.
         config = small_config(client__think_time=2.5)
-        sink = MemorySink()
+        sink = ColumnarSink(table="request")
         ReferenceEngine(config, request_tracer=RequestTracer(sink)).run()
-        caught = [r for r in sink.records
-                  if not r.hit and r.on_air_at < r.issued_at]
+        rows = [decode_row(row, "request") for row in sink.array()]
+        caught = [r for r in rows
+                  if not r["hit"] and r["on_air_at"] < r["issued_at"]]
         assert caught
         for record in caught:
-            assert record.issued_at != math.floor(record.issued_at)
-            # The slot that was on the air, as the int the mid-slot case
-            # has always recorded (a tick-time on_air_at is a float).
-            assert record.on_air_at == math.floor(record.issued_at)
-            assert isinstance(record.on_air_at, int)
-            assert record.served_at == record.on_air_at + 1
-            assert record.queue_wait == 0.0
-            assert record.service == record.wait
-        ticked = [r for r in sink.records
-                  if not r.hit and r.on_air_at >= r.issued_at]
-        assert ticked
-        assert all(isinstance(r.on_air_at, float) for r in ticked)
+            assert record["issued_at"] != math.floor(record["issued_at"])
+            # The slot that was on the air.
+            assert record["on_air_at"] == math.floor(record["issued_at"])
+            assert record["served_at"] == record["on_air_at"] + 1
+            assert record["queue_wait"] == 0.0
+            assert record["service"] == record["wait"]
+        assert [r for r in rows
+                if not r["hit"] and r["on_air_at"] >= r["issued_at"]]

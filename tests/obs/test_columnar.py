@@ -8,32 +8,20 @@ import pytest
 from repro.core.fast import FastEngine
 from repro.obs import (
     ColumnarSink,
-    MemorySink,
     RequestRecord,
     RequestTracer,
-    SlotRecord,
     SlotTracer,
-    array_to_records,
-    breakdown_of,
     breakdown_of_array,
     columnar_to_jsonl,
     exact_quantiles,
     load_columnar,
     measured_miss_waits,
-    records_to_array,
     slot_summary,
     table_of,
 )
-from repro.obs.columnar import REQUEST_DTYPE, SLOT_DTYPE
-from tests.conftest import small_config
-
-
-def slot_record(slot=0, **overrides):
-    base = dict(slot=slot, kind="push", page=7, queue_depth=2, enqueued=5,
-                duplicates=1, dropped=0, served=3, mc_waiting=None,
-                mc_arrivals=0, vc_arrivals=4)
-    base.update(overrides)
-    return SlotRecord(**base)
+from repro.obs.columnar import REQUEST_DTYPE, SLOT_DTYPE, decode_row
+from repro.obs.events import SLOT_KINDS
+from tests.conftest import request_array, slot_array, slot_row, small_config
 
 
 def request_record(index=0, **overrides):
@@ -56,20 +44,29 @@ def hit_record(index=0, **overrides):
 
 
 def traced_run(config=None):
-    """One small engine run captured in memory (ground truth records)."""
+    """One small engine run traced in memory: the slot and request
+    arrays and the request tracer (its live breakdown is the truth)."""
     config = config or small_config()
-    slots, requests = MemorySink(), MemorySink()
+    slots = ColumnarSink(table="slot")
+    requests = RequestTracer(ColumnarSink(table="request"))
     FastEngine(config, tracer=SlotTracer(slots),
-               request_tracer=RequestTracer(requests)).run()
-    return slots.records, requests.records
+               request_tracer=requests).run()
+    return slots.array(), requests.sink.array(), requests
+
+
+def decoded(array):
+    return [decode_row(row, table_of(array)) for row in array]
 
 
 class TestRecordEncoding:
     def test_slot_fields_survive(self):
-        records = [slot_record(0, mc_waiting=3),
-                   slot_record(1, kind="idle", page=None),
-                   slot_record(2, kind="pull", page=0, queue_depth=0)]
-        assert array_to_records(records_to_array(records)) == records
+        fields = [dict(slot=0, kind="push", page=7, queue_depth=2,
+                       enqueued=5, duplicates=1, dropped=0, served=3,
+                       mc_waiting=3, mc_arrivals=0, vc_arrivals=4),
+                  dict(slot=1, kind="idle", page=None, queue_depth=2,
+                       enqueued=5, duplicates=1, dropped=0, served=3,
+                       mc_waiting=None, mc_arrivals=0, vc_arrivals=4)]
+        assert decoded(slot_array(slot_row(**f) for f in fields)) == fields
 
     def test_request_fields_survive(self):
         records = [request_record(0),
@@ -77,56 +74,61 @@ class TestRecordEncoding:
                    request_record(2, pull_sent=False, pull_outcome=None,
                                   served_kind="push", queue_wait=2.5,
                                   service=1.0, wait=3.5)]
-        assert array_to_records(records_to_array(records)) == records
+        assert decoded(request_array(records)) == [
+            r.to_dict() for r in records]
 
     def test_infinite_prediction_stored_as_none(self):
         # The tracer stores an inf predicted push wait as None (page never
         # pushed); the columnar NaN sentinel + mask must bring None back,
         # not 0.0 or inf.
         record = request_record(predicted_push_wait=None)
-        [decoded] = array_to_records(records_to_array([record]))
-        assert decoded.predicted_push_wait is None
-        assert decoded == record
+        array = request_array([record])
+        assert np.isnan(array["predicted_push_wait"][0])
+        [row] = decoded(array)
+        assert row["predicted_push_wait"] is None
+        assert row == record.to_dict()
 
     def test_every_nullable_field_none_at_once(self):
-        [decoded] = array_to_records(records_to_array([hit_record()]))
-        assert decoded.pull_outcome is None
-        assert decoded.predicted_push_wait is None
-        assert decoded.on_air_at is None
-        assert decoded.queue_wait is None
-        assert decoded.service is None
+        array = request_array([hit_record()])
+        assert array["null_mask"][0] == 0b11111
+        [row] = decoded(array)
+        assert row["pull_outcome"] is None
+        assert row["predicted_push_wait"] is None
+        assert row["on_air_at"] is None
+        assert row["queue_wait"] is None
+        assert row["service"] is None
 
     def test_enum_codes_follow_registries(self):
-        array = records_to_array([slot_record(kind="padding", page=None)])
+        array = slot_array([slot_row(kind="padding", page=None)])
         assert table_of(array) == "slot"
-        assert array.dtype == SLOT_DTYPE
-        assert array_to_records(array)[0].kind == "padding"
+        assert array["kind"][0] == SLOT_KINDS.index("padding")
+        assert decoded(array)[0]["kind"] == "padding"
 
     def test_empty_records_need_a_table(self):
-        with pytest.raises(ValueError):
-            records_to_array([])
-        array = records_to_array([], table="request")
+        with pytest.raises(TypeError):
+            ColumnarSink()
+        array = ColumnarSink(table="request").array()
         assert array.shape == (0,) and array.dtype == REQUEST_DTYPE
 
 
 class TestColumnarSink:
     def test_chunking_preserves_order(self):
-        sink = ColumnarSink(chunk=4)
-        records = [slot_record(i, page=i) for i in range(11)]
-        for record in records:
-            sink.emit(record)
+        sink = ColumnarSink(table="slot", chunk=4)
+        rows = [slot_row(i, page=i) for i in range(11)]
+        for row in rows:
+            sink.emit(row)
         assert sink.emitted == 11
-        assert array_to_records(sink.array()) == records
+        assert np.array_equal(sink.array(), slot_array(rows))
 
     def test_persists_memory_mappable_npy(self, tmp_path):
         path = tmp_path / "trace.npy"
         records = [request_record(i) for i in range(10)]
-        with ColumnarSink(path, chunk=3) as sink:
+        with ColumnarSink(path, table="request", chunk=3) as sink:
             for record in records:
-                sink.emit(record)
+                sink.emit(record.row())
         array = load_columnar(path)
         assert isinstance(array, np.memmap)
-        assert array_to_records(array) == records
+        assert decoded(array) == [r.to_dict() for r in records]
 
     def test_empty_pinned_table_persists(self, tmp_path):
         path = tmp_path / "empty.npy"
@@ -135,37 +137,36 @@ class TestColumnarSink:
         assert array.shape == (0,) and array.dtype == SLOT_DTYPE
 
     def test_empty_unpinned_sink_cannot_persist(self, tmp_path):
-        sink = ColumnarSink(tmp_path / "x.npy")
-        with pytest.raises(ValueError):
-            sink.array()
-        with pytest.raises(ValueError):
-            sink.close()
+        # The table is required: there is no sink that could not persist.
+        with pytest.raises(TypeError):
+            ColumnarSink(tmp_path / "x.npy")
+        assert not (tmp_path / "x.npy").exists()
 
     def test_emit_after_close_rejected(self):
         sink = ColumnarSink(table="slot")
         sink.close()
         with pytest.raises(ValueError):
-            sink.emit(slot_record())
+            sink.emit(slot_row())
 
     def test_foreign_record_type_rejected(self):
-        with pytest.raises(TypeError):
-            ColumnarSink().emit(object())
+        with pytest.raises((TypeError, ValueError)):
+            ColumnarSink(table="slot").emit(object())
+        with pytest.raises((TypeError, ValueError)):
+            ColumnarSink(table="request").emit(slot_row())
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
             ColumnarSink(table="nope")
         with pytest.raises(ValueError):
-            ColumnarSink(chunk=0)
+            ColumnarSink(table="slot", chunk=0)
 
 
 class TestConverters:
-    def _export(self, tmp_path, records):
+    def _export(self, tmp_path, array):
         npy = tmp_path / "trace.npy"
-        with ColumnarSink(npy) as sink:
-            for record in records:
-                sink.emit(record)
+        np.save(npy, array)
         out = tmp_path / "trace.jsonl"
-        assert columnar_to_jsonl(npy, out) == len(records)
+        assert columnar_to_jsonl(npy, out) == len(array)
         return out.read_text()
 
     def test_request_export_is_one_compact_object_per_record(self, tmp_path):
@@ -173,21 +174,26 @@ class TestConverters:
             request_record(0), hit_record(1),
             request_record(2, pull_outcome="dropped", served_kind="push",
                            predicted_push_wait=None)]
-        text = self._export(tmp_path, records)
+        text = self._export(tmp_path, request_array(records))
         assert text == "".join(
             json.dumps(r.to_dict(), separators=(",", ":")) + "\n"
             for r in records)
         assert '"pull_outcome":null' in text.splitlines()[1]
 
     def test_slot_export_is_one_compact_object_per_record(self, tmp_path):
-        records = [slot_record(0), slot_record(1, kind="idle", page=None),
-                   slot_record(2, mc_waiting=5)]
-        text = self._export(tmp_path, records)
-        assert text == "".join(
-            json.dumps(r.to_dict(), separators=(",", ":")) + "\n"
-            for r in records)
-        assert text.splitlines()[1].startswith(
-            '{"slot":1,"kind":"idle","page":null,')
+        rows = [slot_row(0), slot_row(1, kind="idle", page=None),
+                slot_row(2, mc_waiting=5)]
+        text = self._export(tmp_path, slot_array(rows))
+        assert text.splitlines() == [
+            '{"slot":0,"kind":"push","page":7,"queue_depth":2,'
+            '"enqueued":5,"duplicates":1,"dropped":0,"served":3,'
+            '"mc_waiting":null,"mc_arrivals":0,"vc_arrivals":4}',
+            '{"slot":1,"kind":"idle","page":null,"queue_depth":2,'
+            '"enqueued":5,"duplicates":1,"dropped":0,"served":3,'
+            '"mc_waiting":null,"mc_arrivals":0,"vc_arrivals":4}',
+            '{"slot":2,"kind":"push","page":7,"queue_depth":2,'
+            '"enqueued":5,"duplicates":1,"dropped":0,"served":3,'
+            '"mc_waiting":5,"mc_arrivals":0,"vc_arrivals":4}']
 
     def test_foreign_npy_rejected(self, tmp_path):
         path = tmp_path / "foreign.npy"
@@ -198,17 +204,19 @@ class TestConverters:
 
 class TestLoadChecks:
     @pytest.mark.parametrize("records, column, code", [
-        ([slot_record(0), slot_record(1)], "kind", 99),
-        ([slot_record(0), slot_record(1)], "kind", -1),
-        ([request_record(0), hit_record(1)], "served_kind", 3),
-        ([request_record(0), hit_record(1)], "served_kind", -1),
-        ([request_record(0), hit_record(1)], "pull_outcome", 3),
-        ([request_record(0), hit_record(1)], "pull_outcome", -2),
+        (slot_array([slot_row(0), slot_row(1)]), "kind", 99),
+        (slot_array([slot_row(0), slot_row(1)]), "kind", -1),
+        (request_array([request_record(0), hit_record(1)]), "served_kind", 3),
+        (request_array([request_record(0), hit_record(1)]), "served_kind", -1),
+        (request_array([request_record(0), hit_record(1)]), "pull_outcome",
+         3),
+        (request_array([request_record(0), hit_record(1)]), "pull_outcome",
+         -2),
     ])
     @pytest.mark.parametrize("mmap", [True, False])
     def test_enum_code_outside_its_registry_rejected(
             self, tmp_path, records, column, code, mmap):
-        array = records_to_array(records)
+        array = records.copy()
         array[column][1] = code
         path = tmp_path / "bad.npy"
         np.save(path, array)
@@ -221,41 +229,41 @@ class TestLoadChecks:
         # The bounds are inclusive of each registry's last code and of
         # pull_outcome's -1 ("no pull sent").
         path = tmp_path / "ok.npy"
-        with ColumnarSink(path) as sink:
+        with ColumnarSink(path, table="request") as sink:
             for i, outcome in enumerate((None, "enqueued", "duplicate",
                                          "dropped")):
                 sink.emit(request_record(i, pull_outcome=outcome,
-                                         served_kind="pull"))
+                                         served_kind="pull").row())
         assert load_columnar(path)["pull_outcome"].tolist() == [-1, 0, 1, 2]
 
 
 class TestVectorizedAnalytics:
     def test_breakdown_matches_python_loop(self):
-        _, requests = traced_run()
-        array = records_to_array(requests)
-        expected = breakdown_of(requests, think_time=4.0)
-        assert breakdown_of_array(array, think_time=4.0) == expected
+        # The tracer's live breakdown folds in one record at a time.
+        _, requests, tracer = traced_run()
+        tracer.think_time = 4.0
+        expected = tracer.breakdown()
+        assert breakdown_of_array(requests, think_time=4.0) == expected
 
     def test_breakdown_unmeasured_included_on_request(self):
-        _, requests = traced_run()
-        array = records_to_array(requests)
-        assert (breakdown_of_array(array, measured_only=False).accesses
+        _, requests, _ = traced_run()
+        assert (breakdown_of_array(requests, measured_only=False).accesses
                 == len(requests))
 
     def test_breakdown_requires_request_table(self):
-        slots, _ = traced_run()
+        slots, _, _ = traced_run()
         with pytest.raises(ValueError):
-            breakdown_of_array(records_to_array(slots))
+            breakdown_of_array(slots)
 
     def test_miss_waits_match_python_filter(self):
-        _, requests = traced_run()
-        expected = [r.wait for r in requests if r.measured and not r.hit]
-        waits = measured_miss_waits(records_to_array(requests))
-        assert waits.tolist() == expected
+        _, requests, _ = traced_run()
+        expected = [row["wait"] for row in decoded(requests)
+                    if row["measured"] and not row["hit"]]
+        assert measured_miss_waits(requests).tolist() == expected
 
     def test_quantiles_match_sorted_rank_convention(self):
-        _, requests = traced_run()
-        waits = measured_miss_waits(records_to_array(requests))
+        _, requests, _ = traced_run()
+        waits = measured_miss_waits(requests)
         marks = exact_quantiles(waits)
         ordered = sorted(waits.tolist())
         n = len(ordered)
@@ -269,31 +277,26 @@ class TestVectorizedAnalytics:
             "p50": 7.0, "p90": 7.0, "p99": 7.0}
 
     def test_slot_summary_matches_counter(self):
-        slots, _ = traced_run()
-        array = records_to_array(slots)
-        summary = slot_summary(array)
+        slots, _, _ = traced_run()
+        rows = decoded(slots)
+        summary = slot_summary(slots)
         from collections import Counter
-        assert summary["slots"] == len(slots)
-        assert summary["kinds"] == dict(Counter(r.kind for r in slots))
+        assert summary["slots"] == len(rows)
+        assert summary["kinds"] == dict(Counter(r["kind"] for r in rows))
         assert summary["mean_queue_depth"] == pytest.approx(
-            sum(r.queue_depth for r in slots) / len(slots))
-        assert summary["dropped"] == slots[-1].dropped
+            sum(r["queue_depth"] for r in rows) / len(rows))
+        assert summary["dropped"] == rows[-1]["dropped"]
 
     def test_memory_mapped_analytics_agree_with_ground_truth(self, tmp_path):
         # The acceptance check: sink to disk, map back, and the columnar
-        # analytics must agree with the MemorySink record-loop truth.
+        # analytics must agree with the tracer's live breakdown.
         config = small_config()
-        mem = MemorySink()
         path = tmp_path / "req.npy"
-        with ColumnarSink(path, chunk=64) as columnar:
-            class Tee:
-                emitted = 0
-
-                def emit(self, record):
-                    mem.emit(record)
-                    columnar.emit(record)
-                    self.emitted += 1
-            FastEngine(config, request_tracer=RequestTracer(Tee())).run()
+        tracer = RequestTracer(ColumnarSink(path, table="request", chunk=64))
+        FastEngine(config, request_tracer=tracer).run()
+        tracer.close()
         array = load_columnar(path)
-        assert array_to_records(array) == mem.records
-        assert breakdown_of_array(array) == breakdown_of(mem.records)
+        assert len(array) == tracer.records_emitted > 64
+        assert breakdown_of_array(array,
+                                  think_time=tracer.think_time) \
+            == tracer.breakdown()

@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
 from repro.sim.monitor import Tally
 
@@ -214,19 +213,6 @@ class TestMetricsRegistry:
         assert "requests_total" in text and "7" in text
         assert "depth" in text and "count=1" in text
         assert MetricsRegistry().render() == "(no metrics registered)"
-
-    def test_disabled_registry_is_inert(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("c")
-        counter.inc(10)
-        registry.gauge("g").set(5)
-        registry.histogram("h").observe(1.0)
-        assert counter.value == 0
-        assert len(registry) == 0
-        assert registry.snapshot() == {}
-        # Every factory hands back the same shared no-op object.
-        assert registry.counter("other") is counter
-        assert NULL_REGISTRY.counter("x") is counter
 
 
 class TestHistogramMerge:

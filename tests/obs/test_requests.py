@@ -9,17 +9,17 @@ from repro.core.fast import FastEngine
 from repro.core.simulation import ReferenceEngine
 from repro.obs import (
     Attachment,
-    MemorySink,
-    MetricsRegistry,
+    ColumnarSink,
     RequestRecord,
     RequestTracer,
     WaitBreakdown,
-    breakdown_of,
+    breakdown_of_array,
 )
+from repro.obs.columnar import decode_row
 from repro.server.broadcast_server import SlotKind
 from repro.server.queue import BoundedRequestQueue, Offer
 
-from tests.conftest import observe_offers, small_config
+from tests.conftest import observe_offers, request_array, small_config
 
 
 def _record(**overrides) -> RequestRecord:
@@ -30,6 +30,16 @@ def _record(**overrides) -> RequestRecord:
                 queue_wait=4.0, service=1.0)
     base.update(overrides)
     return RequestRecord(**base)
+
+
+def tracer(**kwargs) -> RequestTracer:
+    """A request tracer into an in-memory sink."""
+    return RequestTracer(ColumnarSink(table="request"), **kwargs)
+
+
+def rows(tracer: RequestTracer) -> list[dict]:
+    """The tracer's rows so far, decoded."""
+    return [decode_row(row, "request") for row in tracer.sink.array()]
 
 
 class TestRequestRecord:
@@ -44,66 +54,66 @@ class TestRequestRecord:
 
 class TestTracerStateMachine:
     def test_cache_hit_record(self):
-        tracer = RequestTracer(MemorySink())
-        tracer.on_access(7, 3.0, True)
-        tracer.on_hit(7, 3.0)
-        [record] = tracer.sink.records
-        assert record.hit and record.wait == 0.0
-        assert record.served_kind == "cache"
-        assert record.queue_wait is None and record.service is None
+        traced = tracer()
+        traced.on_access(7, 3.0, True)
+        traced.on_hit(7, 3.0)
+        [record] = rows(traced)
+        assert record["hit"] and record["wait"] == 0.0
+        assert record["served_kind"] == "cache"
+        assert record["queue_wait"] is None and record["service"] is None
 
     def test_full_miss_lifecycle(self):
-        tracer = RequestTracer(MemorySink())
-        tracer.on_access(3, 10.5, True)
-        tracer.on_miss(3, 10.5)
-        tracer.on_miss_predict(40.0)
-        tracer.on_pull(3, 10.5, Offer.ENQUEUED)
-        tracer.on_queue_offer(3, Offer.DUPLICATE)   # someone else's request
-        tracer.on_queue_offer(9, Offer.ENQUEUED)    # unrelated page
-        tracer.on_air(14.0, SlotKind.PULL)
-        tracer.on_served(3, 15.0)
-        [record] = tracer.sink.records
-        assert not record.hit
-        assert record.pull_outcome == "enqueued"
-        assert record.predicted_push_wait == 40.0
-        assert record.page_offers == 1
-        assert record.served_kind == "pull"
-        assert record.wait == 4.5
-        assert record.queue_wait == 3.5
-        assert record.service == 1.0
-        assert record.queue_wait + record.service == record.wait
+        traced = tracer()
+        traced.on_access(3, 10.5, True)
+        traced.on_miss(3, 10.5)
+        traced.on_miss_predict(40.0)
+        traced.on_pull(3, 10.5, Offer.ENQUEUED)
+        traced.on_queue_offer(3, Offer.DUPLICATE)   # someone else's request
+        traced.on_queue_offer(9, Offer.ENQUEUED)    # unrelated page
+        traced.on_air(14.0, SlotKind.PULL)
+        traced.on_served(3, 15.0)
+        [record] = rows(traced)
+        assert not record["hit"]
+        assert record["pull_outcome"] == "enqueued"
+        assert record["predicted_push_wait"] == 40.0
+        assert record["page_offers"] == 1
+        assert record["served_kind"] == "pull"
+        assert record["wait"] == 4.5
+        assert record["queue_wait"] == 3.5
+        assert record["service"] == 1.0
+        assert record["queue_wait"] + record["service"] == record["wait"]
 
     def test_mid_slot_issue_clamps_queue_wait(self):
         # Access issued at 10.5 while the serving slot started at 10.0.
-        tracer = RequestTracer(MemorySink())
-        tracer.on_access(3, 10.5, True)
-        tracer.on_miss(3, 10.5)
-        tracer.on_air(10.0, SlotKind.PUSH)
-        tracer.on_served(3, 11.0)
-        [record] = tracer.sink.records
-        assert record.queue_wait == 0.0
-        assert record.service == pytest.approx(0.5)
-        assert record.wait == pytest.approx(0.5)
+        traced = tracer()
+        traced.on_access(3, 10.5, True)
+        traced.on_miss(3, 10.5)
+        traced.on_air(10.0, SlotKind.PUSH)
+        traced.on_served(3, 11.0)
+        [record] = rows(traced)
+        assert record["queue_wait"] == 0.0
+        assert record["service"] == pytest.approx(0.5)
+        assert record["wait"] == pytest.approx(0.5)
 
     def test_infinite_predicted_wait_stored_as_none(self):
-        tracer = RequestTracer(MemorySink())
-        tracer.on_access(3, 0.0, True)
-        tracer.on_miss(3, 0.0)
-        tracer.on_miss_predict(math.inf)
-        tracer.on_air(2.0, SlotKind.PULL)
-        tracer.on_served(3, 3.0)
-        [record] = tracer.sink.records
-        assert record.predicted_push_wait is None
-        json.dumps(record.to_dict(), allow_nan=False)  # stays strict JSON
+        traced = tracer()
+        traced.on_access(3, 0.0, True)
+        traced.on_miss(3, 0.0)
+        traced.on_miss_predict(math.inf)
+        traced.on_air(2.0, SlotKind.PULL)
+        traced.on_served(3, 3.0)
+        [record] = rows(traced)
+        assert record["predicted_push_wait"] is None
+        json.dumps(record, allow_nan=False)  # stays strict JSON
 
     def test_unmeasured_records_skip_the_breakdown(self):
-        tracer = RequestTracer(MemorySink())
-        tracer.on_access(1, 0.0, False)
-        tracer.on_hit(1, 0.0)
-        tracer.on_access(2, 1.0, True)
-        tracer.on_hit(2, 1.0)
-        assert tracer.records_emitted == 2
-        assert tracer.breakdown().accesses == 1
+        traced = tracer()
+        traced.on_access(1, 0.0, False)
+        traced.on_hit(1, 0.0)
+        traced.on_access(2, 1.0, True)
+        traced.on_hit(2, 1.0)
+        assert traced.records_emitted == 2
+        assert traced.breakdown().accesses == 1
 
 
 class TestWaitBreakdown:
@@ -132,7 +142,8 @@ class TestWaitBreakdown:
 
     def test_breakdown_of_filters_and_fills_think(self):
         records = [_record(), _record(index=1, measured=False)]
-        breakdown = breakdown_of(records, think_time=4.0)
+        breakdown = breakdown_of_array(request_array(records),
+                                       think_time=4.0)
         assert breakdown.accesses == 1
         assert breakdown.think == 4.0
 
@@ -168,58 +179,6 @@ class TestQueueObserver:
         Attachment([]).detach()
 
 
-class TestMetricsIntegration:
-    def test_registry_counts_requests(self):
-        registry = MetricsRegistry()
-        tracer = RequestTracer(MemorySink(), metrics=registry)
-        tracer.on_access(1, 0.0, True)
-        tracer.on_hit(1, 0.0)
-        tracer.on_access(2, 1.0, True)
-        tracer.on_miss(2, 1.0)
-        tracer.on_pull(2, 1.0, Offer.ENQUEUED)
-        tracer.on_air(2.0, SlotKind.PULL)
-        tracer.on_served(2, 3.0)
-        snap = registry.snapshot()
-        assert snap["request_hits_total"]["value"] == 1
-        assert snap["request_misses_total"]["value"] == 1
-        assert snap["request_pulls_total"]["value"] == 1
-        assert snap["request_wait"]["count"] == 1
-
-    @staticmethod
-    def _feed(tracer):
-        for index, wait in enumerate((3.0, 0.5, 40.0, 7.0, 7.0, 1200.0)):
-            issued = 10.0 * index
-            tracer.on_access(index, issued, True)
-            tracer.on_miss(index, issued)
-            tracer.on_air(issued + wait - 1.0, SlotKind.PUSH)
-            tracer.on_served(index, issued + wait)
-
-    def test_the_registry_histogram_is_the_wait_histogram(self):
-        registry = MetricsRegistry()
-        with_registry = RequestTracer(MemorySink(), metrics=registry)
-        without = RequestTracer(MemorySink())
-        assert with_registry.wait_histogram \
-            is registry.histogram("request_wait")
-        self._feed(with_registry)
-        self._feed(without)
-        # One observation per miss, in one histogram, either way.
-        assert with_registry.wait_histogram.count == 6
-        assert registry.snapshot()["request_wait"]["count"] == 6
-        assert with_registry.wait_quantiles() == without.wait_quantiles()
-        assert with_registry.wait_histogram.snapshot() \
-            == without.wait_histogram.snapshot()
-
-    def test_a_disabled_registry_leaves_the_tracer_its_own_histogram(self):
-        from repro.obs.metrics import NULL_REGISTRY
-
-        tracer = RequestTracer(MemorySink(), metrics=NULL_REGISTRY)
-        plain = RequestTracer(MemorySink())
-        self._feed(tracer)
-        self._feed(plain)
-        assert tracer.wait_quantiles() == plain.wait_quantiles()
-        assert len(NULL_REGISTRY) == 0
-
-
 class TestEngineWiring:
     """Both engines drive the same hooks and keep results bit-identical."""
 
@@ -238,24 +197,24 @@ class TestEngineWiring:
         # general loop too (for Pure-Push the analytic shortcut
         # synthesizes rather than ticks its slot counts).
         plain = FastEngine(config, force_general=True).run()
-        tracer = RequestTracer(MemorySink())
-        traced = FastEngine(config, request_tracer=tracer).run()
-        assert self._metrics(traced) == self._metrics(plain)
-        assert tracer.records_emitted > 0
+        traced = tracer()
+        result = FastEngine(config, request_tracer=traced).run()
+        assert self._metrics(result) == self._metrics(plain)
+        assert traced.records_emitted > 0
 
     def test_reference_engine_traced_matches_untraced(self, ipp_config):
         plain = ReferenceEngine(ipp_config).run()
-        tracer = RequestTracer(MemorySink())
-        traced = ReferenceEngine(ipp_config, request_tracer=tracer).run()
-        assert self._metrics(traced) == self._metrics(plain)
-        assert tracer.records_emitted > 0
+        traced = tracer()
+        result = ReferenceEngine(ipp_config, request_tracer=traced).run()
+        assert self._metrics(result) == self._metrics(plain)
+        assert traced.records_emitted > 0
 
     @pytest.mark.parametrize("engine_cls", [FastEngine, ReferenceEngine],
                              ids=["fast", "reference"])
     def test_breakdown_reconstructs_run_result(self, ipp_config, engine_cls):
-        tracer = RequestTracer(MemorySink())
-        result = engine_cls(ipp_config, request_tracer=tracer).run()
-        breakdown = tracer.breakdown()
+        traced = tracer()
+        result = engine_cls(ipp_config, request_tracer=traced).run()
+        breakdown = traced.breakdown()
         assert breakdown.accesses == result.mc_hits + result.mc_misses
         assert breakdown.hits == result.mc_hits
         assert breakdown.misses == result.mc_misses
@@ -269,30 +228,29 @@ class TestEngineWiring:
                              ids=["fast", "reference"])
     def test_every_miss_record_decomposes_exactly(self, ipp_config,
                                                   engine_cls):
-        tracer = RequestTracer(MemorySink())
-        engine_cls(ipp_config, request_tracer=tracer).run()
-        misses = [r for r in tracer.sink.records if not r.hit]
+        traced = tracer()
+        engine_cls(ipp_config, request_tracer=traced).run()
+        misses = [r for r in rows(traced) if not r["hit"]]
         assert misses
         for record in misses:
-            assert record.on_air_at is not None
-            assert record.queue_wait + record.service == pytest.approx(
-                record.wait)
-            assert record.served_kind in ("push", "pull")
+            assert record["on_air_at"] is not None
+            assert record["queue_wait"] + record["service"] \
+                == pytest.approx(record["wait"])
+            assert record["served_kind"] in ("push", "pull")
 
     def test_tracer_detached_after_run(self, ipp_config):
-        tracer = RequestTracer(MemorySink())
-        engine = FastEngine(ipp_config, request_tracer=tracer)
+        engine = FastEngine(ipp_config, request_tracer=tracer())
         engine.run()
         assert "lookup" not in vars(engine.state.mc)
         assert "offer" not in vars(engine.state.server.queue)
 
     def test_pure_push_analytic_path_disabled_when_tracing(self, push_config):
-        tracer = RequestTracer(MemorySink())
-        engine = FastEngine(push_config, request_tracer=tracer)
+        traced = tracer()
+        engine = FastEngine(push_config, request_tracer=traced)
         result = engine.run()
         # The general loop ran: every record decomposes and the slot
         # accounting was ticked, not synthesized.
-        assert tracer.records_emitted > 0
+        assert traced.records_emitted > 0
         plain = FastEngine(push_config).run()
         assert result.response_miss.mean == pytest.approx(
             plain.response_miss.mean)

@@ -6,9 +6,8 @@ import pytest
 
 from repro.core.fast import FastEngine
 from repro.obs import (
+    ColumnarSink,
     EveryNSampling,
-    MemorySink,
-    NullSink,
     RequestTracer,
     ReservoirSampling,
     sample_stream,
@@ -105,9 +104,9 @@ class TestReservoirSampling:
 
 
 class TestTracerIntegration:
-    def _run(self, sampling=None, sink=None):
+    def _run(self, sampling=None):
         config = small_config()
-        tracer = RequestTracer(sink if sink is not None else NullSink(),
+        tracer = RequestTracer(ColumnarSink(table="request"),
                                sampling=sampling)
         FastEngine(config, request_tracer=tracer).run()
         return tracer
@@ -127,13 +126,12 @@ class TestTracerIntegration:
         assert isinstance(stats.misses, int)
 
     def test_every_n_keeps_exactly_the_nth_records(self):
-        full_sink, sampled_sink = MemorySink(), MemorySink()
-        self._run(sink=full_sink)
-        sampled = self._run(sampling=EveryNSampling(5), sink=sampled_sink)
-        expected = [r for r in full_sink.records if r.index % 5 == 0]
-        assert list(sampled_sink.records) == expected
+        full = self._run().sink.array()
+        sampled = self._run(sampling=EveryNSampling(5))
+        expected = full[full["index"] % 5 == 0]
+        assert sampled.sink.array().tobytes() == expected.tobytes()
         assert sampled.records_emitted == len(expected)
-        assert sampled.accesses_seen == len(full_sink.records)
+        assert sampled.accesses_seen == len(full)
 
     def test_every_n_corrected_estimates_track_the_full_trace(self):
         full = self._run()
@@ -148,40 +146,25 @@ class TestTracerIntegration:
             full.wait_quantiles()["p90"], rel=0.35)
 
     def test_reservoir_defers_records_until_finalize(self):
-        sink = MemorySink()
-        sampled = self._run(sampling=ReservoirSampling(40, seed=9),
-                            sink=sink)
-        assert sampled.records_emitted == 0 and not sink.records
+        sampled = self._run(sampling=ReservoirSampling(40, seed=9))
+        sink = sampled.sink
+        assert sampled.records_emitted == 0 and not sink.emitted
         stats = sampled.breakdown()  # auto-finalizes
-        assert sampled.records_emitted == len(sink.records) > 0
-        assert len(sink.records) <= 40
+        assert sampled.records_emitted == sink.emitted > 0
+        assert sink.emitted <= 40
         # The reservoir spans settle + measure; the breakdown's weighted
         # count estimates the *measured* population only.
         exact = self._run().breakdown().accesses
         assert stats.accesses == pytest.approx(exact, rel=0.30)
         # finalize is idempotent: a second aggregate query adds nothing.
         sampled.wait_quantiles()
-        assert sampled.records_emitted == len(sink.records)
+        assert sampled.records_emitted == sink.emitted
 
     def test_reservoir_weighted_mean_tracks_the_full_trace(self):
         full = self._run()
         sampled = self._run(sampling=ReservoirSampling(60, seed=4))
         assert sampled.breakdown().mean_wait == pytest.approx(
             full.breakdown().mean_wait, rel=0.35)
-
-    def test_sampled_metrics_weights_estimate_population_counts(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        config = small_config()
-        tracer = RequestTracer(NullSink(), metrics=registry,
-                               sampling=EveryNSampling(4))
-        FastEngine(config, request_tracer=tracer).run()
-        tracer.finalize()
-        snapshot = registry.snapshot()
-        estimated = (snapshot["request_hits_total"]["value"]
-                     + snapshot["request_misses_total"]["value"])
-        assert estimated == pytest.approx(tracer.breakdown().accesses)
 
     def test_hits_never_enter_the_wait_histogram(self):
         sampled = self._run(sampling=EveryNSampling(3))

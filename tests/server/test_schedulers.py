@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.core.config import SchedulerConfig
 from repro.core.fast import FastEngine
 from repro.core.simulation import ReferenceEngine
-from repro.obs.trace import MemorySink, SlotTracer
+from repro.obs.columnar import ColumnarSink
+from repro.obs.trace import SlotTracer
 from repro.server.queue import BoundedRequestQueue, Offer
 from repro.server.schedulers import (
     DISCIPLINES,
@@ -361,9 +362,9 @@ def _slot_trace(engine_cls, config, legacy: bool):
     state = build_system(config)
     if legacy:
         state.server.queue = LegacyQueue(config.server.queue_size)
-    sink = MemorySink()
+    sink = ColumnarSink(table="slot")
     engine_cls(config, state=state, tracer=SlotTracer(sink)).run()
-    return [record.to_dict() for record in sink.records]
+    return sink.array().tolist()  # the rows, as comparable tuples
 
 
 @pytest.mark.parametrize("engine_cls", [FastEngine, ReferenceEngine])

@@ -2,6 +2,7 @@
 complete."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -52,6 +53,29 @@ class TestExports:
                 assert not hasattr(module, name)
         assert not hasattr(repro.sim.Process, "interrupt")
         assert not hasattr(repro.sim.Environment, "any_of")
+
+    def test_a_trace_is_only_a_structured_array(self):
+        import repro.obs
+        import repro.obs.columnar
+        import repro.obs.metrics
+        import repro.obs.requests
+        import repro.obs.trace
+
+        gone = ("TraceSink", "NullSink", "MemorySink", "SlotRecord",
+                "records_to_array", "array_to_records", "breakdown_of",
+                "NULL_REGISTRY")
+        for module in (repro.obs, repro.obs.trace, repro.obs.columnar,
+                       repro.obs.requests, repro.obs.metrics):
+            for name in gone:
+                assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(repro.obs.metrics, "_NullInstrument")
+        assert not hasattr(repro.obs.MetricsRegistry(), "enabled")
+        for tracer in (repro.obs.SlotTracer, repro.obs.RequestTracer):
+            assert "metrics" not in inspect.signature(tracer).parameters
+        sink = inspect.signature(repro.obs.ColumnarSink).parameters
+        assert sink["table"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert sink["table"].default is inspect.Parameter.empty
+        assert "capacity" not in sink
 
     def test_version(self):
         import repro
