@@ -18,12 +18,6 @@ from repro.broadcast.program import Disk, DiskAssignment, build_schedule
 from repro.broadcast.schedule import Schedule
 from repro.broadcast.offset import apply_offset, offset_page_order
 from repro.broadcast.chopping import chop_assignment
-from repro.broadcast.serialization import (
-    assignment_from_dict,
-    assignment_to_dict,
-    schedule_from_dict,
-    schedule_to_dict,
-)
 
 __all__ = [
     "Disk",
@@ -33,8 +27,4 @@ __all__ = [
     "apply_offset",
     "offset_page_order",
     "chop_assignment",
-    "assignment_to_dict",
-    "assignment_from_dict",
-    "schedule_to_dict",
-    "schedule_from_dict",
 ]

@@ -126,13 +126,6 @@ class DiskAssignment:
         """The slowest (last) disk."""
         return self.disks[-1]
 
-    def disk_of(self, page: int) -> int:
-        """Index of the disk holding ``page`` (raises KeyError if absent)."""
-        for index, disk in enumerate(self.disks):
-            if page in disk.pages:
-                return index
-        raise KeyError(page)
-
 
 def _lcm_all(values: Sequence[int]) -> int:
     result = 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = ["Cache", "ReplacementPolicy"]
 
@@ -95,13 +95,3 @@ class Cache:
         self.policy.on_insert(page, now)
         return victim
 
-    def warm_fraction(self, target: Iterable[int]) -> float:
-        """Fraction of ``target`` pages currently resident.
-
-        Used for the Figure 4 warm-up metric ("percentage of the CacheSize
-        highest valued pages that are in the cache").
-        """
-        target = set(target)
-        if not target:
-            return 1.0
-        return len(target & self._resident) / len(target)

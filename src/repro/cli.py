@@ -4,7 +4,9 @@
 :func:`build_parser` is its description.  The single-system subcommands
 (``simulate``, ``serve``, ``loadgen``, ``trace``, ``profile``,
 ``sanitize``) share one flag per config field, derived from the field's
-declared domain (:data:`_SYSTEM_FLAGS`).
+declared domain (:data:`_SYSTEM_FLAGS`); so are the flags of ``serve``,
+``loadgen``, ``figures`` and ``tune`` that set a field of the server,
+load-generator, self-test or sweep-profile settings.
 
 Exit codes: 0 success; 2 a usage or load error, reported as one
 ``command: ...`` line on stderr; 1 is reserved for a verdict:
@@ -15,6 +17,7 @@ Exit codes: 0 success; 2 a usage or load error, reported as one
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import sys
 import time
@@ -31,11 +34,13 @@ from repro.experiments import (
     FIGURES,
     FULL,
     QUICK,
-    Profile,
     render_figure,
     run_figure,
 )
 from repro.experiments.reporting import render_ascii_chart
+from repro.net.client import ClientFleet, FleetSettings
+from repro.net.selftest import SelfTestSettings, run_selftest
+from repro.net.server import NetServer, NetServerSettings
 
 __all__ = ["main", "build_parser"]
 
@@ -67,6 +72,28 @@ def _naming_flags(flags):
         if not named:
             raise
         raise _UsageError(": ".join([*named, str(exc)])) from None
+
+
+def _output_dir(flag, path) -> None:
+    """Create the directory ``path`` a flag names (if given) now, so an
+    unusable one is a usage error before any run, not a traceback after."""
+    if path is None:
+        return
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise _UsageError(f"{flag}: {path} is not a directory") from None
+    except OSError as exc:
+        raise _UsageError(f"{flag}: cannot create directory {path}: "
+                          f"{exc.strerror}") from None
+
+
+def _output_file(flag, path) -> None:
+    """:func:`_output_dir` for the directory of a file a flag names."""
+    if path is not None:
+        if path.is_dir():
+            raise _UsageError(f"{flag}: {path} is a directory, not a file")
+        _output_dir(flag, path.parent)
 
 
 def _version() -> str:
@@ -101,16 +128,89 @@ _SYSTEM_FLAGS = {
 }
 
 
+#: Where a server listens and how fast it ticks: serve sets these, loadgen
+#: names the server it drives by them.
+_SERVER_FLAGS = {
+    "--host": "serve.host",
+    "--port": "serve.port",
+    "--slot-duration": "serve.slot_duration",
+}
+#: serve's flags: the rest of the server's settings, then the self-test's.
+_SERVE_FLAGS = {
+    **_SERVER_FLAGS,
+    "--slots": "serve.max_slots",
+    "--send-queue": "serve.send_queue_frames",
+    "--drop-after": "serve.drop_after",
+    "--clients": "selftest.num_clients",
+    "--think-time": "selftest.think_time",
+}
+#: The serve flags ``--self-test`` reads, by the self-test field each sets
+#: (``--slots`` left unset keeps the self-test's own length).
+_SELFTEST_FLAGS = {
+    **_SERVE_FLAGS,
+    "--slots": "selftest.slots",
+    "--slot-duration": "selftest.slot_duration",
+    "--seed": "selftest.seed",
+}
+#: loadgen's flags: the server it drives, then its fleet's settings.
+_LOADGEN_FLAGS = {
+    **_SERVER_FLAGS,
+    "--clients": "loadgen.num_clients",
+    "--think-time": "loadgen.think_time",
+    "--settle-slots": "loadgen.settle_slots",
+}
+#: The sweep-profile flags of figures (over QUICK or FULL) and of tune
+#: (over QUICK, which also gives their defaults).
+_FIGURES_FLAGS = {"--workers": "profile.workers", "--seed": "profile.base_seed"}
+_TUNE_PROFILE_FLAGS = {
+    "--settle": "profile.settle_accesses",
+    "--measure": "profile.measure_accesses",
+    "--replicates": "profile.replicates",
+    "--seed": "profile.base_seed",
+}
+#: program's flags, over an IPP system.
+_PROGRAM_FLAGS = {"--cache-size": "client.cache_size", "--chop": "server.chop"}
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag`` under."""
+    return flag[2:].replace("-", "_")
+
+
+def _add_flags(parser, flags, base=None, required=()) -> None:
+    """One flag per entry of ``flags`` (flag -> dotted field name), its
+    type, default and help from the field's declared domain; the default
+    is ``base``'s value of the field where given."""
+    for flag, dotted in flags.items():
+        spec = config_field(dotted)
+        domain = spec.metadata["domain"]
+        default = spec.default if base is None else getattr(base, spec.name)
+        parser.add_argument(
+            flag, type=domain.kind, required=flag in required,
+            default=None if flag in required else default,
+            help=f"{dotted}: {domain.describe()}"
+                 + ("" if flag in required else " (default: %(default)s)"))
+
+
+def _settings(base, args, flags):
+    """A copy of the settings ``base`` with each of its fields that a flag
+    in ``flags`` sets to other than None; a value outside its field's
+    domain is a usage error naming flag and field."""
+    values = {}
+    for flag, dotted in flags.items():
+        prefix, name = dotted.split(".")
+        value = getattr(args, _dest(flag))
+        if prefix == base.prefix and value is not None:
+            values[name] = value
+    with _naming_flags(flags):
+        return replace(base, **values)
+
+
 def _add_system_args(parser: argparse.ArgumentParser) -> None:
     """The single-system knobs: ``--algorithm`` plus :data:`_SYSTEM_FLAGS`."""
     parser.add_argument("--algorithm", choices=[a.value for a in Algorithm],
                         default="ipp")
-    for flag, dotted in _SYSTEM_FLAGS.items():
-        spec = config_field(dotted)
-        domain = spec.metadata["domain"]
-        parser.add_argument(
-            flag, type=domain.kind, default=spec.default,
-            help=f"{dotted}: {domain.describe()} (default: %(default)s)")
+    _add_flags(parser, _SYSTEM_FLAGS)
 
 
 def _system_config(args) -> SystemConfig:
@@ -133,8 +233,7 @@ def _system_config(args) -> SystemConfig:
         section, name = dotted.split(".")
         if not ((section in ("client", "server") and figure is not None)
                 or (section == "fleet" and not args.fleet_clients)):
-            updates[f"{section}__{name}"] = getattr(
-                args, flag[2:].replace("-", "_"))
+            updates[f"{section}__{name}"] = getattr(args, _dest(flag))
     with _naming_flags(_SYSTEM_FLAGS):
         return config.with_(**updates)
 
@@ -166,12 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--full", action="store_true",
         help="paper-scale runs (slow); default is the quick profile")
-    figures.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool width for the sweeps (default: the profile's "
-             "own width; --full uses every core)")
-    figures.add_argument("--seed", type=int, default=42,
-                         help="base RNG seed")
+    _add_flags(figures, _FIGURES_FLAGS)
     figures.add_argument("--chart", action="store_true",
                          help="also plot each figure as an ASCII chart")
     figures.add_argument(
@@ -201,33 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", _cmd_serve,
         help="serve one configured system over TCP (asyncio)")
     _add_system_args(serve)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port to bind (default: 0 = ephemeral, printed at start)")
-    serve.add_argument(
-        "--slot-duration", type=float, default=0.005, metavar="SECONDS",
-        help="wall-clock seconds per broadcast slot (default: 0.005)")
-    serve.add_argument(
-        "--slots", type=int, default=None, metavar="N",
-        help="stop after N slots (default: run until interrupted; "
-             "--self-test default: 2000)")
-    serve.add_argument(
-        "--send-queue", type=int, default=256, metavar="FRAMES",
-        help="per-connection send-queue capacity (default: 256)")
-    serve.add_argument(
-        "--drop-after", type=int, default=64, metavar="FRAMES",
-        help="consecutive shed frames before a slow client is dropped")
+    _add_flags(serve, _SERVE_FLAGS)
     serve.add_argument(
         "--self-test", action="store_true",
         help="loopback mode: server + client fleet in-process, swept over "
              "PullBW and checked against the simulator's p90 ordering")
-    serve.add_argument(
-        "--clients", type=int, default=200,
-        help="(self-test) fleet size (default: 200)")
-    serve.add_argument(
-        "--think-time", type=float, default=200.0, metavar="UNITS",
-        help="(self-test) mean client think time in broadcast units")
     serve.add_argument(
         "--stats-json", type=Path, default=None, metavar="FILE",
         help="write the final stats (self-test: figure-schema JSON that "
@@ -241,23 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen", _cmd_loadgen,
         help="drive a running serve instance with a client fleet")
     _add_system_args(loadgen)
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, required=True,
-                         help="the serve instance's TCP port")
-    loadgen.add_argument(
-        "--slot-duration", type=float, default=0.005, metavar="SECONDS",
-        help="the server's nominal slot duration (used to convert think "
-             "times; latencies are normalized by the observed duration)")
-    loadgen.add_argument("--clients", type=int, default=200)
-    loadgen.add_argument(
-        "--think-time", type=float, default=200.0, metavar="UNITS",
-        help="mean client think time in broadcast units (default: 200)")
+    _add_flags(loadgen, _LOADGEN_FLAGS, required=("--port",))
     loadgen.add_argument(
         "--duration", type=float, default=10.0, metavar="SECONDS",
         help="how long to generate load (default: 10s)")
-    loadgen.add_argument(
-        "--settle-slots", type=int, default=0, metavar="N",
-        help="exclude requests issued before server slot N")
     loadgen.add_argument(
         "--stats-json", type=Path, default=None, metavar="FILE",
         help="write the fleet's result JSON to FILE")
@@ -352,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prog = command(
         "program", _cmd_program, help="inspect a broadcast program")
-    prog.add_argument("--cache-size", type=int, default=100)
-    prog.add_argument("--chop", type=int, default=0)
+    _add_flags(prog, _PROGRAM_FLAGS)
     prog.add_argument("--no-offset", action="store_true")
 
     tune = command(
@@ -369,10 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated chop-depth candidates")
     tune.add_argument("--objective", choices=("worst_case", "mean"),
                       default="worst_case")
-    tune.add_argument("--settle", type=int, default=500)
-    tune.add_argument("--measure", type=int, default=800)
-    tune.add_argument("--replicates", type=int, default=1)
-    tune.add_argument("--seed", type=int, default=42)
+    _add_flags(tune, _TUNE_PROFILE_FLAGS, base=QUICK)
 
     from repro.lint.cli import add_arguments as add_lint_arguments
     from repro.lint.cli import run as run_lint_cli
@@ -433,7 +488,6 @@ def _write_request_trace(config: SystemConfig, path: Path,
 def _write_json(path, payload, what: str) -> None:
     """Write ``payload`` to ``path`` (if given) and say where it went."""
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2))
         print(f"[{what} JSON -> {path}]")
 
@@ -452,12 +506,9 @@ def _cmd_figures(args) -> int:
     from repro.obs.dashboard import Dashboard, SweepMonitor
 
     specs = _figure_specs(args.ids or list(FIGURES))
-    base = FULL if args.full else QUICK
-    with _naming_flags({"--seed": "run.seed"}):
-        profile = replace(
-            base, base_seed=args.seed,
-            workers=args.workers if args.workers is not None
-            else base.workers)
+    profile = _settings(FULL if args.full else QUICK, args, _FIGURES_FLAGS)
+    _output_dir("--json", args.json)
+    _output_dir("--trace", args.trace)
     watch = (sys.stderr.isatty() if args.watch is None else args.watch)
     for spec in specs:
         fig_id = spec.figure_id
@@ -512,22 +563,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import asyncio
-
     config = _system_config(args)
+    _output_file("--stats-json", args.stats_json)
     if args.self_test:
-        from repro.experiments.reporting import render_figure as render
-        from repro.net.selftest import SelfTestSettings, run_selftest
-
-        settings = SelfTestSettings(
-            num_clients=args.clients,
-            slots=args.slots if args.slots is not None else 2000,
-            slot_duration=args.slot_duration,
-            think_time=args.think_time,
-            seed=args.seed,
-        )
-        result = run_selftest(config, settings)
-        print(render(result.figure))
+        result = run_selftest(
+            config, _settings(SelfTestSettings(), args, _SELFTEST_FLAGS))
+        print(render_figure(result.figure))
         _emit_figure(result.figure, False, args.stats_json)
         for diag in result.diagnostics:
             fleet = diag["fleet"]
@@ -541,20 +582,16 @@ def _cmd_serve(args) -> int:
               f"sim={result.sim_p90})")
         return 0 if result.ok else 1
 
-    from repro.net.server import NetServer, NetServerSettings
+    settings = _settings(NetServerSettings(), args, _SERVE_FLAGS)
 
     async def _serve():
-        server = NetServer(config, NetServerSettings(
-            host=args.host, port=args.port,
-            slot_duration=args.slot_duration,
-            send_queue_frames=args.send_queue,
-            drop_after=args.drop_after,
-            max_slots=args.slots))
+        server = NetServer(config, settings)
         await server.start()
         print(f"serving {config.algorithm.value} on "
-              f"{args.host}:{server.port} "
-              f"(slot {args.slot_duration}s"
-              + (f", {args.slots} slots)" if args.slots else ")"),
+              f"{settings.host}:{server.port} "
+              f"(slot {settings.slot_duration}s"
+              + (f", {settings.max_slots} slots)" if settings.max_slots
+                 else ")"),
               flush=True)
         watch_task = None
         if args.watch:
@@ -572,7 +609,7 @@ def _cmd_serve(args) -> int:
 
             watch_task = asyncio.create_task(_watch())
         try:
-            if args.slots is not None:
+            if settings.max_slots is not None:
                 await server.wait_finished()
             else:
                 await asyncio.Event().wait()  # until interrupted
@@ -594,19 +631,14 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_loadgen(args) -> int:
-    import asyncio
-
-    from repro.net.client import ClientFleet, FleetSettings
-
     config = _system_config(args)
+    _output_file("--stats-json", args.stats_json)
+    settings = _settings(FleetSettings(), args, _LOADGEN_FLAGS)
+    with _naming_flags(_LOADGEN_FLAGS):
+        fleet = ClientFleet(config, args.host, args.port, args.slot_duration,
+                            settings, seed=args.seed)
 
     async def _drive():
-        fleet = ClientFleet(
-            config, args.host, args.port, args.slot_duration,
-            FleetSettings(num_clients=args.clients,
-                          think_time=args.think_time,
-                          settle_slots=args.settle_slots),
-            seed=args.seed)
         await fleet.start()
         if not args.watch:
             await asyncio.sleep(args.duration)
@@ -636,9 +668,8 @@ def _cmd_loadgen(args) -> int:
     try:
         result = asyncio.run(_drive())
     except ConnectionRefusedError:
-        print(f"loadgen: nothing listening on {args.host}:{args.port} "
-              f"(start 'repro-broadcast serve' first)", file=sys.stderr)
-        return 2
+        raise _UsageError(f"nothing listening on {args.host}:{args.port} "
+                          "(start 'repro-broadcast serve' first)") from None
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
@@ -653,14 +684,13 @@ def _cmd_trace(args) -> int:
     config = _system_config(args)
     if (args.sample_every is not None or args.reservoir is not None) \
             and not args.requests:
-        print("trace: --sample-every/--reservoir require --requests "
-              "(slot traces are not sampled)", file=sys.stderr)
-        return 2
+        raise _UsageError("--sample-every/--reservoir require --requests "
+                          "(slot traces are not sampled)")
     if args.out.suffix != ".npy":
-        print(f"trace: --out {args.out} must end in .npy (a trace is a "
-              "columnar .npy; 'convert SRC.npy DST.jsonl' exports one as "
-              "JSON lines)", file=sys.stderr)
-        return 2
+        raise _UsageError(
+            f"--out {args.out} must end in .npy (a trace is a columnar "
+            ".npy; 'convert SRC.npy DST.jsonl' exports one as JSON lines)")
+    _output_file("--out", args.out)
     if args.requests:
         sampling = None
         if args.sample_every is not None:
@@ -696,8 +726,7 @@ def _cmd_compare(args) -> int:
         comparison = compare_files(args.a, args.b, alpha=args.alpha,
                                    tolerance=args.tolerance, series=series)
     except (OSError, ValueError) as exc:
-        print(f"compare: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     if args.format == "json":
         print(json.dumps(comparison.to_dict(), indent=2))
     else:
@@ -709,15 +738,13 @@ def _cmd_convert(args) -> int:
     from repro.obs.columnar import columnar_to_jsonl
 
     if args.dst.suffix == ".npy":
-        print("convert: DST is written as JSON lines and cannot be a .npy "
-              "(usage: convert SRC.npy DST.jsonl)", file=sys.stderr)
-        return 2
+        raise _UsageError("DST is written as JSON lines and cannot be a "
+                          ".npy (usage: convert SRC.npy DST.jsonl)")
     try:
         args.dst.parent.mkdir(parents=True, exist_ok=True)
         count = columnar_to_jsonl(args.src, args.dst)
     except (OSError, ValueError) as exc:
-        print(f"convert: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     print(f"{count} records: {args.src} -> {args.dst}")
     return 0
 
@@ -765,17 +792,14 @@ def _report_trace(path: Path, think_time) -> int:
                      f"  mean queue depth: {summary['mean_queue_depth']:.2f}",
                      f"  requests dropped: {summary['dropped']}"]
     except (OSError, ValueError) as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     print("\n".join(lines))
     return 0
 
 
 def _cmd_report(args) -> int:
     if (args.path is None) == (args.trace is None):
-        print("report: give exactly one of FIGURE_JSON or --trace FILE",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("give exactly one of FIGURE_JSON or --trace FILE")
     if args.think_time is not None:
         with _naming_flags({"--think-time": "client.think_time"}):
             SystemConfig().with_(client__think_time=args.think_time)
@@ -787,8 +811,7 @@ def _cmd_report(args) -> int:
     try:
         figure = load_figure(args.path)
     except (OSError, ValueError) as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     print(render_figure(figure))
     print()
     print("response-time quantiles (per series point):")
@@ -815,11 +838,10 @@ def _cmd_program(args) -> int:
     from repro.core.build import build_push_program
     from repro.workload.zipf import zipf_probabilities
 
-    config = SystemConfig(algorithm=Algorithm.IPP).with_(
-        client__cache_size=args.cache_size,
-        server__offset=not args.no_offset,
-        server__chop=args.chop,
-    )
+    with _naming_flags(_PROGRAM_FLAGS):
+        config = SystemConfig(algorithm=Algorithm.IPP).with_(
+            client__cache_size=args.cache_size,
+            server__offset=not args.no_offset, server__chop=args.chop)
     probs = zipf_probabilities(config.server.db_size,
                                config.client.zipf_theta)
     schedule = build_push_program(config, probs)
@@ -844,9 +866,8 @@ def _cmd_sanitize(args) -> int:
     from repro.lint.sanitize import DEFAULT_HASH_SEED, sanitize_config
 
     if args.no_hashseed and args.hash_seed is not None:
-        print("sanitize: --hash-seed and --no-hashseed are mutually "
-              "exclusive", file=sys.stderr)
-        return 2
+        raise _UsageError("--hash-seed and --no-hashseed are mutually "
+                          "exclusive")
     config = _system_config(args)
     engines = tuple(ENGINES) if args.engine == "both" else (args.engine,)
     hash_seed = (None if args.no_hashseed
@@ -856,8 +877,7 @@ def _cmd_sanitize(args) -> int:
             config, engines=engines, hash_seed=hash_seed,
             inject_divergence=args.inject_divergence)
     except (RuntimeError, ValueError) as exc:
-        print(f"sanitize: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -865,16 +885,12 @@ def _cmd_sanitize(args) -> int:
     return 0 if report.ok else 1
 
 
-#: tune's flags by the config field (or profile knob) each sets.
-_TUNE_FLAGS = {
+#: tune's grid flags by the config field each value of the grid sets.
+_TUNE_GRIDS = {
     "--loads": "client.think_time_ratio",
     "--pull-bw": "server.pull_bw",
     "--thresh-perc": "server.thresh_perc",
     "--chop": "server.chop",
-    "--settle": "run.settle_accesses",
-    "--measure": "run.measure_accesses",
-    "--seed": "run.seed",
-    "--replicates": "replicates",
 }
 
 
@@ -882,7 +898,7 @@ def _cmd_tune(args) -> int:
     from repro.tuning import TuningSpec, recommend
 
     def grid(flag, kind):
-        text = getattr(args, flag[2:].replace("-", "_"))
+        text = getattr(args, _dest(flag))
         try:
             values = tuple(kind(v) for v in text.split(",") if v)
         except ValueError:
@@ -899,11 +915,8 @@ def _cmd_tune(args) -> int:
         chop_grid=grid("--chop", int),
         objective=args.objective,
     )
-    with _naming_flags(_TUNE_FLAGS):
-        profile = Profile(settle_accesses=args.settle,
-                          measure_accesses=args.measure,
-                          replicates=args.replicates,
-                          base_seed=args.seed)
+    profile = _settings(QUICK, args, _TUNE_PROFILE_FLAGS)
+    with _naming_flags(_TUNE_GRIDS):
         report = recommend(SystemConfig(algorithm=Algorithm.IPP), spec,
                            profile)
     print(report.format())

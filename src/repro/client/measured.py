@@ -10,7 +10,6 @@ the loop shares: cache, sampler, statistics, and warm-up tracking.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -153,8 +152,3 @@ class MeasuredClient:
         # downstream ratio over it mixes phases.
         self.accesses = 0
 
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of measured accesses that missed the cache."""
-        total = self.hits + self.misses
-        return self.misses / total if total else math.nan

@@ -48,6 +48,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.config import Settings, setting
+
 __all__ = ["AdaptivePolicy", "AdaptiveController"]
 
 #: Trace reasons a control decision can record.
@@ -56,48 +58,45 @@ _SATURATED, _IDLE, _HOLD, _NO_SIGNAL = (
 
 
 @dataclass(frozen=True)
-class AdaptivePolicy:
+class AdaptivePolicy(Settings, prefix="adaptive"):
     """Tuning knobs for the adaptive controller."""
 
     #: Slots between control decisions.
-    interval: int = 2000
+    interval: int = setting(2000, int, ge=1)
     #: Window drop rate (over distinct offers) above which the system is
     #: considered saturated.
-    high_drop: float = 0.10
+    high_drop: float = setting(0.10, float, ge=0, le=1)
     #: Window drop rate below which the drop signal reads idle.
-    low_drop: float = 0.01
+    low_drop: float = setting(0.01, float, ge=0, le=1)
     #: Pull share of the window's queue wait (pull / (pull + push)) above
     #: which the backchannel counts as the bottleneck even without drops.
     #: The default 1.0 can never be exceeded, i.e. the decomposition
     #: signal is opt-in; it only acts when the engine feeds wait totals
     #: from a request tracer.
-    high_pull_share: float = 1.0
+    high_pull_share: float = setting(1.0, float, gt=0, le=1)
     #: Fleet per-user p99 wait (broadcast units) above which the tail is
     #: considered saturated; None disables the tail-wait input.
-    tail_wait_budget: Optional[float] = None
+    tail_wait_budget: Optional[float] = setting(None, float, gt=0,
+                                                optional=True)
     #: Per-decision adjustment of ThresPerc (fraction of the major cycle).
-    thresh_step: float = 0.05
+    thresh_step: float = setting(0.05, float, ge=0, le=1)
     #: Per-decision adjustment of PullBW.
-    pull_bw_step: float = 0.05
+    pull_bw_step: float = setting(0.05, float, ge=0, le=1)
     #: Bounds for the controlled parameters.
-    min_pull_bw: float = 0.10
-    max_pull_bw: float = 0.90
-    min_thresh: float = 0.0
-    max_thresh: float = 0.75
+    min_pull_bw: float = setting(0.10, float, ge=0, le=1)
+    max_pull_bw: float = setting(0.90, float, ge=0, le=1)
+    min_thresh: float = setting(0.0, float, ge=0, le=1)
+    max_thresh: float = setting(0.75, float, ge=0, le=1)
 
-    def __post_init__(self):
-        if self.interval < 1:
-            raise ValueError("interval must be positive")
-        if not 0.0 <= self.low_drop <= self.high_drop <= 1.0:
-            raise ValueError("need 0 <= low_drop <= high_drop <= 1")
-        if not 0.0 < self.high_pull_share <= 1.0:
-            raise ValueError("high_pull_share must be within (0, 1]")
-        if self.tail_wait_budget is not None and self.tail_wait_budget <= 0:
-            raise ValueError("tail_wait_budget must be positive")
-        if not 0.0 <= self.min_pull_bw <= self.max_pull_bw <= 1.0:
-            raise ValueError("invalid pull_bw bounds")
-        if not 0.0 <= self.min_thresh <= self.max_thresh <= 1.0:
-            raise ValueError("invalid threshold bounds")
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for low, high in (("low_drop", "high_drop"),
+                          ("min_pull_bw", "max_pull_bw"),
+                          ("min_thresh", "max_thresh")):
+            if getattr(self, low) > getattr(self, high):
+                raise ValueError(
+                    f"adaptive.{low} must be <= adaptive.{high} "
+                    f"{getattr(self, high)!r}, got {getattr(self, low)!r}")
 
 
 class AdaptiveController:

@@ -4,10 +4,13 @@ All percentages from the paper are expressed as fractions here
 (SteadyStatePerc 95% → 0.95).  :data:`PAPER_SETTINGS` records Table 3's
 values verbatim so experiments and tests can reference them by name.
 
-Every field of every section states its legal values once, as a
-:class:`Domain` in its ``dataclasses.field`` metadata.  The constructor
-check, the CLI's system flags and the tests' value strategies are all
-derived from it; only rules coupling two fields are written by hand.
+Every field of every section — and of every :class:`Settings` class
+outside SystemConfig: the net server's, the load generator's, the
+self-test's, the sweep profile's and the adaptive policy's — states its
+legal values once, as a :class:`Domain` in its ``dataclasses.field``
+metadata.  The constructor check, the CLI's flags and the tests' value
+strategies are all derived from it; only rules coupling two fields are
+written by hand.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import Field, dataclass, field, fields, is_dataclass, replace
 from numbers import Integral, Real
-from typing import Any, Mapping, cast
+from typing import Any, ClassVar, Mapping, cast
 
 from repro.core.algorithms import Algorithm
 from repro.server.schedulers import DISCIPLINES, MAX_AGING
@@ -30,7 +33,10 @@ __all__ = [
     "SystemConfig",
     "PAPER_SETTINGS",
     "PARITY_EXEMPT",
+    "Settings",
+    "check_value",
     "config_field",
+    "setting",
 ]
 
 #: Config fields deliberately honoured by a single engine.  Everything
@@ -49,12 +55,14 @@ PARITY_EXEMPT: frozenset[str] = frozenset({
 class Domain:
     """The legal values of one config field.
 
-    ``kind`` is ``int``, ``float``, ``bool`` or ``str``.  An int field
-    takes any ``numbers.Integral`` and a float field any finite
+    ``kind`` is ``int``, ``float``, ``bool``, ``str`` or a class.  An int
+    field takes any ``numbers.Integral`` and a float field any finite
     ``numbers.Real``, ``bool`` being neither; ``ge`` / ``gt`` / ``le`` /
     ``lt`` are their closed / open bounds.  A ``str`` field is a choice
-    among ``values``.  With ``each`` the field is a tuple whose every
-    element has this domain.  Values are never coerced.
+    among ``values``, or any string without them; a class field takes
+    its instances.  With ``each`` the field is a tuple whose every
+    element has this domain; with ``optional`` it also takes ``None``.
+    Values are never coerced.
     """
 
     kind: type
@@ -64,16 +72,22 @@ class Domain:
     lt: float | None = None
     values: tuple[str, ...] = ()
     each: bool = False
+    optional: bool = False
 
     def admits(self, value: Any) -> bool:
         """Whether ``value`` is legal for the field."""
+        if self.optional and value is None:
+            return True
         if self.each:
             return isinstance(value, tuple) and all(
                 map(replace(self, each=False).admits, value))
         if self.kind is bool:
             return isinstance(value, bool)
         if self.kind is str:
-            return isinstance(value, str) and value in self.values
+            return isinstance(value, str) and (
+                not self.values or value in self.values)
+        if self.kind not in (int, float):
+            return isinstance(value, self.kind)
         number = isinstance(value, Integral if self.kind is int else Real)
         if isinstance(value, bool) or not number:
             return False
@@ -86,13 +100,15 @@ class Domain:
 
     def describe(self) -> str:
         """The domain in words: ``finite and > 0``, ``within [0, 1)``..."""
+        if self.optional:
+            return "None or " + replace(self, optional=False).describe()
         if self.each:
             return ("a tuple whose every element is "
                     + replace(self, each=False).describe())
-        if self.kind is bool:
-            return "a bool"
-        if self.kind is str:
+        if self.kind is str and self.values:
             return "one of " + ", ".join(map(repr, self.values))
+        if self.kind not in (int, float):
+            return f"a {self.kind.__name__}"
         low = (f"[{self.ge:g}" if self.ge is not None
                else f"({self.gt:g}" if self.gt is not None else "")
         high = (f"{self.le:g}]" if self.le is not None
@@ -109,58 +125,77 @@ class Domain:
         return f"an int {bounds}" if self.kind is int else bounds
 
 
-def _field(default: Any, kind: type, **domain: Any) -> Any:
-    """A field defaulting to ``default`` with ``Domain(kind, **domain)``."""
+def setting(default: Any, kind: type | str, **domain: Any) -> Any:
+    """A field defaulting to ``default`` (``MISSING``: required) with
+    ``Domain(kind, **domain)`` or, for a dotted ``kind`` such as
+    ``"run.seed"``, with the domain of the field it names."""
+    if isinstance(kind, str):
+        return field(default=default, metadata=config_field(kind).metadata)
     return field(default=default, metadata={"domain": Domain(kind, **domain)})
 
 
-def _check_fields(section: Any) -> None:
-    """Reject the first field of ``section`` outside its declared domain,
-    naming it ``section.field`` by the section's name in SystemConfig."""
-    [name] = [name for name, cls in _SECTIONS.items()
-              if cls is type(section)]
-    for spec in fields(section):
-        domain: Domain = spec.metadata["domain"]
-        value = getattr(section, spec.name)
-        if not domain.admits(value):
-            raise ValueError(f"{name}.{spec.name} must be "
-                             f"{domain.describe()}, got {value!r}")
+def check_value(dotted: str, value: Any) -> None:
+    """Reject ``value`` unless the field ``dotted`` names admits it; the
+    message starts with ``dotted``."""
+    domain: Domain = config_field(dotted).metadata["domain"]
+    if not domain.admits(value):
+        raise ValueError(f"{dotted} must be {domain.describe()}, "
+                         f"got {value!r}")
 
 
-class _Section:
-    """A SystemConfig section: constructing one checks every field."""
+#: Every Settings class by its prefix, the first part of dotted names.
+_SETTINGS: dict[str, Any] = {}
+
+
+class Settings:
+    """A frozen dataclass whose every field declares a :class:`Domain`.
+
+    A subclass states its ``prefix`` once (``class
+    ClientConfig(Settings, prefix="client")``); constructing one rejects
+    the first field outside its domain, naming it ``prefix.field``.  A
+    subclass's own ``__post_init__`` adds only rules coupling fields.
+    """
+
+    prefix: ClassVar[str]
+
+    def __init_subclass__(cls, prefix: str, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.prefix = prefix
+        _SETTINGS[prefix] = cls
 
     def __post_init__(self) -> None:
-        _check_fields(self)
+        for spec in fields(cast(Any, self)):
+            check_value(f"{self.prefix}.{spec.name}",
+                        getattr(self, spec.name))
 
 
 @dataclass(frozen=True)
-class ClientConfig(_Section):
+class ClientConfig(Settings, prefix="client"):
     """Table 1 — client parameters."""
 
     #: Client cache size in pages (CacheSize).
-    cache_size: int = _field(100, int, ge=0)
+    cache_size: int = setting(100, int, ge=0)
     #: Broadcast units between MC page accesses (MCThinkTime).
-    think_time: float = _field(20.0, float, gt=0)
+    think_time: float = setting(20.0, float, gt=0)
     #: Ratio of MC to VC think times (ThinkTimeRatio); the VC load equals a
     #: population of this many MC-rate clients.
-    think_time_ratio: float = _field(10.0, float, gt=0)
+    think_time_ratio: float = setting(10.0, float, gt=0)
     #: Fraction of VC requests filtered through a warm cache
     #: (SteadyStatePerc).
-    steady_state_perc: float = _field(0.95, float, ge=0, le=1)
+    steady_state_perc: float = setting(0.95, float, ge=0, le=1)
     #: Fraction of workload deviation for the MC (Noise).
-    noise: float = _field(0.0, float, ge=0, le=1)
+    noise: float = setting(0.0, float, ge=0, le=1)
     #: Zipf distribution parameter (θ).
-    zipf_theta: float = _field(0.95, float, ge=0)
+    zipf_theta: float = setting(0.95, float, ge=0)
     #: MC replacement policy: "auto" follows the paper (PIX for
     #: push-involved algorithms, P for Pure-Pull); "pix" / "p" / "lru" /
     #: "lix" force one, enabling the cache-policy ablations.
-    cache_policy: str = _field("auto", str,
-                               values=("auto", "pix", "p", "lru", "lix"))
+    cache_policy: str = setting("auto", str,
+                                values=("auto", "pix", "p", "lru", "lix"))
 
 
 @dataclass(frozen=True)
-class FleetConfig(_Section):
+class FleetConfig(Settings, prefix="fleet"):
     """The per-user client fleet (an extension beyond the paper).
 
     The paper collapses everyone but the MC into one aggregate Virtual
@@ -174,28 +209,28 @@ class FleetConfig(_Section):
     """
 
     #: Number of individually tracked clients (0 disables the fleet).
-    num_clients: int = _field(0, int, ge=0)
+    num_clients: int = setting(0, int, ge=0)
     #: Mean think time between a client's accesses (broadcast units).
-    think_time: float = _field(4000.0, float, gt=0)
+    think_time: float = setting(4000.0, float, gt=0)
     #: Per-client think-time heterogeneity: means drawn uniformly from
     #: ``think_time * [1 - spread, 1 + spread]``.  Below 1: a mean of 0
     #: would let a warm client re-think to the same instant and never
     #: leave its slot (FleetState checks the same bound).
-    think_time_spread: float = _field(0.0, float, ge=0, lt=1)
+    think_time_spread: float = setting(0.0, float, ge=0, lt=1)
     #: Per-client access-pattern heterogeneity: each client's page
     #: popularity ranking is rotated by an offset drawn uniformly from
     #: ``[0, zipf_offset_spread]`` (0 = everyone shares the server view).
-    zipf_offset_spread: int = _field(0, int, ge=0)
+    zipf_offset_spread: int = setting(0, int, ge=0)
     #: Warm-cache size per client (pages); absorption follows the paper's
     #: steady-state model: the ``cache_size - 1`` most valuable pages.
-    cache_size: int = _field(100, int, ge=0)
+    cache_size: int = setting(100, int, ge=0)
     #: Per-client cache-size heterogeneity: sizes drawn uniformly from
     #: ``cache_size * [1 - spread, 1 + spread]`` (integer, clipped >= 0).
-    cache_size_spread: float = _field(0.0, float, ge=0, le=1)
+    cache_size_spread: float = setting(0.0, float, ge=0, le=1)
 
 
 @dataclass(frozen=True)
-class SchedulerConfig(_Section):
+class SchedulerConfig(Settings, prefix="scheduler"):
     """Pull-queue discipline and push-program reprogramming (beyond the
     paper; §6's "more dynamic algorithms").
 
@@ -205,39 +240,39 @@ class SchedulerConfig(_Section):
 
     #: Pull-queue service discipline; one of
     #: :data:`repro.server.schedulers.DISCIPLINES`.
-    discipline: str = _field("fifo", str, values=DISCIPLINES)
+    discipline: str = setting("fifo", str, values=DISCIPLINES)
     #: RxW aging exponent on the wait term (1.0 = classic R×W; toward 0
     #: degenerates to most-requested-first, above 1 resists starvation).
-    aging: float = _field(1.0, float, ge=0, le=MAX_AGING)
+    aging: float = setting(1.0, float, ge=0, le=MAX_AGING)
     #: Slots between temperature-driven push-program rebuild attempts
     #: (0 disables reprogramming).
-    reprogram_interval: int = _field(0, int, ge=0)
+    reprogram_interval: int = setting(0, int, ge=0)
     #: Minimum newly observed backchannel demand (offers since the last
     #: rebuild) before a rebuild actually happens.
-    reprogram_min_requests: int = _field(500, int, ge=1)
+    reprogram_min_requests: int = setting(500, int, ge=1)
 
 
 @dataclass(frozen=True)
-class ServerConfig(_Section):
+class ServerConfig(Settings, prefix="server"):
     """Table 2 — server parameters."""
 
     #: Number of distinct pages in the database (ServerDBSize).
-    db_size: int = _field(1000, int, ge=1)
+    db_size: int = setting(1000, int, ge=1)
     #: Pages per disk, fastest first (DiskSize_i).
-    disk_sizes: tuple[int, ...] = _field((100, 400, 500), int, ge=1,
-                                         each=True)
+    disk_sizes: tuple[int, ...] = setting((100, 400, 500), int, ge=1,
+                                          each=True)
     #: Relative broadcast frequency per disk (RelFreq_i).
-    rel_freqs: tuple[int, ...] = _field((3, 2, 1), int, ge=1, each=True)
+    rel_freqs: tuple[int, ...] = setting((3, 2, 1), int, ge=1, each=True)
     #: Backchannel queue capacity (ServerQSize).
-    queue_size: int = _field(100, int, ge=1)
+    queue_size: int = setting(100, int, ge=1)
     #: Fraction of broadcast slots offered to pulls (PullBW).
-    pull_bw: float = _field(0.5, float, ge=0, le=1)
+    pull_bw: float = setting(0.5, float, ge=0, le=1)
     #: Threshold as a fraction of the major cycle (ThresPerc).
-    thresh_perc: float = _field(0.0, float, ge=0, le=1)
+    thresh_perc: float = setting(0.0, float, ge=0, le=1)
     #: Apply the Offset transform (all paper results use it).
-    offset: bool = _field(True, bool)
+    offset: bool = setting(True, bool)
     #: Pages removed from the push program (Experiment 3's chopping).
-    chop: int = _field(0, int, ge=0)
+    chop: int = setting(0, int, ge=0)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -256,7 +291,7 @@ class ServerConfig(_Section):
 
 
 @dataclass(frozen=True)
-class RunConfig(_Section):
+class RunConfig(Settings, prefix="run"):
     """Simulation-control parameters (Section 4's methodology).
 
     Steady-state runs warm the MC cache, settle for ``settle_accesses``
@@ -265,16 +300,16 @@ class RunConfig(_Section):
     """
 
     #: Accesses between cache-full and the measured phase.
-    settle_accesses: int = _field(4000, int, ge=0)
+    settle_accesses: int = setting(4000, int, ge=0)
     #: Accesses measured for the reported statistics.
-    measure_accesses: int = _field(5000, int, ge=1)
+    measure_accesses: int = setting(5000, int, ge=1)
     #: RNG seed.
-    seed: int = _field(0, int, ge=0)
+    seed: int = setting(0, int, ge=0)
     #: Hard cap on simulated broadcast units (guards runaway runs).
-    max_slots: int = _field(50_000_000, int, ge=1)
+    max_slots: int = setting(50_000_000, int, ge=1)
     #: Model the VC as blocking on each response (reference engine only;
     #: the paper's aggregate VC is open-loop, see DESIGN.md §4).
-    vc_closed_loop: bool = _field(False, bool)
+    vc_closed_loop: bool = setting(False, bool)
 
 
 @dataclass(frozen=True)
@@ -353,7 +388,7 @@ class SystemConfig:
         return replace(self, **top)
 
 
-#: SystemConfig's sections by field name, the prefix of dotted names.
+#: SystemConfig's sections by field name, each its section's prefix.
 _SECTIONS: dict[str, Any] = {
     spec.name: spec.default_factory for spec in fields(SystemConfig)
     if is_dataclass(spec.default_factory)}
@@ -362,8 +397,8 @@ _SECTIONS: dict[str, Any] = {
 def config_field(dotted: str) -> Field[Any]:
     """The field a dotted name such as ``"client.noise"`` names: its
     ``default``, and its :class:`Domain` in ``metadata["domain"]``."""
-    section, name = dotted.split(".")
-    return cast("Field[Any]", _SECTIONS[section].__dataclass_fields__[name])
+    prefix, name = dotted.split(".")
+    return cast("Field[Any]", _SETTINGS[prefix].__dataclass_fields__[name])
 
 
 #: Table 3 — the paper's experiment settings, verbatim.

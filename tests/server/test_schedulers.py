@@ -127,7 +127,6 @@ class TestDisciplineInvariants:
         assert queue.offers == offered
         assert (queue.enqueued + queue.duplicates + queue.dropped
                 == offered)
-        assert queue.distinct_offers == queue.enqueued + queue.dropped
         # Service accounting: can't serve what never entered.
         assert queue.served == popped
         assert queue.served <= queue.enqueued

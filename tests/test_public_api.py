@@ -77,6 +77,29 @@ class TestExports:
         assert sink["table"].default is inspect.Parameter.empty
         assert "capacity" not in sink
 
+    def test_removed_names_stay_gone(self):
+        """Public names deleted because nothing outside their own tests
+        called them."""
+        import repro.broadcast
+        from repro.broadcast.program import DiskAssignment
+        from repro.cache.base import Cache
+        from repro.client.measured import MeasuredClient
+        from repro.server.queue import BoundedRequestQueue
+
+        absent = {
+            repro.broadcast: ("assignment_to_dict", "assignment_from_dict",
+                              "schedule_to_dict", "schedule_from_dict"),
+            BoundedRequestQueue: ("distinct_offers",),
+            Cache: ("warm_fraction",),
+            MeasuredClient: ("miss_rate",),
+            DiskAssignment: ("disk_of",),
+        }
+        for owner, names in absent.items():
+            for name in names:
+                assert not hasattr(owner, name), (owner, name)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.broadcast.serialization")
+
     def test_version(self):
         import repro
 
