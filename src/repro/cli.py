@@ -5,8 +5,9 @@
 (``simulate``, ``serve``, ``loadgen``, ``trace``, ``profile``,
 ``sanitize``) share one flag per config field, derived from the field's
 declared domain (:data:`_SYSTEM_FLAGS`); so are the flags of ``serve``,
-``loadgen``, ``figures`` and ``tune`` that set a field of the server,
-load-generator, self-test or sweep-profile settings.
+``loadgen``, ``figures``, ``tune`` and ``compare`` that set a field of
+the server, load-generator, self-test, sweep-profile or compare
+settings.
 
 Exit codes: 0 success; 2 a usage or load error, reported as one
 ``command: ...`` line on stderr; 1 is reserved for a verdict:
@@ -28,7 +29,7 @@ from pathlib import Path
 from repro.core import ENGINES
 from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig, config_field
-from repro.core.fast import simulate
+from repro.core.fast import FastEngine
 from repro.experiments import (
     EXTENSIONS,
     FIGURES,
@@ -37,6 +38,7 @@ from repro.experiments import (
     render_figure,
     run_figure,
 )
+from repro.experiments.compare import CompareSettings
 from repro.experiments.reporting import render_ascii_chart
 from repro.net.client import ClientFleet, FleetSettings
 from repro.net.selftest import SelfTestSettings, run_selftest
@@ -158,7 +160,11 @@ _LOADGEN_FLAGS = {
     "--clients": "loadgen.num_clients",
     "--think-time": "loadgen.think_time",
     "--settle-slots": "loadgen.settle_slots",
+    "--duration": "loadgen.duration",
 }
+#: compare's drift thresholds.
+_COMPARE_FLAGS = {"--alpha": "compare.alpha",
+                  "--tolerance": "compare.tolerance"}
 #: The sweep-profile flags of figures (over QUICK or FULL) and of tune
 #: (over QUICK, which also gives their defaults).
 _FIGURES_FLAGS = {"--workers": "profile.workers", "--seed": "profile.base_seed"}
@@ -288,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(one)
     one.add_argument(
         "--metrics", action="store_true",
-        help="include a metrics-registry snapshot (same instrument names "
-             "a live serve instance reports over STATS frames)")
+        help="include the server's own accounting under 'server' (the "
+             "block a live serve instance reports in STATS frames)")
 
     serve = command(
         "serve", _cmd_serve,
@@ -314,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive a running serve instance with a client fleet")
     _add_system_args(loadgen)
     _add_flags(loadgen, _LOADGEN_FLAGS, required=("--port",))
-    loadgen.add_argument(
-        "--duration", type=float, default=10.0, metavar="SECONDS",
-        help="how long to generate load (default: 10s)")
     loadgen.add_argument(
         "--stats-json", type=Path, default=None, metavar="FILE",
         help="write the fleet's result JSON to FILE")
@@ -367,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="think time per access, to fill the think row of a request-"
              "trace wait breakdown")
 
-    from repro.experiments.compare import DEFAULT_ALPHA, DEFAULT_TOLERANCE
-
     compare = command(
         "compare", _cmd_compare,
         help="diff two saved figure JSONs for drift beyond replicate noise")
@@ -376,16 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="reference figure JSON (left side)")
     compare.add_argument("b", type=Path, metavar="B_JSON",
                          help="candidate figure JSON (right side)")
-    compare.add_argument(
-        "--alpha", type=float, default=DEFAULT_ALPHA,
-        help="two-sided significance for the per-point Welch's t-test "
-             f"on means (default: {DEFAULT_ALPHA})")
-    compare.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="combined absolute/relative tolerance used when replicate "
-             "noise is unavailable (v1 archives, single replicates, zero "
-             "stddev) and for drop rates / quantiles "
-             f"(default: {DEFAULT_TOLERANCE})")
+    _add_flags(compare, _COMPARE_FLAGS)
     compare.add_argument(
         "--series", default=None, metavar="LABELS",
         help="comma-separated series labels to compare (default: all)")
@@ -540,24 +532,10 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _system_config(args)
-    if not args.metrics:
-        print(json.dumps(simulate(config).to_dict(), indent=2))
-        return 0
-    from repro.core.fast import FastEngine
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.server_metrics import bind_server_metrics
-
-    engine = FastEngine(config)
-    result = engine.run()
-    registry = MetricsRegistry()
-    bind_server_metrics(registry, engine.state.server)
-    if engine.state.fleet is not None:
-        from repro.fleet.metrics import bind_fleet_metrics
-
-        bind_fleet_metrics(registry, engine.state.fleet)
-    output = result.to_dict()
-    output["metrics"] = registry.snapshot()
+    engine = FastEngine(_system_config(args))
+    output = engine.run().to_dict()
+    if args.metrics:
+        output["server"] = engine.state.server.stats_snapshot()
     print(json.dumps(output, indent=2))
     return 0
 
@@ -641,13 +619,13 @@ def _cmd_loadgen(args) -> int:
     async def _drive():
         await fleet.start()
         if not args.watch:
-            await asyncio.sleep(args.duration)
+            await asyncio.sleep(settings.duration)
             return await fleet.stop(fetch_stats=True)
         from repro.obs.dashboard import Dashboard, render_stats_frame
 
         dashboard = Dashboard(interval=0.0)
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + args.duration
+        deadline = loop.time() + settings.duration
         title = f"loadgen -> {args.host}:{args.port}"
         while True:
             remaining = deadline - loop.time()
@@ -718,13 +696,16 @@ def _cmd_compare(args) -> int:
     from repro.experiments.compare import compare_files
     from repro.experiments.reporting import render_compare
 
+    thresholds = _settings(CompareSettings(), args, _COMPARE_FLAGS)
     series = None
     if args.series is not None:
         series = [label.strip() for label in args.series.split(",")
                   if label.strip()]
     try:
-        comparison = compare_files(args.a, args.b, alpha=args.alpha,
-                                   tolerance=args.tolerance, series=series)
+        comparison = compare_files(args.a, args.b,
+                                   alpha=thresholds.alpha,
+                                   tolerance=thresholds.tolerance,
+                                   series=series)
     except (OSError, ValueError) as exc:
         raise _UsageError(exc) from None
     if args.format == "json":

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
+from repro.core.config import Settings, check_value, setting
 from repro.experiments.base import (
     FigureResult,
     FigureSeries,
@@ -50,6 +51,7 @@ from repro.obs.manifest import diff_manifests
 __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_TOLERANCE",
+    "CompareSettings",
     "OK",
     "DRIFT",
     "STRUCTURAL",
@@ -66,6 +68,18 @@ __all__ = [
 DEFAULT_ALPHA = 0.01
 #: Default combined absolute/relative tolerance for the fallback rule.
 DEFAULT_TOLERANCE = 1e-6
+
+
+@dataclass(frozen=True)
+class CompareSettings(Settings, prefix="compare"):
+    """The two drift thresholds, each with its declared domain."""
+
+    #: Two-sided significance for the per-point Welch's t-test on means.
+    alpha: float = setting(DEFAULT_ALPHA, float, gt=0, lt=1)
+    #: Combined absolute/relative tolerance for points without noise
+    #: estimates, drop rates and quantiles.
+    tolerance: float = setting(DEFAULT_TOLERANCE, float, ge=0)
+
 
 #: Verdict labels, in increasing severity (also the exit-code order).
 OK = "OK"
@@ -364,10 +378,8 @@ def compare_figures(a: FigureResult, b: FigureResult, *,
             from either figure is a structural finding).
         left, right: display names for the two sides (file paths).
     """
-    if alpha <= 0 or alpha >= 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    check_value("compare.alpha", alpha)
+    check_value("compare.tolerance", tolerance)
     issues: list[str] = []
     if a.figure_id != b.figure_id:
         issues.append(f"figure id mismatch: {a.figure_id!r} vs "

@@ -8,8 +8,7 @@ struct-of-arrays population of individually tracked clients
 ``SystemConfig.fleet``), per-user fairness statistics
 (:func:`~repro.fleet.fairness.jain_index`, and
 :data:`~repro.fleet.fairness.FAIRNESS_METRICS` for the ``fleet-pullbw``
-figure of :data:`repro.experiments.figures.EXTENSIONS`), and a
-metrics-registry adapter (:func:`~repro.fleet.metrics.bind_fleet_metrics`).
+figure of :data:`repro.experiments.figures.EXTENSIONS`).
 ``tests/fleet/test_sweep.py::TestFleetParity`` checks a homogeneous fleet
 against its aggregate-VC equivalent.
 
@@ -18,13 +17,10 @@ limits.
 """
 
 from repro.fleet.fairness import FAIRNESS_METRICS, jain_index
-from repro.fleet.metrics import FleetMetricsAdapter, bind_fleet_metrics
 from repro.fleet.state import FleetState
 
 __all__ = [
     "FleetState",
-    "FleetMetricsAdapter",
-    "bind_fleet_metrics",
     "jain_index",
     "FAIRNESS_METRICS",
 ]

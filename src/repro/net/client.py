@@ -17,6 +17,10 @@ phase-lock the whole fleet on the wall clock).  Each client:
 4. the request-to-page latency lands in the fleet's telemetry, and the
    page is inserted into the client's cache.
 
+The fleet owns its :class:`~repro.obs.metrics.MetricsRegistry`: its
+``fleet_*`` counters are the only count of each event, and
+:class:`FleetResult` reads them.
+
 Latencies are measured in seconds but reported in **slot units**,
 divided by the *effective* slot duration observed from PAGE-frame slot
 indices and arrival times — so a loaded host that runs the slot clock
@@ -84,6 +88,9 @@ class FleetSettings(Settings, prefix="loadgen"):
     #: Latencies for requests issued before this server slot are
     #: settling noise and excluded from the measured aggregates.
     settle_slots: int = setting(0, int, ge=0)
+    #: Wall-clock seconds ``loadgen`` drives the server for; the fleet
+    #: itself runs until :meth:`ClientFleet.stop`.
+    duration: float = setting(10.0, float, gt=0)
 
 
 @dataclass
@@ -169,8 +176,7 @@ class ClientFleet:
     def __init__(self, config: SystemConfig, host: str, port: int,
                  slot_duration: float,
                  settings: Optional[FleetSettings] = None,
-                 seed: int = 0,
-                 registry: Optional[MetricsRegistry] = None):
+                 seed: int = 0):
         # The server's own settings: where it listens, how fast it ticks.
         check_value("serve.port", port)
         check_value("serve.slot_duration", slot_duration)
@@ -180,10 +186,7 @@ class ClientFleet:
         self.slot_duration = slot_duration
         settings = settings if settings is not None else FleetSettings()
         self.settings = settings
-        self.registry = registry if registry is not None else MetricsRegistry()
-        metrics = self.registry
-        self._m_connected = metrics.gauge(
-            "fleet_connected_clients", "currently connected fleet clients")
+        self.registry = metrics = MetricsRegistry()
         self._m_accesses = metrics.counter(
             "fleet_accesses_total", "page accesses issued by the fleet")
         self._m_hits = metrics.counter(
@@ -229,11 +232,6 @@ class ClientFleet:
         self._first_seen: Optional[tuple[int, float]] = None
         self._last_seen: Optional[tuple[int, float]] = None
         self._latencies: list[tuple[float, bool]] = []  # (seconds, measured)
-        self._accesses = 0
-        self._hits = 0
-        self._misses = 0
-        self._requests_sent = 0
-        self._pages_seen = 0
         self._slot_waiters: list[tuple[int, asyncio.Future]] = []
         self._started = False
 
@@ -254,7 +252,6 @@ class ClientFleet:
             self.host, self.port)
         write_frame(client.writer, Hello(client.index))
         await client.writer.drain()
-        self._m_connected.inc()
 
     async def wait_for_slot(self, slot: int, timeout: float) -> bool:
         """Wait until a PAGE frame with index >= ``slot`` was snooped.
@@ -294,7 +291,6 @@ class ClientFleet:
             if client.writer is not None:
                 with contextlib.suppress(Exception):
                     client.writer.close()
-        self._m_connected.set(0)
         return self._aggregate(censored, server_stats)
 
     async def fetch_stats(self, timeout: float = 5.0) -> Optional[dict]:
@@ -344,11 +340,11 @@ class ClientFleet:
         return FleetResult(
             latencies_slots=measured,
             all_latencies_slots=everything,
-            accesses=self._accesses,
-            hits=self._hits,
-            misses=self._misses,
-            requests_sent=self._requests_sent,
-            pages_seen=self._pages_seen,
+            accesses=self._m_accesses.value,
+            hits=self._m_hits.value,
+            misses=self._m_misses.value,
+            requests_sent=self._m_requests.value,
+            pages_seen=self._m_pages.value,
             censored=censored,
             effective_slot_duration=effective,
             first_slot=(self._first_seen[0] if self._first_seen else None),
@@ -385,7 +381,6 @@ class ClientFleet:
                     return
                 for frame in decoder.feed(data):
                     if isinstance(frame, Page):
-                        self._pages_seen += 1
                         self._m_pages.inc()
                         self._note_slot(frame.slot)
                         if (client.pending_page == frame.page
@@ -410,13 +405,10 @@ class ClientFleet:
             await asyncio.sleep(float(rng.uniform(0.0, think_seconds)))
             while True:
                 page = int(client.sampler.sample_one())
-                self._accesses += 1
                 self._m_accesses.inc()
                 if cache.access(page, float(self.last_seen_slot)):
-                    self._hits += 1
                     self._m_hits.inc()
                 else:
-                    self._misses += 1
                     self._m_misses.inc()
                     issued_slot = self.last_seen_slot
                     started = time.monotonic()
@@ -426,7 +418,6 @@ class ClientFleet:
                     if self._uses_backchannel and client.writer is not None:
                         write_frame(client.writer, Request(page))
                         await client.writer.drain()
-                        self._requests_sent += 1
                         self._m_requests.inc()
                     await future
                     seconds = time.monotonic() - started

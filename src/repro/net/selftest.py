@@ -39,7 +39,6 @@ from repro.experiments.base import (
 from repro.net.client import ClientFleet, FleetResult, FleetSettings
 from repro.net.server import NetServer, NetServerSettings
 from repro.obs.manifest import run_manifest
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["SelfTestSettings", "SelfTestResult", "run_selftest"]
 
@@ -127,12 +126,10 @@ async def _run_point(config: SystemConfig, settings: SelfTestSettings,
     """One loopback run: server + fleet until ``slots`` slots elapsed."""
     point_config = config.with_(server__pull_bw=pull_bw,
                                 run__seed=settings.seed)
-    registry = MetricsRegistry()
     server = NetServer(
         point_config,
         NetServerSettings(slot_duration=settings.slot_duration,
-                          max_slots=settings.slots),
-        registry=registry)
+                          max_slots=settings.slots))
     await server.start()
     fleet = ClientFleet(
         point_config, server.settings.host, server.port,
@@ -141,8 +138,7 @@ async def _run_point(config: SystemConfig, settings: SelfTestSettings,
             num_clients=settings.num_clients,
             think_time=settings.think_time,
             settle_slots=int(settings.slots * settings.settle_fraction)),
-        seed=settings.seed,
-        registry=registry)
+        seed=settings.seed)
     try:
         await fleet.start()
         await asyncio.wait_for(server.wait_finished(),

@@ -17,12 +17,14 @@ face:
 - per-connection **backchannel readers** translate REQUEST frames into
   ``server.request()`` — i.e. :meth:`BoundedRequestQueue.offer` — with
   the paper's no-feedback semantics, and answer STATS frames with a
-  metrics-registry snapshot.
+  telemetry snapshot.
 
-Telemetry flows through one :class:`~repro.obs.metrics.MetricsRegistry`
-shared with the sim-side export path (see
-:mod:`repro.obs.server_metrics`), so a live STATS snapshot and a
-simulated run report through identical instrument names.
+Each telemetry number has one owner.  The server's slot mix and the
+queue's outcomes are the wrapped server's own
+:meth:`~repro.server.broadcast_server.BroadcastServer.stats_snapshot`,
+the same dict ``simulate --metrics`` reports; the
+:class:`~repro.obs.metrics.MetricsRegistry` holds only the ``net_*``
+counters this module increments.
 
 This module runs on real time by design, but only through the event
 loop's clock: it reads no host clock itself, so it carries no REP001
@@ -50,7 +52,6 @@ from repro.net.protocol import (
     read_frame,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.server_metrics import bind_server_metrics
 
 __all__ = ["NetServer", "NetServerSettings"]
 
@@ -119,10 +120,7 @@ class NetServer:
         #: polls ``state.reprogrammer`` and swaps the program; the clock
         #: ends itself, so the plane carries no ``max_slots`` stall.
         self.control = ControlPlane(self.state)
-        self.adapter = bind_server_metrics(self.registry, self.server)
         metrics = self.registry
-        self._connected = metrics.gauge(
-            "net_connected_clients", "currently connected clients")
         self._connections_total = metrics.counter(
             "net_connections_total", "connections ever accepted")
         self._frames_sent = metrics.counter(
@@ -190,8 +188,8 @@ class NetServer:
 
     # -- telemetry -----------------------------------------------------------
     def stats_snapshot(self) -> dict:
-        """The STATS frame payload: registry + raw server accounting."""
-        self.adapter.sync()
+        """The STATS frame payload: the server's own accounting under
+        ``server``, the ``net_*`` counters under ``metrics``."""
         return {
             "slot": self.slot,
             "slot_duration": self.settings.slot_duration,
@@ -253,7 +251,6 @@ class NetServer:
         conn = self._connections.pop(key, None)
         if conn is None:
             return
-        self._connected.dec()
         if conn.sender is not None:
             conn.sender.cancel()
         with contextlib.suppress(Exception):
@@ -287,7 +284,6 @@ class NetServer:
         conn.sender = asyncio.create_task(self._sender(conn))
         self._connections[key] = conn
         self._connections_total.inc()
-        self._connected.inc()
         server = self.server
         try:
             while True:

@@ -10,7 +10,8 @@ opens the black box:
   structured arrays, built by the one sink, persisted as memory-mapped
   ``.npy`` (checked on load), exported as JSON lines, and analysed by
   vectorized breakdowns for million-row traces,
-- :mod:`repro.obs.metrics` — a counters/gauges/histograms registry,
+- :mod:`repro.obs.metrics` — a counters/histograms registry for the
+  numbers no component owns (the wire's and the load generator's),
 - :mod:`repro.obs.profile` — wall time per component-call phase of
   either engine (slots/sec, per-phase breakdown),
 - :mod:`repro.obs.compare` — trace diffing that pinpoints the first slot
@@ -24,11 +25,7 @@ opens the black box:
   monitor (``figures --watch``) and net STATS frame rendering (``serve
   --watch`` / ``loadgen --watch``) over one metrics vocabulary,
 - :mod:`repro.obs.manifest` — run/sweep provenance manifests (seed,
-  config, versions, timestamp),
-- :mod:`repro.obs.server_metrics` — adapter mirroring the broadcast
-  server's own slot/queue counters into a metrics registry, so
-  simulated runs and the :mod:`repro.net` server share one
-  metrics-export path.
+  config, versions, timestamp).
 
 Everything is opt-in: the engines carry no observer code, so a run
 without a tracer/profiler executes none.
@@ -53,12 +50,7 @@ from repro.obs.columnar import (
     table_of,
 )
 from repro.obs.compare import TraceDiff, capture_trace, compare_engines, diff_traces
-from repro.obs.dashboard import (
-    Dashboard,
-    SweepMonitor,
-    quantiles_from_bucket_snapshot,
-    render_stats_frame,
-)
+from repro.obs.dashboard import Dashboard, SweepMonitor, render_stats_frame
 from repro.obs.manifest import (
     MANIFEST_VERSION,
     config_to_dict,
@@ -66,11 +58,7 @@ from repro.obs.manifest import (
     run_manifest,
     sweep_manifest,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.profile import HotLoopProfile, profile_run
 from repro.obs.sampling import (
     EveryNSampling,
@@ -78,7 +66,6 @@ from repro.obs.sampling import (
     SamplingPolicy,
     sample_stream,
 )
-from repro.obs.server_metrics import ServerMetricsAdapter, bind_server_metrics
 from repro.obs.requests import (
     RequestRecord,
     RequestTracer,
@@ -106,7 +93,6 @@ __all__ = [
     "exact_quantiles",
     "slot_summary",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "HotLoopProfile",
@@ -132,7 +118,4 @@ __all__ = [
     "Dashboard",
     "SweepMonitor",
     "render_stats_frame",
-    "quantiles_from_bucket_snapshot",
-    "ServerMetricsAdapter",
-    "bind_server_metrics",
 ]

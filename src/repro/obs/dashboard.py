@@ -5,9 +5,8 @@ One rendering vocabulary for both halves of the system:
 - :class:`SweepMonitor` implements the
   :class:`~repro.experiments.base.SweepProgress` protocol, so
   ``figures --watch`` streams per-replicate completions (completed /
-  total, running means, p50/p90 of replicate means, ETA) into a
-  :class:`~repro.obs.metrics.MetricsRegistry` and onto the terminal
-  while a sweep runs;
+  total, running means, p50/p90 of replicate means, ETA) onto the
+  terminal while a sweep runs;
 - :func:`render_stats_frame` renders the STATS payload shape the
   ``repro.net`` server and client fleet already exchange
   (:meth:`~repro.net.server.NetServer.stats_snapshot`), so ``serve
@@ -27,15 +26,13 @@ from __future__ import annotations
 import math
 import sys
 import time
-from typing import Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.monitor import Histogram, bucket_quantile, quantile_label
+from repro.sim.monitor import Histogram
 
 __all__ = [
     "Dashboard",
     "SweepMonitor",
-    "quantiles_from_bucket_snapshot",
     "render_stats_frame",
 ]
 
@@ -113,15 +110,9 @@ class SweepMonitor:
     Satisfies :class:`~repro.experiments.base.SweepProgress`: install it
     with :func:`~repro.experiments.base.sweep_progress` (or pass it to
     ``run_sweep(progress=...)``) and every replicate completion updates
-
-    - the metrics registry: ``sweep_replicates_completed_total`` /
-      ``sweep_replicates_total`` / ``sweep_eta_seconds`` /
-      ``sweep_running_mean_wait``, plus a latency histogram of replicate
-      mean waits — the same instrument vocabulary a STATS snapshot
-      carries, so sim sweeps and the net server export alike;
-    - the optional :class:`Dashboard`, with a progress bar, running
-      mean / p50 / p90 of the completed replicates' mean waits, and a
-      rate-based ETA.
+    its counts, a histogram of replicate mean waits and the optional
+    :class:`Dashboard`: a progress bar, running mean / p50 / p90 of the
+    completed replicates' mean waits, and a rate-based ETA.
 
     ``run_figure`` announces a figure's every run in one sweep, so
     ``figures --watch`` totals the whole figure from its first frame.  A
@@ -129,10 +120,8 @@ class SweepMonitor:
     to its total (the ETA is then a lower bound until the last one).
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 dashboard: Optional[Dashboard] = None,
+    def __init__(self, dashboard: Optional[Dashboard] = None,
                  title: str = "sweep"):
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.dashboard = dashboard
         self.title = title
         #: Replicates announced / finished so far.
@@ -143,37 +132,22 @@ class SweepMonitor:
         self.last_mean = math.nan
         self._hist = Histogram(
             "sweep_replicate_mean_wait", "per-replicate mean response times")
-        self._m_completed = self.registry.counter(
-            "sweep_replicates_completed_total", "replicate runs finished")
-        self._m_total = self.registry.gauge(
-            "sweep_replicates_total", "replicate runs announced so far")
-        self._m_eta = self.registry.gauge(
-            "sweep_eta_seconds", "estimated seconds until the announced "
-            "replicates finish")
-        self._m_mean = self.registry.gauge(
-            "sweep_running_mean_wait", "mean of completed replicates' mean "
-            "response times (broadcast units)")
         self._started_at = time.monotonic()
 
     # -- SweepProgress protocol --------------------------------------------
     def sweep_started(self, total: int, label: Optional[str]) -> None:
         self.total += total
         self.label = label
-        self._m_total.set(self.total)
         if self.dashboard is not None:
             self.dashboard.show(self.render())
 
     def replicate_done(self, index: int, result) -> None:
         self.completed += 1
-        self._m_completed.inc()
         mean = getattr(getattr(result, "response_miss", None), "mean",
                        math.nan)
         if mean is not None and not math.isnan(mean):
             self.last_mean = mean
             self._hist.observe(mean)
-            self._m_mean.set(self._hist.mean)
-        eta = self.eta_seconds()
-        self._m_eta.set(eta if eta is not None else 0.0)
         if self.dashboard is not None:
             self.dashboard.show(self.render())
 
@@ -223,33 +197,6 @@ class SweepMonitor:
 
 # -- net STATS frames --------------------------------------------------------
 
-def quantiles_from_bucket_snapshot(snapshot: dict,
-                                   qs: Sequence[float] = (0.5, 0.9, 0.99),
-                                   ) -> Optional[dict[str, float]]:
-    """Approximate quantiles from a histogram *snapshot* dict.
-
-    STATS frames carry instrument snapshots (plain dicts), not live
-    :class:`~repro.sim.monitor.Histogram` objects; this reads the
-    ``buckets`` mapping (``{bound: count, ..., "+inf": n}``) back into
-    the arguments of :func:`~repro.sim.monitor.bucket_quantile`, so it
-    returns exactly what the live object's ``quantiles(qs)`` would — or
-    None when the snapshot is empty or not a histogram.
-    """
-    buckets = snapshot.get("buckets")
-    total = snapshot.get("count", 0)
-    if not buckets or not total:
-        return None
-    finite = sorted((float(k), v) for k, v in buckets.items()
-                    if k != "+inf")
-    bounds = [bound for bound, _ in finite]
-    counts = [count for _, count in finite] + [buckets.get("+inf", 0)]
-    lo = snapshot.get("min", 0.0)
-    hi = snapshot.get("max", math.inf)
-    return {quantile_label(q): bucket_quantile(q, bounds, counts, total,
-                                               lo, hi)
-            for q in qs}
-
-
 def _metric_value(metrics: dict, name: str) -> Optional[float]:
     state = metrics.get(name)
     if isinstance(state, dict) and "value" in state:
@@ -293,11 +240,8 @@ def render_stats_frame(stats: dict, title: str = "server") -> str:
     if counters:
         lines.append("  net " + "  ".join(f"{name} {value:g}"
                                           for name, value in counters))
-    for name, label in (("fleet_latency_seconds", "fleet latency (s)"),
-                        ("request_wait", "request wait")):
-        quantiles = quantiles_from_bucket_snapshot(metrics.get(name) or {})
-        if quantiles:
-            rendered = "  ".join(f"{k} {v:.4g}"
-                                 for k, v in quantiles.items())
-            lines.append(f"  {label}  {rendered}")
+    latency = metrics.get("fleet_latency_seconds") or {}
+    if latency.get("count"):
+        lines.append("  fleet latency (s)  " + "  ".join(
+            f"{key} {latency[key]:.4g}" for key in ("p50", "p90", "p99")))
     return "\n".join(lines)

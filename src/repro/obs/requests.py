@@ -91,10 +91,6 @@ class RequestRecord:
     #: Time on the air until delivery (<= 1 slot); None for cache hits.
     service: Optional[float]
 
-    def to_dict(self) -> dict:
-        """JSON-ready plain-dict form."""
-        return asdict(self)
-
     def row(self) -> tuple:
         """The record as a REQUEST_DTYPE row tuple.
 

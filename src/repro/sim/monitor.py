@@ -251,8 +251,8 @@ def bucket_quantile(q: float, bounds: Sequence[float],
     the 0-quantile is ``lo`` exactly, the 1-quantile ``hi`` to within
     rounding.  NaN when empty.
 
-    This is the only bucket-quantile rule: a live :class:`Histogram` and
-    a reader of its :meth:`~Histogram.snapshot` dict both call it.
+    This is the only bucket-quantile rule: :meth:`Histogram.quantile`
+    calls it, and a :meth:`~Histogram.snapshot` dict carries its result.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("quantile must be within [0, 1]")
@@ -401,10 +401,13 @@ class Histogram:
         return {quantile_label(q): self.quantile(q) for q in qs}
 
     def snapshot(self) -> dict:
-        """Plain-dict state (what a metrics snapshot / STATS frame carries)."""
+        """Plain-dict state (what a metrics snapshot / STATS frame carries):
+        the moments, the :meth:`quantile` at p50 / p90 / p99 (NaN when
+        empty) and the bucket counts."""
         return {
             "type": "histogram",
             **self._tally.as_dict(),
+            **{quantile_label(q): self.quantile(q) for q in _QS},
             "buckets": {
                 **{str(bound): count
                    for bound, count in zip(self.bounds, self.counts)},

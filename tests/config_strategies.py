@@ -22,6 +22,7 @@ from repro.core.adaptive import AdaptivePolicy
 from repro.core.algorithms import Algorithm
 from repro.core.config import Domain, SystemConfig, config_field
 from repro.experiments.base import QUICK
+from repro.experiments.compare import CompareSettings
 from repro.net.client import FleetSettings
 from repro.net.selftest import SelfTestSettings
 from repro.net.server import NetServerSettings
@@ -39,7 +40,7 @@ SYSTEM_FIELDS: tuple[str, ...] = tuple(
 #: instance a drawn field value replaces (a Profile has no defaults).
 SETTINGS = {base.prefix: base for base in (
     NetServerSettings(), FleetSettings(), SelfTestSettings(), QUICK,
-    AdaptivePolicy())}
+    AdaptivePolicy(), CompareSettings())}
 
 #: Every field of every settings class outside SystemConfig, dotted.
 SETTINGS_FIELDS: tuple[str, ...] = tuple(
@@ -85,12 +86,14 @@ def _bounds(domain: Domain, scale=(None, None)):
 
 
 def _integers(low, low_open, high, high_open):
-    """The integers within the bounds."""
-    return st.integers(
-        None if low is None
-        else math.floor(low) + 1 if low_open else math.ceil(low),
-        None if high is None
-        else math.ceil(high) - 1 if high_open else math.floor(high))
+    """The integers within the bounds (none within ``(0, 1)``)."""
+    first = (None if low is None
+             else math.floor(low) + 1 if low_open else math.ceil(low))
+    last = (None if high is None
+            else math.ceil(high) - 1 if high_open else math.floor(high))
+    if first is not None and last is not None and first > last:
+        return st.nothing()
+    return st.integers(first, last)
 
 
 def _legal(domain: Domain, scale=(None, None)):

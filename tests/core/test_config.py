@@ -128,6 +128,9 @@ SETTINGS_PROBED = [
     ("adaptive.interval", math.nan), ("adaptive.tail_wait_budget", math.nan),
     ("adaptive.thresh_step", -0.05), ("adaptive.pull_bw_step", math.nan),
     ("profile.workers", 0), ("profile.workers", -3),
+    ("loadgen.duration", math.nan), ("loadgen.duration", -5.0),
+    ("compare.alpha", math.nan), ("compare.alpha", 1.0),
+    ("compare.tolerance", math.nan), ("compare.tolerance", -1e-9),
 ]
 
 
@@ -139,11 +142,12 @@ def _vary(dotted, value):
 
 class TestSettingsDomains:
     """The settings outside SystemConfig: server, load generator,
-    self-test, sweep profile and adaptive policy."""
+    self-test, sweep profile, adaptive policy and compare thresholds."""
 
     def test_the_classes_are_the_settings_of_their_prefix(self):
         from repro.core.adaptive import AdaptivePolicy
         from repro.experiments.base import Profile
+        from repro.experiments.compare import CompareSettings
         from repro.net.client import FleetSettings
         from repro.net.selftest import SelfTestSettings
         from repro.net.server import NetServerSettings
@@ -151,7 +155,7 @@ class TestSettingsDomains:
         assert {prefix: type(base) for prefix, base in SETTINGS.items()} == {
             "serve": NetServerSettings, "loadgen": FleetSettings,
             "selftest": SelfTestSettings, "profile": Profile,
-            "adaptive": AdaptivePolicy}
+            "adaptive": AdaptivePolicy, "compare": CompareSettings}
 
     @pytest.mark.parametrize("dotted,value", SETTINGS_PROBED,
                              ids=[f"{d}={v!r}" for d, v in SETTINGS_PROBED])

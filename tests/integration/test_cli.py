@@ -160,6 +160,20 @@ BAD_SWEEP_ARGUMENTS = {
     "loadgen --port 1 --settle-slots -1":
         "loadgen: --settle-slots: loadgen.settle_slots must be an int >= 0, "
         "got -1",
+    "loadgen --port 1 --duration nan":
+        "loadgen: --duration: loadgen.duration must be finite and > 0, "
+        "got nan",
+    "loadgen --port 1 --duration -5":
+        "loadgen: --duration: loadgen.duration must be finite and > 0, "
+        "got -5.0",
+    # Checked before either file is read (neither exists).
+    "compare a.json b.json --alpha nan":
+        "compare: --alpha: compare.alpha must be within (0, 1), got nan",
+    "compare a.json b.json --alpha 1":
+        "compare: --alpha: compare.alpha must be within (0, 1), got 1.0",
+    "compare a.json b.json --tolerance nan":
+        "compare: --tolerance: compare.tolerance must be finite and >= 0, "
+        "got nan",
     "figures 3a --workers 0":
         "figures: --workers: profile.workers must be None or an int >= 1, "
         "got 0",
@@ -327,6 +341,43 @@ class TestSimulateCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["algorithm"] == "pure-pull"
         assert data["response_miss"]["count"] > 0
+
+    def test_metrics_server_block_has_the_live_stats_shape(self, capsys):
+        """``--metrics`` attaches the server's own accounting, in the key
+        tree a live STATS frame carries under ``server``."""
+        import asyncio
+
+        from repro.core.config import SystemConfig
+        from repro.net.protocol import (
+            Stats, StatsRequest, read_frame, write_frame)
+        from repro.net.server import NetServer, NetServerSettings
+
+        assert main(["simulate", "--metrics", "--settle", "30",
+                     "--measure", "60"]) == 0
+        simulated = json.loads(capsys.readouterr().out)["server"]
+
+        async def live_stats():
+            server = NetServer(SystemConfig(), NetServerSettings(
+                slot_duration=0.001, max_slots=100))
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            write_frame(writer, StatsRequest())
+            await writer.drain()
+            while not isinstance(frame := await read_frame(reader), Stats):
+                pass
+            await server.stop()
+            writer.close()
+            return frame.payload
+
+        live = asyncio.run(asyncio.wait_for(live_stats(), timeout=30))
+
+        def key_tree(value):
+            return ({key: key_tree(item) for key, item in value.items()}
+                    if isinstance(value, dict) else None)
+
+        assert key_tree(simulated) == key_tree(live["server"])
+        assert simulated["queue"]["served"] > 0
 
     def test_ipp_with_threshold_and_chop(self, capsys):
         code = main(["simulate", "--algorithm", "ipp", "--ttr", "2",
@@ -785,6 +836,24 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "verdict: DRIFT" in out
         assert "p=" in out
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--tolerance"])
+    def test_nan_threshold_exits_2_before_loading(self, flag, tmp_path,
+                                                  capsys, monkeypatch):
+        """Regression: two identical files drifted on every quantile under
+        ``--tolerance nan`` (exit 1), and ``--alpha nan`` flagged nothing
+        (exit 0)."""
+        import repro.experiments.compare as compare
+
+        a = self._write(tmp_path, "a.json", self._figure_dict())
+
+        def no_load(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(compare, "load_figure", no_load)
+        assert main(["compare", str(a), str(a), flag, "nan"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"compare: {flag}: compare.")
 
     def test_alpha_knob_accepts_the_shift(self, tmp_path):
         a = self._write(tmp_path, "a.json", self._figure_dict())

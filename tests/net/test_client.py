@@ -10,7 +10,6 @@ from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
 from repro.net.client import ClientFleet, FleetResult, FleetSettings
 from repro.net.server import NetServer, NetServerSettings
-from repro.obs.metrics import MetricsRegistry
 
 CONFIG = SystemConfig(algorithm=Algorithm.IPP)
 
@@ -20,13 +19,14 @@ def run(coro):
 
 
 async def _drive(config, fleet_settings, *, seed=0, slots=500,
-                 slot_duration=0.001, registry=None):
-    """Run a server to completion with a fleet attached; return results."""
+                 slot_duration=0.001):
+    """Run a server to completion with a fleet attached; return the fleet
+    and its results."""
     server = NetServer(config, NetServerSettings(
         slot_duration=slot_duration, max_slots=slots))
     await server.start()
     fleet = ClientFleet(config, "127.0.0.1", server.port, slot_duration,
-                        fleet_settings, seed=seed, registry=registry)
+                        fleet_settings, seed=seed)
     try:
         await fleet.start()
         await server.wait_finished()
@@ -34,7 +34,7 @@ async def _drive(config, fleet_settings, *, seed=0, slots=500,
         result = await fleet.stop(fetch_stats=True)
     finally:
         await server.stop()
-    return result
+    return fleet, result
 
 
 class TestSettings:
@@ -92,11 +92,10 @@ class TestWarmCaches:
 
 class TestAgainstLiveServer:
     def test_accounting_invariants(self):
-        registry = MetricsRegistry()
-        result = run(_drive(
+        fleet, result = run(_drive(
             CONFIG,
             FleetSettings(num_clients=10, think_time=20.0),
-            slots=600, registry=registry))
+            slots=600))
         assert result.accesses == result.hits + result.misses
         assert result.accesses > 0
         assert result.requests_sent <= result.misses
@@ -106,17 +105,21 @@ class TestAgainstLiveServer:
         completed = len(result.all_latencies_slots)
         assert completed + result.censored == result.misses
         assert all(v >= 0 for v in result.all_latencies_slots)
-        # The live registry mirrors the aggregate counts.
-        snapshot = registry.snapshot()
-        assert snapshot["fleet_accesses_total"]["value"] == result.accesses
-        assert snapshot["fleet_hits_total"]["value"] == result.hits
-        assert snapshot["fleet_misses_total"]["value"] == result.misses
+        # The fleet's registry counters are the counts the result reads.
+        assert {name: state["value"]
+                for name, state in fleet.registry.snapshot().items()
+                if state["type"] == "counter"} == {
+            "fleet_accesses_total": result.accesses,
+            "fleet_hits_total": result.hits,
+            "fleet_misses_total": result.misses,
+            "fleet_requests_sent_total": result.requests_sent,
+            "fleet_pages_seen_total": result.pages_seen}
         # stop(fetch_stats=True) captured the server's view.
         assert result.server_stats is not None
         assert "server" in result.server_stats
 
     def test_effective_slot_duration_is_fitted(self):
-        result = run(_drive(
+        _, result = run(_drive(
             CONFIG, FleetSettings(num_clients=4, think_time=50.0),
             slots=400))
         nominal = 0.001
@@ -129,7 +132,7 @@ class TestAgainstLiveServer:
 
     def test_pure_push_sends_no_requests(self):
         config = SystemConfig(algorithm=Algorithm.PURE_PUSH)
-        result = run(_drive(
+        _, result = run(_drive(
             config, FleetSettings(num_clients=6, think_time=20.0),
             slots=600))
         assert result.requests_sent == 0
@@ -138,7 +141,7 @@ class TestAgainstLiveServer:
         assert result.pages_seen > 0
 
     def test_settle_slots_censor_early_latencies(self):
-        settled = run(_drive(
+        _, settled = run(_drive(
             CONFIG,
             FleetSettings(num_clients=8, think_time=10.0, settle_slots=10_000),
             slots=500))

@@ -109,9 +109,8 @@ class TestBackchannel:
 
     def test_stats_frame_round_trip(self):
         async def scenario():
-            registry = MetricsRegistry()
             server = NetServer(CONFIG, NetServerSettings(
-                slot_duration=0.001, max_slots=500), registry=registry)
+                slot_duration=0.001, max_slots=500))
             await server.start()
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
@@ -121,18 +120,24 @@ class TestBackchannel:
                 frame = await read_frame(reader)
                 if isinstance(frame, Stats):
                     break
+            # No await between the two: the clock cannot tick in between.
+            local, own = server.stats_snapshot(), server.server.stats_snapshot()
             await server.stop()
             writer.close()
-            return frame.payload
+            return frame.payload, local, own
 
-        payload = run(scenario())
+        payload, local, own = run(scenario())
         assert payload["connected_clients"] == 1
-        assert "server" in payload and "queue" in payload["server"]
-        metrics = payload["metrics"]
-        assert metrics["net_connections_total"]["value"] == 1
-        # The sim-side adapter instruments are present in the same
-        # snapshot (shared export path).
-        assert "server_slots_push_total" in metrics
+        assert set(payload["server"]) == {"schedule_pos", "slots", "queue"}
+        # The server block is the wrapped server's own accounting, and
+        # the registry holds only the counters NetServer increments.
+        assert local["server"] == own
+        assert sorted(payload["metrics"]) == sorted(local["metrics"]) == [
+            "net_clients_dropped_total", "net_connections_total",
+            "net_frames_sent_total", "net_frames_shed_total",
+            "net_lagging_slots_total", "net_requests_received_total",
+            "net_stats_requests_total"]
+        assert payload["metrics"]["net_connections_total"]["value"] == 1
 
 
 class TestReprogramming:

@@ -1,6 +1,7 @@
 """Columnar trace format: dtypes, sink, load checks, export, analytics."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestRecordEncoding:
                                   served_kind="push", queue_wait=2.5,
                                   service=1.0, wait=3.5)]
         assert decoded(request_array(records)) == [
-            r.to_dict() for r in records]
+            asdict(r) for r in records]
 
     def test_infinite_prediction_stored_as_none(self):
         # The tracer stores an inf predicted push wait as None (page never
@@ -86,7 +87,7 @@ class TestRecordEncoding:
         assert np.isnan(array["predicted_push_wait"][0])
         [row] = decoded(array)
         assert row["predicted_push_wait"] is None
-        assert row == record.to_dict()
+        assert row == asdict(record)
 
     def test_every_nullable_field_none_at_once(self):
         array = request_array([hit_record()])
@@ -128,7 +129,7 @@ class TestColumnarSink:
                 sink.emit(record.row())
         array = load_columnar(path)
         assert isinstance(array, np.memmap)
-        assert decoded(array) == [r.to_dict() for r in records]
+        assert decoded(array) == [asdict(r) for r in records]
 
     def test_empty_pinned_table_persists(self, tmp_path):
         path = tmp_path / "empty.npy"
@@ -176,7 +177,7 @@ class TestConverters:
                            predicted_push_wait=None)]
         text = self._export(tmp_path, request_array(records))
         assert text == "".join(
-            json.dumps(r.to_dict(), separators=(",", ":")) + "\n"
+            json.dumps(asdict(r), separators=(",", ":")) + "\n"
             for r in records)
         assert '"pull_outcome":null' in text.splitlines()[1]
 

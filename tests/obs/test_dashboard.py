@@ -6,14 +6,8 @@ import math
 import pytest
 
 from repro.experiments.base import run_sweep, sweep_progress
-from repro.obs.dashboard import (
-    Dashboard,
-    SweepMonitor,
-    quantiles_from_bucket_snapshot,
-    render_stats_frame,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.monitor import Histogram
+from repro.obs.dashboard import Dashboard, SweepMonitor, render_stats_frame
+from repro.sim.monitor import Histogram, log_buckets
 
 from tests.conftest import small_config
 
@@ -72,16 +66,13 @@ class TestDashboard:
 
 
 class TestSweepMonitor:
-    def test_registry_instruments_track_progress(self):
-        registry = MetricsRegistry()
-        monitor = SweepMonitor(registry=registry)
+    def test_counts_track_progress(self):
+        monitor = SweepMonitor()
         monitor.sweep_started(3, "IPP")
         for index in range(3):
             monitor.replicate_done(index, _FakeResult())
-        snapshot = registry.snapshot()
-        assert snapshot["sweep_replicates_completed_total"]["value"] == 3
-        assert snapshot["sweep_replicates_total"]["value"] == 3
-        assert snapshot["sweep_running_mean_wait"]["value"] == 50.0
+        assert monitor.completed == 3 and monitor.total == 3
+        assert monitor.overall_histogram().mean == 50.0
 
     def test_totals_accumulate_across_sweeps(self):
         monitor = SweepMonitor()
@@ -177,20 +168,49 @@ class TestStatsFrames:
         assert "fleet latency" in frame and "p90" in frame
 
 
-class TestBucketSnapshotQuantiles:
-    def test_matches_live_histogram_within_bucket_resolution(self):
-        hist = Histogram("lat")
-        values = [1.0, 2.0, 4.0, 8.0, 20.0, 100.0, 400.0, 2000.0]
-        for value in values:
-            hist.observe(value)
-        # The snapshot reader and the live object share one rule: equal
-        # floats, not merely close ones.
-        assert quantiles_from_bucket_snapshot(hist.snapshot()) \
-            == hist.quantiles()
+def _latency_histogram():
+    hist = Histogram("fleet_latency_seconds", buckets=log_buckets(1e-4, 1e3))
+    for value in (0.004, 0.011, 0.012, 0.03, 0.25, 1.7):
+        hist.observe(value)
+    return hist
 
-    def test_empty_or_foreign_snapshots_return_none(self):
-        assert quantiles_from_bucket_snapshot({}) is None
-        assert quantiles_from_bucket_snapshot(
-            {"type": "counter", "value": 3}) is None
-        empty = Histogram("lat").snapshot()
-        assert quantiles_from_bucket_snapshot(empty) is None
+
+#: A STATS payload with every block render_stats_frame draws.
+PAYLOAD = {
+    "slot": 1200, "slot_duration": 0.005, "connected_clients": 3,
+    "server": {"schedule_pos": 17,
+               "slots": {"push": 600, "pull": 540, "padding": 60, "idle": 0},
+               "queue": {"depth": 4, "capacity": 100, "enqueued": 700,
+                         "duplicates": 90, "dropped": 12, "served": 684,
+                         "drop_rate": 12 / 712,
+                         "scheduler": {"discipline": "fifo", "pops": 684,
+                                       "reordered": 0}}},
+    "metrics": {
+        "net_frames_sent_total": {"type": "counter", "value": 3600},
+        "net_frames_shed_total": {"type": "counter", "value": 5},
+        "net_requests_received_total": {"type": "counter", "value": 802},
+        "net_clients_dropped_total": {"type": "counter", "value": 0},
+        "net_lagging_slots_total": {"type": "counter", "value": 19},
+        "fleet_latency_seconds": _latency_histogram().snapshot()},
+}
+#: The frame PAYLOAD rendered to when quantiles were read back from the
+#: snapshot's bucket counts (dc7da67 and before).
+PINNED_FRAME = (
+    "loadgen -> 127.0.0.1:9000  slot 1200  clients 3\n"
+    "  queue 4/100  served 684  drop rate 1.7%\n"
+    "  slots idle 0  padding 60  pull 540  push 600\n"
+    "  net frames_sent 3600  frames_shed 5  requests_received 802  "
+    "clients_dropped 0  lagging_slots 19\n"
+    "  fleet latency (s)  p50 0.02  p90 1.28  p99 1.658")
+
+
+class TestPinnedFrame:
+    def test_text_is_unchanged(self):
+        assert render_stats_frame(PAYLOAD, "loadgen -> 127.0.0.1:9000") \
+            == PINNED_FRAME
+
+    def test_an_empty_or_foreign_latency_snapshot_draws_no_row(self):
+        for latency in (Histogram("lat").snapshot(),
+                        {"type": "counter", "value": 3}, {}):
+            payload = {"metrics": {"fleet_latency_seconds": latency}}
+            assert render_stats_frame(payload, "x") == "x  slot -"

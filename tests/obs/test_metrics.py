@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.sim.monitor import Tally
 
 
@@ -24,47 +19,6 @@ class TestCounter:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter("hits_total").inc(-1)
-
-    def test_advance_to_adds_the_gain_since_the_last_call(self):
-        counter = Counter("served_total")
-        counter.advance_to(5)
-        counter.advance_to(5)  # no progress, no double count
-        counter.advance_to(8)
-        assert counter.value == 8
-
-    def test_advance_to_reads_a_decrease_as_a_source_reset(self):
-        counter = Counter("served_total")
-        counter.advance_to(100)
-        counter.advance_to(7)  # reset, then 7 more
-        assert counter.value == 107
-        counter.advance_to(0)  # lands exactly on a reset
-        counter.advance_to(3)
-        assert counter.value == 110
-
-    def test_advance_to_zero_announces_a_fresh_source(self):
-        counter = Counter("served_total")
-        counter.advance_to(40)
-        counter.advance_to(0)   # a new source, counting from zero ...
-        counter.advance_to(50)  # ... whose backlog is all new progress
-        assert counter.value == 90
-
-    def test_advance_to_stacks_with_inc(self):
-        counter = Counter("served_total")
-        counter.inc(2)
-        counter.advance_to(3)
-        counter.inc()
-        counter.advance_to(4)
-        assert counter.value == 7
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge("queue_depth")
-        gauge.set(3.0)
-        gauge.inc(2.0)
-        gauge.dec()
-        assert gauge.value == pytest.approx(4.0)
-        assert gauge.snapshot()["type"] == "gauge"
 
 
 class TestHistogram:
@@ -193,26 +147,16 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_snapshot_is_plain_data(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
-        registry.gauge("g").set(2.5)
         registry.histogram("h", buckets=(1,)).observe(0.5)
         snap = registry.snapshot()
+        assert list(snap) == ["c", "h"]
         assert snap["c"] == {"type": "counter", "value": 1}
-        assert snap["g"]["value"] == pytest.approx(2.5)
         assert snap["h"]["count"] == 1
-
-    def test_render_lists_every_instrument(self):
-        registry = MetricsRegistry()
-        registry.counter("requests_total").inc(7)
-        registry.histogram("depth", buckets=(1,)).observe(0.0)
-        text = registry.render()
-        assert "requests_total" in text and "7" in text
-        assert "depth" in text and "count=1" in text
-        assert MetricsRegistry().render() == "(no metrics registered)"
 
 
 class TestHistogramMerge:

@@ -1,6 +1,7 @@
 """Request-lifecycle tracing: records, breakdown, and engine wiring."""
 
 import json
+from dataclasses import asdict
 import math
 
 import pytest
@@ -45,10 +46,10 @@ def rows(tracer: RequestTracer) -> list[dict]:
 class TestRequestRecord:
     def test_round_trips_through_dict(self):
         record = _record()
-        assert RequestRecord(**record.to_dict()) == record
+        assert RequestRecord(**asdict(record)) == record
 
     def test_to_dict_is_strict_json(self):
-        text = json.dumps(_record().to_dict(), allow_nan=False)
+        text = json.dumps(asdict(_record()), allow_nan=False)
         assert json.loads(text)["page"] == 3
 
 

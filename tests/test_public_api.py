@@ -100,6 +100,49 @@ class TestExports:
         with pytest.raises(ImportError):
             importlib.import_module("repro.broadcast.serialization")
 
+    def test_telemetry_has_no_registry_mirrors(self):
+        """A number a component counts is read from its own snapshot: the
+        adapters that mirrored server and fleet counters into a registry,
+        the reset-aware mirror counter, gauges and the reader of a
+        histogram snapshot's buckets are gone."""
+        from pathlib import Path
+
+        import repro
+        import repro.fleet
+        import repro.obs
+        import repro.obs.dashboard
+        import repro.obs.metrics
+        from repro.net.client import ClientFleet
+        from repro.obs.dashboard import SweepMonitor
+        from repro.obs.metrics import Counter, MetricsRegistry
+        from repro.obs.requests import RequestRecord
+
+        for module in ("repro.obs.server_metrics", "repro.fleet.metrics"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+        absent = {
+            repro.obs: ("Gauge", "ServerMetricsAdapter",
+                        "bind_server_metrics",
+                        "quantiles_from_bucket_snapshot"),
+            repro.fleet: ("FleetMetricsAdapter", "bind_fleet_metrics"),
+            repro.obs.metrics: ("Gauge",),
+            repro.obs.dashboard: ("quantiles_from_bucket_snapshot",),
+            Counter: ("advance_to",),
+            MetricsRegistry: ("gauge", "render", "names", "__contains__",
+                              "__len__"),
+            RequestRecord: ("to_dict",),
+        }
+        for owner, names in absent.items():
+            for name in names:
+                assert not hasattr(owner, name), (owner, name)
+        for owner in (ClientFleet, SweepMonitor):
+            assert "registry" not in inspect.signature(owner).parameters
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            text = path.read_text()
+            for name in ("advance_to", "Gauge",
+                         "quantiles_from_bucket_snapshot"):
+                assert name not in text, (path, name)
+
     def test_version(self):
         import repro
 
