@@ -168,6 +168,23 @@ class TestStatsFrames:
         assert "fleet latency" in frame and "p90" in frame
 
 
+class TestBucketSnapshotQuantiles:
+    def test_matches_live_histogram_within_bucket_resolution(self):
+        hist = Histogram("lat")
+        values = [1.0, 2.0, 4.0, 8.0, 20.0, 100.0, 400.0, 2000.0]
+        for value in values:
+            hist.observe(value)
+        # The snapshot the dashboard reads and the live object share one
+        # rule: equal floats, not merely close ones.
+        snapshot = hist.snapshot()
+        live = hist.quantiles()
+        assert {key: snapshot[key] for key in ("p50", "p90", "p99")} == live
+        frame = render_stats_frame(
+            {"metrics": {"fleet_latency_seconds": snapshot}})
+        assert frame.splitlines()[-1] == "  fleet latency (s)  " + "  ".join(
+            f"{key} {live[key]:.4g}" for key in ("p50", "p90", "p99"))
+
+
 def _latency_histogram():
     hist = Histogram("fleet_latency_seconds", buckets=log_buckets(1e-4, 1e3))
     for value in (0.004, 0.011, 0.012, 0.03, 0.25, 1.7):
