@@ -3,33 +3,33 @@
 Not figures from the paper, but direct tests of its design arguments:
 
 - **Cache policy** — Section 2.1 argues replacement must be cost-based
-  (PIX) rather than probability/recency-based; we pit PIX against P, LRU,
-  and the online LIX on the Pure-Push system.
-- **Offset** — Section 3.2's shifted program "is obtained by shifting
-  these cached pages from the fastest disk to the slowest disk"; we
-  measure the steady-state cost of skipping the transform.
-- **Disk layout** — the square-root-rule search from
-  :mod:`repro.analysis.bandwidth` against the paper's fixed 100/400/500
-  split.
+  (PIX) rather than probability/recency-based; the ``cache-policy`` row
+  pits PIX against P and LRU on the Pure-Push system.
+- **Push program** — Section 3.2's shifted program "is obtained by
+  shifting these cached pages from the fastest disk to the slowest
+  disk"; the ``push-program`` row runs it against the naive mapping, the
+  square-root-rule split from :mod:`repro.analysis.bandwidth` and a flat
+  broadcast.
+- **Tuning** — the §6 parameter-setting advisor across the load range.
 - **Adaptive control** — the future-work controller (§6) against static
-  IPP across the load axis.
+  IPP across the load axis.  It stays a hand loop: the controller is an
+  engine argument, not a config field, so a figure row cannot set it.
+
+The first two are :data:`~repro.experiments.figures.EXTENSIONS` rows, so
+``repro-broadcast figures cache-policy push-program`` regenerates them;
+their effects are a few percent and need ``PUSH_BENCH``'s scale (at
+QUICK some seeds put P ahead of PIX).
 """
 
 from dataclasses import replace
 
 from benchmarks.conftest import BENCH, run_once
-from repro.analysis.bandwidth import optimal_disk_split
 from repro.core.algorithms import Algorithm
 from repro.core.adaptive import AdaptiveController, AdaptivePolicy
 from repro.core.config import SystemConfig
 from repro.core.fast import FastEngine
 from repro.experiments.base import run_replicated
-from repro.workload.zipf import zipf_probabilities
-
-
-def push_config(**overrides):
-    return SystemConfig(algorithm=Algorithm.PURE_PUSH).with_(**overrides)
-
+from repro.experiments.figures import EXTENSIONS, run_figure
 
 #: Pure-Push runs take the analytic shortcut (milliseconds per run), so
 #: the push-only ablations can afford paper-scale samples: the effects
@@ -38,7 +38,12 @@ PUSH_BENCH = replace(BENCH, settle_accesses=1000, measure_accesses=20_000,
                      replicates=3)
 
 
-def test_cache_policy_ablation(benchmark, results_dir):
+def _means(figure):
+    """Curve label -> its (one-point) mean."""
+    return {series.label: series.y[0] for series in figure.series}
+
+
+def test_cache_policy_ablation(benchmark, record_figure):
     """Cost-based replacement wins (Section 2.1 / [Acha95a]).
 
     Measured on the *all-access* mean (policies trade miss rate against
@@ -49,79 +54,28 @@ def test_cache_policy_ablation(benchmark, results_dir):
     disk, which is itself an interesting reproduction finding (recorded
     in EXPERIMENTS.md).
     """
-
-    def sweep():
-        means = {}
-        for policy in ("pix", "p", "lru", "lix"):
-            config = push_config(client__cache_policy=policy,
-                                 server__offset=False,
-                                 server__rel_freqs=(12, 6, 1))
-            means[policy] = run_replicated(
-                config, PUSH_BENCH,
-                metric=lambda r: r.response_all.mean).mean
-        return means
-
-    means = run_once(benchmark, sweep)
-    lines = [f"{policy:>4}: {mean:8.1f} broadcast units (all accesses)"
-             for policy, mean in means.items()]
-    report = ("Cache policy ablation (Pure-Push, 12:6:1 non-offset "
-              "program):\n" + "\n".join(lines))
-    (results_dir / "ablation_cache_policy.txt").write_text(report + "\n")
-    print(f"\n{report}\n")
-
-    assert means["pix"] < means["p"]
-    assert means["pix"] < means["lru"]
-    assert means["pix"] < means["lix"]
-    # The online LIX estimate stays in LRU's neighbourhood or better.
-    assert means["lix"] < means["lru"] * 1.15
+    figure = record_figure(run_once(
+        benchmark,
+        lambda: run_figure(EXTENSIONS["cache-policy"], PUSH_BENCH)))
+    means = _means(figure)
+    pix = means["pix all-access mean"]
+    assert pix < means["p all-access mean"]
+    assert pix < means["lru all-access mean"]
 
 
-def test_offset_ablation(benchmark, results_dir):
-    """The Offset program beats the naive hottest-first mapping."""
-
-    def sweep():
-        with_offset = run_replicated(push_config(), PUSH_BENCH).mean
-        without = run_replicated(push_config(server__offset=False),
-                                 PUSH_BENCH).mean
-        return with_offset, without
-
-    with_offset, without = run_once(benchmark, sweep)
-    report = (f"Offset ablation (Pure-Push): offset={with_offset:.1f}, "
-              f"no-offset={without:.1f} broadcast units")
-    (results_dir / "ablation_offset.txt").write_text(report + "\n")
-    print(f"\n{report}\n")
-    assert with_offset < without
-
-
-def test_disk_layout_ablation(benchmark, results_dir):
-    """The square-root-rule layout search beats a flat (single-disk)
-    broadcast and roughly matches the paper's hand-picked split."""
-
-    def sweep():
-        probs = zipf_probabilities(1000, 0.95)
-        searched_sizes, _ = optimal_disk_split(probs, (3, 2, 1),
-                                               granularity=100)
-        results = {}
-        results["paper 100/400/500"] = run_replicated(
-            push_config(), PUSH_BENCH).mean
-        results[f"searched {'/'.join(map(str, searched_sizes))}"] = (
-            run_replicated(
-                push_config(server__disk_sizes=tuple(searched_sizes)),
-                PUSH_BENCH).mean)
-        results["flat single disk"] = run_replicated(
-            push_config(server__disk_sizes=(1000,), server__rel_freqs=(1,)),
-            PUSH_BENCH).mean
-        return results
-
-    results = run_once(benchmark, sweep)
-    lines = [f"{name:>24}: {mean:8.1f}" for name, mean in results.items()]
-    report = "Disk layout ablation (Pure-Push):\n" + "\n".join(lines)
-    (results_dir / "ablation_disk_layout.txt").write_text(report + "\n")
-    print(f"\n{report}\n")
-
-    flat = results["flat single disk"]
-    assert all(mean < flat for name, mean in results.items()
-               if name != "flat single disk")
+def test_push_program_ablation(benchmark, record_figure):
+    """The Offset program beats the naive hottest-first mapping, and the
+    square-root-rule split beats a flat (single-disk) broadcast while
+    roughly matching the paper's hand-picked one."""
+    figure = record_figure(run_once(
+        benchmark,
+        lambda: run_figure(EXTENSIONS["push-program"], PUSH_BENCH)))
+    means = _means(figure)
+    offset = means["Offset 100/400/500"]
+    flat = means["flat single disk"]
+    assert offset < means["no Offset"]
+    assert all(mean < flat for label, mean in means.items()
+               if label != "flat single disk")
 
 
 def test_tuning_advisor(benchmark, results_dir):

@@ -9,17 +9,14 @@ access probability ``p`` and on how quickly it returns on the broadcast
   (used for Pure-Push and IPP),
 - :class:`~repro.cache.p.PPolicy` — P, eject the lowest ``p`` (used for
   Pure-Pull, where there is no periodic broadcast),
-- :class:`~repro.cache.lru.LruPolicy` — the classic baseline the paper's
-  earlier work shows performs poorly here,
-- :class:`~repro.cache.lix.LixPolicy` — LIX, the implementable
-  LRU-style approximation of PIX from [Acha95b] (extension).
+- :class:`~repro.cache.lru.LruPolicy` — the classic recency baseline
+  the paper's earlier work shows performs poorly here.
 """
 
 from repro.cache.base import Cache, ReplacementPolicy
 from repro.cache.pix import PixPolicy
 from repro.cache.p import PPolicy
 from repro.cache.lru import LruPolicy
-from repro.cache.lix import LixPolicy
 from repro.cache.values import page_values, top_valued_pages
 
 __all__ = [
@@ -28,7 +25,6 @@ __all__ = [
     "PixPolicy",
     "PPolicy",
     "LruPolicy",
-    "LixPolicy",
     "page_values",
     "top_valued_pages",
 ]

@@ -2,8 +2,8 @@
 
 [Acha95a] shows that purely probability/recency-driven replacement can
 perform poorly against a multi-disk broadcast because it ignores refetch
-cost.  LRU is provided so that ablation benchmarks can reproduce that
-comparison.
+cost.  LRU is §2.1's recency baseline in the ``cache-policy`` figure
+row, which reproduces that comparison.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from repro.broadcast.offset import apply_offset
 from repro.broadcast.program import DiskAssignment, build_schedule
 from repro.broadcast.schedule import Schedule
 from repro.cache.base import Cache
+from repro.cache.lru import LruPolicy
 from repro.cache.p import PPolicy
 from repro.cache.pix import PixPolicy
 from repro.cache.values import top_valued_pages, value_positions
@@ -120,9 +121,6 @@ def _make_reprogrammer(config: SystemConfig) -> Optional[PushReprogrammer]:
 def _make_policy(config: SystemConfig, mc_probs: np.ndarray,
                  frequencies, metric: str):
     """The MC's replacement policy (ClientConfig.cache_policy)."""
-    from repro.cache.lix import LixPolicy
-    from repro.cache.lru import LruPolicy
-
     choice = config.client.cache_policy
     if choice == "auto":
         choice = metric  # the paper's pairing: PIX unless Pure-Pull
@@ -130,9 +128,7 @@ def _make_policy(config: SystemConfig, mc_probs: np.ndarray,
         return PixPolicy(mc_probs, frequencies or {})
     if choice == "p":
         return PPolicy(mc_probs)
-    if choice == "lru":
-        return LruPolicy()
-    return LixPolicy(frequencies or {})
+    return LruPolicy()
 
 
 def build_system(config: SystemConfig) -> SystemState:

@@ -188,10 +188,10 @@ class ClientConfig(Settings, prefix="client"):
     #: Zipf distribution parameter (θ).
     zipf_theta: float = setting(0.95, float, ge=0)
     #: MC replacement policy: "auto" follows the paper (PIX for
-    #: push-involved algorithms, P for Pure-Pull); "pix" / "p" / "lru" /
-    #: "lix" force one, enabling the cache-policy ablations.
+    #: push-involved algorithms, P for Pure-Pull); "pix" / "p" / "lru"
+    #: force one, as the ``cache-policy`` figure row does.
     cache_policy: str = setting("auto", str,
-                                values=("auto", "pix", "p", "lru", "lix"))
+                                values=("auto", "pix", "p", "lru"))
 
 
 @dataclass(frozen=True)

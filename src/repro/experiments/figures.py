@@ -25,7 +25,8 @@ series needs.
 
 :data:`EXTENSIONS` holds figures beyond the paper on the same contract:
 per-user fairness and pull-queue disciplines across PullBW, each plotting
-several statistics of one set of runs (:attr:`FigureSpec.metrics`).
+several statistics of one set of runs (:attr:`FigureSpec.metrics`), and
+the push-side ablations as one-point rows of Pure-Push series.
 """
 
 from __future__ import annotations
@@ -306,6 +307,10 @@ def _mean_response(result: RunResult) -> float:
     return float(result.response_miss.mean)
 
 
+def _all_access_response(result: RunResult) -> float:
+    return float(result.response_all.mean)
+
+
 def _fleet(num_clients: int) -> dict[str, Any]:
     """A heterogeneous fleet presenting a ThinkTimeRatio-25 aggregate
     load, whatever its size (think time scales with the population)."""
@@ -318,11 +323,19 @@ def _fleet(num_clients: int) -> dict[str, Any]:
 
 
 _PULL_BW = "server__pull_bw"
+#: The ablations' one-point axis: the default CacheSize.
+_CACHE_SIZE = "client__cache_size"
+_CACHE_SIZES = (config_field("client.cache_size").default,)
+#: The square-root-rule disk split for the paper's 3:2:1 program
+#: (``optimal_disk_split`` at granularity 100), pinned by a test.
+_SQRT_RULE_SIZES = (100, 100, 800)
 
 #: Figure id -> spec for the figures beyond the paper: the PullBW sweep
 #: re-run with a per-user fleet, plotting fairness (Robert & Schabanel's
 #: "be fair to users") and comparing pull-queue disciplines, whose choice
-#: only shows where the queue builds depth (the low-PullBW points).
+#: only shows where the queue builds depth (the low-PullBW points); and
+#: the push-side ablations: cost-based replacement (§2.1, on a non-offset
+#: program, where refetch costs differ) and the Offset program (§3.2).
 EXTENSIONS: dict[str, FigureSpec] = {spec.figure_id: spec for spec in (
     FigureSpec(
         "fleet-pullbw",
@@ -347,4 +360,31 @@ EXTENSIONS: dict[str, FigureSpec] = {spec.figure_id: spec for spec in (
         metrics={"mean response": _mean_response,
                  "fleet p99 wait": FAIRNESS_METRICS["p99 user wait"],
                  "fleet max wait": FAIRNESS_METRICS["max user wait"]}),
+    FigureSpec(
+        "cache-policy",
+        "Cache replacement policy (Pure-Push, 12:6:1 non-offset program)",
+        "CacheSize", _RESPONSE, x_key=_CACHE_SIZE, xs=_CACHE_SIZES,
+        series=tuple(
+            SeriesSpec(policy, Algorithm.PURE_PUSH,
+                       {"client__cache_policy": policy,
+                        "server__offset": False,
+                        "server__rel_freqs": (12, 6, 1)})
+            for policy in ("pix", "p", "lru")),
+        representative=("pix", _CACHE_SIZES[0]),
+        metrics={"all-access mean": _all_access_response}),
+    FigureSpec(
+        "push-program",
+        "Push program (Pure-Push): Offset, disk split, flat broadcast",
+        "CacheSize", _RESPONSE, x_key=_CACHE_SIZE, xs=_CACHE_SIZES,
+        series=(
+            SeriesSpec("Offset 100/400/500", Algorithm.PURE_PUSH),
+            SeriesSpec("no Offset", Algorithm.PURE_PUSH,
+                       {"server__offset": False}),
+            SeriesSpec(f"square-root {'/'.join(map(str, _SQRT_RULE_SIZES))}",
+                       Algorithm.PURE_PUSH,
+                       {"server__disk_sizes": _SQRT_RULE_SIZES}),
+            SeriesSpec("flat single disk", Algorithm.PURE_PUSH,
+                       {"server__disk_sizes": (1000,),
+                        "server__rel_freqs": (1,)})),
+        representative=("Offset 100/400/500", _CACHE_SIZES[0])),
 )}

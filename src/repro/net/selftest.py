@@ -16,15 +16,15 @@ port with a :class:`~repro.net.client.ClientFleet` driving it, and a
 
 Load equivalence: a fleet of N clients with mean think time T broadcast
 units offers N/T requests per unit; the simulator's virtual client at
-ThinkTimeRatio t with MCThinkTime m offers t/m.  The sim point therefore
-runs at ``ttr = N * m / T``.
+ThinkTimeRatio t with MCThinkTime m (``client.think_time``) offers t/m.
+The sim series therefore runs at ``ttr = N * m / T``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from repro.core.config import Settings, SystemConfig, setting
@@ -34,8 +34,8 @@ from repro.experiments.base import (
     FigureSeries,
     PointStats,
     Profile,
-    run_replicated,
 )
+from repro.experiments.figures import FigureSpec, SeriesSpec, run_figure
 from repro.net.client import ClientFleet, FleetResult, FleetSettings
 from repro.net.server import NetServer, NetServerSettings
 from repro.obs.manifest import run_manifest
@@ -73,10 +73,10 @@ class SelfTestSettings(Settings, prefix="selftest"):
         if not self.pull_bws:
             raise ValueError("selftest.pull_bws must be non-empty")
 
-    @property
-    def equivalent_ttr(self) -> float:
-        """The simulator load matching the fleet's offered load."""
-        return self.num_clients * 20.0 / self.think_time
+    def equivalent_ttr(self, config: SystemConfig) -> float:
+        """The ThinkTimeRatio at which ``config``'s virtual client offers
+        the fleet's load."""
+        return self.num_clients * config.client.think_time / self.think_time
 
     @property
     def point_timeout(self) -> float:
@@ -174,7 +174,7 @@ def run_selftest(config: Optional[SystemConfig] = None,
         config = SystemConfig()
     if settings is None:
         settings = SelfTestSettings()
-    ttr = settings.equivalent_ttr
+    ttr = settings.equivalent_ttr(config)
     pull_bws = list(settings.pull_bws)
 
     fleet_points: list[PointStats] = []
@@ -188,11 +188,16 @@ def run_selftest(config: Optional[SystemConfig] = None,
             "server_stats": stats,
         })
 
-    sim_points: list[PointStats] = []
-    for pull_bw in pull_bws:
-        sim_config = config.with_(server__pull_bw=pull_bw,
-                                  client__think_time_ratio=ttr)
-        sim_points.append(run_replicated(sim_config, settings.profile))
+    # One sweep over PullBW of every field of ``config`` at that load.
+    config_fields = {f.name: getattr(config, f.name) for f in fields(config)}
+    [sim] = run_figure(FigureSpec(
+        "net_selftest", SIM_LABEL, "PullBW", "Response time",
+        x_key="server__pull_bw", xs=settings.pull_bws,
+        series=(SeriesSpec(SIM_LABEL, config.algorithm,
+                           {**config_fields,
+                            "client__think_time_ratio": ttr}),),
+        representative=(SIM_LABEL, settings.pull_bws[0])),
+        settings.profile).series
 
     manifest = run_manifest(config.with_(run__seed=settings.seed),
                             engine="net")
@@ -210,7 +215,7 @@ def run_selftest(config: Optional[SystemConfig] = None,
         y_label="Response time p90 (broadcast units)",
         series=[
             FigureSeries(label=FLEET_LABEL, x=pull_bws, points=fleet_points),
-            FigureSeries(label=SIM_LABEL, x=pull_bws, points=sim_points),
+            sim,
         ],
         notes=[
             f"fleet: {settings.num_clients} clients over loopback TCP, "
@@ -227,6 +232,6 @@ def run_selftest(config: Optional[SystemConfig] = None,
     return SelfTestResult(
         figure=figure,
         fleet_p90=p90s(fleet_points),
-        sim_p90=p90s(sim_points),
+        sim_p90=p90s(sim.points),
         diagnostics=diagnostics,
     )

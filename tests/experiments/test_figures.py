@@ -5,7 +5,8 @@
 classes run each spec on a miniature grid
 (``replace(FIGURES[id], xs=...)``) to verify the *wiring* — series
 labels, sweep axes, flat reference lines.  ``TestExtensions`` pins the
-:data:`EXTENSIONS` rows to the hand-written sweeps they replaced.  The
+:data:`EXTENSIONS` rows to the hand-written sweeps they replaced, and
+the push-side ablation rows to their archived numbers.  The
 paper-shape assertions live in tests/integration/test_paper_claims.py;
 full grids run in benchmarks/.
 """
@@ -18,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.bandwidth import optimal_disk_split
 from repro.experiments import base
 from repro.experiments.base import Profile, sweep_progress
 from repro.experiments.figures import EXTENSIONS, FIGURES, run_figure
+from repro.workload.zipf import zipf_probabilities
 
 TINY = Profile(settle_accesses=30, measure_accesses=60, replicates=1,
                base_seed=5)
@@ -231,8 +234,25 @@ def shrunk(fig_id):
         replace(s, overrides={**s.overrides, **fleet}) for s in spec.series))
 
 
+#: The ablation benches' scale (``PUSH_BENCH``): Pure-Push runs take the
+#: analytic shortcut, so paper-scale samples cost about a second.
+PUSH_BENCH = Profile(settle_accesses=1000, measure_accesses=20_000,
+                     replicates=3, base_seed=11)
+#: Curve label -> mean at ``PUSH_BENCH``, as the hand-written ablation
+#: loops archived them (``ablation_cache_policy.txt``,
+#: ``ablation_offset.txt``, ``ablation_disk_layout.txt``).
+ABLATION_MEANS = {
+    "cache-policy": {"pix all-access mean": 288.6,
+                     "p all-access mean": 304.7,
+                     "lru all-access mean": 309.5},
+    "push-program": {"Offset 100/400/500": 454.6, "no Offset": 515.3,
+                     "square-root 100/100/800": 475.0,
+                     "flat single disk": 520.0},
+}
+
+
 class TestExtensions:
-    @pytest.mark.parametrize("fig_id", EXTENSIONS)
+    @pytest.mark.parametrize("fig_id", RETIRED_DIGESTS)
     def test_matches_the_retired_sweep(self, fig_id):
         figure = run_figure(shrunk(fig_id), RETIRED_PROFILE)
         assert figure.figure_id == fig_id
@@ -252,3 +272,24 @@ class TestExtensions:
 
     def test_ids_do_not_collide_with_the_papers(self):
         assert not set(EXTENSIONS) & set(FIGURES)
+
+    def test_every_representative_names_a_series_and_an_x(self):
+        for fig_id, spec in EXTENSIONS.items():
+            label, x = spec.representative
+            assert label in [s.label for s in spec.series], fig_id
+            assert x in spec.xs, fig_id
+            assert spec.representative_config() == spec.config(label, x)
+
+    @pytest.mark.parametrize("fig_id", ABLATION_MEANS)
+    def test_ablation_row_reproduces_the_archived_means(self, fig_id):
+        figure = run_figure(EXTENSIONS[fig_id], PUSH_BENCH)
+        means = {s.label: s.y[0] for s in figure.series}
+        assert means == pytest.approx(ABLATION_MEANS[fig_id], abs=0.1)
+
+    def test_push_program_split_is_the_square_root_rules(self):
+        searched, _ = optimal_disk_split(zipf_probabilities(1000, 0.95),
+                                         (3, 2, 1), granularity=100)
+        spec = EXTENSIONS["push-program"]
+        config = spec.config("square-root 100/100/800", spec.xs[0])
+        assert config.server.disk_sizes == tuple(searched)
+        assert config.server.rel_freqs == (3, 2, 1)

@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.experiments.base import figure_from_dict
+import repro.net.selftest as net_selftest
 from repro.net.selftest import (
     FLEET_LABEL,
     SIM_LABEL,
@@ -33,12 +35,33 @@ class TestSettings:
         with pytest.raises(ValueError):
             SelfTestSettings(**kwargs)
 
-    def test_equivalent_ttr_matches_offered_load(self):
-        # N clients / think T units at MCThinkTime 20: N*20/T.
+    def test_equivalent_ttr_matches_offered_load(self, monkeypatch):
+        # N clients / think T units at the config's MCThinkTime m: N*m/T.
         settings = SelfTestSettings(num_clients=200, think_time=200.0)
-        assert settings.equivalent_ttr == 20.0
-        assert SelfTestSettings(num_clients=50,
-                                think_time=100.0).equivalent_ttr == 10.0
+        assert settings.equivalent_ttr(SystemConfig()) == 20.0
+        assert SelfTestSettings(num_clients=50, think_time=100.0
+                                ).equivalent_ttr(SystemConfig()) == 10.0
+        # The simulated series runs at that load for any MCThinkTime: at
+        # m = 40 its virtual client offers N*40/T / 40 = N/T per unit.
+        specs = []
+        run_figure = net_selftest.run_figure
+
+        def spy(spec, profile):
+            specs.append(spec)
+            return run_figure(spec, profile)
+
+        monkeypatch.setattr(net_selftest, "run_figure", spy)
+        slow_mc = SystemConfig().with_(client__think_time=40.0)
+        result = run_selftest(slow_mc, TINY)
+        [spec] = specs
+        expected = TINY.num_clients * 40.0 / TINY.think_time
+        for x in TINY.pull_bws:
+            sim_config = spec.config(SIM_LABEL, x)
+            assert sim_config.client.think_time == 40.0
+            assert sim_config.client.think_time_ratio == expected
+            assert sim_config.server.pull_bw == x
+        manifest = result.figure.manifest["selftest"]
+        assert manifest["equivalent_ttr"] == expected
 
     def test_point_timeout_scales_with_run_length(self):
         short = SelfTestSettings(slots=100, slot_duration=0.001)
@@ -95,7 +118,8 @@ class TestTinyRun:
         selftest = manifest["selftest"]
         assert selftest["num_clients"] == TINY.num_clients
         assert selftest["slots"] == TINY.slots
-        assert selftest["equivalent_ttr"] == TINY.equivalent_ttr
+        assert selftest["equivalent_ttr"] == TINY.equivalent_ttr(
+            SystemConfig())
 
     def test_diagnostics_cover_every_point(self, result):
         assert [d["pull_bw"] for d in result.diagnostics] == list(
@@ -108,6 +132,15 @@ class TestTinyRun:
     def test_sim_series_is_populated(self, result):
         # The simulator side always yields finite quantiles.
         assert all(not math.isnan(v) for v in result.sim_p90)
+
+    def test_sim_series_is_unchanged(self, result):
+        # Mean and p90 per PullBW, pinned: one sweep over PullBW runs the
+        # same configs under the same seeds as one run per point.
+        sim = result.figure.series_by_label(SIM_LABEL)
+        assert [p.mean for p in sim.points] == [477.6857142857144,
+                                                1.0892857142857144]
+        assert [p.p90 for p in sim.points] == [1074.625, 1.0]
+        assert result.sim_p90 == [1074.625, 1.0]
 
     def test_to_dict_is_json_shaped(self, result):
         import json

@@ -100,6 +100,16 @@ class TestExports:
         with pytest.raises(ImportError):
             importlib.import_module("repro.broadcast.serialization")
 
+    def test_lix_is_gone(self):
+        """LIX ran in no row answering a paper claim and lost the only
+        one that ran it; its policy, module and config value are gone."""
+        import repro.cache
+
+        assert not hasattr(repro.cache, "LixPolicy")
+        assert "LixPolicy" not in repro.cache.__all__
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.cache.lix")
+
     def test_telemetry_has_no_registry_mirrors(self):
         """A number a component counts is read from its own snapshot: the
         adapters that mirrored server and fleet counters into a registry,
