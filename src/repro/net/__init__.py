@@ -9,10 +9,10 @@ The simulation engines measure the paper's push/pull crossover in
 - :mod:`repro.net.server` — an asyncio broadcast server that wraps the
   existing :class:`~repro.server.broadcast_server.BroadcastServer`
   state machine unchanged: a slot-clock task calls ``tick()`` once per
-  wall-clock slot and fans the emitted frame out to every connection
-  (bounded per-connection send queues, slow consumers shed frames and
-  are eventually dropped), while per-connection backchannel readers
-  feed ``queue.offer()``,
+  wall-clock slot and writes the emitted frame straight to every
+  connection's transport (bounded by each transport's unsent bytes:
+  slow consumers shed frames and are eventually dropped), while
+  per-connection backchannel readers feed ``queue.offer()``,
 - :mod:`repro.net.client` — a client-fleet load generator driving N
   concurrent connections from the same Zipf access model and cache
   policies the simulator uses, recording wall-clock request-to-page

@@ -10,10 +10,13 @@ face:
   slot (``slot_duration`` seconds, scheduled against the event loop's
   monotonic clock so processing delays never accumulate as drift) and
   fans any page-carrying slot out to every connection as a PAGE frame;
-- per-connection **bounded send queues** decouple the clock from slow
-  sockets: a full queue sheds the frame for that client only (counted
-  in telemetry), and a client that keeps shedding — it stopped reading
-  — is disconnected.  The slot clock itself never blocks on a socket;
+- each frame is encoded once and written **straight to every
+  connection's transport**, with no queue or task in between.  A slow
+  socket is bounded by its transport's unsent bytes: a client already
+  ``send_queue_frames`` PAGE frames behind has the frame shed for it
+  only (counted in telemetry), and a client that keeps shedding — it
+  stopped reading — is disconnected.  The slot clock itself never
+  blocks on a socket;
 - per-connection **backchannel readers** translate REQUEST frames into
   ``server.request()`` — i.e. :meth:`BoundedRequestQueue.offer` — with
   the paper's no-feedback semantics, and answer STATS frames with a
@@ -66,8 +69,10 @@ class NetServerSettings(Settings, prefix="serve"):
     port: int = setting(0, int, ge=0, le=65535)
     #: Wall-clock seconds per broadcast slot.
     slot_duration: float = setting(0.005, float, gt=0)
-    #: Per-connection send-queue capacity in frames.  Roughly the number
-    #: of slots a client may fall behind before frames are shed.
+    #: Per-connection send bound in PAGE frames: a frame (or STATS reply)
+    #: is shed for a client whose transport already holds this many
+    #: frames' bytes unsent.  Roughly the number of slots a client may
+    #: fall behind, past what the kernel's socket buffers absorb.
     send_queue_frames: int = setting(256, int, ge=1)
     #: Consecutive shed frames after which a client is declared dead and
     #: disconnected (it has stopped reading for ``send_queue_frames +
@@ -80,13 +85,12 @@ class NetServerSettings(Settings, prefix="serve"):
 class _Connection:
     """One client connection's server-side state."""
 
-    __slots__ = ("writer", "queue", "sender", "client_id",
+    __slots__ = ("writer", "transport", "client_id",
                  "shed_total", "shed_consecutive")
 
-    def __init__(self, writer: asyncio.StreamWriter, capacity: int):
+    def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=capacity)
-        self.sender: Optional[asyncio.Task] = None
+        self.transport = writer.transport
         self.client_id: Optional[int] = None
         self.shed_total = 0
         self.shed_consecutive = 0
@@ -124,10 +128,10 @@ class NetServer:
         self._connections_total = metrics.counter(
             "net_connections_total", "connections ever accepted")
         self._frames_sent = metrics.counter(
-            "net_frames_sent_total", "PAGE frames enqueued to clients")
+            "net_frames_sent_total", "PAGE frames written to clients")
         self._frames_shed = metrics.counter(
             "net_frames_shed_total",
-            "PAGE frames dropped because a client's send queue was full")
+            "PAGE frames dropped because a client was over its send bound")
         self._clients_dropped = metrics.counter(
             "net_clients_dropped_total",
             "clients disconnected for not reading (slow consumers)")
@@ -138,6 +142,9 @@ class NetServer:
         self._lagging_slots = metrics.counter(
             "net_lagging_slots_total",
             "slots whose tick started after their wall-clock deadline")
+        #: Unsent bytes at which a connection is over its send bound.
+        self._send_bound = self.settings.send_queue_frames * len(
+            encode_frame(Page(0, 0, "push")))
         self.slot = 0
         self._connections: dict[int, _Connection] = {}
         self._next_conn_key = 0
@@ -183,7 +190,7 @@ class NetServer:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
             self._tcp_server = None
-        # Let cancelled sender tasks and closed transports unwind.
+        # Let closed transports unwind.
         await asyncio.sleep(0)
 
     # -- telemetry -----------------------------------------------------------
@@ -222,66 +229,49 @@ class NetServer:
                 await asyncio.sleep(delay)
             else:
                 self._lagging_slots.inc()
-                # Yield so readers/senders run even when the clock lags.
+                # Yield so readers run even when the clock lags.
                 await asyncio.sleep(0)
         self._finished.set()
 
     def _broadcast(self, frame: bytes) -> None:
-        """Fan one encoded frame out to every connection, never blocking."""
+        """Write one encoded frame to every connection, never blocking."""
+        bound = self._send_bound
         drop_after = self.settings.drop_after
+        sent = 0
         dead: list[int] = []
         for key, conn in self._connections.items():
-            try:
-                conn.queue.put_nowait(frame)
-            except asyncio.QueueFull:
-                conn.shed_total += 1
-                conn.shed_consecutive += 1
-                self._frames_shed.inc()
-                if conn.shed_consecutive >= drop_after:
-                    dead.append(key)
-            else:
+            transport = conn.transport
+            if transport.is_closing():
+                continue  # lost; its reader reaps it
+            if transport.get_write_buffer_size() < bound:
+                transport.write(frame)
                 conn.shed_consecutive = 0
-                self._frames_sent.inc()
+                sent += 1
+                continue
+            conn.shed_total += 1
+            conn.shed_consecutive += 1
+            self._frames_shed.inc()
+            if conn.shed_consecutive >= drop_after:
+                dead.append(key)
+        self._frames_sent.inc(sent)
         for key in dead:
             self._clients_dropped.inc()
             self._close_connection(key)
 
     # -- connections ---------------------------------------------------------
     def _close_connection(self, key: int) -> None:
+        """Forget a connection and abort its transport: unsent bytes are
+        discarded, as a send queue's backlog would be, so a client that
+        stopped reading cannot hold its socket open."""
         conn = self._connections.pop(key, None)
-        if conn is None:
-            return
-        if conn.sender is not None:
-            conn.sender.cancel()
-        with contextlib.suppress(Exception):
-            conn.writer.close()
-
-    async def _sender(self, conn: _Connection) -> None:
-        """Drain one connection's send queue onto its socket.
-
-        Frames already queued are written in one batch per drain, so a
-        burst of slots costs one syscall-ish flush, not one per frame.
-        """
-        writer = conn.writer
-        queue = conn.queue
-        try:
-            while True:
-                writer.write(await queue.get())
-                while True:
-                    try:
-                        writer.write(queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-                await writer.drain()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            return
+        if conn is not None:
+            conn.transport.abort()
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         key = self._next_conn_key
         self._next_conn_key += 1
-        conn = _Connection(writer, self.settings.send_queue_frames)
-        conn.sender = asyncio.create_task(self._sender(conn))
+        conn = _Connection(writer)
         self._connections[key] = conn
         self._connections_total.inc()
         server = self.server
@@ -296,9 +286,13 @@ class NetServer:
                 elif isinstance(frame, Hello):
                     conn.client_id = frame.client_id
                 elif isinstance(frame, StatsRequest):
-                    payload = encode_frame(Stats(self.stats_snapshot()))
-                    with contextlib.suppress(asyncio.QueueFull):
-                        conn.queue.put_nowait(payload)
+                    # Under the same send bound as PAGE frames.
+                    transport = conn.transport
+                    if (not transport.is_closing()
+                            and transport.get_write_buffer_size()
+                            < self._send_bound):
+                        transport.write(
+                            encode_frame(Stats(self.stats_snapshot())))
                         self._stats_served.inc()
                 # PAGE / STATS from a client are ignored (harmless).
         except (asyncio.IncompleteReadError, ConnectionError, OSError,

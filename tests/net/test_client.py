@@ -175,8 +175,11 @@ class TestCensoring:
         """Against a black-hole server every miss waits forever."""
         async def scenario():
             async def swallow(reader, writer):
-                while await reader.read(1 << 16):
-                    pass
+                try:
+                    while await reader.read(1 << 16):
+                        pass
+                finally:
+                    writer.close()
 
             server = await asyncio.start_server(
                 swallow, "127.0.0.1", 0)

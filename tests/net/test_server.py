@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import logging
+import socket
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.net.protocol import (
     Request,
     Stats,
     StatsRequest,
+    encode_frame,
     read_frame,
     write_frame,
 )
@@ -34,6 +37,50 @@ async def _collect_pages(reader, count):
         if isinstance(frame, Page):
             pages.append(frame)
     return pages
+
+
+async def _read_to_eof(reader):
+    frames = []
+    while True:
+        try:
+            frames.append(await read_frame(reader))
+        except asyncio.IncompleteReadError:
+            return frames
+
+
+async def _next_stats(reader):
+    while True:
+        frame = await read_frame(reader)
+        if isinstance(frame, Stats):
+            return frame
+
+
+async def _open_wedged(port):
+    """Connect a client that really stops reading: a small receive
+    buffer, and its transport's reading paused (it can still write)."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", port))
+    reader, writer = await asyncio.open_connection(sock=sock)
+    writer.transport.pause_reading()
+    return reader, writer
+
+
+async def _registered(server, client_id):
+    """The server-side connection that sent HELLO ``client_id``."""
+    while True:
+        for conn in server._connections.values():
+            if conn.client_id == client_id:
+                return conn
+        await asyncio.sleep(0.001)
+
+
+def _shrink_send_buffer(conn):
+    """Leave the kernel little room, so unsent bytes stay in the
+    transport where the send bound sees them."""
+    conn.writer.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_SNDBUF, 1024)
 
 
 class TestSettings:
@@ -187,20 +234,12 @@ class TestSlowConsumer:
             good_reader, good_writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
             write_frame(good_writer, Hello(0))
-            bad_reader, bad_writer = await asyncio.open_connection(
-                "127.0.0.1", server.port)
+            bad_reader, bad_writer = await _open_wedged(server.port)
             write_frame(bad_writer, Hello(1))
             await good_writer.drain()
             await bad_writer.drain()
-            while {c.client_id for c in server._connections.values()} != {
-                    0, 1}:  # both HELLOs processed
-                await asyncio.sleep(0.001)
-            # Simulate a wedged consumer: stall the server-side sender so
-            # its bounded queue stops draining (the OS socket buffers
-            # would otherwise absorb far more than this test's frames).
-            for conn in server._connections.values():
-                if conn.client_id == 1:
-                    conn.sender.cancel()
+            await _registered(server, 0)
+            _shrink_send_buffer(await _registered(server, 1))
             # The good client keeps reading the whole time.
             pages = await _collect_pages(good_reader, 300)
             await server.wait_finished()
@@ -218,3 +257,117 @@ class TestSlowConsumer:
         assert snapshot["net_frames_shed_total"]["value"] > 0
         assert snapshot["net_clients_dropped_total"]["value"] == 1
         assert connected == 1  # only the reading client survived
+
+    def test_stats_reply_honours_the_send_bound(self):
+        """A STATS request from a client over its send bound gets no
+        reply, and the reply is not counted as served."""
+        async def scenario():
+            registry = MetricsRegistry()
+            server = NetServer(CONFIG, NetServerSettings(
+                slot_duration=0.001, max_slots=5000,
+                send_queue_frames=4, drop_after=10**6), registry=registry)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.transport.pause_reading()
+            write_frame(writer, Hello(1))
+            await writer.drain()
+            conn = await _registered(server, 1)
+            _shrink_send_buffer(conn)
+            # A backlog (1.1 MB) far past the bound and past what the
+            # kernel's buffers take: the connection stays over it.
+            conn.transport.write(encode_frame(Page(0, 0, "push")) * 50_000)
+            counters = registry.snapshot
+            write_frame(writer, StatsRequest())
+            write_frame(writer, Request(900))  # read after the STATS one
+            await writer.drain()
+            while counters()["net_requests_received_total"]["value"] < 1:
+                await asyncio.sleep(0.001)
+            served = counters()["net_stats_requests_total"]["value"]
+            # Catch up, then ask again: the first STATS frame to arrive
+            # must answer the second request, not the first.
+            writer.transport.resume_reading()
+            reply = asyncio.create_task(_next_stats(reader))
+            while conn.transport.get_write_buffer_size():
+                await asyncio.sleep(0.001)
+            write_frame(writer, Request(901))
+            write_frame(writer, StatsRequest())
+            await writer.drain()
+            payload = (await reply).payload
+            await server.stop()
+            writer.close()
+            return served, payload
+
+        served, payload = run(scenario())
+        assert served == 0
+        assert payload["metrics"]["net_requests_received_total"]["value"] == 2
+        assert payload["metrics"]["net_stats_requests_total"]["value"] == 0
+
+
+class TestLostClient:
+    def test_vanished_client_is_reaped_without_writes(self, caplog):
+        """A client that aborts mid-run is reaped; the clock still runs
+        to the end and no frame goes to (or is counted for) it after."""
+        caplog.set_level(logging.WARNING, logger="asyncio")
+
+        async def scenario():
+            registry = MetricsRegistry()
+            # Slots long enough that the loss is seen before the next one.
+            server = NetServer(CONFIG, NetServerSettings(
+                slot_duration=0.025, max_slots=30), registry=registry)
+            await server.start()
+            kept_reader, kept_writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            gone_reader, gone_writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            while server.connected_clients < 2:
+                await asyncio.sleep(0.001)
+            kept = asyncio.create_task(_read_to_eof(kept_reader))
+            gone = await _collect_pages(gone_reader, 3)
+            gone_writer.transport.abort()
+            await server.wait_finished()
+            sent = registry.snapshot()["net_frames_sent_total"]["value"]
+            connected = server.connected_clients
+            await server.stop()
+            frames = await kept
+            kept_writer.close()
+            return server.slot, sent, connected, len(frames), len(gone)
+
+        slot, sent, connected, kept, gone = run(scenario())
+        assert slot == 30
+        assert connected == 1
+        assert sent == kept + gone
+        assert not [r for r in caplog.records
+                    if r.name == "asyncio" and r.levelno >= logging.WARNING]
+
+    def test_closing_transport_is_neither_written_nor_counted(self, caplog):
+        """Between a connection's loss and its reaping, broadcasts skip
+        it: no write to the lost transport, no frame sent, none shed."""
+        caplog.set_level(logging.WARNING, logger="asyncio")
+
+        async def scenario():
+            registry = MetricsRegistry()
+            server = NetServer(CONFIG, NetServerSettings(
+                slot_duration=0.001, max_slots=1), registry=registry)
+            await server.start()
+            _reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            while server.connected_clients < 1:
+                await asyncio.sleep(0.001)
+            await server.wait_finished()
+            (conn,) = server._connections.values()
+            before = registry.snapshot()
+            conn.transport.abort()
+            # No await in between: the reader has not seen the loss yet.
+            for slot in range(8):
+                server._broadcast(encode_frame(Page(0, slot, "push")))
+            after = registry.snapshot()
+            await server.stop()
+            writer.close()
+            return before, after, conn.shed_total
+
+        before, after, shed = run(scenario())
+        assert after == before
+        assert shed == 0
+        assert not [r for r in caplog.records
+                    if r.name == "asyncio" and r.levelno >= logging.WARNING]
