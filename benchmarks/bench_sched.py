@@ -1,6 +1,6 @@
 """Pull-scheduler overhead benchmark: what each discipline costs.
 
-Two layers:
+Two layers, and a probe:
 
 - **queue microbench** — drives a
   :class:`~repro.server.queue.BoundedRequestQueue` directly with
@@ -17,6 +17,9 @@ Two layers:
   deltas amount to inside the full slot loop (the queue is a small
   fraction of a slot's work, so disciplines should be within noise of
   each other here).
+- **pop-depth probe** — :func:`bench_pop_depth`, seconds per R×W ``pop``
+  at a given queue depth; CI gates that it does not grow with depth
+  (not archived).
 
 Usage::
 
@@ -44,7 +47,11 @@ from repro.core.algorithms import Algorithm  # noqa: E402
 from repro.core.config import SystemConfig  # noqa: E402
 from repro.core.fast import FastEngine  # noqa: E402
 from repro.server.queue import BoundedRequestQueue  # noqa: E402
-from repro.server.schedulers import DISCIPLINES, make_scheduler  # noqa: E402
+from repro.server.schedulers import (  # noqa: E402
+    DISCIPLINES,
+    RxWScheduler,
+    make_scheduler,
+)
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_sched.json"
 
@@ -75,6 +82,30 @@ def bench_queue(discipline: str, capacity: int, ops: int,
         "elapsed_s": round(elapsed, 4),
         "ops_per_sec": round((ops + pops) / elapsed),
     }
+
+
+def bench_pop_depth(depth: int, pops: int) -> float:
+    """Seconds per R×W ``pop`` with ``depth`` pages queued ahead of it.
+
+    With ``aging = 0`` R×W serves the most-requested page: ``depth``
+    single-request pages fill the queue and are never served, while each
+    round enqueues a new page, duplicates it and pops it from the far end
+    of arrival order.  A pop with a step linear in the queue's depth
+    costs more per pop as ``depth`` grows; CI's sched-smoke job compares
+    about 100 against about 2,000.
+    """
+    queue = BoundedRequestQueue(depth + 1, RxWScheduler(aging=0.0))
+    for page in range(depth):
+        queue.offer(page)
+    elapsed = 0.0
+    for page in range(depth, depth + pops):
+        queue.now += 1
+        queue.offer(page)
+        queue.offer(page)
+        start = perf_counter()
+        queue.pop()
+        elapsed += perf_counter() - start
+    return elapsed / pops
 
 
 def bench_engine(discipline: str, measure_accesses: int,
@@ -111,7 +142,7 @@ def main(argv=None) -> int:
 
     ops = 20_000 if args.smoke else 400_000
     accesses = 300 if args.smoke else 3000
-    capacities = (5, 50) if args.smoke else (5, 50, 250)
+    capacities = (5, 50) if args.smoke else (5, 50, 250, 500)
 
     queue_results = [bench_queue(disc, capacity, ops, args.seed)
                      for capacity in capacities

@@ -6,18 +6,23 @@ queue is full, and ignored when a request for the same page is already
 queued (the earlier broadcast will satisfy both — clients snoop on the
 frontchannel).  Clients get no feedback about either outcome.
 
-Arrival order is kept in a FIFO deque; *service* order is delegated to a
+*Service* order is delegated to a
 :class:`~repro.server.schedulers.PullScheduler` discipline (the paper's
 FIFO by default — bit-identical to the historic hard-coded behaviour).
-The queue stamps every offer with :attr:`now`, the server's absolute
-slot clock, so disciplines can weigh waits without owning a clock.
+For FIFO the queue keeps arrival order in a deque, with a set beside it
+for membership, and always serves the head.  A discipline that reorders
+(R×W, LWF) keeps the queued pages in its own enqueue-ordered dict,
+``_live``, which is then the queue's only record of them: serving a
+page from the middle is a dict delete, not a scan.  The queue stamps
+every offer with :attr:`now`, the server's absolute slot clock, so
+disciplines can weigh waits without owning a clock.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Optional
+from typing import Any, Optional
 
 from repro.server.schedulers import FifoScheduler, PullScheduler
 
@@ -44,6 +49,16 @@ class Offer(enum.Enum):
 _ENQUEUED, _DUPLICATE, _DROPPED = Offer
 
 
+def _notified(scheduler: PullScheduler, hook: str) -> Optional[PullScheduler]:
+    """``scheduler`` if its ``hook`` does anything, else None: the base
+    class's hook is a no-op when there is no temperature to track."""
+    if (scheduler.track_temperature
+            or getattr(type(scheduler), hook) is not getattr(PullScheduler,
+                                                             hook)):
+        return scheduler
+    return None
+
+
 class BoundedRequestQueue:
     """Bounded queue of distinct page requests with drop-on-full semantics."""
 
@@ -54,15 +69,23 @@ class BoundedRequestQueue:
         self.capacity = capacity
         self.scheduler: PullScheduler = (
             scheduler if scheduler is not None else FifoScheduler())
-        #: None for plain FIFO, whose three offer-side hooks are no-ops
-        #: without temperature tracking: :meth:`offer` skips the calls.
-        self._offer_hooks = None if (
-            type(self.scheduler) in (PullScheduler, FifoScheduler)
-            and not self.scheduler.track_temperature) else self.scheduler
+        #: Per offer-side hook, the scheduler to call it on, or None where
+        #: it is a no-op (all three for plain FIFO, ``on_dropped`` for
+        #: R×W and LWF).  Objects, not bound methods: a queue holds no
+        #: callable of its own, so observers can shadow and restore.
+        self._notify_enqueued = _notified(self.scheduler, "on_enqueued")
+        self._notify_duplicate = _notified(self.scheduler, "on_duplicate")
+        self._notify_dropped = _notified(self.scheduler, "on_dropped")
         #: The server's absolute slot clock; offers are stamped with it.
         self.now = 0
-        self._fifo: deque[int] = deque()
-        self._queued: set[int] = set()
+        live = self.scheduler._live
+        #: Arrival order, for a discipline that serves its head; None when
+        #: the discipline keeps the queued pages itself.
+        self._fifo: Optional[deque[int]] = deque() if live is None else None
+        #: The queued pages: a set beside the deque, or the discipline's
+        #: enqueue-ordered ``_live`` dict (``Any``: each path uses only
+        #: its own type's operations).
+        self._queued: Any = set() if live is None else live
         # Cumulative accounting, one counter per Offer outcome.
         self.enqueued = 0
         self.duplicates = 0
@@ -70,7 +93,7 @@ class BoundedRequestQueue:
         self.served = 0
 
     def __len__(self) -> int:
-        return len(self._fifo)
+        return len(self._queued)
 
     def __contains__(self, page: int) -> bool:
         return page in self._queued
@@ -78,7 +101,7 @@ class BoundedRequestQueue:
     @property
     def is_full(self) -> bool:
         """True when another distinct request would be dropped."""
-        return len(self._fifo) >= self.capacity
+        return len(self._queued) >= self.capacity
 
     @property
     def offers(self) -> int:
@@ -103,42 +126,59 @@ class BoundedRequestQueue:
 
     def offer(self, page: int) -> Offer:
         """Present a pull request; returns what happened to it."""
-        hooks = self._offer_hooks
-        if page in self._queued:
+        queued = self._queued
+        if page in queued:
             self.duplicates += 1
-            if hooks is not None:
-                hooks.on_duplicate(page, self.now)
+            notify = self._notify_duplicate
+            if notify is not None:
+                notify.on_duplicate(page, self.now)
             return _DUPLICATE
-        if len(self._fifo) >= self.capacity:
+        if len(queued) >= self.capacity:
             self.dropped += 1
-            if hooks is not None:
-                hooks.on_dropped(page, self.now)
+            notify = self._notify_dropped
+            if notify is not None:
+                notify.on_dropped(page, self.now)
             return _DROPPED
-        self._fifo.append(page)
-        self._queued.add(page)
+        fifo = self._fifo
+        if fifo is not None:
+            fifo.append(page)
+            queued.add(page)
+        # else the discipline's on_enqueued inserts it into ``_live``.
         self.enqueued += 1
-        if hooks is not None:
-            hooks.on_enqueued(page, self.now)
+        notify = self._notify_enqueued
+        if notify is not None:
+            notify.on_enqueued(page, self.now)
         return _ENQUEUED
 
     def peek(self) -> Optional[int]:
         """The page the discipline would serve next (None when empty)."""
-        if not self._fifo:
+        if not self._queued:
             return None
-        return self.scheduler.select(self._fifo, self.now)
+        fifo = self._fifo
+        return self.scheduler.select(
+            self._queued if fifo is None else fifo, self.now)
 
     def pop(self) -> int:
         """Dequeue the discipline's pick for service (raises if empty)."""
         scheduler = self.scheduler
         fifo = self._fifo
-        page = scheduler.select(fifo, self.now)
-        scheduler.pops += 1
-        if page == fifo[0]:
-            fifo.popleft()
+        if fifo is None:
+            # ``_live``: its first key is the arrival head, and the
+            # discipline's on_served below deletes the page.
+            live = self._queued
+            page = scheduler.select(live, self.now)
+            if page != next(iter(live)):
+                scheduler.reordered += 1
         else:
-            fifo.remove(page)
-            scheduler.reordered += 1
-        self._queued.remove(page)
+            page = scheduler.select(fifo, self.now)
+            if page != fifo[0]:
+                raise ValueError(
+                    f"discipline {scheduler.name!r} picked {page}, not the "
+                    f"queue's head: one that reorders keeps the queued "
+                    f"pages itself (PullScheduler._live)")
+            fifo.popleft()
+            self._queued.remove(page)
+        scheduler.pops += 1
         self.served += 1
         scheduler.on_served(page, self.now)
         return page
@@ -151,7 +191,7 @@ class BoundedRequestQueue:
         follows the distinct-offers definition (see :attr:`drop_rate`).
         """
         return {
-            "depth": len(self._fifo),
+            "depth": len(self._queued),
             "capacity": self.capacity,
             "enqueued": self.enqueued,
             "duplicates": self.duplicates,

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Optional
+from typing import Any, Optional
 
 from repro.broadcast.program import DiskAssignment, build_schedule
 from repro.broadcast.schedule import Schedule
@@ -87,6 +87,13 @@ class PullScheduler:
 
     name = "fifo"
 
+    #: The queued pages in enqueue order, for a discipline that keeps them
+    #: itself (``on_enqueued`` inserts a page, ``on_served`` deletes it,
+    #: a duplicate never moves it): the queue then holds no record of its
+    #: own and ``select`` may pick any of them.  None: the queue keeps a
+    #: deque, and ``select`` must pick its head.
+    _live: Optional[dict[int, Any]] = None
+
     def __init__(self, *, track_temperature: bool = False):
         self.track_temperature = track_temperature
         #: Cumulative observed demand per page (offers of any outcome).
@@ -118,11 +125,12 @@ class PullScheduler:
         """``page`` was popped for service (clear per-page wait state)."""
 
     # -- selection ---------------------------------------------------------
-    def select(self, fifo: "deque[int]", now: int) -> int:
+    def select(self, fifo: "deque[int] | dict[int, Any]", now: int) -> int:
         """The queued page the next pull slot should serve.
 
-        ``fifo`` is the queue's arrival-ordered deque (never empty here);
-        the base class serves its head.  R×W and LWF answer from the
+        ``fifo`` is the queue's arrival-ordered container (never empty
+        here): its deque, or this discipline's own :attr:`_live`.  The
+        base class serves the deque's head.  R×W and LWF answer from the
         index their hooks maintain and do not read it.
         """
         return fifo[0]
@@ -189,7 +197,8 @@ class _CountIndexedScheduler(PullScheduler):
 
     def __init__(self, *, track_temperature: bool = False):
         super().__init__(track_temperature=track_temperature)
-        #: page -> its live entry.
+        #: page -> its live entry, in enqueue order: the queue's only
+        #: record of its pages (:attr:`PullScheduler._live`).
         self._live: dict[int, _Entry] = {}
         #: count -> min-heap of entries; never empty, head always live.
         self._buckets: dict[int, list[_Entry]] = {}
@@ -297,13 +306,18 @@ class RxWScheduler(_CountIndexedScheduler):
         entry = self._live.get(page)
         return entry[3] if entry is not None else 0
 
-    def select(self, fifo: "deque[int]", now: int) -> int:
+    def select(self, fifo: "deque[int] | dict[int, Any]", now: int) -> int:
         aging = self.aging
+        # ``x ** 1.0 == x`` exactly: classic R×W skips the pow.
+        classic = aging == 1.0
         best = best_seq = None
         best_score = -1.0
         for heap in self._buckets.values():
             first, seq, page, waiters = heap[0]
-            score = waiters * (now - first + 1.0) ** aging
+            if classic:
+                score = waiters * (now - first + 1.0)
+            else:
+                score = waiters * (now - first + 1.0) ** aging
             if score > best_score or (score == best_score
                                       and seq < best_seq):
                 best = page
@@ -335,7 +349,7 @@ class LwfScheduler(_CountIndexedScheduler):
             return 0.0
         return entry[3] * (now + 1.0) - entry[0]
 
-    def select(self, fifo: "deque[int]", now: int) -> int:
+    def select(self, fifo: "deque[int] | dict[int, Any]", now: int) -> int:
         best = best_seq = None
         best_score = float("-inf")
         for heap in self._buckets.values():

@@ -4,6 +4,9 @@ These are the ``select`` bodies ``repro.server.schedulers`` shipped
 before the disciplines got their count-bucketed index, with the per-page
 dicts they read.  O(depth) per pick and obviously right: every queued
 page is scored, a strict ``>`` keeps the earlier-enqueued page on a tie.
+Like the indexed disciplines, each keeps the queued pages in an
+enqueue-ordered dict, ``_live``, and the queue hands that dict back to
+``select`` as its arrival order.
 ``test_indexed_select.py`` requires the indexed disciplines to make the
 identical pick in every queue state.
 """
@@ -17,25 +20,26 @@ class ScanRxW(PullScheduler):
     def __init__(self, *, aging: float = 1.0):
         super().__init__()
         self.aging = aging
-        self._first_arrival: dict[int, int] = {}
+        #: page -> first arrival slot, in enqueue order.
+        self._live: dict[int, int] = {}
         self._waiters: dict[int, int] = {}
 
     def on_enqueued(self, page, now):
-        self._first_arrival[page] = now
+        self._live[page] = now
         self._waiters[page] = 1
 
     def on_duplicate(self, page, now):
         self._waiters[page] += 1
 
     def on_served(self, page, now):
-        del self._first_arrival[page]
+        del self._live[page]
         del self._waiters[page]
 
     def select(self, fifo, now):
-        first = self._first_arrival
+        first = self._live
         waiters = self._waiters
         aging = self.aging
-        best = fifo[0]
+        best = None
         best_score = -1.0
         for page in fifo:
             score = waiters[page] * (now - first[page] + 1.0) ** aging
@@ -50,25 +54,26 @@ class ScanLwf(PullScheduler):
 
     def __init__(self):
         super().__init__()
-        self._count: dict[int, int] = {}
+        #: page -> outstanding request count, in enqueue order.
+        self._live: dict[int, int] = {}
         self._arrival_sum: dict[int, int] = {}
 
     def on_enqueued(self, page, now):
-        self._count[page] = 1
+        self._live[page] = 1
         self._arrival_sum[page] = now
 
     def on_duplicate(self, page, now):
-        self._count[page] += 1
+        self._live[page] += 1
         self._arrival_sum[page] += now
 
     def on_served(self, page, now):
-        del self._count[page]
+        del self._live[page]
         del self._arrival_sum[page]
 
     def select(self, fifo, now):
-        count = self._count
+        count = self._live
         arrival_sum = self._arrival_sum
-        best = fifo[0]
+        best = None
         best_score = float("-inf")
         for page in fifo:
             score = count[page] * (now + 1.0) - arrival_sum[page]

@@ -1,11 +1,13 @@
 """Unit and property tests for the bounded request queue."""
 
+from collections import deque
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.attach import Attachment
 from repro.server.queue import BoundedRequestQueue, Offer
-from repro.server.schedulers import FifoScheduler, make_scheduler
+from repro.server.schedulers import DISCIPLINES, FifoScheduler, make_scheduler
 from tests.conftest import observe_offers
 
 
@@ -56,10 +58,27 @@ class TestOfferSemantics:
         queue.offer(8)
         assert 8 in queue and 9 not in queue
 
+    def test_a_discipline_without_its_own_record_must_serve_the_head(self):
+        """The deque only gives up its head: a discipline that reorders
+        has to keep the queued pages itself (``PullScheduler._live``)."""
+        class Newest(FifoScheduler):
+            def select(self, fifo, now):
+                return fifo[-1]
+
+        queue = BoundedRequestQueue(3, Newest())
+        queue.offer(1)
+        queue.offer(2)
+        with pytest.raises(ValueError, match="not the queue's head"):
+            queue.pop()
+        assert len(queue) == 2 and queue.served == 0
+
 
 class TestOfferHooks:
-    """``offer`` skips the discipline's hooks only when they are no-ops:
-    plain FIFO without temperature tracking."""
+    """``offer`` calls each hook only when it is not the base class's
+    no-op: a hook the discipline overrides, or any hook under
+    temperature tracking."""
+
+    HOOKS = ("_notify_enqueued", "_notify_duplicate", "_notify_dropped")
 
     class Spy(FifoScheduler):
         def __init__(self, **kwargs):
@@ -70,8 +89,10 @@ class TestOfferHooks:
             self.seen.append((page, now))
 
     def test_plain_fifo_has_nothing_to_call(self):
-        assert BoundedRequestQueue(2)._offer_hooks is None
-        assert BoundedRequestQueue(2, FifoScheduler())._offer_hooks is None
+        for queue in (BoundedRequestQueue(2),
+                      BoundedRequestQueue(2, FifoScheduler())):
+            assert [getattr(queue, hook) for hook in self.HOOKS] == [
+                None, None, None]
 
     def test_temperature_tracking_is_still_fed(self):
         scheduler = FifoScheduler(track_temperature=True)
@@ -82,8 +103,16 @@ class TestOfferHooks:
 
     @pytest.mark.parametrize("discipline", ["rxw", "lwf"])
     def test_stateful_disciplines_observe(self, discipline):
+        """R×W and LWF index enqueues and duplicates; a drop leaves their
+        index as it was, so ``on_dropped`` (the base no-op) is skipped."""
         scheduler = make_scheduler(discipline)
-        assert BoundedRequestQueue(2, scheduler)._offer_hooks is scheduler
+        queue = BoundedRequestQueue(2, scheduler)
+        assert queue._notify_enqueued is scheduler
+        assert queue._notify_duplicate is scheduler
+        assert queue._notify_dropped is None
+        tracked = make_scheduler(discipline, track_temperature=True)
+        queue = BoundedRequestQueue(2, tracked)
+        assert queue._notify_dropped is tracked
 
     def test_a_fifo_subclass_with_a_hook_is_called(self):
         spy = self.Spy()
@@ -136,21 +165,60 @@ class TestAccounting:
 
 
 class TestInvariants:
-    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 9)),
-                    max_size=300),
-           st.integers(min_value=1, max_value=5))
+    @settings(deadline=None)
+    @given(ops=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9)),
+                        max_size=300),
+           capacity=st.integers(min_value=1, max_value=5))
     def test_queue_invariants_under_arbitrary_traffic(self, ops, capacity):
-        """Length never exceeds capacity; the dedup set mirrors the FIFO;
-        counters partition the offers."""
-        queue = BoundedRequestQueue(capacity)
-        for is_pop, page in ops:
-            if is_pop and len(queue):
-                queue.pop()
+        """Every discipline against a deque + set model, after every op
+        (0 offers, 1 pops, 2 ticks the clock): depth (never above
+        capacity), membership and the arrival order agree; ``peek()`` is
+        a queued page (FIFO's the model's head) and the one ``pop``
+        serves; ``reordered`` counts the pops that missed the model's
+        head; counters partition the offers."""
+        for discipline in DISCIPLINES:
+            self.check_against_model(discipline, ops, capacity)
+
+    @staticmethod
+    def check_against_model(discipline, ops, capacity):
+        queue = BoundedRequestQueue(capacity, make_scheduler(discipline))
+        arrivals: deque[int] = deque()
+        members: set[int] = set()
+        reordered = 0
+        for kind, page in ops:
+            if kind == 2:
+                queue.now += 1
+            elif kind == 1 and arrivals:
+                picked = queue.peek()
+                served = queue.pop()
+                assert served == picked
+                reordered += served != arrivals[0]
+                arrivals.remove(served)
+                members.remove(served)
+                assert queue.scheduler.reordered == reordered
+            elif kind == 0:
+                outcome = queue.offer(page)
+                if page in members:
+                    assert outcome is Offer.DUPLICATE
+                elif len(arrivals) >= capacity:
+                    assert outcome is Offer.DROPPED
+                else:
+                    assert outcome is Offer.ENQUEUED
+                    arrivals.append(page)
+                    members.add(page)
+            assert len(queue) == len(arrivals) <= capacity
+            assert queue.is_full == (len(arrivals) >= capacity)
+            assert [page for page in range(10) if page in queue] == sorted(
+                members)
+            # The arrival order ``pop`` counts reorderings against.
+            order = queue._queued if queue._fifo is None else queue._fifo
+            assert list(order) == list(arrivals)
+            if arrivals:
+                assert queue.peek() in members
+                if discipline == "fifo":
+                    assert queue.peek() == arrivals[0]
             else:
-                queue.offer(page)
-            assert len(queue) <= capacity
-            assert len(queue._queued) == len(queue._fifo)
-            assert set(queue._fifo) == queue._queued
+                assert queue.peek() is None
         assert queue.offers == queue.enqueued + queue.duplicates + queue.dropped
         assert queue.served + len(queue) == queue.enqueued
 

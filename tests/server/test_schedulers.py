@@ -7,9 +7,9 @@ Three layers:
   arbitrary offer/pop/clock sequences,
 - behaviour tests: each discipline picks the page its priority rule says
   it should, with FIFO tie-breaks,
-- parity: the FIFO discipline is bit-identical to a replica of the
-  pre-refactor queue (hard-coded head service, no scheduler hooks)
-  through both engines' full slot traces.
+- parity: the FIFO discipline is bit-identical to the pre-refactor
+  queue (``legacy_queue.py``: hard-coded head service, no scheduler
+  hooks) through both engines' full slot traces.
 """
 
 import math
@@ -34,6 +34,7 @@ from repro.server.schedulers import (
     make_scheduler,
 )
 from tests.conftest import observe_offers, small_config
+from tests.server.legacy_queue import LegacyQueue
 
 
 class TestMakeScheduler:
@@ -320,39 +321,6 @@ class TestPushReprogrammer:
         assert reprogrammer.maybe_reprogram(100, scheduler) is not None
         # No *new* demand since: the cumulative total must not re-trigger.
         assert reprogrammer.maybe_reprogram(200, scheduler) is None
-
-
-class LegacyQueue(BoundedRequestQueue):
-    """The pre-refactor queue, verbatim: hard-coded FIFO service, no
-    scheduler hooks, no slot clock.  The parity fixture the FIFO
-    discipline must be bit-identical to."""
-
-    def offer(self, page: int) -> Offer:
-        if page in self._queued:
-            self.duplicates += 1
-            return Offer.DUPLICATE
-        if len(self._fifo) >= self.capacity:
-            self.dropped += 1
-            return Offer.DROPPED
-        self._fifo.append(page)
-        self._queued.add(page)
-        self.enqueued += 1
-        return Offer.ENQUEUED
-
-    def peek(self):
-        return self._fifo[0] if self._fifo else None
-
-    def pop(self) -> int:
-        page = self._fifo.popleft()
-        self._queued.remove(page)
-        self.served += 1
-        return page
-
-    def reset_stats(self) -> None:
-        self.enqueued = 0
-        self.duplicates = 0
-        self.dropped = 0
-        self.served = 0
 
 
 def _slot_trace(engine_cls, config, legacy: bool):
