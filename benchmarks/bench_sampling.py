@@ -8,13 +8,15 @@ Two measurements in one bench:
   deterministic 1-in-100 vs a seeded reservoir, into an in-memory
   ``ColumnarSink`` and into one written to ``.npy``.  The interesting
   number is the speedup: a skipped access pays one policy decision
-  instead of record construction + aggregation + row encoding.
-- **Accuracy** — compares each sampled run's inverse-probability
-  corrected estimates (mean wait, p50/p90/p99) against the full trace's
-  on the same stream, reporting relative errors; ``--accuracy-sim``
-  additionally runs the figure-3a representative point through the fast
-  engine twice (full trace vs 1-in-100) and enforces the 5% acceptance
-  bound on corrected mean and p90 — the job CI runs.
+  instead of record construction + row encoding.
+- **Accuracy** — compares each sampled run's estimates, read from its
+  rows like every tracer aggregate (the mean wait of the breakdown
+  scaled by the policy's one weight, exact p50/p90/p99 of the kept
+  miss waits), against the full trace's on the same stream, reporting
+  relative errors; ``--accuracy-sim`` additionally runs the figure-3a
+  representative point through the fast engine twice (full trace vs
+  1-in-100) and enforces the 5% acceptance bound on the sampled mean
+  and p90 — the job CI runs.
 
 Usage::
 
@@ -202,7 +204,7 @@ def accuracy_sim(seed: int, measure_accesses: int,
 
     Runs the representative figure-3a configuration (QUICK-style settle,
     ``measure_accesses`` measured accesses) twice — full trace and
-    1-in-100 — and checks the corrected mean wait and p90 land within
+    1-in-100 — and checks the sampled mean wait and p90 land within
     ``tolerance`` of the full-trace values.
     """
     from repro.core.fast import FastEngine

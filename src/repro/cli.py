@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sampling.add_argument(
         "--sample-every", type=int, default=None, metavar="N",
         help="(--requests) trace 1 access in N deterministically; "
-             "breakdown and quantiles are inverse-probability corrected")
+             "the breakdown's counts and totals are scaled by N")
     trace_sampling.add_argument(
         "--reservoir", type=int, default=None, metavar="K",
         help="(--requests) keep a seeded uniform reservoir of K records "
@@ -459,16 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_request_trace(config: SystemConfig, path: Path,
                          engine: str = "fast", sampling=None) -> int:
-    """Request-trace ``config`` into a file; prints the breakdown."""
+    """Request-trace ``config`` into a file; prints what ``report
+    --trace`` prints of it (its breakdown scaled by a sampled trace's
+    weight)."""
     from repro.experiments.tracing import write_request_trace
 
     tracer = write_request_trace(config, path, engine=engine,
                                  sampling=sampling)
-    print(tracer.breakdown().render())
-    quantiles = tracer.wait_quantiles()
-    if quantiles:
-        print("measured miss wait quantiles: "
-              + "  ".join(f"{k}={v:.1f}" for k, v in quantiles.items()))
+    print("\n".join(_request_summary(tracer.sink.array(), tracer.think_time,
+                                     tracer.weight)))
     if sampling is not None:
         meta = sampling.describe()
         print(f"sampling: {meta['policy']} kept {meta['sampled']} of "
@@ -730,6 +729,23 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+def _request_summary(array, think_time, weight: float = 1) -> list[str]:
+    """A request table's breakdown and exact miss-wait quantile lines."""
+    from repro.obs.requests import breakdown_of_array, measured_miss_waits
+    from repro.sim.monitor import exact_quantiles
+
+    lines = [breakdown_of_array(array, think_time=think_time,
+                                weight=weight).render()]
+    waits = measured_miss_waits(array)
+    marks = exact_quantiles(waits)
+    if marks is not None:
+        lines.append(
+            f"measured miss wait quantiles: p50={marks['p50']:.1f}  "
+            f"p90={marks['p90']:.1f}  p99={marks['p99']:.1f}  "
+            f"max={waits.max():.1f}")
+    return lines
+
+
 def _report_trace(path: Path, think_time) -> int:
     """Summarize a ``.npy`` trace file (slot or request records).
 
@@ -738,14 +754,7 @@ def _report_trace(path: Path, think_time) -> int:
     """
     import numpy as np
 
-    from repro.obs.columnar import (
-        breakdown_of_array,
-        load_columnar,
-        measured_miss_waits,
-        slot_summary,
-        table_of,
-    )
-    from repro.sim.monitor import exact_quantiles
+    from repro.obs.columnar import load_columnar, slot_summary, table_of
 
     try:
         array = load_columnar(path)
@@ -756,14 +765,7 @@ def _report_trace(path: Path, think_time) -> int:
             measured = int(np.count_nonzero(array["measured"]))
             lines = [f"request trace: {array.shape[0]} records "
                      f"({measured} measured) from {path}", "",
-                     breakdown_of_array(array, think_time=think_time).render()]
-            waits = measured_miss_waits(array)
-            marks = exact_quantiles(waits)
-            if marks is not None:
-                lines.append(
-                    f"measured miss wait quantiles: p50={marks['p50']:.1f}  "
-                    f"p90={marks['p90']:.1f}  p99={marks['p99']:.1f}  "
-                    f"max={waits.max():.1f}")
+                     *_request_summary(array, think_time)]
         else:
             summary = slot_summary(array)
             lines = [f"slot trace: {summary['slots']} slots from {path}",

@@ -7,22 +7,14 @@
     client."
 
 :class:`AdaptiveController` implements exactly that policy as an
-additive-increase / additive-decrease loop over three observed signals:
-
-- the backchannel queue's window **drop rate**, computed over *distinct*
-  offers (``enqueued + dropped``; duplicates neither take a slot nor can
-  be dropped, so counting them would dilute the signal — at high load
-  most offers for hot pages are duplicates),
-- optionally the request tracer's **wait decomposition**: the share of
-  measured queue wait spent in the pull queue vs waiting for the push
-  program.  A pull-dominated share means the backchannel is the
-  bottleneck even while the queue is deep-but-not-dropping, which window
-  drop rate alone cannot see,
-- optionally the fleet's **tail wait** (per-user p99) against a budget,
-  so PullBW reacts to tail users, not just the aggregate mean.
+additive-increase / additive-decrease loop over one observed signal:
+the backchannel queue's window **drop rate**, computed over *distinct*
+offers (``enqueued + dropped``; duplicates neither take a slot nor can
+be dropped, so counting them would dilute the signal — at high load
+most offers for hot pages are duplicates).
 
 Under saturation it steps the threshold up and the pull bandwidth down
-(strengthening the push safety net); when every signal reads idle it
+(strengthening the push safety net); when the drop rate reads idle it
 relaxes both so light-load responsiveness returns.  A window with zero
 distinct offers carries *no signal* — the clients may simply be blocked
 on long waits — so parameters hold and the window is traced as
@@ -46,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.config import Settings, setting
 
@@ -66,18 +57,8 @@ class AdaptivePolicy(Settings, prefix="adaptive"):
     #: Window drop rate (over distinct offers) above which the system is
     #: considered saturated.
     high_drop: float = setting(0.10, float, ge=0, le=1)
-    #: Window drop rate below which the drop signal reads idle.
+    #: Window drop rate below which the system is considered idle.
     low_drop: float = setting(0.01, float, ge=0, le=1)
-    #: Pull share of the window's queue wait (pull / (pull + push)) above
-    #: which the backchannel counts as the bottleneck even without drops.
-    #: The default 1.0 can never be exceeded, i.e. the decomposition
-    #: signal is opt-in; it only acts when the engine feeds wait totals
-    #: from a request tracer.
-    high_pull_share: float = setting(1.0, float, gt=0, le=1)
-    #: Fleet per-user p99 wait (broadcast units) above which the tail is
-    #: considered saturated; None disables the tail-wait input.
-    tail_wait_budget: Optional[float] = setting(None, float, gt=0,
-                                                optional=True)
     #: Per-decision adjustment of ThresPerc (fraction of the major cycle).
     thresh_step: float = setting(0.05, float, ge=0, le=1)
     #: Per-decision adjustment of PullBW.
@@ -100,13 +81,11 @@ class AdaptivePolicy(Settings, prefix="adaptive"):
 
 
 class AdaptiveController:
-    """Feedback loop over traced signals → (PullBW, ThresPerc).
+    """Feedback loop over the queue's drop rate → (PullBW, ThresPerc).
 
     The engine calls :meth:`decide` once per control interval with the
-    queue's cumulative *distinct* counters (and, when available, the
-    request tracer's cumulative wait decomposition and the fleet's
-    current per-user p99); the controller differences the cumulative
-    inputs into windows and returns the parameters to apply next.
+    queue's cumulative *distinct* counters; the controller differences
+    them into windows and returns the parameters to apply next.
     """
 
     def __init__(self, policy: AdaptivePolicy, pull_bw: float,
@@ -118,8 +97,6 @@ class AdaptiveController:
                                policy.max_thresh)
         self._last_offers = 0
         self._last_dropped = 0
-        self._last_push_wait = 0.0
-        self._last_pull_wait = 0.0
         #: (time, pull_bw, thresh_perc, window_drop_rate, reason) per
         #: decision; drop rate is NaN for no-signal windows, and reason
         #: is one of "saturated" / "idle" / "hold" / "no-signal".
@@ -133,10 +110,8 @@ class AdaptiveController:
         # from the new totals.
         return total if window < 0 else window
 
-    def decide(self, now: float, total_offers: int, total_dropped: int, *,
-               push_wait: Optional[float] = None,
-               pull_wait: Optional[float] = None,
-               tail_wait: Optional[float] = None) -> tuple[float, float]:
+    def decide(self, now: float, total_offers: int,
+               total_dropped: int) -> tuple[float, float]:
         """One control decision; returns ``(pull_bw, thresh_perc)``.
 
         Args:
@@ -144,34 +119,13 @@ class AdaptiveController:
             total_offers: cumulative *distinct* offers
                 (``queue.enqueued + queue.dropped``).
             total_dropped: cumulative dropped offers.
-            push_wait / pull_wait: cumulative wait decomposition totals
-                from a request tracer (``WaitBreakdown.push_wait`` /
-                ``.pull_wait``), or None when no tracer is attached.
-            tail_wait: the fleet's current per-user p99 wait, or None.
         """
         window_offers = self._window(total_offers, self._last_offers)
         window_dropped = self._window(total_dropped, self._last_dropped)
         self._last_offers = total_offers
         self._last_dropped = total_dropped
 
-        pull_share: Optional[float] = None
-        if push_wait is not None and pull_wait is not None:
-            window_push = push_wait - self._last_push_wait
-            window_pull = pull_wait - self._last_pull_wait
-            if window_push < 0 or window_pull < 0:  # tracer was swapped
-                window_push, window_pull = push_wait, pull_wait
-            self._last_push_wait = push_wait
-            self._last_pull_wait = pull_wait
-            window_wait = window_push + window_pull
-            if window_wait > 0:
-                pull_share = window_pull / window_wait
-
-        policy = self.policy
-        tail_over = (tail_wait is not None
-                     and policy.tail_wait_budget is not None
-                     and tail_wait > policy.tail_wait_budget)
-
-        if window_offers == 0 and not tail_over:
+        if window_offers == 0:
             # Zero distinct offers carry no signal: the backchannel may be
             # silent because clients are blocked waiting, not because the
             # system is idle.  Hold everything (relaxing here was a bug).
@@ -179,25 +133,16 @@ class AdaptiveController:
                                math.nan, _NO_SIGNAL))
             return self.pull_bw, self.thresh_perc
 
-        drop_rate = (window_dropped / window_offers
-                     if window_offers else 0.0)
-        saturated = (drop_rate > policy.high_drop
-                     or (pull_share is not None
-                         and pull_share > policy.high_pull_share)
-                     or tail_over)
-        idle = (not saturated
-                and drop_rate < policy.low_drop
-                and (pull_share is None
-                     or pull_share <= policy.high_pull_share))
-
-        if saturated:
+        policy = self.policy
+        drop_rate = window_dropped / window_offers
+        if drop_rate > policy.high_drop:
             # Conserve the backchannel, strengthen the push safety net.
             self.thresh_perc = min(self.thresh_perc + policy.thresh_step,
                                    policy.max_thresh)
             self.pull_bw = max(self.pull_bw - policy.pull_bw_step,
                                policy.min_pull_bw)
             reason = _SATURATED
-        elif idle:
+        elif drop_rate < policy.low_drop:
             # Relax toward responsive pull-heavy operation.
             self.thresh_perc = max(self.thresh_perc - policy.thresh_step,
                                    policy.min_thresh)

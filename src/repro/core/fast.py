@@ -108,7 +108,7 @@ class FastEngine:
         # Controller decisions, program swaps and the max_slots stall all
         # wait behind one deadline (see ControlPlane).
         control = ControlPlane(self.state, self.config.run.max_slots,
-                               self.controller, self.request_tracer)
+                               self.controller)
         run = RunProtocol(self.config, self.state, "fast", warmup_mode,
                           observers, control)
         with run:

@@ -40,7 +40,6 @@ from repro.server.broadcast_server import SlotKind
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
     from repro.core.adaptive import AdaptiveController
     from repro.obs.attach import Observer
-    from repro.obs.requests import RequestTracer
 
 __all__ = ["ControlPlane", "RunProtocol", "SimulationStall"]
 
@@ -209,8 +208,7 @@ class ControlPlane:
     """
 
     def __init__(self, state: SystemState, max_slots: Optional[int] = None,
-                 controller: "Optional[AdaptiveController]" = None,
-                 request_tracer: "Optional[RequestTracer]" = None) -> None:
+                 controller: "Optional[AdaptiveController]" = None) -> None:
         """Args:
             state: the system whose components follow every change.
             max_slots: raise :class:`SimulationStall` at this slot.  None
@@ -218,12 +216,10 @@ class ControlPlane:
                 engine guards per event, the net server just stops.
             controller: retunes PullBW / ThresPerc every
                 ``controller.policy.interval`` slots when given.
-            request_tracer: feeds the controller its wait decomposition.
         """
         self.state = state
         self._stall_at: float = math.inf if max_slots is None else max_slots
         self.controller = controller
-        self.request_tracer = request_tracer
         self._control_interval = (controller.policy.interval
                                   if controller is not None else 0)
         reprogrammer = state.reprogrammer
@@ -257,24 +253,10 @@ class ControlPlane:
         assert controller is not None
         state = self.state
         queue = state.server.queue
-        push_wait: Optional[float] = None
-        pull_wait: Optional[float] = None
-        tail_wait: Optional[float] = None
-        if self.request_tracer is not None:
-            breakdown = self.request_tracer.breakdown_stats
-            push_wait = breakdown.push_wait
-            pull_wait = breakdown.pull_wait
-        # Tail-wait feedback is opt-in (policy budget set + fleet present):
-        # a fleet snapshot per decision is cheap at interval granularity
-        # but not free at million-client scale.
-        if (state.fleet is not None
-                and controller.policy.tail_wait_budget is not None):
-            tail_wait = state.fleet.snapshot()["user_wait_p99"]
         # Distinct offers (enqueued + dropped): duplicates carry no
         # saturation signal (see BoundedRequestQueue.drop_rate).
         pull_bw, thresh_perc = controller.decide(
-            float(t), queue.enqueued + queue.dropped, queue.dropped,
-            push_wait=push_wait, pull_wait=pull_wait, tail_wait=tail_wait)
+            float(t), queue.enqueued + queue.dropped, queue.dropped)
         state.server.mux.pull_bw = pull_bw
         state.mc_threshold.set_thresh_perc(thresh_perc)
         self._spread_threshold_slots()

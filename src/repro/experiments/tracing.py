@@ -41,13 +41,12 @@ def write_request_trace(config: SystemConfig, path: Union[str, Path],
     """Run ``config`` with a request tracer writing to ``path``.
 
     ``sampling`` is an optional
-    :class:`~repro.obs.sampling.SamplingPolicy`; sampled records carry
-    inverse-probability weights in the returned tracer's aggregates.
-    The tracer is closed — not just the sink — before returning, so a
-    deferring (reservoir) policy has flushed its records into the file.
+    :class:`~repro.obs.sampling.SamplingPolicy`.  The tracer is closed —
+    not just the sink — before returning, so a deferring (reservoir)
+    policy has flushed its records into the file.
 
-    Returns the tracer (its sink already closed), so callers can render
-    the in-memory breakdown and quantiles without re-reading the trace.
+    Returns the tracer (its sink already closed), whose rows are the
+    file's: callers summarize them without re-reading the trace.
     """
     tracer = RequestTracer(ColumnarSink(path, table="request"),
                            sampling=sampling)

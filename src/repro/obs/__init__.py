@@ -8,8 +8,7 @@ opens the black box:
 - :mod:`repro.obs.trace` — one structured row per broadcast slot,
 - :mod:`repro.obs.columnar` — the one form a trace takes: numpy
   structured arrays, built by the one sink, persisted as memory-mapped
-  ``.npy`` (checked on load), exported as JSON lines, and analysed by
-  vectorized breakdowns for million-row traces,
+  ``.npy`` (checked on load) and exported as JSON lines,
 - :mod:`repro.obs.metrics` — a counters/histograms registry for the
   numbers no component owns (the wire's and the load generator's),
 - :mod:`repro.obs.profile` — wall time per component-call phase of
@@ -17,10 +16,11 @@ opens the black box:
 - :mod:`repro.obs.compare` — trace diffing that pinpoints the first slot
   where two engine runs diverge,
 - :mod:`repro.obs.requests` — request-lifecycle tracing: one row per
-  measured-client access with a wait decomposition,
+  measured-client access, and the wait decomposition and miss-wait
+  column vectorized reductions read from those rows,
 - :mod:`repro.obs.sampling` — 1-in-N and seeded-reservoir sampling
-  policies for the request tracer, with inverse-probability correction
-  weights so sampled aggregates estimate the full population,
+  policies for the request tracer, each with one inverse-probability
+  weight so sampled aggregates estimate the full population,
 - :mod:`repro.obs.dashboard` — live terminal telemetry: sweep-progress
   monitor (``figures --watch``) and net STATS frame rendering (``serve
   --watch`` / ``loadgen --watch``) over one metrics vocabulary,
@@ -42,10 +42,8 @@ from repro.obs.columnar import (
     REQUEST_DTYPE,
     SLOT_DTYPE,
     ColumnarSink,
-    breakdown_of_array,
     columnar_to_jsonl,
     load_columnar,
-    measured_miss_waits,
     slot_summary,
     table_of,
 )
@@ -70,6 +68,8 @@ from repro.obs.requests import (
     RequestRecord,
     RequestTracer,
     WaitBreakdown,
+    breakdown_of_array,
+    measured_miss_waits,
 )
 from repro.obs.trace import SlotTracer
 from repro.sim.monitor import (

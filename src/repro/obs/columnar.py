@@ -17,11 +17,10 @@ simulation was:
   demand,
 - :func:`columnar_to_jsonl` — the one text export (``repro-broadcast
   convert``), for ``grep`` / ``jq`` and hand inspection,
-- :func:`breakdown_of_array` / :func:`measured_miss_waits` /
-  :func:`slot_summary` — vectorized analytics in place of per-record
-  Python loops; a waits column goes to
-  :func:`repro.sim.monitor.exact_quantiles` for *exact* order
-  statistics, not bucket approximations.
+- :func:`slot_summary` — a slot table's vectorized aggregates.  A
+  request table's (:func:`~repro.obs.requests.breakdown_of_array`,
+  :func:`~repro.obs.requests.measured_miss_waits`) live in
+  :mod:`repro.obs.requests`, beside the breakdown they build.
 
 Dtype and null convention
 -------------------------
@@ -35,8 +34,8 @@ a **sentinel + mask** convention:
 - nullable enum columns (``pull_outcome``) store ``-1``,
 - additionally, every row carries a ``null_mask`` uint8 whose bit *i* is
   set iff the *i*-th nullable column (in :data:`~repro.obs.trace.\
-OPTIONAL_SLOT_FIELDS` / :data:`~repro.obs.requests.\
-OPTIONAL_REQUEST_FIELDS` order) was ``None``.
+OPTIONAL_SLOT_FIELDS` / :data:`OPTIONAL_REQUEST_FIELDS` order) was
+  ``None``.
 
 The mask is authoritative on decode — sentinels are only a convenience
 for vectorized math (``np.isnan`` masks, ``page >= 0`` filters) — which
@@ -51,25 +50,23 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from repro.obs.events import OFFER_OUTCOMES, SERVED_KINDS, SLOT_KINDS
-from repro.obs.requests import OPTIONAL_REQUEST_FIELDS, WaitBreakdown
 from repro.obs.trace import OPTIONAL_SLOT_FIELDS
 
 __all__ = [
     "SLOT_DTYPE",
     "REQUEST_DTYPE",
+    "OPTIONAL_REQUEST_FIELDS",
     "TABLES",
     "ColumnarSink",
     "load_columnar",
     "table_of",
     "decode_row",
     "columnar_to_jsonl",
-    "breakdown_of_array",
-    "measured_miss_waits",
     "slot_summary",
 ]
 
@@ -119,11 +116,11 @@ REQUEST_DTYPE = np.dtype([
     ("null_mask", "<u1"),
 ])
 
-# Registry codes the vectorized analytics test against.
-_SERVED_PULL = SERVED_KINDS.index("pull")
-_OUTCOME_ENQUEUED = OFFER_OUTCOMES.index("enqueued")
-_OUTCOME_DUPLICATE = OFFER_OUTCOMES.index("duplicate")
-_OUTCOME_DROPPED = OFFER_OUTCOMES.index("dropped")
+#: REQUEST_DTYPE's nullable columns (the RequestRecord fields typed
+#: Optional), in null-mask bit order.
+OPTIONAL_REQUEST_FIELDS: tuple[str, ...] = (
+    "pull_outcome", "predicted_push_wait", "on_air_at", "queue_wait",
+    "service")
 
 #: Each table's dtype and nullable fields (null-mask bit order).
 _TABLE_SPEC = {
@@ -301,66 +298,15 @@ def columnar_to_jsonl(src: Union[str, Path], dst: Union[str, Path]) -> int:
 
 # -- vectorized analytics --------------------------------------------------
 
-def _require_table(array: np.ndarray, table: str) -> None:
-    actual = table_of(array)
-    if actual != table:
-        raise ValueError(f"need a {table} trace, got a {actual} trace")
-
-
-def breakdown_of_array(array: np.ndarray,
-                       think_time: Optional[float] = None,
-                       measured_only: bool = True) -> WaitBreakdown:
-    """The :class:`~repro.obs.requests.WaitBreakdown` of a request table.
-
-    The same breakdown a live :class:`~repro.obs.requests.RequestTracer`
-    accumulates record by record, built by column reductions — no record
-    objects are materialized, so a million-row memory-mapped trace
-    aggregates in tens of milliseconds.  ``think_time`` (broadcast units
-    per access) fills the think row when known.
-    """
-    _require_table(array, "request")
-    rows = array[array["measured"]] if measured_only else array[...]
-    breakdown = WaitBreakdown()
-    breakdown.accesses = int(rows.shape[0])
-    hit = rows["hit"]
-    breakdown.hits = int(np.count_nonzero(hit))
-    miss = rows[~hit]
-    breakdown.misses = int(miss.shape[0])
-    breakdown.pulls_sent = int(np.count_nonzero(miss["pull_sent"]))
-    outcome = miss["pull_outcome"]
-    breakdown.pulls_enqueued = int(
-        np.count_nonzero(outcome == _OUTCOME_ENQUEUED))
-    breakdown.pulls_duplicate = int(
-        np.count_nonzero(outcome == _OUTCOME_DUPLICATE))
-    breakdown.pulls_dropped = int(
-        np.count_nonzero(outcome == _OUTCOME_DROPPED))
-    served_pull = miss["served_kind"] == _SERVED_PULL
-    breakdown.served_pull = int(np.count_nonzero(served_pull))
-    breakdown.served_push = breakdown.misses - breakdown.served_pull
-    queue_wait = np.nan_to_num(miss["queue_wait"], nan=0.0)
-    breakdown.pull_wait = float(queue_wait[served_pull].sum())
-    breakdown.push_wait = float(queue_wait[~served_pull].sum())
-    breakdown.service = float(
-        np.nan_to_num(miss["service"], nan=0.0).sum())
-    if think_time is not None:
-        breakdown.think = think_time * breakdown.accesses
-    return breakdown
-
-
-def measured_miss_waits(array: np.ndarray) -> np.ndarray:
-    """The measured-phase miss waits of a request table (float64 copy)."""
-    _require_table(array, "request")
-    selected = array[array["measured"] & ~array["hit"]]
-    return np.ascontiguousarray(selected["wait"], dtype=np.float64)
-
-
 def slot_summary(array: np.ndarray) -> dict:
     """Aggregate view of a slot table (the ``report`` command's lines).
 
     Returns ``{"slots": n, "kinds": {name: count}, "mean_queue_depth":
     float, "dropped": int}`` with only the slot kinds actually present.
     """
-    _require_table(array, "slot")
+    table = table_of(array)
+    if table != "slot":
+        raise ValueError(f"need a slot trace, got a {table} trace")
     total = int(array.shape[0])
     counts = np.bincount(array["kind"], minlength=len(SLOT_KINDS))
     kinds = {name: int(count)

@@ -14,11 +14,13 @@ identical by construction) and builds one :class:`RequestRecord` per
 completed access, encoded once as a
 :data:`~repro.obs.columnar.REQUEST_DTYPE` row into a
 :class:`~repro.obs.columnar.ColumnarSink` (the sink the slot tracer
-writes to as well).  Alongside the per-request stream it accumulates a
-:class:`WaitBreakdown` — the think / push-wait / pull-queue-wait /
-service decomposition over the measured phase — and a
-:class:`~repro.sim.monitor.Histogram` of measured waits for quantile
-reporting.
+writes to as well).  The rows are the whole trace: every aggregate is
+computed from them.  :func:`breakdown_of_array` reduces a request table
+to its :class:`WaitBreakdown` — the think / push-wait / pull-queue-wait
+/ service decomposition over the measured phase — and
+:func:`measured_miss_waits` extracts the column whose exact quantiles
+are reported, the same way for a live tracer and for a ``.npy`` file
+read back (``report --trace``).
 
 Tracing is opt-in: the hooks are shadows on the component instances
 (:mod:`repro.obs.attach`), so a run without a request tracer executes no
@@ -31,18 +33,22 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.obs.attach import Attachment
+from repro.obs.columnar import table_of
 from repro.obs.events import OFFER_OUTCOMES, SERVED_KINDS
-from repro.sim.monitor import Histogram
+from repro.sim.monitor import exact_quantiles
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
     from repro.core.build import SystemState
 
 __all__ = [
-    "OPTIONAL_REQUEST_FIELDS",
     "RequestRecord",
     "RequestTracer",
     "WaitBreakdown",
+    "breakdown_of_array",
+    "measured_miss_waits",
 ]
 
 # Registry name -> the int8 code a request row stores.
@@ -96,7 +102,8 @@ class RequestRecord:
 
         A None becomes its column's sentinel (-1 for the outcome code,
         NaN for a float) and sets its null-mask bit, in
-        :data:`OPTIONAL_REQUEST_FIELDS` order: 1 = pull_outcome,
+        :data:`~repro.obs.columnar.OPTIONAL_REQUEST_FIELDS` order:
+        1 = pull_outcome,
         2 = predicted_push_wait, 4 = on_air_at, 8 = queue_wait,
         16 = service.
         """
@@ -130,13 +137,6 @@ class RequestRecord:
                 service, mask)
 
 
-#: RequestRecord fields typed Optional: the columnar backend's null-mask
-#: columns, in this order.
-OPTIONAL_REQUEST_FIELDS: tuple[str, ...] = (
-    "pull_outcome", "predicted_push_wait", "on_air_at", "queue_wait",
-    "service")
-
-
 @dataclass
 class WaitBreakdown:
     """Where the measured phase's client time went, by lifecycle stage.
@@ -147,9 +147,8 @@ class WaitBreakdown:
     ``push_wait`` or ``pull_wait`` by the kind of slot that served it.
     """
 
-    #: Event counts.  Exact ints for full traces; weighted (possibly
-    #: fractional) population estimates when the records came through a
-    #: sampling policy (see :mod:`repro.obs.sampling`).
+    #: Event counts.  Exact ints for full traces; population estimates
+    #: (floats) for a sampled one (see :mod:`repro.obs.sampling`).
     accesses: float = 0
     hits: float = 0
     misses: float = 0
@@ -159,45 +158,14 @@ class WaitBreakdown:
     pulls_dropped: float = 0
     served_push: float = 0
     served_pull: float = 0
-    #: Total think time (accesses x ThinkTime; the engine fills it in).
+    #: Total think time (accesses x ThinkTime, when the think time is
+    #: known).
     think: float = 0.0
     #: Total wait before the page aired, split by the serving slot kind.
     push_wait: float = 0.0
     pull_wait: float = 0.0
     #: Total on-air transmission time.
     service: float = 0.0
-
-    def add(self, record: RequestRecord, weight: float = 1) -> None:
-        """Fold one completed record in (caller filters to measured).
-
-        ``weight`` is the record's inverse-probability correction when it
-        came through a sampling policy: the record counts as ``weight``
-        identical accesses, turning the breakdown into an unbiased
-        estimate of the full population's.  The default of integer ``1``
-        keeps full traces on the exact integer/float arithmetic they had
-        before sampling existed (``1 * x`` is exactly ``x``).
-        """
-        self.accesses += weight
-        if record.hit:
-            self.hits += weight
-            return
-        self.misses += weight
-        if record.pull_sent:
-            self.pulls_sent += weight
-            if record.pull_outcome == "enqueued":
-                self.pulls_enqueued += weight
-            elif record.pull_outcome == "duplicate":
-                self.pulls_duplicate += weight
-            elif record.pull_outcome == "dropped":
-                self.pulls_dropped += weight
-        queue_wait = record.queue_wait or 0.0
-        if record.served_kind == "pull":
-            self.served_pull += weight
-            self.pull_wait += weight * queue_wait
-        else:
-            self.served_push += weight
-            self.push_wait += weight * queue_wait
-        self.service += weight * (record.service or 0.0)
 
     # -- derived views -----------------------------------------------------
     @property
@@ -253,6 +221,63 @@ class WaitBreakdown:
         return f"{table}\n{summary}"
 
 
+def _require_request_table(array: np.ndarray) -> None:
+    table = table_of(array)
+    if table != "request":
+        raise ValueError(f"need a request trace, got a {table} trace")
+
+
+def breakdown_of_array(array: np.ndarray,
+                       think_time: Optional[float] = None,
+                       measured_only: bool = True,
+                       weight: float = 1) -> WaitBreakdown:
+    """The :class:`WaitBreakdown` of a request table.
+
+    Built by column reductions — no record objects are materialized, so
+    a million-row memory-mapped trace aggregates in tens of
+    milliseconds.  ``think_time`` (broadcast units per access) fills the
+    think row when known.  ``weight`` is the accesses each row stands
+    for (a sampled trace's, see :mod:`repro.obs.sampling`): every count
+    and total is scaled by it once, so the breakdown estimates the full
+    population.
+    """
+    _require_request_table(array)
+    rows = array[array["measured"]] if measured_only else array[...]
+    hit = rows["hit"]
+    miss = rows[~hit]
+    outcome = miss["pull_outcome"]
+    served_pull = miss["served_kind"] == _SERVED_KIND_CODE["pull"]
+    queue_wait = np.nan_to_num(miss["queue_wait"], nan=0.0)
+    misses = int(miss.shape[0])
+    pulled = int(np.count_nonzero(served_pull))
+    breakdown = WaitBreakdown(
+        accesses=int(rows.shape[0]),
+        hits=int(np.count_nonzero(hit)),
+        misses=misses,
+        pulls_sent=int(np.count_nonzero(miss["pull_sent"])),
+        **{f"pulls_{name}": int(np.count_nonzero(outcome == code))
+           for name, code in _OUTCOME_CODE.items()},
+        served_push=misses - pulled,
+        served_pull=pulled,
+        push_wait=float(queue_wait[~served_pull].sum()),
+        pull_wait=float(queue_wait[served_pull].sum()),
+        service=float(np.nan_to_num(miss["service"], nan=0.0).sum()))
+    if weight != 1:
+        breakdown = WaitBreakdown(**{
+            name: weight * value
+            for name, value in asdict(breakdown).items()})
+    if think_time is not None:
+        breakdown.think = think_time * breakdown.accesses
+    return breakdown
+
+
+def measured_miss_waits(array: np.ndarray) -> np.ndarray:
+    """The measured-phase miss waits of a request table (float64 copy)."""
+    _require_request_table(array)
+    selected = array[array["measured"] & ~array["hit"]]
+    return np.ascontiguousarray(selected["wait"], dtype=np.float64)
+
+
 @dataclass
 class _OpenRequest:
     """Mutable in-flight state between ``on_access`` and completion."""
@@ -285,6 +310,11 @@ class RequestTracer:
     *every* backchannel request (the VC's included) and counts the ones
     for the page the MC is blocked on.
 
+    The sink's rows are the trace; :meth:`breakdown` and
+    :meth:`wait_quantiles` reduce them with :func:`breakdown_of_array`
+    and :func:`~repro.sim.monitor.exact_quantiles`, as ``report
+    --trace`` does for the written file.
+
     Args:
         sink: the :class:`~repro.obs.columnar.ColumnarSink`
             (``table="request"``) completed records are written to.
@@ -293,11 +323,10 @@ class RequestTracer:
             think row of :meth:`breakdown`.
         sampling: optional :class:`~repro.obs.sampling.SamplingPolicy`.
             When set, only accepted accesses are traced (skipped ones
-            cost a single policy call) and every kept record carries an
-            inverse-probability weight through the breakdown and
-            histogram, so the aggregates estimate the full population.
-            Reservoir policies hold their records back until
-            :meth:`finalize`.
+            cost a single policy call), and the breakdown's counts and
+            totals are scaled by the policy's one ``weight``, so they
+            estimate the full population.  Reservoir policies hold
+            their records back until :meth:`finalize`.
     """
 
     def __init__(self, sink, think_time: Optional[float] = None,
@@ -306,14 +335,10 @@ class RequestTracer:
         self.think_time = think_time
         self.sampling = sampling
         self.records_emitted = 0
-        #: Accesses offered to the tracer (sampled or not).
+        #: Accesses offered to the tracer (sampled or not); the next
+        #: access's index.
         self.accesses_seen = 0
-        self.breakdown_stats = WaitBreakdown()
-        #: Measured miss waits, for p50/p90/p99 reporting.
-        self.wait_histogram = Histogram("request_wait",
-                                        "measured MC response times")
         self._open: Optional[_OpenRequest] = None
-        self._next_index = 0
         self._finalized = False
 
     # -- attachment --------------------------------------------------------
@@ -387,8 +412,7 @@ class RequestTracer:
         guard on ``self._open``), which is where sampling's speedup
         comes from.
         """
-        index = self._next_index
-        self._next_index += 1
+        index = self.accesses_seen
         self.accesses_seen += 1
         if self.sampling is not None and not self.sampling.accept(index):
             self._open = None
@@ -475,22 +499,14 @@ SlotKind` (push or pull).
     # -- results -----------------------------------------------------------
     def _emit(self, record: RequestRecord) -> None:
         self._open = None
-        if self.sampling is None:
-            self._deliver(record, 1)
-            return
-        weight = self.sampling.commit(record)
-        if weight is not None:
-            self._deliver(record, weight)
-        # weight None: the policy holds the record (reservoir); it is
-        # delivered — or evicted — at finalize() time.
+        # A reservoir holds the record; it is written — or evicted — at
+        # finalize() time.
+        if self.sampling is None or self.sampling.commit(record):
+            self._write(record)
 
-    def _deliver(self, record: RequestRecord, weight: float) -> None:
+    def _write(self, record: RequestRecord) -> None:
         self.sink.emit(record.row())
         self.records_emitted += 1
-        if record.measured:
-            self.breakdown_stats.add(record, weight)
-            if not record.hit:
-                self.wait_histogram.observe(record.wait, weight)
 
     def finalize(self) -> None:
         """Flush records a deferring sampling policy held back.
@@ -502,27 +518,30 @@ SlotKind` (push or pull).
         if self._finalized or self.sampling is None:
             return
         self._finalized = True
-        for record, weight in self.sampling.drain():
-            self._deliver(record, weight)
+        for record in self.sampling.drain():
+            self._write(record)
+
+    @property
+    def weight(self) -> float:
+        """Accesses each row stands for: 1 unless sampled."""
+        return 1 if self.sampling is None else self.sampling.weight
 
     def breakdown(self) -> WaitBreakdown:
-        """The measured-phase wait decomposition (think row filled when
-        ``think_time`` is known)."""
+        """The measured-phase wait decomposition of the rows (think row
+        filled when ``think_time`` is known)."""
         self.finalize()
-        stats = self.breakdown_stats
-        if self.think_time is not None:
-            stats.think = self.think_time * stats.accesses
-        return stats
+        return breakdown_of_array(self.sink.array(), self.think_time,
+                                  weight=self.weight)
 
     def wait_quantiles(self) -> Optional[dict[str, float]]:
-        """p50/p90/p99 of measured miss waits (None before any miss).
+        """Exact p50/p90/p99 of the rows' measured miss waits (None
+        before any miss).
 
-        Sampled tracers report weighted quantiles — unbiased estimates
-        of the full-trace quantiles, since the policies sample by index,
-        never by value.
+        A sampled trace's rows are an index-chosen sample, never a
+        value-chosen one, so their quantiles estimate the full trace's.
         """
         self.finalize()
-        return self.wait_histogram.quantiles()
+        return exact_quantiles(measured_miss_waits(self.sink.array()))
 
     def close(self) -> None:
         """Flush any deferred sampled records and close the sink."""

@@ -4,29 +4,28 @@ Tracing every MC access is exact but costs real time at paper scale and
 is out of the question for the million-client fleets the ROADMAP
 targets.  A :class:`SamplingPolicy` lets a
 :class:`~repro.obs.requests.RequestTracer` trace only a subset of
-accesses while still estimating the full-population wait decomposition:
-every kept record carries an **inverse-probability weight** (the
-Horvitz-Thompson correction — a record sampled with probability ``1/w``
-stands for ``w`` accesses), which :class:`~repro.obs.requests.\
-WaitBreakdown` and the wait histograms fold in via their ``weight``
-parameters.  Because both policies here select on the access *index*
-(never on the observed wait), the kept records are an unbiased sample of
-the stream and weighted quantiles are consistent estimators of the
-full-trace quantiles.
+accesses while still estimating the full-population wait decomposition.
+Both policies here keep every record with the same probability, so a
+sampled trace carries **one inverse-probability weight** (the
+Horvitz-Thompson correction: a record sampled with probability ``1/w``
+stands for ``w`` accesses), and the tracer scales the breakdown's counts
+and totals by it once.  Because both select on the access *index*
+(never on the observed wait), the kept rows are an unbiased sample of
+the stream, and their exact quantiles estimate the full trace's.
 
 Two policies:
 
 - :class:`EveryNSampling` — deterministic 1-in-N by index.  Zero RNG
   cost, reproducible by construction, streams records to the sink the
-  moment they complete, constant weight ``N``.  The workhorse for
-  sweeps and benches.
+  moment they complete, weight ``N``.  The workhorse for sweeps and
+  benches.
 - :class:`ReservoirSampling` — Vitter's Algorithm R with a fixed-size
   reservoir and a seeded generator (the seed is explicit, derived
   through :class:`numpy.random.SeedSequence`).  Holds exactly
   ``capacity`` records regardless of run length, so memory is bounded
   a priori; records are only final when the run ends, so they reach the
-  sink at :meth:`~repro.obs.requests.RequestTracer.finalize` time with
-  weight ``seen / len(reservoir)``.
+  sink at :meth:`~repro.obs.requests.RequestTracer.finalize` time, and
+  the weight is ``seen / len(reservoir)``.
 
 Both exploit the MC's closed loop (at most one access outstanding): the
 keep/skip decision is made at ``on_access`` time, so a skipped access
@@ -64,41 +63,37 @@ class SamplingPolicy(ABC):
        any lifecycle bookkeeping.  False means the access is skipped
        entirely.
     2. :meth:`commit` is called with the completed record of every
-       accepted access.  It returns the record's inverse-probability
-       weight — or None when the policy must defer (reservoir
-       membership is only final at the end of the stream).
-    3. :meth:`drain` is called once, at finalize time, and yields the
-       deferred ``(record, weight)`` pairs.
+       accepted access.  True means the record is written now; False
+       means the policy holds it (reservoir membership is only final at
+       the end of the stream).
+    3. :meth:`drain` is called once, at finalize time, and returns the
+       held records.
+
+    Every policy also has ``weight``, the accesses each kept record
+    stands for, and ``sampled``, the records kept so far (the rows a
+    finalized trace holds).
     """
 
     def __init__(self) -> None:
         #: Accesses offered to the policy (the full-population size).
         self.seen = 0
-        #: Accesses accepted for tracing.
-        self.sampled = 0
 
     def accept(self, index: int) -> bool:
         """Should the access with this stream index be traced?"""
         self.seen += 1
-        if self._accept(index):
-            self.sampled += 1
-            return True
-        return False
+        return self._accept(index)
 
     @abstractmethod
     def _accept(self, index: int) -> bool:
         """Policy-specific keep/skip decision (``seen`` already bumped)."""
 
     @abstractmethod
-    def commit(self, record: "RequestRecord") -> Optional[float]:
-        """Take ownership of an accepted access's completed record.
+    def commit(self, record: "RequestRecord") -> bool:
+        """Take an accepted access's completed record; True when it is
+        written now, False when it waits for :meth:`drain`."""
 
-        Returns the record's weight when it can be emitted immediately,
-        None when emission is deferred to :meth:`drain`.
-        """
-
-    def drain(self) -> list[tuple["RequestRecord", float]]:
-        """Deferred ``(record, weight)`` pairs; idempotent (once-only)."""
+    def drain(self) -> list["RequestRecord"]:
+        """Held records, index-sorted; idempotent (once-only)."""
         return []
 
     @abstractmethod
@@ -120,13 +115,15 @@ class EveryNSampling(SamplingPolicy):
             raise ValueError("sampling interval n must be >= 1")
         super().__init__()
         self.n = n
-        self._weight = float(n)
+        self.weight = float(n)
+        self.sampled = 0
 
     def _accept(self, index: int) -> bool:
         return index % self.n == 0
 
-    def commit(self, record: "RequestRecord") -> Optional[float]:
-        return self._weight
+    def commit(self, record: "RequestRecord") -> bool:
+        self.sampled += 1
+        return True
 
     def describe(self) -> dict:
         return {"policy": "every_n", "n": self.n,
@@ -194,7 +191,7 @@ Generator.random` call per 4096 accesses past the fill phase) so the
             return True
         return False
 
-    def commit(self, record: "RequestRecord") -> Optional[float]:
+    def commit(self, record: "RequestRecord") -> bool:
         slot = self._slot
         if slot is None:
             raise RuntimeError("commit without a pending accepted access")
@@ -203,17 +200,21 @@ Generator.random` call per 4096 accesses past the fill phase) so the
             self._records.append(record)
         else:
             self._records[slot] = record
-        return None  # membership only final at drain time
+        return False  # membership only final at drain time
 
-    def drain(self) -> list[tuple["RequestRecord", float]]:
+    def drain(self) -> list["RequestRecord"]:
         if self._drained:
             return []
         self._drained = True
-        if not self._records:
-            return []
-        weight = self.seen / len(self._records)
-        return [(record, weight)
-                for record in sorted(self._records, key=lambda r: r.index)]
+        return sorted(self._records, key=lambda r: r.index)
+
+    @property
+    def weight(self) -> float:
+        return self.seen / self.sampled if self.sampled else 1.0
+
+    @property
+    def sampled(self) -> int:
+        return len(self._records)
 
     def describe(self) -> dict:
         return {"policy": "reservoir", "capacity": self.capacity,
@@ -222,22 +223,19 @@ Generator.random` call per 4096 accesses past the fill phase) so the
 
 
 def sample_stream(records: Iterable["RequestRecord"],
-                  policy: SamplingPolicy
-                  ) -> list[tuple["RequestRecord", float]]:
+                  policy: SamplingPolicy) -> list["RequestRecord"]:
     """Replay an already-captured record stream through a policy.
 
     Offline counterpart of the tracer integration — used to validate a
     policy against a full trace (the record set a live sampled tracer
     would have kept is exactly the one this returns, since both key off
-    the access index).  Returns ``(record, weight)`` pairs in stream
-    order for streaming policies, with deferred (reservoir) pairs
-    appended index-sorted at the end.
+    the access index).  Returns the kept records in stream order for
+    streaming policies, with held (reservoir) records appended
+    index-sorted at the end; each stands for ``policy.weight`` accesses.
     """
-    out: list[tuple["RequestRecord", float]] = []
+    out: list["RequestRecord"] = []
     for record in records:
-        if policy.accept(record.index):
-            weight = policy.commit(record)
-            if weight is not None:
-                out.append((record, weight))
+        if policy.accept(record.index) and policy.commit(record):
+            out.append(record)
     out.extend(policy.drain())
     return out

@@ -40,9 +40,8 @@ class Tally:
     __slots__ = ("count", "_mean", "_m2", "min", "max")
 
     def __init__(self) -> None:
-        #: Observations so far: an int, or the total weight once
-        #: :meth:`add_weighted` has been used.
-        self.count: float = 0
+        #: Observations so far.
+        self.count = 0
         self._mean = 0.0
         self._m2 = 0.0
         self.min = math.inf
@@ -61,33 +60,6 @@ class Tally:
         delta = value - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (value - self._mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def add_weighted(self, value: float, weight: float) -> None:
-        """Record one observation carrying a frequency weight.
-
-        West's (1979) weighted Welford update: the observation counts as
-        ``weight`` identical samples, so inverse-probability corrected
-        streams (sampled request traces) estimate the full-population
-        mean/variance.  ``count`` becomes the total weight — fractional
-        when weights are — and the n-1 variance denominator is then the
-        usual frequency-weight convention.  This is a separate method
-        (not a ``weight=1`` default on :meth:`add`) so the unweighted
-        path keeps its exact ``delta / count`` rounding: multiplying by
-        ``weight / count`` rounds differently and would break
-        bit-identical unsampled runs.
-        """
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite observation {value!r}")
-        if not weight > 0:
-            raise ValueError("weight must be positive")
-        self.count += weight
-        delta = value - self._mean
-        self._mean += delta * weight / self.count
-        self._m2 += weight * delta * (value - self._mean)
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -147,9 +119,7 @@ class Tally:
         """Sample variance (n-1 denominator)."""
         if self.count < 2:
             return math.nan
-        # A weighted update can round ``_m2`` a few ulps below zero
-        # (``value * w / w != value``); a variance never is.
-        return max(self._m2, 0.0) / (self.count - 1)
+        return self._m2 / (self.count - 1)
 
     @property
     def stddev(self) -> float:
@@ -298,30 +268,21 @@ class Histogram:
         self.name = name
         self.help = help_
         self.bounds = bounds
-        zero: float = 0  # an int: counts stay exact while unweighted
-        #: Weight per bucket; +1 for the +inf overflow.
-        self.counts = [zero] * (len(bounds) + 1)
+        #: Observations per bucket; +1 for the +inf overflow.
+        self.counts = [0] * (len(bounds) + 1)
         self._tally = Tally()
 
-    def observe(self, value: float, weight: float = 1) -> None:
-        """Record one observation, optionally carrying a frequency weight.
+    def observe(self, value: float) -> None:
+        """Record one observation.
 
-        ``weight`` is the inverse-probability correction factor a sampled
-        stream attaches to each kept observation (see
-        :mod:`repro.obs.sampling`); the default of integer ``1`` keeps
-        unweighted histograms on the exact integer-count / plain-Welford
-        path, so unsampled runs stay bit-identical.  The tally validates
-        (finite value, positive weight) before anything is touched, so a
-        rejected observation leaves no trace in the buckets either.
+        The tally validates (a finite value) before anything is touched,
+        so a rejected observation leaves no trace in the buckets either.
         """
-        if weight == 1:
-            self._tally.add(value)
-        else:
-            self._tally.add_weighted(value, weight)
-        self.counts[bisect.bisect_left(self.bounds, value)] += weight
+        self._tally.add(value)
+        self.counts[bisect.bisect_left(self.bounds, value)] += 1
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """Record a batch of unweighted observations, vectorized.
+        """Record a batch of observations, vectorized.
 
         Equivalent to calling :meth:`observe` once per value but O(batch)
         in numpy: bucket indices via ``searchsorted`` (same left-bisect
@@ -365,8 +326,8 @@ class Histogram:
         self._tally.merge(other._tally)
 
     @property
-    def count(self) -> float:
-        """Total observation weight (an exact int when unweighted)."""
+    def count(self) -> int:
+        """Observations so far."""
         return self._tally.count
 
     @property

@@ -15,10 +15,10 @@ class TestAdaptivePolicy:
         {"low_drop": 0.5, "high_drop": 0.2},
         {"min_pull_bw": 0.8, "max_pull_bw": 0.2},
         {"min_thresh": 0.9, "max_thresh": 0.1},
-        {"high_pull_share": 0.0},
-        {"high_pull_share": 1.5},
-        {"tail_wait_budget": 0.0},
-        {"tail_wait_budget": -3.0},
+        {"high_drop": 1.5},
+        {"thresh_step": -0.05},
+        {"pull_bw_step": 1.5},
+        {"max_thresh": 1.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -100,81 +100,6 @@ class TestAdaptiveController:
         controller = AdaptiveController(self.policy(), 0.99, 0.99)
         assert controller.pull_bw == 0.9
         assert controller.thresh_perc == 0.5
-
-
-class TestDecompositionSignals:
-    """The wait-decomposition and fleet tail-wait inputs."""
-
-    def policy(self, **overrides):
-        kwargs = dict(interval=100, high_drop=0.10, low_drop=0.01,
-                      thresh_step=0.05, pull_bw_step=0.05,
-                      min_pull_bw=0.1, max_pull_bw=0.9,
-                      min_thresh=0.0, max_thresh=0.5)
-        kwargs.update(overrides)
-        return AdaptivePolicy(**kwargs)
-
-    def test_pull_dominated_wait_saturates_without_drops(self):
-        """A deep-but-not-dropping pull queue is invisible to the drop
-        rate; the decomposition share must trigger the response."""
-        policy = self.policy(high_pull_share=0.8)
-        controller = AdaptiveController(policy, 0.5, 0.2)
-        pull_bw, thresh = controller.decide(1.0, 100, 0,
-                                            push_wait=10.0, pull_wait=90.0)
-        assert thresh == pytest.approx(0.25)
-        assert pull_bw == pytest.approx(0.45)
-        assert controller.trace[-1][4] == "saturated"
-
-    def test_push_dominated_wait_still_relaxes(self):
-        policy = self.policy(high_pull_share=0.8)
-        controller = AdaptiveController(policy, 0.5, 0.2)
-        pull_bw, thresh = controller.decide(1.0, 100, 0,
-                                            push_wait=90.0, pull_wait=10.0)
-        assert thresh == pytest.approx(0.15)
-        assert pull_bw == pytest.approx(0.55)
-        assert controller.trace[-1][4] == "idle"
-
-    def test_wait_totals_are_differenced_per_window(self):
-        """The engine feeds cumulative tracer totals; only the window's
-        increment may drive the verdict."""
-        policy = self.policy(high_pull_share=0.8)
-        controller = AdaptiveController(policy, 0.5, 0.2)
-        # First window: pull-dominated history.
-        controller.decide(1.0, 100, 0, push_wait=10.0, pull_wait=90.0)
-        # Second window adds purely push wait; cumulative pull share is
-        # still high but the window share is 0 -> idle, not saturated.
-        controller.decide(2.0, 200, 0, push_wait=110.0, pull_wait=90.0)
-        assert controller.trace[-1][4] == "idle"
-
-    def test_default_policy_ignores_decomposition(self):
-        """high_pull_share defaults to 1.0, which a share can never
-        exceed: feeding wait totals alone must not change behaviour."""
-        controller = AdaptiveController(self.policy(), 0.5, 0.2)
-        pull_bw, thresh = controller.decide(1.0, 100, 0,
-                                            push_wait=0.0, pull_wait=500.0)
-        assert controller.trace[-1][4] == "idle"
-
-    def test_tail_wait_over_budget_saturates(self):
-        policy = self.policy(tail_wait_budget=50.0)
-        controller = AdaptiveController(policy, 0.5, 0.2)
-        pull_bw, thresh = controller.decide(1.0, 100, 0, tail_wait=80.0)
-        assert thresh == pytest.approx(0.25)
-        assert pull_bw == pytest.approx(0.45)
-        assert controller.trace[-1][4] == "saturated"
-
-    def test_tail_wait_overrides_empty_window(self):
-        """A zero-offer window is no-signal — unless the fleet tail is
-        over budget, which is a positive saturation signal on its own."""
-        policy = self.policy(tail_wait_budget=50.0)
-        controller = AdaptiveController(policy, 0.5, 0.2)
-        pull_bw, thresh = controller.decide(1.0, 0, 0, tail_wait=80.0)
-        assert controller.trace[-1][4] == "saturated"
-        assert thresh == pytest.approx(0.25)
-
-    def test_tail_wait_under_budget_is_not_a_signal(self):
-        policy = self.policy(tail_wait_budget=50.0)
-        controller = AdaptiveController(policy, 0.5, 0.2)
-        controller.decide(1.0, 0, 0, tail_wait=10.0)
-        assert controller.trace[-1][4] == "no-signal"
 
 
 class TestControllerConvergence:

@@ -125,7 +125,7 @@ SETTINGS_PROBED = [
     ("loadgen.think_time", math.nan), ("loadgen.num_clients", 1.5),
     ("selftest.think_time", 0), ("selftest.slot_duration", 0),
     ("selftest.timeout_factor", -1),
-    ("adaptive.interval", math.nan), ("adaptive.tail_wait_budget", math.nan),
+    ("adaptive.interval", math.nan), ("serve.max_slots", 0),
     ("adaptive.thresh_step", -0.05), ("adaptive.pull_bw_step", math.nan),
     ("profile.workers", 0), ("profile.workers", -3),
     ("loadgen.duration", math.nan), ("loadgen.duration", -5.0),

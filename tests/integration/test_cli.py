@@ -462,6 +462,24 @@ class TestTraceCommand:
         assert {SERVED_KINDS[code] for code in misses["served_kind"]} <= {
             "push", "pull"}
 
+    def test_requests_summary_is_the_report_of_its_file(self, tmp_path,
+                                                        capsys):
+        """``trace --requests`` prints the breakdown and quantile lines
+        ``report --trace`` prints of the file it wrote."""
+        from repro.core.config import SystemConfig
+
+        path = tmp_path / "req.npy"
+        assert main(["trace", "--requests", "--ttr", "50", "--settle",
+                     "100", "--measure", "400", "--out", str(path)]) == 0
+        traced = capsys.readouterr().out.splitlines()
+        think_time = SystemConfig().client.think_time
+        assert main(["report", "--trace", str(path),
+                     "--think-time", str(think_time)]) == 0
+        reported = capsys.readouterr().out.splitlines()
+        assert traced[-1].endswith(f"request records -> {path}")
+        assert traced[:-1] == reported[2:]
+        assert reported[-1].startswith("measured miss wait quantiles:")
+
     def test_requests_flag_on_reference_engine(self, tmp_path):
         from repro.obs.columnar import load_columnar
 

@@ -11,7 +11,13 @@ import pytest
 from repro.core.algorithms import Algorithm
 from repro.core.fast import FastEngine
 from repro.core.simulation import ReferenceEngine
-from repro.obs import ColumnarSink, RequestTracer
+from repro.obs import (
+    ColumnarSink,
+    Histogram,
+    RequestTracer,
+    exact_quantiles,
+    measured_miss_waits,
+)
 from tests.conftest import small_config
 
 
@@ -82,8 +88,14 @@ class TestDecompositionTiesToTallies:
         # The decomposition partitions the run's own measured mean exactly.
         assert (b.push_wait + b.pull_wait + b.service) / b.misses == \
             pytest.approx(result.response_miss.mean)
-        # And the traced quantiles match the engine-side histogram.
-        quantiles = tracer.wait_quantiles()
-        assert quantiles is not None
-        assert quantiles["p50"] == pytest.approx(result.response_miss.p50)
-        assert quantiles["p99"] == pytest.approx(result.response_miss.p99)
+        # The same waits reach both sides: bucketed like the MC's own
+        # histogram they give the run's quantiles, and the tracer's
+        # quantiles are their exact order statistics.
+        waits = measured_miss_waits(tracer.sink.array())
+        histogram = Histogram()
+        histogram.observe_many(waits)
+        assert histogram.quantile(0.50) == pytest.approx(
+            result.response_miss.p50)
+        assert histogram.quantile(0.99) == pytest.approx(
+            result.response_miss.p99)
+        assert tracer.wait_quantiles() == exact_quantiles(waits)

@@ -12,6 +12,7 @@ from repro.obs import (
     RequestRecord,
     RequestTracer,
     SlotTracer,
+    WaitBreakdown,
     breakdown_of_array,
     columnar_to_jsonl,
     exact_quantiles,
@@ -46,7 +47,7 @@ def hit_record(index=0, **overrides):
 
 def traced_run(config=None):
     """One small engine run traced in memory: the slot and request
-    arrays and the request tracer (its live breakdown is the truth)."""
+    arrays and the request tracer."""
     config = config or small_config()
     slots = ColumnarSink(table="slot")
     requests = RequestTracer(ColumnarSink(table="request"))
@@ -240,11 +241,32 @@ class TestLoadChecks:
 
 class TestVectorizedAnalytics:
     def test_breakdown_matches_python_loop(self):
-        # The tracer's live breakdown folds in one record at a time.
-        _, requests, tracer = traced_run()
-        tracer.think_time = 4.0
-        expected = tracer.breakdown()
-        assert breakdown_of_array(requests, think_time=4.0) == expected
+        # The oracle folds the decoded rows in one at a time.
+        _, requests, _ = traced_run()
+        expected = WaitBreakdown()
+        for row in decoded(requests):
+            if not row["measured"]:
+                continue
+            expected.accesses += 1
+            if row["hit"]:
+                expected.hits += 1
+                continue
+            expected.misses += 1
+            expected.pulls_sent += row["pull_sent"]
+            if row["pull_outcome"] is not None:
+                name = f"pulls_{row['pull_outcome']}"
+                setattr(expected, name, getattr(expected, name) + 1)
+            if row["served_kind"] == "pull":
+                expected.served_pull += 1
+                expected.pull_wait += row["queue_wait"]
+            else:
+                expected.served_push += 1
+                expected.push_wait += row["queue_wait"]
+            expected.service += row["service"]
+        expected.think = 4.0 * expected.accesses
+        actual = breakdown_of_array(requests, think_time=4.0)
+        assert actual.to_dict() == pytest.approx(expected.to_dict())
+        assert isinstance(actual.misses, int)
 
     def test_breakdown_unmeasured_included_on_request(self):
         _, requests, _ = traced_run()
@@ -290,7 +312,7 @@ class TestVectorizedAnalytics:
 
     def test_memory_mapped_analytics_agree_with_ground_truth(self, tmp_path):
         # The acceptance check: sink to disk, map back, and the columnar
-        # analytics must agree with the tracer's live breakdown.
+        # analytics must agree with the tracer's breakdown of its rows.
         config = small_config()
         path = tmp_path / "req.npy"
         tracer = RequestTracer(ColumnarSink(path, table="request", chunk=64))

@@ -202,46 +202,10 @@ class TestHistogramMerge:
 
 
 class TestWeightedObserve:
-    def test_weighted_observe_equals_repeated_observe(self):
-        weighted = Histogram("lat")
-        repeated = Histogram("lat")
-        weighted.observe(3.0, weight=4)
-        weighted.observe(9.0, weight=2)
-        for _ in range(4):
-            repeated.observe(3.0)
-        for _ in range(2):
-            repeated.observe(9.0)
-        assert weighted.count == repeated.count
-        assert weighted.counts == repeated.counts
-        assert weighted.mean == pytest.approx(repeated.mean)
-        assert weighted.stddev == pytest.approx(repeated.stddev)
-
-    def test_fractional_weights_accumulate(self):
-        hist = Histogram("lat", buckets=(1, 10))
-        hist.observe(0.5, weight=2.5)
-        hist.observe(5.0, weight=2.5)
-        assert hist.count == pytest.approx(5.0)
-        assert hist.mean == pytest.approx(2.75)
-        assert hist.counts[0] == pytest.approx(2.5)
+    """``observe`` takes no weight, so counts stay exact ints."""
 
     def test_default_weight_keeps_integer_counts(self):
         hist = Histogram("lat", buckets=(1,))
         hist.observe(0.5)
         assert isinstance(hist.counts[0], int)
         assert isinstance(hist.count, int)
-
-    def test_weighted_tally_matches_plain_tally(self):
-        weighted = Tally()
-        plain = Tally()
-        for value, repeat in ((2.0, 3), (8.0, 5), (1.0, 2)):
-            weighted.add_weighted(value, repeat)
-            for _ in range(repeat):
-                plain.add(value)
-        assert weighted.count == plain.count
-        assert weighted.mean == pytest.approx(plain.mean)
-        assert weighted.variance == pytest.approx(plain.variance)
-        assert (weighted.min, weighted.max) == (plain.min, plain.max)
-
-    def test_weighted_tally_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            Tally().add_weighted(1.0, 0)

@@ -13,7 +13,6 @@ from repro.obs import (
     ColumnarSink,
     RequestRecord,
     RequestTracer,
-    WaitBreakdown,
     breakdown_of_array,
 )
 from repro.obs.columnar import decode_row
@@ -119,12 +118,12 @@ class TestTracerStateMachine:
 
 class TestWaitBreakdown:
     def test_decomposition_sums_to_total(self):
-        breakdown = WaitBreakdown()
-        breakdown.add(_record(served_kind="pull", queue_wait=4.0,
-                              service=1.0, wait=5.0))
-        breakdown.add(_record(index=1, served_kind="push", pull_sent=False,
-                              pull_outcome=None, queue_wait=2.0,
-                              service=1.0, wait=3.0))
+        breakdown = breakdown_of_array(request_array([
+            _record(served_kind="pull", queue_wait=4.0, service=1.0,
+                    wait=5.0),
+            _record(index=1, served_kind="push", pull_sent=False,
+                    pull_outcome=None, queue_wait=2.0, service=1.0,
+                    wait=3.0)]))
         assert breakdown.pull_wait == 4.0
         assert breakdown.push_wait == 2.0
         assert breakdown.service == 2.0
@@ -132,9 +131,8 @@ class TestWaitBreakdown:
         assert breakdown.mean_wait == 4.0
 
     def test_render_shows_stages_and_counts(self):
-        breakdown = WaitBreakdown()
-        breakdown.add(_record())
-        breakdown.think = 40.0
+        breakdown = breakdown_of_array(request_array([_record()]),
+                                       think_time=40.0)
         text = breakdown.render()
         for stage in ("think", "push wait", "pull queue wait",
                       "service (on air)"):

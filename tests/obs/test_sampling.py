@@ -5,11 +5,14 @@ import math
 import pytest
 
 from repro.core.fast import FastEngine
+from repro.experiments.tracing import write_request_trace
 from repro.obs import (
     ColumnarSink,
     EveryNSampling,
     RequestTracer,
     ReservoirSampling,
+    load_columnar,
+    measured_miss_waits,
     sample_stream,
 )
 
@@ -32,14 +35,15 @@ class TestEveryNSampling:
     def test_keeps_every_nth_index_with_weight_n(self):
         policy = EveryNSampling(3)
         kept = sample_stream(_records(10), policy)
-        assert [record.index for record, _ in kept] == [0, 3, 6, 9]
-        assert all(weight == 3.0 for _, weight in kept)
+        assert [record.index for record in kept] == [0, 3, 6, 9]
+        assert policy.weight == 3.0
         assert policy.seen == 10 and policy.sampled == 4
 
     def test_n_equals_one_keeps_everything(self):
-        kept = sample_stream(_records(5), EveryNSampling(1))
+        policy = EveryNSampling(1)
+        kept = sample_stream(_records(5), policy)
         assert len(kept) == 5
-        assert all(weight == 1.0 for _, weight in kept)
+        assert policy.weight == 1.0
 
     def test_describe_carries_parameters_and_counts(self):
         policy = EveryNSampling(4)
@@ -54,16 +58,17 @@ class TestReservoirSampling:
             ReservoirSampling(0, seed=1)
 
     def test_short_stream_keeps_everything_at_weight_one(self):
-        kept = sample_stream(_records(6), ReservoirSampling(10, seed=3))
-        assert [record.index for record, _ in kept] == list(range(6))
-        assert all(weight == 1.0 for _, weight in kept)
+        policy = ReservoirSampling(10, seed=3)
+        kept = sample_stream(_records(6), policy)
+        assert [record.index for record in kept] == list(range(6))
+        assert policy.weight == 1.0
 
     def test_long_stream_keeps_capacity_records(self):
         policy = ReservoirSampling(25, seed=3)
         kept = sample_stream(_records(500), policy)
         assert len(kept) == 25
-        assert all(weight == 500 / 25 for _, weight in kept)
-        indexes = [record.index for record, _ in kept]
+        assert policy.weight == 500 / 25
+        indexes = [record.index for record in kept]
         assert indexes == sorted(indexes)
         # Later elements do get in: the reservoir is not just the prefix.
         assert max(indexes) >= 25
@@ -71,12 +76,12 @@ class TestReservoirSampling:
     def test_same_seed_reproduces_the_sample(self):
         first = sample_stream(_records(300), ReservoirSampling(20, seed=11))
         second = sample_stream(_records(300), ReservoirSampling(20, seed=11))
-        assert [r.index for r, _ in first] == [r.index for r, _ in second]
+        assert [r.index for r in first] == [r.index for r in second]
 
     def test_different_seeds_sample_differently(self):
         first = sample_stream(_records(300), ReservoirSampling(20, seed=11))
         second = sample_stream(_records(300), ReservoirSampling(20, seed=12))
-        assert [r.index for r, _ in first] != [r.index for r, _ in second]
+        assert [r.index for r in first] != [r.index for r in second]
 
     def test_drain_is_idempotent(self):
         policy = ReservoirSampling(5, seed=1)
@@ -97,7 +102,7 @@ class TestReservoirSampling:
         for seed in range(20):
             kept = sample_stream(_records(400),
                                  ReservoirSampling(50, seed=seed))
-            total += sum(record.index for record, _ in kept)
+            total += sum(record.index for record in kept)
             count += len(kept)
         assert count == 20 * 50
         assert total / count == pytest.approx(400 / 2, rel=0.10)
@@ -169,5 +174,20 @@ class TestTracerIntegration:
     def test_hits_never_enter_the_wait_histogram(self):
         sampled = self._run(sampling=EveryNSampling(3))
         stats = sampled.breakdown()
-        assert sampled.wait_histogram.count == pytest.approx(stats.misses)
+        waits = measured_miss_waits(sampled.sink.array())
+        assert len(waits) * sampled.weight == pytest.approx(stats.misses)
+        assert (waits > 0).all()
         assert not math.isnan(stats.mean_wait)
+
+    @pytest.mark.parametrize("policy", [
+        lambda: EveryNSampling(7),
+        lambda: ReservoirSampling(40, seed=2),
+    ], ids=["every_n", "reservoir"])
+    def test_sampled_is_the_row_count_of_the_written_file(self, tmp_path,
+                                                          policy):
+        policy = policy()
+        path = tmp_path / "req.npy"
+        write_request_trace(small_config(), path, sampling=policy)
+        rows = load_columnar(path).shape[0]
+        assert policy.describe()["sampled"] == rows
+        assert 0 < rows < policy.seen

@@ -98,22 +98,22 @@ class TestTally:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 tally.add(bad)
-            with pytest.raises(ValueError):
-                tally.add_weighted(bad, 2.0)
         assert tally.count == 1  # nothing was absorbed
         assert tally.mean == 1.0
 
 
 class TestWeightedRounding:
-    def test_variance_never_goes_negative(self):
-        # 0.1 * 3 / 3 != 0.1, so the first weighted update leaves _m2 a
-        # few ulps below zero: one 1-in-3 sampled miss of wait 0.1.  The
-        # square root of that must not be a math domain error.
+    """No weighted update is left to round ``_m2`` below zero: each
+    Welford step adds ``delta * (value - new_mean)``, two factors of one
+    sign, so the variance needs no clamp."""
+
+    @given(st.lists(finite_floats, min_size=1, max_size=60))
+    def test_variance_never_goes_negative(self, values):
         tally = Tally()
-        tally.add_weighted(0.1, 3.0)
-        assert tally.variance == 0.0
-        assert tally.stddev == 0.0
-        assert tally.as_dict()["stddev"] == 0.0
+        for value in values:
+            tally.add(value)
+            assert tally._m2 >= 0.0
+        assert not tally.variance < 0.0
 
 
 class TestFromMoments:
@@ -175,13 +175,8 @@ class TestFromMoments:
         assert merged.max == pooled.max
 
 
-#: One call to the accumulator: a value and its frequency weight (an
-#: exact 1 takes the unweighted path, as in an unsampled run).
-observations = st.lists(
-    st.tuples(finite_floats,
-              st.one_of(st.just(1),
-                        st.floats(min_value=1e-3, max_value=1e3))),
-    min_size=1, max_size=60)
+#: The values fed to the accumulator, one call each.
+observations = st.lists(finite_floats, min_size=1, max_size=60)
 
 #: Quantile levels whose ``int(q * 100)`` and ``int(round(q * 100))``
 #: disagree (0.29 * 100 == 28.999999999999996), plus the usual three.
@@ -193,18 +188,15 @@ class TestHistogramIsATallyWithBuckets:
     def test_moments_equal_a_bare_tally_bit_for_bit(self, calls):
         hist = Histogram()
         tally = Tally()
-        for value, weight in calls:
-            hist.observe(value, weight)
-            if weight == 1:
-                tally.add(value)
-            else:
-                tally.add_weighted(value, weight)
+        for value in calls:
+            hist.observe(value)
+            tally.add(value)
         assert hist.count == tally.count
         assert hist.mean == tally.mean
         assert hist.min == tally.min and hist.max == tally.max
-        # NaN below two observations' worth of weight: compare reprs.
+        # NaN below two observations: compare reprs.
         assert repr(hist.stddev) == repr(tally.stddev)
-        assert math.fsum(hist.counts) == pytest.approx(tally.count)
+        assert sum(hist.counts) == tally.count
 
     @given(observations,
            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
@@ -212,8 +204,8 @@ class TestHistogramIsATallyWithBuckets:
     def test_quantile_is_monotone_and_inside_the_observed_range(self, calls,
                                                                 qs):
         hist = Histogram()
-        for value, weight in calls:
-            hist.observe(value, weight)
+        for value in calls:
+            hist.observe(value)
         marks = [hist.quantile(q) for q in sorted(qs)]
         assert all(hist.min <= mark <= hist.max for mark in marks)
         assert all(a <= b for a, b in zip(marks, marks[1:]))
@@ -222,8 +214,8 @@ class TestHistogramIsATallyWithBuckets:
     @given(observations)
     def test_snapshot_reader_returns_exactly_the_live_quantiles(self, calls):
         hist = Histogram()
-        for value, weight in calls:
-            hist.observe(value, weight)
+        for value in calls:
+            hist.observe(value)
         live = hist.quantiles(AWKWARD_QS)
         assert list(live) == ["p29", "p57", "p58", "p50", "p90", "p99"]
         snapshot = hist.snapshot()
@@ -247,20 +239,21 @@ class TestRejectedObservationsLeaveNoTrace:
     """``observe`` validates before it touches a bucket, so ``counts``
     and ``count`` cannot drift apart."""
 
-    @pytest.mark.parametrize("value, weight", [
+    @pytest.mark.parametrize("value, kept", [
         (math.nan, 1), (math.inf, 1), (-math.inf, 1),
-        (math.nan, 2.5), (2.0, 0), (2.0, -1), (2.0, math.nan),
     ])
-    def test_counts_and_count_unchanged(self, value, weight):
+    def test_counts_and_count_unchanged(self, value, kept):
+        """``kept`` good observations come before the rejected one."""
         hist = Histogram(buckets=(1, 10))
-        hist.observe(3.0)
+        for _ in range(kept):
+            hist.observe(3.0)
         before = (list(hist.counts), hist.count, hist.mean, hist.min,
                   hist.max)
         with pytest.raises(ValueError):
-            hist.observe(value, weight)
+            hist.observe(value)
         assert (hist.counts, hist.count, hist.mean, hist.min,
                 hist.max) == before
-        assert sum(hist.counts) == hist.count == 1
+        assert sum(hist.counts) == hist.count == kept
 
 
 class TestExactQuantiles:
