@@ -6,7 +6,9 @@ same load grids).  Each bench
 
 1. runs the figure sweep exactly once under pytest-benchmark timing,
 2. writes the rendered table to ``results/figure_<id>.txt`` (and JSON),
-3. asserts the paper's qualitative shape on the regenerated series.
+3. judges the figure row's claims (``FigureSpec.claims``) on the
+   regenerated series with ``repro.experiments.figures.evaluate``, and
+   fails if one is false.
 
 Run ``python -m repro figures --full`` for paper-scale sweeps.
 """
@@ -14,6 +16,7 @@ Run ``python -m repro figures --full`` for paper-scale sweeps.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,14 @@ from repro.experiments.reporting import render_figure
 #: Reduced-scale profile used by every figure bench.
 BENCH = Profile(settle_accesses=250, measure_accesses=350, replicates=1,
                 base_seed=11)
+#: Deep saturation is high-variance: Figure 5 averages two replicates.
+BENCH5 = replace(BENCH, replicates=2)
+#: Pure-Push runs take the analytic shortcut (milliseconds per run), so
+#: the push-only ablation rows can afford paper-scale samples: the
+#: effects they measure are a few percent, far below BENCH's noise floor
+#: (at QUICK some seeds put P ahead of PIX).
+PUSH_BENCH = replace(BENCH, settle_accesses=1000, measure_accesses=20_000,
+                     replicates=3)
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 

@@ -2,26 +2,16 @@
 
 Not figures from the paper, but direct tests of its design arguments:
 
-- **Cache policy** — Section 2.1 argues replacement must be cost-based
-  (PIX) rather than probability/recency-based; the ``cache-policy`` row
-  pits PIX against P and LRU on the Pure-Push system.
-- **Push program** — Section 3.2's shifted program "is obtained by
-  shifting these cached pages from the fastest disk to the slowest
-  disk"; the ``push-program`` row runs it against the naive mapping, the
-  square-root-rule split from :mod:`repro.analysis.bandwidth` and a flat
-  broadcast.
 - **Tuning** — the §6 parameter-setting advisor across the load range.
 - **Adaptive control** — the future-work controller (§6) against static
   IPP across the load axis.  It stays a hand loop: the controller is an
   engine argument, not a config field, so a figure row cannot set it.
 
-The first two are :data:`~repro.experiments.figures.EXTENSIONS` rows, so
-``repro-broadcast figures cache-policy push-program`` regenerates them;
-their effects are a few percent and need ``PUSH_BENCH``'s scale (at
-QUICK some seeds put P ahead of PIX).
+The cache-policy (§2.1's cost-based replacement) and push-program
+(§3.2's Offset, the square-root-rule split, a flat broadcast) ablations
+are :data:`~repro.experiments.figures.EXTENSIONS` rows with claims, run
+at ``PUSH_BENCH`` by ``test_bench_figures.py``.
 """
-
-from dataclasses import replace
 
 from benchmarks.conftest import BENCH, run_once
 from repro.core.algorithms import Algorithm
@@ -29,53 +19,6 @@ from repro.core.adaptive import AdaptiveController, AdaptivePolicy
 from repro.core.config import SystemConfig
 from repro.core.fast import FastEngine
 from repro.experiments.base import run_replicated
-from repro.experiments.figures import EXTENSIONS, run_figure
-
-#: Pure-Push runs take the analytic shortcut (milliseconds per run), so
-#: the push-only ablations can afford paper-scale samples: the effects
-#: being measured are a few percent, far below BENCH's noise floor.
-PUSH_BENCH = replace(BENCH, settle_accesses=1000, measure_accesses=20_000,
-                     replicates=3)
-
-
-def _means(figure):
-    """Curve label -> its (one-point) mean."""
-    return {series.label: series.y[0] for series in figure.series}
-
-
-def test_cache_policy_ablation(benchmark, record_figure):
-    """Cost-based replacement wins (Section 2.1 / [Acha95a]).
-
-    Measured on the *all-access* mean (policies trade miss rate against
-    miss cost, so miss-only means are misleading), on a steep-frequency
-    non-offset program where refetch costs genuinely differ.  Under the
-    paper's own offset 3:2:1 layout PIX and P coincide by construction —
-    the offset transform moves every cache-worthy page to the slowest
-    disk, which is itself an interesting reproduction finding (recorded
-    in EXPERIMENTS.md).
-    """
-    figure = record_figure(run_once(
-        benchmark,
-        lambda: run_figure(EXTENSIONS["cache-policy"], PUSH_BENCH)))
-    means = _means(figure)
-    pix = means["pix all-access mean"]
-    assert pix < means["p all-access mean"]
-    assert pix < means["lru all-access mean"]
-
-
-def test_push_program_ablation(benchmark, record_figure):
-    """The Offset program beats the naive hottest-first mapping, and the
-    square-root-rule split beats a flat (single-disk) broadcast while
-    roughly matching the paper's hand-picked one."""
-    figure = record_figure(run_once(
-        benchmark,
-        lambda: run_figure(EXTENSIONS["push-program"], PUSH_BENCH)))
-    means = _means(figure)
-    offset = means["Offset 100/400/500"]
-    flat = means["flat single disk"]
-    assert offset < means["no Offset"]
-    assert all(mean < flat for label, mean in means.items()
-               if label != "flat single disk")
 
 
 def test_tuning_advisor(benchmark, results_dir):

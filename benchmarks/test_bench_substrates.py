@@ -83,13 +83,16 @@ def test_fleet_generate_batches(benchmark, size):
     fleet.next_access[:] = np.arange(size * rounds) // size + 0.5
     fleet.generate(-1, 0)  # builds the window over every round's slot
     slots = iter(range(rounds))
+    calls = 0  # ``rounds``, or 1 under --benchmark-disable
 
     def generate():
+        nonlocal calls
+        calls += 1
         t = next(slots)
         return fleet.generate(t, t)
 
     benchmark.pedantic(generate, rounds=rounds)
-    assert fleet.generated == size * rounds
+    assert fleet.generated == size * calls
 
 
 def test_pix_cache_churn(benchmark):

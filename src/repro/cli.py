@@ -12,7 +12,8 @@ settings.
 Exit codes: 0 success; 2 a usage or load error, reported as one
 ``command: ...`` line on stderr; 1 is reserved for a verdict:
 ``compare`` drift, ``sanitize`` divergence, a failed ``serve
---self-test`` (see docs/COMPARE.md).
+--self-test``, a figure claim that ``report`` finds false (see
+docs/COMPARE.md).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.experiments import (
     FIGURES,
     FULL,
     QUICK,
+    evaluate,
     render_figure,
     run_figure,
 )
@@ -358,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = command(
         "report", _cmd_report,
-        help="summarize a saved figure JSON or .npy trace")
+        help="summarize a saved figure JSON or .npy trace; a figure's "
+             "claims get one verdict line each, and exit 1 if one fails")
     report.add_argument(
         "path", nargs="?", type=Path, default=None, metavar="FIGURE_JSON",
         help="a results/figure_*.json file to render")
@@ -801,7 +804,15 @@ def _cmd_report(args) -> int:
     print(render_quantiles(figure))
     print()
     print(render_manifest(figure.manifest))
-    return 0
+    spec = {**FIGURES, **EXTENSIONS}.get(figure.figure_id)
+    try:
+        verdicts = evaluate(spec, figure) if spec else []
+    except (KeyError, ValueError) as exc:  # a figure on a shrunk grid
+        print(f"\nclaims not evaluated: {exc}")
+        return 0
+    if verdicts:
+        print("\nclaims:", *verdicts, sep="\n  ")
+    return 0 if all(verdict.holds for verdict in verdicts) else 1
 
 
 def _cmd_profile(args) -> int:

@@ -324,6 +324,12 @@ class SystemConfig:
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
 
     def __post_init__(self) -> None:
+        # Never coerced, as no Domain coerces: "ipp" is not Algorithm.IPP.
+        if not isinstance(self.algorithm, Algorithm):
+            raise ValueError(
+                "algorithm must be one of "
+                + ", ".join(f"Algorithm.{a.name}" for a in Algorithm)
+                + f", got {self.algorithm!r}")
         if (self.algorithm is Algorithm.PURE_PUSH
                 and self.server.chop > 0):
             raise ValueError(

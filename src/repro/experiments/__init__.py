@@ -10,7 +10,9 @@ shape-checks, ``FULL`` for paper-scale runs), returning a
 series the paper plots.  :data:`~repro.experiments.figures.EXTENSIONS`
 holds the figures beyond the paper on the same contract:
 ``fleet-pullbw`` (per-user fairness) and ``sched-pullbw`` (FIFO / RxW /
-LWF pull disciplines), both across PullBW.
+LWF pull disciplines), both across PullBW, and the push-side ablations.
+Each row carries the shape claims its figure must show, judged by
+:func:`~repro.experiments.figures.evaluate`.
 """
 
 from repro.experiments.base import (
@@ -35,6 +37,7 @@ from repro.experiments.figures import (
     FIGURES,
     FigureSpec,
     SeriesSpec,
+    evaluate,
     run_figure,
 )
 from repro.experiments.reporting import render_figure
@@ -54,6 +57,7 @@ __all__ = [
     "FigureComparison",
     "compare_figures",
     "compare_files",
+    "evaluate",
     "EXTENSIONS",
     "FIGURES",
     "FigureSpec",

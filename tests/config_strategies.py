@@ -199,12 +199,12 @@ def system_configs(draw, scale=None, broken_fields=2, algorithms=None):
 
     Every field is drawn legal (within ``scale[dotted]``, a
     ``(floor, cap)`` where given) except the up to ``broken_fields``
-    dotted names in ``broken``, which are drawn illegal.  The layout
-    also caps the two fields coupled to it: ``client.cache_size`` fits
-    the slowest disk and ``server.chop`` leaves a page on the air.
+    dotted names (or ``"algorithm"``) in ``broken``, drawn illegal.  The
+    layout also caps the two fields coupled to it: ``client.cache_size``
+    fits the slowest disk and ``server.chop`` leaves a page on the air.
     """
     scale = dict(scale or {})
-    broken = draw(st.sets(st.sampled_from(SYSTEM_FIELDS),
+    broken = draw(st.sets(st.sampled_from(("algorithm", *SYSTEM_FIELDS)),
                           max_size=broken_fields))
     db_size, disk_sizes, _ = layout = draw(LAYOUTS)
     scale["client.cache_size"] = (None, disk_sizes[-1])
@@ -219,5 +219,8 @@ def system_configs(draw, scale=None, broken_fields=2, algorithms=None):
             value = draw(_legal_or_default(
                 dotted, scale.get(dotted, (None, None))))
         updates[dotted.replace(".", "__")] = value
-    algorithm = draw(st.sampled_from(algorithms or tuple(Algorithm)))
+    algorithm = draw(  # never coerced: "ipp" is not Algorithm.IPP
+        st.sampled_from(("ipp", "pure-push", None)) | st.text()
+        if "algorithm" in broken
+        else st.sampled_from(algorithms or tuple(Algorithm)))
     return algorithm, updates, broken

@@ -318,6 +318,14 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig().with_(client__cache_size=600)
 
+    @pytest.mark.parametrize("value", ["bogus", "pure-push", "IPP", None])
+    def test_algorithm_rejects_a_non_member_in_one_line(self, value):
+        message = ("algorithm must be one of Algorithm.PURE_PUSH, "
+                   f"Algorithm.PURE_PULL, Algorithm.IPP, got {value!r}")
+        for build in (SystemConfig, SystemConfig().with_):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(algorithm=value)
+
 
 class TestPaperSettings:
     def test_table3_values(self):
