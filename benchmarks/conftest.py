@@ -16,6 +16,7 @@ Run ``python -m repro figures --full`` for paper-scale sweeps.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,9 +25,10 @@ import pytest
 from repro.experiments.base import Profile
 from repro.experiments.reporting import render_figure
 
-#: Reduced-scale profile used by every figure bench.
+#: Reduced-scale profile used by every figure bench, on the full process
+#: pool like ``FULL`` (a pooled sweep equals a serial one point for point).
 BENCH = Profile(settle_accesses=250, measure_accesses=350, replicates=1,
-                base_seed=11)
+                base_seed=11, workers=os.cpu_count())
 #: Deep saturation is high-variance: Figure 5 averages two replicates.
 BENCH5 = replace(BENCH, replicates=2)
 #: Pure-Push runs take the analytic shortcut (milliseconds per run), so

@@ -424,13 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default="worst_case")
     _add_flags(tune, _TUNE_PROFILE_FLAGS, base=QUICK)
 
-    from repro.lint.cli import add_arguments as add_lint_arguments
-    from repro.lint.cli import run as run_lint_cli
-
-    add_lint_arguments(command(
-        "lint", run_lint_cli,
-        help="domain static analysis: determinism, seeds, parity"))
-
     sanitize = command(
         "sanitize", _cmd_sanitize,
         help="runtime determinism check: replay a config per engine and "
@@ -506,14 +499,12 @@ def _cmd_figures(args) -> int:
     watch = (sys.stderr.isatty() if args.watch is None else args.watch)
     for spec in specs:
         fig_id = spec.figure_id
-        # lint: allow[REP001] -- user-facing elapsed wall time, never enters sim state
         started = time.perf_counter()
         monitor = SweepMonitor(dashboard=Dashboard() if watch else None,
                                title=f"figure {fig_id}")
         with sweep_progress(monitor):
             figure = run_figure(spec, profile)
         monitor.finish()
-        # lint: allow[REP001] -- figure-regeneration reporting, not sim time
         elapsed = time.perf_counter() - started
         if figure.manifest is not None:
             figure.manifest["elapsed_seconds"] = elapsed
@@ -857,7 +848,7 @@ def _cmd_program(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    from repro.lint.sanitize import DEFAULT_HASH_SEED, sanitize_config
+    from repro.obs.sanitize import DEFAULT_HASH_SEED, sanitize_config
 
     if args.no_hashseed and args.hash_seed is not None:
         raise _UsageError("--hash-seed and --no-hashseed are mutually "

@@ -41,8 +41,8 @@ __all__ = [
 
 #: Config fields deliberately honoured by a single engine.  Everything
 #: else must be read by BOTH core/simulation.py and core/fast.py —
-#: enforced by lint rule REP004 (see docs/STATIC_ANALYSIS.md).  Keep each
-#: entry justified; stale entries are themselves lint findings.
+#: checked by ``tests/lint/test_repo_clean.py`` (see docs/DETERMINISM.md).
+#: Keep each entry justified; an entry both engines read fails that test.
 PARITY_EXEMPT: frozenset[str] = frozenset({
     # The paper's aggregate VC is open-loop; the closed-loop variant is a
     # reference-engine-only ablation (DESIGN.md §4) with no fast-engine

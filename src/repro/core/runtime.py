@@ -101,7 +101,6 @@ class RunProtocol:
 
     # -- observer scope ----------------------------------------------------
     def __enter__(self) -> "RunProtocol":
-        # lint: allow[REP001] -- wall-clock run duration for the manifest
         self._started = time.perf_counter()
         with ExitStack() as scope:  # unwinds if an attach raises
             self.state.control = self._control
@@ -191,7 +190,6 @@ class RunProtocol:
                    if state.fleet is not None else None),
             manifest=run_manifest(
                 self.config, self.engine,
-                # lint: allow[REP001] -- provenance elapsed_seconds
                 elapsed_seconds=time.perf_counter() - self._started),
         )
 

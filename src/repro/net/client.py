@@ -29,9 +29,9 @@ slower than nominal does not inflate the reported latencies.
 Determinism note: every client's RNG is spawned from one explicit
 ``numpy.random.SeedSequence(seed)``; the wall-clock side (think-time
 sleeps, socket scheduling) is inherently nondeterministic, which is the
-point of the serving layer — hence the module-wide REP001 pragma below.
+point of the serving layer: this module is on the host-clock allowlist
+in ``tests/lint/test_repo_clean.py``.
 """
-# lint: allow-file[REP001] -- the serving layer measures wall-clock time by design
 
 from __future__ import annotations
 

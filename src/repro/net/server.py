@@ -30,8 +30,9 @@ the same dict ``simulate --metrics`` reports; the
 counters this module increments.
 
 This module runs on real time by design, but only through the event
-loop's clock: it reads no host clock itself, so it carries no REP001
-exemption — a direct read added here needs its own allow-pragma.
+loop's clock: it imports no host clock itself, so it is not on the
+host-clock allowlist in ``tests/lint/test_repo_clean.py`` — an ``import
+time`` added here fails that test until the list names it and says why.
 """
 
 from __future__ import annotations

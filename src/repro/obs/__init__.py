@@ -15,6 +15,9 @@ opens the black box:
   either engine (slots/sec, per-phase breakdown),
 - :mod:`repro.obs.compare` — trace diffing that pinpoints the first slot
   where two engine runs diverge,
+- :mod:`repro.obs.sanitize` — the determinism check: replay a config
+  per engine, in-process and under another ``PYTHONHASHSEED``, and diff
+  the slot traces bit-exactly (``repro-broadcast sanitize``),
 - :mod:`repro.obs.requests` — request-lifecycle tracing: one row per
   measured-client access, and the wait decomposition and miss-wait
   column vectorized reductions read from those rows,

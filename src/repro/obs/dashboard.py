@@ -17,9 +17,8 @@ The :class:`Dashboard` frame writer redraws in place on a tty (cursor-up
 frames when the stream is a pipe or file.
 
 This module measures wall-clock time by design (frame throttling, ETA),
-hence the module-wide REP001 allow-pragma below.
+so it is on the host-clock allowlist in ``tests/lint/test_repo_clean.py``.
 """
-# lint: allow-file[REP001] -- live telemetry: frame throttle and ETA run on wall time
 
 from __future__ import annotations
 

@@ -9,24 +9,23 @@ is the single source of truth for those vocabularies:
 - :data:`SLOT_KINDS` — what a broadcast slot carried; mirrors
   :class:`repro.server.broadcast_server.SlotKind` (the enum cannot import
   this module without an obs -> core -> server cycle, so the two are kept
-  in sync by the ``REP005`` lint rule instead — see
-  ``docs/STATIC_ANALYSIS.md``),
+  in sync by a tier-1 test instead, ``tests/lint/test_repo_clean.py``),
 - :data:`OFFER_OUTCOMES` — what the server queue did with a request;
-  mirrors :class:`repro.server.queue.Offer` (same REP005 discipline),
+  mirrors :class:`repro.server.queue.Offer` (same test),
 - :data:`SERVED_KINDS` — what satisfied a measured access
   (:attr:`repro.obs.requests.RequestRecord.served_kind`),
 - :data:`ENGINE_NAMES` — engine identifiers stamped into run manifests,
 - :data:`SCHEDULER_DISCIPLINES` — selectable pull-queue disciplines;
-  mirrors :data:`repro.server.schedulers.DISCIPLINES` (same REP005
-  no-import sync discipline as the enums) and is the vocabulary for the
+  mirrors :data:`repro.server.schedulers.DISCIPLINES` (same no-import
+  sync, same test, as the enums) and is the vocabulary for the
   ``discipline`` field wherever it crosses a serialization boundary
   (config JSON, queue snapshots, figure labels),
 - :data:`SCHEDULER_DECISIONS` — the scheduler decision counters the
   queue snapshot carries and the metrics registry mirrors as
   ``<prefix>_sched_<name>_total`` instruments.
 
-Adding a new event name means adding it here first; the lint suite fails
-any engine or sink that invents a name on the side.
+Adding a new event name means adding it here first: the trace encoders
+look each name up in these tuples and raise on one they do not know.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ SERVED_KINDS: tuple[str, ...] = ("cache", "push", "pull")
 ENGINE_NAMES: tuple[str, ...] = ("fast", "reference")
 
 #: Pull-queue scheduling disciplines (``SchedulerConfig.discipline``
-#: values; mirrors ``repro.server.schedulers.DISCIPLINES``, REP005).
+#: values; mirrors ``repro.server.schedulers.DISCIPLINES``).
 SCHEDULER_DISCIPLINES: tuple[str, ...] = ("fifo", "rxw", "lwf")
 
 #: Scheduler decision counters mirrored into the metrics registry

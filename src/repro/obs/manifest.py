@@ -125,7 +125,6 @@ def _environment() -> dict:
         "package_version": package_version(),
         "python_version": platform.python_version(),
         "numpy_version": numpy.__version__,
-        # lint: allow[REP001] -- provenance timestamp, never enters sim state
         "created_utc": datetime.now(timezone.utc).isoformat(
             timespec="seconds"),
     }

@@ -51,7 +51,6 @@ class HotLoopProfile:
     def attach(self, state: "SystemState") -> Attachment:
         """Time ``state``'s component calls into the phases; detaching
         also sets :attr:`slots` and :attr:`wall_seconds`."""
-        # lint: allow[REP001] -- the profiler measures wall time by design
         clock = time.perf_counter
         server = state.server
 

@@ -1,23 +1,21 @@
 """Runtime determinism sanitizer: replay a config, diff traces bit-exactly.
 
-The static rules rule out some *sources* of nondeterminism — REP001
-bans wall clocks and global RNG state in sim state, REP007-REP009 police
-the asyncio layer.  This module checks the *outcome*: running the same
-:class:`~repro.core.config.SystemConfig` twice on the same engine must
-produce bit-identical slot traces.  That is also what pins every RNG to
-the configured seed: a generator seeded from OS entropy, the process id
-or a salted ``hash()`` diverges on one replay or the other.  Each engine
-is replayed two ways:
+Running the same :class:`~repro.core.config.SystemConfig` twice on the
+same engine must produce bit-identical slot traces.  That is also what
+pins every RNG to the configured seed: a generator seeded from OS
+entropy, the process id or a salted ``hash()`` diverges on one replay or
+the other, and so does a host clock or global RNG that reaches a result.
+Each engine is replayed two ways:
 
 - **in-process** — a second :func:`~repro.obs.compare.capture_trace` in
   the same interpreter catches leaked module/global state (a cached RNG,
   an accumulator that survives engine construction),
 - **subprocess under a different ``PYTHONHASHSEED``** — hash
   randomization can only change before interpreter start, so a child
-  process (``python -m repro.lint.sanitize --child``) replays the config
-  with a different hash seed and ships its trace back as a columnar
-  ``.npy``.  A diff here means iteration order of a dict or set leaked
-  into simulation state — invisible to any in-process check.
+  process (``python -m repro.obs.sanitize``) replays the config with a
+  different hash seed and ships its trace back as a columnar ``.npy``.
+  A diff here means iteration order of a dict or set leaked into
+  simulation state — invisible to any in-process check.
 
 The scope boundary follows DESIGN.md: the *simulation state machine* is
 deterministic and is what gets diffed; the wall-clock ``repro.net``
@@ -43,9 +41,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+import repro
 from repro.core import ENGINES
+from repro.core.config import SystemConfig
 from repro.obs.columnar import load_columnar
 from repro.obs.compare import capture_trace, diff_traces
+from repro.obs.manifest import config_from_dict, config_to_dict
 
 __all__ = [
     "DEFAULT_HASH_SEED",
@@ -178,19 +179,14 @@ def _check(label: str, baseline: np.ndarray, replay: np.ndarray,
                        detail=diff.format())
 
 
-def _subprocess_replay(config, engine: str, hash_seed: str,
+def _subprocess_replay(config: SystemConfig, engine: str, hash_seed: str,
                        timeout: float = CHILD_TIMEOUT) -> np.ndarray:
     """Replay ``config`` in a child interpreter under ``hash_seed``.
 
-    The child is ``python -m repro.lint.sanitize --child``; it reads the
-    config as JSON on stdin and writes its slot trace as a columnar
-    ``.npy``, which keeps the exchange format independent of the hash
-    seed being varied.
+    The child is ``python -m repro.obs.sanitize``; it reads the config as
+    JSON on stdin and writes its slot trace as a columnar ``.npy``, which
+    keeps the exchange format independent of the hash seed being varied.
     """
-    from repro.obs.manifest import config_to_dict
-
-    import repro
-
     src_root = Path(repro.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
@@ -201,7 +197,7 @@ def _subprocess_replay(config, engine: str, hash_seed: str,
         out = Path(tmp) / "replay.npy"
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "repro.lint.sanitize", "--child",
+                [sys.executable, "-m", "repro.obs.sanitize",
                  "--engine", engine, "--out", str(out)],
                 input=json.dumps(config_to_dict(config)),
                 capture_output=True, text=True, env=env, timeout=timeout)
@@ -216,7 +212,8 @@ def _subprocess_replay(config, engine: str, hash_seed: str,
         return load_columnar(out, mmap=False)
 
 
-def sanitize_config(config, engines: Sequence[str] = tuple(ENGINES),
+def sanitize_config(config: SystemConfig,
+                    engines: Sequence[str] = tuple(ENGINES),
                     hash_seed: Optional[str] = DEFAULT_HASH_SEED,
                     inject_divergence: Optional[int] = None,
                     context: int = 3) -> SanitizeReport:
@@ -252,10 +249,19 @@ def sanitize_config(config, engines: Sequence[str] = tuple(ENGINES),
     return SanitizeReport(engines=tuple(reports))
 
 
-def _child_main(args) -> int:
-    """Child-mode entry: config on stdin, columnar trace to ``--out``."""
-    from repro.obs.manifest import config_from_dict
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``python -m repro.obs.sanitize`` — the subprocess replay's child.
 
+    Reads the config as JSON on stdin and writes its slot trace to
+    ``--out``.  The user-facing front end is ``repro-broadcast sanitize``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs.sanitize",
+        description="determinism-sanitizer subprocess child")
+    parser.add_argument("--engine", choices=ENGINES, default="fast")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="columnar .npy trace destination")
+    args = parser.parse_args(argv)
     config = config_from_dict(json.load(sys.stdin))
     trace = capture_trace(config, engine=args.engine)
     np.save(args.out, trace)
@@ -264,27 +270,6 @@ def _child_main(args) -> int:
         "hash_seed": os.environ.get("PYTHONHASHSEED"),
     }))
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.lint.sanitize`` — the subprocess child entry.
-
-    The user-facing front end is ``repro-broadcast sanitize``; running
-    this module directly only supports ``--child`` mode.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint.sanitize",
-        description="determinism-sanitizer subprocess child")
-    parser.add_argument("--child", action="store_true",
-                        help="replay the config read from stdin")
-    parser.add_argument("--engine", choices=ENGINES, default="fast")
-    parser.add_argument("--out", type=Path, required=False,
-                        help="(--child) columnar .npy trace destination")
-    args = parser.parse_args(argv)
-    if not args.child or args.out is None:
-        parser.error("this entry point only supports --child --out FILE; "
-                     "use 'repro-broadcast sanitize' instead")
-    return _child_main(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,7 +26,8 @@ class SlotKind(enum.Enum):
     """What a broadcast slot carried.
 
     Values mirror ``repro.obs.events.SLOT_KINDS`` (importing obs here
-    would cycle through core; lint rule REP005 enforces the sync).
+    would cycle through core; ``tests/lint/test_repo_clean.py`` holds
+    the sync).
     """
 
     PUSH = "push"      #: a page from the periodic program

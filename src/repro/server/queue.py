@@ -32,8 +32,9 @@ __all__ = ["BoundedRequestQueue", "Offer"]
 class Offer(enum.Enum):
     """Outcome of presenting a request to the server queue.
 
-    Values mirror ``repro.obs.events.OFFER_OUTCOMES`` (lint rule REP005
-    enforces the sync without a runtime import).
+    Values mirror ``repro.obs.events.OFFER_OUTCOMES`` (a tier-1 test,
+    ``tests/lint/test_repo_clean.py``, holds the sync without a runtime
+    import).
     """
 
     #: The request was queued; a pull slot will eventually broadcast it.

@@ -57,8 +57,9 @@ __all__ = [
 ]
 
 #: Selectable pull-queue disciplines (``SchedulerConfig.discipline``).
-#: Mirrors ``repro.obs.events.SCHEDULER_DISCIPLINES`` (lint rule REP005
-#: enforces the sync without a runtime import).
+#: Mirrors ``repro.obs.events.SCHEDULER_DISCIPLINES`` (a tier-1 test,
+#: ``tests/lint/test_repo_clean.py``, holds the sync without a runtime
+#: import).
 DISCIPLINES: tuple[str, ...] = ("fifo", "rxw", "lwf")
 
 #: Largest accepted R×W ``aging`` exponent.  The score

@@ -41,8 +41,6 @@ PARSER_SNAPSHOT = {
     "figures": "--chart=False --drop-rates=False --full=False --json=None "
                "--seed=42 --trace=None --watch/--no-watch=None "
                "--workers=None ids=None",
-    "lint": "--format='text' --list-rules=False --no-unused-pragma=False "
-            "--select=None paths=None",
     "loadgen": "--clients=200 --duration=10.0 --host='127.0.0.1' "
                "--port=None --settle-slots=0 --slot-duration=0.005 "
                "--stats-json=None --think-time=200.0 --watch=False "
@@ -712,8 +710,8 @@ class TestReportCommand:
         """Acceptance: a pre-provenance archive still reports cleanly."""
         from pathlib import Path
 
-        archived = (Path(__file__).resolve().parents[2]
-                    / "results" / "figure_3a.json")
+        archived = (Path(__file__).resolve().parent / "fixtures"
+                    / "figure_3a_v1.json")
         assert main(["report", str(archived)]) == 0
         out = capsys.readouterr().out
         assert "Figure 3a" in out
@@ -927,8 +925,8 @@ class TestCompareCommand:
         fallback and report clean against themselves."""
         from pathlib import Path
 
-        archived = (Path(__file__).resolve().parents[2]
-                    / "results" / "figure_3a.json")
+        archived = (Path(__file__).resolve().parent / "fixtures"
+                    / "figure_3a_v1.json")
         assert main(["compare", str(archived), str(archived)]) == 0
         assert "verdict: OK" in capsys.readouterr().out
 

@@ -15,8 +15,8 @@ import repro
 from repro.cli import main
 from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
-from repro.lint.sanitize import capture_trace, sanitize_config
 from repro.obs.manifest import config_from_dict, config_to_dict
+from repro.obs.sanitize import capture_trace, sanitize_config
 from tests.conftest import small_config
 
 

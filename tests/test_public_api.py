@@ -18,7 +18,6 @@ PACKAGES = [
     "repro.analysis",
     "repro.experiments",
     "repro.obs",
-    "repro.lint",
     "repro.net",
     "repro.fleet",
 ]
