@@ -27,6 +27,7 @@ semantics event-by-event; integration tests cross-validate the two.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 from repro.broadcast.schedule import NOT_BROADCAST
@@ -183,12 +184,16 @@ class FastEngine:
         # (repro.obs.attach), and the loop itself carries no hook.
         tick = server.tick
         offer = queue.offer
+        arrivals_for_slots = vc.arrivals_for_slots
         requests_for_slot = vc.requests_for_slot
         draw_page = mc.draw_page
         lookup = mc.lookup
         receive = mc.receive
         think = mc.think_time
         access_completed = run.access_completed
+        # Queue depth is ``len`` of the queue's page container, a C call
+        # where ``len(queue)`` would run ``__len__`` in Python.
+        queued = queue.pages
 
         due = control.due
         measuring = run.measuring
@@ -200,8 +205,10 @@ class FastEngine:
         qlen_sum = 0
         qlen_slots = 0
 
-        poisson_counts: list[int] = []
-        poisson_cursor = 0
+        # Per-slot Poisson arrival counts, drawn a chunk at a time and only
+        # when the previous chunk is spent (``vc_rng``'s draw order).
+        poisson_counts = chain.from_iterable(
+            map(arrivals_for_slots, repeat(_POISSON_CHUNK)))
 
         #: Page transmitted during the previous slot (completes now).
         in_flight: int | None = None
@@ -210,18 +217,19 @@ class FastEngine:
         while not stop:
             if t >= due:
                 due = control.poll(t)
-            now_boundary = float(t)
 
             # 1. Deliveries: the previous slot's page completes at time t and
             # the MC snoops every frontchannel page, push or pull.
-            if fleet is not None and in_flight is not None:
-                fleet.deliver(in_flight, now_boundary)
-            if in_flight is not None and in_flight == waiting_page:
-                receive(in_flight, requested_at, now_boundary)
-                waiting_page = None
-                mc_time = now_boundary + think
-                stop = access_completed(now_boundary)
-                measuring = run.measuring
+            if in_flight is not None:
+                now_boundary = float(t)
+                if fleet is not None:
+                    fleet.deliver(in_flight, now_boundary)
+                if in_flight == waiting_page:
+                    receive(in_flight, requested_at, now_boundary)
+                    waiting_page = None
+                    mc_time = now_boundary + think
+                    stop = access_completed(now_boundary)
+                    measuring = run.measuring
 
             # 2. MC accesses due in this slot, processed before the server
             # frees queue capacity (CSIM event order: a request landing on
@@ -243,7 +251,7 @@ class FastEngine:
                 measuring = run.measuring
 
             if measuring:
-                qlen_sum += len(queue)
+                qlen_sum += len(queued)
                 qlen_slots += 1
 
             # 3. The server emits the slot [t, t+1).  The MC's awaited
@@ -254,11 +262,7 @@ class FastEngine:
 
             # 4. VC arrivals strictly inside this slot.
             if uses_backchannel:
-                if poisson_cursor >= len(poisson_counts):
-                    poisson_counts = vc.arrivals_for_slots(_POISSON_CHUNK)
-                    poisson_cursor = 0
-                count = poisson_counts[poisson_cursor]
-                poisson_cursor += 1
+                count = next(poisson_counts)
                 if count:
                     for wanted in requests_for_slot(count, server.schedule_pos):
                         offer(wanted)

@@ -132,7 +132,7 @@ class ReferenceEngine:
                 due = control.poll(slot)
             slot += 1
             if run.measuring:
-                run.qlen_sum += len(server.queue)
+                run.qlen_sum += len(server.queue.pages)
                 run.qlen_slots += 1
             # Same instant as the fast engine's tick: after the MC's
             # boundary activity, before this slot's VC arrivals.

@@ -66,6 +66,8 @@ class BroadcastServer:
             raise ValueError("a push program is required when pull_bw < 1")
         self.schedule = schedule
         self._slots = schedule.slots if schedule is not None else ()
+        #: ``len(self._slots)``, where ``tick`` wraps the cursor.
+        self._cycle = len(self._slots)
         self.queue = BoundedRequestQueue(queue_size, scheduler)
         self.mux = PushPullMux(pull_bw, rng)
         self.schedule_pos = 0
@@ -98,9 +100,12 @@ class BroadcastServer:
         rather than consume — the push schedule.
         """
         ticks = self.ticks = self.ticks + 1
+        # ``self.queue`` is read on every call, not cached: a queue may be
+        # swapped in after construction (the FIFO parity oracle is).
+        # Emptiness is its page container's truth value, not ``__len__``.
         queue = self.queue
         queue.now = ticks
-        if self.mux.wants_pull() and len(queue) > 0:
+        if self.mux.wants_pull() and queue.pages:
             page = queue.pop()
             self._counts[_N_PULL] += 1
             return page, _PULL
@@ -111,7 +116,7 @@ class BroadcastServer:
         pos = self.schedule_pos
         page = slots[pos]
         pos += 1
-        self.schedule_pos = pos if pos < len(slots) else 0
+        self.schedule_pos = pos if pos < self._cycle else 0
         if page is None:
             self._counts[_N_PADDING] += 1
             return None, _PADDING
@@ -130,7 +135,8 @@ class BroadcastServer:
             raise ValueError("cannot reprogram a server with no push program")
         self.schedule = schedule
         self._slots = schedule.slots
-        self.schedule_pos %= len(schedule)
+        self._cycle = len(schedule)
+        self.schedule_pos %= self._cycle
 
     def stats_snapshot(self) -> dict:
         """Point-in-time view of the server for observability tooling.

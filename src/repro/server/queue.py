@@ -85,8 +85,9 @@ class BoundedRequestQueue:
         self._fifo: Optional[deque[int]] = deque() if live is None else None
         #: The queued pages: a set beside the deque, or the discipline's
         #: enqueue-ordered ``_live`` dict (``Any``: each path uses only
-        #: its own type's operations).
-        self._queued: Any = set() if live is None else live
+        #: its own type's operations).  Bound once, never replaced: the
+        #: slot step reads depth and emptiness on it directly.
+        self.pages: Any = set() if live is None else live
         # Cumulative accounting, one counter per Offer outcome.
         self.enqueued = 0
         self.duplicates = 0
@@ -94,15 +95,15 @@ class BoundedRequestQueue:
         self.served = 0
 
     def __len__(self) -> int:
-        return len(self._queued)
+        return len(self.pages)
 
     def __contains__(self, page: int) -> bool:
-        return page in self._queued
+        return page in self.pages
 
     @property
     def is_full(self) -> bool:
         """True when another distinct request would be dropped."""
-        return len(self._queued) >= self.capacity
+        return len(self.pages) >= self.capacity
 
     @property
     def offers(self) -> int:
@@ -127,7 +128,7 @@ class BoundedRequestQueue:
 
     def offer(self, page: int) -> Offer:
         """Present a pull request; returns what happened to it."""
-        queued = self._queued
+        queued = self.pages
         if page in queued:
             self.duplicates += 1
             notify = self._notify_duplicate
@@ -153,11 +154,11 @@ class BoundedRequestQueue:
 
     def peek(self) -> Optional[int]:
         """The page the discipline would serve next (None when empty)."""
-        if not self._queued:
+        if not self.pages:
             return None
         fifo = self._fifo
         return self.scheduler.select(
-            self._queued if fifo is None else fifo, self.now)
+            self.pages if fifo is None else fifo, self.now)
 
     def pop(self) -> int:
         """Dequeue the discipline's pick for service (raises if empty)."""
@@ -166,7 +167,7 @@ class BoundedRequestQueue:
         if fifo is None:
             # ``_live``: its first key is the arrival head, and the
             # discipline's on_served below deletes the page.
-            live = self._queued
+            live = self.pages
             page = scheduler.select(live, self.now)
             if page != next(iter(live)):
                 scheduler.reordered += 1
@@ -178,7 +179,7 @@ class BoundedRequestQueue:
                     f"queue's head: one that reorders keeps the queued "
                     f"pages itself (PullScheduler._live)")
             fifo.popleft()
-            self._queued.remove(page)
+            self.pages.remove(page)
         scheduler.pops += 1
         self.served += 1
         scheduler.on_served(page, self.now)
@@ -192,7 +193,7 @@ class BoundedRequestQueue:
         follows the distinct-offers definition (see :attr:`drop_rate`).
         """
         return {
-            "depth": len(self._queued),
+            "depth": len(self.pages),
             "capacity": self.capacity,
             "enqueued": self.enqueued,
             "duplicates": self.duplicates,

@@ -19,7 +19,9 @@ class LegacyQueue:
         #: Stamped by ``BroadcastServer.tick``; this queue never reads it.
         self.now = 0
         self._fifo: deque[int] = deque()
-        self._queued: set[int] = set()
+        #: Membership; ``tick`` and the fast engine read depth and
+        #: emptiness on it, as on ``BoundedRequestQueue.pages``.
+        self.pages: set[int] = set()
         self.enqueued = 0
         self.duplicates = 0
         self.dropped = 0
@@ -29,20 +31,20 @@ class LegacyQueue:
         return len(self._fifo)
 
     def offer(self, page: int) -> Offer:
-        if page in self._queued:
+        if page in self.pages:
             self.duplicates += 1
             return Offer.DUPLICATE
         if len(self._fifo) >= self.capacity:
             self.dropped += 1
             return Offer.DROPPED
         self._fifo.append(page)
-        self._queued.add(page)
+        self.pages.add(page)
         self.enqueued += 1
         return Offer.ENQUEUED
 
     def pop(self) -> int:
         page = self._fifo.popleft()
-        self._queued.remove(page)
+        self.pages.remove(page)
         self.served += 1
         return page
 

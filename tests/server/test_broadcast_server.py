@@ -56,6 +56,29 @@ class TestPushOnly:
         assert kinds.count(SlotKind.PADDING) == schedule.num_empty_slots
 
 
+class TestSetSchedule:
+    def test_cursor_wraps_at_each_new_program_length(self):
+        """``tick`` wraps at a cycle length cached at construction and
+        refreshed by ``set_schedule``: after a swap to a longer and then
+        to a shorter program, the slots follow the new program in order
+        from the cursor kept modulo its length."""
+        server = make_server(pull_bw=0.0)
+        for _ in range(5):
+            server.tick()
+        for slots in (tuple(range(100, 120)), (7, None, 8)):
+            start = server.schedule_pos % len(slots)
+            server.set_schedule(Schedule(slots))
+            assert server.schedule_pos == start
+            pages = [server.tick()[0] for _ in range(3 * len(slots) + 1)]
+            assert pages == [slots[(start + i) % len(slots)]
+                             for i in range(3 * len(slots) + 1)]
+
+    def test_pure_pull_server_cannot_be_reprogrammed(self):
+        server = BroadcastServer(None, 5, 1.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            server.set_schedule(fig1_schedule())
+
+
 class TestPullInterleaving:
     def test_empty_queue_gives_slot_back_to_push(self):
         server = make_server(pull_bw=1.0)

@@ -127,7 +127,7 @@ def test_index_stays_bounded_behind_a_head_that_is_never_served(make,
         if turn % 16 == 0:
             index_entries(scheduler)
             # The index is the queue's only record of its pages.
-            assert queue._queued is scheduler._live
+            assert queue.pages is scheduler._live
             assert queue._fifo is None
     if capacity > 1 and scheduler.name == "rxw" and scheduler.aging == 0:
         assert 0 in queue, "the pattern must leave page 0 unserved"

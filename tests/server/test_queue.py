@@ -211,7 +211,7 @@ class TestInvariants:
             assert [page for page in range(10) if page in queue] == sorted(
                 members)
             # The arrival order ``pop`` counts reorderings against.
-            order = queue._queued if queue._fifo is None else queue._fifo
+            order = queue.pages if queue._fifo is None else queue._fifo
             assert list(order) == list(arrivals)
             if arrivals:
                 assert queue.peek() in members
