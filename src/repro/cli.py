@@ -2,9 +2,9 @@
 
 ``repro-broadcast --help`` lists the subcommands; each one's ``help=`` in
 :func:`build_parser` is its description.  The single-system subcommands
-(``simulate``, ``serve``, ``loadgen``, ``trace``, ``profile``,
-``sanitize``) share one flag per config field, derived from the field's
-declared domain (:data:`_SYSTEM_FLAGS`); so are the flags of ``serve``,
+(``simulate``, ``serve``, ``loadgen``, ``trace``, ``sanitize``) share
+one flag per config field, derived from the field's declared domain
+(:data:`_SYSTEM_FLAGS`); so are the flags of ``serve``,
 ``loadgen``, ``figures``, ``tune`` and ``compare`` that set a field of
 the server, load-generator, self-test, sweep-profile or compare
 settings.
@@ -111,8 +111,8 @@ def _version() -> str:
 
 
 #: The single-system flags shared by simulate / serve / loadgen / trace /
-#: profile / sanitize, each setting one config field; its type, default
-#: and help come from the field's declared domain.
+#: sanitize, each setting one config field; its type, default and help
+#: come from the field's declared domain.
 _SYSTEM_FLAGS = {
     "--ttr": "client.think_time_ratio",
     "--pull-bw": "server.pull_bw",
@@ -224,7 +224,7 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
 def _system_config(args) -> SystemConfig:
     """Build the configured system from simulate-style arguments.
 
-    ``--figure`` (trace / profile / sanitize) swaps in that figure's
+    ``--figure`` (trace / sanitize) swaps in that figure's
     representative sweep point, which the client and server flags then
     leave alone; the fleet flags apply only with a non-zero
     ``--fleet-clients``; the run flags always apply.  A value outside its
@@ -286,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--drop-rates", action="store_true",
         help="print server drop-rate tables as well")
-    figures.add_argument(
-        "--watch", action=argparse.BooleanOptionalAction, default=None,
-        help="live sweep dashboard on stderr (completed/total replicates, "
-             "running means, ETA); default: on when stderr is a tty")
 
     one = command(
         "simulate", _cmd_simulate, help="run one configured system")
@@ -312,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-json", type=Path, default=None, metavar="FILE",
         help="write the final stats (self-test: figure-schema JSON that "
              "'report' renders) to FILE")
-    serve.add_argument(
-        "--watch", action="store_true",
-        help="render a live stats dashboard to stderr once per second "
-             "(slot, clients, queue, slot mix, net counters)")
 
     loadgen = command(
         "loadgen", _cmd_loadgen,
@@ -325,10 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--stats-json", type=Path, default=None, metavar="FILE",
         help="write the fleet's result JSON to FILE")
-    loadgen.add_argument(
-        "--watch", action="store_true",
-        help="poll the server for STATS once per second and render a live "
-             "dashboard to stderr while generating load")
 
     trace = command(
         "trace", _cmd_trace,
@@ -395,14 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument(
         "dst", type=Path, metavar="DST.jsonl",
         help="destination: one JSON object per record")
-
-    profile_cmd = command(
-        "profile", _cmd_profile,
-        help="time the fast engine's hot-loop phases")
-    _add_system_args(profile_cmd)
-    profile_cmd.add_argument(
-        "--figure", default=None, metavar="FIG",
-        help="profile this figure's representative sweep point")
 
     prog = command(
         "program", _cmd_program, help="inspect a broadcast program")
@@ -489,22 +469,14 @@ def _emit_figure(figure, chart: bool, json_path) -> None:
 
 
 def _cmd_figures(args) -> int:
-    from repro.experiments.base import sweep_progress
-    from repro.obs.dashboard import Dashboard, SweepMonitor
-
     specs = _figure_specs(args.ids or list(FIGURES))
     profile = _settings(FULL if args.full else QUICK, args, _FIGURES_FLAGS)
     _output_dir("--json", args.json)
     _output_dir("--trace", args.trace)
-    watch = (sys.stderr.isatty() if args.watch is None else args.watch)
     for spec in specs:
         fig_id = spec.figure_id
         started = time.perf_counter()
-        monitor = SweepMonitor(dashboard=Dashboard() if watch else None,
-                               title=f"figure {fig_id}")
-        with sweep_progress(monitor):
-            figure = run_figure(spec, profile)
-        monitor.finish()
+        figure = run_figure(spec, profile)
         elapsed = time.perf_counter() - started
         if figure.manifest is not None:
             figure.manifest["elapsed_seconds"] = elapsed
@@ -564,21 +536,6 @@ def _cmd_serve(args) -> int:
               + (f", {settings.max_slots} slots)" if settings.max_slots
                  else ")"),
               flush=True)
-        watch_task = None
-        if args.watch:
-            from repro.obs.dashboard import Dashboard, render_stats_frame
-
-            dashboard = Dashboard(interval=0.0)
-
-            async def _watch():
-                title = f"serve :{server.port}"
-                while True:
-                    await asyncio.sleep(1.0)
-                    dashboard.show(
-                        render_stats_frame(server.stats_snapshot(), title),
-                        force=True)
-
-            watch_task = asyncio.create_task(_watch())
         try:
             if settings.max_slots is not None:
                 await server.wait_finished()
@@ -586,8 +543,6 @@ def _cmd_serve(args) -> int:
                 await asyncio.Event().wait()  # until interrupted
             return server.stats_snapshot()
         finally:
-            if watch_task is not None:
-                watch_task.cancel()
             await server.stop()
 
     try:
@@ -611,29 +566,7 @@ def _cmd_loadgen(args) -> int:
 
     async def _drive():
         await fleet.start()
-        if not args.watch:
-            await asyncio.sleep(settings.duration)
-            return await fleet.stop(fetch_stats=True)
-        from repro.obs.dashboard import Dashboard, render_stats_frame
-
-        dashboard = Dashboard(interval=0.0)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + settings.duration
-        title = f"loadgen -> {args.host}:{args.port}"
-        while True:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                break
-            await asyncio.sleep(min(1.0, remaining))
-            stats = await fleet.fetch_stats()
-            if stats is None:  # every connection is down
-                continue
-            # Fleet-side metrics share the frame with the server's stats,
-            # so one dashboard shows both ends of the wire.
-            stats = dict(stats)
-            stats.setdefault("metrics", {}).update(
-                fleet.registry.snapshot())
-            dashboard.show(render_stats_frame(stats, title), force=True)
+        await asyncio.sleep(settings.duration)
         return await fleet.stop(fetch_stats=True)
 
     try:
@@ -804,19 +737,6 @@ def _cmd_report(args) -> int:
     if verdicts:
         print("\nclaims:", *verdicts, sep="\n  ")
     return 0 if all(verdict.holds for verdict in verdicts) else 1
-
-
-def _cmd_profile(args) -> int:
-    from repro.obs.profile import profile_run
-
-    config = _system_config(args)
-    result, prof = profile_run(config)
-    print(prof.render())
-    print()
-    print(f"response_miss mean : {result.response_miss.mean:.2f} "
-          f"broadcast units over {result.response_miss.count} misses")
-    print(f"drop rate          : {result.drop_rate:.1%}")
-    return 0
 
 
 def _cmd_program(args) -> int:

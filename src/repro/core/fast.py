@@ -38,7 +38,6 @@ from repro.core.metrics import RunResult
 from repro.core.runtime import ControlPlane, RunProtocol, SimulationStall
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs -> core)
-    from repro.obs.profile import HotLoopProfile
     from repro.obs.requests import RequestTracer
     from repro.obs.trace import SlotTracer
 
@@ -54,7 +53,6 @@ class FastEngine:
     def __init__(self, config: SystemConfig, state: SystemState | None = None,
                  force_general: bool = False, controller=None,
                  tracer: "SlotTracer | None" = None,
-                 profiler: "HotLoopProfile | None" = None,
                  request_tracer: "RequestTracer | None" = None):
         """Args:
             config: the system to simulate.
@@ -68,9 +66,6 @@ class FastEngine:
                 one structured record per completed slot.  Forces the
                 general slot loop (the Pure-Push analytic shortcut ticks
                 no slots to trace).
-            profiler: optional :class:`~repro.obs.profile.HotLoopProfile`
-                accumulating per-phase wall time; also forces the general
-                loop.
             request_tracer: optional
                 :class:`~repro.obs.requests.RequestTracer` emitting one
                 lifecycle record per MC access; also forces the general
@@ -81,7 +76,6 @@ class FastEngine:
         self._force_general = force_general
         self.controller = controller
         self.tracer = tracer
-        self.profiler = profiler
         self.request_tracer = request_tracer
         if controller is not None and config.algorithm is not Algorithm.IPP:
             raise ValueError("adaptive control only applies to IPP")
@@ -98,7 +92,7 @@ class FastEngine:
 
     # -- engine ------------------------------------------------------------------
     def _execute(self, warmup_mode: bool) -> RunResult:
-        observers = (self.tracer, self.request_tracer, self.profiler)
+        observers = (self.tracer, self.request_tracer)
         use_analytic = (self.config.algorithm is Algorithm.PURE_PUSH
                         and not self._force_general
                         # The shortcut ticks no slot for one to watch.

@@ -10,8 +10,8 @@ Everything around the slot lives here, once:
   cache, settle, measure, stop.  The engines call
   :meth:`~RunProtocol.access_completed` once per completed MC access and
   ask it for the :class:`~repro.core.metrics.RunResult` at the end; it
-  also scopes the observers' attachment (slot tracer, request tracer,
-  profiler — see :mod:`repro.obs.attach`) and stamps the manifest.
+  also scopes the observers' attachment (slot tracer, request tracer —
+  see :mod:`repro.obs.attach`) and stamps the manifest.
 - :class:`ControlPlane` is the only code that knows which components a
   PullBW / ThresPerc retune or a push-program swap must reach.  A
   runtime keeps one integer deadline and polls the plane when its slot

@@ -13,16 +13,8 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Iterator,
-    Optional,
-    Protocol,
-    Sequence,
-)
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.config import Settings, SystemConfig, setting
 from repro.core.fast import FastEngine
@@ -36,14 +28,12 @@ __all__ = [
     "FigureSeries",
     "FigureResult",
     "FIGURE_SCHEMA_VERSION",
-    "SweepProgress",
     "figure_from_dict",
     "load_figure",
     "point_stats",
     "run_points",
     "run_replicated",
     "run_sweep",
-    "sweep_progress",
     "PAPER_PULL_BWS",
     "PAPER_TTRS",
 ]
@@ -327,89 +317,28 @@ def _execute(task: tuple[SystemConfig, bool]) -> RunResult:
     return engine.run_warmup() if warmup else engine.run()
 
 
-class SweepProgress(Protocol):
-    """What :func:`run_sweep` tells a live-telemetry observer.
-
-    Implemented by :class:`repro.obs.dashboard.SweepMonitor`; any object
-    with these two methods works (duck typing — the Protocol is
-    documentation, not a registration requirement).
-    """
-
-    def sweep_started(self, total: int, label: Optional[str]) -> None:
-        """A sweep of ``total`` replicate runs is beginning."""
-
-    def replicate_done(self, index: int, result: RunResult) -> None:
-        """The replicate at position ``index`` completed (completion
-        order under a process pool, not submission order)."""
-
-
-#: The ambient progress observer installed by :func:`sweep_progress`.
-_AMBIENT_PROGRESS: Optional[SweepProgress] = None
-
-
-@contextmanager
-def sweep_progress(monitor: SweepProgress) -> Iterator[SweepProgress]:
-    """Route every :func:`run_sweep` in this context through ``monitor``.
-
-    The sweep entry points take only a :class:`Profile`, so a CLI that
-    wants live sweep telemetry has no parameter to thread an observer
-    through; this context manager installs one ambiently instead::
-
-        with sweep_progress(SweepMonitor(dashboard=Dashboard())):
-            figure = run_figure(FIGURES["3a"], profile)
-
-    Nested contexts shadow (and then restore) the outer observer.  The
-    ambient observer lives in the parent process only — worker processes
-    never see it, so it needs no pickling.
-    """
-    global _AMBIENT_PROGRESS
-    previous = _AMBIENT_PROGRESS
-    _AMBIENT_PROGRESS = monitor
-    try:
-        yield monitor
-    finally:
-        _AMBIENT_PROGRESS = previous
-
-
 def run_sweep(configs: Sequence[SystemConfig], warmup: bool = False,
-              workers: Optional[int] = None,
-              progress: Optional[SweepProgress] = None,
-              label: Optional[str] = None) -> list[RunResult]:
+              workers: Optional[int] = None) -> list[RunResult]:
     """Run many independent simulations, optionally on a process pool.
 
     Results come back in ``configs`` order regardless of completion
     order.  Pooled runs are submitted individually and consumed as they
     complete (``submit`` + ``as_completed`` rather than a buffered
-    ``pool.map``), which buys three things: a failing replicate raises
-    as soon as *it* finishes instead of after everything queued before
-    it; Ctrl-C cancels the queued tail immediately instead of stalling
-    behind the full map; and per-replicate completions can stream into a
-    ``progress`` observer (or the ambient one installed by
-    :func:`sweep_progress`) for live telemetry.
+    ``pool.map``), which buys two things: a failing replicate raises as
+    soon as *it* finishes instead of after everything queued before it;
+    and Ctrl-C cancels the queued tail immediately instead of stalling
+    behind the full map.
     """
     tasks = [(config, warmup) for config in configs]
-    monitor = progress if progress is not None else _AMBIENT_PROGRESS
-    if monitor is not None:
-        monitor.sweep_started(len(tasks), label)
     if workers is None or workers <= 1 or len(tasks) <= 1:
-        results = []
-        for index, task in enumerate(tasks):
-            result = _execute(task)
-            if monitor is not None:
-                monitor.replicate_done(index, result)
-            results.append(result)
-        return results
+        return [_execute(task) for task in tasks]
     ordered: list[Optional[RunResult]] = [None] * len(tasks)
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         futures = {pool.submit(_execute, task): index
                    for index, task in enumerate(tasks)}
         for future in as_completed(futures):
-            index = futures[future]
-            result = future.result()
-            ordered[index] = result
-            if monitor is not None:
-                monitor.replicate_done(index, result)
+            ordered[futures[future]] = future.result()
     except BaseException:
         # Includes KeyboardInterrupt and a replicate's own exception:
         # drop everything still queued so the pool exits promptly.
@@ -420,8 +349,7 @@ def run_sweep(configs: Sequence[SystemConfig], warmup: bool = False,
 
 
 def run_points(configs: Sequence[SystemConfig], profile: Profile,
-               warmup: bool = False, label: Optional[str] = None,
-               ) -> list[list[RunResult]]:
+               warmup: bool = False) -> list[list[RunResult]]:
     """Run every point's replicates in ONE :func:`run_sweep`.
 
     The (point × replicate) grid is flattened so a process pool chews the
@@ -432,8 +360,7 @@ def run_points(configs: Sequence[SystemConfig], profile: Profile,
     """
     flat = [profile.apply(config, profile.base_seed + r)
             for config in configs for r in range(profile.replicates)]
-    results = run_sweep(flat, warmup=warmup, workers=profile.workers,
-                        label=label)
+    results = run_sweep(flat, warmup=warmup, workers=profile.workers)
     n = profile.replicates
     return [results[i * n:(i + 1) * n] for i in range(len(configs))]
 
@@ -460,7 +387,7 @@ def point_stats(results: Sequence[RunResult], config: SystemConfig,
 
 def run_replicated(config: SystemConfig, profile: Profile,
                    metric: Callable[[RunResult], float] | None = None,
-                   label: Optional[str] = None) -> PointStats:
+                   ) -> PointStats:
     """Run one sweep point's replicates and aggregate them."""
-    [results] = run_points([config], profile, label=label)
+    [results] = run_points([config], profile)
     return point_stats(results, config, metric)

@@ -17,5 +17,9 @@ __all__ = ["figure_3a"]
 
 
 def figure_3a(profile: Profile, ttrs=PAPER_TTRS) -> FigureResult:
-    """Figure 3(a) over the ``ttrs`` load grid (spine import contract)."""
-    return run_figure(replace(FIGURES["3a"], xs=tuple(ttrs)), profile)
+    """Figure 3(a) over the ``ttrs`` load grid (spine import contract),
+    its representative point moved onto that grid's first load."""
+    spec, xs = FIGURES["3a"], tuple(ttrs)
+    label, _ = spec.representative
+    return run_figure(replace(spec, xs=xs, representative=(label, xs[0])),
+                      profile)

@@ -250,9 +250,10 @@ class FigureSpec:
     x_key: Optional[str]
     xs: tuple[float, ...]
     series: tuple[SeriesSpec, ...]
-    #: The ``(series label, x)`` coordinate ``trace`` / ``profile`` /
-    #: ``sanitize --figure`` stand on: one point of this figure's own
-    #: grid that exercises its characteristic behaviour.
+    #: The ``(series label, x)`` coordinate ``trace`` / ``sanitize
+    #: --figure`` and ``figures --trace`` stand on: one point of this
+    #: figure's own grid (checked at construction, so a shrunk grid
+    #: states its own) that exercises its characteristic behaviour.
     representative: tuple[str, float]
     #: Statistics plotted per series, each reduced from the series' same
     #: runs into a curve labelled ``"<series label> <metric>"`` (just the
@@ -264,6 +265,23 @@ class FigureSpec:
     claims: tuple[Claim, ...] = ()
 
     def __post_init__(self) -> None:
+        # Claims read the grid in order (Monotone, CrossesLater).
+        axis = self.x_key.replace("__", ".") if self.x_key else "x"
+        grid = f"{axis} grid of figure {self.figure_id}"
+        if not self.xs:
+            raise ValueError(f"{grid} must not be empty")
+        if not all(map(math.isfinite, self.xs)):
+            raise ValueError(f"{grid} must be finite, got {self.xs}")
+        if any(a >= b for a, b in zip(self.xs, self.xs[1:])):
+            raise ValueError(
+                f"{grid} must be strictly increasing, got {self.xs}")
+        label, x = self.representative
+        if label not in [series.label for series in self.series]:
+            raise ValueError(f"figure {self.figure_id}: representative "
+                             f"{label!r} names no series of the figure")
+        if x not in self.xs:
+            raise ValueError(f"figure {self.figure_id}: representative "
+                             f"x={x:g} is not on the grid {self.xs}")
         for claim in self.claims:
             unknown = _labels(claim) - set(self.curves)
             if unknown:
@@ -324,10 +342,9 @@ def run_figure(spec: FigureSpec, profile: Profile) -> FigureResult:
 
     Every ``(series, x)`` point of every series — one point for a flat
     series or a warm-up curve — times ``profile.replicates`` goes into a
-    single :func:`~repro.experiments.base.run_sweep`, so an observer
-    installed with :func:`~repro.experiments.base.sweep_progress` is told
-    the figure's whole run count up front, and every config is built (and
-    a bad one rejected) before the first run.
+    single :func:`~repro.experiments.base.run_sweep`, so one process
+    pool serves the whole figure, and every config is built (and a bad
+    one rejected) before the first run.
     """
     plan = [(series, [spec.config(series.label, x)
                       for x in (spec.xs[:1] if series.flat or spec.warmup
@@ -335,7 +352,7 @@ def run_figure(spec: FigureSpec, profile: Profile) -> FigureResult:
             for series in spec.series]
     runs = iter(run_points([config for _, configs in plan
                             for config in configs],
-                           profile, warmup=spec.warmup, label=spec.title))
+                           profile, warmup=spec.warmup))
     curves = []
     names = iter(spec.curves)
     for series, configs in plan:

@@ -293,21 +293,6 @@ class ClientFleet:
                     client.writer.close()
         return self._aggregate(censored, server_stats)
 
-    async def fetch_stats(self, timeout: float = 5.0) -> Optional[dict]:
-        """Ask the server for a STATS snapshot mid-run.
-
-        Uses the first client that still has a live connection; None
-        when the whole fleet is disconnected or the server does not
-        answer within ``timeout``.  The payload is the server's
-        :meth:`~repro.net.server.NetServer.stats_snapshot` shape —
-        feed it to :func:`repro.obs.dashboard.render_stats_frame` for a
-        live view (``loadgen --watch`` does exactly that).
-        """
-        for client in self._clients:
-            if client.writer is not None:
-                return await self._fetch_stats(client, timeout)
-        return None
-
     async def _fetch_stats(self, client: _FleetClient,
                            timeout: float = 5.0) -> Optional[dict]:
         """Ask the server for a STATS snapshot through one client."""

@@ -1,4 +1,4 @@
-"""repro.obs — observability: tracing, metrics, profiling, trace diffing.
+"""repro.obs — observability: tracing, metrics, trace diffing, provenance.
 
 The simulators' only output used to be end-of-run aggregates; this package
 opens the black box:
@@ -11,8 +11,6 @@ opens the black box:
   ``.npy`` (checked on load) and exported as JSON lines,
 - :mod:`repro.obs.metrics` — a counters/histograms registry for the
   numbers no component owns (the wire's and the load generator's),
-- :mod:`repro.obs.profile` — wall time per component-call phase of
-  either engine (slots/sec, per-phase breakdown),
 - :mod:`repro.obs.compare` — trace diffing that pinpoints the first slot
   where two engine runs diverge,
 - :mod:`repro.obs.sanitize` — the determinism check: replay a config
@@ -24,14 +22,15 @@ opens the black box:
 - :mod:`repro.obs.sampling` — 1-in-N and seeded-reservoir sampling
   policies for the request tracer, each with one inverse-probability
   weight so sampled aggregates estimate the full population,
-- :mod:`repro.obs.dashboard` — live terminal telemetry: sweep-progress
-  monitor (``figures --watch``) and net STATS frame rendering (``serve
-  --watch`` / ``loadgen --watch``) over one metrics vocabulary,
 - :mod:`repro.obs.manifest` — run/sweep provenance manifests (seed,
   config, versions, timestamp).
 
 Everything is opt-in: the engines carry no observer code, so a run
-without a tracer/profiler executes none.
+without a tracer executes none.  Every module here has a reader outside
+its own tests — a figure, a BENCH or spine number, a CI gate or
+``report``; docs/OBSERVABILITY.md's reader table names it.  Per-layer
+wall time is the benchmark spine's (``benchmarks/spine``, ``--trace
+1``), not this package's.
 
 Summarising a sample is not defined here: the streaming
 :class:`Histogram` (moments + interpolated quantiles on the
@@ -51,7 +50,6 @@ from repro.obs.columnar import (
     table_of,
 )
 from repro.obs.compare import TraceDiff, capture_trace, compare_engines, diff_traces
-from repro.obs.dashboard import Dashboard, SweepMonitor, render_stats_frame
 from repro.obs.manifest import (
     MANIFEST_VERSION,
     config_to_dict,
@@ -60,7 +58,6 @@ from repro.obs.manifest import (
     sweep_manifest,
 )
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.obs.profile import HotLoopProfile, profile_run
 from repro.obs.sampling import (
     EveryNSampling,
     ReservoirSampling,
@@ -98,8 +95,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "HotLoopProfile",
-    "profile_run",
     "TraceDiff",
     "diff_traces",
     "capture_trace",
@@ -118,7 +113,4 @@ __all__ = [
     "EveryNSampling",
     "ReservoirSampling",
     "sample_stream",
-    "Dashboard",
-    "SweepMonitor",
-    "render_stats_frame",
 ]

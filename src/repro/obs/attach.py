@@ -4,9 +4,9 @@ Every runtime reaches the shared components through an instance lookup
 (``tick = server.tick``, ``mc.lookup(page, now)``), so an instance
 attribute of the same name shadows the class's method.  An
 :class:`Attachment` places such shadows and takes them away again.  The
-slot tracer, the request tracer and the profiler are each a handful of
-them, so the engines carry no observer code and an unobserved run has no
-branch to pay for.
+slot tracer and the request tracer are each a handful of them, so the
+engines carry no observer code and an unobserved run has no branch to
+pay for.
 """
 
 from __future__ import annotations

@@ -129,6 +129,10 @@ def recommend(base: SystemConfig, spec: TuningSpec,
     settings = [(chop, pull_bw, thresh) for chop in spec.chop_grid
                 for pull_bw in spec.pull_bw_grid
                 for thresh in spec.thresh_grid]
+    # A load's own domain comes before the grid's: ``tune --loads nan``
+    # names the field it sets.
+    for load in spec.loads:
+        base.with_(client__think_time_ratio=load)
     # Every field of ``base``; ``with_`` lays each setting's knobs on top.
     base_fields = {f.name: getattr(base, f.name) for f in fields(base)}
     grid = FigureSpec(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,27 @@ def push_config():
 @pytest.fixture
 def pull_config():
     return small_config(Algorithm.PURE_PULL)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The configs of every ``run_sweep`` the sweep helpers start, one
+    list per call, in call order; the sweeps still run."""
+    import repro.experiments.base as base
+
+    calls = []
+    real = base.run_sweep
+
+    def recording(configs, *args, **kwargs):
+        calls.append(list(configs))
+        return real(configs, *args, **kwargs)
+
+    monkeypatch.setattr(base, "run_sweep", recording)
+    return calls
+
+
+def regrid(spec, xs):
+    """``spec`` over the grid ``xs``, its representative point moved onto
+    that grid's first x (a spec's representative must be on its grid)."""
+    label, _ = spec.representative
+    return replace(spec, xs=tuple(xs), representative=(label, xs[0]))

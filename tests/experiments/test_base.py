@@ -139,28 +139,22 @@ class TestSweepSeries:
         with pytest.raises(RuntimeError, match="produced NaN"):
             run_figure(spec, TINY)
 
-    def test_bad_config_rejected_before_any_run(self):
-        recorder = _Recorder()
-        from repro.experiments.base import sweep_progress
-        with sweep_progress(recorder), \
-                pytest.raises(ValueError, match="client.think_time_ratio"):
+    def test_bad_config_rejected_before_any_run(self, sweeps):
+        with pytest.raises(ValueError, match="client.think_time_ratio"):
             run_figure(small_curve("x", (2, math.nan)), TINY)
-        assert recorder.started == []
+        assert sweeps == []
 
 
 class TestRunPoints:
-    def test_one_sweep_chunks_replicates_per_config(self):
+    def test_one_sweep_chunks_replicates_per_config(self, sweeps):
         """The primitive under run_replicated / run_figure: every point's
         replicates in one run_sweep, handed back per config with seeds
         base_seed + r."""
-        from repro.experiments.base import sweep_progress
-
-        recorder = _Recorder()
         configs = [small_config(client__think_time_ratio=ttr)
                    for ttr in (2, 5, 7)]
-        with sweep_progress(recorder):
-            runs = run_points(configs, TINY, label="batch")
-        assert recorder.started == [(3 * TINY.replicates, "batch")]
+        runs = run_points(configs, TINY)
+        assert [[c.run.seed for c in sweep] for sweep in sweeps] \
+            == [[3, 4] * 3]
         for config, results in zip(configs, runs):
             assert results == run_sweep(
                 [TINY.apply(config, seed) for seed in (3, 4)])
@@ -169,16 +163,13 @@ class TestRunPoints:
 class TestSweepSeriesMulti:
     """``FigureSpec.metrics``: several statistics of one set of runs."""
 
-    def test_series_share_one_set_of_runs(self):
-        recorder = _Recorder()
-        from repro.experiments.base import sweep_progress
+    def test_series_share_one_set_of_runs(self, sweeps):
         metrics = {"mean": lambda r: r.response_miss.mean,
                    "hits": lambda r: float(r.mc_hits),
                    "slots": lambda r: float(r.total_slots)}
-        with sweep_progress(recorder):
-            figure = run_figure(small_curve("ipp", (2, 5), metrics), TINY)
+        figure = run_figure(small_curve("ipp", (2, 5), metrics), TINY)
         # points x replicates runs, whatever the number of metrics.
-        assert recorder.started == [(2 * TINY.replicates, "small")]
+        assert [len(sweep) for sweep in sweeps] == [2 * TINY.replicates]
         mean, hits, slots = figure.series
         assert (mean.label, hits.label, slots.label) \
             == ("ipp mean", "ipp hits", "ipp slots")
@@ -216,20 +207,6 @@ class TestFigureResult:
         assert data["series"][0]["drop_rate"] == [0.25, 0.25]
 
 
-class _Recorder:
-    """Minimal SweepProgress implementation for assertions."""
-
-    def __init__(self):
-        self.started = []
-        self.done = []
-
-    def sweep_started(self, total, label):
-        self.started.append((total, label))
-
-    def replicate_done(self, index, result):
-        self.done.append((index, result.seed))
-
-
 class TestRunSweepStreaming:
     def test_pooled_results_keep_submission_order(self):
         # Seeds double as identity: completion order under the pool is
@@ -248,36 +225,10 @@ class TestRunSweepStreaming:
         with pytest.raises(SimulationStall):
             run_sweep([good, bad, good], workers=2)
 
-    def test_progress_observer_sequential(self):
-        recorder = _Recorder()
-        configs = [TINY.apply(small_config(), seed=s) for s in (1, 2)]
-        run_sweep(configs, progress=recorder, label="curve")
-        assert recorder.started == [(2, "curve")]
-        assert recorder.done == [(0, 1), (1, 2)]
-
-    def test_progress_observer_pooled_sees_every_replicate(self):
-        recorder = _Recorder()
-        seeds = [1, 2, 3, 4]
-        configs = [TINY.apply(small_config(), seed=s) for s in seeds]
-        run_sweep(configs, workers=2, progress=recorder)
-        assert recorder.started == [(4, None)]
-        # Completion order is arbitrary; coverage must be exact.
-        assert sorted(recorder.done) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-
-    def test_ambient_observer_applies_to_nested_sweeps(self):
-        from repro.experiments.base import sweep_progress
-
-        recorder = _Recorder()
-        with sweep_progress(recorder):
-            run_figure(small_curve("IPP", (1.0,)), TINY)
-        assert recorder.started == [(TINY.replicates, "small")]
-        assert len(recorder.done) == TINY.replicates
-
-    def test_explicit_observer_shadows_the_ambient_one(self):
-        from repro.experiments.base import sweep_progress
-
-        ambient, explicit = _Recorder(), _Recorder()
-        configs = [TINY.apply(small_config(), seed=1)]
-        with sweep_progress(ambient):
-            run_sweep(configs, progress=explicit)
-        assert not ambient.started and explicit.started == [(1, None)]
+    def test_ambient_observer_applies_to_nested_sweeps(self, sweeps):
+        """A figure's runs go through the module's ``run_sweep``, nested
+        under run_figure and run_points, so whatever stands in that name
+        sees them all."""
+        [series] = run_figure(small_curve("IPP", (1.0,)), TINY).series
+        assert [len(sweep) for sweep in sweeps] == [TINY.replicates]
+        assert series.points[0].replicates == TINY.replicates

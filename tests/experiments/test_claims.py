@@ -1,6 +1,7 @@
 """The figure rows' claims and their one evaluator, without simulating."""
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from repro.experiments.figures import (
     Ratio,
     SeriesSpec,
 )
+from tests.conftest import regrid
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
 #: Every row with an archive: the fleet and discipline sweeps have none.
@@ -101,7 +103,44 @@ def test_a_claim_naming_no_curve_fails_construction_in_one_line():
     with pytest.raises(ValueError):  # the curve is "pix all-access mean"
         replace(EXTENSIONS["cache-policy"], claims=(Flat("pix"),))
     for xs in ((10, 25, 50), (2, 5)):  # x values are not checked
-        assert replace(FIGURES["3a"], xs=xs).claims == FIGURES["3a"].claims
+        assert regrid(FIGURES["3a"], xs).claims == FIGURES["3a"].claims
+
+
+#: A row that constructed and must not -> the one line it now raises.
+#: Claims read the grid in order; ``trace`` / ``sanitize --figure`` and
+#: ``figures --trace`` stand on the representative point.
+BAD_ROWS = {
+    "empty grid": (
+        "3a", {"xs": ()},
+        "client.think_time_ratio grid of figure 3a must not be empty"),
+    "non-finite x": (
+        "3a", {"xs": (10, 25, math.nan)},
+        "client.think_time_ratio grid of figure 3a must be finite, "
+        "got (10, 25, nan)"),
+    "decreasing grid": (
+        "3a", {"xs": (25, 10)},
+        "client.think_time_ratio grid of figure 3a must be strictly "
+        "increasing, got (25, 10)"),
+    "repeated x": (
+        "4a", {"xs": (10.0, 95.0, 95.0)},
+        "x grid of figure 4a must be strictly increasing, "
+        "got (10.0, 95.0, 95.0)"),
+    "representative names no series": (
+        "3a", {"representative": ("IPP 5%", 10)},
+        "figure 3a: representative 'IPP 5%' names no series of the figure"),
+    "representative off the grid": (
+        "3a", {"representative": ("IPP 95%", 30)},
+        "figure 3a: representative x=30 is not on the grid "
+        "(10, 25, 50, 100, 250)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROWS)
+def test_a_malformed_grid_or_representative_fails_construction(case):
+    fig_id, changes, message = BAD_ROWS[case]
+    with pytest.raises(ValueError) as exc:
+        replace(FIGURES[fig_id], **changes)
+    assert str(exc.value).splitlines() == [message]
 
 
 def test_a_missing_point_raises_never_holds():

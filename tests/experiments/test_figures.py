@@ -21,9 +21,10 @@ import pytest
 
 from repro.analysis.bandwidth import optimal_disk_split
 from repro.experiments import base
-from repro.experiments.base import Profile, sweep_progress
+from repro.experiments.base import Profile
 from repro.experiments.figures import EXTENSIONS, FIGURES, run_figure
 from repro.workload.zipf import zipf_probabilities
+from tests.conftest import regrid
 
 TINY = Profile(settle_accesses=30, measure_accesses=60, replicates=1,
                base_seed=5)
@@ -32,7 +33,7 @@ RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 def tiny(fig_id, xs=None):
     spec = FIGURES[fig_id]
-    return run_figure(spec if xs is None else replace(spec, xs=xs), TINY)
+    return run_figure(spec if xs is None else regrid(spec, xs), TINY)
 
 
 class TestTable:
@@ -157,33 +158,16 @@ class TestFigure8:
                           "IPP -300", "IPP -500", "IPP -700"]
 
 
-class _Recorder:
-    def __init__(self):
-        self.events = []
-
-    def sweep_started(self, total, label):
-        self.events.append(("started", total))
-
-    def replicate_done(self, index, result):
-        self.events.append(("done", index))
-
-
 class TestOneSweepPerFigure:
     #: The benchmark spine's ``sweep_fig3a`` shape: 26 runs.
     SPEC = replace(FIGURES["3a"], xs=(10, 25, 50))
     PROFILE = Profile(settle_accesses=10, measure_accesses=30, replicates=2)
 
-    def test_observer_is_told_the_whole_figure_up_front(self):
-        """``figures --watch`` shows a whole-figure ETA from its first
-        frame: one ``sweep_started`` carrying every run of every series,
-        before any completion."""
-        recorder = _Recorder()
-        with sweep_progress(recorder):
-            run_figure(self.SPEC, self.PROFILE)
-        assert recorder.events[0] == ("started", 26)
-        assert [e for e in recorder.events if e[0] == "started"] \
-            == [("started", 26)]
-        assert sorted(e[1] for e in recorder.events[1:]) == list(range(26))
+    def test_observer_is_told_the_whole_figure_up_front(self, sweeps):
+        """One ``run_sweep`` carries every run of every series, each
+        config built before the first run."""
+        run_figure(self.SPEC, self.PROFILE)
+        assert [len(sweep) for sweep in sweeps] == [26]
 
     @pytest.mark.parametrize("workers, pools", [(2, 1), (None, 0)])
     def test_one_process_pool_per_figure(self, monkeypatch, workers, pools):
@@ -230,7 +214,7 @@ def shrunk(fig_id):
     """An :data:`EXTENSIONS` row at the retired sweeps' pinned scale."""
     spec = EXTENSIONS[fig_id]
     fleet = {"fleet__num_clients": 30, "fleet__think_time": 120.0}
-    return replace(spec, xs=RETIRED_XS[fig_id], series=tuple(
+    return replace(regrid(spec, RETIRED_XS[fig_id]), series=tuple(
         replace(s, overrides={**s.overrides, **fleet}) for s in spec.series))
 
 

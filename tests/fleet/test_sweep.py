@@ -16,13 +16,13 @@ from repro.experiments.base import (
 from repro.experiments.compare import compare_figures
 from repro.experiments.figures import FigureSpec, SeriesSpec, run_figure
 from repro.fleet import FAIRNESS_METRICS
-from tests.conftest import small_config
+from tests.conftest import regrid, small_config
 from tests.experiments.test_figures import RETIRED_PROFILE, shrunk
 
 
 def tiny_fleet_figure(pull_bws):
     """``fleet-pullbw`` with 30 clients of think time 120 at ``pull_bws``."""
-    return run_figure(replace(shrunk("fleet-pullbw"), xs=pull_bws),
+    return run_figure(regrid(shrunk("fleet-pullbw"), pull_bws),
                       RETIRED_PROFILE)
 
 

@@ -1,15 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import FIGURES, Profile, run_figure
+from tests.conftest import regrid
 
 #: Figure 3a on a two-point grid at a scale that runs in a blink.
-SMALL_3A = replace(FIGURES["3a"], xs=(2, 5))
+SMALL_3A = regrid(FIGURES["3a"], (2, 5))
 SMALL_PROFILE = Profile(settle_accesses=20, measure_accesses=40,
                         replicates=1)
 
@@ -39,13 +39,10 @@ PARSER_SNAPSHOT = {
                "--tolerance=1e-06 a=None b=None",
     "convert": "dst=None src=None",
     "figures": "--chart=False --drop-rates=False --full=False --json=None "
-               "--seed=42 --trace=None --watch/--no-watch=None "
-               "--workers=None ids=None",
+               "--seed=42 --trace=None --workers=None ids=None",
     "loadgen": "--clients=200 --duration=10.0 --host='127.0.0.1' "
                "--port=None --settle-slots=0 --slot-duration=0.005 "
-               "--stats-json=None --think-time=200.0 --watch=False "
-               + SYSTEM_FLAGS,
-    "profile": "--figure=None " + SYSTEM_FLAGS,
+               "--stats-json=None --think-time=200.0 " + SYSTEM_FLAGS,
     "program": "--cache-size=100 --chop=0 --no-offset=False",
     "report": "--think-time=None --trace=None path=None",
     "sanitize": "--engine='both' --figure=None --format='text' "
@@ -54,7 +51,7 @@ PARSER_SNAPSHOT = {
     "serve": "--clients=200 --drop-after=64 --host='127.0.0.1' --port=0 "
              "--self-test=False --send-queue=256 --slot-duration=0.005 "
              "--slots=None --stats-json=None --think-time=200.0 "
-             "--watch=False " + SYSTEM_FLAGS,
+             + SYSTEM_FLAGS,
     "simulate": "--metrics=False " + SYSTEM_FLAGS,
     "trace": "--engine='fast' --figure=None --out=PosixPath('trace.npy') "
              "--requests=False --reservoir=None --sample-every=None "
@@ -86,7 +83,6 @@ class TestUnknownFigureId:
     @pytest.mark.parametrize("argv", [
         ["figures", "99"],
         ["trace", "--figure", "99"],
-        ["profile", "--figure", "99"],
         ["sanitize", "--figure", "99", "--no-hashseed"],
     ], ids=lambda argv: argv[0])
     def test_exits_2_with_one_line_naming_known_ids(self, argv, capsys):
@@ -115,6 +111,9 @@ BAD_SWEEP_ARGUMENTS = {
         "tune: --loads: expected comma-separated floats, got 'abc'",
     "tune --loads ,":
         "tune: --loads: expected comma-separated floats, got ','",
+    "tune --loads 250,10":
+        "tune: --loads: client.think_time_ratio grid of figure tune must "
+        "be strictly increasing, got (250.0, 10.0)",
     "tune --replicates 0":
         "tune: --replicates: profile.replicates must be an int >= 1, got 0",
     "figures 3a --seed -1":
@@ -233,7 +232,7 @@ class TestRejectedConfigValue:
     "divergence"."""
 
     @pytest.mark.parametrize("command", [
-        "simulate", "serve", "loadgen", "trace", "profile", "sanitize"])
+        "simulate", "serve", "loadgen", "trace", "sanitize"])
     def test_exits_2_with_one_line_naming_flag_and_field(self, command,
                                                          capsys):
         extra = ["--port", "1"] if command == "loadgen" else []
@@ -952,19 +951,6 @@ class TestCompareCommand:
         del data["series"][0]
         paths[1].write_text(json.dumps(data))
         assert main(["compare", str(paths[0]), str(paths[1])]) == 2
-
-
-class TestProfileCommand:
-    def test_prints_phase_table(self, capsys):
-        code = main(["profile", "--algorithm", "ipp", "--ttr", "2",
-                     "--settle", "20", "--measure", "40"])
-        assert code == 0
-        out = capsys.readouterr().out
-        for phase in ("control", "deliver", "mc_access", "server_tick",
-                      "vc_arrivals", "fleet_arrivals"):
-            assert phase in out
-        assert "slots/sec" in out
-        assert "response_miss mean" in out
 
 
 class TestTuneCommand:

@@ -41,12 +41,8 @@ HOST_STATE_ALLOWED = {
         "wall-clock run duration for the manifest",
     ("obs/manifest.py", "datetime"):
         "provenance timestamp, never enters sim state",
-    ("obs/profile.py", "time"):
-        "the profiler measures wall time by design",
     ("net/client.py", "time"):
         "the serving layer measures wall-clock time by design",
-    ("obs/dashboard.py", "time"):
-        "live telemetry: frame throttle and ETA run on wall time",
 }
 
 #: Modules that read the host clock or the global RNG when imported.

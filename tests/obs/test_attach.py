@@ -2,11 +2,12 @@
 
 Two contracts: an :class:`~repro.obs.attach.Attachment` leaves every
 component exactly as it found it, and looking at a run — with the slot
-tracer, the request tracer or the profiler, on either engine — does not
-change it.
+tracer, the request tracer or a counter on every boundary an observer
+can shadow, on either engine — does not change it.
 """
 
 import math
+from collections import Counter as Tally
 
 import pytest
 
@@ -14,13 +15,7 @@ from repro.core import ENGINES
 from repro.core.build import build_system
 from repro.core.runtime import RunProtocol, SimulationStall
 from repro.core.simulation import ReferenceEngine
-from repro.obs import (
-    Attachment,
-    ColumnarSink,
-    HotLoopProfile,
-    RequestTracer,
-    SlotTracer,
-)
+from repro.obs import Attachment, ColumnarSink, RequestTracer, SlotTracer
 from repro.obs.columnar import decode_row
 from tests.conftest import small_config
 
@@ -169,20 +164,57 @@ def shadowed(state):
                   if callable(value))
 
 
+class CallCounter:
+    """Counts every call on every boundary an observer can shadow, keyed
+    ``"component.method"``; ``vc.requests_for_slot`` stays a generator
+    and counts the pages it yields."""
+
+    def __init__(self):
+        self.calls = Tally()
+
+    def attach(self, state):
+        def counted(key):
+            def call(inner, *args):
+                self.calls[key] += 1
+                return inner(*args)
+            return call
+
+        def pages(inner, *args):
+            for page in inner(*args):
+                self.calls["vc.requests_for_slot"] += 1
+                yield page
+
+        shadows = [(state.server, "tick", counted("server.tick")),
+                   (state.server.queue, "offer", counted("queue.offer")),
+                   (state.vc, "requests_for_slot", pages)]
+        shadows += [(state.mc, name, counted(f"mc.{name}"))
+                    for name in ("draw_page", "lookup", "receive")]
+        shadows.append((state.vc, "arrivals_for_slots",
+                        counted("vc.arrivals_for_slots")))
+        if state.fleet is not None:
+            shadows += [(state.fleet, name, counted(f"fleet.{name}"))
+                        for name in ("deliver", "generate")]
+        if state.control is not None:
+            shadows.append((state.control, "poll", counted("control.poll")))
+        return Attachment(shadows)
+
+
 def run_observed(engine, observer, config, state=None):
     """Run ``config`` with ``observer`` looking on; returns the state too.
 
-    The reference engine takes no ``profiler=``: a profile reads it
-    attached by hand, as it would any runtime.
+    The counter has no engine keyword of its own.  The reference engine
+    runs with it attached by hand, as any runtime would; the fast engine
+    takes it as ``tracer=``, whose only use is to be attached in the
+    run's scope — where the control plane is reachable.
     """
     state = state if state is not None else build_system(config)
     if observer is None:
         return ENGINES[engine](config, state=state).run(), state
-    if isinstance(observer, HotLoopProfile) and engine == "reference":
+    if isinstance(observer, CallCounter) and engine == "reference":
         with observer.attach(state):
             return ReferenceEngine(config, state=state).run(), state
     keyword = {SlotTracer: "tracer", RequestTracer: "request_tracer",
-               HotLoopProfile: "profiler"}[type(observer)]
+               CallCounter: "tracer"}[type(observer)]
     return ENGINES[engine](config, state=state,
                            **{keyword: observer}).run(), state
 
@@ -190,7 +222,7 @@ def run_observed(engine, observer, config, state=None):
 OBSERVERS = {
     "slot-tracer": lambda: SlotTracer(ColumnarSink(table="slot")),
     "request-tracer": lambda: RequestTracer(ColumnarSink(table="request")),
-    "profiler": HotLoopProfile,
+    "call-counter": CallCounter,
 }
 
 
@@ -210,11 +242,12 @@ class TestLookingDoesNotChangeTheRun:
         assert shadowed(state) == []
         assert state.control is None
         # The observer did look.
-        if isinstance(watcher, HotLoopProfile):
-            assert watcher.server_tick > 0.0 and watcher.deliver > 0.0
-            assert watcher.fleet_arrivals > 0.0
+        if isinstance(watcher, CallCounter):
+            calls = watcher.calls
+            assert calls["server.tick"] > 0 and calls["fleet.deliver"] > 0
+            assert calls["fleet.generate"] > 0
             if engine == "fast":  # its RunProtocol scope holds the plane
-                assert watcher.control > 0.0
+                assert calls["control.poll"] > 0
         else:
             assert watcher.records_emitted > 0
 

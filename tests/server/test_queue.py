@@ -227,8 +227,8 @@ class TestObserver:
     """Observing ``offer`` through an :class:`~repro.obs.attach.Attachment`.
 
     An observer shadows ``offer`` with an instance attribute; the request
-    tracer and the profiler both depend on attach/detach being
-    deterministic and fully reversible.
+    tracer depends on attach/detach being deterministic and fully
+    reversible.
     """
 
     def test_observer_sees_every_outcome(self):

@@ -119,14 +119,13 @@ class TestExports:
         import repro
         import repro.fleet
         import repro.obs
-        import repro.obs.dashboard
         import repro.obs.metrics
         from repro.net.client import ClientFleet
-        from repro.obs.dashboard import SweepMonitor
         from repro.obs.metrics import Counter, MetricsRegistry
         from repro.obs.requests import RequestRecord
 
-        for module in ("repro.obs.server_metrics", "repro.fleet.metrics"):
+        for module in ("repro.obs.server_metrics", "repro.fleet.metrics",
+                       "repro.obs.profile", "repro.obs.dashboard"):
             with pytest.raises(ImportError):
                 importlib.import_module(module)
         absent = {
@@ -135,7 +134,6 @@ class TestExports:
                         "quantiles_from_bucket_snapshot"),
             repro.fleet: ("FleetMetricsAdapter", "bind_fleet_metrics"),
             repro.obs.metrics: ("Gauge",),
-            repro.obs.dashboard: ("quantiles_from_bucket_snapshot",),
             Counter: ("advance_to",),
             MetricsRegistry: ("gauge", "render", "names", "__contains__",
                               "__len__"),
@@ -144,8 +142,7 @@ class TestExports:
         for owner, names in absent.items():
             for name in names:
                 assert not hasattr(owner, name), (owner, name)
-        for owner in (ClientFleet, SweepMonitor):
-            assert "registry" not in inspect.signature(owner).parameters
+        assert "registry" not in inspect.signature(ClientFleet).parameters
         for path in Path(repro.__file__).parent.rglob("*.py"):
             text = path.read_text()
             for name in ("advance_to", "Gauge",
