@@ -5,12 +5,15 @@ from __future__ import annotations
 import asyncio
 import logging
 import socket
+import struct
 
 import pytest
 
 from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
 from repro.net.protocol import (
+    MAX_FRAME_BYTES,
+    FrameDecoder,
     Hello,
     Page,
     Request,
@@ -24,6 +27,10 @@ from repro.net.server import NetServer, NetServerSettings
 from repro.obs.metrics import MetricsRegistry
 
 CONFIG = SystemConfig(algorithm=Algorithm.IPP)
+#: Every PAGE frame's size on the wire.
+FRAME_BYTES = len(encode_frame(Page(0, 0, "push")))
+#: A slot duration no host keeps: the clock is late at every slot.
+SATURATED = 1e-6
 
 
 def run(coro):
@@ -83,6 +90,69 @@ def _shrink_send_buffer(conn):
         socket.SOL_SOCKET, socket.SO_SNDBUF, 1024)
 
 
+def _record_page_slots(server):
+    """Shadow the state machine's tick: the list of slots that carried a
+    page, in the order they were ticked."""
+    carried = []
+    tick = server.server.tick
+
+    def recording():
+        page, kind = tick()
+        if kind.carries_page:
+            carried.append(server.slot)
+        return page, kind
+
+    server.server.tick = recording
+    return carried
+
+
+class _Registrations(dict):
+    """A connection table that notes the slot each connection joined at
+    (the next slot the clock ticks), in the order they joined."""
+
+    def __init__(self, server):
+        super().__init__()
+        self.server = server
+        self.slots: list[int] = []
+
+    def __setitem__(self, key, conn):
+        self.slots.append(self.server.slot)
+        super().__setitem__(key, conn)
+
+
+def _record_registrations(server):
+    table = _Registrations(server)
+    server._connections = table
+    return table.slots
+
+
+class _Tally:
+    """One client's view of the wire: every frame decoded, every byte."""
+
+    def __init__(self):
+        self.frames = []
+        self.bytes = 0
+
+    @property
+    def page_slots(self):
+        return [f.slot for f in self.frames if isinstance(f, Page)]
+
+
+async def _tally(reader, tally):
+    decoder = FrameDecoder()
+    while data := await reader.read(1 << 16):
+        tally.bytes += len(data)
+        tally.frames.extend(decoder.feed(data))
+
+
+async def _until(predicate, seconds=5.0):
+    """Poll ``predicate`` until it holds or ``seconds`` pass."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + seconds
+    while not predicate() and loop.time() < deadline:
+        await asyncio.sleep(0.001)
+
+
 class TestSettings:
     @pytest.mark.parametrize("kwargs", [
         {"slot_duration": 0.0},
@@ -129,6 +199,137 @@ class TestSlotClock:
         assert server.server is server.state.server
         reference = build_system(CONFIG)
         assert type(server.state) is type(reference)
+
+
+class TestLateSlotBatching:
+    def test_saturated_clock_keeps_wire_order(self):
+        """A clock late at every slot holds its frames and writes them in
+        batches, yet each client decodes every page-carrying slot from
+        the one it registered at, *s*, in order and none before *s* (the
+        frames held then go to the clients already there), and its
+        bytes are whole frames."""
+        async def scenario():
+            registry = MetricsRegistry()
+            server = NetServer(CONFIG, NetServerSettings(
+                slot_duration=SATURATED, max_slots=1500), registry=registry)
+            carried = _record_page_slots(server)
+            joined = _record_registrations(server)
+            batches = []
+            broadcast = server._broadcast
+
+            def recording(data, frames):
+                batches.append(frames)
+                broadcast(data, frames)
+
+            server._broadcast = recording
+            await server.start()
+            tallies, tasks, writers = [], [], []
+            for after_slot in (0, 600):
+                while server.slot < after_slot:
+                    await asyncio.sleep(0)
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                tally = _Tally()
+                tallies.append(tally)
+                tasks.append(asyncio.create_task(_tally(reader, tally)))
+                writers.append(writer)
+            await server.wait_finished()
+
+            def sent():
+                return registry.snapshot()["net_frames_sent_total"]["value"]
+
+            await _until(lambda: sum(t.bytes for t in tallies)
+                         >= sent() * FRAME_BYTES)
+            snapshot = registry.snapshot()
+            await server.stop()
+            for writer in writers:
+                writer.close()
+            await asyncio.gather(*tasks)
+            return carried, joined, batches, tallies, snapshot
+
+        carried, joined, batches, tallies, snapshot = run(scenario())
+        assert len(joined) == 2 and joined[1] >= 600
+        for tally, slot in zip(tallies, joined):
+            slots = tally.page_slots
+            assert slots == [s for s in carried if s >= slot]
+            assert tally.bytes == FRAME_BYTES * len(tally.frames)
+        sent = snapshot["net_frames_sent_total"]["value"]
+        assert sum(t.bytes for t in tallies) == FRAME_BYTES * sent
+        assert snapshot["net_frames_shed_total"]["value"] == 0
+        # The clock really was late, and wrote frames in batches.
+        assert snapshot["net_lagging_slots_total"]["value"] > 0
+        assert max(batches) > 1
+        assert sum(batches) == len(carried)
+
+    def test_on_time_clock_writes_each_slot_before_it_sleeps(self):
+        """A clock that keeps its deadlines makes one ``_broadcast`` call
+        of one frame per page-carrying slot, as an unbatched one does."""
+        async def scenario():
+            registry = MetricsRegistry()
+            server = NetServer(CONFIG, NetServerSettings(
+                slot_duration=0.05, max_slots=12), registry=registry)
+            carried = _record_page_slots(server)
+            calls = []
+            broadcast = server._broadcast
+
+            def recording(data, frames):
+                calls.append((server.slot, frames))
+                broadcast(data, frames)
+
+            server._broadcast = recording
+            await server.start()
+            await server.wait_finished()
+            lagging = registry.snapshot()["net_lagging_slots_total"]["value"]
+            await server.stop()
+            return carried, calls, lagging
+
+        carried, calls, lagging = run(scenario())
+        assert lagging == 0
+        # Each frame went out in the iteration that ticked its slot.
+        assert calls == [(slot + 1, 1) for slot in carried]
+
+    def test_stats_reply_is_never_ahead_of_a_counted_slot(self):
+        """Every PAGE frame for a slot a STATS reply counts reaches the
+        client before that reply, though the clock holds frames."""
+        async def scenario():
+            server = NetServer(CONFIG, NetServerSettings(
+                slot_duration=SATURATED, max_slots=3000))
+            carried = _record_page_slots(server)
+            joined = _record_registrations(server)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            tally = _Tally()
+            task = asyncio.create_task(_tally(reader, tally))
+            asked = 0
+            while asked == 0 or not server._finished.is_set():
+                write_frame(writer, StatsRequest())
+                await writer.drain()
+                asked += 1
+                await asyncio.sleep(0.002)
+            write_frame(writer, StatsRequest())  # counts all 3000 slots
+            await writer.drain()
+            # Every request answered, so none is left unread at stop().
+            await _until(lambda: sum(isinstance(f, Stats)
+                                     for f in tally.frames) > asked)
+            await server.stop()
+            writer.close()
+            await task
+            return carried, joined, tally.frames
+
+        carried, joined, frames = run(scenario())
+        (start,) = joined
+        counted = []
+        for index, frame in enumerate(frames):
+            if not isinstance(frame, Stats):
+                continue
+            ahead = [f.slot for f in frames[:index] if isinstance(f, Page)]
+            counted.append(frame.payload["slot"])
+            assert ahead == [s for s in carried if start <= s < counted[-1]]
+            # One client: the frames counted sent are the frames ahead.
+            sent = frame.payload["metrics"]["net_frames_sent_total"]
+            assert sent["value"] == len(ahead)
+        assert len(counted) > 2 and counted[-1] == 3000
 
 
 class TestBackchannel:
@@ -304,6 +505,99 @@ class TestSlowConsumer:
         assert payload["metrics"]["net_stats_requests_total"]["value"] == 0
 
 
+    def test_batched_write_sheds_every_frame_it_held(self):
+        """A held batch that meets a connection over its send bound is
+        shed whole: each of its frames counts in ``shed_total``, in
+        ``net_frames_shed_total`` and toward ``drop_after``."""
+        async def scenario():
+            registry = MetricsRegistry()
+            server = NetServer(CONFIG, NetServerSettings(
+                slot_duration=0.001, max_slots=1,
+                send_queue_frames=4, drop_after=10), registry=registry)
+            await server.start()
+            _reader, writer = await _open_wedged(server.port)
+            write_frame(writer, Hello(1))
+            await writer.drain()
+            conn = await _registered(server, 1)
+            await server.wait_finished()
+            _shrink_send_buffer(conn)
+            conn.transport.write(encode_frame(Page(0, 0, "push")) * 50_000)
+            before = registry.snapshot()
+            frame = encode_frame(Page(0, 1, "push"))
+            seen = []
+            for _ in range(3):
+                server._pending.extend([frame] * 4)
+                server._flush()
+                seen.append((conn.shed_total, conn.shed_consecutive,
+                             server.connected_clients))
+            after = registry.snapshot()
+            await server.stop()
+            writer.close()
+            return seen, before, after
+
+        seen, before, after = run(scenario())
+        # 4, then 8 consecutive sheds; the third batch crosses 10.
+        assert seen == [(4, 4, 1), (8, 8, 1), (12, 12, 0)]
+
+        def moved(name):
+            return after[name]["value"] - before[name]["value"]
+
+        assert moved("net_frames_shed_total") == 12
+        assert moved("net_frames_sent_total") == 0
+        assert moved("net_clients_dropped_total") == 1
+
+
+class TestMalformedFrame:
+    @pytest.mark.parametrize("garbage", [
+        struct.pack("!IB", 1, 0xEE),
+        struct.pack("!I", MAX_FRAME_BYTES + 1),
+    ], ids=["unknown-type", "oversized-length"])
+    def test_costs_only_its_own_connection(self, garbage, caplog):
+        """A client that sends a malformed frame loses its connection; the
+        clock runs to the end, the other client gets every frame, and no
+        server task outlives ``stop()``."""
+        caplog.set_level(logging.WARNING, logger="asyncio")
+
+        async def scenario():
+            running = asyncio.all_tasks()
+            registry = MetricsRegistry()
+            server = NetServer(CONFIG, NetServerSettings(
+                slot_duration=0.001, max_slots=300), registry=registry)
+            carried = _record_page_slots(server)
+            joined = _record_registrations(server)
+            await server.start()
+            good_reader, good_writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            good = _Tally()
+            good_task = asyncio.create_task(_tally(good_reader, good))
+            _bad_reader, bad_writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            while server.connected_clients < 2:
+                await asyncio.sleep(0.001)
+            bad_writer.write(garbage)
+            await bad_writer.drain()
+            await _until(lambda: server.connected_clients < 2)
+            connected = server.connected_clients
+            await server.wait_finished()
+            expected = [s for s in carried if s >= joined[0]]
+            await _until(lambda: len(good.frames) >= len(expected))
+            slot = server.slot
+            await server.stop()
+            leftover = asyncio.all_tasks() - running - {good_task}
+            good_writer.close()
+            bad_writer.close()
+            await good_task
+            return connected, slot, expected, good.page_slots, leftover
+
+        connected, slot, expected, received, leftover = run(scenario())
+        assert connected == 1
+        assert slot == 300
+        assert received == expected
+        assert not leftover
+        assert not [r for r in caplog.records
+                    if r.name == "asyncio" and r.levelno >= logging.WARNING]
+
+
 class TestLostClient:
     def test_vanished_client_is_reaped_without_writes(self, caplog):
         """A client that aborts mid-run is reaped; the clock still runs
@@ -360,7 +654,7 @@ class TestLostClient:
             conn.transport.abort()
             # No await in between: the reader has not seen the loss yet.
             for slot in range(8):
-                server._broadcast(encode_frame(Page(0, slot, "push")))
+                server._broadcast(encode_frame(Page(0, slot, "push")), 1)
             after = registry.snapshot()
             await server.stop()
             writer.close()
