@@ -22,9 +22,10 @@ The fleet owns its :class:`~repro.obs.metrics.MetricsRegistry`: its
 :class:`FleetResult` reads them.
 
 Latencies are measured in seconds but reported in **slot units**,
-divided by the *effective* slot duration observed from PAGE-frame slot
-indices and arrival times — so a loaded host that runs the slot clock
-slower than nominal does not inflate the reported latencies.
+divided by the *effective* slot duration fitted to PAGE-frame slot
+indices and arrival times (:func:`fit_slot_duration`) — so a loaded
+host that runs the slot clock slower than nominal does not inflate the
+reported latencies.
 
 Determinism note: every client's RNG is spawned from one explicit
 ``numpy.random.SeedSequence(seed)``; the wall-clock side (think-time
@@ -40,7 +41,7 @@ import contextlib
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +63,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.monitor import exact_quantiles, log_buckets
 from repro.workload.zipf import ZipfSampler, zipf_probabilities
 
-__all__ = ["ClientFleet", "FleetSettings", "FleetResult"]
+__all__ = ["ClientFleet", "FleetSettings", "FleetResult",
+           "fit_slot_duration"]
 
 #: Bucket bounds (seconds) for the fleet's live latency histogram.
 _SECONDS_BUCKETS = log_buckets(1e-4, 1e3)
@@ -108,8 +110,8 @@ class FleetResult:
     pages_seen: int
     #: Misses still waiting for their page when the fleet stopped.
     censored: int
-    #: Wall-clock seconds one broadcast slot actually took (fitted from
-    #: observed PAGE frames; NaN when fewer than two slots were seen).
+    #: Wall-clock seconds one broadcast slot actually took
+    #: (:func:`fit_slot_duration`; NaN when too few slots were seen).
     effective_slot_duration: float
     first_slot: Optional[int] = None
     last_slot: Optional[int] = None
@@ -146,6 +148,33 @@ class FleetResult:
             "last_slot": self.last_slot,
             "server_stats": self.server_stats,
         }
+
+
+def fit_slot_duration(arrivals: Sequence[tuple[int, float]],
+                      nominal: float) -> float:
+    """Wall-clock seconds per slot, fitted to ``(slot, arrival time)``
+    observations in increasing slot order.
+
+    The slot clock sleeps to ``epoch + slot * nominal``, so no frame is
+    early; but a clock that stalled (while a fleet connects, say) then
+    ticks its late slots back to back, and their frames arrive in a
+    burst that a fit through them would read as slots shorter than the
+    clock can run.  So the fit starts at the first frame that arrived
+    within one nominal slot of the least-late one (lateness against the
+    nominal schedule), and is the least-squares slope of arrival time
+    over slot from there on: frames before it cannot shorten it, and a
+    clock that is slow throughout keeps its whole run.  NaN when fewer
+    than two slots remain.
+    """
+    if len(arrivals) < 2:
+        return math.nan
+    slots, times = np.array(arrivals, dtype=float).T
+    lateness = times - slots * nominal
+    start = int(np.argmax(lateness <= lateness.min() + nominal))
+    slots = slots[start:] - slots[start:].mean()
+    times = times[start:] - times[start:].mean()
+    spread = float(slots @ slots)
+    return float(slots @ times) / spread if spread else math.nan
 
 
 class _FleetClient:
@@ -229,8 +258,8 @@ class ClientFleet:
 
         # Shared observation state.
         self.last_seen_slot = -1
-        self._first_seen: Optional[tuple[int, float]] = None
-        self._last_seen: Optional[tuple[int, float]] = None
+        #: (slot, arrival time) of the first frame seen of each new slot.
+        self._arrivals: list[tuple[int, float]] = []
         self._latencies: list[tuple[float, bool]] = []  # (seconds, measured)
         self._slot_waiters: list[tuple[int, asyncio.Future]] = []
         self._started = False
@@ -312,13 +341,9 @@ class ClientFleet:
 
     def _aggregate(self, censored: int,
                    server_stats: Optional[dict]) -> FleetResult:
-        effective = math.nan
-        if (self._first_seen is not None and self._last_seen is not None
-                and self._last_seen[0] > self._first_seen[0]):
-            effective = ((self._last_seen[1] - self._first_seen[1])
-                         / (self._last_seen[0] - self._first_seen[0]))
-        scale = effective if effective and not math.isnan(effective) else (
-            self.slot_duration)
+        arrivals = self._arrivals
+        effective = fit_slot_duration(arrivals, self.slot_duration)
+        scale = effective if effective > 0 else self.slot_duration
         measured = [seconds / scale
                     for seconds, is_measured in self._latencies if is_measured]
         everything = [seconds / scale for seconds, _ in self._latencies]
@@ -332,18 +357,15 @@ class ClientFleet:
             pages_seen=self._m_pages.value,
             censored=censored,
             effective_slot_duration=effective,
-            first_slot=(self._first_seen[0] if self._first_seen else None),
-            last_slot=(self._last_seen[0] if self._last_seen else None),
+            first_slot=arrivals[0][0] if arrivals else None,
+            last_slot=arrivals[-1][0] if arrivals else None,
             server_stats=server_stats,
         )
 
     # -- per-client tasks ----------------------------------------------------
     def _note_slot(self, slot: int) -> None:
-        now = time.monotonic()
-        if self._first_seen is None:
-            self._first_seen = (slot, now)
-        self._last_seen = (slot, now)
         if slot > self.last_seen_slot:
+            self._arrivals.append((slot, time.monotonic()))
             self.last_seen_slot = slot
             if self._slot_waiters:
                 still_waiting = []

@@ -23,10 +23,17 @@ incremental :class:`FrameDecoder`) so the format is testable in
 isolation; :func:`read_frame` / :func:`write_frame` adapt it onto
 ``asyncio`` streams.  Slot kinds travel as their index into
 :data:`repro.obs.events.SLOT_KINDS`, the shared event vocabulary.
+
+PAGE frames are the per-slot, per-client cost of the serving layer, so
+each costs one precompiled whole-frame struct call each way:
+:func:`encode_page` packs one (the slot clock calls it straight from
+the tick) and :class:`FrameDecoder` unpacks one with a single
+``unpack_from``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -44,6 +51,7 @@ __all__ = [
     "Frame",
     "MAX_FRAME_BYTES",
     "encode_frame",
+    "encode_page",
     "decode_payload",
     "FrameDecoder",
     "read_frame",
@@ -65,6 +73,19 @@ _TYPE_STATS = 5
 _HELLO_BODY = struct.Struct("!q")
 _PAGE_BODY = struct.Struct("!qqB")
 _REQUEST_BODY = struct.Struct("!q")
+#: Whole frames, header included, for the two fixed-size hot types.
+_PAGE_FRAME = struct.Struct("!IBqqB")
+_REQUEST_FRAME = struct.Struct("!IBq")
+#: A PAGE frame's length field (type byte + body).
+_PAGE_LENGTH = _PAGE_FRAME.size - _HEADER.size
+_REQUEST_LENGTH = _REQUEST_FRAME.size - _HEADER.size
+_KIND_CODES = {kind: code for code, kind in enumerate(SLOT_KINDS)}
+_N_KINDS = len(SLOT_KINDS)
+_HEADER_SIZE = _HEADER.size
+_PAGE_FRAME_SIZE = _PAGE_FRAME.size
+_unpack_header = _HEADER.unpack_from
+_unpack_page = _PAGE_FRAME.unpack_from
+_new_object = object.__new__
 
 
 class FrameError(ValueError):
@@ -78,7 +99,7 @@ class Hello:
     client_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Page:
     """One broadcast slot that carried a page (push or pull)."""
 
@@ -111,23 +132,31 @@ class Stats:
 
 Frame = Union[Hello, Page, Request, StatsRequest, Stats]
 
+#: The setters of ``Page``'s ``__slots__`` fields: the decoder fills a
+#: bare ``Page`` with them, for about a third of ``Page.__init__``'s
+#: cost (a frozen dataclass sets each field by ``object.__setattr__``).
+_PAGE_SETTERS = (Page.page.__set__, Page.slot.__set__, Page.kind.__set__)
 
-def _kind_code(kind: str) -> int:
-    try:
-        return SLOT_KINDS.index(kind)
-    except ValueError:
-        raise FrameError(f"unknown slot kind {kind!r}") from None
+
+#: ``encode_page(page, slot, code)``: one whole PAGE frame, header
+#: included, where ``code`` indexes :data:`~repro.obs.events.SLOT_KINDS`.
+#: A C-level partial of one struct pack, so the caller builds no
+#: :class:`Page`.
+encode_page = functools.partial(_PAGE_FRAME.pack, _PAGE_LENGTH, _TYPE_PAGE)
 
 
 def encode_frame(frame: Frame) -> bytes:
     """Serialize one frame, header included."""
+    if isinstance(frame, Page):
+        try:
+            code = _KIND_CODES[frame.kind]
+        except (KeyError, TypeError):
+            raise FrameError(f"unknown slot kind {frame.kind!r}") from None
+        return encode_page(frame.page, frame.slot, code)
+    if isinstance(frame, Request):
+        return _REQUEST_FRAME.pack(_REQUEST_LENGTH, _TYPE_REQUEST, frame.page)
     if isinstance(frame, Hello):
         body = bytes([_TYPE_HELLO]) + _HELLO_BODY.pack(frame.client_id)
-    elif isinstance(frame, Page):
-        body = bytes([_TYPE_PAGE]) + _PAGE_BODY.pack(
-            frame.page, frame.slot, _kind_code(frame.kind))
-    elif isinstance(frame, Request):
-        body = bytes([_TYPE_REQUEST]) + _REQUEST_BODY.pack(frame.page)
     elif isinstance(frame, StatsRequest):
         body = bytes([_TYPE_STATS_REQUEST])
     elif isinstance(frame, Stats):
@@ -186,21 +215,54 @@ class FrameDecoder:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> list[Frame]:
-        """Absorb ``data`` and return every frame completed by it."""
-        self._buffer.extend(data)
+        """Absorb ``data`` and return every frame completed by it.
+
+        A complete PAGE frame is one ``unpack_from`` at the read offset;
+        every other type goes through :func:`decode_payload`.  The
+        buffer is trimmed once, up to the last frame consumed (a frame
+        whose payload fails to decode counts as consumed, one whose
+        length prefix is bad does not).
+        """
+        buffer = self._buffer
+        buffer += data
+        size = len(buffer)
         frames: list[Frame] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return frames
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length == 0 or length > MAX_FRAME_BYTES:
-                raise FrameError(f"bad frame length {length}")
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                return frames
-            body = bytes(self._buffer[_HEADER.size:end])
-            del self._buffer[:end]
-            frames.append(decode_payload(body))
+        append = frames.append
+        kinds = SLOT_KINDS
+        set_page, set_slot, set_kind = _PAGE_SETTERS
+        offset = 0
+        try:
+            while True:
+                end = offset + _PAGE_FRAME_SIZE
+                if end <= size:
+                    length, frame_type, page, slot, code = _unpack_page(
+                        buffer, offset)
+                    if length == _PAGE_LENGTH and frame_type == _TYPE_PAGE:
+                        offset = end
+                        if code >= _N_KINDS:
+                            raise FrameError(
+                                f"unknown slot-kind code {code}")
+                        # Page(page, slot, kinds[code]), see _PAGE_SETTERS.
+                        frame = _new_object(Page)
+                        set_page(frame, page)
+                        set_slot(frame, slot)
+                        set_kind(frame, kinds[code])
+                        append(frame)
+                        continue
+                elif offset + _HEADER_SIZE > size:
+                    break
+                (length,) = _unpack_header(buffer, offset)
+                if length == 0 or length > MAX_FRAME_BYTES:
+                    raise FrameError(f"bad frame length {length}")
+                start = offset + _HEADER_SIZE
+                end = start + length
+                if end > size:
+                    break
+                offset = end
+                append(decode_payload(bytes(buffer[start:end])))
+        finally:
+            del buffer[:offset]
+        return frames
 
     @property
     def pending_bytes(self) -> int:

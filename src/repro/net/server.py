@@ -55,9 +55,12 @@ from repro.net.protocol import (
     Stats,
     StatsRequest,
     encode_frame,
+    encode_page,
     read_frame,
 )
+from repro.obs.events import SLOT_KINDS
 from repro.obs.metrics import MetricsRegistry
+from repro.server.broadcast_server import SlotKind
 
 __all__ = ["NetServer", "NetServerSettings"]
 
@@ -235,14 +238,20 @@ class NetServer:
         control = self.control
         due = control.due
         pending = self._pending
+        # tick() returns a page exactly when the slot carries one, and
+        # SlotKind members themselves: `page is not None` and `kind is
+        # pull` stand in for the enum's per-call property lookups.
+        pull = SlotKind.PULL
+        push_code = SLOT_KINDS.index(SlotKind.PUSH.value)
+        pull_code = SLOT_KINDS.index(pull.value)
         while max_slots is None or self.slot < max_slots:
             if self.slot >= due:
                 due = control.poll(self.slot)
             page, kind = self.server.tick()
-            if kind.carries_page:
-                assert page is not None
-                pending.append(encode_frame(Page(page, self.slot,
-                                                 kind.value)))
+            if page is not None:
+                pending.append(encode_page(
+                    page, self.slot,
+                    pull_code if kind is pull else push_code))
             self.slot += 1
             target = epoch + self.slot * duration
             delay = target - loop.time()

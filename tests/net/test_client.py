@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import asyncio
+import math
 
+import numpy as np
 import pytest
 
 from repro.core.algorithms import Algorithm
 from repro.core.config import SystemConfig
-from repro.net.client import ClientFleet, FleetResult, FleetSettings
+from repro.net.client import (
+    ClientFleet,
+    FleetResult,
+    FleetSettings,
+    fit_slot_duration,
+)
 from repro.net.server import NetServer, NetServerSettings
 
 CONFIG = SystemConfig(algorithm=Algorithm.IPP)
@@ -151,6 +158,65 @@ class TestAgainstLiveServer:
         assert settled.quantiles() is None
         assert len(settled.all_latencies_slots) + settled.censored == (
             settled.misses)
+
+
+def _arrivals(slots, times):
+    return [(int(slot), float(at)) for slot, at in zip(slots, times)]
+
+
+class TestSlotDurationFit:
+    """Synthetic (slot, arrival) observations of an epoch-anchored clock:
+    slot ``s`` is ticked no earlier than ``epoch + s * duration``."""
+
+    NOMINAL = 0.005
+    EPOCH = 1000.0
+
+    def on_time(self, slots, seed=0):
+        """Arrivals up to 2 ms late (network and reader jitter)."""
+        jitter = np.random.default_rng(seed).uniform(0, 0.002, len(slots))
+        return self.EPOCH + np.asarray(slots) * self.NOMINAL + jitter
+
+    def test_on_time_clock_fits_nominal(self):
+        slots = np.arange(3, 2000)
+        fitted = fit_slot_duration(_arrivals(slots, self.on_time(slots)),
+                                   self.NOMINAL)
+        assert fitted == pytest.approx(self.NOMINAL, rel=1e-3)
+
+    def test_catch_up_burst_does_not_shorten_the_fit(self):
+        """The clock stalled ~1 s while a fleet connected, then ticked its
+        late slots back to back: slots 3..209 arrive in one burst.  The
+        first-and-last fit reads 11% short; this fit does not."""
+        slots = np.arange(3, 2000)
+        times = self.on_time(slots)
+        caught_up = self.EPOCH + 210 * self.NOMINAL
+        times[slots < 210] = caught_up + np.linspace(0, 1e-3, 207)
+        observations = _arrivals(slots, times)
+        first_last = (times[-1] - times[0]) / (slots[-1] - slots[0])
+        assert first_last < 0.9 * self.NOMINAL
+        fitted = fit_slot_duration(observations, self.NOMINAL)
+        assert fitted == pytest.approx(self.NOMINAL, rel=2e-3)
+
+    def test_late_first_frame_is_ignored(self):
+        slots = np.arange(3, 500)
+        times = self.on_time(slots)
+        times[0] += 0.5
+        observations = _arrivals(slots, times)
+        assert fit_slot_duration(observations, self.NOMINAL) == (
+            fit_slot_duration(observations[1:], self.NOMINAL))
+
+    def test_slow_clock_keeps_its_whole_run(self):
+        """A host that runs every slot 25% long, its frames written in
+        batches of 64 (a late clock's batching): the fit is the slow
+        rate, not the nominal one."""
+        slots = np.arange(0, 4096)
+        ticked = self.EPOCH + slots * 1.25 * self.NOMINAL
+        written = ticked[(slots // 64) * 64 + 63]
+        fitted = fit_slot_duration(_arrivals(slots, written), self.NOMINAL)
+        assert fitted == pytest.approx(1.25 * self.NOMINAL, rel=1e-3)
+
+    @pytest.mark.parametrize("observations", [[], [(7, 1.0)]])
+    def test_fewer_than_two_slots_is_nan(self, observations):
+        assert math.isnan(fit_slot_duration(observations, self.NOMINAL))
 
 
 class TestResultQuantiles:

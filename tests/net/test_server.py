@@ -631,8 +631,10 @@ class TestLostClient:
         assert slot == 30
         assert connected == 1
         assert sent == kept + gone
-        assert not [r for r in caplog.records
-                    if r.name == "asyncio" and r.levelno >= logging.WARNING]
+        logged = [r for r in caplog.records
+                  if r.name == "asyncio" and r.levelno >= logging.WARNING]
+        assert not logged, [(r.name, r.levelname, r.getMessage())
+                            for r in logged]
 
     def test_closing_transport_is_neither_written_nor_counted(self, caplog):
         """Between a connection's loss and its reaping, broadcasts skip
