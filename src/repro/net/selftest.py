@@ -130,16 +130,20 @@ async def _run_point(config: SystemConfig, settings: SelfTestSettings,
         point_config,
         NetServerSettings(slot_duration=settings.slot_duration,
                           max_slots=settings.slots))
-    await server.start()
-    fleet = ClientFleet(
-        point_config, server.settings.host, server.port,
-        settings.slot_duration,
-        FleetSettings(
-            num_clients=settings.num_clients,
-            think_time=settings.think_time,
-            settle_slots=int(settings.slots * settings.settle_fraction)),
-        seed=settings.seed)
+    # The fleet needs the port, and no slot may tick during its
+    # synchronous build (every client's warmed cache): bind, build, then
+    # start the clock.
+    await server.bind()
     try:
+        fleet = ClientFleet(
+            point_config, server.settings.host, server.port,
+            settings.slot_duration,
+            FleetSettings(
+                num_clients=settings.num_clients,
+                think_time=settings.think_time,
+                settle_slots=int(settings.slots * settings.settle_fraction)),
+            seed=settings.seed)
+        await server.start()
         await fleet.start()
         await asyncio.wait_for(server.wait_finished(),
                                timeout=settings.point_timeout)

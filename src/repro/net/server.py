@@ -69,13 +69,19 @@ __all__ = ["NetServer", "NetServerSettings"]
 #: sleeps, at ``max_slots``, before a STATS reply and before a new
 #: connection registers, so a frame waits for at most this many
 #: page-carrying slots.
-#: 64 frames of 22 bytes fit one 1460-byte TCP segment.  ``net_fanout``
-#: (50 clients, saturated clock, 1500 slots) on a 2-vCPU x86 box, three
-#: alternating 8 s runs per cap, median slots/s and peak RSS against
-#: the unbatched server's 2.5k and 50.9 MB: cap 16 16.3k, +0.2 MB; 32
-#: 27.1k, +0.4 MB; 64 33.1k, +0.6 MB; 128 24.7k, +1.3 MB; 256 24.1k,
-#: +2.4 MB.  Past 64 the rate stops rising and RSS keeps growing.
-_LATE_BATCH_FRAMES = 64
+#: Each write wakes one reader per connection, so a larger cap means
+#: fewer writes and wake-ups per slot.  But a client that decodes gets
+#: a batch as one burst of GC-tracked ``Page`` objects, and once the
+#: bursts outgrow the young generation's threshold (700 allocations)
+#: collections cost more than the wake-ups saved.  ``net_fanout`` (48
+#: listeners, 2 decoding requesters, saturated clock, 1500 slots) on a
+#: shared 2-vCPU x86 box, six alternating 8 s runs per cap, median
+#: slots/s and peak RSS: cap 64 48.1k, 51.5 MB; 96 53.6k; 128 53.2k;
+#: 160 56.0k; 192 56.8k, 52.4 MB; 224 53.1k; 256 53.0k, 53.4 MB; 320
+#: 51.7k; 512 42.4k, 55.0 MB.  Collections per pass (young / middle /
+#: old): 8.2 / 0.7 / 0.1 at 64, 16.3 / 1.5 / 0.2 at 192, 20.9 / 1.9 /
+#: 0.2 at 256, 36.6 / 3.4 / 0.4 at 512.
+_LATE_BATCH_FRAMES = 192
 
 
 @dataclass(frozen=True)
@@ -178,21 +184,30 @@ class NetServer:
     # -- lifecycle -----------------------------------------------------------
     @property
     def port(self) -> int:
-        """The bound TCP port (after :meth:`start`)."""
+        """The bound TCP port (after :meth:`bind` or :meth:`start`)."""
         if self._tcp_server is None:
-            raise RuntimeError("server is not started")
+            raise RuntimeError("server is not bound")
         return self._tcp_server.sockets[0].getsockname()[1]
 
     @property
     def connected_clients(self) -> int:
         return len(self._connections)
 
-    async def start(self) -> None:
-        """Bind the socket and start the slot clock."""
+    async def bind(self) -> None:
+        """Bind the socket without starting the slot clock: connections
+        register, but no slot ticks until :meth:`start`."""
         if self._tcp_server is not None:
-            raise RuntimeError("server already started")
+            raise RuntimeError("server already bound")
         self._tcp_server = await asyncio.start_server(
             self._handle_connection, self.settings.host, self.settings.port)
+
+    async def start(self) -> None:
+        """Start the slot clock, binding the socket first unless
+        :meth:`bind` already has."""
+        if self._clock_task is not None:
+            raise RuntimeError("server already started")
+        if self._tcp_server is None:
+            await self.bind()
         self._clock_task = asyncio.create_task(
             self._slot_clock(), name="repro-net-slot-clock")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import math
 
 import pytest
@@ -67,6 +68,35 @@ class TestSettings:
         short = SelfTestSettings(slots=100, slot_duration=0.001)
         long = SelfTestSettings(slots=10_000, slot_duration=0.005)
         assert long.point_timeout > short.point_timeout
+
+
+class TestPointStart:
+    def test_clock_starts_after_the_fleet_is_built(self, monkeypatch):
+        """Building the fleet is synchronous; a clock already running
+        then would open the point late and catch up in a burst.  When
+        the fleet's construction returns, the server is bound but its
+        clock is not started and no slot has ticked; the point still
+        runs all its slots."""
+        servers, at_build = [], []
+
+        class Server(net_selftest.NetServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                servers.append(self)
+
+        class Fleet(net_selftest.ClientFleet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                server = servers[-1]
+                at_build.append((server.port > 0, server._clock_task,
+                                 server.slot))
+
+        monkeypatch.setattr(net_selftest, "NetServer", Server)
+        monkeypatch.setattr(net_selftest, "ClientFleet", Fleet)
+        _, stats = asyncio.run(net_selftest._run_point(
+            SystemConfig(), TINY, TINY.pull_bws[0]))
+        assert at_build == [(True, None, 0)]
+        assert stats["slot"] == TINY.slots
 
 
 class TestOrdering:
