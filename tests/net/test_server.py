@@ -442,6 +442,9 @@ class TestLateSlotBatching:
         carried, batches = run(scenario())
         assert max(batches) == _LATE_BATCH_FRAMES
         assert sum(batches) == len(carried)
+
+
+class TestBackchannel:
     def test_requests_reach_the_bounded_queue(self):
         async def scenario():
             server = NetServer(CONFIG, NetServerSettings(
