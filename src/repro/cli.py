@@ -336,15 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--requests", action="store_true",
         help="trace measured-client request lifecycles (one record per "
              "access) instead of broadcast slots")
-    trace_sampling = trace.add_mutually_exclusive_group()
-    trace_sampling.add_argument(
-        "--sample-every", type=int, default=None, metavar="N",
-        help="(--requests) trace 1 access in N deterministically; "
-             "the breakdown's counts and totals are scaled by N")
-    trace_sampling.add_argument(
-        "--reservoir", type=int, default=None, metavar="K",
-        help="(--requests) keep a seeded uniform reservoir of K records "
-             "regardless of run length (seeded from --seed)")
 
     report = command(
         "report", _cmd_report,
@@ -434,21 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_request_trace(config: SystemConfig, path: Path,
-                         engine: str = "fast", sampling=None) -> int:
+                         engine: str = "fast") -> int:
     """Request-trace ``config`` into a file; prints what ``report
-    --trace`` prints of it (its breakdown scaled by a sampled trace's
-    weight)."""
+    --trace`` prints of it."""
     from repro.experiments.tracing import write_request_trace
 
-    tracer = write_request_trace(config, path, engine=engine,
-                                 sampling=sampling)
-    print("\n".join(_request_summary(tracer.sink.array(), tracer.think_time,
-                                     tracer.weight)))
-    if sampling is not None:
-        meta = sampling.describe()
-        print(f"sampling: {meta['policy']} kept {meta['sampled']} of "
-              f"{meta['seen']} accesses (aggregates are weighted "
-              f"estimates)")
+    tracer = write_request_trace(config, path, engine=engine)
+    print("\n".join(_request_summary(tracer.sink.array(),
+                                     tracer.think_time)))
     return tracer.records_emitted
 
 
@@ -586,29 +570,13 @@ def _cmd_loadgen(args) -> int:
 
 def _cmd_trace(args) -> int:
     config = _system_config(args)
-    if (args.sample_every is not None or args.reservoir is not None) \
-            and not args.requests:
-        raise _UsageError("--sample-every/--reservoir require --requests "
-                          "(slot traces are not sampled)")
     if args.out.suffix != ".npy":
         raise _UsageError(
             f"--out {args.out} must end in .npy (a trace is a columnar "
             ".npy; 'convert SRC.npy DST.jsonl' exports one as JSON lines)")
     _output_file("--out", args.out)
     if args.requests:
-        sampling = None
-        if args.sample_every is not None:
-            from repro.obs.sampling import EveryNSampling
-
-            with _naming_flags({"--sample-every": "sampling interval n"}):
-                sampling = EveryNSampling(args.sample_every)
-        elif args.reservoir is not None:
-            from repro.obs.sampling import ReservoirSampling
-
-            with _naming_flags({"--reservoir": "reservoir capacity"}):
-                sampling = ReservoirSampling(args.reservoir, seed=args.seed)
-        emitted = _write_request_trace(config, args.out, engine=args.engine,
-                                       sampling=sampling)
+        emitted = _write_request_trace(config, args.out, engine=args.engine)
         print(f"{emitted} request records -> {args.out}")
     else:
         from repro.experiments.tracing import write_slot_trace
@@ -656,13 +624,12 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _request_summary(array, think_time, weight: float = 1) -> list[str]:
+def _request_summary(array, think_time) -> list[str]:
     """A request table's breakdown and exact miss-wait quantile lines."""
     from repro.obs.requests import breakdown_of_array, measured_miss_waits
     from repro.sim.monitor import exact_quantiles
 
-    lines = [breakdown_of_array(array, think_time=think_time,
-                                weight=weight).render()]
+    lines = [breakdown_of_array(array, think_time=think_time).render()]
     waits = measured_miss_waits(array)
     marks = exact_quantiles(waits)
     if marks is not None:

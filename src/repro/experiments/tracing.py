@@ -37,19 +37,13 @@ def write_slot_trace(config: SystemConfig, path: Union[str, Path],
 
 
 def write_request_trace(config: SystemConfig, path: Union[str, Path],
-                        engine: str = "fast", sampling=None) -> RequestTracer:
+                        engine: str = "fast") -> RequestTracer:
     """Run ``config`` with a request tracer writing to ``path``.
-
-    ``sampling`` is an optional
-    :class:`~repro.obs.sampling.SamplingPolicy`.  The tracer is closed —
-    not just the sink — before returning, so a deferring (reservoir)
-    policy has flushed its records into the file.
 
     Returns the tracer (its sink already closed), whose rows are the
     file's: callers summarize them without re-reading the trace.
     """
-    tracer = RequestTracer(ColumnarSink(path, table="request"),
-                           sampling=sampling)
+    tracer = RequestTracer(ColumnarSink(path, table="request"))
     try:
         ENGINES[engine](config, request_tracer=tracer).run()
     finally:

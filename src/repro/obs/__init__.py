@@ -17,11 +17,10 @@ opens the black box:
   per engine, in-process and under another ``PYTHONHASHSEED``, and diff
   the slot traces bit-exactly (``repro-broadcast sanitize``),
 - :mod:`repro.obs.requests` — request-lifecycle tracing: one row per
-  measured-client access, and the wait decomposition and miss-wait
-  column vectorized reductions read from those rows,
-- :mod:`repro.obs.sampling` — 1-in-N and seeded-reservoir sampling
-  policies for the request tracer, each with one inverse-probability
-  weight so sampled aggregates estimate the full population,
+  measured-client access (the trace is always full: it watches only
+  the MC, so it is bounded by the run's access count), and the wait
+  decomposition and miss-wait column vectorized reductions read from
+  those rows,
 - :mod:`repro.obs.manifest` — run/sweep provenance manifests (seed,
   config, versions, timestamp).
 
@@ -58,12 +57,6 @@ from repro.obs.manifest import (
     sweep_manifest,
 )
 from repro.obs.metrics import Counter, MetricsRegistry
-from repro.obs.sampling import (
-    EveryNSampling,
-    ReservoirSampling,
-    SamplingPolicy,
-    sample_stream,
-)
 from repro.obs.requests import (
     RequestRecord,
     RequestTracer,
@@ -109,8 +102,4 @@ __all__ = [
     "package_version",
     "run_manifest",
     "sweep_manifest",
-    "SamplingPolicy",
-    "EveryNSampling",
-    "ReservoirSampling",
-    "sample_stream",
 ]

@@ -147,17 +147,16 @@ class WaitBreakdown:
     ``push_wait`` or ``pull_wait`` by the kind of slot that served it.
     """
 
-    #: Event counts.  Exact ints for full traces; population estimates
-    #: (floats) for a sampled one (see :mod:`repro.obs.sampling`).
-    accesses: float = 0
-    hits: float = 0
-    misses: float = 0
-    pulls_sent: float = 0
-    pulls_enqueued: float = 0
-    pulls_duplicate: float = 0
-    pulls_dropped: float = 0
-    served_push: float = 0
-    served_pull: float = 0
+    #: Event counts.
+    accesses: int = 0
+    hits: int = 0
+    misses: int = 0
+    pulls_sent: int = 0
+    pulls_enqueued: int = 0
+    pulls_duplicate: int = 0
+    pulls_dropped: int = 0
+    served_push: int = 0
+    served_pull: int = 0
     #: Total think time (accesses x ThinkTime, when the think time is
     #: known).
     think: float = 0.0
@@ -195,29 +194,21 @@ class WaitBreakdown:
         def share(part: float) -> str:
             return f"{part / busy:.1%}" if busy else "-"
 
-        def events(count: float):
-            # Weighted (sampled) breakdowns estimate fractional counts;
-            # full traces print the exact ints they always did.
-            return int(count) if float(count).is_integer() else (
-                f"{count:.1f}")
-
         rows = [
-            ("think", self.think, share(self.think), events(self.accesses)),
+            ("think", self.think, share(self.think), self.accesses),
             ("push wait", self.push_wait, share(self.push_wait),
-             events(self.served_push)),
+             self.served_push),
             ("pull queue wait", self.pull_wait, share(self.pull_wait),
-             events(self.served_pull)),
+             self.served_pull),
             ("service (on air)", self.service, share(self.service),
-             events(self.misses)),
+             self.misses),
         ]
         table = format_table(
             ("stage", "broadcast units", "share", "events"), rows)
-        summary = (f"accesses {events(self.accesses)} (hits "
-                   f"{events(self.hits)} / misses {events(self.misses)}), "
-                   f"pulls sent {events(self.pulls_sent)} "
-                   f"(enqueued {events(self.pulls_enqueued)}, duplicate "
-                   f"{events(self.pulls_duplicate)}, dropped "
-                   f"{events(self.pulls_dropped)})")
+        summary = (f"accesses {self.accesses} (hits {self.hits} / misses "
+                   f"{self.misses}), pulls sent {self.pulls_sent} "
+                   f"(enqueued {self.pulls_enqueued}, duplicate "
+                   f"{self.pulls_duplicate}, dropped {self.pulls_dropped})")
         return f"{table}\n{summary}"
 
 
@@ -229,17 +220,13 @@ def _require_request_table(array: np.ndarray) -> None:
 
 def breakdown_of_array(array: np.ndarray,
                        think_time: Optional[float] = None,
-                       measured_only: bool = True,
-                       weight: float = 1) -> WaitBreakdown:
+                       measured_only: bool = True) -> WaitBreakdown:
     """The :class:`WaitBreakdown` of a request table.
 
     Built by column reductions — no record objects are materialized, so
     a million-row memory-mapped trace aggregates in tens of
     milliseconds.  ``think_time`` (broadcast units per access) fills the
-    think row when known.  ``weight`` is the accesses each row stands
-    for (a sampled trace's, see :mod:`repro.obs.sampling`): every count
-    and total is scaled by it once, so the breakdown estimates the full
-    population.
+    think row when known.
     """
     _require_request_table(array)
     rows = array[array["measured"]] if measured_only else array[...]
@@ -262,10 +249,6 @@ def breakdown_of_array(array: np.ndarray,
         push_wait=float(queue_wait[~served_pull].sum()),
         pull_wait=float(queue_wait[served_pull].sum()),
         service=float(np.nan_to_num(miss["service"], nan=0.0).sum()))
-    if weight != 1:
-        breakdown = WaitBreakdown(**{
-            name: weight * value
-            for name, value in asdict(breakdown).items()})
     if think_time is not None:
         breakdown.think = think_time * breakdown.accesses
     return breakdown
@@ -310,7 +293,9 @@ class RequestTracer:
     *every* backchannel request (the VC's included) and counts the ones
     for the page the MC is blocked on.
 
-    The sink's rows are the trace; :meth:`breakdown` and
+    The tracer watches only the MC, so the trace has one row per MC
+    access (warm-up, settle and measure) and no more.  The sink's rows
+    are the trace; :meth:`breakdown` and
     :meth:`wait_quantiles` reduce them with :func:`breakdown_of_array`
     and :func:`~repro.sim.monitor.exact_quantiles`, as ``report
     --trace`` does for the written file.
@@ -321,25 +306,15 @@ class RequestTracer:
         think_time: broadcast units the MC thinks between accesses
             (:meth:`attach` fills this in when left None) — used for the
             think row of :meth:`breakdown`.
-        sampling: optional :class:`~repro.obs.sampling.SamplingPolicy`.
-            When set, only accepted accesses are traced (skipped ones
-            cost a single policy call), and the breakdown's counts and
-            totals are scaled by the policy's one ``weight``, so they
-            estimate the full population.  Reservoir policies hold
-            their records back until :meth:`finalize`.
     """
 
-    def __init__(self, sink, think_time: Optional[float] = None,
-                 sampling=None):
+    def __init__(self, sink, think_time: Optional[float] = None):
         self.sink = sink
         self.think_time = think_time
-        self.sampling = sampling
         self.records_emitted = 0
-        #: Accesses offered to the tracer (sampled or not); the next
-        #: access's index.
+        #: Accesses seen so far; the next access's index.
         self.accesses_seen = 0
         self._open: Optional[_OpenRequest] = None
-        self._finalized = False
 
     # -- attachment --------------------------------------------------------
     def attach(self, state: "SystemState") -> Attachment:
@@ -405,18 +380,9 @@ class RequestTracer:
 
     # -- hooks -------------------------------------------------------------
     def on_access(self, page: int, now: float, measured: bool) -> None:
-        """The MC issued an access for ``page`` at ``now``.
-
-        With a sampling policy attached, a rejected access leaves no
-        open request — every later hook is a no-op for it (they all
-        guard on ``self._open``), which is where sampling's speedup
-        comes from.
-        """
+        """The MC issued an access for ``page`` at ``now``."""
         index = self.accesses_seen
         self.accesses_seen += 1
-        if self.sampling is not None and not self.sampling.accept(index):
-            self._open = None
-            return
         self._open = _OpenRequest(index=index, page=page,
                                   issued_at=now, measured=measured)
 
@@ -499,51 +465,19 @@ SlotKind` (push or pull).
     # -- results -----------------------------------------------------------
     def _emit(self, record: RequestRecord) -> None:
         self._open = None
-        # A reservoir holds the record; it is written — or evicted — at
-        # finalize() time.
-        if self.sampling is None or self.sampling.commit(record):
-            self._write(record)
-
-    def _write(self, record: RequestRecord) -> None:
         self.sink.emit(record.row())
         self.records_emitted += 1
-
-    def finalize(self) -> None:
-        """Flush records a deferring sampling policy held back.
-
-        Idempotent; called automatically by :meth:`breakdown`,
-        :meth:`wait_quantiles`, and :meth:`close`.  A no-op for full
-        traces and streaming policies.
-        """
-        if self._finalized or self.sampling is None:
-            return
-        self._finalized = True
-        for record in self.sampling.drain():
-            self._write(record)
-
-    @property
-    def weight(self) -> float:
-        """Accesses each row stands for: 1 unless sampled."""
-        return 1 if self.sampling is None else self.sampling.weight
 
     def breakdown(self) -> WaitBreakdown:
         """The measured-phase wait decomposition of the rows (think row
         filled when ``think_time`` is known)."""
-        self.finalize()
-        return breakdown_of_array(self.sink.array(), self.think_time,
-                                  weight=self.weight)
+        return breakdown_of_array(self.sink.array(), self.think_time)
 
     def wait_quantiles(self) -> Optional[dict[str, float]]:
         """Exact p50/p90/p99 of the rows' measured miss waits (None
-        before any miss).
-
-        A sampled trace's rows are an index-chosen sample, never a
-        value-chosen one, so their quantiles estimate the full trace's.
-        """
-        self.finalize()
+        before any miss)."""
         return exact_quantiles(measured_miss_waits(self.sink.array()))
 
     def close(self) -> None:
-        """Flush any deferred sampled records and close the sink."""
-        self.finalize()
+        """Close the sink."""
         self.sink.close()

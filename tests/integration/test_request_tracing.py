@@ -6,11 +6,16 @@ wait, and service must agree statistically, and within each engine the
 decomposition must tie out exactly against the run's own tallies.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.core.algorithms import Algorithm
 from repro.core.fast import FastEngine
 from repro.core.simulation import ReferenceEngine
+from repro.experiments.figures import FIGURES
+from repro.experiments.tracing import write_request_trace
 from repro.obs import (
     ColumnarSink,
     Histogram,
@@ -99,3 +104,39 @@ class TestDecompositionTiesToTallies:
         assert histogram.quantile(0.99) == pytest.approx(
             result.response_miss.p99)
         assert tracer.wait_quantiles() == exact_quantiles(waits)
+
+
+class TestFullTracePinned:
+    """A full request trace of figure 3a's representative point, pinned.
+
+    The digest of the written rows and the summary lines ``trace
+    --requests`` prints of them were recorded before the request-sampling
+    path was deleted from the tracer; a full trace must keep them.
+    """
+
+    SHA256 = ("1d08ead5c478774b274a5227a124ac2f"
+              "119e8ff954e762cfe4a9878396fa9465")
+    SUMMARY = [
+        "           stage  broadcast units  share  events\n"
+        "----------------  ---------------  -----  ------\n"
+        "           think          8,000.0  94.6%     400\n"
+        "       push wait             0.00   0.0%       0\n"
+        " pull queue wait            314.0   3.7%     145\n"
+        "service (on air)            145.0   1.7%     145\n"
+        "accesses 400 (hits 255 / misses 145), pulls sent 145 "
+        "(enqueued 145, duplicate 0, dropped 0)",
+        "measured miss wait quantiles: p50=2.0  p90=7.0  p99=12.0  "
+        "max=12.0",
+    ]
+
+    def test_figure_3a_trace_bytes_and_summary(self, tmp_path):
+        from repro.cli import _request_summary
+
+        config = FIGURES["3a"].representative_config().with_(
+            run__settle_accesses=300, run__measure_accesses=400)
+        path = tmp_path / "req.npy"
+        tracer = write_request_trace(config, path)
+        array = np.load(path)
+        assert tracer.records_emitted == array.shape[0] == 865
+        assert hashlib.sha256(array.tobytes()).hexdigest() == self.SHA256
+        assert _request_summary(array, tracer.think_time) == self.SUMMARY
