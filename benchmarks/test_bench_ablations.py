@@ -1,16 +1,13 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""The adaptive-control ablation: the future-work controller (§6)
+against static IPP at both ends of the load axis.
 
-Not figures from the paper, but direct tests of its design arguments:
-
-- **Tuning** — the §6 parameter-setting advisor across the load range.
-- **Adaptive control** — the future-work controller (§6) against static
-  IPP across the load axis.  It stays a hand loop: the controller is an
-  engine argument, not a config field, so a figure row cannot set it.
-
-The cache-policy (§2.1's cost-based replacement) and push-program
-(§3.2's Offset, the square-root-rule split, a flat broadcast) ablations
-are :data:`~repro.experiments.figures.EXTENSIONS` rows with claims, run
-at ``PUSH_BENCH`` by ``test_bench_figures.py``.
+It stays a hand loop: the controller is an engine argument, not a config
+field, so a figure row cannot set it.  The §6 parameter-setting point is
+the worst-case claims on figures 6a / 6b.  The cache-policy (§2.1's
+cost-based replacement) and push-program (§3.2's Offset, the
+square-root-rule split, a flat broadcast) ablations are
+:data:`~repro.experiments.figures.EXTENSIONS` rows with claims, run at
+``PUSH_BENCH`` by ``test_bench_figures.py``.
 """
 
 from benchmarks.conftest import BENCH, run_once
@@ -19,31 +16,6 @@ from repro.core.adaptive import AdaptiveController, AdaptivePolicy
 from repro.core.config import SystemConfig
 from repro.core.fast import FastEngine
 from repro.experiments.base import run_replicated
-
-
-def test_tuning_advisor(benchmark, results_dir):
-    """The §6 parameter-setting tool at full scale: tuned for a wide load
-    range, the advisor must pick a non-zero threshold (flooding the
-    backchannel loses the worst-case objective once saturation is in
-    range), matching Section 4.4's consistency argument."""
-    from repro.tuning import TuningSpec, recommend
-
-    spec = TuningSpec(loads=(10.0, 75.0, 250.0),
-                      pull_bw_grid=(0.30, 0.50),
-                      thresh_grid=(0.0, 0.35))
-
-    report = run_once(
-        benchmark,
-        lambda: recommend(SystemConfig(algorithm=Algorithm.IPP), spec,
-                          BENCH))
-    text = report.format()
-    (results_dir / "ablation_tuning.txt").write_text(text + "\n")
-    print(f"\n{text}\n")
-
-    assert report.best.thresh_perc > 0.0
-    # Ranking is coherent: best worst-case really is the minimum.
-    assert report.best.worst_case == min(
-        c.worst_case for c in report.candidates)
 
 
 def test_adaptive_controller_ablation(benchmark, results_dir):

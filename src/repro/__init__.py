@@ -31,7 +31,6 @@ from repro.core import (
     simulate,
 )
 from repro.core.fast import simulate_warmup
-from repro.tuning import TuningSpec, recommend
 
 __version__ = "1.0.0"
 
@@ -48,7 +47,5 @@ __all__ = [
     "build_system",
     "simulate",
     "simulate_warmup",
-    "TuningSpec",
-    "recommend",
     "__version__",
 ]

@@ -5,9 +5,8 @@
 (``simulate``, ``serve``, ``loadgen``, ``trace``, ``sanitize``) share
 one flag per config field, derived from the field's declared domain
 (:data:`_SYSTEM_FLAGS`); so are the flags of ``serve``,
-``loadgen``, ``figures``, ``tune`` and ``compare`` that set a field of
-the server, load-generator, self-test, sweep-profile or compare
-settings.
+``loadgen``, ``figures`` and ``compare`` that set a field of the server,
+load-generator, self-test, sweep-profile or compare settings.
 
 Exit codes: 0 success; 2 a usage or load error, reported as one
 ``command: ...`` line on stderr; 1 is reserved for a verdict:
@@ -66,8 +65,8 @@ def _figure_specs(ids):
 
 @contextmanager
 def _naming_flags(flags):
-    """Turn a ValueError naming the field (or knob) a flag sets into a
-    usage error led by that flag; ``flags`` maps flag -> dotted name."""
+    """Turn a ValueError naming the field a flag sets into a usage error
+    led by that flag; ``flags`` maps flag -> dotted name."""
     try:
         yield
     except ValueError as exc:
@@ -167,15 +166,8 @@ _LOADGEN_FLAGS = {
 #: compare's drift thresholds.
 _COMPARE_FLAGS = {"--alpha": "compare.alpha",
                   "--tolerance": "compare.tolerance"}
-#: The sweep-profile flags of figures (over QUICK or FULL) and of tune
-#: (over QUICK, which also gives their defaults).
+#: The sweep-profile flags of figures (over QUICK or FULL).
 _FIGURES_FLAGS = {"--workers": "profile.workers", "--seed": "profile.base_seed"}
-_TUNE_PROFILE_FLAGS = {
-    "--settle": "profile.settle_accesses",
-    "--measure": "profile.measure_accesses",
-    "--replicates": "profile.replicates",
-    "--seed": "profile.base_seed",
-}
 #: program's flags, over an IPP system.
 _PROGRAM_FLAGS = {"--cache-size": "client.cache_size", "--chop": "server.chop"}
 
@@ -185,17 +177,15 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def _add_flags(parser, flags, base=None, required=()) -> None:
+def _add_flags(parser, flags, required=()) -> None:
     """One flag per entry of ``flags`` (flag -> dotted field name), its
-    type, default and help from the field's declared domain; the default
-    is ``base``'s value of the field where given."""
+    type, default and help from the field's declared domain."""
     for flag, dotted in flags.items():
         spec = config_field(dotted)
         domain = spec.metadata["domain"]
-        default = spec.default if base is None else getattr(base, spec.name)
         parser.add_argument(
             flag, type=domain.kind, required=flag in required,
-            default=None if flag in required else default,
+            default=None if flag in required else spec.default,
             help=f"{dotted}: {domain.describe()}"
                  + ("" if flag in required else " (default: %(default)s)"))
 
@@ -379,21 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "program", _cmd_program, help="inspect a broadcast program")
     _add_flags(prog, _PROGRAM_FLAGS)
     prog.add_argument("--no-offset", action="store_true")
-
-    tune = command(
-        "tune", _cmd_tune,
-        help="recommend IPP knob settings for a load range")
-    tune.add_argument("--loads", default="10,50,250",
-                      help="comma-separated ThinkTimeRatio range")
-    tune.add_argument("--pull-bw", default="0.3,0.5",
-                      help="comma-separated PullBW candidates")
-    tune.add_argument("--thresh-perc", default="0,0.25,0.35",
-                      help="comma-separated ThresPerc candidates")
-    tune.add_argument("--chop", default="0",
-                      help="comma-separated chop-depth candidates")
-    tune.add_argument("--objective", choices=("worst_case", "mean"),
-                      default="worst_case")
-    _add_flags(tune, _TUNE_PROFILE_FLAGS, base=QUICK)
 
     sanitize = command(
         "sanitize", _cmd_sanitize,
@@ -755,44 +730,6 @@ def _cmd_sanitize(args) -> int:
     else:
         print(report.format())
     return 0 if report.ok else 1
-
-
-#: tune's grid flags by the config field each value of the grid sets.
-_TUNE_GRIDS = {
-    "--loads": "client.think_time_ratio",
-    "--pull-bw": "server.pull_bw",
-    "--thresh-perc": "server.thresh_perc",
-    "--chop": "server.chop",
-}
-
-
-def _cmd_tune(args) -> int:
-    from repro.tuning import TuningSpec, recommend
-
-    def grid(flag, kind):
-        text = getattr(args, _dest(flag))
-        try:
-            values = tuple(kind(v) for v in text.split(",") if v)
-        except ValueError:
-            values = ()
-        if not values:
-            raise _UsageError(f"{flag}: expected comma-separated "
-                              f"{kind.__name__}s, got {text!r}")
-        return values
-
-    spec = TuningSpec(
-        loads=grid("--loads", float),
-        pull_bw_grid=grid("--pull-bw", float),
-        thresh_grid=grid("--thresh-perc", float),
-        chop_grid=grid("--chop", int),
-        objective=args.objective,
-    )
-    profile = _settings(QUICK, args, _TUNE_PROFILE_FLAGS)
-    with _naming_flags(_TUNE_GRIDS):
-        report = recommend(SystemConfig(algorithm=Algorithm.IPP), spec,
-                           profile)
-    print(report.format())
-    return 0
 
 
 def main(argv=None) -> int:

@@ -64,11 +64,11 @@ from repro.obs.manifest import sweep_manifest
 
 __all__ = ["SeriesSpec", "FigureSpec", "FIGURES", "EXTENSIONS", "run_figure",
            "Below", "Flat", "Monotone", "CrossesLater", "Gap", "Ratio",
-           "Lowest", "Verdict", "evaluate"]
+           "Lowest", "Highest", "Verdict", "evaluate"]
 
 
 # Claims compare terms: a point ``(curve label, x)`` (that curve's mean
-# at x), a number, or a Gap, Ratio or Lowest built from them.
+# at x), a number, or a Gap, Ratio, Lowest or Highest built from them.
 def _value(term: Any, figure: FigureResult) -> float:
     if isinstance(term, tuple):
         label, x = term
@@ -135,6 +135,19 @@ class Lowest:
 
     def __str__(self) -> str:
         return f"min {self.label}"
+
+
+@dataclass(frozen=True)
+class Highest:
+    """A curve's maximum over the whole axis: its worst case."""
+
+    label: str
+
+    def value(self, figure: FigureResult) -> float:
+        return max(figure.series_by_label(self.label).y)
+
+    def __str__(self) -> str:
+        return f"max {self.label}"
 
 
 @dataclass(frozen=True)
@@ -451,6 +464,11 @@ def _figure_6(panel: str, pull_bw: float, *claims: Claim) -> FigureSpec:
         representative=("IPP ThresPerc 25%", 25), claims=claims)
 
 
+#: §4.4's consistency claims, shared by both figure-6 panels.
+_CONSISTENT = tuple(Below(Highest("IPP ThresPerc 35%"), Highest(label))
+                    for label in ("IPP ThresPerc 0%", "Pull"))
+
+
 def _figure_7(panel: str, thresh_perc: float, *claims: Claim) -> FigureSpec:
     """Response time vs pages chopped off the push program, at TTR 25.
 
@@ -530,15 +548,21 @@ FIGURES: dict[str, FigureSpec] = {spec.figure_id: spec for spec in (
               Below(Ratio(("IPP Noise 35%", 250), ("IPP Noise 0%", 250)),
                     2.5)),
     # §4.2: thresholds only delay clients at light load, but win under
-    # heavy load and extend the loads where IPP beats Pure-Push.
+    # heavy load and extend the loads where IPP beats Pure-Push.  §4.4:
+    # with a threshold IPP is consistent across the load range, its worst
+    # case below the unthresholded IPP's and Pure-Pull's (not Pure-Push's
+    # at this scale; EXPERIMENTS.md).
     _figure_6("a", 0.50,
               Below(("IPP ThresPerc 0%", 10), ("IPP ThresPerc 25%", 10)),
               CrossesLater("IPP ThresPerc 25%", "IPP ThresPerc 0%",
                            strict=False),
-              Below(("IPP ThresPerc 25%", 250), ("IPP ThresPerc 0%", 250))),
+              Below(("IPP ThresPerc 25%", 250), ("IPP ThresPerc 0%", 250)),
+              *_CONSISTENT),
     _figure_6("b", 0.30,
+              Below(("IPP ThresPerc 0%", 10), ("IPP ThresPerc 35%", 10)),
               Below(("IPP ThresPerc 35%", 250), ("IPP ThresPerc 0%", 250)),
-              CrossesLater("IPP ThresPerc 35%", "IPP ThresPerc 0%")),
+              CrossesLater("IPP ThresPerc 35%", "IPP ThresPerc 0%"),
+              *_CONSISTENT),
     # §4.3: chopped pages need pull bandwidth; with 50% and a threshold,
     # chopping helps (155 -> 63 units in the paper), and 30% gains too.
     _figure_7("a", 0.0,

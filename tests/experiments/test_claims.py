@@ -17,6 +17,7 @@ from repro.experiments.figures import (
     FigureSpec,
     Flat,
     Gap,
+    Highest,
     Lowest,
     Monotone,
     Ratio,
@@ -76,6 +77,9 @@ CASES = [
     (Below(Ratio(("A", 3), ("B", 3)), 2), dict(A=[0, 0, 3], B=[0, 0, 2]),
      dict(A=[0, 0, 4], B=[0, 0, 2])),
     (Below(Lowest("A"), ("A", 1)), dict(A=[3, 4, 2]), dict(A=[3, 4, 3])),
+    # A peak mid-axis: neither the first nor the last point is the max.
+    (Below(("B", 1), Highest("A")), dict(A=[1, 5, 2], B=[3, 0, 0]),
+     dict(A=[1, 2, 2], B=[3, 0, 0])),
     (Flat("A"), dict(A=[1, 1, 1]), dict(A=[1, 1, 1.5])),
     (Monotone("A"), dict(A=[1, 2, 2]), dict(A=[1, 3, 2])),
     (CrossesLater("A", "B"), dict(A=[1, 1, 6], B=[1, 6, 6]),

@@ -55,9 +55,6 @@ PARSER_SNAPSHOT = {
     "simulate": "--metrics=False " + SYSTEM_FLAGS,
     "trace": "--engine='fast' --figure=None --out=PosixPath('trace.npy') "
              "--requests=False " + SYSTEM_FLAGS,
-    "tune": "--chop='0' --loads='10,50,250' --measure=800 "
-            "--objective='worst_case' --pull-bw='0.3,0.5' --replicates=1 "
-            "--seed=42 --settle=500 --thresh-perc='0,0.25,0.35'",
 }
 
 
@@ -98,27 +95,10 @@ class TestUnknownFigureId:
 
 #: Command line -> the one stderr line it must produce.
 BAD_SWEEP_ARGUMENTS = {
-    "tune --loads nan":
-        "tune: --loads: client.think_time_ratio must be finite and > 0, "
-        "got nan",
-    "tune --pull-bw 1.5":
-        "tune: --pull-bw: server.pull_bw must be within [0, 1], got 1.5",
-    "tune --chop 1000":
-        "tune: --chop: server.chop must be < server.db_size 1000 (at least "
-        "one page stays on the air), got 1000",
-    "tune --loads abc":
-        "tune: --loads: expected comma-separated floats, got 'abc'",
-    "tune --loads ,":
-        "tune: --loads: expected comma-separated floats, got ','",
-    "tune --loads 250,10":
-        "tune: --loads: client.think_time_ratio grid of figure tune must "
-        "be strictly increasing, got (250.0, 10.0)",
-    "tune --replicates 0":
-        "tune: --replicates: profile.replicates must be an int >= 1, got 0",
     "figures 3a --seed -1":
         "figures: --seed: profile.base_seed must be an int >= 0, got -1",
     # Flags derived from a settings field: serve, self-test, loadgen, the
-    # sweep profile of figures and tune.
+    # sweep profile of figures.
     "serve --port 99999":
         "serve: --port: serve.port must be an int within [0, 65535], "
         "got 99999",
@@ -173,14 +153,6 @@ BAD_SWEEP_ARGUMENTS = {
     "figures 3a --workers 0":
         "figures: --workers: profile.workers must be None or an int >= 1, "
         "got 0",
-    "tune --settle -1":
-        "tune: --settle: profile.settle_accesses must be an int >= 0, "
-        "got -1",
-    "tune --measure 0":
-        "tune: --measure: profile.measure_accesses must be an int >= 1, "
-        "got 0",
-    "tune --seed -1":
-        "tune: --seed: profile.base_seed must be an int >= 0, got -1",
     "program --cache-size 600":
         "program: --cache-size: client.cache_size must fit on the slowest "
         "disk and leave a page uncached for the Offset transform (<= 500), "
@@ -935,22 +907,20 @@ class TestCompareCommand:
         assert main(["compare", str(paths[0]), str(paths[1])]) == 2
 
 
-class TestTuneCommand:
-    def test_recommends_a_setting(self, capsys):
-        code = main(["tune", "--loads", "2", "--pull-bw", "0.5",
-                     "--thresh-perc", "0,0.35", "--settle", "20",
-                     "--measure", "40"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "recommended (worst_case)" in out
-        assert "ThresPerc" in out
+class TestTuneIsGone:
+    def test_subcommand_module_and_exports_are_gone(self, capsys):
+        """The §6 advisor is the worst-case claims on figures 6a / 6b."""
+        import importlib
 
-    def test_mean_objective(self, capsys):
-        code = main(["tune", "--loads", "2", "--pull-bw", "0.5",
-                     "--thresh-perc", "0", "--objective", "mean",
-                     "--settle", "20", "--measure", "40"])
-        assert code == 0
-        assert "recommended (mean)" in capsys.readouterr().out
+        import repro
+
+        with pytest.raises(SystemExit) as exc:
+            main(["tune"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.tuning")
+        assert not {"TuningSpec", "recommend"} & set(repro.__all__)
 
 
 class TestFiguresCommand:
